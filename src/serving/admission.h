@@ -10,7 +10,7 @@
 /// Everything here is internally synchronized (one private Mutex per
 /// primitive, no lock-order edges to the engine locks): callers may invoke
 /// any method from any thread while holding no engine lock, and the engine
-/// never calls into these primitives while holding `swap_mu_`/`query_mu_`.
+/// never calls into these primitives while holding `query_mu_`.
 /// The `Deadline` type is plain value state — no synchronization at all —
 /// so it can be passed by const reference across threads freely.
 

@@ -8,11 +8,11 @@
 #include "core/label_patch.h"
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
-#include "csc/girth.h"
 #include "csc/index_io.h"
 #include "dynamic/batch.h"
 #include "dynamic/patch.h"
 #include "serving/wal.h"
+#include "util/env.h"
 #include "util/failpoint.h"
 
 namespace csc {
@@ -130,12 +130,16 @@ void Engine::set_slice_keep(std::function<bool(Vertex)> keep) {
 }
 
 void Engine::Swap(std::shared_ptr<CycleIndex> next) {
-  MutexLock lock(swap_mu_);
-  active_ = std::move(next);
+  {
+    WriterMutexLock lock(query_mu_);
+    active_.swap(next);
+  }
+  // `next` now holds the retired snapshot: its release (possibly the last
+  // reference, tearing down a whole index) happens outside the lock.
 }
 
 std::shared_ptr<CycleIndex> Engine::snapshot() const {
-  MutexLock lock(swap_mu_);
+  ReaderMutexLock lock(query_mu_);
   return active_;
 }
 
@@ -238,6 +242,10 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
     serving_ = true;  // Health: kStarting -> kHealthy
   }
   Swap(std::move(next));
+  // The labeling construction's scratch and the retired snapshot are free
+  // now: hand them back so the serving process keeps only its live index
+  // resident, not the build's high-water mark.
+  ReleaseFreeMemory();
   return true;
 }
 
@@ -303,60 +311,6 @@ bool Engine::LoadView(const uint8_t* data, size_t size,
 bool Engine::SaveTo(std::string& bytes) const {
   std::shared_ptr<CycleIndex> index = snapshot();
   return index && index->SaveTo(bytes);
-}
-
-CycleCount Engine::Query(Vertex v) {
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return {};
-  if (index->thread_safe_queries()) {
-    ReaderMutexLock lock(query_mu_);
-    return index->CountShortestCycles(v);
-  }
-  WriterMutexLock lock(query_mu_);
-  return index->CountShortestCycles(v);
-}
-
-std::vector<CycleCount> Engine::BatchQuery(
-    const std::vector<Vertex>& vertices) {
-  std::vector<CycleCount> results(vertices.size());
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return results;
-  if (index->thread_safe_queries() && pool_.num_threads() > 1 &&
-      vertices.size() > options_.batch_grain) {
-    // The calling thread holds the reader lock for the whole fan-out, so
-    // no in-place update can start while worker chunks are scanning.
-    ReaderMutexLock lock(query_mu_);
-    ParallelFor(pool_, 0, vertices.size(), options_.batch_grain,
-                [&](size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    results[i] = index->CountShortestCycles(vertices[i]);
-                  }
-                });
-    return results;
-  }
-  WriterMutexLock lock(query_mu_);
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    results[i] = index->CountShortestCycles(vertices[i]);
-  }
-  return results;
-}
-
-std::vector<CycleCount> Engine::QueryAll() {
-  Vertex n = num_vertices();
-  std::vector<Vertex> vertices(n);
-  for (Vertex v = 0; v < n; ++v) vertices[v] = v;
-  return BatchQuery(vertices);
-}
-
-GirthInfo Engine::Girth() {
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return {};
-  if (index->thread_safe_queries()) {
-    ReaderMutexLock lock(query_mu_);
-    return index->Girth();
-  }
-  WriterMutexLock lock(query_mu_);
-  return index->Girth();
 }
 
 std::shared_ptr<CycleIndex> Engine::RebuildStatic(
@@ -737,7 +691,7 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
     if (logged) {
       // Mirror the applied ops into the retained graph — Checkpoint
       // serializes it as the next log generation's base. Taken after
-      // query_mu_ was released: the two locks are never held together.
+      // query_mu_ was released: update_mu_ is never acquired under it.
       MutexLock lock(update_mu_);
       for (size_t i = 0; i < updates.size(); ++i) {
         if (!success[i]) continue;

@@ -244,18 +244,23 @@ struct GirthResult {
 /// batched queries out across a thread pool, and keeps dynamic updates and
 /// readers consistent through warm snapshot swaps.
 ///
-/// Concurrency model: readers obtain the active index via an atomic
-/// shared_ptr snapshot, so a query never observes a half-applied swap and an
-/// in-flight batch keeps its snapshot alive after a swap retires it. Update
-/// entry points (Build / ApplyUpdates / LoadFrom) are single-writer —
-/// serialize them externally. (With async_updates the engine's own rebuild
-/// worker is internal to that contract: it serializes itself against the
-/// writer entry points; WaitForEpoch / Drain may be called from any
-/// thread.) Backends with thread-safe queries run reads in parallel under a
-/// reader lock; in-place updates take the matching writer lock, so queries
-/// never race a label mutation. Backends whose queries mutate internal
-/// state ("cached", "bfs") are serialized through the writer lock on every
-/// query.
+/// Concurrency model: one striped reader lock, query_mu_ (util/mutex.h
+/// SharedMutex), guards the active snapshot pointer. A point query reads the
+/// pointer and runs inside the read section, with no shared_ptr copy, so
+/// readers share no written cache line. The writer side covers the pointer
+/// swap, in-place updates, queries of state-mutating backends ("cached",
+/// "bfs"), and the FinishDrain quiesce — so a query never observes a
+/// half-applied swap or label mutation. Batched queries pin the snapshot's
+/// shared_ptr, which keeps it alive after a swap retires it; a static
+/// snapshot is immutable, so its scan runs with the read section already
+/// released and a swap never waits for a sweep. Update entry points
+/// (Build / ApplyUpdates / LoadFrom) are single-writer — serialize them
+/// externally. (With async_updates the engine's own rebuild worker is
+/// internal to that contract: it serializes itself against the writer
+/// entry points; WaitForEpoch / Drain may be called from any thread.)
+/// No query entry point may be called while the caller already holds a
+/// read section of the same engine: with a writer pending, the nested
+/// acquire would deadlock (hence CSC_EXCLUDES(query_mu_)).
 ///
 /// Updates: a backend that supports in-place maintenance ("csc", "cached",
 /// "bfs", "precompute") repairs itself; for static serving forms ("frozen",
@@ -272,10 +277,9 @@ class Engine {
   /// Completes any queued asynchronous rebuilds, then tears down.
   ~Engine();
 
-  /// False if the configured backend name is unknown. (Reads the active
-  /// snapshot under swap_mu_ like any reader; the pre-annotation version
-  /// read `active_` unlocked, which the thread safety analysis rejects.)
-  bool valid() const { return snapshot() != nullptr; }
+  /// False if the configured backend name is unknown (there is no active
+  /// snapshot).
+  bool valid() const CSC_EXCLUDES(query_mu_) { return snapshot() != nullptr; }
   const std::string& backend_name() const CSC_LIFETIME_BOUND {
     return options_.backend;
   }
@@ -317,45 +321,48 @@ class Engine {
 
   bool SaveTo(std::string& bytes) const;
 
+  // --- Queries (serving/engine_deadline.cc). Each budget-free form
+  // forwards to its QueryOptions overload with an unbounded deadline. The
+  // budget is checked cooperatively at chunk boundaries — never inside a
+  // lock section — so an expired deadline yields a typed partial result
+  // (QueryStatus::kTimeout with the work completed so far), not a hang and
+  // not a silent truncation.
+
   /// SCCnt(v) against the current snapshot.
-  CycleCount Query(Vertex v);
+  CycleCount Query(Vertex v) CSC_EXCLUDES(query_mu_);
 
   /// Batched SCCnt, positionally aligned with `vertices`. Parallel across
   /// the pool when the backend's queries are thread-safe, sequential
   /// otherwise; results are identical either way.
-  std::vector<CycleCount> BatchQuery(const std::vector<Vertex>& vertices);
+  std::vector<CycleCount> BatchQuery(const std::vector<Vertex>& vertices)
+      CSC_EXCLUDES(query_mu_);
 
   /// SCCnt for every vertex [0, n).
-  std::vector<CycleCount> QueryAll();
+  std::vector<CycleCount> QueryAll() CSC_EXCLUDES(query_mu_);
 
-  GirthInfo Girth();
-
-  // --- Deadline'd query overloads (serving/admission.h QueryOptions). The
-  // budget is checked cooperatively at chunk boundaries — never inside a
-  // lock section — so an expired deadline yields a typed partial result
-  // (QueryStatus::kTimeout with the work completed so far), not a hang and
-  // not a silent truncation. With the default (unbounded) options the
-  // answers are identical to the budget-free API. Defined in
-  // serving/engine_deadline.cc.
+  GirthInfo Girth() CSC_EXCLUDES(query_mu_);
 
   /// SCCnt(v) under a budget. kTimeout when the deadline expired before
   /// the lookup ran (single lookups are not interruptible mid-flight).
-  QueryResult Query(Vertex v, const QueryOptions& options);
+  QueryResult Query(Vertex v, const QueryOptions& options)
+      CSC_EXCLUDES(query_mu_);
 
   /// Batched SCCnt under a budget: scans `vertices` in chunks (parallel
-  /// across the pool when the backend allows, like the budget-free
-  /// overload), checking the deadline between chunks. See BatchQueryResult
-  /// for the partial-result contract.
+  /// across the pool when the backend allows), checking the deadline
+  /// between chunks. An unbounded deadline scans a parallel batch in one
+  /// fan-out. See BatchQueryResult for the partial-result contract.
   BatchQueryResult BatchQuery(const std::vector<Vertex>& vertices,
-                              const QueryOptions& options);
+                              const QueryOptions& options)
+      CSC_EXCLUDES(query_mu_);
 
   /// Every vertex [0, n) under a budget.
-  BatchQueryResult QueryAll(const QueryOptions& options);
+  BatchQueryResult QueryAll(const QueryOptions& options)
+      CSC_EXCLUDES(query_mu_);
 
   /// Girth under a budget: an all-vertex shortest-cycle sweep merged into
   /// GirthInfo, so a timeout still yields the exact girth over the scanned
   /// prefix (GirthResult::scanned).
-  GirthResult Girth(const QueryOptions& options);
+  GirthResult Girth(const QueryOptions& options) CSC_EXCLUDES(query_mu_);
 
   /// Applies a batch of edge updates; returns the batch's net-applied count
   /// (rejected no-ops are skipped, and updates on the same edge collapse to
@@ -476,11 +483,11 @@ class Engine {
 
   /// The current snapshot; stays valid (and queryable, subject to the
   /// backend's thread-safety) even after a later swap retires it.
-  std::shared_ptr<CycleIndex> snapshot() const CSC_EXCLUDES(swap_mu_);
+  std::shared_ptr<CycleIndex> snapshot() const CSC_EXCLUDES(query_mu_);
 
-  Vertex num_vertices() const;
-  uint64_t MemoryBytes() const;
-  BackendStats Stats() const;
+  Vertex num_vertices() const CSC_EXCLUDES(query_mu_);
+  uint64_t MemoryBytes() const CSC_EXCLUDES(query_mu_);
+  BackendStats Stats() const CSC_EXCLUDES(query_mu_);
 
   /// Repair-vs-rebuild decision counters since the last Build. All zeros
   /// when EngineOptions::repair is disabled (or the backend cannot patch).
@@ -508,7 +515,7 @@ class Engine {
   /// state. False with `*error` set (when non-null) on failure; on a failed
   /// truncation the engine keeps the previous log generation.
   bool Checkpoint(const std::string& index_path, std::string* error = nullptr)
-      CSC_EXCLUDES(update_mu_, swap_mu_);
+      CSC_EXCLUDES(update_mu_, query_mu_);
 
   /// Crash recovery: reads the WAL at EngineOptions::wal_path, rebuilds the
   /// checkpoint-record base graph, and replays every durable batch record
@@ -525,7 +532,7 @@ class Engine {
   /// batch that failed to replay.
   bool RecoverFromFile(const std::string& index_path,
                        std::string* error = nullptr)
-      CSC_EXCLUDES(update_mu_, swap_mu_);
+      CSC_EXCLUDES(update_mu_, query_mu_);
 
   ThreadPool& pool() CSC_LIFETIME_BOUND { return pool_; }
 
@@ -558,10 +565,12 @@ class Engine {
   /// crash during replay still finds the complete pre-crash log; ordinary
   /// Build passes false and the new generation publishes immediately.
   bool BuildImpl(const DiGraph& graph, bool staged_wal)
-      CSC_EXCLUDES(update_mu_, swap_mu_);
-  void Swap(std::shared_ptr<CycleIndex> next) CSC_EXCLUDES(swap_mu_);
+      CSC_EXCLUDES(update_mu_, query_mu_);
+  /// Installs `next` under the writer side of query_mu_; the retired
+  /// snapshot is released after the lock drops.
+  void Swap(std::shared_ptr<CycleIndex> next) CSC_EXCLUDES(query_mu_);
   void AdoptLoaded(std::shared_ptr<CycleIndex> next)
-      CSC_EXCLUDES(update_mu_, swap_mu_);
+      CSC_EXCLUDES(update_mu_, query_mu_);
   /// Builds a fresh static snapshot over `graph` (reserve already
   /// materialized in it), sliced by `slice_keep` when non-null; nullptr on
   /// failure. Does not touch engine state — the caller passes a stable copy
@@ -614,22 +623,19 @@ class Engine {
 
   EngineOptions options_;
   ThreadPool pool_;
-  // Guards active_ pointer swaps/reads. Innermost lock: may be taken while
+  // The active snapshot pointer and, through it, the labels of in-place
+  // backends. Readers of thread-safe backends hold it shared; the pointer
+  // swap, in-place updates, queries of state-mutating backends, and the
+  // FinishDrain quiesce hold it exclusive. Innermost lock: taken while
   // update_mu_ is held (the worker swaps under it), never the reverse.
-  mutable Mutex swap_mu_;
-  // Readers of thread-safe backends hold it shared; in-place updates and
-  // queries of state-mutating backends hold it exclusive. Never held
-  // together with update_mu_. A phase capability, not a data guard: the
-  // state it protects lives inside the active CycleIndex (whose pointer is
-  // guarded by swap_mu_), so no member carries CSC_GUARDED_BY(query_mu_).
-  SharedMutex query_mu_;  // lint:allow-unguarded-mutex(phase capability)
-  std::shared_ptr<CycleIndex> active_ CSC_GUARDED_BY(swap_mu_);
+  mutable SharedMutex query_mu_;
+  std::shared_ptr<CycleIndex> active_ CSC_GUARDED_BY(query_mu_);
 
   // --- Retained graph + epoch state, guarded by update_mu_. The async
   // rebuild worker and the writer thread meet here; readers never do.
-  // Lock order: update_mu_ before swap_mu_ (the worker swaps while holding
-  // update_mu_); query_mu_ is never held together with update_mu_.
-  mutable Mutex update_mu_ CSC_ACQUIRED_BEFORE(swap_mu_);
+  // Lock order: update_mu_ before query_mu_ (the worker swaps while holding
+  // update_mu_).
+  mutable Mutex update_mu_ CSC_ACQUIRED_BEFORE(query_mu_);
   CondVar epoch_cv_;
   // Retained for static-backend rebuilds.
   DiGraph graph_ CSC_GUARDED_BY(update_mu_);

@@ -1,9 +1,9 @@
-/// Deadline'd query overloads for Engine (see serving/engine.h). These live
-/// in their own translation unit on purpose: they carry the
-/// "engine.query_deadline" failpoint, and keeping that out of engine.cc
-/// keeps the budget-free query paths (which run index scans under
-/// query_mu_ sections) free of blocking-call names for the contract
-/// checker's per-TU closure.
+/// Query paths for Engine (see serving/engine.h). The QueryOptions overloads
+/// hold the one implementation; each budget-free form forwards to its
+/// overload with an unbounded deadline. These live in their own translation
+/// unit on purpose: they carry the "engine.query_deadline" failpoint, and
+/// keeping that out of engine.cc keeps the contract checker's per-TU
+/// blocking-call closure from reaching engine.cc's query_mu_ sections.
 ///
 /// Budget protocol: the deadline is checked cooperatively at chunk
 /// boundaries, never inside a lock section, so an expired budget is
@@ -32,75 +32,107 @@ bool BudgetExhausted(const Deadline& deadline) {
 
 }  // namespace
 
+CycleCount Engine::Query(Vertex v) { return Query(v, QueryOptions{}).count; }
+
+std::vector<CycleCount> Engine::BatchQuery(
+    const std::vector<Vertex>& vertices) {
+  return BatchQuery(vertices, QueryOptions{}).counts;
+}
+
+std::vector<CycleCount> Engine::QueryAll() {
+  return QueryAll(QueryOptions{}).counts;
+}
+
+GirthInfo Engine::Girth() { return Girth(QueryOptions{}).info; }
+
 QueryResult Engine::Query(Vertex v, const QueryOptions& options) {
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return {};
   if (BudgetExhausted(options.deadline)) {
     query_timeouts_.fetch_add(1, std::memory_order_relaxed);
     return {CycleCount{}, QueryStatus::kTimeout};
   }
-  if (index->thread_safe_queries()) {
+  {
+    // The snapshot is read through a raw pointer inside the read section:
+    // no shared_ptr copy, so concurrent readers write nothing but their own
+    // lock stripe.
     ReaderMutexLock lock(query_mu_);
-    return {index->CountShortestCycles(v), QueryStatus::kOk};
+    CycleIndex* index = active_.get();
+    if (index == nullptr) return {};
+    if (index->thread_safe_queries()) {
+      return {index->CountShortestCycles(v), QueryStatus::kOk};
+    }
   }
+  // A backend whose queries mutate internal state answers one at a time.
+  // (A published snapshot is never replaced by null.)
   WriterMutexLock lock(query_mu_);
-  return {index->CountShortestCycles(v), QueryStatus::kOk};
+  return {active_->CountShortestCycles(v), QueryStatus::kOk};
 }
 
 BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
                                     const QueryOptions& options) {
+  const size_t n = vertices.size();
   BatchQueryResult result;
-  result.counts.assign(vertices.size(), CycleCount{});
-  result.answered.assign(vertices.size(), 0);
-  std::shared_ptr<CycleIndex> index = snapshot();
+  result.counts.assign(n, CycleCount{});
+  result.answered.assign(n, 0);
+  // Pinned for the whole batch: a swap mid-scan retires the snapshot but
+  // cannot free it, so every answer comes from one index.
+  const std::shared_ptr<CycleIndex> index = snapshot();
   if (!index) {
-    // Matches the budget-free overload: no index answers every vertex with
-    // an empty count — a complete (if vacuous) answer, not a timeout.
+    // No index answers every vertex with an empty count — a complete (if
+    // vacuous) answer, not a timeout.
     std::fill(result.answered.begin(), result.answered.end(), char{1});
-    result.completed = vertices.size();
+    result.completed = n;
     return result;
   }
-  const bool parallel = index->thread_safe_queries() &&
-                        pool_.num_threads() > 1 &&
-                        vertices.size() > options_.batch_grain;
-  // Chunk boundaries are where the budget is checked; a parallel super-chunk
-  // keeps every pool thread busy between checks so the deadline costs no
-  // fan-out efficiency.
-  const size_t stride = std::max<size_t>(
-      1, parallel ? options_.batch_grain * pool_.num_threads()
-                  : options_.batch_grain);
-  size_t begin = 0;
-  while (begin < vertices.size()) {
+  const bool thread_safe = index->thread_safe_queries();
+  // A static snapshot never changes once published, so the pin alone makes
+  // its scan safe: it runs outside the read section, and a swap never
+  // waits for a sweep. In-place backends scan under query_mu_ — shared when
+  // their queries are thread-safe, exclusive otherwise — so no update
+  // lands mid-chunk.
+  const bool immutable = thread_safe && !index->supports_updates();
+  const bool parallel =
+      thread_safe && pool_.num_threads() > 1 && n > options_.batch_grain;
+  // Chunk boundaries are where the budget is checked. A parallel chunk
+  // keeps every pool thread busy between checks; with no deadline the
+  // whole batch is one fan-out, so a sweep pays one barrier.
+  size_t stride = std::max<size_t>(1, options_.batch_grain);
+  if (parallel) {
+    stride = options.deadline.unbounded() ? n : stride * pool_.num_threads();
+  }
+  auto scan = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      result.counts[i] = index->CountShortestCycles(vertices[i]);
+    }
+  };
+  auto run = [&](size_t lo, size_t hi) {
+    if (parallel) {
+      ParallelFor(pool_, lo, hi, options_.batch_grain, scan);
+    } else {
+      scan(lo, hi);
+    }
+  };
+  for (size_t begin = 0; begin < n;) {
     if (BudgetExhausted(options.deadline)) {
       query_timeouts_.fetch_add(1, std::memory_order_relaxed);
       result.completed = begin;
       result.status = QueryStatus::kTimeout;
       return result;
     }
-    const size_t end = std::min(vertices.size(), begin + stride);
-    if (parallel) {
+    const size_t end = std::min(n, begin + stride);
+    if (immutable) {
+      run(begin, end);
+    } else if (thread_safe) {
       ReaderMutexLock lock(query_mu_);
-      ParallelFor(pool_, begin, end, options_.batch_grain,
-                  [&](size_t lo, size_t hi) {
-                    for (size_t i = lo; i < hi; ++i) {
-                      result.counts[i] = index->CountShortestCycles(vertices[i]);
-                    }
-                  });
-    } else if (index->thread_safe_queries()) {
-      ReaderMutexLock lock(query_mu_);
-      for (size_t i = begin; i < end; ++i) {
-        result.counts[i] = index->CountShortestCycles(vertices[i]);
-      }
+      run(begin, end);
     } else {
       WriterMutexLock lock(query_mu_);
-      for (size_t i = begin; i < end; ++i) {
-        result.counts[i] = index->CountShortestCycles(vertices[i]);
-      }
+      run(begin, end);
     }
-    for (size_t i = begin; i < end; ++i) result.answered[i] = 1;
+    std::fill(result.answered.begin() + begin, result.answered.begin() + end,
+              char{1});
     begin = end;
   }
-  result.completed = vertices.size();
+  result.completed = n;
   return result;
 }
 
@@ -112,26 +144,16 @@ BatchQueryResult Engine::QueryAll(const QueryOptions& options) {
 }
 
 GirthResult Engine::Girth(const QueryOptions& options) {
-  // Girth under a budget is a deadline'd full sweep with the same merge the
-  // sharded tier uses: scan vertices in order, fold each answered count
-  // into the running minimum. A timeout reports how far the sweep got
-  // (`scanned`) with the min over that prefix — on a complete sweep this is
-  // exactly the backend's own Girth() answer.
+  // A deadline'd full sweep folded in vertex order, the same fold the
+  // sharded tier merges: a timeout reports how far the sweep got
+  // (`scanned`) with the girth over that prefix, and a complete sweep is
+  // exactly CycleIndex::Girth's answer.
+  const BatchQueryResult sweep = QueryAll(options);
   GirthResult result;
-  BatchQueryResult sweep = QueryAll(options);
   result.status = sweep.status;
   result.scanned = static_cast<Vertex>(sweep.completed);
-  for (size_t v = 0; v < sweep.completed; ++v) {
-    const CycleCount& count = sweep.counts[v];
-    if (count.count == 0) continue;
-    if (count.length < result.info.girth) {
-      result.info.girth = count.length;
-      result.info.num_girth_vertices = 1;
-      result.info.example_vertex = static_cast<Vertex>(v);
-    } else if (count.length == result.info.girth) {
-      ++result.info.num_girth_vertices;
-    }
-  }
+  result.info = ComputeGirth(
+      result.scanned, [&sweep](Vertex v) { return sweep.counts[v]; });
   return result;
 }
 

@@ -14,6 +14,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "util/failpoint.h"
 
@@ -196,6 +199,12 @@ bool SyncFile(const std::string& path, std::string* error) {
   (void)path;
   (void)error;
   return true;
+#endif
+}
+
+void ReleaseFreeMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
 #endif
 }
 

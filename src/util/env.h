@@ -28,6 +28,12 @@ bool WriteFileAtomic(const std::string& path, const std::string& contents,
 /// appending to an already-open-by-path file; returns false on failure.
 bool SyncFile(const std::string& path, std::string* error = nullptr);
 
+/// Returns memory the allocator holds free to the operating system (glibc
+/// malloc_trim; a no-op elsewhere). An index build frees far more scratch
+/// than the index it leaves behind, and the allocator would otherwise keep
+/// it resident for the life of the process.
+void ReleaseFreeMemory();
+
 /// "1.23 KB" / "4.56 MB" style rendering used by bench reporters.
 std::string HumanBytes(uint64_t bytes);
 

@@ -77,6 +77,11 @@
 #define CSC_TRY_ACQUIRE(ret, ...) \
   CSC_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(ret, __VA_ARGS__))
 
+/// The function acquires the capability shared iff it returns `ret`.
+#define CSC_TRY_ACQUIRE_SHARED(ret, ...) \
+  CSC_THREAD_ANNOTATION_ATTRIBUTE__(       \
+      try_acquire_shared_capability(ret, __VA_ARGS__))
+
 /// The caller must NOT hold the capability: the function (or something it
 /// calls) acquires it itself, so holding it at the call site would
 /// self-deadlock on a non-reentrant mutex.

@@ -1,8 +1,8 @@
 // Negative fixture for tools/check_contracts.py rule 3
-// (blocking-under-lock): durable I/O reachable while a reader-facing lock
-// (swap_mu_ / query_mu_) is held — directly, and through a same-TU helper
-// (the transitive half of the rule). Never compiled — consumed by
-// `check_contracts.py --selftest`.
+// (blocking-under-lock): durable I/O reachable while the reader-facing
+// query_mu_ is held — directly on its writer side, and through a same-TU
+// helper on its reader side (the transitive half of the rule). Never
+// compiled — consumed by `check_contracts.py --selftest`.
 //
 // expect-violation: blocking-under-lock
 
@@ -10,12 +10,12 @@
 
 namespace csc {
 
-struct Mutex {};
-struct MutexLock {
-  explicit MutexLock(Mutex& mu);
+struct SharedMutex {};
+struct WriterMutexLock {
+  explicit WriterMutexLock(SharedMutex& mu);
 };
 struct ReaderMutexLock {
-  explicit ReaderMutexLock(Mutex& mu);
+  explicit ReaderMutexLock(SharedMutex& mu);
 };
 struct Wal {
   void AppendBatch(const std::string& record);
@@ -23,10 +23,10 @@ struct Wal {
 
 class BadEngine {
  public:
-  // BAD: WAL fsync-backed append directly inside the swap critical
-  // section — every reader swap stalls behind disk latency.
+  // BAD: WAL fsync-backed append directly inside the swap's writer section
+  // — every reader stalls behind disk latency.
   void Swap(const std::string& record) {
-    MutexLock lock(swap_mu_);
+    WriterMutexLock lock(query_mu_);
     wal_->AppendBatch(record);
   }
 
@@ -40,8 +40,7 @@ class BadEngine {
  private:
   void FlushSideChannel(int fd) { fsync(fd); }
 
-  Mutex swap_mu_;
-  Mutex query_mu_;
+  SharedMutex query_mu_;
   Wal* wal_ = nullptr;
 };
 

@@ -19,6 +19,7 @@
 #include "serving/engine.h"
 #include "serving/sharded_engine.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace csc {
 namespace {
@@ -131,6 +132,70 @@ TEST_P(ServingStressTest, ShardedEngineReadersVsUpdates) {
         return engine.ApplyUpdates(batch);
       });
   EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
+}
+
+// Point readers: Engine::Query(v) answers inside the read section through
+// a raw snapshot pointer, with no shared_ptr copy. Each batch lands whole
+// (one in-place writer section, or one swap), so every answer must be the
+// BFS answer of the base graph or of the base graph plus the toggled edges
+// — never a mix, never a freed snapshot.
+TEST_P(ServingStressTest, PointReadersVsUpdates) {
+  constexpr int kPointReaders = 4;
+  constexpr uint64_t kMinReadsPerReader = 200;
+  DiGraph graph = RandomGraph(40, 2.0, 79);
+  std::vector<Edge> edges = ToggleEdges(graph);
+  ASSERT_FALSE(edges.empty());
+  DiGraph toggled = graph;
+  std::vector<EdgeUpdate> inserts, removes;
+  for (const Edge& e : edges) {
+    toggled.AddEdge(e.from, e.to);
+    inserts.push_back(EdgeUpdate::Insert(e.from, e.to));
+    removes.push_back(EdgeUpdate::Remove(e.from, e.to));
+  }
+  const std::vector<CycleCount> base_answers = BfsReference(graph);
+  const std::vector<CycleCount> toggled_answers = BfsReference(toggled);
+  EngineOptions options;
+  options.backend = GetParam();
+  options.num_threads = 2;
+  options.build.maintain_inverted_index = true;
+  Engine engine(options);
+  ASSERT_TRUE(engine.Build(graph));
+
+  std::atomic<bool> stop{false};
+  std::vector<std::atomic<uint64_t>> reads(kPointReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kPointReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(1000 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Vertex v =
+            static_cast<Vertex>(rng.NextBounded(graph.num_vertices()));
+        const CycleCount answer = engine.Query(v);
+        ASSERT_TRUE(answer == base_answers[v] || answer == toggled_answers[v])
+            << "vertex " << v;
+        reads[t].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto all_readers_overlapped = [&] {
+    for (const std::atomic<uint64_t>& count : reads) {
+      if (count.load(std::memory_order_relaxed) < kMinReadsPerReader) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Bounded so a reader that stopped on a failed assertion cannot wedge
+  // the writer loop.
+  for (int round = 0;
+       round < kUpdateRounds || (!all_readers_overlapped() && round < 100000);
+       ++round) {
+    EXPECT_EQ(engine.ApplyUpdates(inserts), edges.size()) << "round " << round;
+    EXPECT_EQ(engine.ApplyUpdates(removes), edges.size()) << "round " << round;
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(engine.QueryAll(), base_answers);
 }
 
 // One dynamic backend (in-place repair under the writer lock) and one

@@ -10,6 +10,7 @@
 //     expansion (someone widened the #if guard) would fail the
 //     static_asserts below rather than break mysteriously at parse time.
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -121,6 +122,84 @@ TEST(ThreadAnnotationsTest, SharedMutexWriterExcludesReaders) {
   for (std::thread& thread : threads) thread.join();
   WriterMutexLock lock(mu);
   EXPECT_EQ(value, 200);
+}
+
+TEST(ThreadAnnotationsTest, SharedMutexWriterWaitsForInFlightReader) {
+  SharedMutex mu;
+  std::atomic<bool> writer_in{false};
+  mu.LockShared();
+  std::thread writer([&] {
+    WriterMutexLock lock(mu);
+    writer_in.store(true, std::memory_order_release);
+  });
+  // However long the writer has had, it cannot be in while the reader is.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load(std::memory_order_acquire));
+  mu.UnlockShared();
+  writer.join();
+  EXPECT_TRUE(writer_in.load());
+}
+
+TEST(ThreadAnnotationsTest, SharedMutexPendingWriterHoldsOffNewReaders) {
+  SharedMutex mu;
+  std::atomic<bool> first_in{false};
+  std::atomic<bool> release_first{false};
+  std::atomic<bool> writer_done{false};
+  std::thread first_reader([&] {
+    ReaderMutexLock lock(mu);
+    first_in.store(true, std::memory_order_release);
+    while (!release_first.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!first_in.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::thread writer([&] {
+    WriterMutexLock lock(mu);
+    writer_done.store(true, std::memory_order_release);
+  });
+  // The writer is pending (it waits for the first reader) once a try-read
+  // is refused. A lock that never refuses fails here instead of hanging.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool writer_pending = false;
+  while (!writer_pending && std::chrono::steady_clock::now() < give_up) {
+    if (mu.TryLockShared()) {
+      mu.UnlockShared();
+      std::this_thread::yield();
+    } else {
+      writer_pending = true;
+    }
+  }
+  if (!writer_pending) {
+    release_first.store(true, std::memory_order_release);
+    first_reader.join();
+    writer.join();
+    FAIL() << "a pending writer never refused a new reader";
+  }
+  // Readers arriving now, each on its own thread and so its own stripe,
+  // must wait behind the pending writer: none gets in before its Unlock.
+  constexpr int kReaders = 8;
+  std::atomic<int> admitted{0};
+  std::atomic<int> admitted_early{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      ReaderMutexLock lock(mu);
+      if (!writer_done.load(std::memory_order_acquire)) {
+        admitted_early.fetch_add(1, std::memory_order_relaxed);
+      }
+      admitted.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(admitted.load(), 0);
+  EXPECT_FALSE(writer_done.load());
+  release_first.store(true, std::memory_order_release);
+  first_reader.join();
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(admitted.load(), kReaders);
+  EXPECT_EQ(admitted_early.load(), 0);
 }
 
 TEST(ThreadAnnotationsTest, CondVarWakesExplicitWhileLoopWaiter) {

@@ -30,12 +30,13 @@ stock compiler analysis cannot see:
                             Wal::Append* / AppendRecord, WriteFileAtomic /
                             ReadFileToString (util/env.h), sleeps, or a
                             delay-capable CSC_FAILPOINT site — is
-                            reachable while `swap_mu_` or `query_mu_` is
-                            held (these are the reader-facing locks; a
-                            blocked holder stalls every query). update_mu_
-                            is deliberately exempt: the writer lock is
-                            where the engine's durable I/O contractually
-                            happens. Reachability is the transitive call
+                            reachable while `query_mu_` is held, on either
+                            side (it is the reader-facing lock: a blocked
+                            holder stalls every query, and a blocked
+                            writer-side holder — a snapshot swap — holds
+                            off every reader). update_mu_ is deliberately
+                            exempt: the writer lock is where the engine's
+                            durable I/O contractually happens. Reachability is the transitive call
                             closure within the same translation unit.
                             Waiver: // contracts:allow-blocking-under-lock(reason)
   4. exhaustive-switch      Every `switch` over UpdateVerdict, WaitStatus,
@@ -85,8 +86,8 @@ BLOCKING_CALL_RE = re.compile(
     r"sleep_for|CSC_FAILPOINT(?:_SHORT_WRITE)?)\s*\("
     r"|\b(?:wal_?->|Wal::|\.)Append(?:Batch|Rollback|Record)?\s*\(")
 
-# The reader-facing locks rule 3 protects. update_mu_ is exempt by design.
-PROTECTED_LOCKS = ("swap_mu_", "query_mu_")
+# The reader-facing lock rule 3 protects. update_mu_ is exempt by design.
+PROTECTED_LOCKS = ("query_mu_",)
 LOCK_ACQUIRE_RE = re.compile(
     r"\b(?:MutexLock|WriterMutexLock|ReaderMutexLock)\s+\w+\s*\(\s*"
     r"(" + "|".join(PROTECTED_LOCKS) + r")\s*\)")
