@@ -554,18 +554,15 @@ int CmdScreen(const std::string& backend_name, uint32_t shards,
   auto serving =
       LoadOrBuildServing(path, backend_name, shards, use_mmap, build_threads);
   if (!serving) return 1;
+  // Both forms rank through TopKByCycleCount: the sharded engine over its
+  // fanned-out sweep, the single index over the loop below.
   std::vector<ScreeningHit> hits;
   if (serving->sharded) {
-    // The sharded engine fans the sweep across shards and merges the
-    // per-shard survivor sets, ranked identically to the loop below.
     hits = serving->sharded->Screen(max_len, top_k);
   } else {
-    for (Vertex v = 0; v < serving->num_vertices(); ++v) {
-      CycleCount cc = serving->Query(v);
-      if (cc.count > 0 && cc.length <= max_len) hits.push_back({v, cc});
-    }
-    std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
-    if (hits.size() > top_k) hits.resize(top_k);
+    std::vector<CycleCount> answers(serving->num_vertices());
+    for (Vertex v = 0; v < answers.size(); ++v) answers[v] = serving->Query(v);
+    hits = TopKByCycleCount(answers, max_len, top_k);
   }
   std::printf("top %zu vertices with shortest cycles of length <= %u:\n",
               hits.size(), max_len);

@@ -12,7 +12,6 @@
 #include "csc/csc_index.h"
 #include "csc/frozen_index.h"
 #include "csc/girth.h"
-#include "csc/parallel_query.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
 #include "graph/scc.h"
@@ -47,14 +46,21 @@ int main(int argc, char** argv) {
               timer.ElapsedMillis(),
               static_cast<unsigned long long>(index.TotalEntries()));
 
-  // Girth + full length distribution from one parallel all-vertex sweep.
+  // Girth + full length distribution folded over one parallel all-vertex
+  // sweep.
   ThreadPool pool(ThreadPool::DefaultThreadCount());
   timer.Restart();
-  std::vector<CycleCount> answers = QueryAllVertices(frozen, pool);
+  std::vector<CycleCount> answers(n);
+  ParallelFor(pool, 0, n, 256, [&](size_t begin, size_t end) {
+    for (size_t v = begin; v < end; ++v) {
+      answers[v] = frozen.Query(static_cast<Vertex>(v));
+    }
+  });
   double sweep_ms = timer.ElapsedMillis();
 
-  GirthInfo girth = ComputeGirth(frozen);
-  CycleLengthHistogram histogram = ComputeCycleLengthHistogram(frozen);
+  auto answer = [&answers](Vertex v) { return answers[v]; };
+  GirthInfo girth = ComputeGirth(n, answer);
+  CycleLengthHistogram histogram = ComputeCycleLengthHistogram(n, answer);
   std::printf("parallel sweep of %u queries: %.1f ms on %u threads\n", n,
               sweep_ms, pool.num_threads());
   if (girth.girth == kInfDist) {

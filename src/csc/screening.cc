@@ -2,40 +2,17 @@
 
 #include <algorithm>
 
-#include "csc/parallel_query.h"
 #include "graph/bipartite.h"
 
 namespace csc {
 
 namespace {
 
-// Filters + ranks per-vertex answers into the top-k hit list.
-std::vector<ScreeningHit> RankAnswers(const std::vector<CycleCount>& answers,
-                                      Dist max_cycle_length, size_t top_k) {
-  std::vector<ScreeningHit> hits;
-  for (Vertex v = 0; v < answers.size(); ++v) {
-    const CycleCount& cc = answers[v];
-    if (cc.count == 0 || cc.length > max_cycle_length) continue;
-    hits.push_back({v, cc});
-  }
-  std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
-  if (hits.size() > top_k) hits.resize(top_k);
-  return hits;
-}
-
 template <typename Index>
-std::vector<ScreeningHit> ScreenSequential(const Index& index,
-                                           Dist max_cycle_length,
-                                           size_t top_k) {
-  std::vector<ScreeningHit> hits;
-  for (Vertex v = 0; v < index.num_original_vertices(); ++v) {
-    CycleCount cc = index.Query(v);
-    if (cc.count == 0 || cc.length > max_cycle_length) continue;
-    hits.push_back({v, cc});
-  }
-  std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
-  if (hits.size() > top_k) hits.resize(top_k);
-  return hits;
+std::vector<CycleCount> SweepAll(const Index& index) {
+  std::vector<CycleCount> answers(index.num_original_vertices());
+  for (Vertex v = 0; v < answers.size(); ++v) answers[v] = index.Query(v);
+  return answers;
 }
 
 }  // namespace
@@ -50,22 +27,30 @@ bool ScreeningHitBefore(const ScreeningHit& a, const ScreeningHit& b) {
   return a.vertex < b.vertex;
 }
 
+std::vector<ScreeningHit> TopKByCycleCount(
+    const std::vector<CycleCount>& answers, Dist max_cycle_length,
+    size_t top_k) {
+  std::vector<ScreeningHit> hits;
+  for (Vertex v = 0; v < answers.size(); ++v) {
+    const CycleCount& cc = answers[v];
+    if (cc.count == 0 || cc.length > max_cycle_length) continue;
+    hits.push_back({v, cc});
+  }
+  std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
+  if (hits.size() > top_k) hits.resize(top_k);
+  return hits;
+}
+
 std::vector<ScreeningHit> TopKByCycleCount(const CscIndex& index,
                                            Dist max_cycle_length,
                                            size_t top_k) {
-  return ScreenSequential(index, max_cycle_length, top_k);
+  return TopKByCycleCount(SweepAll(index), max_cycle_length, top_k);
 }
 
 std::vector<ScreeningHit> TopKByCycleCount(const FrozenIndex& index,
                                            Dist max_cycle_length,
                                            size_t top_k) {
-  return ScreenSequential(index, max_cycle_length, top_k);
-}
-
-std::vector<ScreeningHit> TopKByCycleCount(const FrozenIndex& index,
-                                           Dist max_cycle_length,
-                                           size_t top_k, ThreadPool& pool) {
-  return RankAnswers(QueryAllVertices(index, pool), max_cycle_length, top_k);
+  return TopKByCycleCount(SweepAll(index), max_cycle_length, top_k);
 }
 
 std::vector<EdgeScreeningHit> TopKEdgesByCycleCount(const CscIndex& index,

@@ -5,7 +5,6 @@
 
 #include "csc/csc_index.h"
 #include "csc/frozen_index.h"
-#include "util/thread_pool.h"
 
 namespace csc {
 
@@ -18,10 +17,8 @@ struct ScreeningHit {
 };
 
 /// The screening rank order — count descending, then shorter cycles, then
-/// lower vertex id. A strict total order (no ties survive), so any ranked
-/// screening — sequential, pool-parallel, or the sharded tier's per-shard
-/// merge — produces the identical hit list. Every ranking site must use
-/// this one comparator.
+/// lower vertex id. A strict total order (no ties survive), so every
+/// screening ranks its hits identically.
 bool ScreeningHitBefore(const ScreeningHit& a, const ScreeningHit& b);
 
 /// The paper's anomaly-screening primitive (Application 1, Figure 13):
@@ -29,7 +26,16 @@ bool ScreeningHitBefore(const ScreeningHit& a, const ScreeningHit& b);
 /// the `top_k` with the most shortest cycles, ordered by count descending
 /// (ties: shorter cycles first, then lower vertex id).
 ///
-/// Pass `max_cycle_length = kInfDist` to consider every vertex on a cycle.
+/// `answers[v]` is SCCnt(v) for every vertex v of the graph, however it
+/// was swept (sequentially, across a pool, or merged from shards); an
+/// empty count drops the vertex. This is the one filter/sort/truncate
+/// every screening runs. Pass `max_cycle_length = kInfDist` to consider
+/// every vertex on a cycle.
+std::vector<ScreeningHit> TopKByCycleCount(
+    const std::vector<CycleCount>& answers, Dist max_cycle_length,
+    size_t top_k);
+
+/// Sequential sweep of `index`, ranked by the answers overload.
 std::vector<ScreeningHit> TopKByCycleCount(const CscIndex& index,
                                            Dist max_cycle_length,
                                            size_t top_k);
@@ -38,14 +44,6 @@ std::vector<ScreeningHit> TopKByCycleCount(const CscIndex& index,
 std::vector<ScreeningHit> TopKByCycleCount(const FrozenIndex& index,
                                            Dist max_cycle_length,
                                            size_t top_k);
-
-/// Parallel all-vertex screening over the frozen form: the n queries are
-/// fanned out over `pool`, then ranked. Identical results to the
-/// sequential overloads; this is the form the serving tier runs when the
-/// watch sweep covers the whole graph.
-std::vector<ScreeningHit> TopKByCycleCount(const FrozenIndex& index,
-                                           Dist max_cycle_length,
-                                           size_t top_k, ThreadPool& pool);
 
 /// One edge-screening hit: a (present) edge with the shortest cycles that
 /// pass through it.

@@ -3,40 +3,6 @@
 namespace csc {
 
 // ---------------------------------------------------------------------------
-// RateLimiter
-
-RateLimiter::RateLimiter(double tokens_per_second, double burst)
-    : rate_(tokens_per_second > 0 ? tokens_per_second : 0),
-      burst_(burst > 0 ? burst : 0),
-      tokens_(burst_),
-      last_refill_(Deadline::Clock::now()) {}
-
-void RateLimiter::RefillLocked() {
-  const Deadline::Clock::time_point now = Deadline::Clock::now();
-  const double elapsed =
-      std::chrono::duration<double>(now - last_refill_).count();
-  last_refill_ = now;
-  tokens_ = std::min(burst_, tokens_ + elapsed * rate_);
-}
-
-bool RateLimiter::TryAcquire(double tokens) {
-  MutexLock lock(mu_);
-  RefillLocked();
-  if (tokens_ < tokens) return false;
-  tokens_ -= tokens;
-  return true;
-}
-
-double RateLimiter::available() const {
-  // Preview without advancing last_refill_ (keeps this const-clean).
-  MutexLock lock(mu_);
-  const double elapsed = std::chrono::duration<double>(
-                             Deadline::Clock::now() - last_refill_)
-                             .count();
-  return std::min(burst_, tokens_ + elapsed * rate_);
-}
-
-// ---------------------------------------------------------------------------
 // AdmissionQueue
 
 AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options)

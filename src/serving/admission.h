@@ -2,10 +2,11 @@
 #define CSC_SERVING_ADMISSION_H_
 
 /// Overload-protection vocabulary for the serving tier: a `Deadline` budget
-/// type, a token-bucket `RateLimiter`, a bounded `AdmissionQueue` with
-/// high/low watermarks, and a `CircuitBreaker` — plus the shared enums and
-/// option structs the Engine / ShardedEngine overload surface is built on
-/// (`QueryStatus`, `HealthState`, `QueryOptions`, `AdmissionOptions`).
+/// type, a bounded `AdmissionQueue` with high/low watermarks, and a
+/// `CircuitBreaker` — plus the shared enums and option structs the Engine /
+/// ShardedEngine overload surface is built on (`QueryStatus`,
+/// `HealthState`, `QueryOptions`, `AdmissionOptions`). Nothing here shapes
+/// offered load: the engine sheds on backlog caps and deadlines instead.
 ///
 /// Everything here is internally synchronized (one private Mutex per
 /// primitive, no lock-order edges to the engine locks): callers may invoke
@@ -103,32 +104,13 @@ struct AdmissionOptions {
   bool block_on_full = false;
 };
 
-/// Per-query budget carried through the deadline'd Query/BatchQuery/
-/// QueryAll/Girth/Screen overloads. Default = unbounded (identical answers
-/// to the budget-free API, with status kOk).
+/// Per-query budget carried through the Query/BatchQuery/QueryAll/Girth/
+/// Screen overloads of Engine and ShardedEngine. Default = unbounded: the
+/// budget-free forms forward here with it, so the answers are identical
+/// and the status is kOk (a degraded shard answers by exact, unmetered
+/// BFS).
 struct QueryOptions {
   Deadline deadline;
-};
-
-/// Token bucket: `rate` tokens/second accrue up to `burst`; TryAcquire
-/// never blocks. Use to shape offered load (bench, front ends) — the
-/// engine itself does not rate-limit, it sheds on backlog caps.
-class RateLimiter {
- public:
-  RateLimiter(double tokens_per_second, double burst);
-
-  /// Takes `tokens` if available; false (and takes nothing) otherwise.
-  bool TryAcquire(double tokens = 1.0) CSC_EXCLUDES(mu_);
-  double available() const CSC_EXCLUDES(mu_);
-
- private:
-  void RefillLocked() CSC_REQUIRES(mu_);
-
-  const double rate_;
-  const double burst_;
-  mutable Mutex mu_;
-  double tokens_ CSC_GUARDED_BY(mu_);
-  Deadline::Clock::time_point last_refill_ CSC_GUARDED_BY(mu_);
 };
 
 struct AdmissionQueueOptions {

@@ -321,12 +321,12 @@ class Engine {
 
   bool SaveTo(std::string& bytes) const;
 
-  // --- Queries (serving/engine_deadline.cc). Each budget-free form
-  // forwards to its QueryOptions overload with an unbounded deadline. The
-  // budget is checked cooperatively at chunk boundaries — never inside a
-  // lock section — so an expired deadline yields a typed partial result
-  // (QueryStatus::kTimeout with the work completed so far), not a hang and
-  // not a silent truncation.
+  // --- Queries (serving/engine.cc). Each budget-free form forwards to its
+  // QueryOptions overload with an unbounded deadline. The budget is checked
+  // cooperatively at chunk boundaries — never inside a lock section — so an
+  // expired deadline yields a typed partial result (QueryStatus::kTimeout
+  // with the work completed so far), not a hang and not a silent
+  // truncation.
 
   /// SCCnt(v) against the current snapshot.
   CycleCount Query(Vertex v) CSC_EXCLUDES(query_mu_);

@@ -369,12 +369,7 @@ bool ShardedEngine::SaveTo(std::string& bytes) const {
 CycleCount ShardedEngine::Query(Vertex v) { return QueryWithStatus(v).count; }
 
 ShardedQueryResult ShardedEngine::QueryWithStatus(Vertex v) {
-  if (num_vertices_ == 0 || v >= num_vertices_) return {};
-  uint32_t s = ShardOf(v);
-  if (shard_state_[s] == ShardState::kHealthy) {
-    return {shards_[s]->Query(v), ShardState::kHealthy};
-  }
-  return {DegradedAnswer(v), shard_state_[s]};
+  return QueryWithStatus(v, QueryOptions{});
 }
 
 ShardedQueryResult ShardedEngine::QueryWithStatus(Vertex v,
@@ -408,22 +403,17 @@ CycleCount ShardedEngine::DegradedAnswer(Vertex v) const {
   return {};
 }
 
-std::vector<CycleCount> ShardedEngine::ShardAnswers(
-    uint32_t s, const std::vector<Vertex>& vertices) {
-  if (shard_state_[s] == ShardState::kHealthy) {
-    return shards_[s]->BatchQuery(vertices);
-  }
-  std::vector<CycleCount> answers(vertices.size());
-  for (size_t k = 0; k < vertices.size(); ++k) {
-    answers[k] = DegradedAnswer(vertices[k]);
-  }
-  return answers;
-}
-
 CycleCount ShardedEngine::MeteredDegradedAnswer(Vertex v,
                                                 const Deadline& deadline,
                                                 QueryStatus* status) {
   fallback_queries_.fetch_add(1, std::memory_order_relaxed);
+  if (deadline.unbounded()) {
+    // No budget to protect: the breaker and the gate exist to keep slow
+    // fallbacks from blowing callers' deadlines, and this caller has none.
+    // The exact answer, unmetered.
+    *status = QueryStatus::kOk;
+    return DegradedAnswer(v);
+  }
   if (deadline.expired()) {
     // A deadline missed before the BFS even starts is the load signal the
     // breaker exists for: enough of these and degraded serving flips from
@@ -461,7 +451,7 @@ CycleCount ShardedEngine::MeteredDegradedAnswer(Vertex v,
   return answer;
 }
 
-BatchQueryResult ShardedEngine::ShardAnswersDeadlined(
+BatchQueryResult ShardedEngine::ShardAnswers(
     uint32_t s, const std::vector<Vertex>& vertices,
     const QueryOptions& options) {
   if (shard_state_[s] == ShardState::kHealthy) {
@@ -563,95 +553,18 @@ bool ShardedEngine::ReloadShard(uint32_t s, const std::string& path,
 
 std::vector<CycleCount> ShardedEngine::BatchQuery(
     const std::vector<Vertex>& vertices) {
-  std::vector<CycleCount> results(vertices.size());
-  if (shards_.empty() || num_vertices_ == 0) return results;
-  // Split positions by owner; out-of-range vertices keep the empty answer
-  // (the same thing every backend returns for them).
-  std::vector<std::vector<size_t>> positions(num_shards());
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    if (vertices[i] < num_vertices_) {
-      positions[ShardOf(vertices[i])].push_back(i);
-    }
-  }
-  ForEachShard([&](uint32_t s) {
-    if (positions[s].empty()) return;
-    std::vector<Vertex> sub;
-    sub.reserve(positions[s].size());
-    for (size_t i : positions[s]) sub.push_back(vertices[i]);
-    std::vector<CycleCount> answers = ShardAnswers(s, sub);
-    for (size_t k = 0; k < positions[s].size(); ++k) {
-      results[positions[s][k]] = answers[k];
-    }
-  });
-  return results;
+  return BatchQuery(vertices, QueryOptions{}).counts;
 }
 
 std::vector<CycleCount> ShardedEngine::QueryAll() {
-  std::vector<CycleCount> results(num_vertices_);
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    for (size_t k = 0; k < owned_[s].size(); ++k) {
-      results[owned_[s][k]] = answers[k];
-    }
-  });
-  return results;
+  return QueryAll(QueryOptions{}).counts;
 }
 
-GirthInfo ShardedEngine::Girth() {
-  // Each shard sweeps only its owned vertices (in ascending id order);
-  // merging local minima reproduces ComputeGirth over [0, n) exactly.
-  std::vector<GirthInfo> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    GirthInfo info;
-    for (size_t k = 0; k < answers.size(); ++k) {
-      const CycleCount& answer = answers[k];
-      if (answer.count == 0) continue;
-      if (answer.length < info.girth) {
-        info.girth = answer.length;
-        info.num_girth_vertices = 1;
-        info.example_vertex = owned_[s][k];
-      } else if (answer.length == info.girth) {
-        ++info.num_girth_vertices;
-      }
-    }
-    local[s] = info;
-  });
-  GirthInfo merged;
-  for (const GirthInfo& info : local) {
-    merged.girth = std::min(merged.girth, info.girth);
-  }
-  for (const GirthInfo& info : local) {
-    if (info.girth != merged.girth || info.girth == kInfDist) continue;
-    merged.num_girth_vertices += info.num_girth_vertices;
-    merged.example_vertex = std::min(merged.example_vertex, info.example_vertex);
-  }
-  return merged;
-}
+GirthInfo ShardedEngine::Girth() { return Girth(QueryOptions{}).info; }
 
 std::vector<ScreeningHit> ShardedEngine::Screen(Dist max_cycle_length,
                                                 size_t top_k) {
-  // Per-shard survivor sets, each already truncated to top_k (a global
-  // top-k hit is necessarily in its own shard's top-k), merged and ranked.
-  std::vector<std::vector<ScreeningHit>> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    std::vector<ScreeningHit>& hits = local[s];
-    for (size_t k = 0; k < answers.size(); ++k) {
-      const CycleCount& cc = answers[k];
-      if (cc.count == 0 || cc.length > max_cycle_length) continue;
-      hits.push_back({owned_[s][k], cc});
-    }
-    std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
-    if (hits.size() > top_k) hits.resize(top_k);
-  });
-  std::vector<ScreeningHit> merged;
-  for (std::vector<ScreeningHit>& hits : local) {
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  std::sort(merged.begin(), merged.end(), ScreeningHitBefore);
-  if (merged.size() > top_k) merged.resize(top_k);
-  return merged;
+  return Screen(max_cycle_length, top_k, QueryOptions{}).hits;
 }
 
 BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
@@ -660,8 +573,8 @@ BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
   result.counts.assign(vertices.size(), CycleCount{});
   result.answered.assign(vertices.size(), 0);
   if (shards_.empty() || num_vertices_ == 0) {
-    // Matches the budget-free overload: everything answers empty — a
-    // complete (if vacuous) answer.
+    // Nothing to route to: everything answers empty — a complete (if
+    // vacuous) answer.
     std::fill(result.answered.begin(), result.answered.end(), char{1});
     result.completed = vertices.size();
     return result;
@@ -684,7 +597,7 @@ BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
     std::vector<Vertex> sub;
     sub.reserve(positions[s].size());
     for (size_t i : positions[s]) sub.push_back(vertices[i]);
-    local[s] = ShardAnswersDeadlined(s, sub, options);
+    local[s] = ShardAnswers(s, sub, options);
   });
   for (uint32_t s = 0; s < num_shards(); ++s) {
     for (size_t k = 0; k < local[s].answered.size(); ++k) {
@@ -704,7 +617,7 @@ BatchQueryResult ShardedEngine::QueryAll(const QueryOptions& options) {
   result.answered.assign(num_vertices_, 0);
   std::vector<BatchQueryResult> local(num_shards());
   ForEachShard([&](uint32_t s) {
-    local[s] = ShardAnswersDeadlined(s, owned_[s], options);
+    local[s] = ShardAnswers(s, owned_[s], options);
   });
   for (uint32_t s = 0; s < num_shards(); ++s) {
     for (size_t k = 0; k < local[s].answered.size(); ++k) {
@@ -719,45 +632,26 @@ BatchQueryResult ShardedEngine::QueryAll(const QueryOptions& options) {
 }
 
 GirthResult ShardedEngine::Girth(const QueryOptions& options) {
-  // The same exact merge as the budget-free Girth, folded over only the
-  // vertices the deadline'd sweep answered: on kOk the sweep was complete
-  // and the fold reproduces Girth() exactly (min length, count of
-  // minimum-achieving vertices, lowest example id).
+  // The merged sweep folded in vertex order, vertices left unanswered read
+  // as empty: on kOk the sweep was complete and this is exactly a single
+  // Engine's girth.
+  const BatchQueryResult sweep = QueryAll(options);
   GirthResult result;
-  BatchQueryResult sweep = QueryAll(options);
   result.status = sweep.status;
-  for (size_t v = 0; v < sweep.answered.size(); ++v) {
-    if (!sweep.answered[v]) continue;
-    ++result.scanned;
-    const CycleCount& answer = sweep.counts[v];
-    if (answer.count == 0) continue;
-    if (answer.length < result.info.girth) {
-      result.info.girth = answer.length;
-      result.info.num_girth_vertices = 1;
-      result.info.example_vertex = static_cast<Vertex>(v);
-    } else if (answer.length == result.info.girth) {
-      ++result.info.num_girth_vertices;
-    }
-  }
+  result.scanned = static_cast<Vertex>(sweep.completed);
+  result.info = ComputeGirth(
+      num_vertices_, [&sweep](Vertex v) { return sweep.counts[v]; });
   return result;
 }
 
 ScreenResult ShardedEngine::Screen(Dist max_cycle_length, size_t top_k,
                                    const QueryOptions& options) {
-  // Survivors among the vertices answered in budget, ranked and truncated
-  // exactly like the budget-free sweep (which this reproduces on kOk).
+  // Unanswered vertices hold empty counts, which the ranking drops.
+  const BatchQueryResult sweep = QueryAll(options);
   ScreenResult result;
-  BatchQueryResult sweep = QueryAll(options);
+  result.hits = TopKByCycleCount(sweep.counts, max_cycle_length, top_k);
+  result.scanned = static_cast<Vertex>(sweep.completed);
   result.status = sweep.status;
-  for (size_t v = 0; v < sweep.answered.size(); ++v) {
-    if (!sweep.answered[v]) continue;
-    ++result.scanned;
-    const CycleCount& answer = sweep.counts[v];
-    if (answer.count == 0 || answer.length > max_cycle_length) continue;
-    result.hits.push_back({static_cast<Vertex>(v), answer});
-  }
-  std::sort(result.hits.begin(), result.hits.end(), ScreeningHitBefore);
-  if (result.hits.size() > top_k) result.hits.resize(top_k);
   return result;
 }
 

@@ -36,9 +36,11 @@ uint32_t ContiguousRangeShard(Vertex v, uint32_t num_shards,
 
 /// Metering for the exact-BFS fallback serving quarantined shards (see
 /// ShardedEngineOptions::tolerate_faults): the fallback is an amplifier —
-/// one degraded shard turns cheap label joins into whole-graph BFS — so it
-/// sits behind a circuit breaker plus a concurrency gate, and sheds
-/// (QueryStatus::kShed) instead of melting the box.
+/// one degraded shard turns cheap label joins into whole-graph BFS — so
+/// queries with a bounded deadline reach it through a circuit breaker plus
+/// a concurrency gate, and shed (QueryStatus::kShed) instead of melting the
+/// box. A query with an unbounded deadline has no budget to protect: it is
+/// counted in DegradedStats::fallback_queries but otherwise unmetered.
 struct DegradedServingOptions {
   /// Max BFS fallback answers in flight at once; 0 = unmetered. A query
   /// that finds the gate full is shed (and counts a breaker failure).
@@ -136,9 +138,10 @@ enum class ShardState : uint8_t {
 struct ShardedQueryResult {
   CycleCount count;
   ShardState served_by = ShardState::kHealthy;
-  /// kOk unless the deadline'd overload timed out (kTimeout) or the
-  /// degraded-path breaker/gate refused the work (kShed). The budget-free
-  /// overload always reports kOk.
+  /// kOk unless a bounded deadline timed out (kTimeout) or the
+  /// degraded-path breaker/gate refused the work (kShed). An unbounded
+  /// deadline — the budget-free overload, or QueryOptions{} — always
+  /// reports kOk: a degraded owner then answers by exact, unmetered BFS.
   QueryStatus status = QueryStatus::kOk;
 };
 
@@ -178,10 +181,13 @@ struct ShardInfo {
 /// The sharded serving tier: the vertex space is partitioned across K
 /// per-shard Engine instances, per-vertex queries are routed to the owner,
 /// and whole-graph sweeps (QueryAll / Girth / screening) are decomposed
-/// into K owned-range sweeps that run concurrently and merge exactly —
-/// girth is the min over shards, screening is the ranked union of the
-/// per-shard survivor sets. Answers are bit-identical to a single Engine on
-/// the same graph for every shard count.
+/// into K owned-range sweeps that run concurrently and merge exactly; girth
+/// and screening fold the merged sweep through ComputeGirth and
+/// TopKByCycleCount, as a single Engine does. Answers are bit-identical to
+/// a single Engine on the same graph for every shard count.
+///
+/// Each query kind has one body, its QueryOptions overload; the
+/// budget-free form forwards to it with an unbounded deadline.
 ///
 /// Ownership rule: vertex v is owned by shard_fn(v); edge (u, v) is owned
 /// by the shard owning u, which is where the edge is accounted (update
@@ -271,8 +277,10 @@ class ShardedEngine {
   ShardedQueryResult QueryWithStatus(Vertex v);
 
   /// Deadline'd routed query. A healthy owner answers within the budget or
-  /// reports kTimeout; a degraded owner's BFS fallback is metered — breaker
-  /// open or gate full reports kShed with an empty count.
+  /// reports kTimeout; a degraded owner's BFS fallback is metered under a
+  /// bounded deadline — breaker open or gate full reports kShed with an
+  /// empty count. An unbounded deadline skips the metering: the exact BFS
+  /// answer with kOk.
   ShardedQueryResult QueryWithStatus(Vertex v, const QueryOptions& options);
 
   /// Batched SCCnt, positionally aligned with `vertices`; the batch is
@@ -282,12 +290,10 @@ class ShardedEngine {
   /// SCCnt for every vertex: each shard sweeps its owned range in parallel.
   std::vector<CycleCount> QueryAll();
 
-  /// Girth as the exact merge of per-shard owned-range sweeps.
+  /// Girth folded over QueryAll.
   GirthInfo Girth();
 
-  /// The screening sweep (TopKByCycleCount semantics) decomposed across
-  /// shards: per-shard survivor sets are merged, ranked by (count desc,
-  /// length asc, vertex asc), and truncated to `top_k`.
+  /// The screening sweep: QueryAll ranked by TopKByCycleCount.
   std::vector<ScreeningHit> Screen(Dist max_cycle_length, size_t top_k);
 
   // --- Deadline'd sweeps. One caller deadline is shared across the K-shard
@@ -305,9 +311,10 @@ class ShardedEngine {
   /// Deadline'd full sweep over [0, num_vertices()).
   BatchQueryResult QueryAll(const QueryOptions& options);
 
-  /// Deadline'd girth: the exact merge over every vertex answered in
-  /// budget (`scanned` of num_vertices()); kOk means the sweep completed
-  /// and `info` equals the budget-free Girth() answer.
+  /// Deadline'd girth: ComputeGirth over the deadline'd QueryAll, reading
+  /// unanswered vertices as empty (`scanned` of num_vertices() answered);
+  /// kOk means the sweep completed and `info` equals the budget-free
+  /// Girth() answer.
   GirthResult Girth(const QueryOptions& options);
 
   /// Deadline'd screening sweep (see ScreenResult).
@@ -455,20 +462,19 @@ class ShardedEngine {
   /// non-healthy shard.
   CycleCount DegradedAnswer(Vertex v) const;
   /// DegradedAnswer behind the breaker, the concurrency gate, and the
-  /// caller's deadline; `*status` reports how the vertex was served. On
-  /// kShed the count is empty; on kTimeout the count is whatever the BFS
-  /// produced before the budget was noticed (exact if non-empty).
+  /// caller's deadline; `*status` reports how the vertex was served. An
+  /// unbounded deadline bypasses the breaker and the gate (exact answer,
+  /// kOk). On kShed the count is empty; on kTimeout the count is whatever
+  /// the BFS produced before the budget was noticed (exact if non-empty).
   CycleCount MeteredDegradedAnswer(Vertex v, const Deadline& deadline,
                                    QueryStatus* status);
-  /// BatchQuery routed through shard `s`'s serving state.
-  std::vector<CycleCount> ShardAnswers(uint32_t s,
-                                       const std::vector<Vertex>& vertices);
-  /// Deadline'd ShardAnswers: a healthy shard sweeps with the budget; a
-  /// degraded one meters vertex by vertex — shed vertices stay unanswered
-  /// (the sweep continues), a timeout stops the sweep.
-  BatchQueryResult ShardAnswersDeadlined(uint32_t s,
-                                         const std::vector<Vertex>& vertices,
-                                         const QueryOptions& options);
+  /// BatchQuery routed through shard `s`'s serving state: a healthy shard
+  /// sweeps with the budget; a degraded one meters vertex by vertex — shed
+  /// vertices stay unanswered (the sweep continues), a timeout stops the
+  /// sweep.
+  BatchQueryResult ShardAnswers(uint32_t s,
+                                const std::vector<Vertex>& vertices,
+                                const QueryOptions& options);
   bool AllHealthy() const;
 
   ShardedEngineOptions options_;

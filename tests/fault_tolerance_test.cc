@@ -50,6 +50,13 @@ class FaultToleranceTest : public testing::Test {
   std::string index_path_ = TempPath("fault_tolerance.idx");
 };
 
+// An Engine on the frozen backend, every other option at its default.
+EngineOptions FrozenOptions() {
+  EngineOptions options;
+  options.backend = "frozen";
+  return options;
+}
+
 std::vector<std::vector<EdgeUpdate>> SomeBatches() {
   return {
       {EdgeUpdate::Insert(7, 6), EdgeUpdate::Insert(6, 0)},
@@ -117,7 +124,7 @@ TEST_F(FaultToleranceTest, RecoveryAfterCheckpointReplaysOnlyTheTail) {
   Engine recovered(options);
   std::string error;
   ASSERT_TRUE(recovered.RecoverFromFile(index_path_, &error)) << error;
-  Engine oracle(EngineOptions{.backend = "frozen"});
+  Engine oracle(FrozenOptions());
   ASSERT_TRUE(oracle.Build(graph));
   oracle.ApplyUpdates(batches[0]);
   oracle.ApplyUpdates(batches[1]);
@@ -145,7 +152,7 @@ TEST_F(FaultToleranceTest, RecoverySkipsRolledBackEpochs) {
   std::string error;
   ASSERT_TRUE(recovered.RecoverFromFile(index_path_, &error)) << error;
   // The oracle applies only the surviving batches.
-  Engine oracle(EngineOptions{.backend = "frozen"});
+  Engine oracle(FrozenOptions());
   ASSERT_TRUE(oracle.Build(graph));
   oracle.ApplyUpdates(batches[0]);
   oracle.ApplyUpdates(batches[2]);
@@ -227,7 +234,7 @@ TEST_F(FaultToleranceTest, TransientPatchFailureRetriesAndLands) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.retry_successes, 1u);
   // The retried patch produced the same index a clean engine would.
-  Engine oracle(EngineOptions{.backend = "frozen"});
+  Engine oracle(FrozenOptions());
   ASSERT_TRUE(oracle.Build(graph));
   oracle.ApplyUpdates({EdgeUpdate::Insert(7, 6)});
   EXPECT_EQ(engine.QueryAll(), oracle.QueryAll());
@@ -287,7 +294,7 @@ TEST_F(FaultToleranceTest, AsyncAppendFailureDoesNotSkipPendingEpochs) {
   // around, and neither wait hangs.
   EXPECT_TRUE(engine.WaitForEpoch(epoch_a));
   EXPECT_FALSE(engine.WaitForEpoch(epoch_b));
-  Engine oracle(EngineOptions{.backend = "frozen"});
+  Engine oracle(FrozenOptions());
   ASSERT_TRUE(oracle.Build(graph));
   oracle.ApplyUpdates({EdgeUpdate::Insert(7, 6)});
   EXPECT_EQ(engine.QueryAll(), oracle.QueryAll());
@@ -329,7 +336,7 @@ TEST_F(FaultToleranceTest, RecoveryFailurePreservesCrashTimeLog) {
   Engine recovered(options);
   std::string error;
   ASSERT_TRUE(recovered.RecoverFromFile(index_path_, &error)) << error;
-  Engine oracle(EngineOptions{.backend = "frozen"});
+  Engine oracle(FrozenOptions());
   ASSERT_TRUE(oracle.Build(graph));
   for (const auto& batch : SomeBatches()) {
     oracle.ApplyUpdates(batch);
@@ -385,7 +392,7 @@ TEST_F(FaultToleranceTest, ShardedWaitForEpochsDeadline) {
 
 TEST_F(FaultToleranceTest, AtomicSaveLeavesOldFileOnFailure) {
   DiGraph graph = Figure2Graph();
-  Engine engine(EngineOptions{.backend = "frozen"});
+  Engine engine(FrozenOptions());
   ASSERT_TRUE(engine.Build(graph));
   auto snapshot = engine.snapshot();
   std::string error;
@@ -408,7 +415,7 @@ TEST_F(FaultToleranceTest, AtomicSaveLeavesOldFileOnFailure) {
 
 TEST_F(FaultToleranceTest, IndexIoReadAndMmapFailpoints) {
   DiGraph graph = Figure2Graph();
-  Engine engine(EngineOptions{.backend = "frozen"});
+  Engine engine(FrozenOptions());
   ASSERT_TRUE(engine.Build(graph));
   std::string error;
   ASSERT_TRUE(SaveBackendToFile(*engine.snapshot(), index_path_, &error))

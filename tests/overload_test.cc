@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/girth.h"
 #include "graph/digraph.h"
 #include "serving/admission.h"
 #include "serving/engine.h"
@@ -16,8 +17,8 @@
 #include "util/failpoint.h"
 
 // Overload-protection semantics end to end: the admission primitives
-// (Deadline / RateLimiter / AdmissionQueue / CircuitBreaker) in isolation,
-// write-side backpressure (backlog caps shed with kOverloaded or block to a
+// (Deadline / AdmissionQueue / CircuitBreaker) in isolation, write-side
+// backpressure (backlog caps shed with kOverloaded or block to a
 // deadline), read-side deadline propagation (typed partial results, never a
 // silent short answer), breaker-metered degraded BFS serving, and the
 // BeginDrain/FinishDrain lifecycle landing the admitted backlog
@@ -71,17 +72,6 @@ TEST_F(OverloadTest, DeadlineBasics) {
   EXPECT_LE(ahead.remaining(), milliseconds(60'000));
 
   EXPECT_TRUE(Deadline::At(Deadline::Clock::now() - milliseconds(1)).expired());
-}
-
-TEST_F(OverloadTest, RateLimiterRefills) {
-  // 10 tokens/s, burst 2: two immediate takes, then dry for ~100ms.
-  RateLimiter limiter(10.0, 2.0);
-  EXPECT_TRUE(limiter.TryAcquire());
-  EXPECT_TRUE(limiter.TryAcquire());
-  EXPECT_FALSE(limiter.TryAcquire());
-  std::this_thread::sleep_for(milliseconds(150));
-  EXPECT_TRUE(limiter.TryAcquire());  // ~1.5 tokens accrued
-  EXPECT_LE(limiter.available(), 2.0);
 }
 
 TEST_F(OverloadTest, AdmissionQueueWatermarks) {
@@ -449,6 +439,65 @@ TEST_F(OverloadTest, BreakerMetersDegradedBfsFallback) {
   EXPECT_EQ(shed.status, QueryStatus::kShed);
   EXPECT_EQ(shed.count.count, 0u);
   EXPECT_GE(degraded.degraded_stats().fallback_shed, 1u);
+
+  // An unbounded deadline leaves the breaker no budget to protect: with the
+  // breaker still open, QueryOptions{} gets the exact BFS answers with kOk
+  // on every entry point, identical to the budget-free forms, and neither
+  // consults nor moves the breaker.
+  const QueryOptions unbounded;
+  const uint64_t transitions = degraded.degraded_stats().breaker_transitions;
+  const Vertex n = degraded.num_vertices();
+  std::vector<CycleCount> truth(n);
+  for (Vertex v = 0; v < n; ++v) truth[v] = BfsCountCycles(graph, v);
+
+  ShardedQueryResult exact = degraded.QueryWithStatus(v0, unbounded);
+  EXPECT_EQ(exact.status, QueryStatus::kOk);
+  EXPECT_EQ(exact.served_by, ShardState::kDegraded);
+  EXPECT_EQ(exact.count, truth[v0]);
+  ShardedQueryResult budget_free = degraded.QueryWithStatus(v0);
+  EXPECT_EQ(budget_free.status, QueryStatus::kOk);
+  EXPECT_EQ(budget_free.served_by, ShardState::kDegraded);
+  EXPECT_EQ(budget_free.count, truth[v0]);
+  EXPECT_EQ(degraded.Query(v0), truth[v0]);
+
+  std::vector<Vertex> batch = {v0, n - 1, n, v0, 1};  // n is out of range
+  BatchQueryResult batched = degraded.BatchQuery(batch, unbounded);
+  EXPECT_EQ(batched.status, QueryStatus::kOk);
+  EXPECT_EQ(batched.completed, batch.size());
+  EXPECT_EQ(batched.counts, (std::vector<CycleCount>{
+                                truth[v0], truth[n - 1], CycleCount{},
+                                truth[v0], truth[1]}));
+  EXPECT_EQ(degraded.BatchQuery(batch), batched.counts);
+
+  BatchQueryResult all = degraded.QueryAll(unbounded);
+  EXPECT_EQ(all.status, QueryStatus::kOk);
+  EXPECT_EQ(all.completed, size_t{n});
+  EXPECT_EQ(all.counts, truth);
+  EXPECT_EQ(degraded.QueryAll(), truth);
+
+  const GirthInfo girth_truth =
+      ComputeGirth(n, [&truth](Vertex v) { return truth[v]; });
+  GirthResult girth = degraded.Girth(unbounded);
+  EXPECT_EQ(girth.status, QueryStatus::kOk);
+  EXPECT_EQ(girth.scanned, n);
+  EXPECT_EQ(girth.info.girth, girth_truth.girth);
+  EXPECT_EQ(girth.info.num_girth_vertices, girth_truth.num_girth_vertices);
+  EXPECT_EQ(girth.info.example_vertex, girth_truth.example_vertex);
+  GirthInfo budget_free_girth = degraded.Girth();
+  EXPECT_EQ(budget_free_girth.girth, girth_truth.girth);
+  EXPECT_EQ(budget_free_girth.num_girth_vertices,
+            girth_truth.num_girth_vertices);
+  EXPECT_EQ(budget_free_girth.example_vertex, girth_truth.example_vertex);
+
+  ScreenResult screen = degraded.Screen(kInfDist, 5, unbounded);
+  EXPECT_EQ(screen.status, QueryStatus::kOk);
+  EXPECT_EQ(screen.scanned, n);
+  EXPECT_EQ(screen.hits, builder.Screen(kInfDist, 5));  // all healthy
+  EXPECT_EQ(degraded.Screen(kInfDist, 5), screen.hits);
+
+  stats = degraded.degraded_stats();
+  EXPECT_EQ(stats.breaker_state, CircuitBreaker::State::kOpen);
+  EXPECT_EQ(stats.breaker_transitions, transitions);
 
   // After the cooldown the half-open probe succeeds and closes the breaker;
   // the answer is the exact BFS count.
