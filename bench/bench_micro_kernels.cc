@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels behind every query
 // and construction step: label-entry packing, label-set joins and upserts,
-// the packed-arena join kernels (linear baseline vs. the SIMD/galloping
-// fast path, across run-length skews), and end-to-end SCCnt queries on a
-// built index.
+// the packed-arena join kernels (linear baseline vs. the shipped dispatch —
+// block intersection, SIMD-skip merge, galloping — across run-length
+// skews), and end-to-end SCCnt queries on a built index.
 //
 // lint:allow-no-json-bench(google-benchmark owns the output format here;
 // use --benchmark_format=json for machine-readable rows instead of the
@@ -10,11 +10,14 @@
 //
 // CI runs this binary in smoke mode (--benchmark_min_time=0.01) on both
 // architectures so every kernel variant (scalar / SSE2 / NEON / galloping)
-// compiles and executes; build with -DCSC_NO_SIMD=ON to pin the scalar
-// fallback.
+// compiles and executes — the kernel conformance tests check their answers;
+// build with -DCSC_NO_SIMD=ON to pin the scalar fallback.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baseline/bfs_cycle.h"
 #include "core/label_arena.h"
@@ -87,20 +90,53 @@ LabelSet RunSpanningUniverse(size_t entries, Rank universe, uint64_t seed) {
 }
 
 // The packed-packed arena join across run-length skews: Args({na, nb}).
-// BM_ArenaJoin runs the shipped kernel (SIMD-skip merge, galloping past
-// kGallopSkewRatio); BM_ArenaJoinLinear is the reference linear merge the
-// acceptance speedup is measured against.
+// BM_ArenaJoin runs the shipped kernel (4-wide block intersection for
+// balanced runs, SIMD-skip merge from kSimdSkewRatio, galloping from
+// kGallopSkewRatio); BM_ArenaJoinLinear is the reference linear merge.
+//
+// Each shape rotates through >= 256 distinct run pairs in a shuffled order,
+// as a query sweep does. Repeating one pair lets the branch predictor learn
+// its merge path, which flatters the branchy linear merge. Each side's runs
+// stay within kSideBudgetBytes so the working set is L2-resident: the
+// bench times the kernels, not memory.
+constexpr size_t kMinDistinctPairs = 256;
+constexpr size_t kSideBudgetBytes = 256 * 1024;
+
 void ArenaJoinBench(benchmark::State& state, bool linear) {
   size_t na = static_cast<size_t>(state.range(0));
   size_t nb = static_cast<size_t>(state.range(1));
   Rank universe = static_cast<Rank>(4 * (na > nb ? na : nb));
-  LabelArena a = LabelArena::FromLabelSets(
-      {RunSpanningUniverse(na, universe, 21)}, ArenaEncoding::kPacked);
-  LabelArena b = LabelArena::FromLabelSets(
-      {RunSpanningUniverse(nb, universe, 22)}, ArenaEncoding::kPacked);
+  // As many b runs as fit the budget (up to 16), then enough a runs that
+  // the pairs number at least kMinDistinctPairs.
+  size_t b_runs =
+      std::clamp<size_t>(kSideBudgetBytes / (nb * sizeof(LabelEntry)), 1, 16);
+  size_t a_runs = (kMinDistinctPairs + b_runs - 1) / b_runs;
+  std::vector<LabelSet> a_sets;
+  a_sets.reserve(a_runs);
+  for (size_t i = 0; i < a_runs; ++i) {
+    a_sets.push_back(RunSpanningUniverse(na, universe, 1000 + i));
+  }
+  std::vector<LabelSet> b_sets;
+  b_sets.reserve(b_runs);
+  for (size_t i = 0; i < b_runs; ++i) {
+    b_sets.push_back(RunSpanningUniverse(nb, universe, 5000 + i));
+  }
+  LabelArena a = LabelArena::FromLabelSets(a_sets, ArenaEncoding::kPacked);
+  LabelArena b = LabelArena::FromLabelSets(b_sets, ArenaEncoding::kPacked);
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  pairs.reserve(a_runs * b_runs);
+  for (size_t i = 0; i < a_runs; ++i) {
+    for (size_t j = 0; j < b_runs; ++j) {
+      pairs.emplace_back(static_cast<Vertex>(i), static_cast<Vertex>(j));
+    }
+  }
+  Rng(21).Shuffle(pairs);
+  size_t next = 0;
   for (auto _ : state) {
-    JoinResult r = linear ? LabelArena::JoinLinear(a, 0, b, 0)
-                          : LabelArena::Join(a, 0, b, 0);
+    auto [s, t] = pairs[next];
+    next = next + 1 == pairs.size() ? 0 : next + 1;
+    JoinResult r = linear ? LabelArena::JoinLinear(a, s, b, t)
+                          : LabelArena::Join(a, s, b, t);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * (na + nb));
@@ -119,7 +155,7 @@ void BM_ArenaJoinLinear(benchmark::State& state) {
       ->Args({64, 256})                   \
       ->Args({64, 512})                   \
       ->Args({64, 2048})                  \
-      ->Args({16, 256})                 \
+      ->Args({16, 256})                   \
       ->Args({16, 4096})                  \
       ->Args({64, 4096})                  \
       ->Args({256, 16384})

@@ -158,6 +158,36 @@ inline void Accumulate(JoinResult& result, uint64_t a_bits, uint64_t b_bits) {
   }
 }
 
+#if defined(CSC_ARENA_SIMD_SSE2)
+// Narrows the ranks of the four entry words at `p` to 4x u32 lanes: shift
+// the rank field down in each 64-bit word, then gather the low halves.
+inline __m128i LoadRanks4(const uint8_t* p) {
+  __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
+  lo = _mm_srli_epi64(lo, kRankShift);
+  hi = _mm_srli_epi64(hi, kRankShift);
+  return _mm_castps_si128(_mm_shuffle_ps(
+      _mm_castsi128_ps(lo), _mm_castsi128_ps(hi), _MM_SHUFFLE(2, 0, 2, 0)));
+}
+
+// One bit per 32-bit lane of a compare result.
+inline int LaneMask(__m128i cmp) {
+  return _mm_movemask_ps(_mm_castsi128_ps(cmp));
+}
+#elif defined(CSC_ARENA_SIMD_NEON)
+inline uint32x4_t LoadRanks4(const uint8_t* p) {
+  uint64x2_t lo = vreinterpretq_u64_u8(vld1q_u8(p));
+  uint64x2_t hi = vreinterpretq_u64_u8(vld1q_u8(p + 16));
+  return vcombine_u32(vmovn_u64(vshrq_n_u64(lo, kRankShift)),
+                      vmovn_u64(vshrq_n_u64(hi, kRankShift)));
+}
+
+// One 16-bit field per 32-bit lane of a compare result (all ones or zero).
+inline uint64_t LaneMask(uint32x4_t cmp) {
+  return vget_lane_u64(vreinterpret_u64_u16(vmovn_u32(cmp)), 0);
+}
+#endif
+
 // Advances `p` to the first entry with rank >= bound, comparing four ranks
 // per step once the advance proves long. The SIMD variants shift the rank
 // field out of four entry words, narrow to one 32-bit lane each (ranks fit
@@ -176,26 +206,14 @@ inline const uint8_t* SkipBelow(const uint8_t* p, const uint8_t* end,
 #if defined(CSC_ARENA_SIMD_SSE2)
   const __m128i vbound = _mm_set1_epi32(static_cast<int>(bound));
   while (static_cast<size_t>(end - p) >= 4 * kEntry) {
-    __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-    lo = _mm_srli_epi64(lo, kRankShift);
-    hi = _mm_srli_epi64(hi, kRankShift);
-    __m128i ranks = _mm_castps_si128(_mm_shuffle_ps(
-        _mm_castsi128_ps(lo), _mm_castsi128_ps(hi), _MM_SHUFFLE(2, 0, 2, 0)));
-    int below = _mm_movemask_ps(
-        _mm_castsi128_ps(_mm_cmplt_epi32(ranks, vbound)));
+    int below = LaneMask(_mm_cmplt_epi32(LoadRanks4(p), vbound));
     if (below != 0xF) return p + kEntry * __builtin_ctz(~below);
     p += 4 * kEntry;
   }
 #elif defined(CSC_ARENA_SIMD_NEON)
   const uint32x4_t vbound = vdupq_n_u32(bound);
   while (static_cast<size_t>(end - p) >= 4 * kEntry) {
-    uint64x2_t lo = vreinterpretq_u64_u8(vld1q_u8(p));
-    uint64x2_t hi = vreinterpretq_u64_u8(vld1q_u8(p + 16));
-    uint32x4_t ranks = vcombine_u32(vmovn_u64(vshrq_n_u64(lo, kRankShift)),
-                                    vmovn_u64(vshrq_n_u64(hi, kRankShift)));
-    uint64_t below = vget_lane_u64(
-        vreinterpret_u64_u16(vmovn_u32(vcltq_u32(ranks, vbound))), 0);
+    uint64_t below = LaneMask(vcltq_u32(LoadRanks4(p), vbound));
     if (below != ~uint64_t{0}) {
       return p + kEntry * (__builtin_ctzll(~below) / 16);
     }
@@ -236,11 +254,12 @@ inline const uint8_t* GallopTo(const uint8_t* p, const uint8_t* end,
   return p + lo * kEntry;
 }
 
-// Reference linear merge of two rank-sorted packed runs — the conformance
-// oracle and microbenchmark baseline for the kernels below.
+// Linear merge of two rank-sorted packed runs, folding hits into `result`
+// — the conformance oracle and microbenchmark baseline for the kernels
+// below, and the block kernel's tail (which hands over its running result).
 JoinResult JoinPackedLinear(const uint8_t* a, const uint8_t* a_end,
-                            const uint8_t* b, const uint8_t* b_end) {
-  JoinResult result;
+                            const uint8_t* b, const uint8_t* b_end,
+                            JoinResult result = {}) {
   while (a != a_end && b != b_end) {
     Rank ra = RankAt(a);
     Rank rb = RankAt(b);
@@ -257,8 +276,66 @@ JoinResult JoinPackedLinear(const uint8_t* a, const uint8_t* a_end,
   return result;
 }
 
+// Block intersection for balanced runs (Inoue et al., PVLDB 8(3), 2014):
+// four ranks from each run are compared all-pairs per step, so the only
+// data-dependent branch left is the rare "some hub matched" one — a linear
+// merge mispredicts on nearly every advance when runs interleave densely.
+// Ranks are unique within a run, so a lane of `a` matches at most one lane
+// of `b`. A side advances by a whole block when its 4th rank is <= the
+// other side's 4th rank: none of its four ranks can match anything past
+// the other side's block. Blocks left behind on the other side only hold
+// ranks below every remaining `a` (or `b`) rank, so no pair is counted
+// twice. The < 4-entry tails finish in the linear merge on the same result
+// (without SIMD, the linear merge does the whole join).
+JoinResult JoinPackedBlock(const uint8_t* a, const uint8_t* a_end,
+                           const uint8_t* b, const uint8_t* b_end) {
+  JoinResult result;
+#if defined(CSC_ARENA_SIMD_SSE2) || defined(CSC_ARENA_SIMD_NEON)
+  while (static_cast<size_t>(a_end - a) >= 4 * kEntry &&
+         static_cast<size_t>(b_end - b) >= 4 * kEntry) {
+#if defined(CSC_ARENA_SIMD_SSE2)
+    const __m128i va = LoadRanks4(a);
+    const __m128i vb = LoadRanks4(b);
+    // va against vb rotated by 0-3 lanes: every lane pair exactly once.
+    __m128i eq = _mm_cmpeq_epi32(va, vb);
+    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));
+    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));
+    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));
+    for (int hits = LaneMask(eq); hits != 0; hits &= hits - 1) {
+      const uint64_t a_bits = LoadBits(a + kEntry * __builtin_ctz(hits));
+      const __m128i rank =
+          _mm_set1_epi32(static_cast<int>(a_bits >> kRankShift));
+      const int partner = __builtin_ctz(LaneMask(_mm_cmpeq_epi32(vb, rank)));
+      Accumulate(result, a_bits, LoadBits(b + kEntry * partner));
+    }
+#else
+    const uint32x4_t va = LoadRanks4(a);
+    const uint32x4_t vb = LoadRanks4(b);
+    uint32x4_t eq = vceqq_u32(va, vb);
+    eq = vorrq_u32(eq, vceqq_u32(va, vextq_u32(vb, vb, 1)));
+    eq = vorrq_u32(eq, vceqq_u32(va, vextq_u32(vb, vb, 2)));
+    eq = vorrq_u32(eq, vceqq_u32(va, vextq_u32(vb, vb, 3)));
+    for (uint64_t hits = LaneMask(eq); hits != 0;) {
+      const int lane = __builtin_ctzll(hits) / 16;
+      hits &= ~(uint64_t{0xFFFF} << (16 * lane));
+      const uint64_t a_bits = LoadBits(a + kEntry * lane);
+      const uint32x4_t rank =
+          vdupq_n_u32(static_cast<uint32_t>(a_bits >> kRankShift));
+      const int partner = __builtin_ctzll(LaneMask(vceqq_u32(vb, rank))) / 16;
+      Accumulate(result, a_bits, LoadBits(b + kEntry * partner));
+    }
+#endif
+    const Rank a_last = RankAt(a + 3 * kEntry);
+    const Rank b_last = RankAt(b + 3 * kEntry);
+    a += a_last <= b_last ? 4 * kEntry : 0;
+    b += b_last <= a_last ? 4 * kEntry : 0;
+  }
+#endif
+  return JoinPackedLinear(a, a_end, b, b_end, result);
+}
+
 // Branch-reduced merge whose advances skip with 4-wide rank comparisons —
-// the balanced-length fast path.
+// the moderately skewed path.
 JoinResult JoinPackedMerge(const uint8_t* a, const uint8_t* a_end,
                            const uint8_t* b, const uint8_t* b_end) {
   JoinResult result;
@@ -296,8 +373,10 @@ JoinResult JoinPackedSkewed(const uint8_t* s, const uint8_t* s_end,
 }
 
 // Kernel dispatch by run-length skew (cutoffs measured by
-// bench_micro_kernels; see the header). The join is symmetric (dist sums
-// and count products commute), so the shorter run always drives.
+// bench_micro_kernels; see the header): gallop, SIMD-skip merge, or — the
+// common, near-balanced case — block intersection (linear merge without
+// SIMD). The join is symmetric (dist sums and count products commute), so
+// the shorter run always drives.
 JoinResult JoinPacked(const uint8_t* a, size_t na, const uint8_t* b,
                       size_t nb) {
   if (na > nb) {
@@ -314,7 +393,7 @@ JoinResult JoinPacked(const uint8_t* a, size_t na, const uint8_t* b,
       return JoinPackedMerge(a, a + na * kEntry, b, b + nb * kEntry);
     }
   }
-  return JoinPackedLinear(a, a + na * kEntry, b, b + nb * kEntry);
+  return JoinPackedBlock(a, a + na * kEntry, b, b + nb * kEntry);
 }
 
 // The same merge over decoding cursors (either side may be varint).

@@ -125,11 +125,13 @@ class LabelArena {
   /// 2-hop join: min over common hubs of dist(s->h) + dist(h->t) with the
   /// multiplicity at the minimum, between run `s` of `out_arena` and run `t`
   /// of `in_arena`. When both arenas are packed the kernel is picked by
-  /// run-length skew: near-balanced runs take the plain linear merge
-  /// (densely interleaved advances are 1-2 entries, skipping machinery only
-  /// costs there), moderately skewed runs a merge whose advances skip four
-  /// ranks at a time with SIMD compares, and badly skewed runs gallop
-  /// (exponential probe + binary search) over the long side.
+  /// run-length skew: near-balanced runs take a block intersection that
+  /// compares four ranks of each run all-pairs per step with SIMD (densely
+  /// interleaved runs make a linear merge mispredict on nearly every
+  /// advance; under CSC_NO_SIMD they take the linear merge), moderately
+  /// skewed runs a merge whose advances skip four ranks at a time with SIMD
+  /// compares, and badly skewed runs gallop (exponential probe + binary
+  /// search) over the long side. Every kernel returns the same result.
   static JoinResult Join(const LabelArena& out_arena, Vertex s,
                          const LabelArena& in_arena, Vertex t);
 
@@ -139,11 +141,11 @@ class LabelArena {
                                const LabelArena& in_arena, Vertex t);
 
   /// Kernel-dispatch cutoffs, chosen by bench_micro_kernels' ArenaJoin skew
-  /// matrix (see README "Storage layout"): the SIMD-skip merge starts
-  /// beating the linear merge once the longer run is ~8x the shorter
-  /// (1.4-1.8x there), and galloping overtakes it from ~32x (up to ~17x at
-  /// 256x skew). Short runs never leave the linear merge — skip setup
-  /// costs more than it saves under kGallopMinLongerRun entries.
+  /// matrix against the linear merge (see README "Join kernels"): the
+  /// SIMD-skip merge pays off once the longer run is ~8x the shorter, and
+  /// galloping from ~32x. Runs below kGallopMinLongerRun entries never skip
+  /// or gallop — the setup costs more than it saves. Sending 8-32x runs to
+  /// the block intersection instead measured no faster on a real sweep.
   static constexpr size_t kSimdSkewRatio = 8;
   static constexpr size_t kGallopSkewRatio = 32;
   static constexpr size_t kGallopMinLongerRun = 64;

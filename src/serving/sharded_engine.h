@@ -478,8 +478,9 @@ class ShardedEngine {
   bool AllHealthy() const;
 
   ShardedEngineOptions options_;
-  // Router pool: one task per shard fan-out. Behind a pointer so LoadFrom
-  // can re-size it when it adopts a bundle's shard count.
+  // Router pool: shard fan-outs run on it and on the calling thread. Behind
+  // a pointer so LoadFrom can re-size it when it adopts a bundle's shard
+  // count.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Engine>> shards_;
   Vertex num_vertices_ = 0;

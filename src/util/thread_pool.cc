@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 #include "util/mutex.h"
@@ -123,60 +125,85 @@ void SerialWorker::WorkerLoop() {
   }
 }
 
+namespace {
+
+// One ParallelFor call's shared state. The caller and its pool helpers
+// each hold a reference, so a helper that only starts after the call has
+// returned still touches live memory — and finds no chunk left to claim.
+struct ParallelForCall {
+  ParallelForCall(size_t begin, size_t end, size_t grain, size_t chunks,
+                  const std::function<void(size_t, size_t)>& body)
+      : begin(begin), end(end), grain(grain), chunks(chunks), body(&body) {}
+
+  // Claims chunks off `next` until none are left. `body` points into the
+  // caller's frame: it is dereferenced only for a claimed chunk, and the
+  // caller does not return before every claimed chunk has finished.
+  void RunChunks() {
+    for (;;) {
+      const size_t chunk = next.fetch_add(1);
+      if (chunk >= chunks) return;
+      const size_t lo = begin + chunk * grain;
+      const size_t hi = lo + std::min(grain, end - lo);
+      std::exception_ptr thrown;
+      try {
+        (*body)(lo, hi);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      if (thrown) {
+        MutexLock lock(mu);
+        if (!first_exception) first_exception = std::move(thrown);
+      }
+      // The last chunk to finish (on whichever thread) wakes the caller.
+      if (finished.fetch_add(1) + 1 == chunks) {
+        MutexLock lock(mu);
+        all_finished = true;
+        done.NotifyAll();
+      }
+    }
+  }
+
+  const size_t begin;
+  const size_t end;
+  const size_t grain;
+  const size_t chunks;
+  const std::function<void(size_t, size_t)>* const body;
+  std::atomic<size_t> next{0};      // next unclaimed chunk index
+  std::atomic<size_t> finished{0};  // chunks whose body has returned
+  Mutex mu;
+  CondVar done;
+  bool all_finished CSC_GUARDED_BY(mu) = false;
+  std::exception_ptr first_exception CSC_GUARDED_BY(mu);
+};
+
+}  // namespace
+
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body) {
   if (begin >= end) return;
   if (grain == 0) grain = 1;
-  // Per-call completion state rather than pool.Wait(): several ParallelFor
-  // calls may share one pool concurrently (batched queries from multiple
-  // reader threads), and the pool-global wait would both block on foreign
-  // tasks and deliver this call's exception to a different caller. The
-  // state lives on this stack frame; the wait below keeps it alive until
-  // every chunk has finished with it.
-  struct CallState {
-    explicit CallState(size_t chunks) : remaining(chunks) {}
-    Mutex mu;
-    CondVar done;
-    size_t remaining CSC_GUARDED_BY(mu);
-    std::exception_ptr first_exception CSC_GUARDED_BY(mu);
-  };
-  const size_t total_chunks = (end - begin + grain - 1) / grain;
-  CallState state(total_chunks);
-  size_t submitted = 0;
-  try {
-    for (size_t chunk = begin; chunk < end; chunk += grain) {
-      size_t chunk_end = std::min(chunk + grain, end);
-      pool.Submit([&body, &state, chunk, chunk_end] {
-        std::exception_ptr thrown;
-        try {
-          body(chunk, chunk_end);
-        } catch (...) {
-          thrown = std::current_exception();
-        }
-        MutexLock lock(state.mu);
-        if (thrown && !state.first_exception) {
-          state.first_exception = std::move(thrown);
-        }
-        if (--state.remaining == 0) state.done.NotifyAll();
-      });
-      ++submitted;
+  const size_t chunks = (end - begin - 1) / grain + 1;
+  auto call = std::make_shared<ParallelForCall>(begin, end, grain, chunks,
+                                                body);
+  // One task per helper, not per chunk. A helper that cannot be submitted
+  // (allocation failure) just leaves its share to the others: the caller
+  // claims chunks too, so the call completes with any number of helpers.
+  const size_t helpers = std::min<size_t>(pool.num_threads(), chunks) - 1;
+  for (size_t i = 0; i < helpers; ++i) {
+    try {
+      pool.Submit([call] { call->RunChunks(); });
+    } catch (...) {
+      break;
     }
-  } catch (...) {
-    // Submit itself failed (allocation). The never-enqueued chunks will
-    // not decrement remaining — un-count them, then drain the chunks
-    // already in flight (they reference this frame's state and body)
-    // before surfacing the failure.
-    {
-      MutexLock lock(state.mu);
-      state.remaining -= total_chunks - submitted;
-      while (state.remaining != 0) state.done.Wait(lock);
-    }
-    throw;
   }
+  ParallelForCall& state = *call;
+  state.RunChunks();
+  // Every chunk is claimed by now, so this waits only for chunks other
+  // threads are already running — never for a helper still in the queue.
   std::exception_ptr rethrown;
   {
     MutexLock lock(state.mu);
-    while (state.remaining != 0) state.done.Wait(lock);
+    while (!state.all_finished) state.done.Wait(lock);
     rethrown = std::exchange(state.first_exception, nullptr);
   }
   if (rethrown) std::rethrow_exception(rethrown);

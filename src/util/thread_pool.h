@@ -17,8 +17,8 @@ namespace csc {
 /// (batch queries, parallel validation, multi-graph benchmark sweeps).
 ///
 /// Semantics are deliberately minimal: Submit() enqueues a task, Wait()
-/// blocks until every submitted task has finished. Tasks must not Submit()
-/// into the pool they run on (no nested parallelism); use ParallelFor for
+/// blocks until every submitted task has finished. Tasks must not Wait() on
+/// the pool they run on (that waits for themselves); use ParallelFor for
 /// the common blocked-range case instead of managing tasks directly.
 ///
 /// The index structures themselves are single-writer: the pool is only ever
@@ -72,13 +72,24 @@ class ThreadPool {
 
 /// Splits [begin, end) into chunks of at most `grain` items and runs
 /// `body(chunk_begin, chunk_end)` across the pool, blocking until all chunks
-/// finish. `grain == 0` is coerced to 1. Chunks run in unspecified order;
-/// the body must be safe to run concurrently against itself. A body that
-/// throws does not abort the remaining chunks — they all still run — but the
-/// first exception captured is rethrown here once every chunk has finished.
-/// Completion and exception delivery are per call (not ThreadPool::Wait):
-/// concurrent ParallelFor calls sharing one pool neither block on each
-/// other's tasks nor receive each other's exceptions.
+/// finish. `grain == 0` is coerced to 1; an empty range runs nothing.
+///
+/// The calling thread works too: it and up to min(num_threads, chunks) - 1
+/// pool helpers (one Submit each, not one per chunk) claim chunk indexes
+/// from a shared atomic cursor, so chunks run in unspecified order and on
+/// unspecified threads — the caller's included. The body must be safe to
+/// run concurrently against itself. The caller waits only for chunks
+/// another thread has already claimed, never for a helper still queued
+/// behind other work: the call completes even when every pool worker is
+/// busy, and nesting a ParallelFor inside a pool task (of the same pool or
+/// another) cannot deadlock — with no idle worker, the nested call simply
+/// runs its chunks on its own thread.
+///
+/// A body that throws does not abort the remaining chunks — they all still
+/// run — but the first exception captured is rethrown here once every chunk
+/// has finished. Completion and exception delivery are per call (not
+/// ThreadPool::Wait): concurrent ParallelFor calls sharing one pool neither
+/// block on each other's chunks nor receive each other's exceptions.
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,8 +133,10 @@ LabelSet SpanningSet(size_t entries, Rank universe, uint64_t seed) {
 
 TEST(LabelArenaJoinKernelTest, AllKernelsAgreeAcrossSkews) {
   // Sizes straddling every dispatch boundary: below kGallopMinLongerRun,
-  // at the SIMD skew cutoff, past the gallop cutoff, plus empty runs.
-  const size_t sizes[] = {0, 1, 3, 15, 63, 64, 192, 512, 2048};
+  // at the SIMD skew cutoff, past the gallop cutoff, plus empty runs — and
+  // on and around the block kernel's 4-entry block edges.
+  const size_t sizes[] = {0,  1,  3,  4,  5,  7,   8,   9,    15,
+                          31, 32, 33, 63, 64, 192, 512, 2048};
   int pair_index = 0;
   for (size_t na : sizes) {
     for (size_t nb : sizes) {
@@ -176,6 +180,74 @@ TEST(LabelArenaJoinKernelTest, SkewedKernelsHandleDegenerateOverlaps) {
     EXPECT_EQ(LabelArena::Join(b, 0, a, 0), expected);
     EXPECT_EQ(LabelArena::JoinLinear(a, 0, b, 0), expected);
   }
+}
+
+TEST(LabelArenaJoinKernelTest, TiedMinimumHubsSumAcrossBlocksAndTail) {
+  // Every common hub sits at the same minimum distance, so the answer is
+  // the sum of all their count products: hits land in every lane of the
+  // 4-entry blocks, in blocks where only one side advances, and in the
+  // scalar tail (sizes are not multiples of 4). A larger-distance hit up
+  // front and one in the tail must not disturb the minimum.
+  LabelSet a;
+  LabelSet b;
+  Count expected_count = 0;
+  a.Append(LabelEntry(0, 9, 5));  // common, but not at the minimum
+  b.Append(LabelEntry(0, 9, 7));
+  for (Rank r = 1; r < 60; ++r) {
+    const bool in_a = r % 5 != 3;
+    const bool in_b = r % 6 != 2;
+    const Count ca = 1 + r % 4;
+    const Count cb = 1 + r % 3;
+    if (in_a) a.Append(LabelEntry(r, 1 + r % 2, ca));
+    if (in_b) b.Append(LabelEntry(r, 2 - r % 2, cb));
+    if (in_a && in_b) expected_count += ca * cb;
+  }
+  a.Append(LabelEntry(61, 2, 3));  // tail hit at a larger distance
+  b.Append(LabelEntry(61, 5, 3));
+  ASSERT_NE(a.size() % 4, 0u);
+  ASSERT_NE(b.size() % 4, 0u);
+  LabelArena out = LabelArena::FromLabelSets({a}, ArenaEncoding::kPacked);
+  LabelArena in = LabelArena::FromLabelSets({b}, ArenaEncoding::kPacked);
+  const JoinResult expected{3, expected_count};
+  EXPECT_EQ(JoinLabels(a, b), expected);
+  EXPECT_EQ(LabelArena::Join(out, 0, in, 0), expected);
+  EXPECT_EQ(LabelArena::Join(in, 0, out, 0), expected);
+  EXPECT_EQ(LabelArena::JoinLinear(out, 0, in, 0), expected);
+}
+
+TEST(LabelArenaJoinKernelTest, JoinOverUnalignedViewPayload) {
+  // A view-backed arena whose packed payload starts at an odd address: the
+  // kernels' 16-byte SIMD loads must all be unaligned-safe.
+  const size_t sizes[] = {1, 4, 5, 7, 8, 9, 31, 32, 33, 64, 192};
+  std::vector<LabelSet> sets;
+  sets.reserve(std::size(sizes));
+  for (size_t i = 0; i < std::size(sizes); ++i) {
+    sets.push_back(SpanningSet(sizes[i], 4 * 192 + 4, 301 + i));
+  }
+  LabelArena owned = LabelArena::FromLabelSets(sets, ArenaEncoding::kPacked);
+  std::string wire;
+  owned.AppendTo(wire);
+  for (size_t pad = 0; pad < 2; ++pad) {
+    auto bytes = std::make_shared<std::string>(pad, '\0');
+    bytes->append(wire);
+    size_t pos = pad;
+    auto view = LabelArena::ParseView(
+        reinterpret_cast<const uint8_t*>(bytes->data()), bytes->size(), pos,
+        bytes);
+    ASSERT_TRUE(view.has_value());
+    if (reinterpret_cast<uintptr_t>(view->payload_data()) % 2 == 0) continue;
+    for (Vertex s = 0; s < owned.num_vertices(); ++s) {
+      for (Vertex t = 0; t < owned.num_vertices(); ++t) {
+        const JoinResult expected = JoinLabels(sets[s], sets[t]);
+        EXPECT_EQ(LabelArena::Join(*view, s, *view, t), expected)
+            << "s=" << s << " t=" << t;
+        EXPECT_EQ(LabelArena::Join(*view, s, owned, t), expected)
+            << "s=" << s << " t=" << t;
+      }
+    }
+    return;
+  }
+  FAIL() << "neither padding put the payload at an odd address";
 }
 
 class LabelArenaViewTest : public ::testing::TestWithParam<ArenaEncoding> {};

@@ -1,9 +1,13 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +158,96 @@ TEST(ParallelForTest, MatchesSequentialReduction) {
   });
   long long sequential = std::accumulate(data.begin(), data.end(), 0LL);
   EXPECT_EQ(parallel_sum.load(), sequential);
+}
+
+TEST(ParallelForTest, ConcurrentCallsKeepTheirOwnCoverageAndExceptions) {
+  // Four callers share one 2-thread pool. Each call must cover exactly its
+  // own range, and only the caller whose body throws may see an exception.
+  ThreadPool pool(2);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 50;
+  constexpr size_t kItems = 200;
+  constexpr int kThrower = 2;
+  std::vector<int> bad_coverage(kCallers, 0);
+  std::vector<int> exceptions(kCallers, 0);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kItems);
+        try {
+          ParallelFor(pool, 0, kItems, 7, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+            if (c == kThrower && begin == 70) {
+              throw std::runtime_error("caller " + std::to_string(c));
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), "caller " + std::to_string(c));
+          ++exceptions[c];
+        }
+        for (size_t i = 0; i < kItems; ++i) {
+          if (hits[i].load() != 1) ++bad_coverage[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(bad_coverage[c], 0) << "caller " << c;
+    EXPECT_EQ(exceptions[c], c == kThrower ? kRounds : 0) << "caller " << c;
+  }
+}
+
+TEST(ParallelForTest, CompletesWhileEveryPoolWorkerIsBusy) {
+  // Both workers are parked on a latch, so no helper can start: the calling
+  // thread must run every chunk itself rather than wait on the queue. The
+  // wait is bounded, so a regression fails here instead of hanging.
+  ThreadPool pool(2);
+  std::latch release(1);
+  std::atomic<int> parked{0};
+  for (unsigned i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([&] {
+      parked.fetch_add(1);
+      release.wait();
+    });
+  }
+  while (parked.load() < 2) std::this_thread::yield();
+  std::vector<std::atomic<int>> hits(100);
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread caller([&] {
+    ParallelFor(pool, 0, hits.size(), 10, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+    finished.set_value();
+  });
+  const bool completed =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();  // unpark the workers either way, then clean up
+  caller.join();
+  pool.Wait();
+  EXPECT_TRUE(completed) << "ParallelFor waited on parked pool workers";
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, BackToBackTinyCallsSurviveLateHelpers) {
+  // Helpers that start after their call has returned must touch only the
+  // call's shared state, never the returned frame or its body.
+  ThreadPool pool(4);
+  int wrong = 0;
+  for (int call = 0; call < 10000; ++call) {
+    std::atomic<int> items{0};
+    ParallelFor(pool, 0, 4, 1, [&items](size_t begin, size_t end) {
+      items.fetch_add(static_cast<int>(end - begin));
+    });
+    if (items.load() != 4) ++wrong;
+  }
+  pool.Wait();
+  EXPECT_EQ(wrong, 0);
 }
 
 TEST(SerialWorkerTest, RunsTasksInSubmissionOrder) {
