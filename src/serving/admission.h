@@ -199,8 +199,8 @@ class CircuitBreaker {
 };
 
 /// Point-in-time admission/overload counters for one Engine (summable
-/// across shards via Accumulate). shed/blocked mirror RepairStats — this
-/// view adds the live backlog gauges and read-side timeout count.
+/// across shards via Accumulate): live backlog gauges and peaks, shed and
+/// blocked writes, and the read-side timeout count.
 struct AdmissionStats {
   uint64_t pending_batches = 0;   ///< unlanded batches right now
   uint64_t pending_ops = 0;       ///< unlanded ops right now

@@ -53,21 +53,6 @@ size_t NetEffectVerdicts(const std::vector<EdgeUpdate>& updates,
   return net;
 }
 
-/// The inverse ops of the batch's successful mutations, in reverse
-/// admission order — replaying them restores the graph exactly.
-std::vector<EdgeUpdate> InverseOps(const std::vector<EdgeUpdate>& updates,
-                                   const std::vector<char>& success) {
-  std::vector<EdgeUpdate> undo;
-  for (size_t i = updates.size(); i-- > 0;) {
-    if (!success[i]) continue;
-    const EdgeUpdate& update = updates[i];
-    undo.push_back(update.kind == UpdateKind::kInsert
-                       ? EdgeUpdate::Remove(update.edge.from, update.edge.to)
-                       : EdgeUpdate::Insert(update.edge.from, update.edge.to));
-  }
-  return undo;
-}
-
 /// The successful forward ops in admission order — what the repair path
 /// replays onto its shadow index when the batch lands.
 std::vector<EdgeUpdate> SuccessfulOps(const std::vector<EdgeUpdate>& updates,
@@ -122,9 +107,9 @@ Engine::Engine(EngineOptions options)
 }
 
 Engine::~Engine() {
-  // Queued rebuild tasks touch graph_/active_; finish them while the
+  // Queued landing tasks touch graph_/active_; finish them while the
   // members are still alive.
-  rebuild_worker_.reset();
+  land_worker_.reset();
 }
 
 std::shared_ptr<CycleIndex> Engine::MakeFresh() const {
@@ -155,9 +140,11 @@ bool Engine::Build(const DiGraph& graph) {
 }
 
 bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
-  // A queued async rebuild captures the pre-Build graph; let it resolve
-  // before the graph and snapshot are replaced under it.
+  // A queued async landing captures the pre-Build graph; let it resolve
+  // before the graph and snapshot are replaced under it, and hold off any
+  // later one until they are.
   Drain();
+  MutexLock land(land_mu_);
   // Stable copy of the slicing predicate for the unlocked build below (the
   // single-writer contract means nobody replaces it mid-Build, but the
   // guarded member still cannot be read without the lock).
@@ -226,10 +213,10 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   }
   {
     MutexLock lock(update_mu_);
-    // The retained copy only feeds the rebuild-and-swap update path of
-    // static backends; dynamic backends maintain their own graph in place,
-    // so don't double the adjacency footprint for them — unless a WAL is
-    // on, whose checkpoints serialize the retained graph for every backend.
+    // The retained copy only feeds the landings of static backends; dynamic
+    // backends maintain their own graph in place, so don't double the
+    // adjacency footprint for them — unless a WAL is on, whose checkpoints
+    // serialize the retained graph for every backend.
     has_graph_ = !next->supports_updates() || want_wal;
     if (has_graph_) {
       graph_ = graph;
@@ -261,6 +248,7 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
 // loads exactly as it does to builds.
 void Engine::AdoptLoaded(std::shared_ptr<CycleIndex> next) {
   Drain();
+  MutexLock land(land_mu_);
   std::function<bool(Vertex)> slice_keep;
   {
     MutexLock lock(update_mu_);
@@ -460,10 +448,10 @@ std::shared_ptr<CycleIndex> Engine::RebuildStatic(
     const std::function<bool(Vertex)>& slice_keep) const {
   // A throwing build (e.g. std::bad_alloc, or a staging-task exception
   // rethrown by ThreadPool::Wait under build_threads) must surface as a
-  // failed rebuild, not an exception: callers run the rollback protocol on
-  // nullptr, and on the async path a throw would escape the SerialWorker
-  // task and terminate the process. The test hook sits inside the guard so
-  // tests can inject the throwing variant too.
+  // failed rebuild, not an exception: the lander rolls back on nullptr, and
+  // on the async worker a throw would escape the SerialWorker task and
+  // terminate the process. The test hook sits inside the guard so tests
+  // can inject the throwing variant too.
   try {
     if (options_.fail_rebuild_for_testing &&
         options_.fail_rebuild_for_testing()) {
@@ -487,20 +475,22 @@ std::shared_ptr<CycleIndex> Engine::RebuildStatic(
   }
 }
 
-bool Engine::LandRepairLocked(const std::vector<EdgeUpdate>& ops,
-                              bool* shadow_touched) {
-  if (shadow_touched) *shadow_touched = false;
+std::shared_ptr<CycleIndex> Engine::LandRepair(
+    const std::vector<EdgeUpdate>& ops,
+    const std::function<bool(Vertex)>& slice_keep, RepairStats* stats,
+    bool* shadow_touched) {
+  *shadow_touched = false;
   try {
     if (options_.fail_patch_for_testing && options_.fail_patch_for_testing()) {
       // Injected before any shadow mutation: the ordinary graph undo is a
       // complete rollback.
-      return false;
+      return nullptr;
     }
     // Injectable transient patch failure, same pre-shadow position as the
-    // test hook (so it is retryable — see LandRepairRetryingLocked).
-    if (CSC_FAILPOINT("engine.patch")) return false;
-    if (!shadow_) return false;
-    if (shadow_touched) *shadow_touched = true;
+    // test hook (so it is retryable).
+    if (CSC_FAILPOINT("engine.patch")) return nullptr;
+    if (!shadow_) return nullptr;
+    *shadow_touched = true;
     dirty_.Reset();
     BatchOptions batch_options;
     batch_options.strategy = MaintenanceStrategy::kMinimality;
@@ -508,22 +498,16 @@ bool Engine::LandRepairLocked(const std::vector<EdgeUpdate>& ops,
     batch_options.pinned_order = &pinned_order_;
     batch_options.dirty = &dirty_;
     BatchResult result = csc::ApplyUpdates(*shadow_, ops, batch_options);
-    std::shared_ptr<CycleIndex> next;
-    bool patched = false;
     if (!result.rebuilt) {
       LabelPatch patch = ExtractLabelPatch(*shadow_, dirty_);
-      if (snapshot_sliced_ && slice_keep_) {
+      if (snapshot_sliced_ && slice_keep) {
         // A sliced snapshot holds only owned runs; patches must not smuggle
-        // unowned labels back in. The predicate is copied out of the
-        // guarded member so the filter lambdas stay free of guarded reads
-        // (a lambda body is analyzed as its own unannotated function).
-        const std::function<bool(Vertex)> keep = slice_keep_;
+        // unowned labels back in.
         auto drop_unowned =
-            [&keep](std::vector<std::pair<Vertex, LabelSet>>& runs) {
-              std::erase_if(runs,
-                            [&keep](const std::pair<Vertex, LabelSet>& run) {
-                              return !keep(run.first);
-                            });
+            [&slice_keep](std::vector<std::pair<Vertex, LabelSet>>& runs) {
+              std::erase_if(runs, [&slice_keep](const auto& run) {
+                return !slice_keep(run.first);
+              });
             };
         drop_unowned(patch.in_runs);
         drop_unowned(patch.out_runs);
@@ -533,74 +517,32 @@ bool Engine::LandRepairLocked(const std::vector<EdgeUpdate>& ops,
                             patch.RunCount() <= repair.max_repair_hubs) &&
                            (repair.max_patch_bytes == 0 ||
                             patch.LabelBytes() <= repair.max_patch_bytes);
-      if (within_budget) {
-        std::shared_ptr<CycleIndex> current = snapshot();
-        if (current) {
-          if (std::unique_ptr<CycleIndex> clone =
-                  current->ApplyLabelPatch(patch)) {
-            repair_stats_.hubs_repaired += patch.RunCount();
-            repair_stats_.label_bytes += patch.LabelBytes();
-            next = std::move(clone);
-            patched = true;
-          }
+      // Only the lander (under land_mu_) swaps static snapshots, so the
+      // current one is exactly the pre-batch state the patch applies to.
+      std::shared_ptr<CycleIndex> current = snapshot();
+      if (within_budget && current) {
+        if (std::unique_ptr<CycleIndex> clone =
+                current->ApplyLabelPatch(patch)) {
+          stats->hubs_repaired += patch.RunCount();
+          stats->label_bytes += patch.LabelBytes();
+          ++stats->patches;
+          return clone;
         }
       }
     }
-    if (!next) {
-      // Shadow rebuilt, over-budget patch, or unpatchable snapshot: derive
-      // a full snapshot from the shadow's labeling — one encode+decode
-      // pass, still no BFS.
-      next = MakeFresh();
-      if (!next ||
-          !next->LoadFrom(CompactIndex::FromIndex(*shadow_).Serialize())) {
-        return false;
-      }
-      snapshot_sliced_ = slice_keep_ && next->SliceLabels(slice_keep_);
+    // Shadow rebuilt, over-budget patch, or unpatchable snapshot: derive a
+    // full snapshot from the shadow's labeling — one encode+decode pass,
+    // still no BFS.
+    std::shared_ptr<CycleIndex> next = MakeFresh();
+    if (!next ||
+        !next->LoadFrom(CompactIndex::FromIndex(*shadow_).Serialize())) {
+      return nullptr;
     }
-    if (patched) {
-      ++repair_stats_.patches;
-    } else {
-      ++repair_stats_.rebuilds;
-    }
-    Swap(std::move(next));
-    return true;
+    snapshot_sliced_ = slice_keep && next->SliceLabels(slice_keep);
+    ++stats->rebuilds;
+    return next;
   } catch (...) {
-    return false;
-  }
-}
-
-std::shared_ptr<CycleIndex> Engine::RebuildStaticRetrying(
-    const DiGraph& graph, const std::function<bool(Vertex)>& slice_keep,
-    uint64_t* retries) const {
-  const uint32_t max_attempts = std::max(1u, options_.retry.max_attempts);
-  uint32_t backoff_ms = std::max(1u, options_.retry.backoff_initial_ms);
-  for (uint32_t attempt = 1;; ++attempt) {
-    std::shared_ptr<CycleIndex> next = RebuildStatic(graph, slice_keep);
-    if (next != nullptr || attempt >= max_attempts) return next;
-    if (retries != nullptr) ++*retries;
-    BackoffSleep(&backoff_ms, options_.retry);
-  }
-}
-
-bool Engine::LandRepairRetryingLocked(const std::vector<EdgeUpdate>& ops,
-                                      bool* shadow_touched) {
-  const uint32_t max_attempts = std::max(1u, options_.retry.max_attempts);
-  uint32_t backoff_ms = std::max(1u, options_.retry.backoff_initial_ms);
-  for (uint32_t attempt = 1;; ++attempt) {
-    if (LandRepairLocked(ops, shadow_touched)) {
-      if (attempt > 1) ++repair_stats_.retry_successes;
-      return true;
-    }
-    // A touched shadow is half-maintained: re-driving the same ops would
-    // double-apply, so only pre-shadow failures are transient enough to
-    // retry. The backoff sleep happens under update_mu_ (bounded by
-    // max_attempts x backoff_max) — admissions wait, readers don't.
-    if ((shadow_touched != nullptr && *shadow_touched) ||
-        attempt >= max_attempts) {
-      return false;
-    }
-    ++repair_stats_.retries;
-    BackoffSleep(&backoff_ms, options_.retry);
+    return nullptr;
   }
 }
 
@@ -613,19 +555,19 @@ void Engine::RestoreShadowLocked() {
                                ShadowOptions(options_.build.num_threads));
   } catch (...) {
     // Can't restore the maintenance state; abandon repair for this engine.
-    // Later batches fall back to legacy rebuild-and-swap, which only needs
-    // the graph.
+    // Later batches fall back to rebuild-and-swap, which only needs the
+    // graph.
     repair_active_ = false;
     shadow_.reset();
   }
 }
 
-void Engine::ApplyUndoLocked(const std::vector<EdgeUpdate>& undo) {
-  for (const EdgeUpdate& update : undo) {
-    if (update.kind == UpdateKind::kInsert) {
-      graph_.AddEdge(update.edge.from, update.edge.to);
+void Engine::UndoLocked(const std::vector<EdgeUpdate>& ops) {
+  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+    if (it->kind == UpdateKind::kInsert) {
+      graph_.RemoveEdge(it->edge.from, it->edge.to);
     } else {
-      graph_.RemoveEdge(update.edge.from, update.edge.to);
+      graph_.AddEdge(it->edge.from, it->edge.to);
     }
   }
 }
@@ -649,106 +591,111 @@ bool Engine::IsFailedLocked(uint64_t epoch) const {
   return it != failed_ranges_.begin() && epoch <= std::prev(it)->second;
 }
 
-void Engine::RebuildEpochTask() {
-  // The async path's injectable wedge/crash site: a delay action here
-  // stalls the SerialWorker (what the WaitForEpoch deadline overload is
-  // for), an abort action crashes mid-flight with admitted-but-unlanded
-  // epochs in the WAL.
-  (void)CSC_FAILPOINT("engine.async_rebuild");
-  uint64_t target;
-  DiGraph graph_copy;
+void Engine::RollBackLocked(bool shadow_touched) {
+  // The failed landing covered the backlog up to its target, and any batch
+  // admitted since was validated on top of that state — its verdicts are
+  // void too. Undo them all in reverse admission order, restoring exactly
+  // the graph the still-active snapshot answers for.
+  for (auto it = unlanded_.rbegin(); it != unlanded_.rend(); ++it) {
+    UndoLocked(it->ops);
+  }
+  const uint64_t first = unlanded_.front().epoch;
+  const uint64_t last = submitted_epoch_;
+  MarkFailedLocked(first, last);
+  unlanded_.clear();
+  pending_ops_ = 0;
+  resolved_epoch_ = last;
+  if (shadow_touched) RestoreShadowLocked();
+  // Durable state must equal served state: without the rollback record,
+  // recovery would replay batches that never served. If it cannot be
+  // written, re-base the log on graph_ — now exactly what the snapshot
+  // serves — and failing that, poison the handle so nothing more is
+  // acknowledged until a Build or Checkpoint starts a fresh log. A staged
+  // log (recovery in progress) is abandoned by the failing recovery anyway.
+  if (wal_ && !wal_->AppendRollback(first, last) && !wal_->staged()) {
+    std::unique_ptr<Wal> rebased = Wal::CreateFresh(options_.wal_path, graph_);
+    if (rebased) {
+      wal_ = std::move(rebased);
+    } else {
+      wal_->Poison();
+    }
+  }
+  epoch_cv_.NotifyAll();
+}
+
+void Engine::LandEpochs() {
+  MutexLock land(land_mu_);
+  // 1. Take the backlog: every epoch admitted so far, as forward ops for
+  // the repair path or as a copy of the graph for a rebuild.
+  uint64_t target = 0;
+  bool repair = false;
+  std::vector<EdgeUpdate> ops;
+  DiGraph graph;
   std::function<bool(Vertex)> slice_keep;
   {
     MutexLock lock(update_mu_);
-    // An earlier task's rebuild already covered every admitted epoch (the
-    // coalescing fast path: one queued task per batch, one rebuild per
+    // An earlier landing already covered every admitted epoch (the
+    // coalescing fast path: one queued task per batch, one landing per
     // backlog).
     if (resolved_epoch_ >= submitted_epoch_) return;
     target = submitted_epoch_;
     if (unlanded_.empty()) {
-      // Every outstanding epoch failed at admission (a WAL append that
-      // could not become durable): each one's graph mutations were already
-      // undone and the epoch marked failed — there is nothing to land,
-      // just resolve the range so waiters wake with the rollback report.
+      // Every outstanding epoch failed its WAL append at admission: its
+      // graph mutations are already undone and it is marked failed, so
+      // there is nothing to land — resolve it so waiters wake with the
+      // rollback report.
       resolved_epoch_ = target;
       epoch_cv_.NotifyAll();
       return;
     }
-    if (repair_active_) {
-      // Repair path: coalesce every unlanded batch's forward ops into one
-      // shadow maintenance pass and land it as a patch (or a derived
-      // snapshot). Unlike a BFS rebuild this is bounded work, so it runs
-      // under update_mu_ — admissions wait microseconds, readers never
-      // block (they don't take this lock).
-      std::vector<EdgeUpdate> ops;
+    repair = repair_active_;
+    slice_keep = slice_keep_;
+    if (repair) {
       for (const PendingBatch& batch : unlanded_) {
         ops.insert(ops.end(), batch.ops.begin(), batch.ops.end());
       }
-      bool shadow_touched = false;
-      if (LandRepairRetryingLocked(ops, &shadow_touched)) {
-        // Epochs in (back().epoch, target] are append-failed ones that
-        // never entered the backlog — resolved here, but never landed.
-        landed_epoch_ = unlanded_.back().epoch;
-        unlanded_.clear();  // the pass covered every unlanded batch
-        pending_ops_ = 0;
-        resolved_epoch_ = target;
-      } else {
-        for (auto it = unlanded_.rbegin(); it != unlanded_.rend(); ++it) {
-          ApplyUndoLocked(it->undo);
-        }
-        const uint64_t first_failed = unlanded_.front().epoch;
-        MarkFailedLocked(first_failed, target);
-        // Best-effort: without this record, recovery replays the rolled-back
-        // batches (at-least-once); with it, replay skips them exactly.
-        if (wal_) (void)wal_->AppendRollback(first_failed, target);
-        unlanded_.clear();
-        pending_ops_ = 0;
-        resolved_epoch_ = target;
-        if (shadow_touched) RestoreShadowLocked();
-      }
-      epoch_cv_.NotifyAll();
-      return;
+    } else {
+      graph = graph_;
     }
-    graph_copy = graph_;
-    slice_keep = slice_keep_;
   }
-  // The expensive part runs with no engine lock held: admissions and
-  // queries proceed while the fresh index builds off to the side. The
-  // slicing predicate was copied under the lock above, so a concurrent
-  // set_slice_keep cannot race this read.
-  uint64_t retries = 0;
-  std::shared_ptr<CycleIndex> next =
-      RebuildStaticRetrying(graph_copy, slice_keep, &retries);
+  // 2. Build the next snapshot with update_mu_ released: admissions queue
+  // up behind this landing instead of waiting for it, and readers never
+  // block. Bounded-backoff retry (EngineOptions::retry): a touched shadow
+  // is half-maintained — re-driving the same ops would double-apply — so
+  // only pre-shadow failures retry.
+  RepairStats stats;
+  bool shadow_touched = false;
+  std::shared_ptr<CycleIndex> next;
+  const uint32_t max_attempts = std::max(1u, options_.retry.max_attempts);
+  uint32_t backoff_ms = std::max(1u, options_.retry.backoff_initial_ms);
+  for (uint32_t attempt = 1;; ++attempt) {
+    next = repair ? LandRepair(ops, slice_keep, &stats, &shadow_touched)
+                  : RebuildStatic(graph, slice_keep);
+    if (next) {
+      if (attempt > 1) ++stats.retry_successes;
+      break;
+    }
+    if (shadow_touched || attempt >= max_attempts) break;
+    ++stats.retries;
+    BackoffSleep(&backoff_ms, options_.retry);
+  }
+  // 3. Publish, then commit. The swap happens before update_mu_ is
+  // retaken, so the retired snapshot is freed off the admission lock.
+  const bool landed = next != nullptr;
+  if (landed) Swap(std::move(next));
   MutexLock lock(update_mu_);
-  repair_stats_.retries += retries;
-  if (next) {
-    if (retries > 0) ++repair_stats_.retry_successes;
-    Swap(std::move(next));
-    // landed_epoch_ tracks the newest batch the swap actually covered —
-    // epochs <= target absent from the backlog failed at admission and
-    // resolve without ever landing.
-    while (!unlanded_.empty() && unlanded_.front().epoch <= target) {
-      landed_epoch_ = unlanded_.front().epoch;
-      pending_ops_ -= unlanded_.front().undo.size();
-      unlanded_.pop_front();
-    }
-    resolved_epoch_ = target;
-  } else {
-    // Rollback: the failed rebuild covered the state up to `target`, and
-    // any batch admitted after the graph copy was validated on top of that
-    // state — its verdicts are void too. Undo every unlanded batch in
-    // reverse admission order, restoring the exact graph the still-active
-    // snapshot answers for, and report all of them failed.
-    for (auto it = unlanded_.rbegin(); it != unlanded_.rend(); ++it) {
-      ApplyUndoLocked(it->undo);
-    }
-    const uint64_t first_failed = unlanded_.front().epoch;
-    MarkFailedLocked(first_failed, submitted_epoch_);
-    if (wal_) (void)wal_->AppendRollback(first_failed, submitted_epoch_);
-    unlanded_.clear();
-    pending_ops_ = 0;
-    resolved_epoch_ = submitted_epoch_;
+  repair_stats_.Accumulate(stats);
+  if (!landed) {
+    RollBackLocked(shadow_touched);
+    return;
   }
+  // Batches admitted after `target` stay queued for the next landing.
+  while (!unlanded_.empty() && unlanded_.front().epoch <= target) {
+    landed_epoch_ = unlanded_.front().epoch;
+    pending_ops_ -= unlanded_.front().ops.size();
+    unlanded_.pop_front();
+  }
+  resolved_epoch_ = target;
   epoch_cv_.NotifyAll();
 }
 
@@ -765,59 +712,98 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
                             std::vector<UpdateVerdict>* verdicts,
                             uint64_t* epoch) {
   if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kRejected);
+  const std::shared_ptr<CycleIndex> index = snapshot();
+  const bool in_place = index && index->supports_updates();
+  std::vector<char> success(updates.size(), 0);
+  size_t net = 0;
+  uint64_t admitted = 0;
+  bool failed = false;
   {
-    // Draining: writes are shed at the door on every path (dynamic and
-    // static alike) so the admitted backlog can land and quiesce.
     MutexLock lock(update_mu_);
-    if (draining_) {
-      ++shed_batches_;
+    // Outcomes that admit nothing hand out the newest *landed* epoch: it is
+    // already resolved and never a rolled-back one, so WaitForEpoch on it
+    // reports true instead of inheriting an earlier batch's failure.
+    if (epoch) *epoch = landed_epoch_;
+    if (!AdmitLocked(lock, updates.size(), deadline)) {
       if (verdicts) {
         verdicts->assign(updates.size(), UpdateVerdict::kOverloaded);
       }
-      if (epoch) *epoch = landed_epoch_;
       return 0;
     }
-  }
-  std::shared_ptr<CycleIndex> index = snapshot();
-  // Trivially-resolved paths hand out the newest *landed* epoch: it is
-  // already resolved and never a rolled-back one, so WaitForEpoch on it
-  // reports true instead of inheriting an earlier batch's failure.
-  auto resolved_now = [this, epoch] {
-    if (!epoch) return;
-    MutexLock lock(update_mu_);
-    *epoch = landed_epoch_;
-  };
-  if (!index) {
-    resolved_now();
-    return 0;
-  }
-  if (index->supports_updates()) {
-    // WAL durability-before-mutation: an in-place backend cannot roll
-    // back, so the raw batch must be durable before the first label
-    // mutation — a failed append rejects the whole batch with the index
-    // untouched. (Replay re-applies the raw batch in order; rejections
-    // recur identically, so the trajectory matches the uncrashed one.)
-    uint64_t admitted = 0;
-    bool logged = false;
-    {
-      MutexLock lock(update_mu_);
+    if (!index) return 0;
+    if (in_place) {
+      // WAL durability-before-mutation: an in-place backend cannot roll
+      // back, so the raw batch must be durable before the first label
+      // mutation — a failed append rejects the whole batch with the index
+      // untouched. (Replay re-applies the raw batch in order; rejections
+      // recur identically, so the trajectory matches the uncrashed one.)
       if (wal_) {
         admitted = ++submitted_epoch_;
+        if (epoch) *epoch = admitted;
         if (!wal_->AppendBatch(admitted, updates)) {
           MarkFailedLocked(admitted, admitted);
           resolved_epoch_ = admitted;
           epoch_cv_.NotifyAll();
-          if (epoch) *epoch = admitted;
           return 0;
         }
-        logged = true;
+      }
+    } else {
+      // Static serving form: admission only queues — mutate the retained
+      // graph, log the batch, and push it for the lander.
+      if (!has_graph_) {
+        if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kNoGraph);
+        return 0;
+      }
+      for (size_t i = 0; i < updates.size(); ++i) {
+        const EdgeUpdate& update = updates[i];
+        success[i] = (update.kind == UpdateKind::kInsert
+                          ? graph_.AddEdge(update.edge.from, update.edge.to)
+                          : graph_.RemoveEdge(update.edge.from, update.edge.to))
+                         ? 1
+                         : 0;
+      }
+      net = NetEffectVerdicts(updates, success, verdicts);
+      // Either nothing changed, or every change cancelled within the batch:
+      // the graph is back to the state the snapshot answers for, so there
+      // is nothing to land (and no new epoch to hand out).
+      if (net == 0) return 0;
+      admitted = ++submitted_epoch_;
+      if (epoch) *epoch = admitted;
+      std::vector<EdgeUpdate> ops = SuccessfulOps(updates, success);
+      // Durability before acknowledgment: the batch record must be on
+      // stable storage before this call returns an epoch the caller may
+      // treat as admitted. A failed append undoes the graph mutations and
+      // rejects the batch — nothing to replay, nothing acknowledged; the
+      // lander resolves the failed epoch in order.
+      if (wal_ && !wal_->AppendBatch(admitted, ops)) {
+        UndoLocked(ops);
+        MarkFailedLocked(admitted, admitted);
+        failed = true;
+      } else {
+        pending_ops_ += ops.size();
+        unlanded_.push_back({admitted, std::move(ops)});
+        peak_pending_batches_ =
+            std::max<uint64_t>(peak_pending_batches_, unlanded_.size());
+        peak_pending_ops_ = std::max(peak_pending_ops_, pending_ops_);
+      }
+      if (options_.async_updates) {
+        if (!land_worker_) land_worker_ = std::make_unique<SerialWorker>();
+        land_worker_->Submit([this] {
+          // The async path's injectable wedge/crash site: a delay action
+          // stalls the worker (what the WaitForEpoch deadline overload is
+          // for), an abort action crashes mid-flight with admitted but
+          // unlanded epochs in the WAL.
+          (void)CSC_FAILPOINT("engine.async_rebuild");
+          LandEpochs();
+        });
       }
     }
+  }
+  if (in_place) {
     // In-place repair under the writer lock: excludes both the parallel
     // reader pool and serialized queries, so no query ever observes a
     // half-applied update. Effects are visible at return, so the epoch
     // token is already resolved.
-    std::vector<char> success(updates.size(), 0);
     {
       WriterMutexLock lock(query_mu_);
       for (size_t i = 0; i < updates.size(); ++i) {
@@ -829,11 +815,10 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
         success[i] = result == CycleIndex::UpdateResult::kApplied ? 1 : 0;
       }
     }
-    size_t net = NetEffectVerdicts(updates, success, verdicts);
-    if (logged) {
-      // Mirror the applied ops into the retained graph — Checkpoint
-      // serializes it as the next log generation's base. Taken after
-      // query_mu_ was released: update_mu_ is never acquired under it.
+    net = NetEffectVerdicts(updates, success, verdicts);
+    if (admitted != 0) {
+      // Logged: mirror the applied ops into the retained graph, which
+      // Checkpoint serializes as the next log generation's base.
       MutexLock lock(update_mu_);
       for (size_t i = 0; i < updates.size(); ++i) {
         if (!success[i]) continue;
@@ -847,147 +832,20 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
       resolved_epoch_ = admitted;
       landed_epoch_ = admitted;
       epoch_cv_.NotifyAll();
-      if (epoch) *epoch = admitted;
-    } else {
-      resolved_now();
     }
     return net;
   }
-  // Static serving form: mutate the retained graph, rebuild off to the
-  // side, swap once. Readers keep the old snapshot until the swap.
-  MutexLock lock(update_mu_);
-  if (!has_graph_) {
-    if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kNoGraph);
-    if (epoch) *epoch = landed_epoch_;
-    return 0;
+  if (!options_.async_updates) {
+    // A synchronous write is the same admission with the lander run inline;
+    // its outcome is known on return.
+    LandEpochs();
+    MutexLock lock(update_mu_);
+    failed = IsFailedLocked(admitted);
   }
-  if (options_.async_updates) {
-    // Admission gate: refuse (or block, with block_on_full) before anything
-    // is examined or mutated, so a shed batch leaves zero trace. The
-    // failpoint's error action is a deterministic shed; its delay action
-    // stalls the admission decision itself.
-    bool shed = CSC_FAILPOINT("admission.delay");
-    bool waited = false;
-    while (!shed && BacklogFullLocked(updates.size())) {
-      if (!options_.admission.block_on_full || deadline.expired()) {
-        shed = true;
-        break;
-      }
-      waited = true;
-      if (deadline.unbounded()) {
-        epoch_cv_.Wait(lock);
-      } else {
-        (void)epoch_cv_.WaitFor(lock, deadline.remaining());
-      }
-    }
-    if (shed) {
-      ++shed_batches_;
-      if (verdicts) {
-        verdicts->assign(updates.size(), UpdateVerdict::kOverloaded);
-      }
-      if (epoch) *epoch = landed_epoch_;
-      return 0;
-    }
-    if (waited) ++blocked_admissions_;
-  }
-  std::vector<char> success(updates.size(), 0);
-  for (size_t i = 0; i < updates.size(); ++i) {
-    const EdgeUpdate& update = updates[i];
-    success[i] = (update.kind == UpdateKind::kInsert
-                      ? graph_.AddEdge(update.edge.from, update.edge.to)
-                      : graph_.RemoveEdge(update.edge.from, update.edge.to))
-                     ? 1
-                     : 0;
-  }
-  size_t net = NetEffectVerdicts(updates, success, verdicts);
-  if (net == 0) {
-    // Either nothing changed, or every change cancelled within the batch —
-    // the graph is back to the state the snapshot answers for either way,
-    // so there is nothing to rebuild (and no new epoch to hand out).
-    if (epoch) *epoch = landed_epoch_;
-    return 0;
-  }
-  uint64_t admitted = ++submitted_epoch_;
-  // Durability before acknowledgment: the batch record (its successful
-  // forward ops, admission order) must be on stable storage before this
-  // call returns an epoch the caller may treat as admitted. A failed
-  // append undoes the graph mutations and rejects the batch — nothing to
-  // replay, nothing acknowledged.
-  if (wal_ && !wal_->AppendBatch(admitted, SuccessfulOps(updates, success))) {
-    ApplyUndoLocked(InverseOps(updates, success));
-    MarkFailedLocked(admitted, admitted);
-    if (resolved_epoch_ + 1 == admitted) {
-      // No earlier epoch in flight: this one resolves on the spot.
-      resolved_epoch_ = admitted;
-      epoch_cv_.NotifyAll();
-    } else {
-      // Earlier admitted epochs are still unresolved (async mode). Jumping
-      // resolved_epoch_ straight to `admitted` would make their queued
-      // rebuild task no-op, stranding their batches in unlanded_ while
-      // WaitForEpoch reports them landed. Resolve through the worker
-      // instead — a fresh task is queued because an in-flight one may have
-      // read submitted_epoch_ before this admission and would stop short.
-      if (!rebuild_worker_) rebuild_worker_ = std::make_unique<SerialWorker>();
-      rebuild_worker_->Submit([this] { RebuildEpochTask(); });
-    }
-    if (epoch) *epoch = admitted;
+  if (failed) {
     if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kRejected);
     return 0;
   }
-  if (epoch) *epoch = admitted;
-  if (options_.async_updates) {
-    // Admission only: hand out the epoch, remember how to undo this batch,
-    // and let the rebuild worker land it. One task per batch — a task that
-    // finds its epoch already covered by a predecessor's rebuild no-ops.
-    unlanded_.push_back({admitted, InverseOps(updates, success),
-                         repair_active_ ? SuccessfulOps(updates, success)
-                                        : std::vector<EdgeUpdate>{}});
-    pending_ops_ += unlanded_.back().undo.size();
-    peak_pending_batches_ =
-        std::max<uint64_t>(peak_pending_batches_, unlanded_.size());
-    peak_pending_ops_ = std::max(peak_pending_ops_, pending_ops_);
-    if (!rebuild_worker_) rebuild_worker_ = std::make_unique<SerialWorker>();
-    rebuild_worker_->Submit([this] { RebuildEpochTask(); });
-    return net;
-  }
-  if (repair_active_) {
-    bool shadow_touched = false;
-    if (LandRepairRetryingLocked(SuccessfulOps(updates, success),
-                                 &shadow_touched)) {
-      resolved_epoch_ = admitted;
-      landed_epoch_ = admitted;
-      epoch_cv_.NotifyAll();
-      return net;
-    }
-    ApplyUndoLocked(InverseOps(updates, success));
-    MarkFailedLocked(admitted, admitted);
-    if (wal_) (void)wal_->AppendRollback(admitted, admitted);
-    resolved_epoch_ = admitted;
-    if (shadow_touched) RestoreShadowLocked();
-    epoch_cv_.NotifyAll();
-    if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kRejected);
-    return 0;
-  }
-  uint64_t retries = 0;
-  std::shared_ptr<CycleIndex> next =
-      RebuildStaticRetrying(graph_, slice_keep_, &retries);
-  repair_stats_.retries += retries;
-  if (!next) {
-    // Leave the old snapshot serving and undo the graph mutations so a
-    // later batch starts from the state the snapshot answers for.
-    ApplyUndoLocked(InverseOps(updates, success));
-    MarkFailedLocked(admitted, admitted);
-    if (wal_) (void)wal_->AppendRollback(admitted, admitted);
-    resolved_epoch_ = admitted;
-    epoch_cv_.NotifyAll();
-    if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kRejected);
-    return 0;
-  }
-  if (retries > 0) ++repair_stats_.retry_successes;
-  Swap(std::move(next));
-  resolved_epoch_ = admitted;
-  landed_epoch_ = admitted;
-  epoch_cv_.NotifyAll();
   return net;
 }
 
@@ -1032,16 +890,20 @@ WaitStatus Engine::Drain(std::chrono::milliseconds timeout) {
 
 bool Engine::AdmitProbe(size_t ops, const Deadline& deadline) {
   MutexLock lock(update_mu_);
-  if (draining_) {
-    ++shed_batches_;
-    return false;
-  }
-  if (!options_.async_updates) return true;
+  return AdmitLocked(lock, ops, deadline);
+}
+
+bool Engine::AdmitLocked(MutexLock& lock, size_t ops,
+                         const Deadline& deadline) {
+  // Draining sheds every write at the door (dynamic and static alike) so
+  // the admitted backlog can land and quiesce. The failpoint's error action
+  // is a deterministic shed; its delay action stalls the decision itself.
+  bool admit = !draining_ && !CSC_FAILPOINT("admission.delay");
   bool waited = false;
-  while (BacklogFullLocked(ops)) {
+  while (admit && BacklogFullLocked(ops)) {
     if (!options_.admission.block_on_full || deadline.expired()) {
-      ++shed_batches_;
-      return false;
+      admit = false;
+      break;
     }
     waited = true;
     if (deadline.unbounded()) {
@@ -1049,6 +911,11 @@ bool Engine::AdmitProbe(size_t ops, const Deadline& deadline) {
     } else {
       (void)epoch_cv_.WaitFor(lock, deadline.remaining());
     }
+    admit = !draining_;
+  }
+  if (!admit) {
+    ++shed_batches_;
+    return false;
   }
   if (waited) ++blocked_admissions_;
   return true;
@@ -1143,13 +1010,7 @@ BackendStats Engine::Stats() const {
 
 RepairStats Engine::repair_stats() const {
   MutexLock lock(update_mu_);
-  // Admission counters live outside repair_stats_ because Build/AdoptLoaded
-  // reset repair_stats_ per index generation, while shed/blocked span the
-  // engine's lifetime. Stitch them in here.
-  RepairStats stats = repair_stats_;
-  stats.shed_batches = shed_batches_;
-  stats.blocked_admissions = blocked_admissions_;
-  return stats;
+  return repair_stats_;
 }
 
 bool Engine::repair_active() const {

@@ -31,17 +31,19 @@ class Wal;       // serving/wal.h
 /// Incremental label repair for the static-backend update path (the
 /// alternative to rebuild-and-swap). When enabled, Build additionally
 /// constructs a *shadow* CscIndex under a pinned vertex ordering and derives
-/// the serving snapshot from it; each update batch is then applied to the
-/// shadow with the paper's §V maintenance (minimality mode, so decremental
-/// repair stays valid across batches) and landed on the snapshot as a
-/// bounded run-level patch (CycleIndex::ApplyLabelPatch) — falling back to
-/// deriving a full snapshot from the shadow (no BFS) past the damage
-/// budgets below. Pinning the ordering keeps label ranks stable across
+/// the serving snapshot from it; the engine's one lander then applies each
+/// update batch to the shadow with the paper's §V maintenance (minimality
+/// mode, so decremental repair stays valid across batches) and lands it on
+/// the snapshot as a bounded run-level patch (CycleIndex::ApplyLabelPatch) —
+/// falling back to deriving a full snapshot from the shadow (no BFS) past
+/// the damage budgets below. The shadow belongs to the lander: maintenance
+/// and patching run off the admission lock, so writers keep admitting while
+/// a batch lands. Pinning the ordering keeps label ranks stable across
 /// patches, which is also what makes the repaired index bit-identical to a
 /// from-scratch sequential build under the same ordering (the conformance
 /// oracle).
 struct RepairOptions {
-  /// Off by default: the legacy rebuild-and-swap path. Only static
+  /// Off by default: the rebuild-and-swap path. Only static
   /// patchable backends ("compact", "frozen", "compressed") repair;
   /// dynamic backends already update in place and other backends fall back
   /// to rebuilds.
@@ -63,10 +65,7 @@ struct RepairOptions {
 /// the bounded-backoff re-attempts of failed rebuilds and patches
 /// (EngineOptions::retry) — nonzero retry_successes means batches that
 /// would have rolled back under max_attempts=1 landed on a later attempt.
-/// `shed_batches` / `blocked_admissions` are the write-side overload
-/// counters (EngineOptions::admission): batches refused with kOverloaded
-/// (backlog cap or draining) and admissions that blocked on a full backlog
-/// before eventually succeeding.
+/// The write-side overload counters live in AdmissionStats.
 struct RepairStats {
   uint64_t patches = 0;
   uint64_t rebuilds = 0;
@@ -74,8 +73,6 @@ struct RepairStats {
   uint64_t label_bytes = 0;
   uint64_t retries = 0;
   uint64_t retry_successes = 0;
-  uint64_t shed_batches = 0;
-  uint64_t blocked_admissions = 0;
 
   void Accumulate(const RepairStats& other) {
     patches += other.patches;
@@ -84,18 +81,17 @@ struct RepairStats {
     label_bytes += other.label_bytes;
     retries += other.retries;
     retry_successes += other.retry_successes;
-    shed_batches += other.shed_batches;
-    blocked_admissions += other.blocked_admissions;
   }
 };
 
 /// Bounded exponential backoff for transient rebuild/patch failures on the
 /// static update path (sync and async): a failed attempt is retried up to
-/// `max_attempts` total tries before the per-epoch rollback protocol fires.
-/// The default (one attempt) preserves the historical fail-fast behavior.
-/// Repair-path failures only retry while the shadow index is still
-/// untouched — a half-maintained shadow cannot be re-driven, so those
-/// failures go straight to rollback + shadow restore.
+/// `max_attempts` total tries before the rollback fires. The default (one
+/// attempt) preserves the historical fail-fast behavior. Backoff sleeps
+/// happen in the lander with the admission lock released, so writers keep
+/// admitting meanwhile. Repair-path failures only retry while the shadow
+/// index is still untouched — a half-maintained shadow cannot be re-driven,
+/// so those failures go straight to rollback + shadow restore.
 struct RetryOptions {
   /// Total attempts per batch (1 = no retries).
   uint32_t max_attempts = 1;
@@ -115,7 +111,7 @@ struct EngineOptions {
   /// Construction workers for Build and for the static-backend
   /// rebuild-and-swap path (synchronous and async alike): nonzero
   /// overrides build.num_threads, so both synchronous builds and the
-  /// background SerialWorker rebuilds run the rank-batched parallel
+  /// async lander's rebuilds run the rank-batched parallel
   /// builder. 0 defers to build.num_threads (and 0 there keeps the
   /// sequential builder). Output is bit-identical either way.
   unsigned build_threads = 0;
@@ -126,12 +122,13 @@ struct EngineOptions {
   /// labels. Backends that cannot slice serve unsliced — still correct,
   /// just unshrunk.
   std::function<bool(Vertex)> slice_keep;
-  /// Land static-backend rebuilds off the writer thread: ApplyUpdates
-  /// validates the batch, mutates the retained graph, and returns with an
-  /// epoch token; a background worker rebuilds and swaps the snapshot,
-  /// coalescing batches that arrive mid-rebuild into the next rebuild. Use
-  /// WaitForEpoch / Drain for read-your-writes. Dynamic (in-place) backends
-  /// are unaffected — their updates are already visible on return.
+  /// Land static-backend batches off the writer thread: ApplyUpdates
+  /// validates the batch, mutates the retained graph, logs it, and returns
+  /// with an epoch token; the engine's lander then runs on a background
+  /// worker instead of inline on the caller, coalescing batches that arrive
+  /// mid-landing into the next landing. Use WaitForEpoch / Drain for
+  /// read-your-writes. Dynamic (in-place) backends are unaffected — their
+  /// updates are already visible on return.
   bool async_updates = false;
   /// Incremental label repair for the static update path (sync and async):
   /// see RepairOptions. Ignored by dynamic backends and by backends without
@@ -255,7 +252,7 @@ struct GirthResult {
 /// snapshot is immutable, so its scan runs with the read section already
 /// released and a swap never waits for a sweep. Update entry points
 /// (Build / ApplyUpdates / LoadFrom) are single-writer — serialize them
-/// externally. (With async_updates the engine's own rebuild worker is
+/// externally. (With async_updates the engine's own lander worker is
 /// internal to that contract: it serializes itself against the writer
 /// entry points; WaitForEpoch / Drain may be called from any thread.)
 /// No query entry point may be called while the caller already holds a
@@ -264,12 +261,17 @@ struct GirthResult {
 ///
 /// Updates: a backend that supports in-place maintenance ("csc", "cached",
 /// "bfs", "precompute") repairs itself; for static serving forms ("frozen",
-/// "compressed", "compact", "hpspc") the engine mutates its retained graph,
-/// rebuilds a fresh index off to the side, and swaps it in atomically — the
-/// warm snapshot swap. Readers are never blocked by a rebuild. With
-/// async_updates the rebuild itself leaves the writer thread too: the
-/// writer returns after validation and the swap lands asynchronously under
-/// an epoch token.
+/// "compressed", "compact", "hpspc") every write is *admit, then land*.
+/// Admission only queues: under update_mu_ it mutates the retained graph,
+/// computes the verdicts, appends the batch to the WAL, and pushes it onto
+/// the backlog. One lander then takes every admitted epoch, builds the next
+/// snapshot with update_mu_ released — a repair pass over the shadow or a
+/// fresh rebuild off to the side — swaps it in atomically (the warm
+/// snapshot swap), and commits; a failed landing goes through the one
+/// rollback routine. A synchronous write runs the lander inline on the
+/// caller's thread; with async_updates it runs on a background worker and
+/// the writer returns with an epoch token. Readers are never blocked by a
+/// landing, and admissions only wait for its short commit.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -369,14 +371,14 @@ class Engine {
   /// their net effect — an insert/remove pair inside one batch cancels and
   /// counts 0, matching dynamic/batch.h's net-effect reduction). In-place
   /// for dynamic backends; for static backends the whole batch is applied
-  /// to the retained graph and one rebuilt snapshot is swapped in — on the
-  /// caller's thread by default, by the background rebuild worker under
+  /// to the retained graph and one repaired or rebuilt snapshot is swapped
+  /// in — on the caller's thread by default, by the background lander under
   /// EngineOptions::async_updates (the call then returns right after
-  /// validation and graph mutation). If a rebuild fails, the graph
-  /// mutations are rolled back and the old snapshot stays active — callers
-  /// never observe a half-updated index. Synchronously that means 0 is
-  /// returned with all-kRejected verdicts; asynchronously the failure is
-  /// reported through WaitForEpoch (the failed epoch — and any epoch
+  /// validation, graph mutation, and the WAL append). If the landing fails,
+  /// the graph mutations are rolled back and the old snapshot stays active
+  /// — callers never observe a half-updated index. Synchronously that means
+  /// 0 is returned with all-kRejected verdicts; asynchronously the failure
+  /// is reported through WaitForEpoch (the failed epoch — and any epoch
   /// admitted on top of it before the failure — rolls back and reports
   /// false).
   ///
@@ -396,21 +398,23 @@ class Engine {
   /// newest successfully landed epoch, which always reports true.
   size_t ApplyUpdates(const std::vector<EdgeUpdate>& updates,
                       std::vector<UpdateVerdict>* verdicts = nullptr,
-                      uint64_t* epoch = nullptr);
+                      uint64_t* epoch = nullptr)
+      CSC_EXCLUDES(land_mu_, update_mu_);
 
   /// ApplyUpdates under a writer budget. Admission control
   /// (EngineOptions::admission) runs before anything is examined: a batch
   /// that would push the async backlog past its cap — or arrives while the
   /// engine is draining — is shed with every verdict kOverloaded, return 0,
   /// and `*epoch` set to the newest landed epoch. With
-  /// admission.block_on_full the writer instead blocks until the worker
+  /// admission.block_on_full the writer instead blocks until the lander
   /// lands enough backlog or `deadline` expires (shedding then). The
   /// 3-argument overload above forwards here with an unbounded deadline,
   /// so an uncapped engine behaves exactly as before.
   size_t ApplyUpdates(const std::vector<EdgeUpdate>& updates,
                       const Deadline& deadline,
                       std::vector<UpdateVerdict>* verdicts = nullptr,
-                      uint64_t* epoch = nullptr);
+                      uint64_t* epoch = nullptr)
+      CSC_EXCLUDES(land_mu_, update_mu_);
 
   /// Would a batch of `ops` net updates be admitted right now? Blocks under
   /// the same block_on_full/deadline policy as ApplyUpdates and counts
@@ -532,29 +536,25 @@ class Engine {
   /// batch that failed to replay.
   bool RecoverFromFile(const std::string& index_path,
                        std::string* error = nullptr)
-      CSC_EXCLUDES(update_mu_, query_mu_);
+      CSC_EXCLUDES(land_mu_, update_mu_, query_mu_);
 
   ThreadPool& pool() CSC_LIFETIME_BOUND { return pool_; }
 
   /// Replaces the slicing predicate (see EngineOptions::slice_keep). Takes
-  /// effect on the next Build / load / rebuild; call from the single-writer
+  /// effect on the next Build / load / landing; call from the single-writer
   /// side (the sharded tier sets it right before Build). The predicate is
-  /// guarded by update_mu_ because the async rebuild worker reads it while
-  /// slicing a freshly rebuilt snapshot — it may be mid-rebuild when this
-  /// setter runs.
+  /// guarded by update_mu_ because the async lander copies it when it takes
+  /// a backlog — it may be mid-landing when this setter runs.
   void set_slice_keep(std::function<bool(Vertex)> keep)
       CSC_EXCLUDES(update_mu_);
 
  private:
-  /// One admitted-but-unresolved async batch: its epoch plus the inverse
-  /// ops (reverse admission order) that restore the retained graph if the
-  /// covering rebuild fails.
+  /// One admitted-but-unresolved static batch: its epoch plus its
+  /// net-effective forward ops in admission order — what the repair path
+  /// replays onto the shadow when the batch lands, and (inverted, in
+  /// reverse) what restores the retained graph if the landing fails.
   struct PendingBatch {
     uint64_t epoch = 0;
-    std::vector<EdgeUpdate> undo;
-    /// The admitted (net-effective) forward ops, admission order — what the
-    /// repair path replays onto the shadow when this batch lands. Empty
-    /// when repair is inactive.
     std::vector<EdgeUpdate> ops;
   };
 
@@ -565,39 +565,57 @@ class Engine {
   /// crash during replay still finds the complete pre-crash log; ordinary
   /// Build passes false and the new generation publishes immediately.
   bool BuildImpl(const DiGraph& graph, bool staged_wal)
-      CSC_EXCLUDES(update_mu_, query_mu_);
+      CSC_EXCLUDES(land_mu_, update_mu_, query_mu_);
   /// Installs `next` under the writer side of query_mu_; the retired
   /// snapshot is released after the lock drops.
   void Swap(std::shared_ptr<CycleIndex> next) CSC_EXCLUDES(query_mu_);
   void AdoptLoaded(std::shared_ptr<CycleIndex> next)
-      CSC_EXCLUDES(update_mu_, query_mu_);
+      CSC_EXCLUDES(land_mu_, update_mu_, query_mu_);
+  /// The one admission gate (ApplyUpdates and AdmitProbe): sheds a batch of
+  /// `ops` net updates while draining, on the admission.delay failpoint, or
+  /// while the backlog sits at an admission cap — unless
+  /// admission.block_on_full lets it wait on epoch_cv_ (releasing `lock`)
+  /// until the backlog drains or `deadline` expires. Counts shed and
+  /// blocked admissions.
+  bool AdmitLocked(MutexLock& lock, size_t ops, const Deadline& deadline)
+      CSC_REQUIRES(update_mu_);
+  /// The one lander for static backends: takes every epoch admitted so far,
+  /// lands the whole backlog with update_mu_ released — one repair pass
+  /// over the shadow, or one rebuild, under the retry policy — swaps the
+  /// result in, and commits under update_mu_ (RollBackLocked on failure).
+  /// Inline on the writer thread for synchronous engines; a SerialWorker
+  /// task per admitted batch under async_updates (a task that finds its
+  /// epoch already covered returns at once).
+  void LandEpochs() CSC_EXCLUDES(land_mu_, update_mu_);
   /// Builds a fresh static snapshot over `graph` (reserve already
   /// materialized in it), sliced by `slice_keep` when non-null; nullptr on
-  /// failure. Does not touch engine state — the caller passes a stable copy
-  /// of the slicing predicate so this can run with no engine lock held.
+  /// failure. Does not touch engine state, so it runs with no engine lock
+  /// held.
   std::shared_ptr<CycleIndex> RebuildStatic(
       const DiGraph& graph,
       const std::function<bool(Vertex)>& slice_keep) const;
-  /// RebuildStatic under the bounded-backoff retry policy
-  /// (EngineOptions::retry): re-attempts failed rebuilds, sleeping between
-  /// tries, and counts re-attempts into `*retries` (when non-null). Holds
-  /// no engine lock — callers aggregate the counter into repair_stats_
-  /// themselves.
-  std::shared_ptr<CycleIndex> RebuildStaticRetrying(
-      const DiGraph& graph, const std::function<bool(Vertex)>& slice_keep,
-      uint64_t* retries) const;
-  /// LandRepairLocked under the retry policy: only pre-shadow failures
-  /// retry (a touched shadow cannot be re-driven); sleeps happen under
-  /// update_mu_, bounded by max_attempts x backoff. Updates the retry
-  /// counters in repair_stats_ directly.
-  bool LandRepairRetryingLocked(const std::vector<EdgeUpdate>& ops,
-                                bool* shadow_touched)
-      CSC_REQUIRES(update_mu_);
-  /// The body of one queued async rebuild: coalesces every epoch admitted
-  /// so far into a single rebuild-and-swap (or a rollback on failure).
-  void RebuildEpochTask() CSC_EXCLUDES(update_mu_);
-  /// Replays `undo` onto the retained graph.
-  void ApplyUndoLocked(const std::vector<EdgeUpdate>& undo)
+  /// Repair pipeline: replays `ops` onto the shadow and returns the next
+  /// snapshot — the current one plus a bounded label patch when the damage
+  /// fits the budgets, a full snapshot derived from the shadow's labeling
+  /// otherwise (one encode pass, no BFS). Counts into `*stats`. nullptr on
+  /// failure; `*shadow_touched` then tells whether the shadow was mutated
+  /// (and so must be restored after the graph rollback).
+  std::shared_ptr<CycleIndex> LandRepair(
+      const std::vector<EdgeUpdate>& ops,
+      const std::function<bool(Vertex)>& slice_keep, RepairStats* stats,
+      bool* shadow_touched) CSC_REQUIRES(land_mu_);
+  /// The one rollback routine, for a failed landing: undoes every unlanded
+  /// batch in reverse admission order (restoring exactly the graph the
+  /// still-active snapshot answers for), marks them failed, resolves them,
+  /// restores the shadow when `shadow_touched`, records the rollback in the
+  /// WAL, and wakes waiters. If the rollback record cannot be written, the
+  /// log is re-based on the rolled-back graph so recovery cannot replay
+  /// batches that never served; if even that fails, the WAL is poisoned
+  /// until the next Build or Checkpoint.
+  void RollBackLocked(bool shadow_touched)
+      CSC_REQUIRES(land_mu_, update_mu_);
+  /// Reverts `ops` (forward ops, admission order) on the retained graph.
+  void UndoLocked(const std::vector<EdgeUpdate>& ops)
       CSC_REQUIRES(update_mu_);
   /// Records [first, last] as rolled back / IsFailedLocked(epoch).
   void MarkFailedLocked(uint64_t first, uint64_t last)
@@ -608,41 +626,33 @@ class Engine {
   /// AdmissionOptions. The ops cap is only enforced against a non-empty
   /// backlog so an oversized single batch still admits eventually.
   bool BacklogFullLocked(size_t incoming_ops) const CSC_REQUIRES(update_mu_);
-  /// Repair pipeline: replays `ops` onto the shadow and lands the result on
-  /// the snapshot — a bounded label patch when the damage fits the budgets,
-  /// a full snapshot derived from the shadow's labeling otherwise (one
-  /// encode pass, no BFS). False on failure; `*shadow_touched` then tells
-  /// the caller whether the shadow was mutated (and so must be restored
-  /// after the graph rollback).
-  bool LandRepairLocked(const std::vector<EdgeUpdate>& ops,
-                        bool* shadow_touched) CSC_REQUIRES(update_mu_);
   /// Rebuilds the shadow from the (already rolled back) retained graph
   /// under the pinned ordering; on failure disables repair for this engine
-  /// — subsequent batches fall back to legacy rebuild-and-swap.
-  void RestoreShadowLocked() CSC_REQUIRES(update_mu_);
+  /// — subsequent batches fall back to rebuild-and-swap.
+  void RestoreShadowLocked() CSC_REQUIRES(land_mu_, update_mu_);
 
   EngineOptions options_;
   ThreadPool pool_;
   // The active snapshot pointer and, through it, the labels of in-place
   // backends. Readers of thread-safe backends hold it shared; the pointer
   // swap, in-place updates, queries of state-mutating backends, and the
-  // FinishDrain quiesce hold it exclusive. Innermost lock: taken while
-  // update_mu_ is held (the worker swaps under it), never the reverse.
+  // FinishDrain quiesce hold it exclusive. Innermost lock: never held while
+  // another engine lock is acquired.
   mutable SharedMutex query_mu_;
   std::shared_ptr<CycleIndex> active_ CSC_GUARDED_BY(query_mu_);
 
-  // --- Retained graph + epoch state, guarded by update_mu_. The async
-  // rebuild worker and the writer thread meet here; readers never do.
-  // Lock order: update_mu_ before query_mu_ (the worker swaps while holding
-  // update_mu_).
+  // --- Retained graph + epoch state, guarded by update_mu_: admission,
+  // the lander's snapshot-and-commit steps, and the epoch waiters meet
+  // here; readers never do. Lock order: land_mu_, then update_mu_, then
+  // query_mu_.
   mutable Mutex update_mu_ CSC_ACQUIRED_BEFORE(query_mu_);
   CondVar epoch_cv_;
-  // Retained for static-backend rebuilds.
+  // Retained for static-backend landings.
   DiGraph graph_ CSC_GUARDED_BY(update_mu_);
   bool has_graph_ CSC_GUARDED_BY(update_mu_) = false;
   // Label slicing predicate (EngineOptions::slice_keep, replaceable via
-  // set_slice_keep): read by the rebuild worker when it slices a fresh
-  // snapshot, so it lives under update_mu_ rather than in options_.
+  // set_slice_keep): the lander copies it when it takes a backlog, so it
+  // lives under update_mu_ rather than in options_.
   std::function<bool(Vertex)> slice_keep_ CSC_GUARDED_BY(update_mu_);
   // Newest epoch handed out.
   uint64_t submitted_epoch_ CSC_GUARDED_BY(update_mu_) = 0;
@@ -656,12 +666,12 @@ class Engine {
   // — not one entry per failed epoch.
   std::vector<std::pair<uint64_t, uint64_t>> failed_ranges_
       CSC_GUARDED_BY(update_mu_);
-  // Ascending epoch order.
+  // Admitted, logged, not yet landed; ascending epoch order.
   std::deque<PendingBatch> unlanded_ CSC_GUARDED_BY(update_mu_);
   // --- Admission / lifecycle state (EngineOptions::admission), guarded by
   // update_mu_ with the backlog it meters. pending_ops_ tracks the total
-  // net ops across unlanded_ (a batch's undo size); blocked admissions wait
-  // on epoch_cv_, woken by the worker's landing NotifyAll.
+  // net ops across unlanded_; blocked admissions wait on epoch_cv_, woken
+  // by the lander's commit.
   uint64_t pending_ops_ CSC_GUARDED_BY(update_mu_) = 0;
   uint64_t peak_pending_batches_ CSC_GUARDED_BY(update_mu_) = 0;
   uint64_t peak_pending_ops_ CSC_GUARDED_BY(update_mu_) = 0;
@@ -675,29 +685,34 @@ class Engine {
   // Deadline'd queries that returned kTimeout. An atomic, not update_mu_
   // state: the read path must never touch the writer lock.
   std::atomic<uint64_t> query_timeouts_{0};
-  // --- Incremental repair state (EngineOptions::repair), guarded by
-  // update_mu_ like the retained graph it mirrors. The shadow is the
-  // maintenance-authoritative CscIndex: batches mutate it via the §V
-  // dynamic algorithms (minimality mode) and the serving snapshot is
-  // patched — or derived — from it. The pinned ordering is the degree
-  // ordering of the Build-time graph (plus reserve vertices), kept fixed
-  // so label ranks stay stable across patches.
+  // Whether landings take the repair path (EngineOptions::repair), and
+  // what they did; both read and written with the epoch state.
   bool repair_active_ CSC_GUARDED_BY(update_mu_) = false;
-  std::unique_ptr<CscIndex> shadow_ CSC_GUARDED_BY(update_mu_);
-  VertexOrdering pinned_order_ CSC_GUARDED_BY(update_mu_);
-  // Reused across batches (capacity retained).
-  DirtyLabelTracker dirty_ CSC_GUARDED_BY(update_mu_);
-  bool snapshot_sliced_ CSC_GUARDED_BY(update_mu_) = false;
   RepairStats repair_stats_ CSC_GUARDED_BY(update_mu_);
   // Write-ahead log (EngineOptions::wal_path); null while disabled. All
   // appends happen under update_mu_ — admission and the WAL record are one
   // critical section, so records land in epoch order.
   std::unique_ptr<Wal> wal_ CSC_GUARDED_BY(update_mu_);
-  // The async rebuild thread; lazily started by the first async admission
+
+  // --- The lander's state, guarded by land_mu_. Held for a whole landing
+  // (and by BuildImpl / AdoptLoaded, which replace this state), so landings
+  // are serialized while admissions, which never take it, proceed. The
+  // shadow is the maintenance-authoritative CscIndex: batches mutate it via
+  // the §V dynamic algorithms (minimality mode) and the serving snapshot is
+  // patched — or derived — from it. The pinned ordering is the degree
+  // ordering of the Build-time graph (plus reserve vertices), kept fixed
+  // so label ranks stay stable across patches.
+  Mutex land_mu_ CSC_ACQUIRED_BEFORE(update_mu_);
+  std::unique_ptr<CscIndex> shadow_ CSC_GUARDED_BY(land_mu_);
+  VertexOrdering pinned_order_ CSC_GUARDED_BY(land_mu_);
+  // Reused across batches (capacity retained).
+  DirtyLabelTracker dirty_ CSC_GUARDED_BY(land_mu_);
+  bool snapshot_sliced_ CSC_GUARDED_BY(land_mu_) = false;
+  // The async lander's thread; lazily started by the first async admission
   // so synchronous engines pay nothing. Destroyed first (tasks touch the
   // members above). The pointer itself is only installed by the writer
   // thread (single-writer contract) under update_mu_.
-  std::unique_ptr<SerialWorker> rebuild_worker_ CSC_GUARDED_BY(update_mu_);
+  std::unique_ptr<SerialWorker> land_worker_ CSC_GUARDED_BY(update_mu_);
 };
 
 }  // namespace csc

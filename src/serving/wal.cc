@@ -320,6 +320,10 @@ bool Wal::AppendBatch(uint64_t epoch, const std::vector<EdgeUpdate>& updates,
 }
 
 bool Wal::AppendRollback(uint64_t first, uint64_t last, std::string* error) {
+  if (CSC_FAILPOINT("wal.rollback")) {
+    if (error != nullptr) *error = "wal rollback append failed: injected fault";
+    return false;
+  }
   return AppendRecord(EncodeRollback(first, last), error);
 }
 

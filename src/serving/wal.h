@@ -39,13 +39,17 @@ namespace csc {
 /// (short header, short body, or CRC mismatch): a crash mid-append leaves a
 /// torn tail, and everything before it is exactly the acknowledged history.
 /// A batch whose record is torn was never acknowledged — clients saw no
-/// return — so dropping it is correct; a batch whose record is durable but
-/// whose rollback record was lost replays and may now land (at-least-once
-/// on the batch in flight, never a lost acknowledged one).
+/// return — so dropping it is correct. A rollback record that cannot be
+/// appended makes the engine re-base the log on its rolled-back graph, so
+/// recovery does not replay a batch that never served. Only a crash between
+/// the failed landing and its rollback record, or before the next Build or
+/// Checkpoint once a failed re-base poisoned the handle, replays the batch
+/// in flight (at-least-once, never a lost acknowledged one).
 ///
 /// Fault surfaces (util/failpoint.h): wal.open, wal.append (supports
 /// short-write and abort — the torn-tail and crash cases), wal.fsync,
-/// wal.checkpoint, wal.finalize (the staged-generation publish rename).
+/// wal.rollback, wal.checkpoint, wal.finalize (the staged-generation
+/// publish rename).
 
 enum class WalRecordType : uint8_t {
   kCheckpoint = 1,
@@ -128,6 +132,11 @@ class Wal {
   bool AppendRollback(uint64_t first, uint64_t last,
                       std::string* error = nullptr);
 
+  /// Fails every later append: the engine poisons a log that can no longer
+  /// describe the served state (a rollback record it could not write), so
+  /// no further batch is acknowledged against it.
+  void Poison() { broken_ = true; }
+
   /// Reads every valid record of the log at `path`, stopping cleanly at the
   /// first torn/corrupt one (see the recovery contract above). A missing
   /// file yields an empty record list and true. False with `*error` set
@@ -156,8 +165,9 @@ class Wal {
   /// Bytes known durable (fsync'd) in the log — the truncation target when
   /// an append fails partway.
   uint64_t synced_size_ = 0;
-  /// Set when a failed append could not be truncated away: the log has an
-  /// unreadable tail, so no further record may be acknowledged through it.
+  /// Set when a failed append could not be truncated away (the log has an
+  /// unreadable tail) or by Poison(): no further record may be acknowledged
+  /// through it.
   bool broken_ = false;
 };
 

@@ -26,6 +26,11 @@
 // recovery that truncated the log before finishing its replay would lose
 // acknowledged batches.
 //
+// Both phases run twice: once against a synchronous rebuild-and-swap
+// engine, and once against an async engine with incremental repair, where
+// batches land on the background lander as label patches and the crasher
+// waits for each epoch to land before recording its ack.
+//
 // The parent never constructs an Engine (fork would duplicate its thread
 // pool mid-state); all engine work happens in freshly forked children.
 //
@@ -65,10 +70,12 @@ int main() {
 namespace csc {
 namespace {
 
+// One scenario's files, plus the engine variant every child builds.
 struct Paths {
   std::string index;
   std::string wal;
   std::string acks;
+  bool async_repair = false;
 };
 
 DiGraph WorkloadGraph() { return GenerateErdosRenyi(40, 100, /*seed=*/7); }
@@ -89,6 +96,8 @@ EngineOptions WorkloadOptions(const Paths& paths) {
   EngineOptions options;
   options.backend = "frozen";
   options.wal_path = paths.wal;
+  options.async_updates = paths.async_repair;
+  options.repair.enabled = paths.async_repair;
   return options;
 }
 
@@ -142,9 +151,10 @@ int RunCrasher(const Paths& paths, const std::string& site,
 }
 
 // Builds the replay oracle from `records` (checkpoint base graph +
-// surviving batches minus rolled-back epochs, applied through a WAL-less
-// engine), recovers an Engine from disk, and requires the serializations to
-// match byte-for-byte. `records.front()` must be a checkpoint record.
+// surviving batches minus rolled-back epochs, applied one landed epoch at a
+// time through a WAL-less engine of the same variant), recovers an Engine
+// from disk, and requires the serializations to match byte-for-byte.
+// `records.front()` must be a checkpoint record.
 int OracleVsRecovery(const Paths& paths, const std::vector<WalRecord>& records,
                      const std::string& scenario) {
   auto fail = [&scenario](const std::string& why) {
@@ -159,8 +169,8 @@ int OracleVsRecovery(const Paths& paths, const std::vector<WalRecord>& records,
       rolled_back.emplace_back(record.epoch, record.epoch_last);
     }
   }
-  EngineOptions oracle_options;
-  oracle_options.backend = "frozen";
+  EngineOptions oracle_options = WorkloadOptions(paths);
+  oracle_options.wal_path.clear();
   Engine oracle(oracle_options);
   if (!oracle.Build(base)) return fail("oracle build failed");
   for (const WalRecord& record : records) {
@@ -170,7 +180,9 @@ int OracleVsRecovery(const Paths& paths, const std::vector<WalRecord>& records,
       if (record.epoch >= first && record.epoch <= last) skip = true;
     }
     if (skip) continue;
-    oracle.ApplyUpdates(record.updates);
+    uint64_t epoch = 0;
+    oracle.ApplyUpdates(record.updates, nullptr, &epoch);
+    if (!oracle.WaitForEpoch(epoch)) return fail("oracle batch rolled back");
   }
 
   Engine recovered(WorkloadOptions(paths));
@@ -331,7 +343,11 @@ int RunRecoveryCrashVerify(const Paths& paths,
   return OracleVsRecovery(paths, records, scenario);
 }
 
-int RunParent(const std::string& dir) {
+// Runs both phases against one engine variant; returns the failure count
+// and adds to `*crashes` / `*scenarios_run`.
+int RunVariant(const std::string& dir, bool async_repair, int* crashes,
+               size_t* scenarios_run) {
+  const std::string variant = async_repair ? "async+repair/" : "";
   struct Scenario {
     const char* site;
     uint32_t countdown;
@@ -349,12 +365,16 @@ int RunParent(const std::string& dir) {
       {"atomic_write.write", 2}, {"atomic_write.fsync", 1},
       {"atomic_write.fsync", 2}, {"atomic_write.rename", 1},
       {"atomic_write.rename", 2}, {"index_io.write", 1},
+      // Mid-landing sites; they only fire on the async+repair variant,
+      // where the lander dies with admitted, logged, unlanded epochs.
+      {"engine.async_rebuild", 3}, {"engine.patch", 2},
   };
   int failures = 0;
-  int crashes = 0;
   for (const Scenario& scenario : scenarios) {
     Paths paths;
-    std::string prefix = dir + "/" + scenario.site + "." +
+    paths.async_repair = async_repair;
+    std::string prefix = dir + "/" + (async_repair ? "async." : "") +
+                         scenario.site + "." +
                          std::to_string(scenario.countdown);
     paths.index = prefix + ".idx";
     paths.wal = prefix + ".wal";
@@ -363,6 +383,8 @@ int RunParent(const std::string& dir) {
     ::unlink(paths.wal.c_str());
     ::unlink(paths.acks.c_str());
 
+    std::string name = variant + scenario.site + "@" +
+                       std::to_string(scenario.countdown);
     // Flush before forking: the children inherit the stdio buffers, and the
     // abort path exits through std::_Exit which would otherwise replay any
     // buffered parent output.
@@ -377,22 +399,20 @@ int RunParent(const std::string& dir) {
     bool crashed = WIFEXITED(status) && WEXITSTATUS(status) == 134;
     bool survived = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (!crashed && !survived) {
-      std::fprintf(stderr, "FAIL [%s@%u]: crasher exited abnormally (%d)\n",
-                   scenario.site, scenario.countdown, status);
+      std::fprintf(stderr, "FAIL [%s]: crasher exited abnormally (%d)\n",
+                   name.c_str(), status);
       ++failures;
       continue;
     }
-    if (crashed) ++crashes;
+    if (crashed) ++*crashes;
 
-    std::string name = std::string(scenario.site) + "@" +
-                       std::to_string(scenario.countdown);
     pid_t verifier = ::fork();
     if (verifier == 0) {
       ::_exit(RunOracleAndVerify(paths, name));
     }
     ::waitpid(verifier, &status, 0);
     bool verified = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    std::printf("%-28s %s -> %s\n", name.c_str(),
+    std::printf("%-40s %s -> %s\n", name.c_str(),
                 crashed ? "crashed " : "survived",
                 verified ? "recovered" : "FAILED");
     if (!verified) ++failures;
@@ -412,10 +432,13 @@ int RunParent(const std::string& dir) {
   const std::vector<Scenario> recovery_scenarios = {
       {"wal.open", 1},     {"wal.append", 1},     {"wal.append", 3},
       {"wal.fsync", 2},    {"wal.finalize", 1},   {"engine.rebuild", 1},
+      {"engine.patch", 1},
   };
   for (const Scenario& scenario : recovery_scenarios) {
     Paths paths;
-    std::string prefix = dir + "/recover." + scenario.site + "." +
+    paths.async_repair = async_repair;
+    std::string prefix = dir + "/" + (async_repair ? "async." : "") +
+                         "recover." + scenario.site + "." +
                          std::to_string(scenario.countdown);
     paths.index = prefix + ".idx";
     paths.wal = prefix + ".wal";
@@ -423,7 +446,7 @@ int RunParent(const std::string& dir) {
     ::unlink(paths.index.c_str());
     ::unlink(paths.wal.c_str());
     ::unlink(paths.acks.c_str());
-    std::string name = std::string("recover/") + scenario.site + "@" +
+    std::string name = variant + "recover/" + scenario.site + "@" +
                        std::to_string(scenario.countdown);
 
     std::fflush(stdout);
@@ -469,7 +492,7 @@ int RunParent(const std::string& dir) {
       ++failures;
       continue;
     }
-    if (crashed) ++crashes;
+    if (crashed) ++*crashes;
 
     pid_t verifier = ::fork();
     if (verifier == 0) {
@@ -477,7 +500,7 @@ int RunParent(const std::string& dir) {
     }
     ::waitpid(verifier, &status, 0);
     bool verified = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    std::printf("%-28s %s -> %s\n", name.c_str(),
+    std::printf("%-40s %s -> %s\n", name.c_str(),
                 crashed ? "crashed " : "survived",
                 verified ? "recovered" : "FAILED");
     if (!verified) ++failures;
@@ -488,13 +511,22 @@ int RunParent(const std::string& dir) {
     ::unlink(precrash_wal.c_str());
   }
 
+  *scenarios_run += scenarios.size() + recovery_scenarios.size();
+  return failures;
+}
+
+int RunParent(const std::string& dir) {
+  int crashes = 0;
+  size_t scenarios = 0;
+  int failures = RunVariant(dir, /*async_repair=*/false, &crashes, &scenarios);
+  failures += RunVariant(dir, /*async_repair=*/true, &crashes, &scenarios);
   if (crashes == 0) {
     std::fprintf(stderr,
                  "FAIL: no scenario crashed — the failpoints never fired\n");
     return 1;
   }
   std::printf("crash_torture: %zu scenarios, %d crashes, %d failures\n",
-              scenarios.size() + recovery_scenarios.size(), crashes, failures);
+              scenarios, crashes, failures);
   return failures == 0 ? 0 : 1;
 }
 

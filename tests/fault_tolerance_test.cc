@@ -159,6 +159,65 @@ TEST_F(FaultToleranceTest, RecoverySkipsRolledBackEpochs) {
   EXPECT_EQ(Serialized(recovered), Serialized(oracle));
 }
 
+TEST_F(FaultToleranceTest, UnwritableRollbackRecordRebasesTheLog) {
+  // Durable state == served state: when a failed landing's rollback record
+  // cannot be appended, the engine re-bases the log on the rolled-back
+  // graph, so recovery cannot replay the batch that never served.
+  DiGraph graph = Figure2Graph();
+  EngineOptions options = FrozenOptions();
+  options.wal_path = wal_path_;
+  auto batches = SomeBatches();
+  std::vector<CycleCount> served;
+  {
+    Engine engine(options);
+    ASSERT_TRUE(engine.Build(graph));
+    EXPECT_GT(engine.ApplyUpdates(batches[0]), 0u);
+    served = engine.QueryAll();
+    Arm("engine.rebuild", FailpointMode::kError);
+    Arm("wal.rollback", FailpointMode::kError);
+    EXPECT_EQ(engine.ApplyUpdates(batches[1]), 0u);
+    Failpoints::Instance().ClearAll();
+    EXPECT_EQ(engine.QueryAll(), served);
+    EXPECT_TRUE(engine.wal_enabled());
+  }
+  Engine recovered(options);
+  std::string error;
+  ASSERT_TRUE(recovered.RecoverFromFile(index_path_, &error)) << error;
+  EXPECT_EQ(recovered.QueryAll(), served);
+}
+
+TEST_F(FaultToleranceTest, UnwritableRebasePoisonsTheLogUntilCheckpoint) {
+  // If the re-base fails too, nothing more may be acknowledged against the
+  // stale log: later batches are rejected until a Checkpoint starts a
+  // fresh generation.
+  DiGraph graph = Figure2Graph();
+  EngineOptions options = FrozenOptions();
+  options.wal_path = wal_path_;
+  auto batches = SomeBatches();
+  Engine engine(options);
+  ASSERT_TRUE(engine.Build(graph));
+  std::vector<CycleCount> served = engine.QueryAll();
+  Arm("engine.rebuild", FailpointMode::kError);
+  Arm("wal.rollback", FailpointMode::kError);
+  Arm("wal.checkpoint", FailpointMode::kError);
+  EXPECT_EQ(engine.ApplyUpdates(batches[0]), 0u);
+  Failpoints::Instance().ClearAll();
+  std::vector<UpdateVerdict> verdicts;
+  uint64_t epoch = 0;
+  EXPECT_EQ(engine.ApplyUpdates(batches[2], &verdicts, &epoch), 0u);
+  EXPECT_EQ(verdicts, std::vector<UpdateVerdict>(batches[2].size(),
+                                                 UpdateVerdict::kRejected));
+  EXPECT_FALSE(engine.WaitForEpoch(epoch));
+  EXPECT_EQ(engine.QueryAll(), served);
+  std::string error;
+  ASSERT_TRUE(engine.Checkpoint(index_path_, &error)) << error;
+  EXPECT_GT(engine.ApplyUpdates(batches[2]), 0u);
+  served = engine.QueryAll();
+  Engine recovered(options);
+  ASSERT_TRUE(recovered.RecoverFromFile(index_path_, &error)) << error;
+  EXPECT_EQ(recovered.QueryAll(), served);
+}
+
 TEST_F(FaultToleranceTest, DynamicBackendRecoveryMatchesOracle) {
   DiGraph graph = Figure2Graph();
   EngineOptions options;  // "csc": in-place updates, WAL logs pre-mutation

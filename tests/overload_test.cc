@@ -170,7 +170,6 @@ TEST_F(OverloadTest, BacklogCapRejectsWhenWorkerWedged) {
   EXPECT_EQ(verdicts[0], UpdateVerdict::kOverloaded);
   EXPECT_TRUE(engine.WaitForEpoch(epoch));
   EXPECT_EQ(engine.admission_stats().shed_batches, 1u);
-  EXPECT_EQ(engine.repair_stats().shed_batches, 1u);
 
   engine.Drain();
   EXPECT_EQ(engine.Health(), HealthState::kHealthy);
