@@ -39,8 +39,6 @@ int main() {
   using namespace csc;
   double scale = BenchScaleFromEnv();
   auto datasets = BenchDatasetsFromEnv();
-  // "precompute" is excluded by default: its build is n BFS sweeps, far
-  // slower than anything measured here. Opt in via CSC_BENCH_BACKENDS.
   auto backends = bench::BenchBackendsFromEnv(
       {"bfs", "hpspc", "csc", "compact", "frozen", "compressed"});
   bench::PrintBanner("Figure 10: Query Times (us) per degree cluster",

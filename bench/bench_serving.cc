@@ -5,15 +5,13 @@
 // bench measures, per dataset and backend,
 //
 //   size    — resident index bytes (MemoryBytes) and label entries,
-//   query   — mean SCCnt latency over a fixed random workload (the cached
-//             backend is measured hot, i.e. after a warming pass), and
+//   query   — mean SCCnt latency over a fixed random workload, and
 //   sweep   — wall time to answer all n queries, single-threaded vs. the
 //             Engine's parallel batch dispatch.
 //
 // Expected shape: frozen ≲ csc < compact in latency (layout only — answers
 // are identical); compressed trades a ~2x smaller payload for a
-// decode-bound query; cached collapses repeat queries to an array read; the
-// parallel sweep scales with cores until memory-bound.
+// decode-bound query; the parallel sweep scales with cores until memory-bound.
 // A sharded section measures the same backends behind ShardedEngine at
 // 1/2/4/8 shards (batched-query throughput over the routed fan-out); its
 // per-backend × per-shard-count rows are also emitted as BENCH_serving.json
@@ -73,7 +71,7 @@ using namespace csc;
 // Mean per-query microseconds of `backend` over `vertices`, repeated until
 // at least ~20ms of work so fast forms are not noise-dominated.
 double MeanQueryMicros(const std::vector<Vertex>& vertices,
-                       CycleIndex& backend) {
+                       const CycleIndex& backend) {
   uint64_t sink = 0;
   size_t rounds = 0;
   Timer timer;
@@ -122,10 +120,10 @@ int main(int argc, char** argv) {
   }
   double scale = BenchScaleFromEnv();
   auto datasets = BenchDatasetsFromEnv();
-  // The serving-tier forms; "bfs"/"precompute"/"hpspc" are selectable via
+  // The serving-tier forms; "bfs"/"hpspc" are selectable via
   // CSC_BENCH_BACKENDS but are baseline, not serving, configurations.
   auto backends = bench::BenchBackendsFromEnv(
-      {"csc", "compact", "frozen", "compressed", "cached"});
+      {"csc", "compact", "frozen", "compressed"});
   bench::PrintBanner("Serving tier: index backends (size / latency / sweep)",
                      datasets, scale);
   unsigned threads = ThreadPool::DefaultThreadCount();
@@ -195,10 +193,6 @@ int main(int argc, char** argv) {
                          TableReporter::FormatDouble(per_entry, 2),
                          TableReporter::FormatDouble(stats.build_seconds)});
 
-      // Warm memoizing backends once, then measure the hot path.
-      if (name == "cached") {
-        for (Vertex v : workload) backend->CountShortestCycles(v);
-      }
       latency_table.AddRow(
           {spec.name, name,
            TableReporter::FormatDouble(MeanQueryMicros(workload, *backend))});

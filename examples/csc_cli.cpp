@@ -323,9 +323,7 @@ const char* BackendDescription(const std::string& name) {
   if (name == "compact") return "§IV.E half-size reduction; the interchange format";
   if (name == "frozen") return "packed flat arena, cache-linear serving";
   if (name == "compressed") return "varint flat arena, ~2x smaller payload";
-  if (name == "cached") return "memoizing dynamic front for hot watchlists";
   if (name == "bfs") return "index-free Algorithm 1 baseline";
-  if (name == "precompute") return "O(1)-query straw-man, full rebuild per update";
   if (name == "hpspc") return "HP-SPC baseline labeling (SIGMOD'20)";
   return "";
 }
@@ -642,10 +640,9 @@ int CmdStats(const std::string& backend_name, uint32_t shards,
                   ? static_cast<double>(stats.label_entries) /
                         static_cast<double>(stats.num_vertices)
                   : 0.0);
-  std::printf("supports        : updates=%s save=%s parallel-queries=%s\n",
+  std::printf("supports        : updates=%s save=%s\n",
               stats.supports_updates ? "yes" : "no",
-              stats.supports_save ? "yes" : "no",
-              stats.thread_safe_queries ? "yes" : "no");
+              stats.supports_save ? "yes" : "no");
   std::printf("build           : %.3f s (threads=%u)\n", stats.build_seconds,
               stats.build_threads);
   if (stats.patches_since_rebuild > 0) {

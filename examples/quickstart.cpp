@@ -56,8 +56,8 @@ int main() {
   engine.ApplyUpdates({EdgeUpdate::Remove(7, 6)});
   PrintAnswer("after removing 7->6:", 6, engine.Query(6));
 
-  // 5. Batched queries fan out across the engine's thread pool when the
-  //    backend's queries are thread-safe.
+  // 5. Batched queries fan out across the engine's thread pool once the
+  //    batch is longer than EngineOptions::batch_grain.
   std::vector<CycleCount> all = engine.QueryAll();
   uint64_t cyclic = 0;
   for (const CycleCount& cc : all) cyclic += cc.count > 0 ? 1 : 0;

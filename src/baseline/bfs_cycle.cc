@@ -4,23 +4,20 @@
 
 namespace csc {
 
-BfsCycleCounter::BfsCycleCounter(const DiGraph& graph)
-    : graph_(&graph),
-      dist_(graph.num_vertices(), kInfDist),
-      count_(graph.num_vertices(), 0) {}
-
-CycleCount BfsCycleCounter::CountCycles(Vertex vq) {
-  // Reset only what the previous query touched.
+CycleCount BfsScratch::CountCycles(const DiGraph& graph, Vertex vq) {
+  // Reset only what the previous query touched; the arrays only ever grow,
+  // so those indices stay in range whatever graph that query ran on.
   for (Vertex v : touched_) {
     dist_[v] = kInfDist;
     count_[v] = 0;
   }
   touched_.clear();
   queue_.clear();
+  Reserve(graph.num_vertices());
 
   // Algorithm 1 lines 4-6: seed the BFS with vq's out-neighbors at
   // distance 1. vq itself stays at infinity until a cycle closes back.
-  for (Vertex u : graph_->OutNeighbors(vq)) {
+  for (Vertex u : graph.OutNeighbors(vq)) {
     dist_[u] = 1;
     count_[u] = 1;
     touched_.push_back(u);
@@ -34,7 +31,7 @@ CycleCount BfsCycleCounter::CountCycles(Vertex vq) {
       // C[vq]) before vq itself, so the counts are final here.
       return {dist_[vq], count_[vq]};
     }
-    for (Vertex wn : graph_->OutNeighbors(w)) {
+    for (Vertex wn : graph.OutNeighbors(w)) {
       if (dist_[wn] > dist_[w] + 1) {
         if (dist_[wn] == kInfDist) touched_.push_back(wn);
         dist_[wn] = dist_[w] + 1;
@@ -48,9 +45,16 @@ CycleCount BfsCycleCounter::CountCycles(Vertex vq) {
   return {kInfDist, 0};
 }
 
+void BfsScratch::Reserve(Vertex num_vertices) {
+  if (dist_.size() < num_vertices) {
+    dist_.resize(num_vertices, kInfDist);
+    count_.resize(num_vertices, 0);
+  }
+}
+
 CycleCount BfsCountCycles(const DiGraph& graph, Vertex vq) {
-  BfsCycleCounter counter(graph);
-  return counter.CountCycles(vq);
+  thread_local BfsScratch scratch;
+  return scratch.CountCycles(graph, vq);
 }
 
 namespace {

@@ -8,31 +8,49 @@
 
 namespace csc {
 
-/// Index-free baseline (Algorithm 1, BFS-CYCLE): a counting BFS from the
-/// query vertex's out-neighbors back to the query vertex. O(n + m) time and
-/// space per query.
-///
-/// The counter owns its scratch arrays so repeated queries (the benchmark
-/// loop) do not pay an O(n) allocation each time; it lazily resets only the
-/// vertices touched by the previous query.
-class BfsCycleCounter {
+/// Algorithm 1's working arrays, sized to the largest graph queried so far
+/// and reset lazily: a query clears only the vertices the previous one
+/// touched, so repeated queries pay no O(n) allocation or fill. One scratch
+/// serves one thread at a time.
+class BfsScratch {
  public:
-  explicit BfsCycleCounter(const DiGraph& graph);
-
-  /// SCCnt(vq) with shortest length, by Algorithm 1.
-  CycleCount CountCycles(Vertex vq);
-
-  const DiGraph& graph() const { return *graph_; }
+  /// SCCnt(vq) on `graph` with shortest length, by Algorithm 1.
+  CycleCount CountCycles(const DiGraph& graph, Vertex vq);
 
  private:
-  const DiGraph* graph_;
+  // Grows the arrays to cover `num_vertices` (never shrinks them).
+  void Reserve(Vertex num_vertices);
+
   std::vector<Dist> dist_;
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
 };
 
-/// One-shot convenience wrapper over BfsCycleCounter.
+/// Index-free baseline (Algorithm 1, BFS-CYCLE): a counting BFS from the
+/// query vertex's out-neighbors back to the query vertex. O(n + m) time per
+/// query, over scratch the counter owns.
+class BfsCycleCounter {
+ public:
+  explicit BfsCycleCounter(const DiGraph& graph) : graph_(&graph) {}
+
+  /// SCCnt(vq) with shortest length, by Algorithm 1.
+  CycleCount CountCycles(Vertex vq) {
+    return scratch_.CountCycles(*graph_, vq);
+  }
+
+  const DiGraph& graph() const { return *graph_; }
+
+ private:
+  const DiGraph* graph_;
+  BfsScratch scratch_;
+};
+
+/// SCCnt(vq) by Algorithm 1 over the calling thread's own BfsScratch:
+/// reentrant, and allocation-free once that scratch covers the graph. The
+/// scratch lives until the thread exits and keeps the size of the largest
+/// graph the thread has queried (12-20 bytes per vertex); no backend's
+/// MemoryBytes() counts it.
 CycleCount BfsCountCycles(const DiGraph& graph, Vertex vq);
 
 /// Exponential-time oracle that enumerates simple cycles through `vq` by

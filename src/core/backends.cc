@@ -8,15 +8,15 @@
 #include <utility>
 
 #include "baseline/bfs_cycle.h"
-#include "baseline/precompute_all.h"
 #include "core/cycle_index.h"
 #include "core/label_patch.h"
-#include "csc/cached_index.h"
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "csc/frozen_index.h"
+#include "dynamic/batch.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
+#include "graph/bipartite.h"
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
 #include "labeling/compressed.h"
@@ -44,7 +44,6 @@ class BackendBase : public CycleIndex {
     stats.build_threads = build_threads_;
     stats.supports_updates = supports_updates();
     stats.supports_save = supports_save();
-    stats.thread_safe_queries = thread_safe_queries();
     stats.patch_hubs_repaired = patch_hubs_repaired_;
     stats.patch_label_bytes = patch_label_bytes_;
     stats.patches_since_rebuild = patches_since_rebuild_;
@@ -103,9 +102,10 @@ class CscBackend : public BackendBase {
     index_ = CscIndex::Build(graph, DegreeOrdering(graph), o);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
+    redundant_ = false;
   }
 
-  CycleCount CountShortestCycles(Vertex v) override {
+  CycleCount CountShortestCycles(Vertex v) const override {
     if (!index_ || v >= index_->num_original_vertices()) return {};
     return index_->Query(v);
   }
@@ -118,11 +118,27 @@ class CscBackend : public BackendBase {
     MaintenanceStrategy strategy = index_->has_inverted_index()
                                        ? MaintenanceStrategy::kMinimality
                                        : MaintenanceStrategy::kRedundancy;
-    return FromBool(csc::InsertEdge(*index_, u, v, strategy));
+    const bool applied = csc::InsertEdge(*index_, u, v, strategy);
+    if (applied && strategy == MaintenanceStrategy::kRedundancy) {
+      redundant_ = true;
+    }
+    return FromBool(applied);
   }
 
   UpdateResult DeleteEdge(Vertex u, Vertex v) override {
     if (!index_) return UpdateResult::kUnsupported;
+    // Decremental repair needs a minimal index; a redundancy-mode insert
+    // since the last (re)build broke minimality, so compact first -- but
+    // only for a delete RemoveEdge will apply, so a rejected one stays cheap.
+    if (u == v || u >= index_->num_original_vertices() ||
+        v >= index_->num_original_vertices() ||
+        !index_->bipartite_graph().HasEdge(OutVertex(u), InVertex(v))) {
+      return UpdateResult::kRejected;
+    }
+    if (redundant_) {
+      RebuildIndex(*index_);
+      redundant_ = false;
+    }
     return FromBool(csc::RemoveEdge(*index_, u, v));
   }
 
@@ -143,7 +159,6 @@ class CscBackend : public BackendBase {
 
   bool supports_updates() const override { return true; }
   bool supports_save() const override { return true; }
-  bool thread_safe_queries() const override { return true; }
 
  protected:
   uint64_t LabelEntries() const override {
@@ -152,73 +167,8 @@ class CscBackend : public BackendBase {
 
  private:
   std::optional<CscIndex> index_;
-};
-
-// "cached": the memoizing dynamic front; repeat queries between updates
-// collapse to an array read.
-class CachedBackend : public BackendBase {
- public:
-  CachedBackend() : BackendBase("cached") {}
-
-  void Build(const DiGraph& graph, const BuildOptions& options) override {
-    Timer timer;
-    CscIndex::Options o;
-    o.maintain_inverted_index = options.maintain_inverted_index;
-    o.reserve_vertices = options.reserve_vertices;
-    o.build_threads = options.num_threads;
-    cached_.emplace(CscIndex::Build(graph, DegreeOrdering(graph), o));
-    build_seconds_ = timer.ElapsedSeconds();
-    build_threads_ = options.num_threads;
-  }
-
-  CycleCount CountShortestCycles(Vertex v) override {
-    if (!cached_ || v >= cached_->num_original_vertices()) return {};
-    return cached_->Query(v);
-  }
-
-  UpdateResult InsertEdge(Vertex u, Vertex v) override {
-    if (!cached_) return UpdateResult::kUnsupported;
-    MaintenanceStrategy strategy = cached_->index().has_inverted_index()
-                                       ? MaintenanceStrategy::kMinimality
-                                       : MaintenanceStrategy::kRedundancy;
-    return FromBool(cached_->InsertEdge(u, v, strategy));
-  }
-
-  UpdateResult DeleteEdge(Vertex u, Vertex v) override {
-    if (!cached_) return UpdateResult::kUnsupported;
-    return FromBool(cached_->RemoveEdge(u, v));
-  }
-
-  bool SaveTo(std::string& bytes) const override {
-    if (!cached_) return false;
-    bytes = CompactIndex::FromIndex(cached_->index()).Serialize();
-    return true;
-  }
-
-  Vertex num_vertices() const override {
-    return cached_ ? cached_->num_original_vertices() : 0;
-  }
-
-  uint64_t MemoryBytes() const override {
-    if (!cached_) return 0;
-    return cached_->index().SizeBytes() +
-           GraphBytes(cached_->index().bipartite_graph()) +
-           cached_->num_original_vertices() *
-               (sizeof(uint64_t) + sizeof(CycleCount));
-  }
-
-  bool supports_updates() const override { return true; }
-  bool supports_save() const override { return true; }
-  // Query memoizes (mutates the cache): externally serialize.
-  bool thread_safe_queries() const override { return false; }
-
- protected:
-  uint64_t LabelEntries() const override {
-    return cached_ ? cached_->index().TotalEntries() : 0;
-  }
-
- private:
-  std::optional<CachedCscIndex> cached_;
+  // Set by a redundancy-mode insert; cleared by a rebuild.
+  bool redundant_ = false;
 };
 
 // "compact": the §IV.E reduction — half the labels, the interchange
@@ -239,7 +189,7 @@ class CompactBackend : public BackendBase {
     ResetPatchCounters();
   }
 
-  CycleCount CountShortestCycles(Vertex v) override {
+  CycleCount CountShortestCycles(Vertex v) const override {
     if (!index_ || v >= index_->num_original_vertices()) return {};
     return index_->Query(v);
   }
@@ -289,7 +239,6 @@ class CompactBackend : public BackendBase {
   }
 
   bool supports_save() const override { return true; }
-  bool thread_safe_queries() const override { return true; }
 
  protected:
   uint64_t LabelEntries() const override {
@@ -319,7 +268,7 @@ class FlatBackend : public BackendBase {
     ResetPatchCounters();
   }
 
-  CycleCount CountShortestCycles(Vertex v) override {
+  CycleCount CountShortestCycles(Vertex v) const override {
     return index_.Query(v);
   }
 
@@ -392,7 +341,6 @@ class FlatBackend : public BackendBase {
   uint64_t MemoryBytes() const override { return index_.MemoryBytes(); }
 
   bool supports_save() const override { return true; }
-  bool thread_safe_queries() const override { return true; }
 
  protected:
   uint64_t LabelEntries() const override { return index_.TotalEntries(); }
@@ -402,93 +350,47 @@ class FlatBackend : public BackendBase {
 };
 
 // "bfs": the index-free Algorithm 1 baseline. Updates are trivially
-// supported (there is no index to repair), queries cost O(n + m).
+// supported (there is no index to repair), queries cost O(n + m) over the
+// calling thread's own scratch (BfsCountCycles).
 class BfsBackend : public BackendBase {
  public:
   BfsBackend() : BackendBase("bfs") {}
 
   void Build(const DiGraph& graph, const BuildOptions& options) override {
     graph_ = graph;
-    if (options.reserve_vertices > 0) graph_.AddVertices(options.reserve_vertices);
-    counter_.emplace(graph_);
+    if (options.reserve_vertices > 0) {
+      graph_->AddVertices(options.reserve_vertices);
+    }
     build_seconds_ = 0;
   }
 
-  CycleCount CountShortestCycles(Vertex v) override {
-    if (!counter_ || v >= graph_.num_vertices()) return {};
-    return counter_->CountCycles(v);
+  CycleCount CountShortestCycles(Vertex v) const override {
+    if (!graph_ || v >= graph_->num_vertices()) return {};
+    return BfsCountCycles(*graph_, v);
   }
 
   UpdateResult InsertEdge(Vertex u, Vertex v) override {
-    if (!counter_) return UpdateResult::kUnsupported;
-    return FromBool(graph_.AddEdge(u, v));
+    if (!graph_) return UpdateResult::kUnsupported;
+    return FromBool(graph_->AddEdge(u, v));
   }
 
   UpdateResult DeleteEdge(Vertex u, Vertex v) override {
-    if (!counter_) return UpdateResult::kUnsupported;
-    return FromBool(graph_.RemoveEdge(u, v));
+    if (!graph_) return UpdateResult::kUnsupported;
+    return FromBool(graph_->RemoveEdge(u, v));
   }
 
-  Vertex num_vertices() const override { return graph_.num_vertices(); }
+  Vertex num_vertices() const override {
+    return graph_ ? graph_->num_vertices() : 0;
+  }
 
   uint64_t MemoryBytes() const override {
-    return GraphBytes(graph_) +
-           graph_.num_vertices() * (sizeof(Dist) + sizeof(Count));
+    return graph_ ? GraphBytes(*graph_) : 0;
   }
 
   bool supports_updates() const override { return true; }
-  // The counter reuses per-query scratch arrays.
-  bool thread_safe_queries() const override { return false; }
 
  private:
-  DiGraph graph_;
-  std::optional<BfsCycleCounter> counter_;
-};
-
-// "precompute": the O(1)-query straw-man; every update pays a full rebuild
-// (the cost the paper's dynamic algorithms are measured against).
-class PrecomputeBackend : public BackendBase {
- public:
-  PrecomputeBackend() : BackendBase("precompute") {}
-
-  void Build(const DiGraph& graph, const BuildOptions& options) override {
-    graph_ = graph;
-    if (options.reserve_vertices > 0) graph_.AddVertices(options.reserve_vertices);
-    index_ = PrecomputeAllIndex::Build(graph_);
-    build_seconds_ = index_->build_seconds();
-  }
-
-  CycleCount CountShortestCycles(Vertex v) override {
-    if (!index_ || v >= index_->num_vertices()) return {};
-    return index_->Query(v);
-  }
-
-  UpdateResult InsertEdge(Vertex u, Vertex v) override {
-    if (!index_) return UpdateResult::kUnsupported;
-    if (!graph_.AddEdge(u, v)) return UpdateResult::kRejected;
-    index_->ApplyUpdate(graph_);
-    return UpdateResult::kApplied;
-  }
-
-  UpdateResult DeleteEdge(Vertex u, Vertex v) override {
-    if (!index_) return UpdateResult::kUnsupported;
-    if (!graph_.RemoveEdge(u, v)) return UpdateResult::kRejected;
-    index_->ApplyUpdate(graph_);
-    return UpdateResult::kApplied;
-  }
-
-  Vertex num_vertices() const override { return graph_.num_vertices(); }
-
-  uint64_t MemoryBytes() const override {
-    return (index_ ? index_->SizeBytes() : 0) + GraphBytes(graph_);
-  }
-
-  bool supports_updates() const override { return true; }
-  bool thread_safe_queries() const override { return true; }
-
- private:
-  DiGraph graph_;
-  std::optional<PrecomputeAllIndex> index_;
+  std::optional<DiGraph> graph_;
 };
 
 // "hpspc": the HP-SPC competitor labeling over the original graph, SCCnt by
@@ -508,7 +410,7 @@ class HpSpcBackend : public BackendBase {
     build_threads_ = options.num_threads;
   }
 
-  CycleCount CountShortestCycles(Vertex v) override {
+  CycleCount CountShortestCycles(Vertex v) const override {
     if (!index_ || v >= graph_.num_vertices()) return {};
     return index_->CountCycles(v);
   }
@@ -519,7 +421,6 @@ class HpSpcBackend : public BackendBase {
     return (index_ ? index_->labeling().SizeBytes() : 0) + GraphBytes(graph_);
   }
 
-  bool thread_safe_queries() const override { return true; }
 
  protected:
   uint64_t LabelEntries() const override {
@@ -542,17 +443,14 @@ std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
   if (name == "compressed") {
     return std::make_unique<FlatBackend<CompressedIndex>>("compressed");
   }
-  if (name == "cached") return std::make_unique<CachedBackend>();
   if (name == "bfs") return std::make_unique<BfsBackend>();
-  if (name == "precompute") return std::make_unique<PrecomputeBackend>();
   if (name == "hpspc") return std::make_unique<HpSpcBackend>();
   return nullptr;
 }
 
 const std::vector<std::string>& AllBackendNames() {
   static const std::vector<std::string> kNames = {
-      "csc",    "compact", "frozen",     "compressed",
-      "cached", "bfs",     "precompute", "hpspc"};
+      "csc", "compact", "frozen", "compressed", "bfs", "hpspc"};
   return kNames;
 }
 

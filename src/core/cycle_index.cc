@@ -4,7 +4,7 @@
 
 namespace csc {
 
-GirthInfo CycleIndex::Girth() {
+GirthInfo CycleIndex::Girth() const {
   return ComputeGirth(num_vertices(),
                       [this](Vertex v) { return CountShortestCycles(v); });
 }

@@ -31,7 +31,6 @@ struct BackendStats {
   unsigned build_threads = 0;
   bool supports_updates = false;
   bool supports_save = false;
-  bool thread_safe_queries = false;
   /// Incremental-repair counters (ApplyLabelPatch): serving runs rewritten
   /// and replacement label bytes written by patches since the last full
   /// Build/LoadFrom, plus the number of patches applied. A freshly built or
@@ -44,15 +43,14 @@ struct BackendStats {
 
 /// The polymorphic backend interface every shortest-cycle-counting engine in
 /// this library implements: the four CSC index variants (dynamic, compact,
-/// frozen, compressed), the memoizing cached form, and the baselines (BFS,
-/// precompute-all, HP-SPC). A backend is chosen by name at runtime through
-/// MakeBackend, so serving, benches, and the CLI switch engines with a flag
-/// instead of a rebuild.
+/// frozen, compressed) and the baselines (BFS, HP-SPC). A backend is chosen
+/// by name at runtime through MakeBackend, so serving, benches, and the CLI
+/// switch engines with a flag instead of a rebuild.
 ///
 /// Threading contract: Build / InsertEdge / DeleteEdge / LoadFrom are
-/// single-writer. CountShortestCycles may run concurrently with itself iff
-/// thread_safe_queries() — backends with per-query scratch ("bfs") or
-/// memoization ("cached") return false and must be externally serialized.
+/// single-writer. Queries (CountShortestCycles, Girth) are const and always
+/// reentrant: any number may run concurrently with each other, never with a
+/// writer.
 class CycleIndex {
  public:
   struct BuildOptions {
@@ -67,8 +65,7 @@ class CycleIndex {
     /// sequential per-hub builder; >= 1 runs the rank-batched parallel
     /// builder, whose output — serialized payloads included — is
     /// bit-identical to the sequential build at any thread count.
-    /// Backends without a labeling construction ("bfs", "precompute")
-    /// ignore it.
+    /// The backend without a labeling construction ("bfs") ignores it.
     unsigned num_threads = 0;
   };
 
@@ -95,13 +92,12 @@ class CycleIndex {
   void Build(const DiGraph& graph) { Build(graph, BuildOptions()); }
 
   /// SCCnt(v): number and length of shortest cycles through v. Out-of-range
-  /// vertices return {} (no cycle). Non-const because memoizing backends
-  /// update their cache; read-only backends do not mutate.
-  virtual CycleCount CountShortestCycles(Vertex v) = 0;
+  /// vertices return {} (no cycle).
+  virtual CycleCount CountShortestCycles(Vertex v) const = 0;
 
   /// Girth of the indexed graph (overall shortest cycle), by a full
   /// per-vertex sweep unless the backend can do better.
-  virtual GirthInfo Girth();
+  virtual GirthInfo Girth() const;
 
   /// Inserts / deletes the original-graph edge (u, v), repairing the index
   /// when the backend supports in-place maintenance.
@@ -110,16 +106,16 @@ class CycleIndex {
 
   /// Serializes the index into `bytes`; false if this backend has no
   /// persistent form. The payload self-describes its format (magic bytes).
-  /// The compact §IV.E payload (saved by "csc", "cached", and "compact") is
+  /// The compact §IV.E payload (saved by "csc" and "compact") is
   /// the interchange format: "compact", "frozen", and "compressed" all load
   /// it. The flat forms save their native arena payloads, loadable only by
   /// themselves.
   virtual bool SaveTo(std::string& bytes) const;
 
   /// Restores the index from a SaveTo payload; false on format mismatch or
-  /// if this backend cannot be loaded without the graph ("csc" and "cached"
-  /// need it for maintenance, "bfs"/"precompute"/"hpspc" for queries —
-  /// save with them, serve the payload from a loadable backend).
+  /// if this backend cannot be loaded without the graph ("csc" needs it for
+  /// maintenance, "bfs"/"hpspc" for queries — save with them, serve the
+  /// payload from a loadable backend).
   virtual bool LoadFrom(const std::string& bytes);
 
   /// Restores the index from an externally owned payload — typically the
@@ -162,13 +158,11 @@ class CycleIndex {
 
   virtual bool supports_updates() const { return false; }
   virtual bool supports_save() const { return false; }
-  virtual bool thread_safe_queries() const { return false; }
 };
 
 /// Creates a backend by registry name; nullptr for unknown names. Names:
 /// "csc" (dynamic 2-hop index), "compact" (§IV.E reduction), "frozen"
-/// (packed arena), "compressed" (varint arena), "cached" (memoizing dynamic),
-/// "bfs" (index-free baseline), "precompute" (precompute-all straw-man),
+/// (packed arena), "compressed" (varint arena), "bfs" (index-free baseline),
 /// "hpspc" (HP-SPC baseline).
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name);
 

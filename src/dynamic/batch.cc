@@ -21,6 +21,15 @@ Edge KeyEdge(uint64_t key) {
           static_cast<Vertex>(key & 0xffffffffu)};
 }
 
+// Build options for reconstructing `index` from its recovered graph, which
+// already holds any reserved vertices: reserving them again would grow the
+// vertex space on every rebuild.
+CscIndex::Options RebuildOptions(const CscIndex& index) {
+  CscIndex::Options options = index.options();
+  options.reserve_vertices = 0;
+  return options;
+}
+
 }  // namespace
 
 BatchResult ApplyUpdates(CscIndex& index,
@@ -89,7 +98,7 @@ BatchResult ApplyUpdates(CscIndex& index,
     DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
     for (const Edge& e : to_remove) original.RemoveEdge(e.from, e.to);
     for (const Edge& e : to_insert) original.AddEdge(e.from, e.to);
-    CscIndex::Options build_options = index.options();
+    const CscIndex::Options build_options = RebuildOptions(index);
     // A pinned ordering keeps ranks stable across rebuilds (the serving
     // tier's repair pipeline depends on this); otherwise re-optimize for
     // the mutated degree distribution as before.
@@ -135,8 +144,8 @@ BatchResult ApplyUpdates(CscIndex& index,
 
 void RebuildIndex(CscIndex& index) {
   DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
-  CscIndex::Options options = index.options();
-  index = CscIndex::Build(original, DegreeOrdering(original), options);
+  index = CscIndex::Build(original, DegreeOrdering(original),
+                          RebuildOptions(index));
 }
 
 }  // namespace csc

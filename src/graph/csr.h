@@ -14,10 +14,10 @@ namespace csc {
 ///
 /// DiGraph optimizes for edge insertion/deletion (per-vertex vectors); CSR
 /// optimizes for traversal: both directions live in two contiguous arrays,
-/// so BFS-heavy consumers (the precompute-all baseline, validators, bulk
-/// analytics) avoid a pointer chase per vertex. Neighbor order matches the
-/// DiGraph's sorted adjacency, so traversals are deterministic and results
-/// are interchangeable with DiGraph-based code.
+/// so BFS-heavy consumers (validators, bulk analytics) avoid a pointer chase
+/// per vertex. Neighbor order matches the DiGraph's sorted adjacency, so
+/// traversals are deterministic and results are interchangeable with
+/// DiGraph-based code.
 class CsrGraph {
  public:
   CsrGraph() = default;

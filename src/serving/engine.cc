@@ -336,21 +336,13 @@ QueryResult Engine::Query(Vertex v, const QueryOptions& options) {
     query_timeouts_.fetch_add(1, std::memory_order_relaxed);
     return {CycleCount{}, QueryStatus::kTimeout};
   }
-  {
-    // The snapshot is read through a raw pointer inside the read section:
-    // no shared_ptr copy, so concurrent readers write nothing but their own
-    // lock stripe.
-    ReaderMutexLock lock(query_mu_);
-    CycleIndex* index = active_.get();
-    if (index == nullptr) return {};
-    if (index->thread_safe_queries()) {
-      return {index->CountShortestCycles(v), QueryStatus::kOk};
-    }
-  }
-  // A backend whose queries mutate internal state answers one at a time.
-  // (A published snapshot is never replaced by null.)
-  WriterMutexLock lock(query_mu_);
-  return {active_->CountShortestCycles(v), QueryStatus::kOk};
+  // The snapshot is read through a raw pointer inside the read section:
+  // no shared_ptr copy, so concurrent readers write nothing but their own
+  // lock stripe.
+  ReaderMutexLock lock(query_mu_);
+  const CycleIndex* index = active_.get();
+  if (index == nullptr) return {};
+  return {index->CountShortestCycles(v), QueryStatus::kOk};
 }
 
 BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
@@ -369,15 +361,12 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
     result.completed = n;
     return result;
   }
-  const bool thread_safe = index->thread_safe_queries();
   // A static snapshot never changes once published, so the pin alone makes
   // its scan safe: it runs outside the read section, and a swap never
-  // waits for a sweep. In-place backends scan under query_mu_ — shared when
-  // their queries are thread-safe, exclusive otherwise — so no update
-  // lands mid-chunk.
-  const bool immutable = thread_safe && !index->supports_updates();
-  const bool parallel =
-      thread_safe && pool_.num_threads() > 1 && n > options_.batch_grain;
+  // waits for a sweep. An in-place backend scans each chunk under the read
+  // side of query_mu_, so no update lands mid-chunk.
+  const bool immutable = !index->supports_updates();
+  const bool parallel = pool_.num_threads() > 1 && n > options_.batch_grain;
   // Chunk boundaries are where the budget is checked. A parallel chunk
   // keeps every pool thread busy between checks; with no deadline the
   // whole batch is one fan-out, so a sweep pays one barrier.
@@ -407,11 +396,8 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
     const size_t end = std::min(n, begin + stride);
     if (immutable) {
       run(begin, end);
-    } else if (thread_safe) {
-      ReaderMutexLock lock(query_mu_);
-      run(begin, end);
     } else {
-      WriterMutexLock lock(query_mu_);
+      ReaderMutexLock lock(query_mu_);
       run(begin, end);
     }
     std::fill(result.answered.begin() + begin, result.answered.begin() + end,
@@ -800,8 +786,8 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
     }
   }
   if (in_place) {
-    // In-place repair under the writer lock: excludes both the parallel
-    // reader pool and serialized queries, so no query ever observes a
+    // In-place repair under the writer lock: excludes every reader (point
+    // queries and the batch pool alike), so no query ever observes a
     // half-applied update. Effects are visible at return, so the epoch
     // token is already resolved.
     {

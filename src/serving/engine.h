@@ -242,11 +242,12 @@ struct GirthResult {
 /// readers consistent through warm snapshot swaps.
 ///
 /// Concurrency model: one striped reader lock, query_mu_ (util/mutex.h
-/// SharedMutex), guards the active snapshot pointer. A point query reads the
-/// pointer and runs inside the read section, with no shared_ptr copy, so
-/// readers share no written cache line. The writer side covers the pointer
-/// swap, in-place updates, queries of state-mutating backends ("cached",
-/// "bfs"), and the FinishDrain quiesce — so a query never observes a
+/// SharedMutex), guards the active snapshot pointer. Backend queries are
+/// const and reentrant (CycleIndex's threading contract), so every reader
+/// takes only the read side: a point query reads the pointer and runs
+/// inside the read section, with no shared_ptr copy, so readers share no
+/// written cache line. The writer side covers the pointer swap, in-place
+/// updates, and the FinishDrain quiesce — so a query never observes a
 /// half-applied swap or label mutation. Batched queries pin the snapshot's
 /// shared_ptr, which keeps it alive after a swap retires it; a static
 /// snapshot is immutable, so its scan runs with the read section already
@@ -259,9 +260,9 @@ struct GirthResult {
 /// read section of the same engine: with a writer pending, the nested
 /// acquire would deadlock (hence CSC_EXCLUDES(query_mu_)).
 ///
-/// Updates: a backend that supports in-place maintenance ("csc", "cached",
-/// "bfs", "precompute") repairs itself; for static serving forms ("frozen",
-/// "compressed", "compact", "hpspc") every write is *admit, then land*.
+/// Updates: a backend that supports in-place maintenance ("csc", "bfs")
+/// repairs itself; for static serving forms ("frozen", "compressed",
+/// "compact", "hpspc") every write is *admit, then land*.
 /// Admission only queues: under update_mu_ it mutates the retained graph,
 /// computes the verdicts, appends the batch to the WAL, and pushes it onto
 /// the backlog. One lander then takes every admitted epoch, builds the next
@@ -333,9 +334,8 @@ class Engine {
   /// SCCnt(v) against the current snapshot.
   CycleCount Query(Vertex v) CSC_EXCLUDES(query_mu_);
 
-  /// Batched SCCnt, positionally aligned with `vertices`. Parallel across
-  /// the pool when the backend's queries are thread-safe, sequential
-  /// otherwise; results are identical either way.
+  /// Batched SCCnt, positionally aligned with `vertices`, fanned out across
+  /// the pool past one batch_grain; results are identical either way.
   std::vector<CycleCount> BatchQuery(const std::vector<Vertex>& vertices)
       CSC_EXCLUDES(query_mu_);
 
@@ -350,7 +350,7 @@ class Engine {
       CSC_EXCLUDES(query_mu_);
 
   /// Batched SCCnt under a budget: scans `vertices` in chunks (parallel
-  /// across the pool when the backend allows), checking the deadline
+  /// across the pool), checking the deadline
   /// between chunks. An unbounded deadline scans a parallel batch in one
   /// fan-out. See BatchQueryResult for the partial-result contract.
   BatchQueryResult BatchQuery(const std::vector<Vertex>& vertices,
@@ -485,8 +485,9 @@ class Engine {
   /// engine-local and monotonically increasing from 0.
   uint64_t resolved_epoch() const CSC_EXCLUDES(update_mu_);
 
-  /// The current snapshot; stays valid (and queryable, subject to the
-  /// backend's thread-safety) even after a later swap retires it.
+  /// The current snapshot; stays valid and queryable even after a later
+  /// swap retires it. An in-place backend's snapshot is the live index:
+  /// its queries must not overlap the engine's updates.
   std::shared_ptr<CycleIndex> snapshot() const CSC_EXCLUDES(query_mu_);
 
   Vertex num_vertices() const CSC_EXCLUDES(query_mu_);
@@ -634,10 +635,9 @@ class Engine {
   EngineOptions options_;
   ThreadPool pool_;
   // The active snapshot pointer and, through it, the labels of in-place
-  // backends. Readers of thread-safe backends hold it shared; the pointer
-  // swap, in-place updates, queries of state-mutating backends, and the
-  // FinishDrain quiesce hold it exclusive. Innermost lock: never held while
-  // another engine lock is acquired.
+  // backends. Readers hold it shared; the pointer swap, in-place updates,
+  // and the FinishDrain quiesce hold it exclusive. Innermost lock: never
+  // held while another engine lock is acquired.
   mutable SharedMutex query_mu_;
   std::shared_ptr<CycleIndex> active_ CSC_GUARDED_BY(query_mu_);
 

@@ -163,8 +163,8 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
     return;
   }
   EXPECT_TRUE(backend->supports_save());
-  // The compact interchange payload (saved by csc/cached/compact) loads
-  // into every flat serving form; the flat forms save their native arena
+  // The compact interchange payload (saved by csc/compact) loads into
+  // every flat serving form; the flat forms save their native arena
   // payloads, which round-trip through their own backend.
   std::vector<std::string> loaders;
   if (GetParam() == "frozen" || GetParam() == "compressed") {
@@ -237,6 +237,22 @@ TEST(BackendBuildOptionsTest, ReservedVerticesAttachViaInsertEdge) {
   BfsCycleCounter reference(graph);
   for (Vertex v = 0; v < graph.num_vertices(); ++v) {
     EXPECT_EQ(backend->CountShortestCycles(v), reference.CountCycles(v));
+  }
+  // Deletes that cannot apply are rejected as before, rebuild or not.
+  EXPECT_EQ(backend->DeleteEdge(0, 1), CycleIndex::UpdateResult::kRejected);
+  EXPECT_EQ(backend->DeleteEdge(9, 9), CycleIndex::UpdateResult::kRejected);
+  EXPECT_EQ(backend->DeleteEdge(9, 12), CycleIndex::UpdateResult::kRejected);
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    EXPECT_EQ(backend->CountShortestCycles(v), reference.CountCycles(v));
+  }
+  // A delete after those (redundancy-mode) inserts first rebuilds the
+  // index; the rebuild keeps the reserved vertex space as it is.
+  ASSERT_EQ(backend->DeleteEdge(9, 10), CycleIndex::UpdateResult::kApplied);
+  graph.RemoveEdge(9, 10);
+  EXPECT_EQ(backend->num_vertices(), 12u);
+  BfsCycleCounter after_delete(graph);
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    EXPECT_EQ(backend->CountShortestCycles(v), after_delete.CountCycles(v));
   }
 }
 
