@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "labeling/hub_row.h"
 #include "labeling/parallel_build.h"
 #include "labeling/pruned_bfs.h"
 #include "util/timer.h"
@@ -27,7 +28,8 @@ class CoupleSkipBuilder {
         stats_(stats),
         distance_pruning_(distance_pruning),
         dist_(bipartite.num_vertices(), kInfDist),
-        count_(bipartite.num_vertices(), 0) {}
+        count_(bipartite.num_vertices(), 0),
+        row_(bipartite.num_vertices()) {}
 
   void BuildAll() {
     for (Rank r = 0; r < order_.size(); ++r) {
@@ -50,6 +52,8 @@ class CoupleSkipBuilder {
   // In-label generation for hub v_i (rank hr). Dequeued vertices are always
   // from V_in; the couple w_o trails at distance +1 and is labeled eagerly.
   void ForwardPass(Vertex hub, Rank hr) {
+    // Forward passes write only in-labels, so L_out(hub) is fixed here.
+    if (distance_pruning_) row_.Load(labeling_.out[hub]);
     queue_.clear();
     dist_[hub] = 0;
     count_[hub] = 1;
@@ -60,12 +64,12 @@ class CoupleSkipBuilder {
       Vertex w = queue_[head++];
       ++stats_.vertices_dequeued;
       if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[hub], labeling_.in[w]);
-        if (via.dist < dist_[w]) {
+        Dist via = row_.Join(labeling_.in[w]);
+        if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
         }
-        if (via.dist == dist_[w]) {
+        if (via == dist_[w]) {
           stats_.non_canonical_entries += 2;
         } else {
           stats_.canonical_entries += 2;
@@ -92,12 +96,16 @@ class CoupleSkipBuilder {
       }
     }
     ResetScratch();
+    if (distance_pruning_) row_.Clear(labeling_.out[hub]);
   }
 
   // Out-label generation for hub v_i (rank hr), running over the reverse
   // direction of G_b. After the root, dequeued vertices are always from
   // V_out; the couple w_i trails at distance +1.
   void BackwardPass(Vertex hub, Rank hr) {
+    // Backward passes write only out-labels; L_in(hub) is loaded after the
+    // forward pass finished, so it holds what the merge join would read.
+    if (distance_pruning_) row_.Load(labeling_.in[hub]);
     queue_.clear();
     dist_[hub] = 0;
     count_[hub] = 1;
@@ -126,13 +134,13 @@ class CoupleSkipBuilder {
       }
       bool is_hub_couple = (w == CoupleOf(hub));
       if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        if (via.dist < dist_[w]) {
+        Dist via = row_.Join(labeling_.out[w]);
+        if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
         }
         uint64_t produced = is_hub_couple ? 1 : 2;
-        if (via.dist == dist_[w]) {
+        if (via == dist_[w]) {
           stats_.non_canonical_entries += produced;
         } else {
           stats_.canonical_entries += produced;
@@ -165,6 +173,7 @@ class CoupleSkipBuilder {
       }
     }
     ResetScratch();
+    if (distance_pruning_) row_.Clear(labeling_.in[hub]);
   }
 
   void ResetScratch() {
@@ -184,6 +193,7 @@ class CoupleSkipBuilder {
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
+  HubRow row_;
 };
 
 /// The rank-batched parallel counterpart of CoupleSkipBuilder (see
@@ -201,6 +211,7 @@ class ParallelCoupleSkipBuilder {
     std::vector<Count> count;
     std::vector<Vertex> touched;
     std::vector<Vertex> queue;
+    HubRow row;
   };
 
   ParallelCoupleSkipBuilder(const DiGraph& bipartite,
@@ -215,6 +226,7 @@ class ParallelCoupleSkipBuilder {
   void InitScratch(Scratch& s) const {
     s.dist.assign(graph_.num_vertices(), kInfDist);
     s.count.assign(graph_.num_vertices(), 0);
+    s.row = HubRow(graph_.num_vertices());
   }
 
   // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
@@ -271,6 +283,9 @@ class ParallelCoupleSkipBuilder {
   void StageForward(StagedHub& sh, Scratch& s) const {
     const Vertex hub = sh.hub;
     const Rank hr = sh.rank;
+    // Staging writes no labels, so the row holds exactly the committed
+    // L_out(hub) a merge join would read.
+    if (distance_pruning_) s.row.Load(labeling_.out[hub]);
     s.queue.clear();
     s.dist[hub] = 0;
     s.count[hub] = 1;
@@ -282,9 +297,8 @@ class ParallelCoupleSkipBuilder {
       ++sh.fwd.dequeued;
       Dist via_dist = kInfDist;
       if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[hub], labeling_.in[w]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
+        via_dist = s.row.Join(labeling_.in[w]);
+        if (via_dist < s.dist[w]) {
           ++sh.fwd.pruned;
           continue;
         }
@@ -305,11 +319,15 @@ class ParallelCoupleSkipBuilder {
       }
     }
     ResetScratch(s);
+    if (distance_pruning_) s.row.Clear(labeling_.out[hub]);
   }
 
   void StageBackward(StagedHub& sh, Scratch& s) const {
     const Vertex hub = sh.hub;
     const Rank hr = sh.rank;
+    // Staging writes no labels, so the row holds exactly the committed
+    // L_in(hub) a merge join would read.
+    if (distance_pruning_) s.row.Load(labeling_.in[hub]);
     s.queue.clear();
     s.dist[hub] = 0;
     s.count[hub] = 1;
@@ -336,9 +354,8 @@ class ParallelCoupleSkipBuilder {
       }
       Dist via_dist = kInfDist;
       if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
+        via_dist = s.row.Join(labeling_.out[w]);
+        if (via_dist < s.dist[w]) {
           ++sh.bwd.pruned;
           continue;
         }
@@ -360,6 +377,7 @@ class ParallelCoupleSkipBuilder {
       }
     }
     ResetScratch(s);
+    if (distance_pruning_) s.row.Clear(labeling_.in[hub]);
   }
 
   void CommitForward(const StagedHub& sh) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/bipartite.h"
+#include "labeling/hub_row.h"
 #include "util/timer.h"
 
 namespace csc {
@@ -34,22 +35,28 @@ std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
 
 /// Construction-style pruned counting BFS from one affected hub over the
 /// post-deletion graph (step 3). Identical pruning rules to Algorithm 3,
-/// restricted to hubs of strictly higher rank via JoinLabelsBelowRank, with
-/// idempotent InsertOrReplace instead of Append (unaffected entries are
-/// rewritten with their current values).
+/// restricted to hubs of strictly higher rank (a HubRow loaded below the
+/// hub's rank), with idempotent InsertOrReplace instead of Append
+/// (unaffected entries are rewritten with their current values).
 class RecoveryPass {
  public:
   explicit RecoveryPass(CscIndex& index, UpdateStats& stats)
       : index_(index),
         stats_(stats),
         dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0) {}
+        count_(index.bipartite_graph().num_vertices(), 0),
+        row_(index.bipartite_graph().num_vertices()) {}
 
   void Run(Rank hub_rank, bool forward) {
     const DiGraph& graph = index_.bipartite_graph();
     const auto& order = index_.bipartite_order();
     Vertex hub = order.rank_to_vertex[hub_rank];
     HubLabeling& labeling = index_.mutable_labeling();
+    // Forward passes upsert only in-labels and backward passes only
+    // out-labels, so the row's set (L_out(hub) / L_in(hub)) stays fixed.
+    const LabelSet& hub_labels =
+        forward ? labeling.out[hub] : labeling.in[hub];
+    row_.Load(hub_labels, hub_rank);
 
     queue_.clear();
     dist_[hub] = 0;
@@ -60,13 +67,8 @@ class RecoveryPass {
     while (head < queue_.size()) {
       Vertex w = queue_[head++];
       ++stats_.vertices_visited;
-      JoinResult via =
-          forward
-              ? JoinLabelsBelowRank(labeling.out[hub], labeling.in[w],
-                                    hub_rank)
-              : JoinLabelsBelowRank(labeling.out[w], labeling.in[hub],
-                                    hub_rank);
-      if (via.dist < dist_[w]) continue;  // hub not highest: prune
+      Dist via = row_.Join(forward ? labeling.in[w] : labeling.out[w]);
+      if (via < dist_[w]) continue;  // hub not highest: prune
       Upsert(labeling, hub_rank, w, forward);
       const auto& next =
           forward ? graph.OutNeighbors(w) : graph.InNeighbors(w);
@@ -88,6 +90,7 @@ class RecoveryPass {
       count_[v] = 0;
     }
     touched_.clear();
+    row_.Clear(hub_labels);
   }
 
  private:
@@ -129,6 +132,7 @@ class RecoveryPass {
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
+  HubRow row_;
 };
 
 }  // namespace

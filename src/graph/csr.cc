@@ -50,48 +50,4 @@ std::vector<Dist> CsrBfsDistances(const CsrGraph& graph, Vertex source,
   return dist;
 }
 
-CycleCount CsrBfsCycleCount(const CsrGraph& graph, Vertex v,
-                            std::vector<Dist>& dist_scratch,
-                            std::vector<Count>& count_scratch) {
-  // Algorithm 1 over the CSR layout; mirrors BfsCycleCounter::CountCycles.
-  std::vector<Vertex> touched;
-  std::vector<Vertex> queue;
-  for (Vertex u : graph.OutNeighbors(v)) {
-    dist_scratch[u] = 1;
-    count_scratch[u] = 1;
-    touched.push_back(u);
-    queue.push_back(u);
-  }
-  CycleCount result;
-  size_t head = 0;
-  while (head < queue.size()) {
-    Vertex w = queue[head++];
-    if (w == v) {
-      result = {dist_scratch[v], count_scratch[v]};
-      break;
-    }
-    for (Vertex wn : graph.OutNeighbors(w)) {
-      if (dist_scratch[wn] > dist_scratch[w] + 1) {
-        if (dist_scratch[wn] == kInfDist) touched.push_back(wn);
-        dist_scratch[wn] = dist_scratch[w] + 1;
-        count_scratch[wn] = count_scratch[w];
-        queue.push_back(wn);
-      } else if (dist_scratch[wn] == dist_scratch[w] + 1) {
-        count_scratch[wn] += count_scratch[w];
-      }
-    }
-  }
-  for (Vertex u : touched) {
-    dist_scratch[u] = kInfDist;
-    count_scratch[u] = 0;
-  }
-  return result;
-}
-
-CycleCount CsrBfsCycleCount(const CsrGraph& graph, Vertex v) {
-  std::vector<Dist> dist(graph.num_vertices(), kInfDist);
-  std::vector<Count> count(graph.num_vertices(), 0);
-  return CsrBfsCycleCount(graph, v, dist, count);
-}
-
 }  // namespace csc

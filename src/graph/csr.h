@@ -65,19 +65,6 @@ class CsrGraph {
 std::vector<Dist> CsrBfsDistances(const CsrGraph& graph, Vertex source,
                                   bool forward);
 
-/// BFS-CYCLE (Algorithm 1) over a CSR snapshot: the shortest cycle length
-/// and count through `v`. Identical results to BfsCycleCount on the source
-/// DiGraph; exists so bulk all-vertex sweeps run on the traversal-friendly
-/// layout. The two scratch vectors must each have size >= num_vertices and
-/// are restored to (kInfDist, 0) on return, so one pair can be reused across
-/// a sweep without O(n) reinitialization per query.
-CycleCount CsrBfsCycleCount(const CsrGraph& graph, Vertex v,
-                            std::vector<Dist>& dist_scratch,
-                            std::vector<Count>& count_scratch);
-
-/// Convenience overload that allocates its own scratch. O(n) extra per call.
-CycleCount CsrBfsCycleCount(const CsrGraph& graph, Vertex v);
-
 }  // namespace csc
 
 #endif  // CSC_GRAPH_CSR_H_

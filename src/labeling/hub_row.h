@@ -1,0 +1,79 @@
+#ifndef CSC_LABELING_HUB_ROW_H_
+#define CSC_LABELING_HUB_ROW_H_
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "labeling/label_set.h"
+#include "util/common.h"
+
+namespace csc {
+
+/// The distance-pruning check of a pruned counting BFS (Algorithm 3 line
+/// 13), answered against a dense copy of the root's label set.
+///
+/// Every dequeue of a pass asks the same question of one fixed label set
+/// L(hub): the shortest hub->w (or w->hub) distance through some common hub.
+/// A merge join pays |L(hub)| + |L(w)| per dequeue. Pruned landmark labeling
+/// (Akiba, Iwata & Yoshida, SIGMOD 2013) instead scatters L(hub) into a
+/// rank-indexed array once per pass, so each check is one scan of L(w) with
+/// O(1) lookups. Only the distance is kept: no pruning check reads counts.
+///
+/// Usage per pass: Load(L(hub)) before the first dequeue, Join(L(w)) per
+/// dequeue, Clear(L(hub)) after the last. L(hub) must not change in between;
+/// every caller loads the label set its pass never writes. Clear restores
+/// every slot to kInfDist in O(|L(hub)|), so one row serves a whole build.
+class HubRow {
+ public:
+  HubRow() = default;
+  /// A row for hub ranks [0, num_ranks).
+  explicit HubRow(size_t num_ranks) : dist_(num_ranks, kInfDist) {}
+
+  /// Scatters the entries of `hub_labels` with rank below `bound`.
+  void Load(const LabelSet& hub_labels,
+            Rank bound = std::numeric_limits<Rank>::max()) {
+    assert(end_ == 0 && "HubRow::Load without Clear");
+    for (const LabelEntry& e : hub_labels.entries()) {
+      if (e.hub() >= bound) break;  // rank-sorted: the rest are above too
+      dist_[e.hub()] = e.dist();
+      end_ = e.hub() + 1;
+    }
+  }
+
+  /// Resets the slots `hub_labels` (the set last loaded) can have set.
+  void Clear(const LabelSet& hub_labels) {
+    for (const LabelEntry& e : hub_labels.entries()) {
+      dist_[e.hub()] = kInfDist;
+    }
+    end_ = 0;
+  }
+
+  /// min over common hubs of row + d(w-side entry): equals
+  /// JoinLabels(...).dist of the loaded set (restricted to the load bound)
+  /// with `w_labels`; kInfDist when no hub is shared.
+  Dist Join(const LabelSet& w_labels) const {
+    // Packed distances are < 2^17, so a 64-bit sum with a kInfDist slot
+    // stays >= kInfDist and the min needs no branch on empty slots.
+    uint64_t best = kInfDist;
+    for (const LabelEntry& e : w_labels.entries()) {
+      if (e.hub() >= end_) break;  // no loaded rank at or above end_
+      best = std::min<uint64_t>(best, uint64_t{dist_[e.hub()]} + e.dist());
+    }
+    return best >= kInfDist ? kInfDist : static_cast<Dist>(best);
+  }
+
+  /// The distance stored for hub rank `r` (kInfDist if none is loaded).
+  Dist at(Rank r) const { return dist_[r]; }
+  size_t size() const { return dist_.size(); }
+
+ private:
+  std::vector<Dist> dist_;
+  Rank end_ = 0;  // one past the highest loaded rank; 0 when clear
+};
+
+}  // namespace csc
+
+#endif  // CSC_LABELING_HUB_ROW_H_

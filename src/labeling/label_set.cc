@@ -41,12 +41,6 @@ bool LabelSet::Remove(Rank hub_rank) {
 }
 
 JoinResult JoinLabels(const LabelSet& out_labels, const LabelSet& in_labels) {
-  return JoinLabelsBelowRank(out_labels, in_labels,
-                             std::numeric_limits<Rank>::max());
-}
-
-JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
-                               const LabelSet& in_labels, Rank rank_bound) {
   JoinResult result;
   const auto& a = out_labels.entries();
   const auto& b = in_labels.entries();
@@ -54,7 +48,6 @@ JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
   while (i < a.size() && j < b.size()) {
     Rank ra = a[i].hub();
     Rank rb = b[j].hub();
-    if (ra >= rank_bound || rb >= rank_bound) break;  // sorted: all done
     if (ra < rb) {
       ++i;
     } else if (rb < ra) {

@@ -61,16 +61,9 @@ struct JoinResult {
 
 /// Linear-merge intersection of `out_labels(s)` with `in_labels(t)`:
 /// min over common hubs of d(s,h) + d(h,t), summing count products over all
-/// hubs realizing the minimum.
+/// hubs realizing the minimum. The distance-pruning checks of the pruned
+/// BFSs, which need only the distance, use HubRow (labeling/hub_row.h).
 JoinResult JoinLabels(const LabelSet& out_labels, const LabelSet& in_labels);
-
-/// As JoinLabels, but only hubs with rank strictly below `rank_bound` are
-/// considered (i.e., hubs processed before `rank_bound`). Construction-time
-/// pruning queries (Algorithm 3 line 13) use this with the current hub's
-/// rank, though entries of lower rank cannot exist yet during construction;
-/// dynamic passes use it to query the index "as of" a hub.
-JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
-                               const LabelSet& in_labels, Rank rank_bound);
 
 }  // namespace csc
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "labeling/hub_row.h"
 #include "labeling/parallel_build.h"
 
 namespace csc {
@@ -19,7 +20,8 @@ class PlainBuilder {
         stats_(stats),
         options_(options),
         dist_(graph.num_vertices(), kInfDist),
-        count_(graph.num_vertices(), 0) {}
+        count_(graph.num_vertices(), 0),
+        row_(graph.num_vertices()) {}
 
   void BuildAll() {
     for (Rank r = 0; r < order_.size(); ++r) {
@@ -33,6 +35,11 @@ class PlainBuilder {
   // Pruned counting BFS from `hub` (rank `hub_rank`). Forward passes create
   // in-labels of reached vertices; backward passes create out-labels.
   void RunPass(Vertex hub, Rank hub_rank, bool forward) {
+    // The row holds L_out(hub) forward and L_in(hub) backward: the set this
+    // pass never writes (the backward row is loaded after the forward pass).
+    const LabelSet& hub_labels =
+        forward ? labeling_.out[hub] : labeling_.in[hub];
+    if (options_.distance_pruning) row_.Load(hub_labels);
     queue_.clear();
     dist_[hub] = 0;
     count_[hub] = 1;
@@ -45,14 +52,12 @@ class PlainBuilder {
       if (options_.distance_pruning) {
         // Distance-pruning query (Algorithm 3 line 13): the distance hub->w
         // (w->hub when backward) through hubs of strictly higher rank.
-        JoinResult via = forward
-                             ? JoinLabels(labeling_.out[hub], labeling_.in[w])
-                             : JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        if (via.dist < dist_[w]) {
+        Dist via = row_.Join(forward ? labeling_.in[w] : labeling_.out[w]);
+        if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;  // hub is not highest on any shortest path; stop here.
         }
-        if (via.dist == dist_[w]) {
+        if (via == dist_[w]) {
           ++stats_.non_canonical_entries;
         } else {
           ++stats_.canonical_entries;
@@ -81,6 +86,7 @@ class PlainBuilder {
       count_[v] = 0;
     }
     touched_.clear();
+    if (options_.distance_pruning) row_.Clear(hub_labels);
   }
 
   const DiGraph& graph_;
@@ -92,6 +98,7 @@ class PlainBuilder {
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
+  HubRow row_;
 };
 
 // The rank-batched parallel counterpart of PlainBuilder: staged passes run
@@ -106,6 +113,7 @@ class ParallelPlainBuilder {
     std::vector<Count> count;
     std::vector<Vertex> touched;
     std::vector<Vertex> queue;
+    HubRow row;
   };
 
   ParallelPlainBuilder(const DiGraph& graph, const VertexOrdering& order,
@@ -120,6 +128,7 @@ class ParallelPlainBuilder {
   void InitScratch(Scratch& s) const {
     s.dist.assign(graph_.num_vertices(), kInfDist);
     s.count.assign(graph_.num_vertices(), 0);
+    s.row = HubRow(graph_.num_vertices());
   }
 
   bool IsHub(Vertex) const { return true; }
@@ -154,6 +163,11 @@ class ParallelPlainBuilder {
  private:
   void RunPassStaged(Vertex hub, Rank hub_rank, bool forward, Scratch& s,
                      StagedPass& out) const {
+    // Staging writes no labels, so the row holds exactly the committed
+    // L_out(hub) (forward) or L_in(hub) (backward) a merge join would read.
+    const LabelSet& hub_labels =
+        forward ? labeling_.out[hub] : labeling_.in[hub];
+    if (options_.distance_pruning) s.row.Load(hub_labels);
     s.queue.clear();
     s.dist[hub] = 0;
     s.count[hub] = 1;
@@ -165,11 +179,8 @@ class ParallelPlainBuilder {
       ++out.dequeued;
       Dist via_dist = kInfDist;
       if (options_.distance_pruning) {
-        JoinResult via = forward
-                             ? JoinLabels(labeling_.out[hub], labeling_.in[w])
-                             : JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
+        via_dist = s.row.Join(forward ? labeling_.in[w] : labeling_.out[w]);
+        if (via_dist < s.dist[w]) {
           ++out.pruned;
           continue;
         }
@@ -195,6 +206,7 @@ class ParallelPlainBuilder {
       s.count[v] = 0;
     }
     s.touched.clear();
+    if (options_.distance_pruning) s.row.Clear(hub_labels);
   }
 
   void CommitPass(const StagedHub& sh, bool forward) {

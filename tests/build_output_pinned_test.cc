@@ -1,0 +1,140 @@
+// Pinned construction output. The determinism suite compares the parallel
+// builders against the sequential ones, so a change that alters both in the
+// same way passes it. This suite pins the output itself: for a few seeded
+// graphs, a CRC-32C of the serialized index and all five LabelBuildStats
+// counters, recorded from a known-good build. Every builder path (sequential
+// and rank-batched CSC at 1 and 4 workers, and HP-SPC) must reproduce them.
+//
+// A deliberate change to what the builders emit must re-record the table
+// (each failure prints the observed row) and say why in its change notes.
+#include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
+#include "graph/generators.h"
+#include "graph/ordering.h"
+#include "hpspc/hpspc_index.h"
+#include "util/checksum.h"
+#include "workload/datasets.h"
+
+namespace csc {
+namespace {
+
+constexpr unsigned kBuildThreads[] = {0, 1, 4};
+
+struct PinnedOutput {
+  uint32_t crc = 0;
+  uint64_t entries = 0;
+  uint64_t canonical_entries = 0;
+  uint64_t non_canonical_entries = 0;
+  uint64_t vertices_dequeued = 0;
+  uint64_t pruned_by_distance = 0;
+
+  friend bool operator==(const PinnedOutput&, const PinnedOutput&) = default;
+};
+
+void PrintTo(const PinnedOutput& p, std::ostream* os) {
+  *os << "{0x" << std::hex << p.crc << std::dec << "u, " << p.entries << ", "
+      << p.canonical_entries << ", " << p.non_canonical_entries << ", "
+      << p.vertices_dequeued << ", " << p.pruned_by_distance << "}";
+}
+
+struct PinnedGraph {
+  std::string name;
+  DiGraph (*make)();
+  PinnedOutput csc;
+  PinnedOutput hpspc;
+};
+
+PinnedOutput Observe(uint32_t crc, const LabelBuildStats& stats) {
+  return {crc,
+          stats.entries,
+          stats.canonical_entries,
+          stats.non_canonical_entries,
+          stats.vertices_dequeued,
+          stats.pruned_by_distance};
+}
+
+// CRC-32C over a labeling: per vertex, the in-set then the out-set, each as
+// its size followed by its packed entries, all little-endian.
+uint32_t LabelingCrc(const HubLabeling& labeling) {
+  uint32_t crc = 0;
+  auto put = [&crc](uint64_t word) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<unsigned char>(word >> (8 * i));
+    }
+    crc = Crc32cExtend(crc, bytes, sizeof(bytes));
+  };
+  for (Vertex v = 0; v < labeling.num_vertices(); ++v) {
+    for (const LabelSet* set : {&labeling.in[v], &labeling.out[v]}) {
+      put(set->size());
+      for (const LabelEntry& e : set->entries()) put(e.bits());
+    }
+  }
+  return crc;
+}
+
+const std::vector<PinnedGraph>& PinnedGraphs() {
+  static const std::vector<PinnedGraph> graphs = {
+      {"erdos_renyi",
+       [] { return GenerateErdosRenyi(400, 2000, 13); },
+       {0x82324108u, 107479, 66673, 40806, 74463, 20879},
+       {0xb5e973f6u, 53495, 33112, 20383, 74339, 20844}},
+      {"erdos_renyi_dense",
+       [] { return GenerateErdosRenyi(250, 2500, 5); },
+       {0xc4632726u, 75189, 39340, 35849, 49213, 11693},
+       {0x6518fb98u, 37419, 19523, 17896, 49071, 11652}},
+      {"power_law",
+       [] { return GeneratePreferentialAttachment(600, 3, 0.2, 7); },
+       {0x73bef05du, 44592, 27404, 17188, 30690, 8612},
+       {0xce714ba7u, 21914, 13370, 8544, 30526, 8612}},
+      {"power_law_reciprocal",
+       [] { return GeneratePreferentialAttachment(800, 2, 0.4, 19); },
+       {0x4eb703e8u, 44214, 30725, 13489, 27676, 5851},
+       {0xb55499fbu, 21589, 14926, 6663, 27439, 5850}},
+      {"wkt",
+       [] { return MaterializeDataset(FindDataset("WKT").value(), 0.02); },
+       {0xf7b7d2a5u, 40801, 32576, 8225, 23356, 3464},
+       {0x9ac17e8du, 19809, 15703, 4106, 23271, 3462}},
+  };
+  return graphs;
+}
+
+TEST(BuildOutputPinnedTest, CscIndexAtEveryBuildPath) {
+  for (const PinnedGraph& g : PinnedGraphs()) {
+    DiGraph graph = g.make();
+    VertexOrdering order = DegreeOrdering(graph);
+    for (unsigned threads : kBuildThreads) {
+      CscIndex::Options options;
+      options.build_threads = threads;
+      CscIndex index = CscIndex::Build(graph, order, options);
+      PinnedOutput observed =
+          Observe(Crc32c(CompactIndex::FromIndex(index).Serialize()),
+                  index.build_stats());
+      EXPECT_EQ(observed, g.csc) << g.name << " build_threads=" << threads;
+    }
+  }
+}
+
+TEST(BuildOutputPinnedTest, HpSpcIndexAtEveryBuildPath) {
+  for (const PinnedGraph& g : PinnedGraphs()) {
+    DiGraph graph = g.make();
+    VertexOrdering order = DegreeOrdering(graph);
+    for (unsigned threads : kBuildThreads) {
+      HpSpcIndex index = HpSpcIndex::Build(graph, order, threads);
+      PinnedOutput observed =
+          Observe(LabelingCrc(index.labeling()), index.build_stats());
+      EXPECT_EQ(observed, g.hpspc)
+          << g.name << " build_threads=" << threads;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace csc

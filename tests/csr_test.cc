@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/bfs_cycle.h"
 #include "graph/digraph.h"
-#include "graph/generators.h"
 #include "tests/test_util.h"
 
 namespace csc {
@@ -81,59 +79,6 @@ TEST(CsrBfsTest, BackwardDistancesFollowInEdges) {
   EXPECT_EQ(dist[2], 0u);
   EXPECT_EQ(dist[1], 1u);
   EXPECT_EQ(dist[0], 2u);
-}
-
-TEST(CsrCycleTest, MatchesPaperExampleOnFigure2) {
-  CsrGraph csr = CsrGraph::FromGraph(Figure2Graph());
-  // Example 1: SCCnt(v7) = 3 with length 6 (v7 is id 6).
-  CycleCount result = CsrBfsCycleCount(csr, 6);
-  EXPECT_EQ(result.length, 6u);
-  EXPECT_EQ(result.count, 3u);
-}
-
-TEST(CsrCycleTest, NoCycleReturnsInfinity) {
-  DiGraph dag(3);
-  dag.AddEdge(0, 1);
-  dag.AddEdge(1, 2);
-  CsrGraph csr = CsrGraph::FromGraph(dag);
-  for (Vertex v = 0; v < 3; ++v) {
-    CycleCount result = CsrBfsCycleCount(csr, v);
-    EXPECT_EQ(result.length, kInfDist);
-    EXPECT_EQ(result.count, 0u);
-  }
-}
-
-TEST(CsrCycleTest, ScratchIsRestoredBetweenQueries) {
-  DiGraph graph = Figure2Graph();
-  CsrGraph csr = CsrGraph::FromGraph(graph);
-  std::vector<Dist> dist(csr.num_vertices(), kInfDist);
-  std::vector<Count> count(csr.num_vertices(), 0);
-  // Interleave queries; each must match the fresh-scratch overload.
-  for (Vertex v = 0; v < csr.num_vertices(); ++v) {
-    CycleCount with_scratch = CsrBfsCycleCount(csr, v, dist, count);
-    CycleCount fresh = CsrBfsCycleCount(csr, v);
-    EXPECT_EQ(with_scratch, fresh) << "vertex " << v;
-  }
-  // Scratch must be back to the neutral state.
-  for (Vertex v = 0; v < csr.num_vertices(); ++v) {
-    EXPECT_EQ(dist[v], kInfDist);
-    EXPECT_EQ(count[v], 0u);
-  }
-}
-
-TEST(CsrCycleTest, AgreesWithDiGraphBaselineOnRandomGraphs) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    DiGraph graph = RandomGraph(60, 3.0, seed);
-    CsrGraph csr = CsrGraph::FromGraph(graph);
-    BfsCycleCounter counter(graph);
-    std::vector<Dist> dist(csr.num_vertices(), kInfDist);
-    std::vector<Count> count(csr.num_vertices(), 0);
-    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-      EXPECT_EQ(CsrBfsCycleCount(csr, v, dist, count),
-                counter.CountCycles(v))
-          << "seed " << seed << " vertex " << v;
-    }
-  }
 }
 
 }  // namespace

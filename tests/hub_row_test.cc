@@ -1,0 +1,123 @@
+// HubRow (labeling/hub_row.h) is the distance-pruning check of every pruned
+// BFS: it must return exactly the merge join's distance for the loaded set,
+// under any rank bound, and leave a clean row behind for the next hub.
+#include "labeling/hub_row.h"
+
+#include <gtest/gtest.h>
+
+#include "util/random.h"
+
+namespace csc {
+namespace {
+
+constexpr Rank kNumRanks = 128;
+
+// A rank-sorted label set holding each rank with probability `density`.
+LabelSet RandomLabels(Rng& rng, double density, Dist max_dist) {
+  LabelSet labels;
+  for (Rank r = 0; r < kNumRanks; ++r) {
+    if (rng.NextBool(density)) {
+      labels.Append(LabelEntry(r, static_cast<Dist>(rng.NextBounded(max_dist)),
+                               1 + rng.NextBounded(5)));
+    }
+  }
+  return labels;
+}
+
+LabelSet EntriesBelow(const LabelSet& labels, Rank bound) {
+  LabelSet kept;
+  for (const LabelEntry& e : labels.entries()) {
+    if (e.hub() < bound) kept.Append(e);
+  }
+  return kept;
+}
+
+void ExpectClear(const HubRow& row) {
+  for (Rank r = 0; r < row.size(); ++r) {
+    ASSERT_EQ(row.at(r), kInfDist) << "slot " << r;
+  }
+}
+
+TEST(HubRowTest, JoinMatchesMergeJoinOnRandomSets) {
+  Rng rng(1);
+  HubRow row(kNumRanks);  // one row reused across every hub, as in a build
+  for (int trial = 0; trial < 300; ++trial) {
+    // Sparse to dense sets, with few distinct distances so ties are common.
+    double density = 0.02 + 0.9 * rng.NextDouble();
+    Dist max_dist = 1 + static_cast<Dist>(rng.NextBounded(8));
+    LabelSet hub = RandomLabels(rng, density, max_dist);
+    row.Load(hub);
+    for (int q = 0; q < 8; ++q) {
+      LabelSet w = RandomLabels(rng, 0.02 + 0.9 * rng.NextDouble(), max_dist);
+      EXPECT_EQ(row.Join(w), JoinLabels(hub, w).dist) << "trial " << trial;
+    }
+    row.Clear(hub);
+    ExpectClear(row);
+  }
+}
+
+TEST(HubRowTest, RankBoundMatchesMergeJoinOfEntriesBelow) {
+  Rng rng(2);
+  HubRow row(kNumRanks);
+  for (int trial = 0; trial < 300; ++trial) {
+    LabelSet hub = RandomLabels(rng, 0.5, 6);
+    Rank bound = trial < 2 ? (trial == 0 ? 0 : kNumRanks)
+                           : static_cast<Rank>(rng.NextBounded(kNumRanks + 1));
+    LabelSet below = EntriesBelow(hub, bound);
+    row.Load(hub, bound);
+    for (int q = 0; q < 8; ++q) {
+      LabelSet w = RandomLabels(rng, 0.5, 6);
+      EXPECT_EQ(row.Join(w), JoinLabels(below, w).dist)
+          << "trial " << trial << " bound " << bound;
+    }
+    row.Clear(hub);
+    ExpectClear(row);
+  }
+}
+
+TEST(HubRowTest, EmptyAndDisjointSetsShareNoHub) {
+  HubRow row(kNumRanks);
+  LabelSet empty, even, odd;
+  for (Rank r = 0; r < kNumRanks; r += 2) even.Append(LabelEntry(r, 1, 1));
+  for (Rank r = 1; r < kNumRanks; r += 2) odd.Append(LabelEntry(r, 1, 1));
+
+  row.Load(empty);
+  EXPECT_EQ(row.Join(even), kInfDist);
+  EXPECT_EQ(row.Join(empty), kInfDist);
+  row.Clear(empty);
+
+  row.Load(even);
+  EXPECT_EQ(row.Join(empty), kInfDist);
+  EXPECT_EQ(row.Join(odd), kInfDist);
+  EXPECT_EQ(row.Join(even), 2u);
+  row.Clear(even);
+  ExpectClear(row);
+}
+
+TEST(HubRowTest, TiedMinimaReturnTheSharedDistance) {
+  // Hubs 3 and 9 both realize distance 4; hub 20 realizes 5. The merge join
+  // sums the tied counts; the row reports only the distance.
+  LabelSet hub, w;
+  hub.Append(LabelEntry(3, 1, 2));
+  hub.Append(LabelEntry(9, 2, 3));
+  hub.Append(LabelEntry(20, 0, 1));
+  w.Append(LabelEntry(3, 3, 5));
+  w.Append(LabelEntry(9, 2, 7));
+  w.Append(LabelEntry(20, 5, 1));
+  ASSERT_EQ(JoinLabels(hub, w), (JoinResult{4, 2 * 5 + 3 * 7}));
+
+  HubRow row(kNumRanks);
+  row.Load(hub);
+  EXPECT_EQ(row.Join(w), 4u);
+  row.Clear(hub);
+  row.Load(hub, /*bound=*/9);  // only hub 3 is below the bound
+  EXPECT_EQ(row.Join(w), 4u);
+  row.Clear(hub);
+  row.Load(hub, /*bound=*/3);  // nothing is
+  EXPECT_EQ(row.Join(w), kInfDist);
+  row.Clear(hub);
+  ExpectClear(row);
+}
+
+}  // namespace
+}  // namespace csc

@@ -94,18 +94,6 @@ TEST(JoinLabelsTest, CountsMultiplyPerHubAndSumAcrossHubs) {
   EXPECT_EQ(r.count, 22u);
 }
 
-TEST(JoinLabelsTest, BelowRankExcludesHighRankHubs) {
-  LabelSet out, in;
-  out.Append(LabelEntry(1, 1, 1));
-  out.Append(LabelEntry(5, 1, 1));
-  in.Append(LabelEntry(1, 1, 1));
-  in.Append(LabelEntry(5, 1, 1));
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 6).dist, 2u);
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 5).dist, 2u);   // hub 5 excluded
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 5).count, 1u);  // only hub 1
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 1).dist, kInfDist);
-}
-
 TEST(HubLabelingTest, TotalEntriesAndQuery) {
   HubLabeling labeling;
   labeling.Resize(2);
