@@ -24,13 +24,13 @@
 // shards. Multi-shard index files are auto-detected on load (their own
 // shard count wins over the flag).
 //
-// `--async-updates` (with the `churn` command) lands static-backend
-// rebuilds off the writer thread: each ApplyUpdates batch returns after
-// validation with an epoch token and the snapshot swap follows
-// asynchronously, with Drain() as the read-your-writes barrier.
-// `--repair` additionally lands those batches as bounded label patches
-// against a pinned-ordering shadow index instead of full rebuilds
-// (serving/engine.h RepairOptions); the optional churn `[<index.out>]`
+// `--async-updates` (with the `churn` command) lands batches off the
+// writer thread: each ApplyUpdates batch returns after validation with an
+// epoch token and the snapshot swap follows asynchronously, with Drain()
+// as the read-your-writes barrier. `--repair` lands the batches of
+// compact/frozen/compressed as bounded label patches against a
+// pinned-ordering shadow index instead of full rebuilds, as "csc" always
+// does (serving/engine.h RepairOptions); the optional churn `[<index.out>]`
 // argument persists the post-churn index so the repaired bytes can be
 // compared against a from-scratch build.
 //
@@ -87,10 +87,10 @@ int Usage() {
       "--mmap serves index files from a shared read-only mapping (zero\n"
       "deserialization copy for the flat arena backends)\n"
       "--async-updates applies churn batches asynchronously: ApplyUpdates\n"
-      "returns after validation, rebuilds land off the writer thread\n"
-      "--repair lands static-backend churn batches as bounded label\n"
-      "patches against a pinned-ordering shadow index instead of full\n"
-      "rebuilds (backends compact/frozen/compressed)\n"
+      "returns after validation, batches land off the writer thread\n"
+      "--repair lands churn batches as bounded label patches against a\n"
+      "pinned-ordering shadow index instead of full rebuilds (backends\n"
+      "compact/frozen/compressed; csc always repairs)\n"
       "--retries N retries transient rebuild/patch failures up to N total\n"
       "attempts with bounded exponential backoff before rolling the batch\n"
       "back (default 1 = no retry); counters print after churn\n"
@@ -126,10 +126,10 @@ std::unique_ptr<CycleIndex> LoadOrBuild(const std::string& path,
       ReadVerifiedPayload(path, &envelope_error);
   if (payload) {
     if (backend->LoadFrom(*payload)) return backend;
-    // A valid index file, but the chosen backend has no load path (e.g.
-    // the default "csc" needs the graph for maintenance): serve the file
-    // through the compact interchange backend instead of failing the
-    // canonical `build` -> `query` flow.
+    // A valid index file, but the chosen backend has no load path (the
+    // "bfs"/"hpspc" baselines need the graph to answer queries; "csc"
+    // loads its own files): serve the file through the compact interchange
+    // backend instead of failing the `build` -> `query` flow.
     if (backend_name != "compact") {
       std::unique_ptr<CycleIndex> fallback = MakeBackend("compact");
       if (fallback->LoadFrom(*payload)) {
@@ -251,7 +251,7 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
     }
     if (!engine->LoadFrom(*payload)) {
       // Same fallback as the single-backend path: backends without a load
-      // path (e.g. the default "csc") serve the bundle via "compact".
+      // path ("bfs"/"hpspc") serve the bundle via "compact".
       bool recovered = false;
       if (backend_name != "compact") {
         ShardedEngineOptions fallback_options;
@@ -319,7 +319,7 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
 }
 
 const char* BackendDescription(const std::string& name) {
-  if (name == "csc") return "the paper's dynamic 2-hop CSC index";
+  if (name == "csc") return "§IV.E compact form, kept current by §V repair";
   if (name == "compact") return "§IV.E half-size reduction; the interchange format";
   if (name == "frozen") return "packed flat arena, cache-linear serving";
   if (name == "compressed") return "varint flat arena, ~2x smaller payload";
@@ -329,15 +329,13 @@ const char* BackendDescription(const std::string& name) {
 }
 
 int CmdBackends() {
-  std::printf("%-12s %-8s %-6s %s\n", "backend", "updates", "save",
-              "description");
+  std::printf("%-12s %-6s %s\n", "backend", "save", "description");
   // Driven by the registry, so newly registered backends appear here
   // without touching the CLI.
   for (const std::string& name : AllBackendNames()) {
     std::unique_ptr<CycleIndex> backend = MakeBackend(name);
     if (backend == nullptr) continue;
-    std::printf("%-12s %-8s %-6s %s\n", name.c_str(),
-                backend->supports_updates() ? "yes" : "no",
+    std::printf("%-12s %-6s %s\n", name.c_str(),
                 backend->supports_save() ? "yes" : "no",
                 BackendDescription(name));
   }
@@ -640,8 +638,7 @@ int CmdStats(const std::string& backend_name, uint32_t shards,
                   ? static_cast<double>(stats.label_entries) /
                         static_cast<double>(stats.num_vertices)
                   : 0.0);
-  std::printf("supports        : updates=%s save=%s\n",
-              stats.supports_updates ? "yes" : "no",
+  std::printf("supports        : save=%s\n",
               stats.supports_save ? "yes" : "no");
   std::printf("build           : %.3f s (threads=%u)\n", stats.build_seconds,
               stats.build_threads);
@@ -726,7 +723,7 @@ int CmdChurn(const std::string& backend_name, uint32_t shards,
   std::printf("drain       : %.3f ms (wall %.3f ms)\n",
               drain_timer.ElapsedMillis(), wall.ElapsedMillis());
   RepairStats repair_stats = engine.RepairStatsTotal();
-  if (repair) {
+  if (repair || repair_stats.patches + repair_stats.rebuilds > 0) {
     std::printf("repair      : %llu patched, %llu derived across shards "
                 "(%llu hubs repaired, %s rewritten)\n",
                 static_cast<unsigned long long>(repair_stats.patches),

@@ -6,12 +6,11 @@
 // reachability-latency score.
 //
 // Served through the sharded serving tier: hosts are partitioned across
-// per-shard engines, the all-host scan is a QueryAll fanned across the
-// shards, per-host queries route to their owner, and host churn flows
-// through ApplyUpdates with async_updates on — the writer returns after
-// validation (in-place repair on dynamic backends is visible immediately;
-// static-backend rebuilds land off-thread), and Drain() is the
-// read-your-writes barrier before the post-churn query.
+// per-shard engines, the all-host scan is a QueryAll fanned across the shards,
+// per-host queries route to their owner, and host churn flows through
+// ApplyUpdates with async_updates on — the writer returns after validation
+// (repairs and rebuilds land off-thread), and Drain() is the read-your-writes
+// barrier before the post-churn query.
 //
 // Overload protection: --max-pending caps the per-shard async backlog
 // (excess churn batches shed with kOverloaded instead of growing the
@@ -100,9 +99,9 @@ int main(int argc, char** argv) {
       positional.size() > 2 ? static_cast<uint32_t>(std::atoi(positional[2].c_str()))
                             : 2;
   // Churn must never stall the monitoring loop: admit updates and let the
-  // per-shard rebuild workers land static-index swaps asynchronously —
-  // bounded by --max-pending, past which churn batches shed instead of
-  // queueing without limit.
+  // per-shard landers swap in new snapshots asynchronously — bounded by
+  // --max-pending, past which churn batches shed instead of queueing without
+  // limit.
   options.async_updates = true;
   options.admission.max_pending_batches = max_pending;
   ShardedEngine engine(options);
@@ -171,8 +170,8 @@ int main(int argc, char** argv) {
   std::printf("  via degree-based index server: %.2f\n", degree_latency);
 
   // Hosts churn constantly in P2P networks; drop the chosen server's
-  // heaviest link and confirm monitoring keeps working (dynamic backends
-  // repair in place, static backends get a warm snapshot swap).
+  // heaviest link and confirm monitoring keeps working (every backend
+  // lands the change as a warm snapshot swap).
   if (!network.OutNeighbors(best_cycle_host).empty()) {
     Vertex peer = network.OutNeighbors(best_cycle_host).front();
     size_t applied =

@@ -35,8 +35,8 @@ int main() {
   std::printf("graph: %u vertices, %llu edges\n", graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()));
 
-  // 1. Stand up a serving engine on the dynamic CSC backend (the default;
-  //    any registered backend name works — see `csc_cli backends`).
+  // 1. Stand up a serving engine on the CSC backend (the default; any
+  //    registered backend name works — see `csc_cli backends`).
   Engine engine;
   engine.Build(graph);
   BackendStats stats = engine.Stats();
@@ -48,7 +48,8 @@ int main() {
   PrintAnswer("initial graph:", 6, engine.Query(6));
 
   // 3. Dynamic update: a new edge 7 -> 6 (v8 -> v7) closes a 2-cycle. The
-  //    dynamic backend repairs its labels in place (INCCNT).
+  //    engine repairs a shadow index (INCCNT) and swaps in a patched
+  //    snapshot; the answer is visible when ApplyUpdates returns.
   engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)});
   PrintAnswer("after inserting 7->6:", 6, engine.Query(6));
 

@@ -1,8 +1,7 @@
-// The CycleIndex backend adapters and registry: every concrete
-// shortest-cycle engine in the library, reachable by name. Adapters own
-// their engine (and, when maintenance needs it, a copy of the graph) so a
-// backend can be built, queried, updated, and persisted through the
-// interface alone.
+// The CycleIndex backend adapters and registry: every concrete shortest-cycle
+// engine in the library, reachable by name. Adapters own their engine (and,
+// when queries need it, a copy of the graph) so a backend can be built,
+// queried, and persisted through the interface alone.
 #include <algorithm>
 #include <optional>
 #include <utility>
@@ -13,10 +12,6 @@
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "csc/frozen_index.h"
-#include "dynamic/batch.h"
-#include "dynamic/decremental.h"
-#include "dynamic/incremental.h"
-#include "graph/bipartite.h"
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
 #include "labeling/compressed.h"
@@ -25,8 +20,6 @@
 namespace csc {
 
 namespace {
-
-using UpdateResult = CycleIndex::UpdateResult;
 
 // Shared name/stats plumbing for every adapter.
 class BackendBase : public CycleIndex {
@@ -42,7 +35,6 @@ class BackendBase : public CycleIndex {
     stats.memory_bytes = MemoryBytes();
     stats.build_seconds = build_seconds_;
     stats.build_threads = build_threads_;
-    stats.supports_updates = supports_updates();
     stats.supports_save = supports_save();
     stats.patch_hubs_repaired = patch_hubs_repaired_;
     stats.patch_label_bytes = patch_label_bytes_;
@@ -69,10 +61,6 @@ class BackendBase : public CycleIndex {
     patches_since_rebuild_ = 0;
   }
 
-  static UpdateResult FromBool(bool applied) {
-    return applied ? UpdateResult::kApplied : UpdateResult::kRejected;
-  }
-
   // Rough adjacency footprint of a DiGraph (both directions materialized).
   static uint64_t GraphBytes(const DiGraph& graph) {
     return 2 * graph.num_edges() * sizeof(Vertex) +
@@ -87,95 +75,12 @@ class BackendBase : public CycleIndex {
   uint64_t patches_since_rebuild_ = 0;
 };
 
-// "csc": the paper's dynamic 2-hop index; supports incremental/decremental
-// maintenance and persists its compact reduction.
-class CscBackend : public BackendBase {
- public:
-  CscBackend() : BackendBase("csc") {}
-
-  void Build(const DiGraph& graph, const BuildOptions& options) override {
-    Timer timer;
-    CscIndex::Options o;
-    o.maintain_inverted_index = options.maintain_inverted_index;
-    o.reserve_vertices = options.reserve_vertices;
-    o.build_threads = options.num_threads;
-    index_ = CscIndex::Build(graph, DegreeOrdering(graph), o);
-    build_seconds_ = timer.ElapsedSeconds();
-    build_threads_ = options.num_threads;
-    redundant_ = false;
-  }
-
-  CycleCount CountShortestCycles(Vertex v) const override {
-    if (!index_ || v >= index_->num_original_vertices()) return {};
-    return index_->Query(v);
-  }
-
-  UpdateResult InsertEdge(Vertex u, Vertex v) override {
-    if (!index_) return UpdateResult::kUnsupported;
-    // Built with inverted indexes => the caller asked for minimal labels;
-    // exercise the cleaning strategy. Otherwise the paper's preferred
-    // update-with-redundancy mode.
-    MaintenanceStrategy strategy = index_->has_inverted_index()
-                                       ? MaintenanceStrategy::kMinimality
-                                       : MaintenanceStrategy::kRedundancy;
-    const bool applied = csc::InsertEdge(*index_, u, v, strategy);
-    if (applied && strategy == MaintenanceStrategy::kRedundancy) {
-      redundant_ = true;
-    }
-    return FromBool(applied);
-  }
-
-  UpdateResult DeleteEdge(Vertex u, Vertex v) override {
-    if (!index_) return UpdateResult::kUnsupported;
-    // Decremental repair needs a minimal index; a redundancy-mode insert
-    // since the last (re)build broke minimality, so compact first -- but
-    // only for a delete RemoveEdge will apply, so a rejected one stays cheap.
-    if (u == v || u >= index_->num_original_vertices() ||
-        v >= index_->num_original_vertices() ||
-        !index_->bipartite_graph().HasEdge(OutVertex(u), InVertex(v))) {
-      return UpdateResult::kRejected;
-    }
-    if (redundant_) {
-      RebuildIndex(*index_);
-      redundant_ = false;
-    }
-    return FromBool(csc::RemoveEdge(*index_, u, v));
-  }
-
-  bool SaveTo(std::string& bytes) const override {
-    if (!index_) return false;
-    bytes = CompactIndex::FromIndex(*index_).Serialize();
-    return true;
-  }
-
-  Vertex num_vertices() const override {
-    return index_ ? index_->num_original_vertices() : 0;
-  }
-
-  uint64_t MemoryBytes() const override {
-    if (!index_) return 0;
-    return index_->SizeBytes() + GraphBytes(index_->bipartite_graph());
-  }
-
-  bool supports_updates() const override { return true; }
-  bool supports_save() const override { return true; }
-
- protected:
-  uint64_t LabelEntries() const override {
-    return index_ ? index_->TotalEntries() : 0;
-  }
-
- private:
-  std::optional<CscIndex> index_;
-  // Set by a redundancy-mode insert; cleared by a rebuild.
-  bool redundant_ = false;
-};
-
-// "compact": the §IV.E reduction — half the labels, the interchange
-// serialization format.
+// "compact" and "csc": the §IV.E reduction — half the labels, the
+// interchange serialization format. The two names differ only in how the
+// serving Engine lands writes on them (serving/engine.h RepairOptions).
 class CompactBackend : public BackendBase {
  public:
-  CompactBackend() : BackendBase("compact") {}
+  using BackendBase::BackendBase;
 
   void Build(const DiGraph& graph, const BuildOptions& options) override {
     Timer timer;
@@ -220,7 +125,7 @@ class CompactBackend : public BackendBase {
          patch.num_vertices != index_->num_original_vertices())) {
       return nullptr;
     }
-    auto clone = std::make_unique<CompactBackend>();
+    auto clone = std::make_unique<CompactBackend>(name_);
     clone->index_ = index_->WithEditedLabels(patch.in_runs, patch.out_runs);
     clone->InheritPatched(*this, patch);
     return clone;
@@ -349,9 +254,9 @@ class FlatBackend : public BackendBase {
   Index index_;
 };
 
-// "bfs": the index-free Algorithm 1 baseline. Updates are trivially
-// supported (there is no index to repair), queries cost O(n + m) over the
-// calling thread's own scratch (BfsCountCycles).
+// "bfs": the index-free Algorithm 1 baseline. A rebuild is a graph copy;
+// queries cost O(n + m) over the calling thread's own scratch
+// (BfsCountCycles).
 class BfsBackend : public BackendBase {
  public:
   BfsBackend() : BackendBase("bfs") {}
@@ -369,16 +274,6 @@ class BfsBackend : public BackendBase {
     return BfsCountCycles(*graph_, v);
   }
 
-  UpdateResult InsertEdge(Vertex u, Vertex v) override {
-    if (!graph_) return UpdateResult::kUnsupported;
-    return FromBool(graph_->AddEdge(u, v));
-  }
-
-  UpdateResult DeleteEdge(Vertex u, Vertex v) override {
-    if (!graph_) return UpdateResult::kUnsupported;
-    return FromBool(graph_->RemoveEdge(u, v));
-  }
-
   Vertex num_vertices() const override {
     return graph_ ? graph_->num_vertices() : 0;
   }
@@ -386,8 +281,6 @@ class BfsBackend : public BackendBase {
   uint64_t MemoryBytes() const override {
     return graph_ ? GraphBytes(*graph_) : 0;
   }
-
-  bool supports_updates() const override { return true; }
 
  private:
   std::optional<DiGraph> graph_;
@@ -435,8 +328,8 @@ class HpSpcBackend : public BackendBase {
 }  // namespace
 
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
-  if (name == "csc") return std::make_unique<CscBackend>();
-  if (name == "compact") return std::make_unique<CompactBackend>();
+  if (name == "csc") return std::make_unique<CompactBackend>("csc");
+  if (name == "compact") return std::make_unique<CompactBackend>("compact");
   if (name == "frozen") {
     return std::make_unique<FlatBackend<FrozenIndex>>("frozen");
   }

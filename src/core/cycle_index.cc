@@ -9,14 +9,6 @@ GirthInfo CycleIndex::Girth() const {
                       [this](Vertex v) { return CountShortestCycles(v); });
 }
 
-CycleIndex::UpdateResult CycleIndex::InsertEdge(Vertex, Vertex) {
-  return UpdateResult::kUnsupported;
-}
-
-CycleIndex::UpdateResult CycleIndex::DeleteEdge(Vertex, Vertex) {
-  return UpdateResult::kUnsupported;
-}
-
 bool CycleIndex::SaveTo(std::string&) const { return false; }
 
 bool CycleIndex::LoadFrom(const std::string&) { return false; }

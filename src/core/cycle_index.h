@@ -29,7 +29,6 @@ struct BackendStats {
   /// Construction workers the last Build used (0 = sequential builder;
   /// loads reset it to 0 — nothing was constructed).
   unsigned build_threads = 0;
-  bool supports_updates = false;
   bool supports_save = false;
   /// Incremental-repair counters (ApplyLabelPatch): serving runs rewritten
   /// and replacement label bytes written by patches since the last full
@@ -42,24 +41,21 @@ struct BackendStats {
 };
 
 /// The polymorphic backend interface every shortest-cycle-counting engine in
-/// this library implements: the four CSC index variants (dynamic, compact,
-/// frozen, compressed) and the baselines (BFS, HP-SPC). A backend is chosen
+/// this library implements: the CSC index forms (compact, frozen,
+/// compressed) and the baselines (BFS, HP-SPC). A backend is chosen
 /// by name at runtime through MakeBackend, so serving, benches, and the CLI
 /// switch engines with a flag instead of a rebuild.
 ///
-/// Threading contract: Build / InsertEdge / DeleteEdge / LoadFrom are
-/// single-writer. Queries (CountShortestCycles, Girth) are const and always
-/// reentrant: any number may run concurrently with each other, never with a
-/// writer.
+/// Threading contract: Build / LoadFrom / LoadView / SliceLabels are
+/// single-writer and run before the backend is published. A published
+/// backend never mutates: queries (CountShortestCycles, Girth) are const
+/// and reentrant, and a write lands as a new instance (a rebuild, or the
+/// ApplyLabelPatch clone) that the serving tier swaps in.
 class CycleIndex {
  public:
   struct BuildOptions {
-    /// Maintain the inverted hub indexes needed by the minimality cleaning
-    /// strategy (Algorithm 8). Only meaningful for dynamic CSC backends;
-    /// when set, "csc" applies updates with MaintenanceStrategy::kMinimality.
-    bool maintain_inverted_index = false;
-    /// Extra isolated vertices appended before indexing so brand-new
-    /// vertices can be attached to a live index via InsertEdge alone.
+    /// Extra isolated vertices appended before indexing, so a later update
+    /// batch can attach brand-new vertices without growing the vertex space.
     Vertex reserve_vertices = 0;
     /// Construction workers for labeling-based backends. 0 keeps the
     /// sequential per-hub builder; >= 1 runs the rank-batched parallel
@@ -67,19 +63,6 @@ class CycleIndex {
     /// bit-identical to the sequential build at any thread count.
     /// The backend without a labeling construction ("bfs") ignores it.
     unsigned num_threads = 0;
-  };
-
-  /// [[nodiscard]]: discarding an update's outcome silently drops the
-  /// distinction between applied, rejected, and unsupported.
-  enum class [[nodiscard]] UpdateResult {
-    /// The update was applied and the index repaired.
-    kApplied,
-    /// The update is a no-op (edge already present/absent, bad endpoints);
-    /// the index is unchanged but remains consistent with the graph.
-    kRejected,
-    /// This backend cannot apply in-place updates; rebuild instead (the
-    /// serving Engine does this automatically via snapshot swap).
-    kUnsupported,
   };
 
   virtual ~CycleIndex() = default;
@@ -99,11 +82,6 @@ class CycleIndex {
   /// per-vertex sweep unless the backend can do better.
   virtual GirthInfo Girth() const;
 
-  /// Inserts / deletes the original-graph edge (u, v), repairing the index
-  /// when the backend supports in-place maintenance.
-  virtual UpdateResult InsertEdge(Vertex u, Vertex v);
-  virtual UpdateResult DeleteEdge(Vertex u, Vertex v);
-
   /// Serializes the index into `bytes`; false if this backend has no
   /// persistent form. The payload self-describes its format (magic bytes).
   /// The compact §IV.E payload (saved by "csc" and "compact") is
@@ -113,9 +91,8 @@ class CycleIndex {
   virtual bool SaveTo(std::string& bytes) const;
 
   /// Restores the index from a SaveTo payload; false on format mismatch or
-  /// if this backend cannot be loaded without the graph ("csc" needs it for
-  /// maintenance, "bfs"/"hpspc" for queries — save with them, serve the
-  /// payload from a loadable backend).
+  /// if this backend cannot be loaded without the graph ("bfs"/"hpspc" need
+  /// it for queries — serve their files from a loadable backend).
   virtual bool LoadFrom(const std::string& bytes);
 
   /// Restores the index from an externally owned payload — typically the
@@ -156,14 +133,14 @@ class CycleIndex {
 
   virtual BackendStats Stats() const = 0;
 
-  virtual bool supports_updates() const { return false; }
   virtual bool supports_save() const { return false; }
 };
 
 /// Creates a backend by registry name; nullptr for unknown names. Names:
-/// "csc" (dynamic 2-hop index), "compact" (§IV.E reduction), "frozen"
-/// (packed arena), "compressed" (varint arena), "bfs" (index-free baseline),
-/// "hpspc" (HP-SPC baseline).
+/// "csc" (the default: the §IV.E compact form, which the serving Engine
+/// always keeps current by §V repair), "compact" (the same form, repaired
+/// only on request), "frozen" (packed arena), "compressed" (varint arena),
+/// "bfs" (index-free baseline), "hpspc" (HP-SPC baseline).
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name);
 
 /// All registry names, in the order benches report them.

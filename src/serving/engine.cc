@@ -95,7 +95,7 @@ Engine::Engine(EngineOptions options)
       pool_(options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
                                       : options_.num_threads) {
   // Fold the construction-worker override into the build options once;
-  // Build and every static rebuild (sync or async) then pick it up.
+  // Build and every rebuild (sync or async) then pick it up.
   if (options_.build_threads != 0) {
     options_.build.num_threads = options_.build_threads;
   }
@@ -155,12 +155,12 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   }
   std::shared_ptr<CycleIndex> next = MakeFresh();
   if (!next) return false;
-  // Incremental repair (static patchable backends only): build one shadow
-  // CscIndex under a pinned ordering and derive the serving form from its
-  // compact payload — one labeling construction total, and later batches
-  // can land as bounded label patches against snapshots whose ranks never
-  // drift.
-  bool repair = options_.repair.enabled && !next->supports_updates() &&
+  // Incremental repair ("csc" always, the other patchable forms when
+  // repair is enabled): build one shadow CscIndex under a pinned ordering
+  // and derive the serving form from its compact payload — one labeling
+  // construction total, and later batches can land as bounded label
+  // patches against snapshots whose ranks never drift.
+  bool repair = (options_.repair.enabled || options_.backend == "csc") &&
                 next->supports_label_patch();
   std::unique_ptr<CscIndex> shadow;
   VertexOrdering pinned;
@@ -193,6 +193,11 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   }
   bool sliced = false;
   if (slice_keep) sliced = next->SliceLabels(slice_keep);
+  // The retained graph carries the reserve, so admission accepts exactly
+  // the vertex space the snapshot serves. Copied after the build, so the
+  // copy does not add to the build's peak memory.
+  DiGraph retained = graph;
+  retained.AddVertices(options_.build.reserve_vertices);
   // A configured WAL starts a fresh generation on every Build: the new
   // index is the new baseline, so the log is atomically replaced with one
   // checkpoint record of the (reserve-extended) build graph. Created before
@@ -203,32 +208,18 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   // and the new generation is finalized, or a crash mid-replay would lose
   // the acknowledged batches that existed only in the old log.
   std::unique_ptr<Wal> fresh_wal;
-  const bool want_wal = !options_.wal_path.empty();
-  if (want_wal) {
-    DiGraph retained = graph;
-    retained.AddVertices(options_.build.reserve_vertices);
+  if (!options_.wal_path.empty()) {
     fresh_wal = staged_wal ? Wal::CreateStaged(options_.wal_path, retained)
                            : Wal::CreateFresh(options_.wal_path, retained);
     if (!fresh_wal) return false;
   }
   {
     MutexLock lock(update_mu_);
-    // The retained copy only feeds the landings of static backends; dynamic
-    // backends maintain their own graph in place, so don't double the
-    // adjacency footprint for them — unless a WAL is on, whose checkpoints
-    // serialize the retained graph for every backend.
-    has_graph_ = !next->supports_updates() || want_wal;
-    if (has_graph_) {
-      graph_ = graph;
-      // Mirror the reserve in the retained graph so the static update path
-      // accepts exactly the endpoints dynamic backends accept.
-      graph_.AddVertices(options_.build.reserve_vertices);
-    } else {
-      graph_ = DiGraph();
-    }
+    has_graph_ = true;
+    graph_ = std::move(retained);
     wal_ = std::move(fresh_wal);
-    repair_active_ = repair && !next->supports_updates();
-    shadow_ = repair_active_ ? std::move(shadow) : nullptr;
+    repair_active_ = repair;
+    shadow_ = repair ? std::move(shadow) : nullptr;
     pinned_order_ = std::move(pinned);
     dirty_.Reset();
     snapshot_sliced_ = sliced;
@@ -243,9 +234,9 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   return true;
 }
 
-// Commits a freshly loaded index: no graph is retained (static-backend
-// updates report kNoGraph until Build), and the configured slice applies to
-// loads exactly as it does to builds.
+// Commits a freshly loaded index: no graph is retained (updates report
+// kNoGraph until Build), and the configured slice applies to loads exactly
+// as it does to builds.
 void Engine::AdoptLoaded(std::shared_ptr<CycleIndex> next) {
   Drain();
   MutexLock land(land_mu_);
@@ -352,7 +343,9 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
   result.counts.assign(n, CycleCount{});
   result.answered.assign(n, 0);
   // Pinned for the whole batch: a swap mid-scan retires the snapshot but
-  // cannot free it, so every answer comes from one index.
+  // cannot free it, so every answer comes from one index. A published
+  // snapshot never changes, so the scan runs outside the read section and
+  // a swap never waits for a sweep.
   const std::shared_ptr<CycleIndex> index = snapshot();
   if (!index) {
     // No index answers every vertex with an empty count — a complete (if
@@ -361,11 +354,6 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
     result.completed = n;
     return result;
   }
-  // A static snapshot never changes once published, so the pin alone makes
-  // its scan safe: it runs outside the read section, and a swap never
-  // waits for a sweep. An in-place backend scans each chunk under the read
-  // side of query_mu_, so no update lands mid-chunk.
-  const bool immutable = !index->supports_updates();
   const bool parallel = pool_.num_threads() > 1 && n > options_.batch_grain;
   // Chunk boundaries are where the budget is checked. A parallel chunk
   // keeps every pool thread busy between checks; with no deadline the
@@ -394,12 +382,7 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
       return result;
     }
     const size_t end = std::min(n, begin + stride);
-    if (immutable) {
-      run(begin, end);
-    } else {
-      ReaderMutexLock lock(query_mu_);
-      run(begin, end);
-    }
+    run(begin, end);
     std::fill(result.answered.begin() + begin, result.answered.begin() + end,
               char{1});
     begin = end;
@@ -429,7 +412,7 @@ GirthResult Engine::Girth(const QueryOptions& options) {
   return result;
 }
 
-std::shared_ptr<CycleIndex> Engine::RebuildStatic(
+std::shared_ptr<CycleIndex> Engine::Rebuild(
     const DiGraph& graph,
     const std::function<bool(Vertex)>& slice_keep) const {
   // A throwing build (e.g. std::bad_alloc, or a staging-task exception
@@ -503,8 +486,8 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
                             patch.RunCount() <= repair.max_repair_hubs) &&
                            (repair.max_patch_bytes == 0 ||
                             patch.LabelBytes() <= repair.max_patch_bytes);
-      // Only the lander (under land_mu_) swaps static snapshots, so the
-      // current one is exactly the pre-batch state the patch applies to.
+      // Only the lander (under land_mu_) swaps snapshots, so the current
+      // one is exactly the pre-batch state the patch applies to.
       std::shared_ptr<CycleIndex> current = snapshot();
       if (within_budget && current) {
         if (std::unique_ptr<CycleIndex> clone =
@@ -656,7 +639,7 @@ void Engine::LandEpochs() {
   uint32_t backoff_ms = std::max(1u, options_.retry.backoff_initial_ms);
   for (uint32_t attempt = 1;; ++attempt) {
     next = repair ? LandRepair(ops, slice_keep, &stats, &shadow_touched)
-                  : RebuildStatic(graph, slice_keep);
+                  : Rebuild(graph, slice_keep);
     if (next) {
       if (attempt > 1) ++stats.retry_successes;
       break;
@@ -698,9 +681,6 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
                             std::vector<UpdateVerdict>* verdicts,
                             uint64_t* epoch) {
   if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kRejected);
-  const std::shared_ptr<CycleIndex> index = snapshot();
-  const bool in_place = index && index->supports_updates();
-  std::vector<char> success(updates.size(), 0);
   size_t net = 0;
   uint64_t admitted = 0;
   bool failed = false;
@@ -716,110 +696,56 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
       }
       return 0;
     }
-    if (!index) return 0;
-    if (in_place) {
-      // WAL durability-before-mutation: an in-place backend cannot roll
-      // back, so the raw batch must be durable before the first label
-      // mutation — a failed append rejects the whole batch with the index
-      // untouched. (Replay re-applies the raw batch in order; rejections
-      // recur identically, so the trajectory matches the uncrashed one.)
-      if (wal_) {
-        admitted = ++submitted_epoch_;
-        if (epoch) *epoch = admitted;
-        if (!wal_->AppendBatch(admitted, updates)) {
-          MarkFailedLocked(admitted, admitted);
-          resolved_epoch_ = admitted;
-          epoch_cv_.NotifyAll();
-          return 0;
-        }
-      }
-    } else {
-      // Static serving form: admission only queues — mutate the retained
-      // graph, log the batch, and push it for the lander.
-      if (!has_graph_) {
-        if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kNoGraph);
-        return 0;
-      }
-      for (size_t i = 0; i < updates.size(); ++i) {
-        const EdgeUpdate& update = updates[i];
-        success[i] = (update.kind == UpdateKind::kInsert
-                          ? graph_.AddEdge(update.edge.from, update.edge.to)
-                          : graph_.RemoveEdge(update.edge.from, update.edge.to))
-                         ? 1
-                         : 0;
-      }
-      net = NetEffectVerdicts(updates, success, verdicts);
-      // Either nothing changed, or every change cancelled within the batch:
-      // the graph is back to the state the snapshot answers for, so there
-      // is nothing to land (and no new epoch to hand out).
-      if (net == 0) return 0;
-      admitted = ++submitted_epoch_;
-      if (epoch) *epoch = admitted;
-      std::vector<EdgeUpdate> ops = SuccessfulOps(updates, success);
-      // Durability before acknowledgment: the batch record must be on
-      // stable storage before this call returns an epoch the caller may
-      // treat as admitted. A failed append undoes the graph mutations and
-      // rejects the batch — nothing to replay, nothing acknowledged; the
-      // lander resolves the failed epoch in order.
-      if (wal_ && !wal_->AppendBatch(admitted, ops)) {
-        UndoLocked(ops);
-        MarkFailedLocked(admitted, admitted);
-        failed = true;
-      } else {
-        pending_ops_ += ops.size();
-        unlanded_.push_back({admitted, std::move(ops)});
-        peak_pending_batches_ =
-            std::max<uint64_t>(peak_pending_batches_, unlanded_.size());
-        peak_pending_ops_ = std::max(peak_pending_ops_, pending_ops_);
-      }
-      if (options_.async_updates) {
-        if (!land_worker_) land_worker_ = std::make_unique<SerialWorker>();
-        land_worker_->Submit([this] {
-          // The async path's injectable wedge/crash site: a delay action
-          // stalls the worker (what the WaitForEpoch deadline overload is
-          // for), an abort action crashes mid-flight with admitted but
-          // unlanded epochs in the WAL.
-          (void)CSC_FAILPOINT("engine.async_rebuild");
-          LandEpochs();
-        });
-      }
+    // Admission only queues: mutate the retained graph, log the batch, and
+    // push it for the lander.
+    if (!has_graph_) {
+      if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kNoGraph);
+      return 0;
     }
-  }
-  if (in_place) {
-    // In-place repair under the writer lock: excludes every reader (point
-    // queries and the batch pool alike), so no query ever observes a
-    // half-applied update. Effects are visible at return, so the epoch
-    // token is already resolved.
-    {
-      WriterMutexLock lock(query_mu_);
-      for (size_t i = 0; i < updates.size(); ++i) {
-        const EdgeUpdate& update = updates[i];
-        CycleIndex::UpdateResult result =
-            update.kind == UpdateKind::kInsert
-                ? index->InsertEdge(update.edge.from, update.edge.to)
-                : index->DeleteEdge(update.edge.from, update.edge.to);
-        success[i] = result == CycleIndex::UpdateResult::kApplied ? 1 : 0;
-      }
+    std::vector<char> success(updates.size(), 0);
+    for (size_t i = 0; i < updates.size(); ++i) {
+      const EdgeUpdate& update = updates[i];
+      success[i] = (update.kind == UpdateKind::kInsert
+                        ? graph_.AddEdge(update.edge.from, update.edge.to)
+                        : graph_.RemoveEdge(update.edge.from, update.edge.to))
+                       ? 1
+                       : 0;
     }
     net = NetEffectVerdicts(updates, success, verdicts);
-    if (admitted != 0) {
-      // Logged: mirror the applied ops into the retained graph, which
-      // Checkpoint serializes as the next log generation's base.
-      MutexLock lock(update_mu_);
-      for (size_t i = 0; i < updates.size(); ++i) {
-        if (!success[i]) continue;
-        const EdgeUpdate& update = updates[i];
-        if (update.kind == UpdateKind::kInsert) {
-          graph_.AddEdge(update.edge.from, update.edge.to);
-        } else {
-          graph_.RemoveEdge(update.edge.from, update.edge.to);
-        }
-      }
-      resolved_epoch_ = admitted;
-      landed_epoch_ = admitted;
-      epoch_cv_.NotifyAll();
+    // Either nothing changed, or every change cancelled within the batch:
+    // the graph is back to the state the snapshot answers for, so there is
+    // nothing to land (and no new epoch to hand out).
+    if (net == 0) return 0;
+    admitted = ++submitted_epoch_;
+    if (epoch) *epoch = admitted;
+    std::vector<EdgeUpdate> ops = SuccessfulOps(updates, success);
+    // Durability before acknowledgment: the batch record must be on stable
+    // storage before this call returns an epoch the caller may treat as
+    // admitted. A failed append undoes the graph mutations and rejects the
+    // batch — nothing to replay, nothing acknowledged; the lander resolves
+    // the failed epoch in order.
+    if (wal_ && !wal_->AppendBatch(admitted, ops)) {
+      UndoLocked(ops);
+      MarkFailedLocked(admitted, admitted);
+      failed = true;
+    } else {
+      pending_ops_ += ops.size();
+      unlanded_.push_back({admitted, std::move(ops)});
+      peak_pending_batches_ =
+          std::max<uint64_t>(peak_pending_batches_, unlanded_.size());
+      peak_pending_ops_ = std::max(peak_pending_ops_, pending_ops_);
     }
-    return net;
+    if (options_.async_updates) {
+      if (!land_worker_) land_worker_ = std::make_unique<SerialWorker>();
+      land_worker_->Submit([this] {
+        // The async path's injectable wedge/crash site: a delay action
+        // stalls the worker (what the WaitForEpoch deadline overload is
+        // for), an abort action crashes mid-flight with admitted but
+        // unlanded epochs in the WAL.
+        (void)CSC_FAILPOINT("engine.async_rebuild");
+        LandEpochs();
+      });
+    }
   }
   if (!options_.async_updates) {
     // A synchronous write is the same admission with the lander run inline;
@@ -881,8 +807,8 @@ bool Engine::AdmitProbe(size_t ops, const Deadline& deadline) {
 
 bool Engine::AdmitLocked(MutexLock& lock, size_t ops,
                          const Deadline& deadline) {
-  // Draining sheds every write at the door (dynamic and static alike) so
-  // the admitted backlog can land and quiesce. The failpoint's error action
+  // Draining sheds every write at the door so the admitted backlog can
+  // land and quiesce. The failpoint's error action
   // is a deterministic shed; its delay action stalls the decision itself.
   bool admit = !draining_ && !CSC_FAILPOINT("admission.delay");
   bool waited = false;

@@ -28,25 +28,22 @@ namespace csc {
 class CscIndex;  // csc/csc_index.h
 class Wal;       // serving/wal.h
 
-/// Incremental label repair for the static-backend update path (the
-/// alternative to rebuild-and-swap). When enabled, Build additionally
-/// constructs a *shadow* CscIndex under a pinned vertex ordering and derives
-/// the serving snapshot from it; the engine's one lander then applies each
-/// update batch to the shadow with the paper's §V maintenance (minimality
-/// mode, so decremental repair stays valid across batches) and lands it on
-/// the snapshot as a bounded run-level patch (CycleIndex::ApplyLabelPatch) —
-/// falling back to deriving a full snapshot from the shadow (no BFS) past
-/// the damage budgets below. The shadow belongs to the lander: maintenance
-/// and patching run off the admission lock, so writers keep admitting while
-/// a batch lands. Pinning the ordering keeps label ranks stable across
-/// patches, which is also what makes the repaired index bit-identical to a
-/// from-scratch sequential build under the same ordering (the conformance
-/// oracle).
+/// Incremental label repair, the alternative to rebuild-and-swap. When active,
+/// Build constructs a *shadow* CscIndex under a pinned vertex ordering and
+/// derives the serving snapshot from it; the engine's one lander then applies
+/// each update batch to the shadow with the paper's §V maintenance (minimality
+/// mode, so decremental repair stays valid across batches) and lands it on the
+/// snapshot as a bounded run-level patch (CycleIndex::ApplyLabelPatch) —
+/// falling back to deriving a full snapshot from the shadow (no BFS) past the
+/// damage budgets below. The shadow belongs to the lander: maintenance and
+/// patching run off the admission lock, so writers keep admitting while a batch
+/// lands. Pinning the ordering keeps label ranks stable across patches, which
+/// is also what makes the repaired index bit-identical to a from-scratch
+/// sequential build under the same ordering (the conformance oracle).
 struct RepairOptions {
-  /// Off by default: the rebuild-and-swap path. Only static
-  /// patchable backends ("compact", "frozen", "compressed") repair;
-  /// dynamic backends already update in place and other backends fall back
-  /// to rebuilds.
+  /// Off by default: "compact", "frozen" and "compressed" then land by
+  /// rebuild-and-swap. "csc" repairs whether or not this is set; "bfs" and
+  /// "hpspc" have no patchable labels and always rebuild.
   bool enabled = false;
   /// Shadow-maintenance rebuild threshold, shared knob with
   /// BatchOptions::rebuild_threshold: a batch whose net change reaches this
@@ -85,13 +82,13 @@ struct RepairStats {
 };
 
 /// Bounded exponential backoff for transient rebuild/patch failures on the
-/// static update path (sync and async): a failed attempt is retried up to
+/// update path (sync and async): a failed attempt is retried up to
 /// `max_attempts` total tries before the rollback fires. The default (one
-/// attempt) preserves the historical fail-fast behavior. Backoff sleeps
-/// happen in the lander with the admission lock released, so writers keep
-/// admitting meanwhile. Repair-path failures only retry while the shadow
-/// index is still untouched — a half-maintained shadow cannot be re-driven,
-/// so those failures go straight to rollback + shadow restore.
+/// attempt) preserves the historical fail-fast behavior. Backoff sleeps happen
+/// in the lander with the admission lock released, so writers keep admitting
+/// meanwhile. Repair-path failures only retry while the shadow index is still
+/// untouched — a half-maintained shadow cannot be re-driven, so those
+/// failures go straight to rollback + shadow restore.
 struct RetryOptions {
   /// Total attempts per batch (1 = no retries).
   uint32_t max_attempts = 1;
@@ -108,12 +105,11 @@ struct EngineOptions {
   /// Vertices per parallel batch chunk.
   size_t batch_grain = 256;
   CycleIndex::BuildOptions build;
-  /// Construction workers for Build and for the static-backend
-  /// rebuild-and-swap path (synchronous and async alike): nonzero
-  /// overrides build.num_threads, so both synchronous builds and the
-  /// async lander's rebuilds run the rank-batched parallel
-  /// builder. 0 defers to build.num_threads (and 0 there keeps the
-  /// sequential builder). Output is bit-identical either way.
+  /// Construction workers for Build and for the rebuild-and-swap path
+  /// (synchronous and async alike): nonzero overrides build.num_threads, so
+  /// both synchronous builds and the async lander's rebuilds run the
+  /// rank-batched parallel builder. 0 defers to build.num_threads (and 0 there
+  /// keeps the sequential builder). Output is bit-identical either way.
   unsigned build_threads = 0;
   /// When set, label storage is sliced to the selected vertices after every
   /// successful Build / rebuild / load (CycleIndex::SliceLabels): queries
@@ -122,17 +118,14 @@ struct EngineOptions {
   /// labels. Backends that cannot slice serve unsliced — still correct,
   /// just unshrunk.
   std::function<bool(Vertex)> slice_keep;
-  /// Land static-backend batches off the writer thread: ApplyUpdates
-  /// validates the batch, mutates the retained graph, logs it, and returns
-  /// with an epoch token; the engine's lander then runs on a background
-  /// worker instead of inline on the caller, coalescing batches that arrive
-  /// mid-landing into the next landing. Use WaitForEpoch / Drain for
-  /// read-your-writes. Dynamic (in-place) backends are unaffected — their
-  /// updates are already visible on return.
+  /// Land batches off the writer thread: ApplyUpdates validates the batch,
+  /// mutates the retained graph, logs it, and returns with an epoch token;
+  /// the engine's lander then runs on a background worker instead of
+  /// inline on the caller, coalescing batches that arrive mid-landing into
+  /// the next landing. Use WaitForEpoch / Drain for read-your-writes.
   bool async_updates = false;
-  /// Incremental label repair for the static update path (sync and async):
-  /// see RepairOptions. Ignored by dynamic backends and by backends without
-  /// patchable label storage.
+  /// Incremental label repair (sync and async): see RepairOptions. Ignored
+  /// by backends without patchable label storage.
   RepairOptions repair;
   /// Bounded-backoff retry of transient rebuild/patch failures before the
   /// rollback protocol fires; see RetryOptions.
@@ -148,12 +141,12 @@ struct EngineOptions {
   /// serving/wal.h): every admitted batch is appended + fsync'd before it
   /// is acknowledged, Checkpoint() snapshots + truncates it, and
   /// RecoverFromFile() replays it after a crash — acknowledged epochs
-  /// survive, bit-identical to an uncrashed engine. Dynamic backends retain
-  /// a mirror graph while the WAL is enabled (checkpoints need one).
-  /// LoadFrom / LoadFromFile / LoadView disable the WAL (no retained graph
-  /// to checkpoint); recovery and Build re-enable it.
+  /// survive, bit-identical to an uncrashed engine. Every backend logs the
+  /// same records: each admitted batch's net ops. LoadFrom / LoadFromFile /
+  /// LoadView disable the WAL (no retained graph to checkpoint); recovery
+  /// and Build re-enable it.
   std::string wal_path;
-  /// Test-only fault injection: when set, every static rebuild consults it
+  /// Test-only fault injection: when set, every rebuild consults it
   /// and fails — with the full rollback protocol — while it returns true.
   /// Lets tests exercise sync and async rollback without a corrupt backend.
   /// Never set in production.
@@ -177,11 +170,10 @@ enum class [[nodiscard]] UpdateVerdict : uint8_t {
   /// verdict is provisional until WaitForEpoch(epoch) returns true (a
   /// failed rebuild rolls the batch back and reports false there).
   kApplied,
-  /// A static backend with no retained graph: the engine was restored via
-  /// LoadFrom / LoadFromFile / LoadView, which keeps no graph to rebuild
-  /// from, so updates cannot apply until Build is called. Distinct from
-  /// kRejected so callers can tell "invalid update" from "engine cannot
-  /// update at all right now".
+  /// An engine with no retained graph: it was restored via LoadFrom /
+  /// LoadFromFile / LoadView, which keeps no graph to rebuild from, so updates
+  /// cannot apply until Build is called. Distinct from kRejected so callers can
+  /// tell "invalid update" from "engine cannot update at all right now".
   kNoGraph,
   /// Shed by admission control: the async backlog was at its configured cap
   /// (EngineOptions::admission) — or the engine was draining — and the
@@ -238,41 +230,38 @@ struct GirthResult {
 };
 
 /// The serving facade: owns one CycleIndex backend chosen by name, fans
-/// batched queries out across a thread pool, and keeps dynamic updates and
-/// readers consistent through warm snapshot swaps.
+/// batched queries out across a thread pool, and keeps updates and readers
+/// consistent through warm snapshot swaps.
 ///
 /// Concurrency model: one striped reader lock, query_mu_ (util/mutex.h
-/// SharedMutex), guards the active snapshot pointer. Backend queries are
-/// const and reentrant (CycleIndex's threading contract), so every reader
-/// takes only the read side: a point query reads the pointer and runs
-/// inside the read section, with no shared_ptr copy, so readers share no
-/// written cache line. The writer side covers the pointer swap, in-place
-/// updates, and the FinishDrain quiesce — so a query never observes a
-/// half-applied swap or label mutation. Batched queries pin the snapshot's
-/// shared_ptr, which keeps it alive after a swap retires it; a static
-/// snapshot is immutable, so its scan runs with the read section already
-/// released and a swap never waits for a sweep. Update entry points
+/// SharedMutex), guards the active snapshot pointer. Backend queries are const
+/// and reentrant (CycleIndex's threading contract), so every reader takes only
+/// the read side: a point query reads the pointer and runs inside the read
+/// section, with no shared_ptr copy, so readers share no written cache line.
+/// The writer side covers only the pointer swap and the FinishDrain quiesce —
+/// so a query never observes a half-applied swap. Batched queries pin the
+/// snapshot's shared_ptr, which keeps it alive after a swap retires it; a
+/// published snapshot never changes, so its scan runs with the read section
+/// already released and a swap never waits for a sweep. Update entry points
 /// (Build / ApplyUpdates / LoadFrom) are single-writer — serialize them
-/// externally. (With async_updates the engine's own lander worker is
-/// internal to that contract: it serializes itself against the writer
-/// entry points; WaitForEpoch / Drain may be called from any thread.)
-/// No query entry point may be called while the caller already holds a
-/// read section of the same engine: with a writer pending, the nested
-/// acquire would deadlock (hence CSC_EXCLUDES(query_mu_)).
+/// externally. (With async_updates the engine's own lander worker is internal
+/// to that contract: it serializes itself against the writer entry points;
+/// WaitForEpoch / Drain may be called from any thread.) No query entry point
+/// may be called while the caller already holds a read section of the same
+/// engine: with a writer pending, the nested acquire would deadlock (hence
+/// CSC_EXCLUDES(query_mu_)).
 ///
-/// Updates: a backend that supports in-place maintenance ("csc", "bfs")
-/// repairs itself; for static serving forms ("frozen", "compressed",
-/// "compact", "hpspc") every write is *admit, then land*.
-/// Admission only queues: under update_mu_ it mutates the retained graph,
-/// computes the verdicts, appends the batch to the WAL, and pushes it onto
-/// the backlog. One lander then takes every admitted epoch, builds the next
-/// snapshot with update_mu_ released — a repair pass over the shadow or a
-/// fresh rebuild off to the side — swaps it in atomically (the warm
-/// snapshot swap), and commits; a failed landing goes through the one
-/// rollback routine. A synchronous write runs the lander inline on the
-/// caller's thread; with async_updates it runs on a background worker and
-/// the writer returns with an epoch token. Readers are never blocked by a
-/// landing, and admissions only wait for its short commit.
+/// Updates: on every backend a write is *admit, then land*. Admission only
+/// queues: under update_mu_ it mutates the retained graph, computes the
+/// verdicts, appends the batch to the WAL, and pushes it onto the backlog. One
+/// lander then takes every admitted epoch, builds the next snapshot with
+/// update_mu_ released — a repair pass over the shadow or a fresh rebuild off
+/// to the side — swaps it in atomically (the warm snapshot swap), and
+/// commits; a failed landing goes through the one rollback routine. A
+/// synchronous write runs the lander inline on the caller's thread; with
+/// async_updates it runs on a background worker and the writer returns with an
+/// epoch token. Readers are never blocked by a landing, and admissions only
+/// wait for its short commit.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -288,28 +277,25 @@ class Engine {
   }
 
   /// Builds the active index from `graph` (synchronous; drains any pending
-  /// asynchronous rebuilds first). For static backends the graph is
-  /// retained to feed rebuild-style updates; dynamic backends maintain
-  /// their own copy, so none is kept. On failure (unknown backend, or a
-  /// backend that failed to materialize the expected vertex space) the
-  /// previous snapshot, if any, stays active.
+  /// asynchronous landings first). The graph (plus reserve) is retained to feed
+  /// later landings. On failure (unknown backend, or a backend that failed to
+  /// materialize the expected vertex space) the previous snapshot, if any,
+  /// stays active.
   bool Build(const DiGraph& graph);
 
   /// Restores the index from a persisted payload. No graph is retained, so
-  /// static-backend updates are unavailable after LoadFrom — ApplyUpdates
-  /// returns 0 with every verdict kNoGraph — until Build is called with
-  /// the graph.
+  /// updates are unavailable after LoadFrom — ApplyUpdates returns 0 with
+  /// every verdict kNoGraph — until Build is called with the graph.
   bool LoadFrom(const std::string& bytes);
 
   /// Serves the checksummed index file at `path` directly from a shared
-  /// read-only file mapping (csc/index_io.h IndexFile): arena-backed
-  /// backends keep their label payloads in the file pages — no
-  /// deserialization copy, cold-start is bounded by the envelope CRC pass —
-  /// and the mapping stays alive for as long as any snapshot references it.
-  /// Same post-state as LoadFrom (static-backend updates report kNoGraph
-  /// until Build). False with `error` set (when non-null) on I/O,
-  /// verification, or format failure; multi-shard bundles are rejected here
-  /// — serve them via ShardedEngine::LoadFromFile.
+  /// read-only file mapping (csc/index_io.h IndexFile): arena-backed backends
+  /// keep their label payloads in the file pages — no deserialization copy,
+  /// cold-start is bounded by the envelope CRC pass — and the mapping stays
+  /// alive for as long as any snapshot references it. Same post-state as
+  /// LoadFrom (updates report kNoGraph until Build). False with `error` set
+  /// (when non-null) on I/O, verification, or format failure; multi-shard
+  /// bundles are rejected here — serve them via ShardedEngine::LoadFromFile.
   bool LoadFromFile(const std::string& path, std::string* error = nullptr);
 
   /// Restores the index from an externally owned, already-verified payload
@@ -369,33 +355,31 @@ class Engine {
   /// Applies a batch of edge updates; returns the batch's net-applied count
   /// (rejected no-ops are skipped, and updates on the same edge collapse to
   /// their net effect — an insert/remove pair inside one batch cancels and
-  /// counts 0, matching dynamic/batch.h's net-effect reduction). In-place
-  /// for dynamic backends; for static backends the whole batch is applied
-  /// to the retained graph and one repaired or rebuilt snapshot is swapped
-  /// in — on the caller's thread by default, by the background lander under
-  /// EngineOptions::async_updates (the call then returns right after
-  /// validation, graph mutation, and the WAL append). If the landing fails,
-  /// the graph mutations are rolled back and the old snapshot stays active
-  /// — callers never observe a half-updated index. Synchronously that means
-  /// 0 is returned with all-kRejected verdicts; asynchronously the failure
-  /// is reported through WaitForEpoch (the failed epoch — and any epoch
-  /// admitted on top of it before the failure — rolls back and reports
-  /// false).
+  /// counts 0, matching dynamic/batch.h's net-effect reduction). The whole
+  /// batch is applied to the retained graph and one repaired or rebuilt
+  /// snapshot is swapped in — on the caller's thread by default, by the
+  /// background lander under EngineOptions::async_updates (the call then
+  /// returns right after validation, graph mutation, and the WAL append). If
+  /// the landing fails, the graph mutations are rolled back and the old
+  /// snapshot stays active — callers never observe a half-updated index.
+  /// Synchronously that means 0 is returned with all-kRejected verdicts;
+  /// asynchronously the failure is reported through WaitForEpoch (the failed
+  /// epoch — and any epoch admitted on top of it before the failure — rolls
+  /// back and reports false).
   ///
-  /// Both paths accept exactly the same updates: endpoints in
+  /// Every backend accepts exactly the same updates: endpoints in
   /// [0, num_vertices()) — including vertices added via
   /// BuildOptions::reserve_vertices — with out-of-range endpoints,
   /// self-loops, and present/absent no-ops uniformly rejected.
   ///
   /// When `verdicts` is non-null it is resized to `updates.size()` with the
-  /// per-update UpdateVerdict; the sharded serving tier uses this for
-  /// per-owner accounting. When `epoch` is non-null it receives the epoch
-  /// token this batch lands under: pass it to WaitForEpoch for
-  /// read-your-writes. On paths whose effect is already visible at return
-  /// (dynamic backends, successful synchronous static rebuilds) the token
-  /// is already resolved and WaitForEpoch returns immediately; a batch
-  /// that admits nothing (fully rejected, net-zero, kNoGraph) receives the
-  /// newest successfully landed epoch, which always reports true.
+  /// per-update UpdateVerdict; the sharded serving tier uses this for per-owner
+  /// accounting. When `epoch` is non-null it receives the epoch token this
+  /// batch lands under: pass it to WaitForEpoch for read-your-writes. A
+  /// successful synchronous landing is visible at return, so its token is
+  /// already resolved and WaitForEpoch returns immediately; a batch that admits
+  /// nothing (fully rejected, net-zero, kNoGraph) receives the newest
+  /// successfully landed epoch, which always reports true.
   size_t ApplyUpdates(const std::vector<EdgeUpdate>& updates,
                       std::vector<UpdateVerdict>* verdicts = nullptr,
                       uint64_t* epoch = nullptr)
@@ -485,9 +469,9 @@ class Engine {
   /// engine-local and monotonically increasing from 0.
   uint64_t resolved_epoch() const CSC_EXCLUDES(update_mu_);
 
-  /// The current snapshot; stays valid and queryable even after a later
-  /// swap retires it. An in-place backend's snapshot is the live index:
-  /// its queries must not overlap the engine's updates.
+  /// The current snapshot. A published snapshot never changes: it keeps
+  /// answering for the state it was built for, and stays valid after a
+  /// later swap retires it.
   std::shared_ptr<CycleIndex> snapshot() const CSC_EXCLUDES(query_mu_);
 
   Vertex num_vertices() const CSC_EXCLUDES(query_mu_);
@@ -495,13 +479,13 @@ class Engine {
   BackendStats Stats() const CSC_EXCLUDES(query_mu_);
 
   /// Repair-vs-rebuild decision counters since the last Build. All zeros
-  /// when EngineOptions::repair is disabled (or the backend cannot patch).
+  /// while repair_active() is false.
   RepairStats repair_stats() const CSC_EXCLUDES(update_mu_);
 
-  /// True while the engine lands static-backend updates through the
-  /// incremental-repair pipeline (repair enabled, patchable backend, graph
-  /// retained). False after LoadFrom/LoadView, or once repair had to be
-  /// abandoned (e.g. a shadow restore failed).
+  /// True while the engine lands updates through the incremental-repair
+  /// pipeline ("csc", or repair enabled on a patchable backend, and a
+  /// retained graph). False after LoadFrom/LoadView, or once repair had to
+  /// be abandoned (e.g. a shadow restore failed).
   bool repair_active() const CSC_EXCLUDES(update_mu_);
 
   // --- Crash-safe persistence (EngineOptions::wal_path). ---
@@ -524,17 +508,16 @@ class Engine {
 
   /// Crash recovery: reads the WAL at EngineOptions::wal_path, rebuilds the
   /// checkpoint-record base graph, and replays every durable batch record
-  /// (skipping ones covered by a rollback record) through the ordinary
-  /// update path — the recovered index is bit-identical to an uncrashed
-  /// engine that applied the same acknowledged batches, and the WAL is
-  /// re-established (fresh checkpoint + replayed batches) in the process.
-  /// Epoch numbering restarts from the replay, so pre-crash epoch tokens
-  /// are not comparable across a recovery. When the WAL is missing or
-  /// empty, falls back to LoadFromFile(`index_path`) — a pre-WAL index file
-  /// loads, but static-backend updates stay unavailable (kNoGraph) and the
-  /// WAL stays disabled until the next Build. False with `*error` set (when
-  /// non-null) on an unreadable/foreign log, a failed base build, or a
-  /// batch that failed to replay.
+  /// (skipping ones covered by a rollback record) through the ordinary update
+  /// path — the recovered index is bit-identical to an uncrashed engine that
+  /// applied the same acknowledged batches, and the WAL is re-established
+  /// (fresh checkpoint + replayed batches) in the process. Epoch numbering
+  /// restarts from the replay, so pre-crash epoch tokens are not comparable
+  /// across a recovery. When the WAL is missing or empty, falls back to
+  /// LoadFromFile(`index_path`) — a pre-WAL index file loads, but updates
+  /// stay unavailable (kNoGraph) and the WAL stays disabled until the next
+  /// Build. False with `*error` set (when non-null) on an unreadable/foreign
+  /// log, a failed base build, or a batch that failed to replay.
   bool RecoverFromFile(const std::string& index_path,
                        std::string* error = nullptr)
       CSC_EXCLUDES(land_mu_, update_mu_, query_mu_);
@@ -550,10 +533,10 @@ class Engine {
       CSC_EXCLUDES(update_mu_);
 
  private:
-  /// One admitted-but-unresolved static batch: its epoch plus its
-  /// net-effective forward ops in admission order — what the repair path
-  /// replays onto the shadow when the batch lands, and (inverted, in
-  /// reverse) what restores the retained graph if the landing fails.
+  /// One admitted-but-unresolved batch: its epoch plus its net-effective
+  /// forward ops in admission order — what the repair path replays onto the
+  /// shadow when the batch lands, and (inverted, in reverse) what restores the
+  /// retained graph if the landing fails.
   struct PendingBatch {
     uint64_t epoch = 0;
     std::vector<EdgeUpdate> ops;
@@ -580,19 +563,18 @@ class Engine {
   /// blocked admissions.
   bool AdmitLocked(MutexLock& lock, size_t ops, const Deadline& deadline)
       CSC_REQUIRES(update_mu_);
-  /// The one lander for static backends: takes every epoch admitted so far,
-  /// lands the whole backlog with update_mu_ released — one repair pass
-  /// over the shadow, or one rebuild, under the retry policy — swaps the
-  /// result in, and commits under update_mu_ (RollBackLocked on failure).
-  /// Inline on the writer thread for synchronous engines; a SerialWorker
-  /// task per admitted batch under async_updates (a task that finds its
-  /// epoch already covered returns at once).
+  /// The one lander: takes every epoch admitted so far, lands the whole backlog
+  /// with update_mu_ released — one repair pass over the shadow, or one
+  /// rebuild, under the retry policy — swaps the result in, and commits under
+  /// update_mu_ (RollBackLocked on failure). Inline on the writer thread for
+  /// synchronous engines; a SerialWorker task per admitted batch under
+  /// async_updates (a task that finds its epoch already covered returns at
+  /// once).
   void LandEpochs() CSC_EXCLUDES(land_mu_, update_mu_);
-  /// Builds a fresh static snapshot over `graph` (reserve already
-  /// materialized in it), sliced by `slice_keep` when non-null; nullptr on
-  /// failure. Does not touch engine state, so it runs with no engine lock
-  /// held.
-  std::shared_ptr<CycleIndex> RebuildStatic(
+  /// Builds a fresh snapshot over `graph` (reserve already materialized in it),
+  /// sliced by `slice_keep` when non-null; nullptr on failure. Does not touch
+  /// engine state, so it runs with no engine lock held.
+  std::shared_ptr<CycleIndex> Rebuild(
       const DiGraph& graph,
       const std::function<bool(Vertex)>& slice_keep) const;
   /// Repair pipeline: replays `ops` onto the shadow and returns the next
@@ -634,8 +616,7 @@ class Engine {
 
   EngineOptions options_;
   ThreadPool pool_;
-  // The active snapshot pointer and, through it, the labels of in-place
-  // backends. Readers hold it shared; the pointer swap, in-place updates,
+  // The active snapshot pointer. Readers hold it shared; the pointer swap
   // and the FinishDrain quiesce hold it exclusive. Innermost lock: never
   // held while another engine lock is acquired.
   mutable SharedMutex query_mu_;
@@ -647,7 +628,7 @@ class Engine {
   // query_mu_.
   mutable Mutex update_mu_ CSC_ACQUIRED_BEFORE(query_mu_);
   CondVar epoch_cv_;
-  // Retained for static-backend landings.
+  // Retained for landings and WAL checkpoints; false only after a load.
   DiGraph graph_ CSC_GUARDED_BY(update_mu_);
   bool has_graph_ CSC_GUARDED_BY(update_mu_) = false;
   // Label slicing predicate (EngineOptions::slice_keep, replaceable via

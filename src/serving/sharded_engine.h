@@ -65,10 +65,10 @@ struct ShardedEngineOptions {
   size_t batch_grain = 256;
   CycleIndex::BuildOptions build;
   /// Forwarded to every shard Engine (EngineOptions::build_threads): each
-  /// shard's builds and static rebuilds use the rank-batched parallel
-  /// builder with this many workers. Per-shard builds already overlap on
-  /// the router pool, so K shards x build_threads workers can be in flight
-  /// during Build; size accordingly.
+  /// shard's builds and rebuilds use the rank-batched parallel builder with
+  /// this many workers. Per-shard builds already overlap on the router pool, so
+  /// K shards x build_threads workers can be in flight during Build; size
+  /// accordingly.
   unsigned build_threads = 0;
   /// Vertex -> owning shard; empty = ContiguousRangeShard.
   ShardFn shard_fn;
@@ -88,12 +88,11 @@ struct ShardedEngineOptions {
   /// retained graphs; the per-shard rebuild workers land the K snapshot
   /// swaps asynchronously. Use WaitForEpochs / Drain for read-your-writes.
   bool async_updates = false;
-  /// Forwarded to every shard Engine (EngineOptions::repair): static-backend
-  /// batches land as bounded label patches against each shard's sliced
-  /// snapshot instead of K full rebuilds. Note each shard keeps a full
-  /// (unsliced) shadow CscIndex for maintenance, so repair trades ~K x
-  /// shadow memory for patch-speed updates; see the README's serving
-  /// section.
+  /// Forwarded to every shard Engine (EngineOptions::repair): batches land as
+  /// bounded label patches against each shard's sliced snapshot instead of K
+  /// full rebuilds. Note each shard keeps a full (unsliced) shadow CscIndex for
+  /// maintenance, so repair trades ~K x shadow memory for patch-speed updates;
+  /// see the README's serving section.
   RepairOptions repair;
   /// Forwarded to every shard Engine (EngineOptions::retry): transient
   /// rebuild / patch failures retry with bounded exponential backoff
@@ -201,15 +200,15 @@ struct ShardInfo {
 /// shard's label arenas are cut to its owned runs after build, since a
 /// routed query only ever reads the queried vertex's runs.
 ///
-/// Updates: every shard must observe every edge update (an edge anywhere
-/// can change any vertex's count), so ApplyUpdates groups the batch by
-/// owning shard for accounting, then applies the full ordered batch on all
-/// shards concurrently; the aggregate "applied" count is taken from each
-/// update's owning shard. Dynamic backends repair in place per shard;
-/// static backends rebuild-and-swap per shard, all K rebuilds in parallel —
-/// or, with ShardedEngineOptions::async_updates, off the writer thread
-/// entirely: ApplyUpdates returns after the K validations and the rebuild
-/// workers land the swaps behind epoch tokens (WaitForEpochs / Drain).
+/// Updates: every shard must observe every edge update (an edge anywhere can
+/// change any vertex's count), so ApplyUpdates groups the batch by owning shard
+/// for accounting, then applies the full ordered batch on all shards
+/// concurrently; the aggregate "applied" count is taken from each update's
+/// owning shard. Each shard lands the batch on its own lander — a §V repair
+/// or a rebuild-and-swap, all K landings in parallel — or, with
+/// ShardedEngineOptions::async_updates, off the writer thread entirely:
+/// ApplyUpdates returns after the K validations and the rebuild workers land
+/// the swaps behind epoch tokens (WaitForEpochs / Drain).
 ///
 /// Concurrency contract: queries and sweeps may run concurrently with one
 /// ApplyUpdates writer (each shard's Engine swaps snapshots under its own
@@ -246,7 +245,7 @@ class ShardedEngine {
   /// mismatch fails the load with `error` describing it (when non-null)
   /// instead of silently answering "no cycle" for every vertex whose runs
   /// were sliced onto a differently-partitioned shard. As with
-  /// Engine::LoadFrom, static-backend updates are unavailable afterwards.
+  /// Engine::LoadFrom, updates are unavailable afterwards.
   bool LoadFrom(const std::string& bytes, std::string* error = nullptr);
 
   /// Restores from a multi-shard bundle file, all K shard engines viewing

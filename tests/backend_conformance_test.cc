@@ -40,7 +40,6 @@ TEST_P(BackendConformanceTest, RegistryNameMatches) {
   EXPECT_EQ(backend->name(), GetParam());
   BackendStats stats = backend->Stats();
   EXPECT_EQ(stats.name, GetParam());
-  EXPECT_EQ(stats.supports_updates, backend->supports_updates());
   EXPECT_EQ(stats.supports_save, backend->supports_save());
 }
 
@@ -81,9 +80,9 @@ TEST_P(BackendConformanceTest, GirthMatchesSweep) {
 }
 
 // The shared update scenario: close a 2-cycle, retract it, then grow a new
-// cycle elsewhere. Backends with in-place maintenance repair themselves;
-// static backends must report kUnsupported (never silently wrong answers)
-// and stay correct after an explicit rebuild.
+// cycle elsewhere. A backend never mutates once built (the serving Engine
+// lands writes as new snapshots), so each step rebuilds and must answer
+// like BFS on the updated graph.
 TEST_P(BackendConformanceTest, SharedUpdateScenario) {
   auto backend = Make();
   DiGraph graph = Figure2Graph();
@@ -97,60 +96,12 @@ TEST_P(BackendConformanceTest, SharedUpdateScenario) {
   };
 
   for (const auto& [insert, edge] : scenario) {
-    CycleIndex::UpdateResult result =
-        insert ? backend->InsertEdge(edge.from, edge.to)
-               : backend->DeleteEdge(edge.from, edge.to);
-    if (backend->supports_updates()) {
-      ASSERT_EQ(result, CycleIndex::UpdateResult::kApplied);
-      bool ok = insert ? graph.AddEdge(edge.from, edge.to)
-                       : graph.RemoveEdge(edge.from, edge.to);
-      ASSERT_TRUE(ok);
-      ExpectMatchesBfs(*backend, graph, "after in-place update");
-    } else {
-      ASSERT_EQ(result, CycleIndex::UpdateResult::kUnsupported);
-      bool ok = insert ? graph.AddEdge(edge.from, edge.to)
-                       : graph.RemoveEdge(edge.from, edge.to);
-      ASSERT_TRUE(ok);
-      backend->Build(graph);  // static form: rebuild is the update path
-      ExpectMatchesBfs(*backend, graph, "after rebuild");
-    }
+    bool ok = insert ? graph.AddEdge(edge.from, edge.to)
+                     : graph.RemoveEdge(edge.from, edge.to);
+    ASSERT_TRUE(ok);
+    backend->Build(graph);
+    ExpectMatchesBfs(*backend, graph, "after rebuild");
   }
-
-  if (backend->supports_updates()) {
-    // No-op updates are rejected, not applied.
-    EXPECT_EQ(backend->InsertEdge(6, 7), CycleIndex::UpdateResult::kRejected)
-        << "edge already present";
-    EXPECT_EQ(backend->DeleteEdge(0, 2), CycleIndex::UpdateResult::kRejected)
-        << "edge already absent";
-    EXPECT_EQ(backend->InsertEdge(3, 3), CycleIndex::UpdateResult::kRejected)
-        << "self-loop";
-  }
-}
-
-// Updates addressing out-of-range vertices are rejected — never applied,
-// never a crash — and leave the index untouched, on every backend that
-// supports updates. The serving Engine relies on this agreeing with the
-// DiGraph-based static path (which rejects the same endpoints), so the
-// in-place and rebuild update paths count "applied" identically.
-TEST_P(BackendConformanceTest, OutOfRangeUpdatesRejectedUniformly) {
-  auto backend = Make();
-  DiGraph graph = Figure2Graph();
-  backend->Build(graph);
-  if (!backend->supports_updates()) {
-    EXPECT_EQ(backend->InsertEdge(100, 0), CycleIndex::UpdateResult::kUnsupported);
-    EXPECT_EQ(backend->DeleteEdge(0, 100), CycleIndex::UpdateResult::kUnsupported);
-    return;
-  }
-  const Vertex n = graph.num_vertices();
-  EXPECT_EQ(backend->InsertEdge(n, 0), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->InsertEdge(0, n), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->InsertEdge(kNoVertex, kNoVertex),
-            CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->DeleteEdge(n, 0), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->DeleteEdge(0, n), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->DeleteEdge(kNoVertex, 0),
-            CycleIndex::UpdateResult::kRejected);
-  ExpectMatchesBfs(*backend, graph, "after out-of-range updates");
 }
 
 TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
@@ -163,14 +114,14 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
     return;
   }
   EXPECT_TRUE(backend->supports_save());
-  // The compact interchange payload (saved by csc/compact) loads into
-  // every flat serving form; the flat forms save their native arena
-  // payloads, which round-trip through their own backend.
+  // The compact interchange payload (saved by csc/compact) loads into both
+  // compact names and every flat serving form; the flat forms save their native
+  // arena payloads, which round-trip through their own backend.
   std::vector<std::string> loaders;
   if (GetParam() == "frozen" || GetParam() == "compressed") {
     loaders = {GetParam()};
   } else {
-    loaders = {"compact", "frozen", "compressed"};
+    loaders = {"csc", "compact", "frozen", "compressed"};
   }
   BfsCycleCounter reference(graph);
   for (const std::string& loader : loaders) {
@@ -200,60 +151,6 @@ TEST(BackendRegistryTest, UnknownNameReturnsNull) {
 
 TEST(BackendRegistryTest, DefaultBackendIsRegistered) {
   EXPECT_NE(MakeBackend(kDefaultBackendName), nullptr);
-}
-
-// Minimality maintenance (Algorithm 8) through the interface: building with
-// maintain_inverted_index makes "csc" apply updates with the cleaning
-// strategy, exercising the inverted hub indexes.
-TEST(BackendBuildOptionsTest, MinimalityMaintenanceStaysCorrect) {
-  auto backend = MakeBackend("csc");
-  DiGraph graph = Figure2Graph();
-  CycleIndex::BuildOptions options;
-  options.maintain_inverted_index = true;
-  backend->Build(graph, options);
-  ASSERT_EQ(backend->InsertEdge(7, 6), CycleIndex::UpdateResult::kApplied);
-  graph.AddEdge(7, 6);
-  ASSERT_EQ(backend->InsertEdge(6, 0), CycleIndex::UpdateResult::kApplied);
-  graph.AddEdge(6, 0);
-  BfsCycleCounter reference(graph);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(backend->CountShortestCycles(v), reference.CountCycles(v));
-  }
-}
-
-TEST(BackendBuildOptionsTest, ReservedVerticesAttachViaInsertEdge) {
-  auto backend = MakeBackend("csc");
-  DiGraph graph = Figure2Graph();
-  CycleIndex::BuildOptions options;
-  options.reserve_vertices = 2;
-  backend->Build(graph, options);
-  EXPECT_EQ(backend->num_vertices(), 12u);
-  // Attach vertex 10 on a detour of the main cycle: 9 -> 10 -> 0.
-  ASSERT_EQ(backend->InsertEdge(9, 10), CycleIndex::UpdateResult::kApplied);
-  ASSERT_EQ(backend->InsertEdge(10, 0), CycleIndex::UpdateResult::kApplied);
-  graph.AddVertices(2);
-  graph.AddEdge(9, 10);
-  graph.AddEdge(10, 0);
-  BfsCycleCounter reference(graph);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(backend->CountShortestCycles(v), reference.CountCycles(v));
-  }
-  // Deletes that cannot apply are rejected as before, rebuild or not.
-  EXPECT_EQ(backend->DeleteEdge(0, 1), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->DeleteEdge(9, 9), CycleIndex::UpdateResult::kRejected);
-  EXPECT_EQ(backend->DeleteEdge(9, 12), CycleIndex::UpdateResult::kRejected);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(backend->CountShortestCycles(v), reference.CountCycles(v));
-  }
-  // A delete after those (redundancy-mode) inserts first rebuilds the
-  // index; the rebuild keeps the reserved vertex space as it is.
-  ASSERT_EQ(backend->DeleteEdge(9, 10), CycleIndex::UpdateResult::kApplied);
-  graph.RemoveEdge(9, 10);
-  EXPECT_EQ(backend->num_vertices(), 12u);
-  BfsCycleCounter after_delete(graph);
-  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(backend->CountShortestCycles(v), after_delete.CountCycles(v));
-  }
 }
 
 }  // namespace

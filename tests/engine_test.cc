@@ -73,7 +73,7 @@ TEST(EngineTest, BatchQueryMatchesSequentialAcrossGrains) {
   }
 }
 
-TEST(EngineTest, InPlaceUpdatesOnDynamicBackend) {
+TEST(EngineTest, UpdatesOnDefaultBackend) {
   DiGraph graph = Figure2Graph();
   EngineOptions options;
   options.backend = "csc";
@@ -114,6 +114,29 @@ TEST(EngineTest, WarmSnapshotSwapOnStaticBackend) {
   EXPECT_EQ(engine.snapshot().get(), current.get());
 }
 
+// "csc" lands writes like every other backend: a published snapshot never
+// changes, so a reader holding one keeps the pre-update answers while the
+// engine serves the post-update ones.
+TEST(EngineTest, CscSnapshotIsImmutable) {
+  DiGraph graph = Figure2Graph();
+  const std::vector<CycleCount> before = BfsReference(graph);
+  EngineOptions options;
+  options.backend = "csc";
+  Engine engine(options);
+  ASSERT_TRUE(engine.Build(graph));
+  std::shared_ptr<CycleIndex> pinned = engine.snapshot();
+
+  ASSERT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}), 1u);
+  graph.AddEdge(7, 6);
+  const std::vector<CycleCount> after = BfsReference(graph);
+  ASSERT_NE(before, after);  // the insert changes some vertex's count
+
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    EXPECT_EQ(pinned->CountShortestCycles(v), before[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(engine.QueryAll(), after);
+}
+
 TEST(EngineTest, SaveLoadRoundTrip) {
   DiGraph graph = RandomGraph(40, 2.0, 8);
   EngineOptions build_options;
@@ -123,21 +146,21 @@ TEST(EngineTest, SaveLoadRoundTrip) {
   std::string bytes;
   ASSERT_TRUE(builder.SaveTo(bytes));
 
-  for (const char* serving : {"compact", "frozen", "compressed"}) {
+  for (const char* serving : {"csc", "compact", "frozen", "compressed"}) {
     EngineOptions options;
     options.backend = serving;
     Engine engine(options);
     ASSERT_TRUE(engine.LoadFrom(bytes)) << serving;
     EXPECT_EQ(engine.QueryAll(), BfsReference(graph)) << serving;
-    // No graph retained after LoadFrom: static updates cannot apply.
+    // No graph retained after LoadFrom: updates cannot apply.
     EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(0, 1)}), 0u);
   }
 }
 
-// The dynamic (in-place) and static (graph + rebuild) update paths must
-// agree on what counts as "applied" — including edges touching vertices
-// added through BuildOptions::reserve_vertices and out-of-range endpoints —
-// and converge to the same answers.
+// Every backend, whether it lands by repair or by rebuild, must agree on
+// what counts as "applied" — including edges touching vertices added
+// through BuildOptions::reserve_vertices and out-of-range endpoints — and
+// converge to the same answers.
 TEST(EngineTest, UpdatePathsAgreeOnReserveAndOutOfRange) {
   DiGraph graph = Figure2Graph();  // 10 vertices; 10 and 11 are reserved
   const std::vector<EdgeUpdate> updates = {
@@ -190,9 +213,9 @@ TEST(EngineTest, StaticRebuildKeepsVertexSpaceStable) {
   }
 }
 
-// A static engine restored from a payload has no graph to rebuild from:
-// updates must be reported as kNoGraph — distinguishable from per-update
-// rejection — until Build supplies the graph.
+// An engine restored from a payload has no graph to rebuild from: updates must
+// be reported as kNoGraph — distinguishable from per-update rejection —
+// until Build supplies the graph.
 TEST(EngineTest, NoGraphVerdictAfterLoad) {
   DiGraph graph = Figure2Graph();
   EngineOptions build_options;
@@ -225,8 +248,8 @@ TEST(EngineTest, NoGraphVerdictAfterLoad) {
 
 // Regression for the duplicate-edge accounting disagreement: updates on the
 // same edge inside one batch must collapse to their net effect — exactly
-// like dynamic/batch.h's net-effect reduction — on both the in-place and
-// the rebuild-and-swap path.
+// like dynamic/batch.h's net-effect reduction — on both the repair ("csc")
+// and the rebuild-and-swap ("frozen") landing.
 TEST(EngineTest, DuplicateEdgesInBatchCollapseToNetEffect) {
   for (const char* name : {"csc", "frozen"}) {
     SCOPED_TRACE(name);
@@ -248,10 +271,8 @@ TEST(EngineTest, DuplicateEdgesInBatchCollapseToNetEffect) {
     EXPECT_EQ(verdicts, (std::vector<UpdateVerdict>{
                             UpdateVerdict::kRejected, UpdateVerdict::kRejected}));
     EXPECT_EQ(engine.QueryAll(), before);
-    if (std::string(name) == "frozen") {
-      // Net-zero batches must not rebuild-and-swap on the static path.
-      EXPECT_EQ(engine.snapshot().get(), initial.get());
-    }
+    // Net-zero batches land nothing, so the snapshot is not swapped.
+    EXPECT_EQ(engine.snapshot().get(), initial.get());
 
     // An odd toggle chain nets to its final op: only that one is applied.
     EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(7, 0),
@@ -443,9 +464,9 @@ TEST(EngineTest, GirthMatchesReference) {
 }
 
 TEST(EngineTest, CscDeleteAfterInsertMatchesBfs) {
-  // The default csc backend inserts in redundancy mode, which breaks the
-  // minimality that decremental repair needs; a delete after an insert
-  // must still answer like BFS. Seeded single-edge toggles mix the two.
+  // Decremental repair needs a minimal index, so the csc lander maintains
+  // its shadow in minimality mode; a delete after an insert must still
+  // answer like BFS. Seeded single-edge toggles mix the two.
   for (uint64_t seed = 0; seed < 300; ++seed) {
     Rng rng(seed);
     const auto n = static_cast<Vertex>(12 + rng.NextBounded(20));

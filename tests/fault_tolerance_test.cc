@@ -220,7 +220,7 @@ TEST_F(FaultToleranceTest, UnwritableRebasePoisonsTheLogUntilCheckpoint) {
 
 TEST_F(FaultToleranceTest, DynamicBackendRecoveryMatchesOracle) {
   DiGraph graph = Figure2Graph();
-  EngineOptions options;  // "csc": in-place updates, WAL logs pre-mutation
+  EngineOptions options;  // "csc": repaired snapshots, net ops in the WAL
   options.wal_path = wal_path_;
   {
     Engine victim(options);

@@ -1,14 +1,14 @@
-// Landing-mode oracle: every way Engine lands a static-backend batch —
-// synchronous or async, rebuild-and-swap or incremental repair, with or
-// without a write-ahead log, on two patchable backends (16 configurations)
-// — must drive one seeded batch sequence to the same outcome. After each
-// batch resolves, QueryAll() must equal BFS over a model graph that applies
-// only the landed epochs, and every configuration must report the same
-// final verdicts, net counts, epoch tokens, and landed/rolled-back outcome
-// per batch. The sequence mixes batch sizes 1/4/16, inserts and deletes,
-// in-batch cancelling duplicates, a net-zero batch, an out-of-range
-// endpoint, and one injected landing failure; WAL configurations also
-// recover a fresh engine from the log and compare it with the served state.
+// Landing-mode oracle: every way Engine lands a batch — synchronous or async,
+// rebuild-and-swap or incremental repair, with or without a write-ahead log, on
+// two patchable backends (16 configurations) — must drive one seeded batch
+// sequence to the same outcome. After each batch resolves, QueryAll() must
+// equal BFS over a model graph that applies only the landed epochs, and every
+// configuration must report the same final verdicts, net counts, epoch tokens,
+// and landed/rolled-back outcome per batch. The sequence mixes batch sizes
+// 1/4/16, inserts and deletes, in-batch cancelling duplicates, a net-zero
+// batch, an out-of-range endpoint, and one injected landing failure; WAL
+// configurations also recover a fresh engine from the log and compare it with
+// the served state.
 #include <gtest/gtest.h>
 
 #include <atomic>

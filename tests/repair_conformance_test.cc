@@ -1,12 +1,11 @@
-// Incremental-repair conformance: a repair-enabled engine that lands
-// static-backend batches as bounded label patches must stay bit-identical
-// to the sequential full-rebuild oracle. For every patchable backend and
-// shard count, a net-restoring mixed insert/delete sequence followed by
-// Drain() must serialize byte-for-byte equal to a from-scratch build of the
-// same graph; non-restoring sequences must match the always-derive twin
-// (same pinned ordering, no patch path); budget knobs only change *how* a
-// batch lands, never the bytes; and unpatchable or dynamic backends fall
-// back to their legacy paths untouched.
+// Incremental-repair conformance: a repair-enabled engine that lands batches as
+// bounded label patches must stay bit-identical to the sequential full-rebuild
+// oracle. For every patchable backend and shard count, a net-restoring mixed
+// insert/delete sequence followed by Drain() must serialize byte-for-byte equal
+// to a from-scratch build of the same graph; non-restoring sequences must match
+// the always-derive twin (same pinned ordering, no patch path); budget knobs
+// only change *how* a batch lands, never the bytes; unpatchable backends fall
+// back to rebuild-and-swap untouched; and "csc" repairs without the knob.
 #include <atomic>
 #include <string>
 #include <vector>
@@ -71,10 +70,11 @@ std::string Serialized(ShardedEngine& engine) {
   return bytes;
 }
 
-// The static serving forms with patchable label storage — exactly the
-// backends Engine routes through the repair pipeline.
+// The serving forms with patchable label storage — exactly the backends
+// Engine routes through the repair pipeline ("csc" always, the others when
+// repair is enabled).
 std::vector<std::string> PatchableBackends() {
-  return {"compact", "frozen", "compressed"};
+  return {"csc", "compact", "frozen", "compressed"};
 }
 
 class RepairConformanceTest : public ::testing::TestWithParam<std::string> {};
@@ -123,7 +123,9 @@ TEST_P(RepairConformanceTest, ByteIdentityAfterDrainAcrossShards) {
 // freshly built-and-sliced one. Arena backends only (the ones that slice).
 TEST_P(RepairConformanceTest, SlicedShardsStayByteIdentical) {
   const std::string& backend = GetParam();
-  if (backend == "compact") GTEST_SKIP() << "compact does not slice";
+  if (backend == "csc" || backend == "compact") {
+    GTEST_SKIP() << "the compact form does not slice";
+  }
   DiGraph graph = RandomGraph(50, 2.5, 62);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
   ShardedEngineOptions options;
@@ -297,18 +299,17 @@ INSTANTIATE_TEST_SUITE_P(PatchableBackends, RepairConformanceTest,
                          ::testing::ValuesIn(PatchableBackends()),
                          [](const auto& info) { return info.param; });
 
-// Backends outside the repair envelope ignore the knob: dynamic backends
-// keep updating in place, unpatchable static backends keep the legacy
-// rebuild-and-swap, and a loaded engine (no retained graph) never repairs.
+// Backends outside the repair envelope ignore the knob: unpatchable
+// backends keep rebuild-and-swap, and a loaded engine (no retained graph)
+// never repairs.
 TEST(RepairConformanceFallback, NonPatchableBackendsIgnoreRepair) {
   DiGraph graph = RandomGraph(40, 2.0, 67);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
-  for (const char* backend : {"csc", "hpspc"}) {
+  for (const char* backend : {"bfs", "hpspc"}) {
     SCOPED_TRACE(backend);
     EngineOptions options;
     options.backend = backend;
     options.repair.enabled = true;
-    options.build.maintain_inverted_index = true;
     Engine engine(options);
     ASSERT_TRUE(engine.Build(graph));
     EXPECT_FALSE(engine.repair_active());
@@ -318,6 +319,36 @@ TEST(RepairConformanceFallback, NonPatchableBackendsIgnoreRepair) {
     EXPECT_EQ(engine.repair_stats().patches, 0u);
     EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
   }
+}
+
+// "csc" lands every batch through the repair pipeline whether or not the
+// knob is set; the other patchable forms repair only on request.
+TEST(RepairConformanceFallback, CscRepairsWithoutTheKnob) {
+  DiGraph graph = RandomGraph(40, 2.0, 69);
+  EngineOptions options;
+  options.repair.enabled = false;
+  options.backend = "csc";
+  Engine csc_engine(options);
+  ASSERT_TRUE(csc_engine.Build(graph));
+  EXPECT_TRUE(csc_engine.repair_active());
+  options.backend = "compact";
+  Engine compact_engine(options);
+  ASSERT_TRUE(compact_engine.Build(graph));
+  EXPECT_FALSE(compact_engine.repair_active());
+
+  for (const std::vector<EdgeUpdate>& batch : NetRestoringBatches(graph)) {
+    EXPECT_EQ(csc_engine.ApplyUpdates(batch),
+              compact_engine.ApplyUpdates(batch));
+  }
+  EXPECT_GT(csc_engine.repair_stats().patches, 0u);
+  EXPECT_EQ(compact_engine.repair_stats().patches, 0u);
+  EXPECT_EQ(csc_engine.QueryAll(), BfsReference(graph));
+  // The batches restore the graph: csc's patched snapshot serializes like
+  // compact's rebuilt one.
+  std::string patched_bytes, rebuilt_bytes;
+  ASSERT_TRUE(csc_engine.SaveTo(patched_bytes));
+  ASSERT_TRUE(compact_engine.SaveTo(rebuilt_bytes));
+  EXPECT_EQ(patched_bytes, rebuilt_bytes);
 }
 
 TEST(RepairConformanceFallback, LoadedEngineDoesNotRepair) {
@@ -334,7 +365,7 @@ TEST(RepairConformanceFallback, LoadedEngineDoesNotRepair) {
   Engine loaded(options);
   ASSERT_TRUE(loaded.LoadFrom(payload));
   EXPECT_FALSE(loaded.repair_active());
-  // No retained graph: static updates report kNoGraph, exactly as before.
+  // No retained graph: updates report kNoGraph, exactly as before.
   std::vector<UpdateVerdict> verdicts;
   EXPECT_EQ(loaded.ApplyUpdates({EdgeUpdate::Insert(0, 1)}, &verdicts), 0u);
   ASSERT_EQ(verdicts.size(), 1u);

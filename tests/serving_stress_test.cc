@@ -1,8 +1,8 @@
-// Concurrent-serving stress: BatchQuery readers hammer the engine while
-// the (single) writer thread applies update batches — in-place repairs on
-// a dynamic backend, warm snapshot swaps on a static one — at both the
-// Engine and the ShardedEngine level. Run under ThreadSanitizer in CI
-// (-DCSC_SANITIZE=thread) to prove the snapshot-swap and lock protocol
+// Concurrent-serving stress: BatchQuery readers hammer the engine while the
+// (single) writer thread applies update batches — repaired snapshots on
+// "csc", rebuilt ones on a static form, each landed by a warm snapshot swap —
+// at both the Engine and the ShardedEngine level. Run under ThreadSanitizer in
+// CI (-DCSC_SANITIZE=thread) to prove the snapshot-swap and lock protocol
 // race-free; the functional assertions here are that readers always see a
 // complete, internally consistent answer vector and that the final state
 // matches the BFS oracle.
@@ -101,9 +101,6 @@ TEST_P(ServingStressTest, EngineReadersVsUpdates) {
   options.backend = GetParam();
   options.num_threads = 2;
   options.batch_grain = 8;  // force parallel chunks inside BatchQuery
-  // Keep the dynamic index minimal so repeated delete rounds stay exact
-  // (ignored by static backends).
-  options.build.maintain_inverted_index = true;
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
   RunStress(
@@ -123,7 +120,6 @@ TEST_P(ServingStressTest, ShardedEngineReadersVsUpdates) {
   options.backend = GetParam();
   options.num_shards = 2;
   options.batch_grain = 8;
-  options.build.maintain_inverted_index = true;
   ShardedEngine engine(options);
   ASSERT_TRUE(engine.Build(graph));
   RunStress(
@@ -134,11 +130,11 @@ TEST_P(ServingStressTest, ShardedEngineReadersVsUpdates) {
   EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
 }
 
-// Point readers: Engine::Query(v) answers inside the read section through
-// a raw snapshot pointer, with no shared_ptr copy. Each batch lands whole
-// (one in-place writer section, or one swap), so every answer must be the
-// BFS answer of the base graph or of the base graph plus the toggled edges
-// — never a mix, never a freed snapshot.
+// Point readers: Engine::Query(v) answers inside the read section through a raw
+// snapshot pointer, with no shared_ptr copy. Each batch lands whole (one
+// snapshot swap), so every answer must be the BFS answer of the base graph or
+// of the base graph plus the toggled edges — never a mix, never a freed
+// snapshot.
 TEST_P(ServingStressTest, PointReadersVsUpdates) {
   constexpr int kPointReaders = 4;
   constexpr uint64_t kMinReadsPerReader = 200;
@@ -157,7 +153,6 @@ TEST_P(ServingStressTest, PointReadersVsUpdates) {
   EngineOptions options;
   options.backend = GetParam();
   options.num_threads = 2;
-  options.build.maintain_inverted_index = true;
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
 
@@ -198,8 +193,8 @@ TEST_P(ServingStressTest, PointReadersVsUpdates) {
   EXPECT_EQ(engine.QueryAll(), base_answers);
 }
 
-// One dynamic backend (in-place repair under the writer lock) and one
-// static backend (rebuild + warm snapshot swap) cover both update paths.
+// "csc" (§V repair on the lander) and "frozen" (rebuild) cover both ways a
+// batch becomes the next snapshot; both land by a warm snapshot swap.
 INSTANTIATE_TEST_SUITE_P(DynamicAndStatic, ServingStressTest,
                          ::testing::Values("csc", "frozen"),
                          [](const auto& info) { return info.param; });
