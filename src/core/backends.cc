@@ -15,6 +15,7 @@
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
 #include "labeling/compressed.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace csc {
@@ -87,8 +88,11 @@ class CompactBackend : public BackendBase {
     CscIndex::Options o;
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
-    index_ = CompactIndex::FromIndex(
-        CscIndex::Build(graph, DegreeOrdering(graph), o));
+    // Copied, not consumed: the copy packs the served sets together, away
+    // from the build's scratch, so the allocator can hand the rest back
+    // once the full index dies (compact_index.h).
+    CscIndex built = CscIndex::Build(graph, DegreeOrdering(graph), o);
+    index_ = CompactIndex::FromIndex(built);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
     ResetPatchCounters();
@@ -156,6 +160,11 @@ class CompactBackend : public BackendBase {
 
 // Shared plumbing for the two flat arena forms ("frozen", "compressed"):
 // identical build chain and load fallbacks, different arena encoding.
+// A build consumes its labeling: the compact step moves the two served
+// label sets out of the CscIndex and frees the rest, and ReleaseFreeMemory
+// returns what it can of that before the arena is allocated, so the build
+// peaks at the labeling plus the arena, not the labeling plus two copies of
+// its served half.
 template <typename Index>
 class FlatBackend : public BackendBase {
  public:
@@ -166,8 +175,10 @@ class FlatBackend : public BackendBase {
     CscIndex::Options o;
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
-    index_ = Index::FromCompact(CompactIndex::FromIndex(
-        CscIndex::Build(graph, DegreeOrdering(graph), o)));
+    CompactIndex compact = CompactIndex::FromIndex(
+        CscIndex::Build(graph, DegreeOrdering(graph), o));
+    ReleaseFreeMemory();
+    index_ = Index::FromCompact(compact);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
     ResetPatchCounters();

@@ -1,6 +1,7 @@
 #include "csc/compact_index.h"
 
 #include <cstring>
+#include <utility>
 
 #include "graph/bipartite.h"
 
@@ -82,13 +83,33 @@ CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
     compact.in_labels_[v] = index.labeling().in[InVertex(v)];
     compact.out_labels_[v] = index.labeling().out[OutVertex(v)];
   }
-  compact.rank_to_vertex_ = index.bipartite_order().rank_to_vertex;
-  compact.in_vertex_rank_.resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    compact.in_vertex_rank_[v] =
-        index.bipartite_order().vertex_to_rank[InVertex(v)];
-  }
+  compact.CopyRanks(index.bipartite_order());
   return compact;
+}
+
+CompactIndex CompactIndex::FromIndex(CscIndex&& index) {
+  // Take ownership so everything not moved out dies on return, even when
+  // the caller's argument is a temporary that would outlive this call.
+  CscIndex consumed = std::move(index);
+  HubLabeling& labeling = consumed.mutable_labeling();
+  CompactIndex compact;
+  Vertex n = consumed.num_original_vertices();
+  compact.in_labels_.resize(n);
+  compact.out_labels_.resize(n);
+  for (Vertex v = 0; v < n; ++v) {
+    compact.in_labels_[v] = std::move(labeling.in[InVertex(v)]);
+    compact.out_labels_[v] = std::move(labeling.out[OutVertex(v)]);
+  }
+  compact.CopyRanks(consumed.bipartite_order());
+  return compact;
+}
+
+void CompactIndex::CopyRanks(const VertexOrdering& order) {
+  rank_to_vertex_ = order.rank_to_vertex;
+  in_vertex_rank_.resize(in_labels_.size());
+  for (Vertex v = 0; v < in_vertex_rank_.size(); ++v) {
+    in_vertex_rank_[v] = order.vertex_to_rank[InVertex(v)];
+  }
 }
 
 CycleCount CompactIndex::Query(Vertex v) const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "csc/csc_index.h"
+#include "graph/ordering.h"
 #include "labeling/hub_labeling.h"
 
 namespace csc {
@@ -29,6 +30,16 @@ class CompactIndex {
  public:
   /// Compacts a built CSC index (drops the redundant couple label sets).
   static CompactIndex FromIndex(const CscIndex& index);
+
+  /// Compacts by consuming: moves L_in(v_i) and L_out(v_o) out of `index`
+  /// instead of copying them, and frees the rest of it (L_in(v_o),
+  /// L_out(v_i), G_b, the ordering) before returning, so the labels are
+  /// never held twice. The result equals FromIndex(index) on the same index.
+  /// Meant for a compact index that is a step toward another form (the flat
+  /// arenas): the moved sets keep the capacity construction grew them to and
+  /// stay interleaved with the freed half in the heap, so an index that is
+  /// served for long packs tighter as a copy.
+  static CompactIndex FromIndex(CscIndex&& index);
 
   /// SCCnt(v) — identical answers to CscIndex::Query.
   CycleCount Query(Vertex v) const;
@@ -77,6 +88,10 @@ class CompactIndex {
   friend bool operator==(const CompactIndex&, const CompactIndex&) = default;
 
  private:
+  // Carries the bipartite rank permutation over from the built index and
+  // derives in_vertex_rank_; the label sets must already be sized.
+  void CopyRanks(const VertexOrdering& order);
+
   std::vector<LabelSet> in_labels_;   // L_in(v_i), indexed by original vertex
   std::vector<LabelSet> out_labels_;  // L_out(v_o), indexed by original vertex
   std::vector<Vertex> rank_to_vertex_;

@@ -242,11 +242,6 @@ class ParallelCoupleSkipBuilder {
 
   bool distance_pruning() const { return distance_pruning_; }
 
-  void Stage(StagedHub& sh, Scratch& s) const {
-    StagePass(sh, /*forward=*/true, s);
-    StagePass(sh, /*forward=*/false, s);
-  }
-
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
     if (forward) {
       StageForward(sh, s);

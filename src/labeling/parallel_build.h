@@ -25,11 +25,13 @@ namespace csc {
 /// giving up that order — or bit-identical output:
 ///
 ///   1. **Stage.** Hubs are taken in rank-ordered batches. Within a batch,
-///      each hub's forward/backward pruned counting BFSs run concurrently on
-///      ThreadPool workers against the labels committed by *earlier batches*
-///      (the label arrays are read-only while a batch stages). Instead of
-///      appending labels, a staged pass records its labeled dequeues as
-///      `StagedEvent`s in a thread-local `StagedPass` buffer.
+///      every forward and every backward pruned counting BFS is its own
+///      ThreadPool work item, run against the labels committed by *earlier
+///      batches* (the label arrays are read-only while a batch stages), so
+///      even a singleton batch stages its two passes side by side. The two
+///      passes of one hub read only committed labels and never each other's
+///      events. Instead of appending labels, a staged pass records its
+///      labeled dequeues as `StagedEvent`s in its own `StagedPass` buffer.
 ///   2. **Validate.** A staged BFS saw every committed label but not the
 ///      labels of *same-batch lower-ranked hubs*, so it may under-prune.
 ///      Because the only label entries it missed carry in-batch hub ranks,
@@ -65,8 +67,8 @@ namespace csc {
 ///
 /// Concurrency contract (why this file carries no CSC_GUARDED_BY
 /// annotations): there is no mutex-protected shared state. Workers claim
-/// staged-hub slots through a single atomic counter, write only their
-/// claimed `StagedHub` and their own per-thread scratch, and read only
+/// staged-pass slots through a single atomic counter, write only their
+/// claimed `StagedPass` and their own per-thread scratch, and read only
 /// labels committed by earlier batches — immutable for the duration of the
 /// stage. The sole synchronization point is `ThreadPool::Wait()` (itself
 /// annotated, util/thread_pool.h), whose barrier orders every staged write
@@ -222,25 +224,27 @@ PassValidation ValidateStagedHub(const Builder& builder,
 ///   bool IsHub(Vertex v) const;         // does this rank root BFSs?
 ///   void CommitNonHub(Rank r, Vertex v);        // e.g. couple self-labels
 ///   bool distance_pruning() const;      // false => staging is always clean
-///   void Stage(StagedHub&, Scratch&);   // run both passes, record events
-///   void StagePass(StagedHub&, bool forward, Scratch&);  // one pass only
+///   void StagePass(StagedHub&, bool forward, Scratch&);  // record events
 ///   void Commit(const StagedHub&);      // replay events into labels+stats
 ///   Dist NewOutDist(const StagedHub&, Vertex) const;   // see above
 ///   Dist NewInDist(const StagedHub&, Vertex) const;
 ///
-/// Stage() must read only labels already committed (it runs concurrently
-/// with other Stage() calls and with no writer); Commit/CommitNonHub run on
-/// the calling thread only, in strict rank order.
+/// StagePass() must read only labels already committed and write only the
+/// named pass of the hub (it runs concurrently with other StagePass() calls,
+/// the same hub's other pass included, and with no writer);
+/// Commit/CommitNonHub run on the calling thread only, in strict rank
+/// order.
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
                          const ParallelBuildPlan& plan) {
   const size_t num_ranks = order.size();
   const size_t max_batch = std::max<size_t>(1, plan.batch_size);
-  // A worker beyond the batch cap can never be busy (at most max_batch
-  // hubs stage per batch), and each worker costs an OS thread plus a
-  // full-size BFS scratch — so clamp rather than trust the caller's flag.
+  // A worker beyond twice the batch cap can never be busy (a batch stages
+  // at most two passes per hub, max_batch hubs), and each worker costs an
+  // OS thread plus a full-size BFS scratch — so clamp rather than trust the
+  // caller's flag.
   const unsigned num_threads = static_cast<unsigned>(
-      std::min<size_t>(std::max(1u, plan.num_threads), max_batch));
+      std::min<size_t>(std::max(1u, plan.num_threads), 2 * max_batch));
   // One worker thread can only ever stage on the calling thread, so don't
   // spawn a pool that would sit idle for the whole build.
   std::unique_ptr<ThreadPool> pool;
@@ -274,23 +278,27 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
         staged[num_hubs++].Reset(static_cast<Rank>(r), v);
       }
     }
-    // Stage in parallel against the committed labels.
+    // Stage in parallel against the committed labels: item i is the
+    // forward (even i) or backward (odd i) pass of hub i / 2.
     auto stage_start = now();
-    if (num_hubs > 1 && pool) {
+    const size_t num_passes = 2 * num_hubs;
+    if (pool) {
       std::atomic<size_t> next{0};
-      for (unsigned t = 0; t < num_threads; ++t) {
-        pool->Submit([&builder, &staged, &scratch, &next, num_hubs, t] {
+      const unsigned workers =
+          static_cast<unsigned>(std::min<size_t>(num_threads, num_passes));
+      for (unsigned t = 0; t < workers; ++t) {
+        pool->Submit([&builder, &staged, &scratch, &next, num_passes, t] {
           for (;;) {
             size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= num_hubs) return;
-            builder.Stage(staged[i], scratch[t]);
+            if (i >= num_passes) return;
+            builder.StagePass(staged[i / 2], i % 2 == 0, scratch[t]);
           }
         });
       }
       pool->Wait();
     } else {
-      for (size_t i = 0; i < num_hubs; ++i) {
-        builder.Stage(staged[i], scratch[0]);
+      for (size_t i = 0; i < num_passes; ++i) {
+        builder.StagePass(staged[i / 2], i % 2 == 0, scratch[0]);
       }
     }
     debug_stage_s += secs(stage_start, now());

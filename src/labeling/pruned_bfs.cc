@@ -135,11 +135,6 @@ class ParallelPlainBuilder {
   void CommitNonHub(Rank, Vertex) {}
   bool distance_pruning() const { return options_.distance_pruning; }
 
-  void Stage(StagedHub& sh, Scratch& s) const {
-    StagePass(sh, /*forward=*/true, s);
-    StagePass(sh, /*forward=*/false, s);
-  }
-
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
     StagedPass& pass = forward ? sh.fwd : sh.bwd;
     RunPassStaged(sh.hub, sh.rank, forward, s, pass);

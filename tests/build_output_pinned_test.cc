@@ -4,16 +4,23 @@
 // graphs, a CRC-32C of the serialized index and all five LabelBuildStats
 // counters, recorded from a known-good build. Every builder path (sequential
 // and rank-batched CSC at 1 and 4 workers, and HP-SPC) must reproduce them.
+// The flat serving forms are pinned too, as CRC-32Cs of what their backends
+// save after a registry Build, so a build chain that drops or reorders a run
+// between the labeling and the served payload fails here even when every
+// thread count agrees.
 //
 // A deliberate change to what the builders emit must re-record the table
 // (each failure prints the observed row) and say why in its change notes.
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cycle_index.h"
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "graph/generators.h"
@@ -44,11 +51,19 @@ void PrintTo(const PinnedOutput& p, std::ostream* os) {
       << p.vertices_dequeued << ", " << p.pruned_by_distance << "}";
 }
 
+// CRC-32Cs of the frozen and compressed backends' SaveTo payloads. The
+// compact backend saves the compact serialization, pinned in `csc.crc`.
+struct PinnedFlat {
+  uint32_t frozen = 0;
+  uint32_t compressed = 0;
+};
+
 struct PinnedGraph {
   std::string name;
   DiGraph (*make)();
   PinnedOutput csc;
   PinnedOutput hpspc;
+  PinnedFlat flat;
 };
 
 PinnedOutput Observe(uint32_t crc, const LabelBuildStats& stats) {
@@ -85,23 +100,28 @@ const std::vector<PinnedGraph>& PinnedGraphs() {
       {"erdos_renyi",
        [] { return GenerateErdosRenyi(400, 2000, 13); },
        {0x82324108u, 107479, 66673, 40806, 74463, 20879},
-       {0xb5e973f6u, 53495, 33112, 20383, 74339, 20844}},
+       {0xb5e973f6u, 53495, 33112, 20383, 74339, 20844},
+       {0x2a80b079u, 0xd964f24fu}},
       {"erdos_renyi_dense",
        [] { return GenerateErdosRenyi(250, 2500, 5); },
        {0xc4632726u, 75189, 39340, 35849, 49213, 11693},
-       {0x6518fb98u, 37419, 19523, 17896, 49071, 11652}},
+       {0x6518fb98u, 37419, 19523, 17896, 49071, 11652},
+       {0x0ad5a6e0u, 0x9dbc5411u}},
       {"power_law",
        [] { return GeneratePreferentialAttachment(600, 3, 0.2, 7); },
        {0x73bef05du, 44592, 27404, 17188, 30690, 8612},
-       {0xce714ba7u, 21914, 13370, 8544, 30526, 8612}},
+       {0xce714ba7u, 21914, 13370, 8544, 30526, 8612},
+       {0x9bf0e27eu, 0xd3ddf13du}},
       {"power_law_reciprocal",
        [] { return GeneratePreferentialAttachment(800, 2, 0.4, 19); },
        {0x4eb703e8u, 44214, 30725, 13489, 27676, 5851},
-       {0xb55499fbu, 21589, 14926, 6663, 27439, 5850}},
+       {0xb55499fbu, 21589, 14926, 6663, 27439, 5850},
+       {0xb4c5661bu, 0x429f87b6u}},
       {"wkt",
        [] { return MaterializeDataset(FindDataset("WKT").value(), 0.02); },
        {0xf7b7d2a5u, 40801, 32576, 8225, 23356, 3464},
-       {0x9ac17e8du, 19809, 15703, 4106, 23271, 3462}},
+       {0x9ac17e8du, 19809, 15703, 4106, 23271, 3462},
+       {0x4237971bu, 0x24cfd3d7u}},
   };
   return graphs;
 }
@@ -132,6 +152,28 @@ TEST(BuildOutputPinnedTest, HpSpcIndexAtEveryBuildPath) {
           Observe(LabelingCrc(index.labeling()), index.build_stats());
       EXPECT_EQ(observed, g.hpspc)
           << g.name << " build_threads=" << threads;
+    }
+  }
+}
+
+TEST(BuildOutputPinnedTest, FlatPayloadsAtEveryBuildPath) {
+  for (const PinnedGraph& g : PinnedGraphs()) {
+    DiGraph graph = g.make();
+    for (unsigned threads : kBuildThreads) {
+      CycleIndex::BuildOptions options;
+      options.num_threads = threads;
+      for (const auto& [name, pinned] :
+           {std::pair<const char*, uint32_t>{"compact", g.csc.crc},
+            {"frozen", g.flat.frozen},
+            {"compressed", g.flat.compressed}}) {
+        std::unique_ptr<CycleIndex> backend = MakeBackend(name);
+        backend->Build(graph, options);
+        std::string payload;
+        ASSERT_TRUE(backend->SaveTo(payload)) << name;
+        EXPECT_EQ(Crc32c(payload), pinned)
+            << g.name << " " << name << " num_threads=" << threads
+            << " observed 0x" << std::hex << Crc32c(payload);
+      }
     }
   }
 }

@@ -1,5 +1,9 @@
 #include "csc/compact_index.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
@@ -92,6 +96,39 @@ TEST(CompactIndexTest, EmptyGraphSerializes) {
   auto back = CompactIndex::Deserialize(compact.Serialize());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->num_original_vertices(), 0u);
+}
+
+TEST(CompactIndexTest, ConsumingFromIndexMatchesCopying) {
+  // The consuming overload moves the served label sets out of the built
+  // index instead of copying them; the result must be indistinguishable.
+  std::vector<std::pair<std::string, DiGraph>> graphs = {
+      {"figure2", Figure2Graph()}};
+  for (uint64_t seed : {1u, 2u}) {
+    graphs.push_back({"random seed " + std::to_string(seed),
+                      RandomGraph(60, 2.5, seed)});
+  }
+  for (const auto& [name, g] : graphs) {
+    for (Vertex reserve : {0u, 3u}) {
+      CscIndex::Options options;
+      options.reserve_vertices = reserve;
+      VertexOrdering order = DegreeOrdering(g);
+      CscIndex index = CscIndex::Build(g, order, options);
+      CompactIndex copied = CompactIndex::FromIndex(index);
+      CompactIndex consumed =
+          CompactIndex::FromIndex(CscIndex::Build(g, order, options));
+      ASSERT_EQ(consumed, copied) << name << " reserve=" << reserve;
+      Vertex n = consumed.num_original_vertices();
+      ASSERT_EQ(n, g.num_vertices() + reserve) << name;
+      for (Vertex u = 0; u < n; ++u) {
+        EXPECT_EQ(consumed.Query(u), index.Query(u)) << name << " " << u;
+        for (Vertex v = 0; v < n; ++v) {
+          EXPECT_EQ(consumed.QueryThroughEdge(u, v),
+                    index.QueryThroughEdge(u, v))
+              << name << " (" << u << ", " << v << ")";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
