@@ -28,7 +28,7 @@
 // writer thread: each ApplyUpdates batch returns after validation with an
 // epoch token and the snapshot swap follows asynchronously, with Drain()
 // as the read-your-writes barrier. `--repair` lands the batches of
-// compact/frozen/compressed as bounded label patches against a
+// frozen/compressed as bounded label patches against a
 // pinned-ordering shadow index instead of full rebuilds, as "csc" always
 // does (serving/engine.h RepairOptions); the optional churn `[<index.out>]`
 // argument persists the post-churn index so the repaired bytes can be
@@ -36,7 +36,10 @@
 //
 // Graphs are SNAP-style edge lists (see graph/graph_io.h). Indexes are
 // CycleIndex::SaveTo payloads inside the checksummed file envelope of
-// csc/index_io.h (legacy raw compact serializations still load).
+// csc/index_io.h (legacy raw compact serializations still load). An index
+// file the chosen backend cannot load (any file under "bfs"/"hpspc", a
+// "compressed" file under "csc") is served by the first saving backend that
+// loads it, with a note on stderr.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -90,7 +93,7 @@ int Usage() {
       "returns after validation, batches land off the writer thread\n"
       "--repair lands churn batches as bounded label patches against a\n"
       "pinned-ordering shadow index instead of full rebuilds (backends\n"
-      "compact/frozen/compressed; csc always repairs)\n"
+      "frozen/compressed; csc always repairs)\n"
       "--retries N retries transient rebuild/patch failures up to N total\n"
       "attempts with bounded exponential backoff before rolling the batch\n"
       "back (default 1 = no retry); counters print after churn\n"
@@ -106,6 +109,18 @@ int Usage() {
   }
   std::fprintf(stderr, "(default %s)\n", kDefaultBackendName);
   return 2;
+}
+
+// The saving backends other than `backend_name`, in registry order: the
+// fallbacks that serve an index file the chosen backend cannot load.
+std::vector<std::string> FallbackLoaders(const std::string& backend_name) {
+  std::vector<std::string> names;
+  for (const std::string& name : AllBackendNames()) {
+    if (name != backend_name && MakeBackend(name)->supports_save()) {
+      names.push_back(name);
+    }
+  }
+  return names;
 }
 
 // Loads a persisted index or builds the backend from an edge list,
@@ -126,19 +141,21 @@ std::unique_ptr<CycleIndex> LoadOrBuild(const std::string& path,
       ReadVerifiedPayload(path, &envelope_error);
   if (payload) {
     if (backend->LoadFrom(*payload)) return backend;
-    // A valid index file, but the chosen backend has no load path (the
-    // "bfs"/"hpspc" baselines need the graph to answer queries; "csc"
-    // loads its own files): serve the file through the compact interchange
-    // backend instead of failing the `build` -> `query` flow.
-    if (backend_name != "compact") {
-      std::unique_ptr<CycleIndex> fallback = MakeBackend("compact");
+    // A valid index file the chosen backend cannot load (the "bfs"/"hpspc"
+    // baselines need the graph to answer queries, and the packed and varint
+    // arenas do not read each other's payloads): serve it through the first
+    // saving backend that loads it instead of failing the `build` -> `query`
+    // flow.
+    for (const std::string& name : FallbackLoaders(backend_name)) {
+      std::unique_ptr<CycleIndex> fallback = MakeBackend(name);
       if (fallback->LoadFrom(*payload)) {
         std::fprintf(
             stderr,
-            "note: backend '%s' cannot load index files; serving %s "
-            "via 'compact' (pass --backend compact/frozen/compressed "
-            "to choose explicitly, or a graph file to build '%s')\n",
-            backend_name.c_str(), path.c_str(), backend_name.c_str());
+            "note: backend '%s' cannot load %s; serving it via '%s' (pass "
+            "--backend csc/frozen/compressed to choose explicitly, or a "
+            "graph file to build '%s')\n",
+            backend_name.c_str(), path.c_str(), name.c_str(),
+            backend_name.c_str());
         return fallback;
       }
     }
@@ -250,27 +267,28 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
       return std::nullopt;
     }
     if (!engine->LoadFrom(*payload)) {
-      // Same fallback as the single-backend path: backends without a load
-      // path ("bfs"/"hpspc") serve the bundle via "compact".
+      // Same fallback as the single-backend path: the first saving
+      // backend that loads the bundle serves it.
       bool recovered = false;
-      if (backend_name != "compact") {
+      for (const std::string& name : FallbackLoaders(backend_name)) {
         ShardedEngineOptions fallback_options;
-        fallback_options.backend = "compact";
+        fallback_options.backend = name;
         auto fallback = std::make_unique<ShardedEngine>(fallback_options);
         if (fallback->LoadFrom(*payload)) {
           std::fprintf(stderr,
-                       "note: backend '%s' cannot load shard payloads; "
-                       "serving %s via 'compact' (pass --backend "
-                       "compact/frozen/compressed to choose explicitly)\n",
-                       backend_name.c_str(), path.c_str());
+                       "note: backend '%s' cannot load the shard payloads "
+                       "of %s; serving it via '%s' (pass --backend "
+                       "csc/frozen/compressed to choose explicitly)\n",
+                       backend_name.c_str(), path.c_str(), name.c_str());
           engine = std::move(fallback);
           recovered = true;
+          break;
         }
       }
       if (!recovered) {
         std::fprintf(stderr,
                      "%s: multi-shard bundle does not load into backend '%s' "
-                     "(try --backend compact/frozen/compressed)\n",
+                     "(try --backend csc/frozen/compressed)\n",
                      path.c_str(), backend_name.c_str());
         return std::nullopt;
       }
@@ -319,9 +337,8 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
 }
 
 const char* BackendDescription(const std::string& name) {
-  if (name == "csc") return "§IV.E compact form, kept current by §V repair";
-  if (name == "compact") return "§IV.E half-size reduction; the interchange format";
-  if (name == "frozen") return "packed flat arena, cache-linear serving";
+  if (name == "csc") return "packed flat arena, kept current by §V repair";
+  if (name == "frozen") return "packed flat arena, §V repair only with --repair";
   if (name == "compressed") return "varint flat arena, ~2x smaller payload";
   if (name == "bfs") return "index-free Algorithm 1 baseline";
   if (name == "hpspc") return "HP-SPC baseline labeling (SIGMOD'20)";
@@ -373,8 +390,8 @@ int CmdBuild(const std::string& backend_name, uint32_t shards,
     std::string payload;
     if (!engine.SaveTo(payload)) {
       std::fprintf(stderr,
-                   "backend '%s' has no persistent form; use csc, compact, "
-                   "frozen, or compressed for `build`\n",
+                   "backend '%s' has no persistent form; use csc, frozen, "
+                   "or compressed for `build`\n",
                    backend_name.c_str());
       return 1;
     }
@@ -400,8 +417,8 @@ int CmdBuild(const std::string& backend_name, uint32_t shards,
   if (!backend->supports_save()) {
     // Reject before paying for the build.
     std::fprintf(stderr,
-                 "backend '%s' has no persistent form; use csc, compact, "
-                 "frozen, or compressed for `build`\n",
+                 "backend '%s' has no persistent form; use csc, frozen, "
+                 "or compressed for `build`\n",
                  backend_name.c_str());
     return 1;
   }

@@ -76,90 +76,9 @@ class BackendBase : public CycleIndex {
   uint64_t patches_since_rebuild_ = 0;
 };
 
-// "compact" and "csc": the §IV.E reduction — half the labels, the
-// interchange serialization format. The two names differ only in how the
-// serving Engine lands writes on them (serving/engine.h RepairOptions).
-class CompactBackend : public BackendBase {
- public:
-  using BackendBase::BackendBase;
-
-  void Build(const DiGraph& graph, const BuildOptions& options) override {
-    Timer timer;
-    CscIndex::Options o;
-    o.reserve_vertices = options.reserve_vertices;
-    o.build_threads = options.num_threads;
-    // Copied, not consumed: the copy packs the served sets together, away
-    // from the build's scratch, so the allocator can hand the rest back
-    // once the full index dies (compact_index.h).
-    CscIndex built = CscIndex::Build(graph, DegreeOrdering(graph), o);
-    index_ = CompactIndex::FromIndex(built);
-    build_seconds_ = timer.ElapsedSeconds();
-    build_threads_ = options.num_threads;
-    ResetPatchCounters();
-  }
-
-  CycleCount CountShortestCycles(Vertex v) const override {
-    if (!index_ || v >= index_->num_original_vertices()) return {};
-    return index_->Query(v);
-  }
-
-  bool SaveTo(std::string& bytes) const override {
-    if (!index_) return false;
-    bytes = index_->Serialize();
-    return true;
-  }
-
-  bool LoadFrom(const std::string& bytes) override {
-    Timer timer;
-    auto loaded = CompactIndex::Deserialize(bytes);
-    if (!loaded) return false;
-    index_ = std::move(*loaded);
-    build_seconds_ = timer.ElapsedSeconds();
-    build_threads_ = 0;
-    ResetPatchCounters();
-    return true;
-  }
-
-  // Copying repair fallback: clones the per-vertex label sets and swaps in
-  // the replacements (no arena here to run-edit).
-  std::unique_ptr<CycleIndex> ApplyLabelPatch(
-      const LabelPatch& patch) override {
-    if (!index_ ||
-        (patch.num_vertices != 0 &&
-         patch.num_vertices != index_->num_original_vertices())) {
-      return nullptr;
-    }
-    auto clone = std::make_unique<CompactBackend>(name_);
-    clone->index_ = index_->WithEditedLabels(patch.in_runs, patch.out_runs);
-    clone->InheritPatched(*this, patch);
-    return clone;
-  }
-
-  bool supports_label_patch() const override { return true; }
-
-  Vertex num_vertices() const override {
-    return index_ ? index_->num_original_vertices() : 0;
-  }
-
-  uint64_t MemoryBytes() const override {
-    if (!index_) return 0;
-    return index_->SizeBytes() +
-           2ull * index_->num_original_vertices() * sizeof(std::vector<int>);
-  }
-
-  bool supports_save() const override { return true; }
-
- protected:
-  uint64_t LabelEntries() const override {
-    return index_ ? index_->TotalEntries() : 0;
-  }
-
- private:
-  std::optional<CompactIndex> index_;
-};
-
-// Shared plumbing for the two flat arena forms ("frozen", "compressed"):
-// identical build chain and load fallbacks, different arena encoding.
+// The CSC serving forms: the §IV.E reduction (L_in(v_i) and L_out(v_o)) in a
+// flat arena — packed for "csc" and "frozen", varint-encoded for
+// "compressed" — with one build chain and load fallback for both encodings.
 // A build consumes its labeling: the compact step moves the two served
 // label sets out of the CscIndex and frees the rest, and ReleaseFreeMemory
 // returns what it can of that before the arena is allocated, so the build
@@ -339,8 +258,7 @@ class HpSpcBackend : public BackendBase {
 }  // namespace
 
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
-  if (name == "csc") return std::make_unique<CompactBackend>("csc");
-  if (name == "compact") return std::make_unique<CompactBackend>("compact");
+  if (name == "csc") return std::make_unique<FlatBackend<FrozenIndex>>("csc");
   if (name == "frozen") {
     return std::make_unique<FlatBackend<FrozenIndex>>("frozen");
   }
@@ -354,7 +272,7 @@ std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
 
 const std::vector<std::string>& AllBackendNames() {
   static const std::vector<std::string> kNames = {
-      "csc", "compact", "frozen", "compressed", "bfs", "hpspc"};
+      "csc", "frozen", "compressed", "bfs", "hpspc"};
   return kNames;
 }
 

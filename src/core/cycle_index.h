@@ -41,7 +41,7 @@ struct BackendStats {
 };
 
 /// The polymorphic backend interface every shortest-cycle-counting engine in
-/// this library implements: the CSC index forms (compact, frozen,
+/// this library implements: the CSC index forms (csc, frozen,
 /// compressed) and the baselines (BFS, HP-SPC). A backend is chosen
 /// by name at runtime through MakeBackend, so serving, benches, and the CLI
 /// switch engines with a flag instead of a rebuild.
@@ -84,10 +84,10 @@ class CycleIndex {
 
   /// Serializes the index into `bytes`; false if this backend has no
   /// persistent form. The payload self-describes its format (magic bytes).
-  /// The compact §IV.E payload (saved by "csc" and "compact") is
-  /// the interchange format: "compact", "frozen", and "compressed" all load
-  /// it. The flat forms save their native arena payloads, loadable only by
-  /// themselves.
+  /// The CSC forms save their native arena payloads: "csc" and "frozen"
+  /// the packed one (each loads the other's), "compressed" the varint one.
+  /// The compact §IV.E payload (CompactIndex::Serialize) is the interchange
+  /// format all three load.
   virtual bool SaveTo(std::string& bytes) const;
 
   /// Restores the index from a SaveTo payload; false on format mismatch or
@@ -137,9 +137,9 @@ class CycleIndex {
 };
 
 /// Creates a backend by registry name; nullptr for unknown names. Names:
-/// "csc" (the default: the §IV.E compact form, which the serving Engine
-/// always keeps current by §V repair), "compact" (the same form, repaired
-/// only on request), "frozen" (packed arena), "compressed" (varint arena),
+/// "csc" (the default: the packed arena, which the serving Engine always
+/// keeps current by §V repair), "frozen" (the same form, repaired only on
+/// request), "compressed" (varint arena),
 /// "bfs" (index-free baseline), "hpspc" (HP-SPC baseline).
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name);
 

@@ -12,7 +12,7 @@
 namespace csc {
 
 /// Index reduction (§IV.E): a read-only CSC index that stores only one label
-/// set per couple pair and direction.
+/// set per couple pair and direction — the library's interchange payload.
 ///
 /// Because couple pairs are rank-consecutive, the labels of a pair are
 /// redundant copies of each other:
@@ -24,8 +24,11 @@ namespace csc {
 /// ("when the complete index must be recovered, we just need to modify the
 /// distance element and the v_i-hub out-label entry").
 ///
-/// Also the serialization format of the library: a CscIndex is persisted by
-/// compacting it, and resumed for dynamic maintenance via ExpandToFull().
+/// No backend serves it directly: it is the step between a built CscIndex and
+/// the flat arena serving forms (FrozenIndex / CompressedIndex::FromCompact),
+/// and its "CSCI" serialization is the interchange format every CSC backend
+/// loads. A CscIndex is resumed from it for dynamic maintenance via
+/// ExpandToFull().
 class CompactIndex {
  public:
   /// Compacts a built CSC index (drops the redundant couple label sets).
@@ -37,8 +40,8 @@ class CompactIndex {
   /// never held twice. The result equals FromIndex(index) on the same index.
   /// Meant for a compact index that is a step toward another form (the flat
   /// arenas): the moved sets keep the capacity construction grew them to and
-  /// stay interleaved with the freed half in the heap, so an index that is
-  /// served for long packs tighter as a copy.
+  /// stay interleaved with the freed half in the heap, so a compact index
+  /// kept for long packs tighter as a copy.
   static CompactIndex FromIndex(CscIndex&& index);
 
   /// SCCnt(v) — identical answers to CscIndex::Query.
@@ -71,19 +74,6 @@ class CompactIndex {
   /// Binary little-endian serialization (magic + version checked on load).
   std::string Serialize() const;
   static std::optional<CompactIndex> Deserialize(const std::string& bytes);
-
-  /// Returns a copy with the named in/out label sets replaced (incremental
-  /// label repair; see core/label_patch.h). Edits are (vertex, replacement)
-  /// pairs sorted by vertex; the rank permutation is carried over unchanged,
-  /// so this is only meaningful under the ordering the index was built with.
-  CompactIndex WithEditedLabels(
-      const std::vector<std::pair<Vertex, LabelSet>>& in_edits,
-      const std::vector<std::pair<Vertex, LabelSet>>& out_edits) const {
-    CompactIndex edited = *this;
-    for (const auto& [v, labels] : in_edits) edited.in_labels_[v] = labels;
-    for (const auto& [v, labels] : out_edits) edited.out_labels_[v] = labels;
-    return edited;
-  }
 
   friend bool operator==(const CompactIndex&, const CompactIndex&) = default;
 

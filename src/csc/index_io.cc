@@ -62,12 +62,6 @@ std::string WrapPayload(const std::string& payload) {
   return file;
 }
 
-IndexLoadResult Fail(std::string message) {
-  IndexLoadResult result;
-  result.error = std::move(message);
-  return result;
-}
-
 }  // namespace
 
 std::optional<std::pair<const uint8_t*, size_t>> VerifyEnvelope(
@@ -207,22 +201,6 @@ bool WriteEnvelopeAtomic(const std::string& payload, const std::string& path,
 }
 
 }  // namespace
-
-bool SaveIndexToFile(const CompactIndex& index, const std::string& path,
-                     std::string* error) {
-  return WriteEnvelopeAtomic(index.Serialize(), path, error);
-}
-
-IndexLoadResult LoadIndexFromFile(const std::string& path) {
-  std::string error;
-  std::optional<std::string> payload = ReadVerifiedPayload(path, &error);
-  if (!payload) return Fail(std::move(error));
-  std::optional<CompactIndex> parsed = CompactIndex::Deserialize(*payload);
-  if (!parsed) return Fail("payload failed to parse");
-  IndexLoadResult result;
-  result.index = std::move(parsed);
-  return result;
-}
 
 bool SavePayloadToFile(const std::string& payload, const std::string& path,
                        std::string* error) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/cycle_index.h"
-#include "csc/compact_index.h"
 #include "util/lifetime_annotations.h"
 
 namespace csc {
@@ -29,32 +28,14 @@ namespace csc {
 /// parsing, so truncated files, bit flips, and foreign files are rejected
 /// with a diagnosable error instead of deserializing garbage labels.
 
-/// Outcome of LoadIndexFromFile: exactly one of `index` / `error` is set.
-struct IndexLoadResult {
-  std::optional<CompactIndex> index;
-  /// Empty on success; otherwise a one-line human-readable reason
-  /// ("checksum mismatch", "bad magic", ...).
-  std::string error;
-
-  bool ok() const { return index.has_value(); }
-};
-
-/// Writes `index` to `path`, replacing any existing file *atomically*
-/// (temp file + fsync + rename — see util/env.h WriteFileAtomic): a crash
-/// mid-save leaves either the old file or the new one, never a torn
-/// envelope. False with `*error` set (when non-null, naming the failing
-/// path and step) on I/O failure.
-[[nodiscard]] bool SaveIndexToFile(const CompactIndex& index, const std::string& path,
-                                   std::string* error = nullptr);
-
-/// Reads, verifies, and parses a persisted compact index.
-[[nodiscard]] IndexLoadResult LoadIndexFromFile(const std::string& path);
-
 // --- Backend-generic persistence (the CycleIndex interface path). ---
 
 /// Serializes `index` (via SaveTo) into the checksummed envelope at `path`,
-/// atomically (see SaveIndexToFile). False with `*error` set (when
-/// non-null) if the backend has no persistent form or on I/O failure.
+/// replacing any existing file *atomically* (temp file + fsync + rename —
+/// see util/env.h WriteFileAtomic): a crash mid-save leaves either the old
+/// file or the new one, never a torn envelope. False with `*error` set (when
+/// non-null, naming the failing path and step) if the backend has no
+/// persistent form or on I/O failure.
 [[nodiscard]] bool SaveBackendToFile(const CycleIndex& index, const std::string& path,
                                      std::string* error = nullptr);
 
@@ -68,9 +49,8 @@ struct BackendLoadResult {
 
 /// Reads and verifies the envelope at `path`, creates backend
 /// `backend_name`, and restores it from the payload (LoadFrom). The payload
-/// format and the backend must be compatible — any CSC-family backend loads
-/// the compact interchange payload; the flat forms additionally load their
-/// native arena payloads.
+/// format and the backend must be compatible — every CSC backend loads the
+/// compact interchange payload and its own native arena payload.
 [[nodiscard]] BackendLoadResult LoadBackendFromFile(const std::string& path,
                                       const std::string& backend_name);
 

@@ -41,9 +41,9 @@ class Wal;       // serving/wal.h
 /// is also what makes the repaired index bit-identical to a from-scratch
 /// sequential build under the same ordering (the conformance oracle).
 struct RepairOptions {
-  /// Off by default: "compact", "frozen" and "compressed" then land by
-  /// rebuild-and-swap. "csc" repairs whether or not this is set; "bfs" and
-  /// "hpspc" have no patchable labels and always rebuild.
+  /// Off by default: "frozen" and "compressed" then land by rebuild-and-swap.
+  /// "csc" repairs whether or not this is set; "bfs" and "hpspc" have no
+  /// patchable labels and always rebuild.
   bool enabled = false;
   /// Shadow-maintenance rebuild threshold, shared knob with
   /// BatchOptions::rebuild_threshold: a batch whose net change reaches this

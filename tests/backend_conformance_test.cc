@@ -6,11 +6,16 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/bfs_cycle.h"
 #include "core/cycle_index.h"
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
 #include "csc/girth.h"
 #include "graph/digraph.h"
+#include "graph/ordering.h"
 #include "tests/test_util.h"
 
 namespace csc {
@@ -114,15 +119,12 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
     return;
   }
   EXPECT_TRUE(backend->supports_save());
-  // The compact interchange payload (saved by csc/compact) loads into both
-  // compact names and every flat serving form; the flat forms save their native
-  // arena payloads, which round-trip through their own backend.
-  std::vector<std::string> loaders;
-  if (GetParam() == "frozen" || GetParam() == "compressed") {
-    loaders = {GetParam()};
-  } else {
-    loaders = {"csc", "compact", "frozen", "compressed"};
-  }
+  // Every saving backend round-trips its own arena payload. "csc" and
+  // "frozen" save the same packed arena, so each also loads the other's;
+  // the other encoding is rejected cleanly, never half-loaded.
+  std::vector<std::string> loaders = {"csc", "frozen"};
+  std::vector<std::string> rejecters = {"compressed"};
+  if (GetParam() == "compressed") std::swap(loaders, rejecters);
   BfsCycleCounter reference(graph);
   for (const std::string& loader : loaders) {
     auto loaded = MakeBackend(loader);
@@ -133,10 +135,9 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
           << loader << " vertex " << v;
     }
   }
-  // Incompatible payloads are rejected cleanly, never half-loaded.
-  if (GetParam() == "frozen") {
-    EXPECT_FALSE(MakeBackend("compact")->LoadFrom(bytes));
-    EXPECT_FALSE(MakeBackend("compressed")->LoadFrom(bytes));
+  for (const std::string& rejecter : rejecters) {
+    EXPECT_FALSE(MakeBackend(rejecter)->LoadFrom(bytes))
+        << backend->name() << " payload into " << rejecter;
   }
 }
 
@@ -144,9 +145,29 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformanceTest,
                          ::testing::ValuesIn(AllBackendNames()),
                          [](const auto& info) { return info.param; });
 
+// The compact §IV.E payload is the interchange format: every CSC backend
+// loads it, whichever arena it serves from.
+TEST(BackendInterchangeTest, CompactPayloadLoadsIntoEveryCscBackend) {
+  DiGraph graph = RandomGraph(40, 2.0, 9);
+  const std::string bytes =
+      CompactIndex::FromIndex(CscIndex::Build(graph, DegreeOrdering(graph)))
+          .Serialize();
+  BfsCycleCounter reference(graph);
+  for (const char* loader : {"csc", "frozen", "compressed"}) {
+    auto loaded = MakeBackend(loader);
+    ASSERT_TRUE(loaded->LoadFrom(bytes)) << loader;
+    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+      EXPECT_EQ(loaded->CountShortestCycles(v), reference.CountCycles(v))
+          << loader << " vertex " << v;
+    }
+  }
+}
+
 TEST(BackendRegistryTest, UnknownNameReturnsNull) {
   EXPECT_EQ(MakeBackend("no-such-backend"), nullptr);
   EXPECT_EQ(MakeBackend(""), nullptr);
+  // "csc" serves the §IV.E reduction; there is no "compact" name.
+  EXPECT_EQ(MakeBackend("compact"), nullptr);
 }
 
 TEST(BackendRegistryTest, DefaultBackendIsRegistered) {

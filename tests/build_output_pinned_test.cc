@@ -51,8 +51,9 @@ void PrintTo(const PinnedOutput& p, std::ostream* os) {
       << p.vertices_dequeued << ", " << p.pruned_by_distance << "}";
 }
 
-// CRC-32Cs of the frozen and compressed backends' SaveTo payloads. The
-// compact backend saves the compact serialization, pinned in `csc.crc`.
+// CRC-32Cs of the frozen and compressed backends' SaveTo payloads. "csc"
+// saves the same packed arena as "frozen"; the compact serialization is
+// pinned in `csc.crc`.
 struct PinnedFlat {
   uint32_t frozen = 0;
   uint32_t compressed = 0;
@@ -163,7 +164,7 @@ TEST(BuildOutputPinnedTest, FlatPayloadsAtEveryBuildPath) {
       CycleIndex::BuildOptions options;
       options.num_threads = threads;
       for (const auto& [name, pinned] :
-           {std::pair<const char*, uint32_t>{"compact", g.csc.crc},
+           {std::pair<const char*, uint32_t>{"csc", g.flat.frozen},
             {"frozen", g.flat.frozen},
             {"compressed", g.flat.compressed}}) {
         std::unique_ptr<CycleIndex> backend = MakeBackend(name);

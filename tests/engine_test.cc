@@ -6,10 +6,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
 #include "csc/girth.h"
+#include "graph/ordering.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -137,23 +141,48 @@ TEST(EngineTest, CscSnapshotIsImmutable) {
   EXPECT_EQ(engine.QueryAll(), after);
 }
 
+// Engine persistence follows the backend interchange contract: every saving
+// backend's engine reloads its own bytes ("csc" and "frozen" also each
+// other's: one packed arena), rejects the other arena encoding, and the
+// compact §IV.E payload loads into all three.
 TEST(EngineTest, SaveLoadRoundTrip) {
   DiGraph graph = RandomGraph(40, 2.0, 8);
-  EngineOptions build_options;
-  build_options.backend = "csc";
-  Engine builder(build_options);
-  ASSERT_TRUE(builder.Build(graph));
-  std::string bytes;
-  ASSERT_TRUE(builder.SaveTo(bytes));
-
-  for (const char* serving : {"csc", "compact", "frozen", "compressed"}) {
+  const std::vector<CycleCount> expected = BfsReference(graph);
+  auto expect_loads = [&](const std::string& bytes, const char* serving,
+                          const std::string& saver) {
     EngineOptions options;
     options.backend = serving;
     Engine engine(options);
-    ASSERT_TRUE(engine.LoadFrom(bytes)) << serving;
-    EXPECT_EQ(engine.QueryAll(), BfsReference(graph)) << serving;
+    ASSERT_TRUE(engine.LoadFrom(bytes)) << saver << " into " << serving;
+    EXPECT_EQ(engine.QueryAll(), expected) << saver << " into " << serving;
     // No graph retained after LoadFrom: updates cannot apply.
     EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(0, 1)}), 0u);
+  };
+
+  for (const std::string saver : {"csc", "frozen", "compressed"}) {
+    EngineOptions build_options;
+    build_options.backend = saver;
+    Engine builder(build_options);
+    ASSERT_TRUE(builder.Build(graph));
+    std::string bytes;
+    ASSERT_TRUE(builder.SaveTo(bytes));
+    std::vector<const char*> loaders = {"csc", "frozen"};
+    std::vector<const char*> rejecters = {"compressed"};
+    if (saver == "compressed") std::swap(loaders, rejecters);
+    for (const char* serving : loaders) expect_loads(bytes, serving, saver);
+    for (const char* serving : rejecters) {
+      EngineOptions options;
+      options.backend = serving;
+      Engine engine(options);
+      EXPECT_FALSE(engine.LoadFrom(bytes)) << saver << " into " << serving;
+    }
+  }
+
+  const std::string compact =
+      CompactIndex::FromIndex(CscIndex::Build(graph, DegreeOrdering(graph)))
+          .Serialize();
+  for (const char* serving : {"csc", "frozen", "compressed"}) {
+    expect_loads(compact, serving, "compact payload");
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "graph/ordering.h"
 #include "tests/test_util.h"
@@ -33,70 +34,80 @@ CompactIndex BuildCompact(uint64_t seed) {
   return CompactIndex::FromIndex(index);
 }
 
+// Reads and verifies the envelope at `path`, then parses its payload.
+std::optional<CompactIndex> LoadCompact(const std::string& path) {
+  std::string error;
+  std::optional<std::string> payload = ReadVerifiedPayload(path, &error);
+  EXPECT_TRUE(payload.has_value()) << error;
+  if (!payload) return std::nullopt;
+  return CompactIndex::Deserialize(*payload);
+}
+
+// The envelope error reading `path` yields; empty if it verifies.
+std::string EnvelopeError(const std::string& path) {
+  std::string error;
+  std::optional<std::string> payload = ReadVerifiedPayload(path, &error);
+  EXPECT_EQ(payload.has_value(), error.empty()) << error;
+  return error;
+}
+
 TEST(IndexIoTest, RoundTripPreservesIndex) {
   TempFile file("roundtrip");
   CompactIndex original = BuildCompact(1);
-  ASSERT_TRUE(SaveIndexToFile(original, file.path()));
-  IndexLoadResult loaded = LoadIndexFromFile(file.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(*loaded.index, original);
+  ASSERT_TRUE(SavePayloadToFile(original.Serialize(), file.path()));
+  std::optional<CompactIndex> loaded = LoadCompact(file.path());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, original);
 }
 
 TEST(IndexIoTest, RoundTripServesIdenticalQueries) {
   TempFile file("queries");
   DiGraph graph = RandomGraph(60, 3.0, 7);
   CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
-  CompactIndex compact = CompactIndex::FromIndex(index);
-  ASSERT_TRUE(SaveIndexToFile(compact, file.path()));
-  IndexLoadResult loaded = LoadIndexFromFile(file.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(SavePayloadToFile(CompactIndex::FromIndex(index).Serialize(),
+                                file.path()));
+  std::optional<CompactIndex> loaded = LoadCompact(file.path());
+  ASSERT_TRUE(loaded.has_value());
   for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(loaded.index->Query(v), index.Query(v)) << "vertex " << v;
+    EXPECT_EQ(loaded->Query(v), index.Query(v)) << "vertex " << v;
   }
 }
 
 TEST(IndexIoTest, MissingFileReportsIoError) {
-  IndexLoadResult result = LoadIndexFromFile("/nonexistent/path/index.idx");
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.error.find("cannot read"), std::string::npos);
+  EXPECT_NE(EnvelopeError("/nonexistent/path/index.idx").find("cannot read"),
+            std::string::npos);
 }
 
 TEST(IndexIoTest, EmptyFileRejected) {
   TempFile file("empty");
   ASSERT_TRUE(WriteStringToFile(file.path(), ""));
-  IndexLoadResult result = LoadIndexFromFile(file.path());
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.error.find("too small"), std::string::npos);
+  EXPECT_NE(EnvelopeError(file.path()).find("too small"), std::string::npos);
 }
 
 TEST(IndexIoTest, ForeignFileRejectedByMagic) {
   TempFile file("foreign");
   ASSERT_TRUE(WriteStringToFile(file.path(),
                                 std::string(64, 'A')));  // no magic
-  IndexLoadResult result = LoadIndexFromFile(file.path());
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.error.find("bad magic"), std::string::npos);
+  EXPECT_NE(EnvelopeError(file.path()).find("bad magic"), std::string::npos);
 }
 
 TEST(IndexIoTest, TruncationDetected) {
   TempFile file("truncated");
-  ASSERT_TRUE(SaveIndexToFile(BuildCompact(2), file.path()));
+  ASSERT_TRUE(SavePayloadToFile(BuildCompact(2).Serialize(), file.path()));
   std::optional<std::string> bytes = ReadFileToString(file.path());
   ASSERT_TRUE(bytes.has_value());
   // Cut the file short (drop the last 8 bytes).
   ASSERT_GT(bytes->size(), 8u);
   ASSERT_TRUE(
       WriteStringToFile(file.path(), bytes->substr(0, bytes->size() - 8)));
-  IndexLoadResult result = LoadIndexFromFile(file.path());
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.error.find("truncated"), std::string::npos);
+  EXPECT_NE(EnvelopeError(file.path()).find("truncated"), std::string::npos);
 }
 
 TEST(IndexIoTest, EveryPayloadBitFlipIsCaught) {
   // Failure injection: flip one bit at a stride of payload positions; each
   // corruption must be rejected by the checksum (never parsed as valid).
   TempFile file("bitflip");
-  ASSERT_TRUE(SaveIndexToFile(BuildCompact(3), file.path()));
+  ASSERT_TRUE(SavePayloadToFile(BuildCompact(3).Serialize(), file.path()));
   std::optional<std::string> pristine = ReadFileToString(file.path());
   ASSERT_TRUE(pristine.has_value());
   const size_t header = 16;  // magic + size
@@ -106,31 +117,29 @@ TEST(IndexIoTest, EveryPayloadBitFlipIsCaught) {
     std::string corrupted = *pristine;
     corrupted[pos] ^= 0x10;
     ASSERT_TRUE(WriteStringToFile(file.path(), corrupted));
-    IndexLoadResult result = LoadIndexFromFile(file.path());
-    EXPECT_FALSE(result.ok()) << "undetected bit flip at byte " << pos;
-    EXPECT_NE(result.error.find("checksum"), std::string::npos);
+    EXPECT_NE(EnvelopeError(file.path()).find("checksum"), std::string::npos)
+        << "undetected bit flip at byte " << pos;
   }
 }
 
 TEST(IndexIoTest, CorruptedCrcFieldDetected) {
   TempFile file("crc");
-  ASSERT_TRUE(SaveIndexToFile(BuildCompact(4), file.path()));
+  ASSERT_TRUE(SavePayloadToFile(BuildCompact(4).Serialize(), file.path()));
   std::optional<std::string> bytes = ReadFileToString(file.path());
   ASSERT_TRUE(bytes.has_value());
   bytes->back() ^= 0xff;  // damage the stored checksum itself
   ASSERT_TRUE(WriteStringToFile(file.path(), *bytes));
-  IndexLoadResult result = LoadIndexFromFile(file.path());
-  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(EnvelopeError(file.path()).empty());
 }
 
 TEST(IndexIoTest, EmptyGraphIndexRoundTrips) {
   TempFile file("emptygraph");
   CscIndex index = CscIndex::Build(DiGraph(), DegreeOrdering(DiGraph()));
-  CompactIndex compact = CompactIndex::FromIndex(index);
-  ASSERT_TRUE(SaveIndexToFile(compact, file.path()));
-  IndexLoadResult loaded = LoadIndexFromFile(file.path());
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.index->num_original_vertices(), 0u);
+  ASSERT_TRUE(SavePayloadToFile(CompactIndex::FromIndex(index).Serialize(),
+                                file.path()));
+  std::optional<CompactIndex> loaded = LoadCompact(file.path());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->num_original_vertices(), 0u);
 }
 
 TEST(ShardedBundleTest, PartitionFlagsRoundTrip) {

@@ -2,6 +2,7 @@
 // edge-list parser, the compact-index deserializer, and the checksummed
 // file loader. None of them may crash, hang, or return a structurally
 // broken object on arbitrary input — they either parse or reject.
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -101,11 +102,12 @@ TEST(IndexFileFuzzTest, RandomFilesNeverLoad) {
   for (int round = 0; round < 60; ++round) {
     ASSERT_TRUE(
         WriteStringToFile(path, RandomBytes(rng, rng.NextBounded(500), false)));
-    IndexLoadResult result = LoadIndexFromFile(path);
+    std::string error;
     // 16-byte magic+size headers plus CRC make an accidental pass
     // effectively impossible; assert it outright.
-    EXPECT_FALSE(result.ok()) << "round " << round;
-    EXPECT_FALSE(result.error.empty());
+    EXPECT_FALSE(ReadVerifiedPayload(path, &error).has_value())
+        << "round " << round;
+    EXPECT_FALSE(error.empty());
   }
   std::remove(path.c_str());
 }
@@ -114,7 +116,8 @@ TEST(IndexFileFuzzTest, ByteFlipsOnValidFileAreAlwaysRejected) {
   std::string path = ::testing::TempDir() + "csc_fuzz_flip.idx";
   DiGraph graph = RandomGraph(30, 2.0, 7);
   CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
-  ASSERT_TRUE(SaveIndexToFile(CompactIndex::FromIndex(index), path));
+  ASSERT_TRUE(
+      SavePayloadToFile(CompactIndex::FromIndex(index).Serialize(), path));
   std::string pristine = *ReadFileToString(path);
 
   Rng rng(8);
@@ -124,8 +127,9 @@ TEST(IndexFileFuzzTest, ByteFlipsOnValidFileAreAlwaysRejected) {
     char flip = static_cast<char>(1 + rng.NextBounded(255));
     corrupted[pos] ^= flip;
     ASSERT_TRUE(WriteStringToFile(path, corrupted));
-    IndexLoadResult result = LoadIndexFromFile(path);
-    EXPECT_FALSE(result.ok()) << "byte " << pos << " xor " << int{flip};
+    std::string error;
+    EXPECT_FALSE(ReadVerifiedPayload(path, &error).has_value())
+        << "byte " << pos << " xor " << int{flip};
   }
   std::remove(path.c_str());
 }

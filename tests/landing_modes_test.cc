@@ -197,7 +197,7 @@ TEST(LandingModesAgree, EveryConfigurationLandsTheSameTrace) {
   const std::string wal_path = testing::TempDir() + "/landing_modes.wal";
 
   std::vector<Config> configs;
-  for (const char* backend : {"frozen", "compact"}) {
+  for (const char* backend : {"frozen", "compressed"}) {
     for (bool async : {false, true}) {
       for (bool repair : {false, true}) {
         for (bool wal : {false, true}) {

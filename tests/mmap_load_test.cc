@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "core/cycle_index.h"
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
 #include "csc/girth.h"
 #include "csc/index_io.h"
+#include "graph/ordering.h"
 #include "serving/engine.h"
 #include "serving/sharded_engine.h"
 #include "tests/test_util.h"
@@ -85,8 +88,31 @@ TEST_P(MmapLoadTest, MappedIndexOutlivesTheFileHandle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LoadableBackends, MmapLoadTest,
-                         ::testing::Values("compact", "frozen", "compressed"),
+                         ::testing::Values("csc", "frozen", "compressed"),
                          [](const auto& info) { return info.param; });
+
+// A file holding the compact interchange payload has no arena to view, so
+// every CSC backend loads it from the mapping by the copying fallback — and
+// keeps no reference to the mapping.
+TEST(MmapLoadTest, CompactPayloadLoadsIntoEveryCscBackendByCopy) {
+  TempFile file("compact_payload");
+  DiGraph graph = RandomGraph(60, 2.5, 37);
+  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
+  ASSERT_TRUE(SavePayloadToFile(CompactIndex::FromIndex(index).Serialize(),
+                                file.path()));
+  std::string error;
+  std::shared_ptr<IndexFile> mapping = IndexFile::Open(file.path(), &error);
+  ASSERT_NE(mapping, nullptr) << error;
+  for (const char* backend : {"csc", "frozen", "compressed"}) {
+    BackendLoadResult mapped = LoadBackendFromMapping(mapping, backend);
+    ASSERT_TRUE(mapped.ok()) << backend << ": " << mapped.error;
+    EXPECT_EQ(mapping.use_count(), 1) << backend;
+    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+      EXPECT_EQ(mapped.index->CountShortestCycles(v), index.Query(v))
+          << backend << " v=" << v;
+    }
+  }
+}
 
 TEST(MmapLoadTest, CorruptedFileIsRejectedAtOpen) {
   TempFile file("corrupt");

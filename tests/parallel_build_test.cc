@@ -77,8 +77,7 @@ TEST(ParallelBuildDeterminismTest, BackendPayloadsByteIdentical) {
   // Every labeling-based backend with a persistent form: the serialized
   // payload of a parallel build must be byte-identical to the sequential
   // build's.
-  const std::vector<std::string> backends = {"csc", "compact", "frozen",
-                                             "compressed"};
+  const std::vector<std::string> backends = {"csc", "frozen", "compressed"};
   DiGraph graph = GeneratePreferentialAttachment(500, 3, 0.2, 21);
   for (const std::string& name : backends) {
     std::unique_ptr<CycleIndex> oracle = MakeBackend(name);

@@ -74,7 +74,7 @@ std::string Serialized(ShardedEngine& engine) {
 // Engine routes through the repair pipeline ("csc" always, the others when
 // repair is enabled).
 std::vector<std::string> PatchableBackends() {
-  return {"csc", "compact", "frozen", "compressed"};
+  return {"csc", "frozen", "compressed"};
 }
 
 class RepairConformanceTest : public ::testing::TestWithParam<std::string> {};
@@ -120,12 +120,9 @@ TEST_P(RepairConformanceTest, ByteIdentityAfterDrainAcrossShards) {
 
 // Label-sliced shards: patch runs for unowned vertices are filtered out
 // before application, so a repaired sliced shard stays byte-identical to a
-// freshly built-and-sliced one. Arena backends only (the ones that slice).
+// freshly built-and-sliced one.
 TEST_P(RepairConformanceTest, SlicedShardsStayByteIdentical) {
   const std::string& backend = GetParam();
-  if (backend == "csc" || backend == "compact") {
-    GTEST_SKIP() << "the compact form does not slice";
-  }
   DiGraph graph = RandomGraph(50, 2.5, 62);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
   ShardedEngineOptions options;
@@ -331,23 +328,23 @@ TEST(RepairConformanceFallback, CscRepairsWithoutTheKnob) {
   Engine csc_engine(options);
   ASSERT_TRUE(csc_engine.Build(graph));
   EXPECT_TRUE(csc_engine.repair_active());
-  options.backend = "compact";
-  Engine compact_engine(options);
-  ASSERT_TRUE(compact_engine.Build(graph));
-  EXPECT_FALSE(compact_engine.repair_active());
+  options.backend = "frozen";
+  Engine frozen_engine(options);
+  ASSERT_TRUE(frozen_engine.Build(graph));
+  EXPECT_FALSE(frozen_engine.repair_active());
 
   for (const std::vector<EdgeUpdate>& batch : NetRestoringBatches(graph)) {
     EXPECT_EQ(csc_engine.ApplyUpdates(batch),
-              compact_engine.ApplyUpdates(batch));
+              frozen_engine.ApplyUpdates(batch));
   }
   EXPECT_GT(csc_engine.repair_stats().patches, 0u);
-  EXPECT_EQ(compact_engine.repair_stats().patches, 0u);
+  EXPECT_EQ(frozen_engine.repair_stats().patches, 0u);
   EXPECT_EQ(csc_engine.QueryAll(), BfsReference(graph));
   // The batches restore the graph: csc's patched snapshot serializes like
-  // compact's rebuilt one.
+  // frozen's rebuilt one.
   std::string patched_bytes, rebuilt_bytes;
   ASSERT_TRUE(csc_engine.SaveTo(patched_bytes));
-  ASSERT_TRUE(compact_engine.SaveTo(rebuilt_bytes));
+  ASSERT_TRUE(frozen_engine.SaveTo(rebuilt_bytes));
   EXPECT_EQ(patched_bytes, rebuilt_bytes);
 }
 

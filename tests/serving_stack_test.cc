@@ -4,12 +4,15 @@
 // rendered — with every stage cross-checked against the BFS oracle on the
 // reference window graph.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "csc/girth.h"
 #include "csc/index_io.h"
 #include "csc/screening.h"
@@ -61,22 +64,25 @@ TEST(ServingStackTest, StreamToPersistedServingTier) {
 
   // 2. Persist with checksum, reload.
   std::string path = ::testing::TempDir() + "serving_stack.idx";
-  CompactIndex compact = CompactIndex::FromIndex(index);
-  ASSERT_TRUE(SaveIndexToFile(compact, path));
-  IndexLoadResult loaded = LoadIndexFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(
+      SavePayloadToFile(CompactIndex::FromIndex(index).Serialize(), path));
+  std::string error;
+  std::optional<std::string> payload = ReadVerifiedPayload(path, &error);
+  ASSERT_TRUE(payload.has_value()) << error;
   std::remove(path.c_str());
+  std::optional<CompactIndex> loaded = CompactIndex::Deserialize(*payload);
+  ASSERT_TRUE(loaded.has_value());
 
   // 3. Freeze + compress the reloaded index; verify every form against the
   //    oracle on the reference graph.
-  FrozenIndex frozen = FrozenIndex::FromCompact(*loaded.index);
-  CompressedIndex compressed = CompressedIndex::FromCompact(*loaded.index);
+  FrozenIndex frozen = FrozenIndex::FromCompact(*loaded);
+  CompressedIndex compressed = CompressedIndex::FromCompact(*loaded);
   SccResult scc = ComputeScc(reference);
   BfsCycleCounter oracle(reference);
   for (Vertex v = 0; v < reference.num_vertices(); ++v) {
     CycleCount truth = oracle.CountCycles(v);
     ASSERT_EQ(index.Query(v), truth) << "live index, vertex " << v;
-    ASSERT_EQ(loaded.index->Query(v), truth) << "reloaded, vertex " << v;
+    ASSERT_EQ(loaded->Query(v), truth) << "reloaded, vertex " << v;
     ASSERT_EQ(frozen.Query(v), truth) << "frozen, vertex " << v;
     ASSERT_EQ(compressed.Query(v), truth) << "compressed, vertex " << v;
     ASSERT_EQ(truth.count > 0, scc.OnCycle(v)) << "SCC filter, vertex " << v;
