@@ -24,9 +24,7 @@
 #include "csc/csc_index.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
-#include "csc/compact_index.h"
 #include "csc/frozen_index.h"
-#include "labeling/compressed.h"
 #include "labeling/label_set.h"
 #include "util/random.h"
 #include "util/varint.h"
@@ -163,7 +161,8 @@ BENCHMARK(BM_ArenaJoin)->CSC_ARENA_JOIN_ARGS;
 BENCHMARK(BM_ArenaJoinLinear)->CSC_ARENA_JOIN_ARGS;
 #undef CSC_ARENA_JOIN_ARGS
 
-// The same join through the varint decode path (CompressedIndex's kernel).
+// The same join through the varint decode path (the "compressed" backend's
+// kernel).
 void BM_ArenaJoinVarint(benchmark::State& state) {
   size_t entries = static_cast<size_t>(state.range(0));
   Rank universe = static_cast<Rank>(4 * entries);
@@ -251,8 +250,8 @@ BENCHMARK_F(QueryFixture, FrozenQuery)(benchmark::State& state) {
 }
 
 BENCHMARK_F(QueryFixture, CompressedQuery)(benchmark::State& state) {
-  CompressedIndex compressed =
-      CompressedIndex::FromCompact(CompactIndex::FromIndex(*index_));
+  FrozenIndex compressed =
+      FrozenIndex::FromIndex(*index_, ArenaEncoding::kVarint);
   Rng rng(10);
   for (auto _ : state) {
     Vertex v = static_cast<Vertex>(rng.NextBounded(graph_.num_vertices()));

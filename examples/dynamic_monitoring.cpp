@@ -12,6 +12,7 @@
 
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
 #include "graph/generators.h"
@@ -96,10 +97,11 @@ int main(int argc, char** argv) {
   CompactIndex checkpoint = CompactIndex::FromIndex(index);
   std::string path = "monitoring.checkpoint";
   WriteStringToFile(path, checkpoint.Serialize());
-  auto restored = CompactIndex::Deserialize(*ReadFileToString(path));
+  FrozenIndex restored = FrozenIndex::FromCompact(
+      *CompactIndex::Deserialize(*ReadFileToString(path)));
   int mismatches = 0;
   for (Vertex v = 0; v < n; ++v) {
-    if (restored->Query(v) != index.Query(v)) ++mismatches;
+    if (restored.Query(v) != index.Query(v)) ++mismatches;
   }
   std::printf("checkpoint round trip: %s (%d mismatches)\n",
               mismatches == 0 ? "OK" : "FAILED", mismatches);

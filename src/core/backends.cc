@@ -14,7 +14,6 @@
 #include "csc/frozen_index.h"
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
-#include "labeling/compressed.h"
 #include "util/env.h"
 #include "util/timer.h"
 
@@ -76,18 +75,20 @@ class BackendBase : public CycleIndex {
   uint64_t patches_since_rebuild_ = 0;
 };
 
-// The CSC serving forms: the §IV.E reduction (L_in(v_i) and L_out(v_o)) in a
-// flat arena — packed for "csc" and "frozen", varint-encoded for
-// "compressed" — with one build chain and load fallback for both encodings.
+// The CSC serving form: the §IV.E reduction (L_in(v_i) and L_out(v_o)) in a
+// FrozenIndex whose arenas are packed for "csc" and "frozen" and
+// varint-encoded for "compressed", with one build chain and load fallback
+// for both encodings. A backend serves only its own encoding: a native
+// payload of the other one is rejected.
 // A build consumes its labeling: the compact step moves the two served
 // label sets out of the CscIndex and frees the rest, and ReleaseFreeMemory
 // returns what it can of that before the arena is allocated, so the build
 // peaks at the labeling plus the arena, not the labeling plus two copies of
 // its served half.
-template <typename Index>
 class FlatBackend : public BackendBase {
  public:
-  using BackendBase::BackendBase;
+  FlatBackend(std::string name, ArenaEncoding encoding)
+      : BackendBase(std::move(name)), encoding_(encoding) {}
 
   void Build(const DiGraph& graph, const BuildOptions& options) override {
     Timer timer;
@@ -97,7 +98,7 @@ class FlatBackend : public BackendBase {
     CompactIndex compact = CompactIndex::FromIndex(
         CscIndex::Build(graph, DegreeOrdering(graph), o));
     ReleaseFreeMemory();
-    index_ = Index::FromCompact(compact);
+    index_ = FrozenIndex::FromCompact(compact, encoding_);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
     ResetPatchCounters();
@@ -115,19 +116,11 @@ class FlatBackend : public BackendBase {
   bool LoadFrom(const std::string& bytes) override {
     Timer timer;
     // Native flat payload first, then the compact interchange format.
-    if (auto native = Index::Deserialize(bytes)) {
-      index_ = std::move(*native);
-      build_seconds_ = timer.ElapsedSeconds();
-      build_threads_ = 0;
-      ResetPatchCounters();
-      return true;
+    if (auto native = FrozenIndex::Deserialize(bytes)) {
+      return Adopt(std::move(*native), timer);
     }
     if (auto compact = CompactIndex::Deserialize(bytes)) {
-      index_ = Index::FromCompact(*compact);
-      build_seconds_ = timer.ElapsedSeconds();
-      build_threads_ = 0;
-      ResetPatchCounters();
-      return true;
+      return Adopt(FrozenIndex::FromCompact(*compact, encoding_), timer);
     }
     return false;
   }
@@ -137,12 +130,8 @@ class FlatBackend : public BackendBase {
     Timer timer;
     // Native payloads serve zero-copy straight from the mapping; anything
     // else (the compact interchange format) takes the copying path.
-    if (auto native = Index::FromView(data, size, std::move(keep_alive))) {
-      index_ = std::move(*native);
-      build_seconds_ = timer.ElapsedSeconds();
-      build_threads_ = 0;
-      ResetPatchCounters();
-      return true;
+    if (auto native = FrozenIndex::FromView(data, size, std::move(keep_alive))) {
+      return Adopt(std::move(*native), timer);
     }
     return CycleIndex::LoadView(data, size, nullptr);
   }
@@ -161,7 +150,7 @@ class FlatBackend : public BackendBase {
         patch.num_vertices != index_.num_original_vertices()) {
       return nullptr;
     }
-    auto clone = std::make_unique<FlatBackend<Index>>(name_);
+    auto clone = std::make_unique<FlatBackend>(name_, encoding_);
     clone->index_ = index_.WithEditedRuns(patch.in_runs, patch.out_runs);
     clone->InheritPatched(*this, patch);
     return clone;
@@ -181,7 +170,18 @@ class FlatBackend : public BackendBase {
   uint64_t LabelEntries() const override { return index_.TotalEntries(); }
 
  private:
-  Index index_;
+  // Serves `loaded` when it has this backend's encoding.
+  bool Adopt(FrozenIndex loaded, const Timer& timer) {
+    if (loaded.encoding() != encoding_) return false;
+    index_ = std::move(loaded);
+    build_seconds_ = timer.ElapsedSeconds();
+    build_threads_ = 0;
+    ResetPatchCounters();
+    return true;
+  }
+
+  ArenaEncoding encoding_;
+  FrozenIndex index_;
 };
 
 // "bfs": the index-free Algorithm 1 baseline. A rebuild is a graph copy;
@@ -258,12 +258,11 @@ class HpSpcBackend : public BackendBase {
 }  // namespace
 
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
-  if (name == "csc") return std::make_unique<FlatBackend<FrozenIndex>>("csc");
-  if (name == "frozen") {
-    return std::make_unique<FlatBackend<FrozenIndex>>("frozen");
+  if (name == "csc" || name == "frozen") {
+    return std::make_unique<FlatBackend>(name, ArenaEncoding::kPacked);
   }
   if (name == "compressed") {
-    return std::make_unique<FlatBackend<CompressedIndex>>("compressed");
+    return std::make_unique<FlatBackend>(name, ArenaEncoding::kVarint);
   }
   if (name == "bfs") return std::make_unique<BfsBackend>();
   if (name == "hpspc") return std::make_unique<HpSpcBackend>();

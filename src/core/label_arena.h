@@ -20,11 +20,11 @@ namespace csc {
 /// How a LabelArena stores its entry payload.
 enum class ArenaEncoding : uint8_t {
   /// One packed 64-bit LabelEntry per entry in a contiguous array — the
-  /// cache-linear serving layout (what FrozenIndex used to hand-roll).
+  /// cache-linear serving layout (FrozenIndex's default; "CSCF" payloads).
   kPacked = 0,
   /// LEB128 varint triples (hub-rank delta, distance, count) — typically
-  /// 3-4 bytes per entry instead of 8, decoded during the query merge (what
-  /// CompressedIndex used to hand-roll).
+  /// 3-4 bytes per entry instead of 8, decoded during the query merge (the
+  /// "compressed" backend's FrozenIndex; "CSCZ" payloads).
   kVarint = 1,
 };
 

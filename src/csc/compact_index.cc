@@ -24,20 +24,22 @@ void PutU64(std::string& out, uint64_t v) {
   out.append(buf, 8);
 }
 
-// Sequential reader with bounds checking; any overrun flips `ok`.
+// Sequential reader with bounds checking over `bytes` from offset `pos`;
+// any overrun flips `ok`.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  Reader(const std::string& bytes, size_t pos) : bytes_(bytes), pos_(pos) {}
 
   uint32_t U32() { return Fixed<uint32_t>(); }
   uint64_t U64() { return Fixed<uint64_t>(); }
   bool ok() const { return ok_; }
+  size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
 
  private:
   template <typename T>
   T Fixed() {
-    if (pos_ + sizeof(T) > bytes_.size()) {
+    if (sizeof(T) > remaining()) {
       ok_ = false;
       return T{};
     }
@@ -48,7 +50,7 @@ class Reader {
   }
 
   const std::string& bytes_;
-  size_t pos_ = 0;
+  size_t pos_;
   bool ok_ = true;
 };
 
@@ -83,7 +85,7 @@ CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
     compact.in_labels_[v] = index.labeling().in[InVertex(v)];
     compact.out_labels_[v] = index.labeling().out[OutVertex(v)];
   }
-  compact.CopyRanks(index.bipartite_order());
+  compact.rank_to_vertex_ = index.bipartite_order().rank_to_vertex;
   return compact;
 }
 
@@ -100,44 +102,8 @@ CompactIndex CompactIndex::FromIndex(CscIndex&& index) {
     compact.in_labels_[v] = std::move(labeling.in[InVertex(v)]);
     compact.out_labels_[v] = std::move(labeling.out[OutVertex(v)]);
   }
-  compact.CopyRanks(consumed.bipartite_order());
+  compact.rank_to_vertex_ = consumed.bipartite_order().rank_to_vertex;
   return compact;
-}
-
-void CompactIndex::CopyRanks(const VertexOrdering& order) {
-  rank_to_vertex_ = order.rank_to_vertex;
-  in_vertex_rank_.resize(in_labels_.size());
-  for (Vertex v = 0; v < in_vertex_rank_.size(); ++v) {
-    in_vertex_rank_[v] = order.vertex_to_rank[InVertex(v)];
-  }
-}
-
-CycleCount CompactIndex::Query(Vertex v) const {
-  JoinResult r = JoinLabels(out_labels_[v], in_labels_[v]);
-  if (r.dist == kInfDist) return {};
-  return {(r.dist + 1) / 2, r.count};
-}
-
-CycleCount CompactIndex::QueryThroughEdge(Vertex u, Vertex v) const {
-  if (u == v || u >= num_original_vertices() ||
-      v >= num_original_vertices()) {
-    return {};
-  }
-  JoinResult r = JoinLabels(out_labels_[v], in_labels_[u]);
-  // Couple-skipping correction (see CscIndex::QueryThroughEdge): paths on
-  // which v_o outranks everything are covered only by hub v_i in L_in(u_i).
-  const LabelEntry* couple_entry = in_labels_[u].Find(in_vertex_rank_[v]);
-  if (couple_entry != nullptr) {
-    Dist d = couple_entry->dist() - 1;
-    if (d < r.dist) {
-      r.dist = d;
-      r.count = couple_entry->count();
-    } else if (d == r.dist) {
-      r.count += couple_entry->count();
-    }
-  }
-  if (r.dist == kInfDist) return {};
-  return {(r.dist + 1) / 2 + 1, r.count};
 }
 
 uint64_t CompactIndex::TotalEntries() const {
@@ -200,17 +166,20 @@ std::optional<CompactIndex> CompactIndex::Deserialize(
   if (bytes.size() < 4 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
     return std::nullopt;
   }
-  const std::string body = bytes.substr(4);
-  Reader reader(body);
+  Reader reader(bytes, 4);
   if (reader.U32() != kVersion) return std::nullopt;
   uint32_t n = reader.U32();
   if (!reader.ok()) return std::nullopt;
+  // Each vertex takes at least 16 more bytes (two permutation entries and
+  // two label-set sizes), so a count the payload cannot hold is malformed —
+  // reject it before sizing anything from it.
+  if (n > reader.remaining() / 16) return std::nullopt;
   CompactIndex compact;
   compact.rank_to_vertex_.resize(2 * static_cast<size_t>(n));
   std::vector<bool> seen(2 * static_cast<size_t>(n), false);
   for (Vertex& v : compact.rank_to_vertex_) {
     v = reader.U32();
-    if (!reader.ok() || v >= 2 * n || seen[v]) return std::nullopt;
+    if (!reader.ok() || v >= 2ull * n || seen[v]) return std::nullopt;
     seen[v] = true;
   }
   compact.in_labels_.resize(n);
@@ -220,14 +189,6 @@ std::optional<CompactIndex> CompactIndex::Deserialize(
     if (!ReadLabelSet(reader, compact.out_labels_[v])) return std::nullopt;
   }
   if (!reader.ok() || !reader.AtEnd()) return std::nullopt;
-  // Rebuild the derived couple-hub rank map.
-  compact.in_vertex_rank_.resize(n);
-  for (Rank r = 0; r < compact.rank_to_vertex_.size(); ++r) {
-    Vertex bipartite_vertex = compact.rank_to_vertex_[r];
-    if (IsInVertex(bipartite_vertex)) {
-      compact.in_vertex_rank_[OriginalOf(bipartite_vertex)] = r;
-    }
-  }
   return compact;
 }
 

@@ -6,13 +6,12 @@
 #include <vector>
 
 #include "csc/csc_index.h"
-#include "graph/ordering.h"
 #include "labeling/hub_labeling.h"
 
 namespace csc {
 
-/// Index reduction (§IV.E): a read-only CSC index that stores only one label
-/// set per couple pair and direction — the library's interchange payload.
+/// Index reduction (§IV.E): the CSC labeling with only one label set per
+/// couple pair and direction — the library's interchange payload.
 ///
 /// Because couple pairs are rank-consecutive, the labels of a pair are
 /// redundant copies of each other:
@@ -24,11 +23,11 @@ namespace csc {
 /// ("when the complete index must be recovered, we just need to modify the
 /// distance element and the v_i-hub out-label entry").
 ///
-/// No backend serves it directly: it is the step between a built CscIndex and
-/// the flat arena serving forms (FrozenIndex / CompressedIndex::FromCompact),
-/// and its "CSCI" serialization is the interchange format every CSC backend
-/// loads. A CscIndex is resumed from it for dynamic maintenance via
-/// ExpandToFull().
+/// It is a payload only, with no query path of its own: it is the step
+/// between a built CscIndex and the one serving form
+/// (FrozenIndex::FromCompact, either arena encoding), and its "CSCI"
+/// serialization is the interchange format every CSC backend loads. A
+/// CscIndex is resumed from it for dynamic maintenance via ExpandToFull().
 class CompactIndex {
  public:
   /// Compacts a built CSC index (drops the redundant couple label sets).
@@ -43,13 +42,6 @@ class CompactIndex {
   /// stay interleaved with the freed half in the heap, so a compact index
   /// kept for long packs tighter as a copy.
   static CompactIndex FromIndex(CscIndex&& index);
-
-  /// SCCnt(v) — identical answers to CscIndex::Query.
-  CycleCount Query(Vertex v) const;
-
-  /// Shortest cycles through the edge (u, v) — identical answers to
-  /// CscIndex::QueryThroughEdge (see there for semantics).
-  CycleCount QueryThroughEdge(Vertex u, Vertex v) const;
 
   Vertex num_original_vertices() const {
     return static_cast<Vertex>(in_labels_.size());
@@ -78,16 +70,9 @@ class CompactIndex {
   friend bool operator==(const CompactIndex&, const CompactIndex&) = default;
 
  private:
-  // Carries the bipartite rank permutation over from the built index and
-  // derives in_vertex_rank_; the label sets must already be sized.
-  void CopyRanks(const VertexOrdering& order);
-
   std::vector<LabelSet> in_labels_;   // L_in(v_i), indexed by original vertex
   std::vector<LabelSet> out_labels_;  // L_out(v_o), indexed by original vertex
   std::vector<Vertex> rank_to_vertex_;
-  // Derived (not serialized; rebuilt on load): in_vertex_rank_[v] is the
-  // rank of v_i, the couple-correction hub QueryThroughEdge needs.
-  std::vector<Rank> in_vertex_rank_;
 };
 
 }  // namespace csc

@@ -1,64 +1,128 @@
 #include "csc/frozen_index.h"
 
-#include "csc/flat_csc_query.h"
+#include <cstring>
+
+#include "graph/bipartite.h"
 
 namespace csc {
 
 namespace {
-constexpr char kFrozenMagic[4] = {'C', 'S', 'C', 'F'};
+
+// Payload magic per ArenaEncoding, indexed by the encoding's value.
+constexpr char kMagics[][4] = {{'C', 'S', 'C', 'F'}, {'C', 'S', 'C', 'Z'}};
+
+const char* MagicOf(ArenaEncoding encoding) {
+  return kMagics[static_cast<size_t>(encoding)];
+}
+
 }  // namespace
 
-FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact) {
+FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
+                                     ArenaEncoding encoding) {
   FrozenIndex frozen;
   Vertex n = compact.num_original_vertices();
   frozen.in_ = LabelArena::Build(
       n, [&](Vertex v) -> const LabelSet& { return compact.InLabels(v); },
-      ArenaEncoding::kPacked);
+      encoding);
   frozen.out_ = LabelArena::Build(
       n, [&](Vertex v) -> const LabelSet& { return compact.OutLabels(v); },
-      ArenaEncoding::kPacked);
-  frozen.in_vertex_rank_ = flat::CoupleRanksFromCompact(compact);
+      encoding);
+  // The couple-correction hub of v is v_i; read its rank off the compact
+  // index's rank permutation.
+  const std::vector<Vertex>& rank_to_vertex =
+      compact.bipartite_rank_to_vertex();
+  frozen.in_vertex_rank_.resize(n);
+  for (Rank r = 0; r < rank_to_vertex.size(); ++r) {
+    if (IsInVertex(rank_to_vertex[r])) {
+      frozen.in_vertex_rank_[OriginalOf(rank_to_vertex[r])] = r;
+    }
+  }
   return frozen;
 }
 
 CycleCount FrozenIndex::Query(Vertex v) const {
-  return flat::Query(out_, in_, v);
+  if (v >= in_.num_vertices()) return {};
+  JoinResult r = LabelArena::Join(out_, v, in_, v);
+  if (r.dist == kInfDist) return {};
+  return {(r.dist + 1) / 2, r.count};
 }
 
 CycleCount FrozenIndex::QueryThroughEdge(Vertex u, Vertex v) const {
-  return flat::QueryThroughEdge(out_, in_, in_vertex_rank_, u, v);
+  if (u == v || u >= in_.num_vertices() || v >= in_.num_vertices()) {
+    return {};
+  }
+  JoinResult r = LabelArena::Join(out_, v, in_, u);
+  // Couple-skipping correction: paths on which v_o outranks everything are
+  // covered only by hub v_i in L_in(u_i).
+  if (auto hit = in_.FindHub(u, in_vertex_rank_[v])) {
+    Dist d = hit->first - 1;
+    if (d < r.dist) {
+      r.dist = d;
+      r.count = hit->second;
+    } else if (d == r.dist) {
+      r.count += hit->second;
+    }
+  }
+  if (r.dist == kInfDist) return {};
+  return {(r.dist + 1) / 2 + 1, r.count};
 }
 
 std::string FrozenIndex::Serialize() const {
-  return flat::SerializeFlat(kFrozenMagic, in_, out_, in_vertex_rank_);
+  std::string out;
+  out.append(MagicOf(encoding()), 4);
+  in_.AppendTo(out);
+  out_.AppendTo(out);
+  for (Rank r : in_vertex_rank_) {
+    char buf[4];
+    std::memcpy(buf, &r, 4);
+    out.append(buf, 4);
+  }
+  return out;
+}
+
+std::optional<FrozenIndex> FrozenIndex::Parse(
+    const uint8_t* data, size_t size, bool view,
+    std::shared_ptr<const void> keep_alive) {
+  if (size < 4) return std::nullopt;
+  std::optional<ArenaEncoding> encoding;
+  for (ArenaEncoding e : {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
+    if (std::memcmp(data, MagicOf(e), 4) == 0) encoding = e;
+  }
+  if (!encoding) return std::nullopt;
+  size_t pos = 4;
+  FrozenIndex frozen;
+  for (LabelArena* arena : {&frozen.in_, &frozen.out_}) {
+    auto parsed = view ? LabelArena::ParseView(data, size, pos, keep_alive)
+                       : LabelArena::Parse(data, size, pos);
+    if (!parsed || parsed->encoding() != *encoding) return std::nullopt;
+    *arena = std::move(*parsed);
+  }
+  const Vertex n = frozen.in_.num_vertices();
+  if (frozen.out_.num_vertices() != n ||
+      pos + sizeof(Rank) * static_cast<uint64_t>(n) != size) {
+    return std::nullopt;
+  }
+  // The trailing couple-rank vector: one bulk memcpy, then a single
+  // validation pass (couple ranks index the 2n bipartite ranks).
+  frozen.in_vertex_rank_.resize(n);
+  if (n > 0) {
+    std::memcpy(frozen.in_vertex_rank_.data(), data + pos,
+                sizeof(Rank) * static_cast<size_t>(n));
+  }
+  for (Rank r : frozen.in_vertex_rank_) {
+    if (r >= 2ull * n) return std::nullopt;
+  }
+  return frozen;
 }
 
 std::optional<FrozenIndex> FrozenIndex::Deserialize(const std::string& bytes) {
-  auto parts = flat::DeserializeFlat(kFrozenMagic, bytes);
-  if (!parts || parts->in.encoding() != ArenaEncoding::kPacked ||
-      parts->out.encoding() != ArenaEncoding::kPacked) {
-    return std::nullopt;
-  }
-  FrozenIndex frozen;
-  frozen.in_ = std::move(parts->in);
-  frozen.out_ = std::move(parts->out);
-  frozen.in_vertex_rank_ = std::move(parts->in_vertex_rank);
-  return frozen;
+  return Parse(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(),
+               /*view=*/false, nullptr);
 }
 
 std::optional<FrozenIndex> FrozenIndex::FromView(
     const uint8_t* data, size_t size, std::shared_ptr<const void> keep_alive) {
-  auto parts =
-      flat::DeserializeFlatView(kFrozenMagic, data, size, std::move(keep_alive));
-  if (!parts || parts->in.encoding() != ArenaEncoding::kPacked ||
-      parts->out.encoding() != ArenaEncoding::kPacked) {
-    return std::nullopt;
-  }
-  FrozenIndex frozen;
-  frozen.in_ = std::move(parts->in);
-  frozen.out_ = std::move(parts->out);
-  frozen.in_vertex_rank_ = std::move(parts->in_vertex_rank);
-  return frozen;
+  return Parse(data, size, /*view=*/true, std::move(keep_alive));
 }
 
 void FrozenIndex::SliceTo(const std::function<bool(Vertex)>& keep) {

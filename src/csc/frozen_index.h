@@ -15,32 +15,44 @@
 namespace csc {
 
 /// A frozen, query-only CSC index: the compact (§IV.E) labeling flattened
-/// into two packed LabelArenas (one per direction) — one allocation per
-/// direction, no per-vertex vector headers, cache-linear scans. This is the
-/// deployment format for read-heavy serving; build/maintain with CscIndex,
-/// freeze for the query tier.
+/// into two LabelArenas (one per direction) — one allocation per direction,
+/// no per-vertex vector headers, cache-linear scans. This is the one serving
+/// form of the CSC backends; build/maintain with CscIndex, freeze for the
+/// query tier.
 ///
-/// Queries are identical in result to CscIndex::Query / CompactIndex::Query
+/// The arenas' encoding is data. kPacked stores each entry as one 64-bit
+/// word. kVarint stores LEB128 triples (rank delta, distance, count): the
+/// paper accounts 8 bytes per entry (§VI.A), but ranks ascend within a run
+/// and distances and counts are small on small-world graphs, so varint runs
+/// take typically 3-4 bytes per entry, paid for by decoding in the join.
+///
+/// Queries are identical in result to CscIndex::Query under either encoding
 /// (tests assert equality); they only differ in memory layout.
 class FrozenIndex {
  public:
   FrozenIndex() = default;
 
-  /// Flattens a compact index.
-  static FrozenIndex FromCompact(const CompactIndex& compact);
+  /// Flattens a compact index into arenas of the given encoding.
+  static FrozenIndex FromCompact(
+      const CompactIndex& compact,
+      ArenaEncoding encoding = ArenaEncoding::kPacked);
 
   /// Convenience: compact + freeze in one step.
-  static FrozenIndex FromIndex(const CscIndex& index) {
-    return FromCompact(CompactIndex::FromIndex(index));
+  static FrozenIndex FromIndex(
+      const CscIndex& index, ArenaEncoding encoding = ArenaEncoding::kPacked) {
+    return FromCompact(CompactIndex::FromIndex(index), encoding);
   }
 
-  /// SCCnt(v).
+  /// SCCnt(v): joins L_out(v_o) with L_in(v_i) and maps the bipartite
+  /// distance d to a cycle length (d + 1) / 2.
   CycleCount Query(Vertex v) const;
 
   /// Shortest cycles through the edge (u, v) — identical answers to
-  /// CscIndex::QueryThroughEdge (see there for semantics).
+  /// CscIndex::QueryThroughEdge (see there for semantics, including the
+  /// couple-skipping correction).
   CycleCount QueryThroughEdge(Vertex u, Vertex v) const;
 
+  ArenaEncoding encoding() const { return in_.encoding(); }
   Vertex num_original_vertices() const { return in_.num_vertices(); }
   uint64_t TotalEntries() const {
     return in_.total_entries() + out_.total_entries();
@@ -48,6 +60,13 @@ class FrozenIndex {
   /// Payload bytes (entries only; offsets excluded, matching how the paper
   /// accounts index size as 8 bytes per entry).
   uint64_t SizeBytes() const { return in_.SizeBytes() + out_.SizeBytes(); }
+  /// Mean encoded bytes per label entry (8.0 when packed).
+  double BytesPerEntry() const {
+    uint64_t entries = TotalEntries();
+    return entries == 0 ? 0.0
+                        : static_cast<double>(SizeBytes()) /
+                              static_cast<double>(entries);
+  }
   /// Full resident footprint including offsets and the couple-rank map.
   uint64_t MemoryBytes() const {
     return in_.MemoryBytes() + out_.MemoryBytes() +
@@ -58,9 +77,12 @@ class FrozenIndex {
   const LabelArena& in_arena() const CSC_LIFETIME_BOUND { return in_; }
   const LabelArena& out_arena() const CSC_LIFETIME_BOUND { return out_; }
 
-  /// Binary serialization (magic + arenas + couple-rank map; fixed-width
-  /// fields native-endian, matching the CompactIndex wire format).
+  /// Binary serialization: 4-byte magic ("CSCF" packed, "CSCZ" varint) |
+  /// in arena | out arena | couple-rank map (fixed-width fields
+  /// native-endian, matching the CompactIndex wire format).
   std::string Serialize() const;
+  /// Parses either magic; nullopt on malformed input or when an arena's
+  /// encoding disagrees with the magic.
   static std::optional<FrozenIndex> Deserialize(const std::string& bytes);
 
   /// As Deserialize, but zero-copy over an externally owned buffer (a
@@ -94,7 +116,11 @@ class FrozenIndex {
   friend bool operator==(const FrozenIndex&, const FrozenIndex&) = default;
 
  private:
-  friend class CompressedIndex;
+  // Shared by Deserialize (view = false: the arenas copy their payload) and
+  // FromView.
+  static std::optional<FrozenIndex> Parse(
+      const uint8_t* data, size_t size, bool view,
+      std::shared_ptr<const void> keep_alive);
 
   LabelArena in_;   // L_in(v_i), indexed by original vertex
   LabelArena out_;  // L_out(v_o), indexed by original vertex

@@ -4,10 +4,10 @@
 /// Portable Clang lifetime annotations for the zero-copy storage layer.
 ///
 /// The serving stack's hottest property is that label payloads are *views*:
-/// `LabelArena` runs, `FrozenIndex`/`CompressedIndex` arenas, and whole
-/// sharded deployments serve straight out of one read-only `IndexFile`
-/// mapping, kept alive only by `shared_ptr` keep-alive handles threaded
-/// through `ParseView` / `LoadView` / `LoadFromMapping`. These macros turn
+/// `LabelArena` runs, `FrozenIndex` arenas, and whole sharded deployments
+/// serve straight out of one read-only `IndexFile` mapping, kept alive only
+/// by `shared_ptr` keep-alive handles threaded through `ParseView` /
+/// `LoadView` / `LoadFromMapping`. These macros turn
 /// the resulting lifetime discipline — "no view may outlive what it views"
 /// — into a compile-time contract on Clang (`-Wdangling`, `-Wdangling-gsl`,
 /// `-Wreturn-stack-address`, promoted to errors in the static-analysis CI

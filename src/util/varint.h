@@ -7,10 +7,10 @@
 
 namespace csc {
 
-/// LEB128 variable-length unsigned integers, the compressed-index wire
-/// encoding (labeling/compressed.h). Small values — hub-rank deltas,
-/// distances and counts are almost all small — take one byte instead of the
-/// packed entry's fixed fields.
+/// LEB128 variable-length unsigned integers, the varint arena encoding
+/// (ArenaEncoding::kVarint in core/label_arena.h). Small values — hub-rank
+/// deltas, distances and counts are almost all small — take one byte
+/// instead of the packed entry's fixed fields.
 
 /// Appends `value` to `out` (1-10 bytes).
 inline void AppendVarint(std::vector<uint8_t>& out, uint64_t value) {
@@ -23,7 +23,7 @@ inline void AppendVarint(std::vector<uint8_t>& out, uint64_t value) {
 
 /// Decodes one varint from `data` starting at `pos`, advancing `pos`.
 /// The caller guarantees the buffer holds a complete, well-formed varint
-/// (the compressed index only decodes buffers it encoded).
+/// (a varint LabelArena only decodes streams it encoded or walked on load).
 inline uint64_t DecodeVarint(const uint8_t* data, size_t& pos) {
   uint64_t value = 0;
   int shift = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/frozen_index.h"
 #include "tests/test_util.h"
 
 namespace csc {
@@ -15,9 +16,9 @@ namespace {
 TEST(CompactIndexTest, QueriesMatchFullIndex) {
   DiGraph g = RandomGraph(80, 2.5, 3);
   CscIndex full = CscIndex::Build(g, DegreeOrdering(g));
-  CompactIndex compact = CompactIndex::FromIndex(full);
+  FrozenIndex served = FrozenIndex::FromCompact(CompactIndex::FromIndex(full));
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(compact.Query(v), full.Query(v)) << "vertex " << v;
+    EXPECT_EQ(served.Query(v), full.Query(v)) << "vertex " << v;
   }
 }
 
@@ -57,8 +58,9 @@ TEST(CompactIndexTest, SerializeDeserializeRoundTrip) {
   auto back = CompactIndex::Deserialize(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, compact);
+  FrozenIndex served = FrozenIndex::FromCompact(*back);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(back->Query(v), full.Query(v));
+    EXPECT_EQ(served.Query(v), full.Query(v));
   }
 }
 
@@ -76,6 +78,12 @@ TEST(CompactIndexTest, DeserializeRejectsCorruptInput) {
   EXPECT_FALSE(CompactIndex::Deserialize(wrong_magic).has_value());
   std::string trailing = bytes + "x";
   EXPECT_FALSE(CompactIndex::Deserialize(trailing).has_value());
+  // A bare header claiming more vertices than the payload can hold is
+  // rejected before anything is sized from the claimed count.
+  std::string header_only = bytes.substr(0, 8);
+  const uint32_t huge_n = 0x7fffffff;
+  header_only.append(reinterpret_cast<const char*>(&huge_n), 4);
+  EXPECT_FALSE(CompactIndex::Deserialize(header_only).has_value());
 }
 
 TEST(CompactIndexTest, DeserializeRejectsCorruptPermutation) {
@@ -119,10 +127,11 @@ TEST(CompactIndexTest, ConsumingFromIndexMatchesCopying) {
       ASSERT_EQ(consumed, copied) << name << " reserve=" << reserve;
       Vertex n = consumed.num_original_vertices();
       ASSERT_EQ(n, g.num_vertices() + reserve) << name;
+      FrozenIndex served = FrozenIndex::FromCompact(consumed);
       for (Vertex u = 0; u < n; ++u) {
-        EXPECT_EQ(consumed.Query(u), index.Query(u)) << name << " " << u;
+        EXPECT_EQ(served.Query(u), index.Query(u)) << name << " " << u;
         for (Vertex v = 0; v < n; ++v) {
-          EXPECT_EQ(consumed.QueryThroughEdge(u, v),
+          EXPECT_EQ(served.QueryThroughEdge(u, v),
                     index.QueryThroughEdge(u, v))
               << name << " (" << u << ", " << v << ")";
         }

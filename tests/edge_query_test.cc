@@ -7,7 +7,6 @@
 #include "csc/csc_index.h"
 #include "csc/frozen_index.h"
 #include "csc/screening.h"
-#include "labeling/compressed.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
 #include "graph/ordering.h"
@@ -103,10 +102,10 @@ TEST(EdgeQueryTest, AllIndexFormsAgree) {
   CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
   CompactIndex compact = CompactIndex::FromIndex(index);
   FrozenIndex frozen = FrozenIndex::FromCompact(compact);
-  CompressedIndex compressed = CompressedIndex::FromCompact(compact);
+  FrozenIndex compressed =
+      FrozenIndex::FromCompact(compact, ArenaEncoding::kVarint);
   for (const Edge& e : graph.Edges()) {
     CycleCount expected = index.QueryThroughEdge(e.from, e.to);
-    EXPECT_EQ(compact.QueryThroughEdge(e.from, e.to), expected);
     EXPECT_EQ(frozen.QueryThroughEdge(e.from, e.to), expected);
     EXPECT_EQ(compressed.QueryThroughEdge(e.from, e.to), expected);
   }
@@ -158,9 +157,10 @@ TEST(EdgeScreeningTest, RanksPlantedHotEdge) {
 }
 
 TEST(EdgeQueryTest, SurvivesSerializationRoundTrip) {
-  // The couple-hub correction needs a rank map that is *derived* (not
-  // serialized); a deserialized index must rebuild it and answer edge
-  // queries identically, as must a frozen form built from it.
+  // The couple-hub correction needs v_i's rank: the frozen form derives it
+  // from a reloaded compact payload's rank permutation and then carries it
+  // in its own payload. Both round trips must answer edge queries
+  // identically.
   DiGraph graph = RandomGraph(50, 2.5, 67);
   CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
   CompactIndex compact = CompactIndex::FromIndex(index);
@@ -168,10 +168,13 @@ TEST(EdgeQueryTest, SurvivesSerializationRoundTrip) {
       CompactIndex::Deserialize(compact.Serialize());
   ASSERT_TRUE(reloaded.has_value());
   FrozenIndex frozen = FrozenIndex::FromCompact(*reloaded);
+  std::optional<FrozenIndex> refrozen =
+      FrozenIndex::Deserialize(frozen.Serialize());
+  ASSERT_TRUE(refrozen.has_value());
   for (const Edge& e : graph.Edges()) {
     CycleCount expected = index.QueryThroughEdge(e.from, e.to);
-    EXPECT_EQ(reloaded->QueryThroughEdge(e.from, e.to), expected);
     EXPECT_EQ(frozen.QueryThroughEdge(e.from, e.to), expected);
+    EXPECT_EQ(refrozen->QueryThroughEdge(e.from, e.to), expected);
   }
 }
 

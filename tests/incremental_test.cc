@@ -4,6 +4,7 @@
 
 #include "baseline/bfs_cycle.h"
 #include "csc/compact_index.h"
+#include "csc/frozen_index.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 #include "workload/update_workload.h"
@@ -148,9 +149,9 @@ TEST(IncrementalTest, UpdatedIndexServesCompactQueries) {
     ASSERT_TRUE(InsertEdge(index, e.from, e.to));
     ASSERT_TRUE(g.AddEdge(e.from, e.to));
   }
-  CompactIndex compact = CompactIndex::FromIndex(index);
+  FrozenIndex served = FrozenIndex::FromCompact(CompactIndex::FromIndex(index));
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(compact.Query(v), index.Query(v));
+    EXPECT_EQ(served.Query(v), index.Query(v));
   }
 }
 

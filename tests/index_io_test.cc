@@ -9,6 +9,7 @@
 
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "graph/ordering.h"
 #include "tests/test_util.h"
 #include "util/env.h"
@@ -68,8 +69,9 @@ TEST(IndexIoTest, RoundTripServesIdenticalQueries) {
                                 file.path()));
   std::optional<CompactIndex> loaded = LoadCompact(file.path());
   ASSERT_TRUE(loaded.has_value());
+  FrozenIndex served = FrozenIndex::FromCompact(*loaded);
   for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-    EXPECT_EQ(loaded->Query(v), index.Query(v)) << "vertex " << v;
+    EXPECT_EQ(served.Query(v), index.Query(v)) << "vertex " << v;
   }
 }
 

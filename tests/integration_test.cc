@@ -5,6 +5,7 @@
 #include "baseline/bfs_cycle.h"
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
 #include "graph/graph_io.h"
@@ -67,9 +68,10 @@ TEST(IntegrationTest, SaveGraphBuildReloadServeQueries) {
   ASSERT_TRUE(bytes.has_value());
   auto reloaded = CompactIndex::Deserialize(*bytes);
   ASSERT_TRUE(reloaded.has_value());
+  FrozenIndex served = FrozenIndex::FromCompact(*reloaded);
   BfsCycleCounter bfs(g);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(reloaded->Query(v), bfs.CountCycles(v)) << "vertex " << v;
+    EXPECT_EQ(served.Query(v), bfs.CountCycles(v)) << "vertex " << v;
   }
   std::remove(graph_path.c_str());
   std::remove(index_path.c_str());

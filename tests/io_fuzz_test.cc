@@ -9,6 +9,7 @@
 
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "csc/index_io.h"
 #include "graph/graph_io.h"
 #include "graph/ordering.h"
@@ -75,9 +76,10 @@ TEST(DeserializeFuzzTest, ArbitraryBytesRejectedOrParsed) {
     std::string bytes = RandomBytes(rng, rng.NextBounded(600), false);
     std::optional<CompactIndex> index = CompactIndex::Deserialize(bytes);
     if (index) {
-      // If it parsed, queries on every declared vertex must be safe.
-      for (Vertex v = 0; v < index->num_original_vertices(); ++v) {
-        index->Query(v);
+      // If it parsed, serving queries on every declared vertex must be safe.
+      FrozenIndex served = FrozenIndex::FromCompact(*index);
+      for (Vertex v = 0; v < served.num_original_vertices(); ++v) {
+        served.Query(v);
       }
     }
   }
