@@ -80,7 +80,7 @@ int Usage() {
       "  csc_cli graphstats <graph.edges>\n"
       "  csc_cli casestudy <graph.edges> <vertex> <out.dot>\n"
       "  csc_cli [--backend NAME] [--shards N] [--async-updates] [--repair] "
-      "[--retries N] [--max-pending N] churn <graph.edges> <rounds> "
+      "[--max-pending N] churn <graph.edges> <rounds> "
       "<batch_edges> [<index.out>]\n"
       "--shards N builds/serves through the sharded engine (N per-shard\n"
       "backends; multi-shard index files are auto-detected on load)\n"
@@ -91,12 +91,10 @@ int Usage() {
       "deserialization copy for the flat arena backends)\n"
       "--async-updates applies churn batches asynchronously: ApplyUpdates\n"
       "returns after validation, batches land off the writer thread\n"
-      "--repair lands churn batches as bounded label patches against a\n"
+      "--repair lands churn batches as label patches against a\n"
       "pinned-ordering shadow index instead of full rebuilds (backends\n"
-      "frozen/compressed; csc always repairs)\n"
-      "--retries N retries transient rebuild/patch failures up to N total\n"
-      "attempts with bounded exponential backoff before rolling the batch\n"
-      "back (default 1 = no retry); counters print after churn\n"
+      "frozen/compressed; csc always repairs); a batch whose landing\n"
+      "fails rolls back at once\n"
       "--max-pending N caps the per-shard async rebuild backlog at N\n"
       "batches: churn batches past the cap shed with kOverloaded instead\n"
       "of growing the queue (0 = uncapped); admission counters print\n"
@@ -659,13 +657,6 @@ int CmdStats(const std::string& backend_name, uint32_t shards,
               stats.supports_save ? "yes" : "no");
   std::printf("build           : %.3f s (threads=%u)\n", stats.build_seconds,
               stats.build_threads);
-  if (stats.patches_since_rebuild > 0) {
-    std::printf("label patches   : %llu since last rebuild (%llu hubs "
-                "repaired, %s rewritten)\n",
-                static_cast<unsigned long long>(stats.patches_since_rebuild),
-                static_cast<unsigned long long>(stats.patch_hubs_repaired),
-                HumanBytes(stats.patch_label_bytes).c_str());
-  }
   // Admission counters live on the serving engines; a bare single index has
   // no admission gate to report (see the sharded branch above and churn).
   return 0;
@@ -676,8 +667,8 @@ int CmdStats(const std::string& backend_name, uint32_t shards,
 // — in async mode — the drain time separating admission from the landed
 // snapshot swaps.
 int CmdChurn(const std::string& backend_name, uint32_t shards,
-             bool async_updates, bool repair, uint32_t retries,
-             uint64_t max_pending, unsigned build_threads,
+             bool async_updates, bool repair, uint64_t max_pending,
+             unsigned build_threads,
              const std::string& graph_path, size_t rounds, size_t batch_edges,
              const std::string& index_out) {
   auto graph = LoadEdgeListFile(graph_path);
@@ -691,7 +682,6 @@ int CmdChurn(const std::string& backend_name, uint32_t shards,
   options.async_updates = async_updates;
   options.build_threads = build_threads;
   options.repair.enabled = repair;
-  options.retry.max_attempts = std::max(1u, retries);
   options.admission.max_pending_batches = max_pending;
   ShardedEngine engine(options);
   if (!engine.valid()) {
@@ -748,13 +738,6 @@ int CmdChurn(const std::string& backend_name, uint32_t shards,
                 static_cast<unsigned long long>(repair_stats.hubs_repaired),
                 HumanBytes(repair_stats.label_bytes).c_str());
   }
-  if (retries > 1 || repair_stats.retries > 0) {
-    std::printf("retries     : %llu re-attempts, %llu batches recovered "
-                "(max %u attempts/batch)\n",
-                static_cast<unsigned long long>(repair_stats.retries),
-                static_cast<unsigned long long>(repair_stats.retry_successes),
-                std::max(1u, retries));
-  }
   AdmissionStats admission = engine.AdmissionStatsTotal();
   std::printf("admission   : %llu batches shed, %llu blocked, %llu query "
               "timeouts (peak backlog %llu batches%s)\n",
@@ -804,7 +787,6 @@ int main(int argc, char** argv) {
   bool use_mmap = false;
   bool async_updates = false;
   bool repair = false;
-  uint32_t retries = 1;
   uint64_t max_pending = 0;
   unsigned build_threads = 0;
   std::vector<char*> args;
@@ -834,12 +816,6 @@ int main(int argc, char** argv) {
       async_updates = true;
     } else if (arg == "--repair") {
       repair = true;
-    } else if (arg == "--retries") {
-      if (i + 1 >= argc) return Usage();
-      retries = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      retries = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 10, nullptr, 10));
     } else if (arg == "--max-pending") {
       if (i + 1 >= argc) return Usage();
       max_pending = std::strtoull(argv[++i], nullptr, 10);
@@ -873,8 +849,8 @@ int main(int argc, char** argv) {
     return CmdGirth(backend, shards, use_mmap, build_threads, args[1]);
   }
   if (cmd == "churn" && (n == 4 || n == 5)) {
-    return CmdChurn(backend, shards, async_updates, repair, retries,
-                    max_pending, build_threads, args[1],
+    return CmdChurn(backend, shards, async_updates, repair, max_pending,
+                    build_threads, args[1],
                     std::strtoul(args[2], nullptr, 10),
                     std::strtoul(args[3], nullptr, 10),
                     n == 5 ? args[4] : std::string());

@@ -36,30 +36,11 @@ class BackendBase : public CycleIndex {
     stats.build_seconds = build_seconds_;
     stats.build_threads = build_threads_;
     stats.supports_save = supports_save();
-    stats.patch_hubs_repaired = patch_hubs_repaired_;
-    stats.patch_label_bytes = patch_label_bytes_;
-    stats.patches_since_rebuild = patches_since_rebuild_;
     return stats;
   }
 
  protected:
   virtual uint64_t LabelEntries() const { return 0; }
-
-  // Carries identity and accumulates damage counters onto a patched clone
-  // (ApplyLabelPatch); a fresh Build/LoadFrom leaves them zeroed.
-  void InheritPatched(const BackendBase& source, const LabelPatch& patch) {
-    build_seconds_ = source.build_seconds_;
-    build_threads_ = source.build_threads_;
-    patch_hubs_repaired_ = source.patch_hubs_repaired_ + patch.RunCount();
-    patch_label_bytes_ = source.patch_label_bytes_ + patch.LabelBytes();
-    patches_since_rebuild_ = source.patches_since_rebuild_ + 1;
-  }
-
-  void ResetPatchCounters() {
-    patch_hubs_repaired_ = 0;
-    patch_label_bytes_ = 0;
-    patches_since_rebuild_ = 0;
-  }
 
   // Rough adjacency footprint of a DiGraph (both directions materialized).
   static uint64_t GraphBytes(const DiGraph& graph) {
@@ -70,9 +51,6 @@ class BackendBase : public CycleIndex {
   std::string name_;
   double build_seconds_ = 0;
   unsigned build_threads_ = 0;
-  uint64_t patch_hubs_repaired_ = 0;
-  uint64_t patch_label_bytes_ = 0;
-  uint64_t patches_since_rebuild_ = 0;
 };
 
 // The CSC serving form: the §IV.E reduction (L_in(v_i) and L_out(v_o)) in a
@@ -101,7 +79,6 @@ class FlatBackend : public BackendBase {
     index_ = FrozenIndex::FromCompact(compact, encoding_);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
-    ResetPatchCounters();
   }
 
   CycleCount CountShortestCycles(Vertex v) const override {
@@ -152,7 +129,8 @@ class FlatBackend : public BackendBase {
     }
     auto clone = std::make_unique<FlatBackend>(name_, encoding_);
     clone->index_ = index_.WithEditedRuns(patch.in_runs, patch.out_runs);
-    clone->InheritPatched(*this, patch);
+    clone->build_seconds_ = build_seconds_;
+    clone->build_threads_ = build_threads_;
     return clone;
   }
 
@@ -176,7 +154,6 @@ class FlatBackend : public BackendBase {
     index_ = std::move(loaded);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = 0;
-    ResetPatchCounters();
     return true;
   }
 

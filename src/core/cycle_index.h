@@ -30,14 +30,6 @@ struct BackendStats {
   /// loads reset it to 0 — nothing was constructed).
   unsigned build_threads = 0;
   bool supports_save = false;
-  /// Incremental-repair counters (ApplyLabelPatch): serving runs rewritten
-  /// and replacement label bytes written by patches since the last full
-  /// Build/LoadFrom, plus the number of patches applied. A freshly built or
-  /// loaded index reports zeros; after a repair these describe the bounded
-  /// damage instead of pretending the index is still build-fresh.
-  uint64_t patch_hubs_repaired = 0;
-  uint64_t patch_label_bytes = 0;
-  uint64_t patches_since_rebuild = 0;
 };
 
 /// The polymorphic backend interface every shortest-cycle-counting engine in
@@ -107,13 +99,14 @@ class CycleIndex {
                         std::shared_ptr<const void> keep_alive);
 
   /// Returns a copy of this index with the patch's run edits applied — the
-  /// serving tier's bounded repair: the unpatched instance keeps serving
+  /// serving tier's incremental repair: the unpatched instance keeps serving
   /// readers while the clone re-encodes only the touched runs. nullptr when
   /// this backend has no patchable label storage (the caller then falls
   /// back to deriving a full snapshot). Patches are rank-encoded and only
   /// valid against an index built under the same vertex ordering as the
-  /// shadow they were extracted from; the patched clone's Stats() reports
-  /// the accumulated patch counters.
+  /// shadow they were extracted from. The clone's Stats() keeps the source's
+  /// build figures; the serving tier counts repair work in its own
+  /// RepairStats.
   virtual std::unique_ptr<CycleIndex> ApplyLabelPatch(const LabelPatch& patch);
 
   virtual bool supports_label_patch() const { return false; }

@@ -20,8 +20,8 @@ struct BatchOptions {
   /// is cheaper than thousands of resumed BFSs (the crossover the paper
   /// quantifies as "2.3e-5 of the reconstruction time" per single edge).
   /// Set to a value > 1 to never rebuild, or 0 to always rebuild. The
-  /// serving tier's RepairOptions shares this default (update_stats.h), so
-  /// both decision points agree on one knob.
+  /// serving tier's repair pipeline always uses the default
+  /// (update_stats.h).
   double rebuild_threshold = kDefaultRebuildThreshold;
   /// When set, the rebuild path reconstructs under this fixed ordering
   /// (over original vertices) instead of recomputing DegreeOrdering from

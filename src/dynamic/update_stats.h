@@ -8,10 +8,10 @@
 
 namespace csc {
 
-/// The one rebuild-vs-repair knob shared by the batch path
-/// (BatchOptions::rebuild_threshold) and the serving-tier repair pipeline
-/// (RepairOptions::rebuild_threshold): fall back to reconstruction once a
-/// batch's net change reaches this fraction of the current edge count.
+/// The rebuild-vs-repair threshold: fall back to reconstruction once a
+/// batch's net change reaches this fraction of the current edge count. The
+/// default of BatchOptions::rebuild_threshold, and the fixed threshold the
+/// serving tier's repair pipeline lands with.
 inline constexpr double kDefaultRebuildThreshold = 0.25;
 
 /// How InsertEdge maintains the label minimality property (§V.B).

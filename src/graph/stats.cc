@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/csr.h"
 #include "util/random.h"
 
 namespace csc {
@@ -48,14 +47,28 @@ GraphStats ComputeGraphStats(const DiGraph& graph) {
 double EstimateAverageDistance(const DiGraph& graph, unsigned samples,
                                uint64_t seed) {
   if (graph.num_edges() == 0 || samples == 0) return 0;
-  CsrGraph csr = CsrGraph::FromGraph(graph);
+  const Vertex n = graph.num_vertices();
   Rng rng(seed);
   uint64_t total_distance = 0;
   uint64_t total_pairs = 0;
+  std::vector<Dist> dist;
+  std::vector<Vertex> queue;
   for (unsigned i = 0; i < samples; ++i) {
-    Vertex source = static_cast<Vertex>(rng.NextBounded(graph.num_vertices()));
-    std::vector<Dist> dist = CsrBfsDistances(csr, source, /*forward=*/true);
-    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    Vertex source = static_cast<Vertex>(rng.NextBounded(n));
+    // Forward BFS from `source` over the out-adjacency lists.
+    dist.assign(n, kInfDist);
+    queue.assign(1, source);
+    dist[source] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      Vertex w = queue[head];
+      for (Vertex next : graph.OutNeighbors(w)) {
+        if (dist[next] == kInfDist) {
+          dist[next] = dist[w] + 1;
+          queue.push_back(next);
+        }
+      }
+    }
+    for (Vertex v = 0; v < n; ++v) {
       if (v == source || dist[v] == kInfDist) continue;
       total_distance += dist[v];
       ++total_pairs;

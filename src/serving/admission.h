@@ -53,16 +53,25 @@ enum class [[nodiscard]] QueryStatus : uint8_t {
 };
 
 /// An absolute time budget. Default-constructed deadlines are unbounded
-/// (never expire); `After(budget)` pins one `budget` from now. Checks are
-/// cheap (one steady_clock read), so query loops can test per chunk.
+/// (never expire); `After(budget)` pins one `budget` from now, and a budget
+/// past the clock's range (milliseconds::max(), centuries) is unbounded too.
+/// Checks are cheap (one steady_clock read), so query loops can test per
+/// chunk.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
   Deadline() = default;  // unbounded
   static Deadline After(std::chrono::milliseconds budget) {
+    const Clock::time_point now = Clock::now();
+    // Compared in milliseconds: converting `budget` to the clock's
+    // nanoseconds could itself overflow.
+    if (budget >= std::chrono::floor<std::chrono::milliseconds>(
+                      Clock::time_point::max() - now)) {
+      return Deadline();
+    }
     Deadline d;
-    d.when_ = Clock::now() + budget;
+    d.when_ = now + budget;
     return d;
   }
   static Deadline At(Clock::time_point when) {

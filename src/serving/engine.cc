@@ -1,7 +1,6 @@
 #include "serving/engine.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -75,12 +74,6 @@ CscIndex::Options ShadowOptions(unsigned build_threads) {
   return shadow_options;
 }
 
-/// One backoff step of the retry policy: sleep, then double (capped).
-void BackoffSleep(uint32_t* backoff_ms, const RetryOptions& retry) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(*backoff_ms));
-  *backoff_ms = std::min(*backoff_ms * 2, std::max(1u, retry.backoff_max_ms));
-}
-
 /// One shared deadline probe: the failpoint's error action makes "budget
 /// exhausted" deterministic for tests; otherwise it is a real clock check.
 bool BudgetExhausted(const Deadline& deadline) {
@@ -94,11 +87,6 @@ Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       pool_(options_.num_threads == 0 ? ThreadPool::DefaultThreadCount()
                                       : options_.num_threads) {
-  // Fold the construction-worker override into the build options once;
-  // Build and every rebuild (sync or async) then pick it up.
-  if (options_.build_threads != 0) {
-    options_.build.num_threads = options_.build_threads;
-  }
   // The slicing predicate moves into update_mu_-guarded state: the rebuild
   // worker reads it off-thread, so it cannot live in plain options_ once
   // set_slice_keep can replace it mid-flight.
@@ -167,13 +155,13 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   if (repair) {
     try {
       DiGraph extended = graph;
-      extended.AddVertices(options_.build.reserve_vertices);
+      extended.AddVertices(options_.reserve_vertices);
       // DegreeOrdering is insensitive to trailing isolated vertices, so
       // this pinned ordering is exactly what the backend's own Build would
       // have used — the derived payload is bit-identical to a direct build.
       pinned = DegreeOrdering(extended);
       shadow = std::make_unique<CscIndex>(CscIndex::Build(
-          extended, pinned, ShadowOptions(options_.build.num_threads)));
+          extended, pinned, ShadowOptions(options_.build_threads)));
       if (!next->LoadFrom(CompactIndex::FromIndex(*shadow).Serialize())) {
         shadow.reset();
         repair = false;
@@ -183,12 +171,14 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
       repair = false;
     }
   }
-  if (!repair) next->Build(graph, options_.build);
+  if (!repair) {
+    next->Build(graph, {options_.reserve_vertices, options_.build_threads});
+  }
   // A backend that did not materialize the requested vertex space (graph
   // plus reserve) must not become the active snapshot; keep serving the
   // previous one.
   if (next->num_vertices() !=
-      graph.num_vertices() + options_.build.reserve_vertices) {
+      graph.num_vertices() + options_.reserve_vertices) {
     return false;
   }
   bool sliced = false;
@@ -197,7 +187,7 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   // the vertex space the snapshot serves. Copied after the build, so the
   // copy does not add to the build's peak memory.
   DiGraph retained = graph;
-  retained.AddVertices(options_.build.reserve_vertices);
+  retained.AddVertices(options_.reserve_vertices);
   // A configured WAL starts a fresh generation on every Build: the new
   // index is the new baseline, so the log is atomically replaced with one
   // checkpoint record of the (reserve-extended) build graph. Created before
@@ -419,23 +409,15 @@ std::shared_ptr<CycleIndex> Engine::Rebuild(
   // rethrown by ThreadPool::Wait under build_threads) must surface as a
   // failed rebuild, not an exception: the lander rolls back on nullptr, and
   // on the async worker a throw would escape the SerialWorker task and
-  // terminate the process. The test hook sits inside the guard so tests
-  // can inject the throwing variant too.
+  // terminate the process. The failpoint sits inside the guard so its
+  // throw action injects the throwing variant too.
   try {
-    if (options_.fail_rebuild_for_testing &&
-        options_.fail_rebuild_for_testing()) {
-      return nullptr;
-    }
-    // Injectable transient failure (one per armed action, so a retrying
-    // caller's next attempt passes — the retry-success test shape).
     if (CSC_FAILPOINT("engine.rebuild")) return nullptr;
     std::shared_ptr<CycleIndex> next = MakeFresh();
     if (!next) return nullptr;
     // graph_ already carries the reserved vertices from Build; reserving
     // again on every rebuild would grow the vertex space without bound.
-    CycleIndex::BuildOptions rebuild_options = options_.build;
-    rebuild_options.reserve_vertices = 0;
-    next->Build(graph, rebuild_options);
+    next->Build(graph, {/*reserve_vertices=*/0, options_.build_threads});
     if (next->num_vertices() != graph.num_vertices()) return nullptr;
     if (slice_keep) next->SliceLabels(slice_keep);
     return next;
@@ -450,20 +432,16 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
     bool* shadow_touched) {
   *shadow_touched = false;
   try {
-    if (options_.fail_patch_for_testing && options_.fail_patch_for_testing()) {
-      // Injected before any shadow mutation: the ordinary graph undo is a
-      // complete rollback.
-      return nullptr;
-    }
-    // Injectable transient patch failure, same pre-shadow position as the
-    // test hook (so it is retryable).
+    // Injected before any shadow mutation: the ordinary graph undo is a
+    // complete rollback.
     if (CSC_FAILPOINT("engine.patch")) return nullptr;
     if (!shadow_) return nullptr;
     *shadow_touched = true;
     dirty_.Reset();
+    // rebuild_threshold stays kDefaultRebuildThreshold: past it the shadow
+    // is rebuilt under the pinned ordering and the snapshot derived.
     BatchOptions batch_options;
     batch_options.strategy = MaintenanceStrategy::kMinimality;
-    batch_options.rebuild_threshold = options_.repair.rebuild_threshold;
     batch_options.pinned_order = &pinned_order_;
     batch_options.dirty = &dirty_;
     BatchResult result = csc::ApplyUpdates(*shadow_, ops, batch_options);
@@ -481,15 +459,10 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
         drop_unowned(patch.in_runs);
         drop_unowned(patch.out_runs);
       }
-      const RepairOptions& repair = options_.repair;
-      bool within_budget = (repair.max_repair_hubs == 0 ||
-                            patch.RunCount() <= repair.max_repair_hubs) &&
-                           (repair.max_patch_bytes == 0 ||
-                            patch.LabelBytes() <= repair.max_patch_bytes);
       // Only the lander (under land_mu_) swaps snapshots, so the current
       // one is exactly the pre-batch state the patch applies to.
       std::shared_ptr<CycleIndex> current = snapshot();
-      if (within_budget && current) {
+      if (current) {
         if (std::unique_ptr<CycleIndex> clone =
                 current->ApplyLabelPatch(patch)) {
           stats->hubs_repaired += patch.RunCount();
@@ -499,9 +472,8 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
         }
       }
     }
-    // Shadow rebuilt, over-budget patch, or unpatchable snapshot: derive a
-    // full snapshot from the shadow's labeling — one encode+decode pass,
-    // still no BFS.
+    // Shadow rebuilt or unpatchable snapshot: derive a full snapshot from
+    // the shadow's labeling — one encode+decode pass, still no BFS.
     std::shared_ptr<CycleIndex> next = MakeFresh();
     if (!next ||
         !next->LoadFrom(CompactIndex::FromIndex(*shadow_).Serialize())) {
@@ -521,7 +493,7 @@ void Engine::RestoreShadowLocked() {
     // graph_ has already been rolled back by the caller, so a rebuild under
     // the pinned ordering reproduces the exact pre-batch shadow.
     *shadow_ = CscIndex::Build(graph_, pinned_order_,
-                               ShadowOptions(options_.build.num_threads));
+                               ShadowOptions(options_.build_threads));
   } catch (...) {
     // Can't restore the maintenance state; abandon repair for this engine.
     // Later batches fall back to rebuild-and-swap, which only needs the
@@ -629,25 +601,12 @@ void Engine::LandEpochs() {
   }
   // 2. Build the next snapshot with update_mu_ released: admissions queue
   // up behind this landing instead of waiting for it, and readers never
-  // block. Bounded-backoff retry (EngineOptions::retry): a touched shadow
-  // is half-maintained — re-driving the same ops would double-apply — so
-  // only pre-shadow failures retry.
+  // block. One attempt: a failure rolls the backlog back below.
   RepairStats stats;
   bool shadow_touched = false;
-  std::shared_ptr<CycleIndex> next;
-  const uint32_t max_attempts = std::max(1u, options_.retry.max_attempts);
-  uint32_t backoff_ms = std::max(1u, options_.retry.backoff_initial_ms);
-  for (uint32_t attempt = 1;; ++attempt) {
-    next = repair ? LandRepair(ops, slice_keep, &stats, &shadow_touched)
-                  : Rebuild(graph, slice_keep);
-    if (next) {
-      if (attempt > 1) ++stats.retry_successes;
-      break;
-    }
-    if (shadow_touched || attempt >= max_attempts) break;
-    ++stats.retries;
-    BackoffSleep(&backoff_ms, options_.retry);
-  }
+  std::shared_ptr<CycleIndex> next =
+      repair ? LandRepair(ops, slice_keep, &stats, &shadow_touched)
+             : Rebuild(graph, slice_keep);
   // 3. Publish, then commit. The swap happens before update_mu_ is
   // retaken, so the retired snapshot is freed off the admission lock.
   const bool landed = next != nullptr;
@@ -769,15 +728,11 @@ bool Engine::WaitForEpoch(uint64_t epoch) {
 
 WaitStatus Engine::WaitForEpoch(uint64_t epoch,
                                 std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const Deadline deadline = Deadline::After(timeout);
   MutexLock lock(update_mu_);
   while (resolved_epoch_ < epoch) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return WaitStatus::kTimeout;
-    // Ceil so a sub-millisecond remainder still sleeps (a truncated 0ms
-    // wait would spin against the deadline check).
-    (void)epoch_cv_.WaitFor(
-        lock, std::chrono::ceil<std::chrono::milliseconds>(deadline - now));
+    if (deadline.expired()) return WaitStatus::kTimeout;
+    WaitLocked(lock, deadline);
   }
   return IsFailedLocked(epoch) ? WaitStatus::kRolledBack : WaitStatus::kLanded;
 }
@@ -792,7 +747,7 @@ WaitStatus Engine::Drain(std::chrono::milliseconds timeout) {
   MutexLock lock(update_mu_);
   while (resolved_epoch_ < submitted_epoch_) {
     if (deadline.expired()) return WaitStatus::kTimeout;
-    (void)epoch_cv_.WaitFor(lock, deadline.remaining());
+    WaitLocked(lock, deadline);
   }
   // kLanded here means "every admitted epoch resolved", not "every batch
   // succeeded" — individual rollbacks are reported per-epoch by
@@ -818,11 +773,7 @@ bool Engine::AdmitLocked(MutexLock& lock, size_t ops,
       break;
     }
     waited = true;
-    if (deadline.unbounded()) {
-      epoch_cv_.Wait(lock);
-    } else {
-      (void)epoch_cv_.WaitFor(lock, deadline.remaining());
-    }
+    WaitLocked(lock, deadline);
     admit = !draining_;
   }
   if (!admit) {
@@ -831,6 +782,16 @@ bool Engine::AdmitLocked(MutexLock& lock, size_t ops,
   }
   if (waited) ++blocked_admissions_;
   return true;
+}
+
+void Engine::WaitLocked(MutexLock& lock, const Deadline& deadline) {
+  // An unbounded wait must not go through WaitFor: the standard library's
+  // wait_for(milliseconds::max()) overflows the clock the same way.
+  if (deadline.unbounded()) {
+    epoch_cv_.Wait(lock);
+  } else {
+    (void)epoch_cv_.WaitFor(lock, deadline.remaining());
+  }
 }
 
 bool Engine::BacklogFullLocked(size_t incoming_ops) const {
@@ -855,7 +816,9 @@ HealthState Engine::Health() const {
   if (!serving_) return HealthState::kStarting;
   // kDegraded is a sharded-tier notion (quarantine, BFS fallback); a
   // single engine is either keeping up or it is not.
-  if (options_.async_updates && BacklogFullLocked(0)) {
+  // Overloaded means "new writes would shed": probe with the smallest
+  // write, one op, so an ops cap already at its limit counts.
+  if (options_.async_updates && BacklogFullLocked(1)) {
     return HealthState::kOverloaded;
   }
   return HealthState::kHealthy;
@@ -1011,10 +974,10 @@ bool Engine::RecoverFromFile(const std::string& index_path,
   // during the replay below just re-runs this recovery against the
   // complete pre-crash log instead of finding a checkpoint-only log whose
   // acknowledged batches are gone.
-  const Vertex saved_reserve = options_.build.reserve_vertices;
-  options_.build.reserve_vertices = 0;
+  const Vertex saved_reserve = options_.reserve_vertices;
+  options_.reserve_vertices = 0;
   const bool built = BuildImpl(base, /*staged_wal=*/true);
-  options_.build.reserve_vertices = saved_reserve;
+  options_.reserve_vertices = saved_reserve;
   if (!built) {
     if (error) {
       *error = "recovery failed to rebuild the checkpoint base graph from '" +

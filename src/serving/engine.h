@@ -33,68 +33,38 @@ class Wal;       // serving/wal.h
 /// derives the serving snapshot from it; the engine's one lander then applies
 /// each update batch to the shadow with the paper's §V maintenance (minimality
 /// mode, so decremental repair stays valid across batches) and lands it on the
-/// snapshot as a bounded run-level patch (CycleIndex::ApplyLabelPatch) —
-/// falling back to deriving a full snapshot from the shadow (no BFS) past the
-/// damage budgets below. The shadow belongs to the lander: maintenance and
-/// patching run off the admission lock, so writers keep admitting while a batch
-/// lands. Pinning the ordering keeps label ranks stable across patches, which
-/// is also what makes the repaired index bit-identical to a from-scratch
-/// sequential build under the same ordering (the conformance oracle).
+/// snapshot as a run-level patch (CycleIndex::ApplyLabelPatch) — or, when the
+/// batch's net change reaches kDefaultRebuildThreshold of the edges (the
+/// shadow is then rebuilt) or the snapshot cannot be patched, derives a full
+/// snapshot from the shadow (no BFS). The shadow belongs to the lander:
+/// maintenance and patching run off the admission lock, so writers keep
+/// admitting while a batch lands. Pinning the ordering keeps label ranks
+/// stable across patches, which is also what makes the repaired index
+/// bit-identical to a from-scratch sequential build under the same ordering
+/// (the conformance oracle).
 struct RepairOptions {
   /// Off by default: "frozen" and "compressed" then land by rebuild-and-swap.
   /// "csc" repairs whether or not this is set; "bfs" and "hpspc" have no
   /// patchable labels and always rebuild.
   bool enabled = false;
-  /// Shadow-maintenance rebuild threshold, shared knob with
-  /// BatchOptions::rebuild_threshold: a batch whose net change reaches this
-  /// fraction of current edges rebuilds the shadow (under the pinned
-  /// ordering) and derives instead of patching.
-  double rebuild_threshold = kDefaultRebuildThreshold;
-  /// Patch budgets: a patch rewriting more runs (or more replacement label
-  /// bytes) than this derives a full snapshot instead. 0 = unlimited.
-  uint64_t max_repair_hubs = 0;
-  uint64_t max_patch_bytes = 0;
 };
 
 /// Repair-vs-rebuild decision counters (EngineOptions::repair). `patches`
 /// and `rebuilds` count landed batches by how they landed; hubs/bytes
-/// accumulate over the patched ones. `retries` / `retry_successes` count
-/// the bounded-backoff re-attempts of failed rebuilds and patches
-/// (EngineOptions::retry) — nonzero retry_successes means batches that
-/// would have rolled back under max_attempts=1 landed on a later attempt.
-/// The write-side overload counters live in AdmissionStats.
+/// accumulate the runs rewritten and replacement label bytes written by the
+/// patched ones. The write-side overload counters live in AdmissionStats.
 struct RepairStats {
   uint64_t patches = 0;
   uint64_t rebuilds = 0;
   uint64_t hubs_repaired = 0;
   uint64_t label_bytes = 0;
-  uint64_t retries = 0;
-  uint64_t retry_successes = 0;
 
   void Accumulate(const RepairStats& other) {
     patches += other.patches;
     rebuilds += other.rebuilds;
     hubs_repaired += other.hubs_repaired;
     label_bytes += other.label_bytes;
-    retries += other.retries;
-    retry_successes += other.retry_successes;
   }
-};
-
-/// Bounded exponential backoff for transient rebuild/patch failures on the
-/// update path (sync and async): a failed attempt is retried up to
-/// `max_attempts` total tries before the rollback fires. The default (one
-/// attempt) preserves the historical fail-fast behavior. Backoff sleeps happen
-/// in the lander with the admission lock released, so writers keep admitting
-/// meanwhile. Repair-path failures only retry while the shadow index is still
-/// untouched — a half-maintained shadow cannot be re-driven, so those
-/// failures go straight to rollback + shadow restore.
-struct RetryOptions {
-  /// Total attempts per batch (1 = no retries).
-  uint32_t max_attempts = 1;
-  /// Sleep before the first retry; doubles per retry up to backoff_max_ms.
-  uint32_t backoff_initial_ms = 10;
-  uint32_t backoff_max_ms = 1000;
 };
 
 struct EngineOptions {
@@ -104,12 +74,14 @@ struct EngineOptions {
   unsigned num_threads = 0;
   /// Vertices per parallel batch chunk.
   size_t batch_grain = 256;
-  CycleIndex::BuildOptions build;
-  /// Construction workers for Build and for the rebuild-and-swap path
-  /// (synchronous and async alike): nonzero overrides build.num_threads, so
-  /// both synchronous builds and the async lander's rebuilds run the
-  /// rank-batched parallel builder. 0 defers to build.num_threads (and 0 there
-  /// keeps the sequential builder). Output is bit-identical either way.
+  /// Extra isolated vertices appended by Build (CycleIndex::BuildOptions::
+  /// reserve_vertices), so later update batches can attach brand-new
+  /// vertices without growing the vertex space.
+  Vertex reserve_vertices = 0;
+  /// Construction workers for Build, the repair shadow, and the
+  /// rebuild-and-swap path (synchronous and async alike): nonzero runs the
+  /// rank-batched parallel builder, 0 keeps the sequential one. Output is
+  /// bit-identical either way.
   unsigned build_threads = 0;
   /// When set, label storage is sliced to the selected vertices after every
   /// successful Build / rebuild / load (CycleIndex::SliceLabels): queries
@@ -127,9 +99,6 @@ struct EngineOptions {
   /// Incremental label repair (sync and async): see RepairOptions. Ignored
   /// by backends without patchable label storage.
   RepairOptions repair;
-  /// Bounded-backoff retry of transient rebuild/patch failures before the
-  /// rollback protocol fires; see RetryOptions.
-  RetryOptions retry;
   /// Write-side backpressure (serving/admission.h): caps the async update
   /// backlog by pending batches / pending ops. A batch over the cap is shed
   /// with UpdateVerdict::kOverloaded, or blocks up to the caller's deadline
@@ -146,16 +115,6 @@ struct EngineOptions {
   /// LoadView disable the WAL (no retained graph to checkpoint); recovery
   /// and Build re-enable it.
   std::string wal_path;
-  /// Test-only fault injection: when set, every rebuild consults it
-  /// and fails — with the full rollback protocol — while it returns true.
-  /// Lets tests exercise sync and async rollback without a corrupt backend.
-  /// Never set in production.
-  std::function<bool()> fail_rebuild_for_testing;
-  /// Test-only fault injection for the repair path: consulted before each
-  /// batch touches the shadow, so a failure rolls back through the ordinary
-  /// per-epoch undo protocol with the shadow untouched. Never set in
-  /// production.
-  std::function<bool()> fail_patch_for_testing;
 };
 
 /// Per-update outcome of Engine::ApplyUpdates. [[nodiscard]]: a dropped
@@ -369,7 +328,7 @@ class Engine {
   ///
   /// Every backend accepts exactly the same updates: endpoints in
   /// [0, num_vertices()) — including vertices added via
-  /// BuildOptions::reserve_vertices — with out-of-range endpoints,
+  /// EngineOptions::reserve_vertices — with out-of-range endpoints,
   /// self-loops, and present/absent no-ops uniformly rejected.
   ///
   /// When `verdicts` is non-null it is resized to `updates.size()` with the
@@ -440,7 +399,8 @@ class Engine {
 
   /// Coarse serving health: kStarting until a Build/Load commits,
   /// kDraining between BeginDrain and FinishDrain, kOverloaded while the
-  /// async backlog sits at its admission cap, else kHealthy. A single
+  /// async backlog is full enough that a new one-op write would shed (or
+  /// block, with admission.block_on_full), else kHealthy. A single
   /// Engine never reports kDegraded — that state belongs to the sharded
   /// tier, which owns quarantine.
   HealthState Health() const CSC_EXCLUDES(update_mu_);
@@ -565,8 +525,8 @@ class Engine {
       CSC_REQUIRES(update_mu_);
   /// The one lander: takes every epoch admitted so far, lands the whole backlog
   /// with update_mu_ released — one repair pass over the shadow, or one
-  /// rebuild, under the retry policy — swaps the result in, and commits under
-  /// update_mu_ (RollBackLocked on failure). Inline on the writer thread for
+  /// rebuild — swaps the result in, and commits under update_mu_
+  /// (RollBackLocked on the first failure). Inline on the writer thread for
   /// synchronous engines; a SerialWorker task per admitted batch under
   /// async_updates (a task that finds its epoch already covered returns at
   /// once).
@@ -578,9 +538,9 @@ class Engine {
       const DiGraph& graph,
       const std::function<bool(Vertex)>& slice_keep) const;
   /// Repair pipeline: replays `ops` onto the shadow and returns the next
-  /// snapshot — the current one plus a bounded label patch when the damage
-  /// fits the budgets, a full snapshot derived from the shadow's labeling
-  /// otherwise (one encode pass, no BFS). Counts into `*stats`. nullptr on
+  /// snapshot — the current one plus a label patch, or a full snapshot
+  /// derived from the shadow's labeling when the shadow was rebuilt or the
+  /// snapshot cannot be patched (one encode pass, no BFS). Counts into `*stats`. nullptr on
   /// failure; `*shadow_touched` then tells whether the shadow was mutated
   /// (and so must be restored after the graph rollback).
   std::shared_ptr<CycleIndex> LandRepair(
@@ -604,6 +564,10 @@ class Engine {
   void MarkFailedLocked(uint64_t first, uint64_t last)
       CSC_REQUIRES(update_mu_);
   bool IsFailedLocked(uint64_t epoch) const CSC_REQUIRES(update_mu_);
+  /// Blocks on epoch_cv_ (releasing `lock`) until notified or `deadline`
+  /// expires; an unbounded deadline waits without a timeout.
+  void WaitLocked(MutexLock& lock, const Deadline& deadline)
+      CSC_REQUIRES(update_mu_);
   /// Is the async backlog at (or past) an admission cap for a batch of
   /// `incoming_ops` net updates? Always false with the default (uncapped)
   /// AdmissionOptions. The ops cap is only enforced against a non-empty

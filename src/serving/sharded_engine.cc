@@ -77,11 +77,10 @@ EngineOptions ShardedEngine::ShardEngineOptions(uint32_t num_shards) const {
           ? options_.shard_threads
           : std::max(1u, ThreadPool::DefaultThreadCount() / num_shards);
   shard_options.batch_grain = options_.batch_grain;
-  shard_options.build = options_.build;
+  shard_options.reserve_vertices = options_.reserve_vertices;
   shard_options.build_threads = options_.build_threads;
   shard_options.async_updates = options_.async_updates;
   shard_options.repair = options_.repair;
-  shard_options.retry = options_.retry;
   shard_options.admission = options_.admission;
   return shard_options;
 }
@@ -130,7 +129,7 @@ bool ShardedEngine::Build(const DiGraph& graph) {
   if (!valid()) return false;
   // The partition domain includes reserved vertices so queries and updates
   // addressing them route to a well-defined owner.
-  num_vertices_ = graph.num_vertices() + options_.build.reserve_vertices;
+  num_vertices_ = graph.num_vertices() + options_.reserve_vertices;
   RecomputeOwnership();
   // Ownership accounting: an edge belongs to the shard owning its source;
   // edges whose target lives elsewhere are the cross-shard ones (they stay
@@ -721,16 +720,11 @@ WaitStatus ShardedEngine::WaitForEpochs(const std::vector<uint64_t>& epochs,
   if (epochs.size() != shards_.size()) return WaitStatus::kRolledBack;
   // One shared deadline: each sequential wait gets whatever time is left,
   // so the caller's bound holds regardless of how many shards are slow.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const Deadline deadline = Deadline::After(timeout);
   WaitStatus worst = WaitStatus::kLanded;
   for (uint32_t s = 0; s < num_shards(); ++s) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto remaining =
-        now < deadline
-            ? std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                    now)
-            : std::chrono::milliseconds(0);
-    WaitStatus status = shards_[s]->WaitForEpoch(epochs[s], remaining);
+    WaitStatus status =
+        shards_[s]->WaitForEpoch(epochs[s], deadline.remaining());
     if (status == WaitStatus::kTimeout) return WaitStatus::kTimeout;
     if (status == WaitStatus::kRolledBack) worst = WaitStatus::kRolledBack;
   }

@@ -63,7 +63,9 @@ struct ShardedEngineOptions {
   unsigned shard_threads = 0;
   /// Vertices per parallel batch chunk inside each shard Engine.
   size_t batch_grain = 256;
-  CycleIndex::BuildOptions build;
+  /// Forwarded to every shard Engine (EngineOptions::reserve_vertices); the
+  /// reserved vertices are partitioned across the shards like any other.
+  Vertex reserve_vertices = 0;
   /// Forwarded to every shard Engine (EngineOptions::build_threads): each
   /// shard's builds and rebuilds use the rank-batched parallel builder with
   /// this many workers. Per-shard builds already overlap on the router pool, so
@@ -89,16 +91,11 @@ struct ShardedEngineOptions {
   /// swaps asynchronously. Use WaitForEpochs / Drain for read-your-writes.
   bool async_updates = false;
   /// Forwarded to every shard Engine (EngineOptions::repair): batches land as
-  /// bounded label patches against each shard's sliced snapshot instead of K
+  /// label patches against each shard's sliced snapshot instead of K
   /// full rebuilds. Note each shard keeps a full (unsliced) shadow CscIndex for
   /// maintenance, so repair trades ~K x shadow memory for patch-speed updates;
   /// see the README's serving section.
   RepairOptions repair;
-  /// Forwarded to every shard Engine (EngineOptions::retry): transient
-  /// rebuild / patch failures retry with bounded exponential backoff
-  /// before the batch rolls back. Counters surface through
-  /// RepairStatsTotal().
-  RetryOptions retry;
   /// Forwarded to every shard Engine (EngineOptions::admission): caps each
   /// shard's async update backlog. Admission across the K-shard fan-out is
   /// all-or-nothing — one full shard sheds the whole batch — so the

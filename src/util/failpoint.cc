@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 namespace csc {
@@ -179,6 +180,8 @@ FailpointFire Failpoints::EvaluateSlow(FailpointSite* site) {
       // on this exit code.
       std::fflush(nullptr);  // keep test-driver prints, not user buffers
       std::_Exit(134);
+    case FailpointMode::kThrow:
+      throw std::runtime_error("failpoint " + site->name() + " threw");
     case FailpointMode::kOff:
       break;
   }
@@ -205,6 +208,8 @@ bool Failpoints::ParseSpec(const std::string& spec, std::string* error) {
       action.mode = FailpointMode::kDelay;
     } else if (mode == "abort") {
       action.mode = FailpointMode::kAbort;
+    } else if (mode == "throw") {
+      action.mode = FailpointMode::kThrow;
     } else if (mode == "off") {
       action.mode = FailpointMode::kOff;
     } else {

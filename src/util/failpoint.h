@@ -31,6 +31,9 @@ namespace csc {
 ///               a wedged disk or worker for deadline/timeout tests
 ///   abort       the process dies on the spot via _Exit(134), no unwinding
 ///               and no buffer flushing — the crash-torture primitive
+///   throw       the site throws std::runtime_error — an exception escaping
+///               the work at the site (std::bad_alloc, a rethrown worker
+///               exception) for tests of the caller's catch path
 ///
 /// Shared param: `countdown:K` — the site passes K-1 evaluations and fires
 /// on the K-th (default 1); after firing once the site disarms, so "crash on
@@ -46,6 +49,7 @@ enum class FailpointMode : uint8_t {
   kShortWrite,
   kDelay,
   kAbort,
+  kThrow,
 };
 
 /// One armed action. `countdown` evaluations pass before the action fires
@@ -62,7 +66,7 @@ struct FailpointAction {
 
 /// What a fired evaluation tells the call site to do. Inactive sites and
 /// passed countdowns return {false, ...}. kDelay sleeps inside Evaluate and
-/// returns {false}; kAbort never returns.
+/// returns {false}; kAbort never returns; kThrow throws out of Evaluate.
 struct FailpointFire {
   /// Take the error path (kError and kShortWrite).
   bool fail = false;
@@ -85,8 +89,9 @@ class FailpointSite {
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// The slow path — called only while armed. Decrements the countdown,
-  /// fires the action when it reaches zero (sleeping / aborting in here for
-  /// kDelay / kAbort), and disarms the site after firing.
+  /// fires the action when it reaches zero (sleeping / aborting / throwing
+  /// in here for kDelay / kAbort / kThrow), and disarms the site after
+  /// firing.
   FailpointFire Evaluate();
 
  private:
@@ -144,7 +149,7 @@ class Failpoints {
 
 /// `if (CSC_FAILPOINT("site")) return false;` — true when an armed kError /
 /// kShortWrite action fires here. kDelay sleeps and yields false; kAbort
-/// kills the process. Near-zero cost when unarmed (one relaxed atomic load).
+/// kills the process; kThrow throws std::runtime_error. Near-zero cost when unarmed (one relaxed atomic load).
 #define CSC_FAILPOINT(site_name)                            \
   ([]() -> bool {                                           \
     static ::csc::FailpointSite csc_fp_site(site_name);     \

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -208,7 +206,7 @@ TEST(EngineTest, UpdatePathsAgreeOnReserveAndOutOfRange) {
   for (const std::string& name : AllBackendNames()) {
     EngineOptions options;
     options.backend = name;
-    options.build.reserve_vertices = 2;
+    options.reserve_vertices = 2;
     Engine engine(options);
     ASSERT_TRUE(engine.Build(graph)) << name;
     ASSERT_EQ(engine.num_vertices(), 12u) << name;
@@ -230,7 +228,7 @@ TEST(EngineTest, UpdatePathsAgreeOnReserveAndOutOfRange) {
 TEST(EngineTest, StaticRebuildKeepsVertexSpaceStable) {
   EngineOptions options;
   options.backend = "frozen";
-  options.build.reserve_vertices = 3;
+  options.reserve_vertices = 3;
   Engine engine(options);
   ASSERT_TRUE(engine.Build(Figure2Graph()));
   ASSERT_EQ(engine.num_vertices(), 13u);
@@ -379,23 +377,22 @@ TEST(EngineTest, AsyncUpdatesLandAfterDrain) {
   EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
 }
 
-// The PR 2 rollback guarantee across the async boundary: a failed rebuild
+// The rollback guarantee across the async boundary: a failed rebuild
 // rolls the admitted batch back, the old snapshot keeps serving, and the
 // failure is observable through the batch's epoch token.
 TEST(EngineTest, RollbackOnFailedRebuildSyncAndAsync) {
+  ClearFailpointsOnExit clear;
   for (bool async_mode : {false, true}) {
     SCOPED_TRACE(async_mode ? "async" : "sync");
     DiGraph graph = Figure2Graph();
-    auto fail = std::make_shared<std::atomic<bool>>(false);
     EngineOptions options;
     options.backend = "frozen";
     options.async_updates = async_mode;
-    options.fail_rebuild_for_testing = [fail] { return fail->load(); };
     Engine engine(options);
     ASSERT_TRUE(engine.Build(graph));
     std::vector<CycleCount> before = engine.QueryAll();
 
-    fail->store(true);
+    ArmFailpoint("engine.rebuild");
     uint64_t failed_epoch = 0;
     std::vector<UpdateVerdict> verdicts;
     size_t admitted = engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)},
@@ -422,10 +419,9 @@ TEST(EngineTest, RollbackOnFailedRebuildSyncAndAsync) {
               0u);
     EXPECT_TRUE(engine.WaitForEpoch(noop_epoch));
 
-    // The rollback restored the retained graph: once rebuilds heal, the
-    // same batch validates and lands exactly as if the failure never
-    // happened.
-    fail->store(false);
+    // The rollback restored the retained graph: the fired failpoint has
+    // disarmed, and the same batch validates and lands exactly as if the
+    // failure never happened.
     uint64_t epoch = 0;
     EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, nullptr, &epoch),
               1u);
@@ -442,30 +438,25 @@ TEST(EngineTest, RollbackOnFailedRebuildSyncAndAsync) {
 // reported through the epoch — never an escaped exception (which would
 // terminate the process on the async worker) or a half-updated graph.
 TEST(EngineTest, ThrowingRebuildRollsBackSyncAndAsync) {
+  ClearFailpointsOnExit clear;
   for (bool async_mode : {false, true}) {
     SCOPED_TRACE(async_mode ? "async" : "sync");
     DiGraph graph = Figure2Graph();
-    auto fail = std::make_shared<std::atomic<bool>>(false);
     EngineOptions options;
     options.backend = "frozen";
     options.async_updates = async_mode;
     options.build_threads = 2;
-    options.fail_rebuild_for_testing = [fail]() -> bool {
-      if (fail->load()) throw std::runtime_error("rebuild blew up");
-      return false;
-    };
     Engine engine(options);
     ASSERT_TRUE(engine.Build(graph));
     std::vector<CycleCount> before = engine.QueryAll();
 
-    fail->store(true);
+    ArmFailpoint("engine.rebuild", FailpointMode::kThrow);
     uint64_t failed_epoch = 0;
     engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, nullptr, &failed_epoch);
     EXPECT_FALSE(engine.WaitForEpoch(failed_epoch));
     EXPECT_EQ(engine.QueryAll(), before);
 
     // Healed rebuilds land the same batch from the rolled-back state.
-    fail->store(false);
     uint64_t epoch = 0;
     EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, nullptr, &epoch),
               1u);

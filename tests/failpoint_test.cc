@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,12 @@ TEST_F(FailpointTest, ErrorModeFiresOnceThenDisarms) {
   EXPECT_TRUE(CSC_FAILPOINT("test.error"));
   // A fired action disarms its site: re-runs are deterministic.
   EXPECT_FALSE(CSC_FAILPOINT("test.error"));
+}
+
+TEST_F(FailpointTest, ThrowModeThrowsOnceThenDisarms) {
+  ASSERT_TRUE(Failpoints::Instance().ParseSpec("test.throw=throw"));
+  EXPECT_THROW((void)CSC_FAILPOINT("test.throw"), std::runtime_error);
+  EXPECT_FALSE(CSC_FAILPOINT("test.throw"));
 }
 
 TEST_F(FailpointTest, CountdownPassesKMinusOneEvaluations) {

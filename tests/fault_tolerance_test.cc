@@ -17,8 +17,8 @@
 #include "util/failpoint.h"
 
 // End-to-end fault-tolerance coverage: WAL recovery equals the uncrashed
-// oracle, rolled-back epochs stay rolled back across recovery, transient
-// failures retry with bounded backoff, deadline waits time out, atomic
+// oracle, rolled-back epochs stay rolled back across recovery, deadline
+// waits time out (and budgets past the clock's range wait unbounded), atomic
 // saves never tear, and a corrupt shard serves degraded instead of failing
 // the bundle. The process-kill variants of these scenarios live in the
 // crash_torture driver; everything here fails softly (error returns) so it
@@ -261,65 +261,6 @@ TEST_F(FaultToleranceTest, AppendFailureRejectsBatchBeforeAcknowledgment) {
   EXPECT_GT(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}), 0u);
 }
 
-TEST_F(FaultToleranceTest, TransientRebuildFailureRetriesAndLands) {
-  DiGraph graph = Figure2Graph();
-  EngineOptions options;
-  options.backend = "frozen";
-  options.retry.max_attempts = 3;
-  options.retry.backoff_initial_ms = 1;
-  Engine engine(options);
-  ASSERT_TRUE(engine.Build(graph));
-  // First rebuild attempt fails, the armed action disarms, the retry lands.
-  Arm("engine.rebuild", FailpointMode::kError);
-  EXPECT_GT(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}), 0u);
-  RepairStats stats = engine.repair_stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.retry_successes, 1u);
-}
-
-TEST_F(FaultToleranceTest, TransientPatchFailureRetriesAndLands) {
-  DiGraph graph = Figure2Graph();
-  EngineOptions options;
-  options.backend = "frozen";
-  options.repair.enabled = true;
-  options.retry.max_attempts = 3;
-  options.retry.backoff_initial_ms = 1;
-  Engine engine(options);
-  ASSERT_TRUE(engine.Build(graph));
-  ASSERT_TRUE(engine.repair_active());
-  Arm("engine.patch", FailpointMode::kError);
-  EXPECT_GT(engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}), 0u);
-  RepairStats stats = engine.repair_stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.retry_successes, 1u);
-  // The retried patch produced the same index a clean engine would.
-  Engine oracle(FrozenOptions());
-  ASSERT_TRUE(oracle.Build(graph));
-  oracle.ApplyUpdates({EdgeUpdate::Insert(7, 6)});
-  EXPECT_EQ(engine.QueryAll(), oracle.QueryAll());
-}
-
-TEST_F(FaultToleranceTest, ExhaustedRetriesRollBack) {
-  // A fired failpoint disarms itself, so "every attempt fails" uses the
-  // deterministic test hook instead.
-  DiGraph graph = Figure2Graph();
-  uint32_t failures = 0;
-  EngineOptions options;
-  options.backend = "frozen";
-  options.retry.max_attempts = 2;
-  options.retry.backoff_initial_ms = 1;
-  options.fail_rebuild_for_testing = [&failures]() { return ++failures <= 2; };
-  Engine doomed(options);
-  ASSERT_TRUE(doomed.Build(graph));
-  uint64_t epoch = 0;
-  std::vector<UpdateVerdict> verdicts;
-  EXPECT_EQ(doomed.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, &verdicts, &epoch),
-            0u);
-  EXPECT_EQ(doomed.repair_stats().retries, 1u);
-  EXPECT_EQ(doomed.repair_stats().retry_successes, 0u);
-  EXPECT_FALSE(doomed.WaitForEpoch(epoch));  // rolled back
-}
-
 TEST_F(FaultToleranceTest, AsyncAppendFailureDoesNotSkipPendingEpochs) {
   // Regression: with earlier epochs still in flight, a failed WAL append
   // used to jump resolved_epoch_ straight to the failed epoch — WaitForEpoch
@@ -423,6 +364,44 @@ TEST_F(FaultToleranceTest, WaitForEpochDeadlineTimesOut) {
   EXPECT_TRUE(engine.WaitForEpoch(epoch));
   EXPECT_EQ(engine.WaitForEpoch(epoch, std::chrono::milliseconds(5)),
             WaitStatus::kLanded);
+}
+
+// A budget too long for the clock (milliseconds::max(), a millennium) is
+// an unbounded wait, not an overflowed deadline that has already passed:
+// every waiter rides out the wedged worker and sees the landing.
+TEST_F(FaultToleranceTest, OverlongWaitBudgetWaitsForTheLanding) {
+  using std::chrono::milliseconds;
+  const milliseconds millennium =
+      std::chrono::duration_cast<milliseconds>(std::chrono::hours(24 * 365) *
+                                               1000);
+  FailpointAction delay;
+  delay.mode = FailpointMode::kDelay;
+  delay.delay_ms = 100;
+  for (milliseconds budget : {milliseconds::max(), millennium}) {
+    SCOPED_TRACE(budget.count());
+    EngineOptions options = FrozenOptions();
+    options.async_updates = true;
+    Engine engine(options);
+    ASSERT_TRUE(engine.Build(Figure2Graph()));
+    Failpoints::Instance().Set("engine.async_rebuild", delay);
+    uint64_t epoch = 0;
+    engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, nullptr, &epoch);
+    EXPECT_EQ(engine.WaitForEpoch(epoch, budget), WaitStatus::kLanded);
+    Failpoints::Instance().Set("engine.async_rebuild", delay);
+    engine.ApplyUpdates({EdgeUpdate::Remove(7, 6)});
+    EXPECT_EQ(engine.Drain(budget), WaitStatus::kLanded);
+
+    ShardedEngineOptions sharded_options;
+    sharded_options.backend = "frozen";
+    sharded_options.num_shards = 2;
+    sharded_options.async_updates = true;
+    ShardedEngine sharded(sharded_options);
+    ASSERT_TRUE(sharded.Build(RandomGraph(40, 2.0, 7)));
+    Failpoints::Instance().Set("engine.async_rebuild", delay);
+    std::vector<uint64_t> epochs;
+    sharded.ApplyUpdates({EdgeUpdate::Insert(1, 0)}, &epochs);
+    EXPECT_EQ(sharded.WaitForEpochs(epochs, budget), WaitStatus::kLanded);
+  }
 }
 
 TEST_F(FaultToleranceTest, ShardedWaitForEpochsDeadline) {

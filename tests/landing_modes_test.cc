@@ -11,10 +11,8 @@
 // the served state.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -128,15 +126,13 @@ struct Trace {
 Trace RunConfig(const Config& config, const DiGraph& graph,
                 const std::vector<std::vector<EdgeUpdate>>& batches,
                 const std::string& wal_path) {
-  auto fail = std::make_shared<std::atomic<bool>>(false);
+  ClearFailpointsOnExit clear;
   EngineOptions options;
   options.backend = config.backend;
   options.num_threads = 2;
   options.async_updates = config.async;
   options.repair.enabled = config.repair;
   if (config.wal) options.wal_path = wal_path;
-  options.fail_rebuild_for_testing = [fail] { return fail->load(); };
-  options.fail_patch_for_testing = [fail] { return fail->load(); };
   Engine engine(options);
   EXPECT_TRUE(engine.Build(graph));
   EXPECT_EQ(engine.repair_active(), config.repair);
@@ -146,12 +142,17 @@ Trace RunConfig(const Config& config, const DiGraph& graph,
   DiGraph model = graph;
   for (size_t b = 0; b < batches.size(); ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
-    fail->store(b == kFailedBatch);
+    if (b == kFailedBatch) {
+      // Whichever way this configuration lands, its one landing fails.
+      ArmFailpoint("engine.rebuild");
+      ArmFailpoint("engine.patch");
+    }
     std::vector<UpdateVerdict> verdicts;
     uint64_t epoch = 0;
     size_t applied = engine.ApplyUpdates(batches[b], &verdicts, &epoch);
     const bool landed = engine.WaitForEpoch(epoch);
-    fail->store(false);
+    // The site this configuration does not evaluate is still armed.
+    Failpoints::Instance().ClearAll();
     if (!config.async) {
       // A synchronous write has resolved by the time it returns.
       EXPECT_EQ(engine.resolved_epoch(), epoch);

@@ -72,6 +72,17 @@ TEST_F(OverloadTest, DeadlineBasics) {
   EXPECT_LE(ahead.remaining(), milliseconds(60'000));
 
   EXPECT_TRUE(Deadline::At(Deadline::Clock::now() - milliseconds(1)).expired());
+
+  // Budgets past the clock's range saturate to unbounded instead of
+  // overflowing into an already-expired deadline.
+  const milliseconds millennium = std::chrono::duration_cast<milliseconds>(
+      std::chrono::hours(24 * 365) * 1000);
+  for (milliseconds budget : {milliseconds::max(), millennium}) {
+    Deadline forever = Deadline::After(budget);
+    EXPECT_TRUE(forever.unbounded());
+    EXPECT_FALSE(forever.expired());
+    EXPECT_EQ(forever.remaining(), milliseconds::max());
+  }
 }
 
 TEST_F(OverloadTest, AdmissionQueueWatermarks) {
@@ -180,6 +191,33 @@ TEST_F(OverloadTest, BacklogCapRejectsWhenWorkerWedged) {
   EXPECT_EQ(stats.shed_batches, 1u);
   EXPECT_LE(stats.peak_pending_batches, 1u);
   EXPECT_EQ(stats.pending_ops, 0u);  // drained
+}
+
+// kOverloaded means "new writes would shed": an ops cap the backlog has
+// exactly filled sheds the next one-op write, so Health must say so.
+TEST_F(OverloadTest, OpsCapAtItsLimitReportsOverloaded) {
+  EngineOptions options;
+  options.backend = "frozen";
+  options.async_updates = true;
+  options.admission.max_pending_ops = 2;
+  Engine engine(options);
+  ASSERT_TRUE(engine.Build(Figure2Graph()));
+  EXPECT_EQ(engine.Health(), HealthState::kHealthy);
+
+  // Wedge the worker so the first two-op batch stays pending.
+  Arm("engine.async_rebuild", FailpointMode::kDelay, 1, /*delay_ms=*/500);
+  EXPECT_EQ(engine.ApplyUpdates(
+                {EdgeUpdate::Insert(1, 0), EdgeUpdate::Insert(2, 0)}),
+            2u);
+  EXPECT_EQ(engine.admission_stats().pending_ops, 2u);
+  EXPECT_EQ(engine.Health(), HealthState::kOverloaded);
+  std::vector<UpdateVerdict> verdicts;
+  EXPECT_EQ(engine.ApplyUpdates({EdgeUpdate::Insert(3, 0)}, &verdicts), 0u);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0], UpdateVerdict::kOverloaded);
+
+  engine.Drain();
+  EXPECT_EQ(engine.Health(), HealthState::kHealthy);
 }
 
 TEST_F(OverloadTest, BacklogCapBlocksUntilDeadline) {

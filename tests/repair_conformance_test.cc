@@ -3,16 +3,20 @@
 // oracle. For every patchable backend and shard count, a net-restoring mixed
 // insert/delete sequence followed by Drain() must serialize byte-for-byte equal
 // to a from-scratch build of the same graph; non-restoring sequences must match
-// the always-derive twin (same pinned ordering, no patch path); budget knobs
-// only change *how* a batch lands, never the bytes; unpatchable backends fall
-// back to rebuild-and-swap untouched; and "csc" repairs without the knob.
-#include <atomic>
+// a from-scratch build under the pinned ordering; a batch past the rebuild
+// threshold derives instead of patching, with the same bytes; unpatchable
+// backends fall back to rebuild-and-swap untouched; and "csc" repairs without
+// the knob.
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
+#include "graph/ordering.h"
 #include "serving/engine.h"
 #include "serving/sharded_engine.h"
 #include "tests/test_util.h"
@@ -148,10 +152,9 @@ TEST_P(RepairConformanceTest, SlicedShardsStayByteIdentical) {
 
 // A sequence that does NOT restore the initial graph: the rebuild oracle
 // would re-derive its ordering from the mutated graph, so the byte oracle
-// here is the always-derive twin — same pinned ordering, every batch forced
-// through the shadow-rebuild + derive path (rebuild_threshold = 0), no
-// patches involved. Patching and deriving must produce the same bytes.
-TEST_P(RepairConformanceTest, NonRestoringSequenceMatchesAlwaysDeriveTwin) {
+// here is a from-scratch build of the mutated graph under the pinned
+// ordering (the Build-time degree ordering), loaded into the same backend.
+TEST_P(RepairConformanceTest, NonRestoringSequenceMatchesPinnedOrderBuild) {
   const std::string& backend = GetParam();
   DiGraph graph = RandomGraph(50, 2.5, 63);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
@@ -167,64 +170,64 @@ TEST_P(RepairConformanceTest, NonRestoringSequenceMatchesAlwaysDeriveTwin) {
     }
   }
 
-  EngineOptions patch_options;
-  patch_options.backend = backend;
-  patch_options.repair.enabled = true;
-  Engine patching(patch_options);
-  ASSERT_TRUE(patching.Build(graph));
-  ASSERT_TRUE(patching.repair_active());
-
-  EngineOptions derive_options = patch_options;
-  derive_options.repair.rebuild_threshold = 0.0;  // always rebuild + derive
-  Engine deriving(derive_options);
-  ASSERT_TRUE(deriving.Build(graph));
-
-  for (const std::vector<EdgeUpdate>& batch : batches) {
-    EXPECT_EQ(patching.ApplyUpdates(batch), deriving.ApplyUpdates(batch));
-  }
-  EXPECT_GT(patching.repair_stats().patches, 0u);
-  EXPECT_EQ(deriving.repair_stats().patches, 0u);
-  EXPECT_GT(deriving.repair_stats().rebuilds, 0u);
-
-  std::string patched_bytes, derived_bytes;
-  ASSERT_TRUE(patching.SaveTo(patched_bytes));
-  ASSERT_TRUE(deriving.SaveTo(derived_bytes));
-  EXPECT_EQ(patched_bytes, derived_bytes);
-  EXPECT_EQ(patching.QueryAll(), BfsReference(mutated));
-}
-
-// The patch budgets only pick between "patch" and "derive" — the resulting
-// bytes are the same either way. max_repair_hubs = 1 forces every batch to
-// derive.
-TEST_P(RepairConformanceTest, BudgetKnobsChangeHowNotWhat) {
-  const std::string& backend = GetParam();
-  DiGraph graph = RandomGraph(50, 2.5, 64);
-  std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
   EngineOptions options;
   options.backend = backend;
   options.repair.enabled = true;
-  options.repair.max_repair_hubs = 1;
+  Engine patching(options);
+  ASSERT_TRUE(patching.Build(graph));
+  ASSERT_TRUE(patching.repair_active());
+  for (const std::vector<EdgeUpdate>& batch : batches) {
+    EXPECT_GT(patching.ApplyUpdates(batch), 0u);
+  }
+  EXPECT_GT(patching.repair_stats().patches, 0u);
+
+  std::unique_ptr<CycleIndex> oracle = MakeBackend(backend);
+  ASSERT_TRUE(oracle->LoadFrom(
+      CompactIndex::FromIndex(CscIndex::Build(mutated, DegreeOrdering(graph)))
+          .Serialize()));
+  std::string patched_bytes, oracle_bytes;
+  ASSERT_TRUE(patching.SaveTo(patched_bytes));
+  ASSERT_TRUE(oracle->SaveTo(oracle_bytes));
+  EXPECT_EQ(patched_bytes, oracle_bytes);
+  EXPECT_EQ(patching.QueryAll(), BfsReference(mutated));
+}
+
+// A batch whose net change reaches kDefaultRebuildThreshold of the edges
+// rebuilds the shadow under the pinned ordering and derives the snapshot
+// instead of patching it — with the same bytes a fresh build produces.
+// Inserting m/2 new edges (1/2 of m) and then removing them (1/3 of 3m/2)
+// both cross the 1/4 threshold.
+TEST_P(RepairConformanceTest, BatchPastRebuildThresholdDerives) {
+  const std::string& backend = GetParam();
+  DiGraph graph = RandomGraph(50, 2.5, 64);
+  std::vector<EdgeUpdate> inserts, removes;
+  for (const Edge& e : SampleNewEdges(graph, graph.num_edges() / 2, 64)) {
+    inserts.push_back(EdgeUpdate::Insert(e.from, e.to));
+    removes.push_back(EdgeUpdate::Remove(e.from, e.to));
+  }
+  EngineOptions options;
+  options.backend = backend;
+  options.repair.enabled = true;
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
-  for (const std::vector<EdgeUpdate>& batch : batches) {
-    engine.ApplyUpdates(batch);
-  }
+  EXPECT_EQ(engine.ApplyUpdates(inserts), inserts.size());
+  EXPECT_EQ(engine.ApplyUpdates(removes), removes.size());
   EXPECT_EQ(engine.repair_stats().patches, 0u);
-  EXPECT_GT(engine.repair_stats().rebuilds, 0u);
+  EXPECT_EQ(engine.repair_stats().rebuilds, 2u);
 
   EngineOptions oracle_options;
   oracle_options.backend = backend;
   Engine oracle(oracle_options);
   ASSERT_TRUE(oracle.Build(graph));
-  std::string budgeted_bytes, oracle_bytes;
-  ASSERT_TRUE(engine.SaveTo(budgeted_bytes));
+  std::string derived_bytes, oracle_bytes;
+  ASSERT_TRUE(engine.SaveTo(derived_bytes));
   ASSERT_TRUE(oracle.SaveTo(oracle_bytes));
-  EXPECT_EQ(budgeted_bytes, oracle_bytes);
+  EXPECT_EQ(derived_bytes, oracle_bytes);
 }
 
-// The BackendStats patch counters surface through Engine::Stats() (and
-// from there the CLI): patched batches accumulate, a fresh Build resets.
-TEST_P(RepairConformanceTest, PatchCountersSurfaceInStats) {
+// RepairStats is the one record of repair work: patched batches accumulate
+// their runs and bytes, and a fresh Build starts from zero.
+TEST_P(RepairConformanceTest, RepairStatsAccumulateAndResetOnBuild) {
   const std::string& backend = GetParam();
   DiGraph graph = RandomGraph(50, 2.5, 65);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
@@ -233,22 +236,28 @@ TEST_P(RepairConformanceTest, PatchCountersSurfaceInStats) {
   options.repair.enabled = true;
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
-  EXPECT_EQ(engine.Stats().patches_since_rebuild, 0u);
+  EXPECT_EQ(engine.repair_stats().patches, 0u);
+  RepairStats previous;
   for (const std::vector<EdgeUpdate>& batch : batches) {
     engine.ApplyUpdates(batch);
+    const RepairStats stats = engine.repair_stats();
+    EXPECT_EQ(stats.patches + stats.rebuilds,
+              previous.patches + previous.rebuilds + 1);
+    EXPECT_GE(stats.hubs_repaired, previous.hubs_repaired);
+    EXPECT_GE(stats.label_bytes, previous.label_bytes);
+    previous = stats;
   }
-  ASSERT_GT(engine.repair_stats().patches, 0u);
-  BackendStats stats = engine.Stats();
-  EXPECT_EQ(stats.patches_since_rebuild, engine.repair_stats().patches);
-  EXPECT_GT(stats.patch_hubs_repaired, 0u);
-  EXPECT_GT(stats.patch_label_bytes, 0u);
-  EXPECT_EQ(stats.patch_hubs_repaired, engine.repair_stats().hubs_repaired);
-  EXPECT_EQ(stats.patch_label_bytes, engine.repair_stats().label_bytes);
+  ASSERT_GT(previous.patches, 0u);
+  EXPECT_GT(previous.hubs_repaired, 0u);
+  EXPECT_GT(previous.label_bytes, 0u);
 
-  // A from-scratch Build starts a new patch generation.
+  // A from-scratch Build starts a new generation.
   ASSERT_TRUE(engine.Build(graph));
-  EXPECT_EQ(engine.Stats().patches_since_rebuild, 0u);
-  EXPECT_EQ(engine.repair_stats().patches, 0u);
+  const RepairStats reset = engine.repair_stats();
+  EXPECT_EQ(reset.patches, 0u);
+  EXPECT_EQ(reset.rebuilds, 0u);
+  EXPECT_EQ(reset.hubs_repaired, 0u);
+  EXPECT_EQ(reset.label_bytes, 0u);
 }
 
 // Injected patch failure on the synchronous path: the batch rolls back
@@ -259,15 +268,15 @@ TEST_P(RepairConformanceTest, SyncPatchFailureRollsBack) {
   const std::string& backend = GetParam();
   DiGraph graph = RandomGraph(50, 2.5, 66);
   std::vector<std::vector<EdgeUpdate>> batches = NetRestoringBatches(graph);
-  auto fail = std::make_shared<std::atomic<bool>>(true);
+  ClearFailpointsOnExit clear;
   EngineOptions options;
   options.backend = backend;
   options.repair.enabled = true;
-  options.fail_patch_for_testing = [fail] { return fail->load(); };
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
   std::vector<CycleCount> before = engine.QueryAll();
 
+  ArmFailpoint("engine.patch");
   std::vector<UpdateVerdict> verdicts;
   EXPECT_EQ(engine.ApplyUpdates(batches[0], &verdicts), 0u);
   ASSERT_EQ(verdicts.size(), batches[0].size());
@@ -277,8 +286,8 @@ TEST_P(RepairConformanceTest, SyncPatchFailureRollsBack) {
   EXPECT_EQ(engine.QueryAll(), before);
   EXPECT_TRUE(engine.repair_active());
 
-  // Healed: the same sequence lands and converges to the byte oracle.
-  fail->store(false);
+  // Healed (the fired failpoint disarmed itself): the same sequence lands
+  // and converges to the byte oracle.
   for (const std::vector<EdgeUpdate>& batch : batches) {
     engine.ApplyUpdates(batch);
   }

@@ -304,13 +304,12 @@ TEST_P(AsyncServingStressTest, RollbackRacesReadersAndCoalescedEpochs) {
   DiGraph graph = RandomGraph(40, 2.0, 83);
   std::vector<Edge> edges = ToggleEdges(graph);
   ASSERT_FALSE(edges.empty());
-  auto fail = std::make_shared<std::atomic<bool>>(false);
+  ClearFailpointsOnExit clear;
   EngineOptions options;
   options.backend = GetParam();
   options.num_threads = 2;
   options.batch_grain = 8;
   options.async_updates = true;
-  options.fail_rebuild_for_testing = [fail] { return fail->load(); };
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
 
@@ -334,13 +333,16 @@ TEST_P(AsyncServingStressTest, RollbackRacesReadersAndCoalescedEpochs) {
   }
   // Counts are state-dependent here (a failed epoch rolls its batch back,
   // so the next batch may be a full no-op); the assertions are the reader
-  // consistency above and the exact convergence below.
+  // consistency above and the exact convergence below. A failing round
+  // arms one failed landing ahead of each of its batches.
   for (int round = 0; round < kUpdateRounds; ++round) {
-    fail->store(round % 3 == 1, std::memory_order_relaxed);
+    const bool failing = round % 3 == 1;
+    if (failing) ArmFailpoint("engine.rebuild");
     engine.ApplyUpdates(inserts);
+    if (failing) ArmFailpoint("engine.rebuild");
     engine.ApplyUpdates(removes);
   }
-  fail->store(false, std::memory_order_relaxed);
+  Failpoints::Instance().ClearAll();
   engine.Drain();
   // Normalize: whatever prefix of batches landed, one healed remove batch
   // leaves exactly the initial graph.
@@ -474,14 +476,13 @@ TEST_P(RepairServingStressTest, PatchFailureRollbackRacesReaders) {
   DiGraph graph = RandomGraph(40, 2.0, 87);
   std::vector<Edge> edges = ToggleEdges(graph);
   ASSERT_FALSE(edges.empty());
-  auto fail = std::make_shared<std::atomic<bool>>(false);
+  ClearFailpointsOnExit clear;
   EngineOptions options;
   options.backend = GetParam();
   options.num_threads = 2;
   options.batch_grain = 8;
   options.async_updates = true;
   options.repair.enabled = true;
-  options.fail_patch_for_testing = [fail] { return fail->load(); };
   Engine engine(options);
   ASSERT_TRUE(engine.Build(graph));
 
@@ -504,11 +505,13 @@ TEST_P(RepairServingStressTest, PatchFailureRollbackRacesReaders) {
     removes.push_back(EdgeUpdate::Remove(e.from, e.to));
   }
   for (int round = 0; round < kUpdateRounds; ++round) {
-    fail->store(round % 3 == 1, std::memory_order_relaxed);
+    const bool failing = round % 3 == 1;
+    if (failing) ArmFailpoint("engine.patch");
     engine.ApplyUpdates(inserts);
+    if (failing) ArmFailpoint("engine.patch");
     engine.ApplyUpdates(removes);
   }
-  fail->store(false, std::memory_order_relaxed);
+  Failpoints::Instance().ClearAll();
   engine.Drain();
   // Normalize: whatever prefix landed, one healed remove batch restores
   // exactly the initial graph.

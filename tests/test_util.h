@@ -1,11 +1,13 @@
 #ifndef CSC_TESTS_TEST_UTIL_H_
 #define CSC_TESTS_TEST_UTIL_H_
 
+#include <string>
 #include <vector>
 
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace csc {
@@ -35,6 +37,21 @@ inline DiGraph RandomGraph(Vertex n, double density, uint64_t seed) {
   auto m = static_cast<uint64_t>(density * n);
   return GenerateErdosRenyi(n, m, seed);
 }
+
+/// Arms failpoint `site` to fire `mode` on its next evaluation, once.
+/// Failpoints are process-global: a test that arms one declares a
+/// ClearFailpointsOnExit first, so an early ASSERT return cannot leak an
+/// armed site into a later test.
+inline void ArmFailpoint(const std::string& site,
+                         FailpointMode mode = FailpointMode::kError) {
+  FailpointAction action;
+  action.mode = mode;
+  Failpoints::Instance().Set(site, action);
+}
+
+struct ClearFailpointsOnExit {
+  ~ClearFailpointsOnExit() { Failpoints::Instance().ClearAll(); }
+};
 
 }  // namespace csc
 
