@@ -1,6 +1,9 @@
 // Ablation study (ours, per DESIGN.md §5): what each CSC construction
 // optimization buys. Compares the standard build against builds with
 // couple-vertex skipping disabled and with distance pruning disabled.
+// Every variant reports its full labeling: the couple-skip variants derive
+// their couple label sets after construction, so "size" counts all four
+// label sets per couple pair in every row.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -22,7 +25,8 @@ int main() {
 
   TableReporter table("Ablation: build time / label entries / BFS dequeues",
                       {"Graph", "Variant", "time(s)", "entries",
-                       "vertices dequeued", "pruned by distance"});
+                       "size(MB)", "vertices dequeued",
+                       "pruned by distance"});
   JsonBenchReporter json("ablation");
   for (const DatasetSpec& spec : datasets) {
     DiGraph g = MaterializeDataset(spec, scale);
@@ -42,6 +46,7 @@ int main() {
       table.AddRow({spec.name, variant.name,
                     TableReporter::FormatDouble(s.seconds),
                     TableReporter::FormatCount(s.entries),
+                    TableReporter::FormatDouble(index.SizeBytes() / 1048576.0),
                     TableReporter::FormatCount(s.vertices_dequeued),
                     TableReporter::FormatCount(s.pruned_by_distance)});
       json.BeginRow()
@@ -49,6 +54,7 @@ int main() {
           .Field("variant", std::string(variant.name))
           .Field("build_seconds", s.seconds)
           .Field("label_entries", s.entries)
+          .Field("label_bytes", index.SizeBytes())
           .Field("vertices_dequeued", s.vertices_dequeued)
           .Field("pruned_by_distance", s.pruned_by_distance);
       std::printf("[ablation] %s %s: %.3fs\n", spec.name.c_str(),

@@ -58,11 +58,10 @@ class BackendBase : public CycleIndex {
 // varint-encoded for "compressed", with one build chain and load fallback
 // for both encodings. A backend serves only its own encoding: a native
 // payload of the other one is rejected.
-// A build consumes its labeling: the compact step moves the two served
-// label sets out of the CscIndex and frees the rest, and ReleaseFreeMemory
-// returns what it can of that before the arena is allocated, so the build
-// peaks at the labeling plus the arena, not the labeling plus two copies of
-// its served half.
+// A build constructs only the two served label sets (CompactIndex::Build),
+// and ReleaseFreeMemory returns the construction's scratch before the arena
+// is allocated, so the build peaks at the served half plus the arena; the
+// full four-set labeling is never allocated.
 class FlatBackend : public BackendBase {
  public:
   FlatBackend(std::string name, ArenaEncoding encoding)
@@ -73,8 +72,7 @@ class FlatBackend : public BackendBase {
     CscIndex::Options o;
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
-    CompactIndex compact = CompactIndex::FromIndex(
-        CscIndex::Build(graph, DegreeOrdering(graph), o));
+    CompactIndex compact = CompactIndex::Build(graph, DegreeOrdering(graph), o);
     ReleaseFreeMemory();
     index_ = FrozenIndex::FromCompact(compact, encoding_);
     build_seconds_ = timer.ElapsedSeconds();

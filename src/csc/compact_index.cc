@@ -89,20 +89,20 @@ CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
   return compact;
 }
 
-CompactIndex CompactIndex::FromIndex(CscIndex&& index) {
-  // Take ownership so everything not moved out dies on return, even when
-  // the caller's argument is a temporary that would outlive this call.
-  CscIndex consumed = std::move(index);
-  HubLabeling& labeling = consumed.mutable_labeling();
+CompactIndex CompactIndex::Build(const DiGraph& graph,
+                                 const VertexOrdering& order,
+                                 const CscIndex::Options& options) {
+  CscIndex built = CscIndex::BuildServedLabels(graph, order, options);
+  HubLabeling& labeling = built.labeling_;
   CompactIndex compact;
-  Vertex n = consumed.num_original_vertices();
+  Vertex n = built.num_original_vertices();
   compact.in_labels_.resize(n);
   compact.out_labels_.resize(n);
   for (Vertex v = 0; v < n; ++v) {
     compact.in_labels_[v] = std::move(labeling.in[InVertex(v)]);
     compact.out_labels_[v] = std::move(labeling.out[OutVertex(v)]);
   }
-  compact.rank_to_vertex_ = consumed.bipartite_order().rank_to_vertex;
+  compact.rank_to_vertex_ = std::move(built.order_.rank_to_vertex);
   return compact;
 }
 
@@ -123,28 +123,10 @@ HubLabeling CompactIndex::ExpandToFull() const {
   HubLabeling full;
   full.Resize(2 * n);
   for (Vertex v = 0; v < n; ++v) {
-    Rank rank_vi = vertex_to_rank[InVertex(v)];
-    Rank rank_vo = vertex_to_rank[OutVertex(v)];
-    // L_in(v_i): stored verbatim.
     full.in[InVertex(v)] = in_labels_[v];
-    // L_in(v_o) = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}. Every stored hub ranks
-    // at or above v_i, hence strictly above v_o, so the self entry appends
-    // in sorted position.
-    for (const LabelEntry& e : in_labels_[v].entries()) {
-      full.in[OutVertex(v)].Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
-    }
-    full.in[OutVertex(v)].Append(LabelEntry(rank_vo, 0, 1));
-    // L_out(v_o): stored verbatim.
     full.out[OutVertex(v)] = out_labels_[v];
-    // L_out(v_i) = shift(L_out(v_o) minus the v_i-hub cycle entry and the
-    // v_o self entry) ∪ {(v_i, 0, 1)}.
-    for (const LabelEntry& e : out_labels_[v].entries()) {
-      if (e.hub() == rank_vi || e.hub() == rank_vo) continue;
-      full.out[InVertex(v)].Append(
-          LabelEntry(e.hub(), e.dist() + 1, e.count()));
-    }
-    full.out[InVertex(v)].Append(LabelEntry(rank_vi, 0, 1));
   }
+  DeriveCoupleLabels(vertex_to_rank, full);
   return full;
 }
 

@@ -24,24 +24,28 @@ namespace csc {
 /// distance element and the v_i-hub out-label entry").
 ///
 /// It is a payload only, with no query path of its own: it is the step
-/// between a built CscIndex and the one serving form
-/// (FrozenIndex::FromCompact, either arena encoding), and its "CSCI"
-/// serialization is the interchange format every CSC backend loads. A
-/// CscIndex is resumed from it for dynamic maintenance via ExpandToFull().
+/// between construction and the one serving form (FrozenIndex::FromCompact,
+/// either arena encoding), and its "CSCI" serialization is the interchange
+/// format every CSC backend loads. CSC construction writes exactly these two
+/// label sets, so Build() yields a compact index without the full labeling
+/// ever existing; CscIndex::Build and ExpandToFull() derive the other two
+/// sets from them through one routine (DeriveCoupleLabels), and a CscIndex
+/// is resumed from a compact index for dynamic maintenance via
+/// ExpandToFull().
 class CompactIndex {
  public:
+  /// Builds the compact index of `graph` under `order` directly: the same
+  /// construction as CscIndex::Build(graph, order, options), whose labels
+  /// it equals once compacted, minus the derivation of the two couple label
+  /// sets and the inverted indexes (`options.maintain_inverted_index` is
+  /// ignored). The served sets keep the capacity construction grew them to,
+  /// so it suits a compact index that is a step toward another form (the
+  /// flat arenas); one kept for long packs tighter as a copy.
+  static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
+                            const CscIndex::Options& options);
+
   /// Compacts a built CSC index (drops the redundant couple label sets).
   static CompactIndex FromIndex(const CscIndex& index);
-
-  /// Compacts by consuming: moves L_in(v_i) and L_out(v_o) out of `index`
-  /// instead of copying them, and frees the rest of it (L_in(v_o),
-  /// L_out(v_i), G_b, the ordering) before returning, so the labels are
-  /// never held twice. The result equals FromIndex(index) on the same index.
-  /// Meant for a compact index that is a step toward another form (the flat
-  /// arenas): the moved sets keep the capacity construction grew them to and
-  /// stay interleaved with the freed half in the heap, so a compact index
-  /// kept for long packs tighter as a copy.
-  static CompactIndex FromIndex(CscIndex&& index);
 
   Vertex num_original_vertices() const {
     return static_cast<Vertex>(in_labels_.size());
@@ -54,7 +58,8 @@ class CompactIndex {
   /// L_out(v_o) of original vertex v.
   const LabelSet& OutLabels(Vertex v) const { return out_labels_[v]; }
 
-  /// Reconstructs the full (uncompacted) labeling over G_b's 2n vertices.
+  /// Reconstructs the full (uncompacted) labeling over G_b's 2n vertices
+  /// (DeriveCoupleLabels from the two stored sets).
   HubLabeling ExpandToFull() const;
 
   /// The bipartite rank -> bipartite vertex permutation carried for

@@ -1,5 +1,6 @@
 #include "csc/csc_index.h"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -17,6 +18,14 @@ namespace {
 /// skipping. Only V_in vertices act as hubs; forward passes hop
 /// V_in -> V_in (through the dequeued vertex's couple) and backward passes
 /// hop V_out -> V_out, labeling each reached vertex together with its couple.
+///
+/// Only the labels of the dequeued side are appended: L_in(w_i) by forward
+/// passes, L_out(w_o) by backward passes, and L_out(v_o) for a couple
+/// vertex's trivial label. The couple's label (L_in(w_o) or L_out(w_i), one
+/// step further) and the root's own (v_i, 0, 1) out-label are the §IV.E
+/// copies DeriveCoupleLabels restores after construction; the stats count
+/// them as if appended. Every pruning join reads only written sets, except
+/// the forward pass's hub row L_out(v_i), which loads shifted from L_out(v_o).
 class CoupleSkipBuilder {
  public:
   CoupleSkipBuilder(const DiGraph& bipartite, const VertexOrdering& order,
@@ -36,8 +45,8 @@ class CoupleSkipBuilder {
       Vertex v = order_.rank_to_vertex[r];
       if (IsOutVertex(v)) {
         // Couple-vertex skipping: v_o never roots a BFS; it only records its
-        // own trivial labels (Algorithm 3 lines 6-8).
-        labeling_.in[v].Append(LabelEntry(r, 0, 1));
+        // own trivial labels (Algorithm 3 lines 6-8). The in-label is a
+        // derived one.
         labeling_.out[v].Append(LabelEntry(r, 0, 1));
         stats_.entries += 2;
         stats_.canonical_entries += 2;
@@ -50,10 +59,12 @@ class CoupleSkipBuilder {
 
  private:
   // In-label generation for hub v_i (rank hr). Dequeued vertices are always
-  // from V_in; the couple w_o trails at distance +1 and is labeled eagerly.
+  // from V_in; the couple w_o trails at distance +1 (a derived entry).
   void ForwardPass(Vertex hub, Rank hr) {
-    // Forward passes write only in-labels, so L_out(hub) is fixed here.
-    if (distance_pruning_) row_.Load(labeling_.out[hub]);
+    // Forward passes write only in-labels, so L_out(hub) is fixed here: it
+    // is L_out(couple) shifted, below the hub's rank.
+    const LabelSet& couple_out = labeling_.out[CoupleOf(hub)];
+    if (distance_pruning_) row_.LoadShifted(couple_out, hr);
     queue_.clear();
     dist_[hub] = 0;
     count_[hub] = 1;
@@ -77,10 +88,9 @@ class CoupleSkipBuilder {
       }
       // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1. The
       // couple's distance/count are exactly w's shifted because w_o's only
-      // in-edge is the couple edge (w_i, w_o).
+      // in-edge is the couple edge (w_i, w_o), so its entry is derived.
       Vertex couple = CoupleOf(w);
       labeling_.in[w].Append(LabelEntry(hr, dist_[w], count_[w]));
-      labeling_.in[couple].Append(LabelEntry(hr, dist_[w] + 1, count_[w]));
       stats_.entries += 2;
       for (Vertex wn : graph_.OutNeighbors(couple)) {  // wn ∈ V_in
         if (dist_[wn] == kInfDist) {
@@ -96,7 +106,7 @@ class CoupleSkipBuilder {
       }
     }
     ResetScratch();
-    if (distance_pruning_) row_.Clear(labeling_.out[hub]);
+    if (distance_pruning_) row_.Clear(couple_out);
   }
 
   // Out-label generation for hub v_i (rank hr), running over the reverse
@@ -117,9 +127,9 @@ class CoupleSkipBuilder {
       ++stats_.vertices_dequeued;
       if (w == hub) {
         // Modification (3) of §IV.C: the root only records (v, 0, 1) in its
-        // own out-label, then expands its predecessors directly (the couple
-        // v_o is v's successor, not predecessor, so no couple step here).
-        labeling_.out[hub].Append(LabelEntry(hr, 0, 1));
+        // own out-label (a derived one), then expands its predecessors
+        // directly (the couple v_o is v's successor, not predecessor, so no
+        // couple step here).
         ++stats_.entries;
         ++stats_.canonical_entries;
         for (Vertex wn : graph_.InNeighbors(hub)) {  // wn ∈ V_out
@@ -156,8 +166,8 @@ class CoupleSkipBuilder {
         // continuation walks through the hub and is covered by its labels.
         continue;
       }
+      // The couple w_i's entry, one step further, is derived.
       Vertex couple = CoupleOf(w);  // w_i
-      labeling_.out[couple].Append(LabelEntry(hr, dist_[w] + 1, count_[w]));
       ++stats_.entries;
       for (Vertex wn : graph_.InNeighbors(couple)) {  // wn ∈ V_out
         if (dist_[wn] == kInfDist) {
@@ -200,10 +210,10 @@ class CoupleSkipBuilder {
 /// labeling/parallel_build.h for the staging/validation/commit scheme).
 /// Staged passes run exactly ForwardPass/BackwardPass against the committed
 /// labels, recording labeled dequeues instead of appending; the commit
-/// replay re-applies INSERT_LABEL (Algorithm 4) and the canonical/
-/// non-canonical classification from the validated via distances, so labels
-/// and stats are bit-identical to the sequential builder at any thread
-/// count.
+/// replay re-applies INSERT_LABEL (Algorithm 4) to the same two written
+/// label sets and the canonical/non-canonical classification from the
+/// validated via distances, so labels and stats are bit-identical to the
+/// sequential builder at any thread count.
 class ParallelCoupleSkipBuilder {
  public:
   struct Scratch {
@@ -227,6 +237,10 @@ class ParallelCoupleSkipBuilder {
     s.dist.assign(graph_.num_vertices(), kInfDist);
     s.count.assign(graph_.num_vertices(), 0);
     s.row = HubRow(graph_.num_vertices());
+    // A pass enqueues each vertex at most once, so staging never grows
+    // these on a pool thread.
+    s.queue.reserve(graph_.num_vertices());
+    s.touched.reserve(graph_.num_vertices());
   }
 
   // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
@@ -234,7 +248,6 @@ class ParallelCoupleSkipBuilder {
   bool IsHub(Vertex v) const { return IsInVertex(v); }
 
   void CommitNonHub(Rank r, Vertex v) {
-    labeling_.in[v].Append(LabelEntry(r, 0, 1));
     labeling_.out[v].Append(LabelEntry(r, 0, 1));
     stats_.entries += 2;
     stats_.canonical_entries += 2;
@@ -257,12 +270,12 @@ class ParallelCoupleSkipBuilder {
     CommitBackward(sh);
   }
 
-  // A lower batch hub h reaches L_out(hub) only through the couple append
-  // of its backward pass — dequeuing couple(hub) at distance d labels hub
-  // at d + 1. (hub is a V_in vertex: backward passes dequeue V_out
-  // vertices, h's root append targets h itself, and the hub-couple
-  // suppression cannot apply since couple(hub) == couple(h) would mean
-  // hub == h.)
+  // A lower batch hub h reaches L_out(hub) only through the couple entry
+  // of its backward pass — dequeuing couple(hub) at distance d gives hub a
+  // (derived) entry at d + 1, which the shifted hub row sees. (hub is a
+  // V_in vertex: backward passes dequeue V_out vertices, h's root entry
+  // belongs to h itself, and the hub-couple suppression cannot apply since
+  // couple(hub) == couple(h) would mean hub == h.)
   Dist NewOutDist(const StagedHub& lower, Vertex hub) const {
     Dist d = lower.bwd.DistAt(CoupleOf(hub));
     return d == kInfDist ? kInfDist : d + 1;
@@ -279,8 +292,10 @@ class ParallelCoupleSkipBuilder {
     const Vertex hub = sh.hub;
     const Rank hr = sh.rank;
     // Staging writes no labels, so the row holds exactly the committed
-    // L_out(hub) a merge join would read.
-    if (distance_pruning_) s.row.Load(labeling_.out[hub]);
+    // L_out(hub) a merge join would read: L_out(couple) shifted, below the
+    // hub's rank.
+    const LabelSet& couple_out = labeling_.out[CoupleOf(hub)];
+    if (distance_pruning_) s.row.LoadShifted(couple_out, hr);
     s.queue.clear();
     s.dist[hub] = 0;
     s.count[hub] = 1;
@@ -314,7 +329,7 @@ class ParallelCoupleSkipBuilder {
       }
     }
     ResetScratch(s);
-    if (distance_pruning_) s.row.Clear(labeling_.out[hub]);
+    if (distance_pruning_) s.row.Clear(couple_out);
   }
 
   void StageBackward(StagedHub& sh, Scratch& s) const {
@@ -384,10 +399,9 @@ class ParallelCoupleSkipBuilder {
           stats_.canonical_entries += 2;
         }
       }
-      // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1.
-      Vertex couple = CoupleOf(e.w);
+      // INSERT_LABEL (Algorithm 4): label w; its couple w_o's entry at +1
+      // is derived.
       labeling_.in[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
-      labeling_.in[couple].Append(LabelEntry(sh.rank, e.dist + 1, e.count));
       stats_.entries += 2;
     }
     stats_.vertices_dequeued += sh.fwd.dequeued;
@@ -396,8 +410,7 @@ class ParallelCoupleSkipBuilder {
 
   void CommitBackward(const StagedHub& sh) {
     for (const StagedEvent& e : sh.bwd.events) {
-      if (e.w == sh.hub) {
-        labeling_.out[sh.hub].Append(LabelEntry(sh.rank, 0, 1));
+      if (e.w == sh.hub) {  // the root's (v, 0, 1), a derived entry
         ++stats_.entries;
         ++stats_.canonical_entries;
         continue;
@@ -414,9 +427,7 @@ class ParallelCoupleSkipBuilder {
       labeling_.out[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
       ++stats_.entries;
       if (is_hub_couple) continue;
-      labeling_.out[CoupleOf(e.w)].Append(
-          LabelEntry(sh.rank, e.dist + 1, e.count));
-      ++stats_.entries;
+      ++stats_.entries;  // the couple w_i's derived entry at +1
     }
     stats_.vertices_dequeued += sh.bwd.dequeued;
     stats_.pruned_by_distance += sh.bwd.pruned;
@@ -458,8 +469,9 @@ void PopulateInvertedIndexes(const HubLabeling& labeling, InvertedIndex& inv_in,
 
 }  // namespace
 
-CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
-                         const Options& options) {
+CscIndex CscIndex::BuildServedLabels(const DiGraph& graph,
+                                     const VertexOrdering& order,
+                                     const Options& options) {
   CheckVertexRange(graph.num_vertices() + options.reserve_vertices);
   CscIndex index;
   index.options_ = options;
@@ -496,6 +508,15 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
   }
   index.stats_.seconds = timer.ElapsedSeconds();
   index.stats_.build_threads = options.build_threads;
+  return index;
+}
+
+CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
+                         const Options& options) {
+  CscIndex index = BuildServedLabels(graph, order, options);
+  Timer timer;
+  DeriveCoupleLabels(index.order_.vertex_to_rank, index.labeling_);
+  index.stats_.seconds += timer.ElapsedSeconds();
   if (options.maintain_inverted_index) {
     PopulateInvertedIndexes(index.labeling_, index.inv_in_, index.inv_out_);
   }
@@ -566,9 +587,40 @@ CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
                               index.stats_,
                               !config.disable_distance_pruning);
     builder.BuildAll();
+    DeriveCoupleLabels(index.order_.vertex_to_rank, index.labeling_);
   }
   index.stats_.seconds = timer.ElapsedSeconds();
   return index;
+}
+
+void DeriveCoupleLabels(const std::vector<Rank>& vertex_to_rank,
+                        HubLabeling& labeling) {
+  const Vertex n = static_cast<Vertex>(labeling.num_vertices() / 2);
+  for (Vertex v = 0; v < n; ++v) {
+    const Vertex vi = InVertex(v);
+    const Vertex vo = OutVertex(v);
+    const Rank rank_vi = vertex_to_rank[vi];
+    const Rank rank_vo = vertex_to_rank[vo];
+    assert(labeling.in[vo].empty() && labeling.out[vi].empty());
+    // L_in(v_o) = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}. Every hub of L_in(v_i)
+    // ranks at or above v_i, hence strictly above v_o, so the self entry
+    // appends in sorted position.
+    LabelSet& in_vo = labeling.in[vo];
+    in_vo.Reserve(labeling.in[vi].size() + 1);
+    for (const LabelEntry& e : labeling.in[vi].entries()) {
+      in_vo.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
+    }
+    in_vo.Append(LabelEntry(rank_vo, 0, 1));
+    // L_out(v_i) = shift(L_out(v_o) minus the v_i-hub cycle entry and the
+    // v_o self entry) ∪ {(v_i, 0, 1)}.
+    LabelSet& out_vi = labeling.out[vi];
+    out_vi.Reserve(labeling.out[vo].size() + 1);
+    for (const LabelEntry& e : labeling.out[vo].entries()) {
+      if (e.hub() == rank_vi || e.hub() == rank_vo) continue;
+      out_vi.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
+    }
+    out_vi.Append(LabelEntry(rank_vi, 0, 1));
+  }
 }
 
 }  // namespace csc

@@ -2,6 +2,7 @@
 #define CSC_CSC_CSC_INDEX_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/bipartite.h"
 #include "graph/digraph.h"
@@ -19,7 +20,12 @@ namespace csc {
 /// Construction is Algorithm 3 with couple-vertex skipping: only incoming
 /// vertices v_i ever act as BFS roots; a reached vertex and its couple are
 /// labeled together, and the BFS hops couple-to-couple so only one side of
-/// the bipartition is ever enqueued.
+/// the bipartition is ever enqueued. Of each couple pair's four label sets,
+/// construction writes only L_in(v_i) and L_out(v_o), the two the §IV.E
+/// reduction keeps (CompactIndex); Build then derives L_in(v_o) and
+/// L_out(v_i) once from them (DeriveCoupleLabels), so the index holds the
+/// full labeling that queries, dynamic maintenance and the repair shadow
+/// read. The build stats still count every entry of the full labeling.
 ///
 /// The index owns its copy of G_b (dynamic maintenance mutates it) and the
 /// bipartite ordering; the original graph is not retained.
@@ -100,11 +106,20 @@ class CscIndex {
   InvertedIndex& mutable_inv_out() { return inv_out_; }
 
  private:
+  friend class CompactIndex;  // builds from BuildServedLabels
   friend CscIndex BuildCscAblation(const DiGraph& graph,
                                    const VertexOrdering& order,
                                    const struct CscAblationConfig& config);
 
   CscIndex() = default;
+
+  /// Runs construction with only L_in(v_i) and L_out(v_o) written; the
+  /// labeling's other two sets per couple pair stay empty, and no inverted
+  /// index is built. Build derives the rest and adds the inverted indexes;
+  /// CompactIndex::Build moves the two sets out.
+  static CscIndex BuildServedLabels(const DiGraph& graph,
+                                    const VertexOrdering& order,
+                                    const Options& options);
 
   DiGraph bipartite_;
   VertexOrdering order_;  // over G_b's 2n vertices
@@ -131,6 +146,17 @@ struct CscAblationConfig {
 /// study. Query results are identical to the standard build.
 CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
                           const CscAblationConfig& config);
+
+/// Index reduction (§IV.E) in reverse: fills L_in(v_o) and L_out(v_i) of
+/// every couple pair of `labeling` (over G_b, ranks by `vertex_to_rank`)
+/// from its L_in(v_i) and L_out(v_o), which must already hold their final
+/// entries; the two derived sets must be empty.
+///   L_in(v_o)  = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}
+///   L_out(v_i) = shift(L_out(v_o) \ {hub v_i, hub v_o}) ∪ {(v_i, 0, 1)}
+/// where shift(·) adds 1 to every distance. CscIndex::Build and
+/// CompactIndex::ExpandToFull both complete their labelings with it.
+void DeriveCoupleLabels(const std::vector<Rank>& vertex_to_rank,
+                        HubLabeling& labeling);
 
 }  // namespace csc
 

@@ -22,10 +22,11 @@ namespace csc {
 /// rank-indexed array once per pass, so each check is one scan of L(w) with
 /// O(1) lookups. Only the distance is kept: no pruning check reads counts.
 ///
-/// Usage per pass: Load(L(hub)) before the first dequeue, Join(L(w)) per
-/// dequeue, Clear(L(hub)) after the last. L(hub) must not change in between;
-/// every caller loads the label set its pass never writes. Clear restores
-/// every slot to kInfDist in O(|L(hub)|), so one row serves a whole build.
+/// Usage per pass: Load(L(hub)) (or LoadShifted) before the first dequeue,
+/// Join(L(w)) per dequeue, Clear(L(hub)) after the last. L(hub) must not
+/// change in between; every caller loads a label set its pass never writes.
+/// Clear restores every slot to kInfDist in O(|L(hub)|), so one row serves a
+/// whole build.
 class HubRow {
  public:
   HubRow() = default;
@@ -39,6 +40,21 @@ class HubRow {
     for (const LabelEntry& e : hub_labels.entries()) {
       if (e.hub() >= bound) break;  // rank-sorted: the rest are above too
       dist_[e.hub()] = e.dist();
+      end_ = e.hub() + 1;
+    }
+  }
+
+  /// Scatters the entries of `labels` with rank below `bound`, each one step
+  /// further than stored: the row of a set that is `labels` shifted by one.
+  /// A CSC forward pass of hub v_i loads L_out(v_i) this way from its
+  /// couple's L_out(v_o) with `bound` = rank(v_i), which skips exactly the
+  /// two hubs the §IV.E identity drops (v_i, and v_o, ranked right after
+  /// it); Clear(labels) then resets the row.
+  void LoadShifted(const LabelSet& labels, Rank bound) {
+    assert(end_ == 0 && "HubRow::LoadShifted without Clear");
+    for (const LabelEntry& e : labels.entries()) {
+      if (e.hub() >= bound) break;  // rank-sorted: the rest are above too
+      dist_[e.hub()] = e.dist() + 1;
       end_ = e.hub() + 1;
     }
   }

@@ -23,6 +23,7 @@ class LabelSet {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   void clear() { entries_.clear(); }
+  void Reserve(size_t n) { entries_.reserve(n); }
 
   /// Appends an entry whose hub rank is strictly larger than every stored
   /// rank (the static-construction fast path).

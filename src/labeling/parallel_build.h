@@ -13,6 +13,7 @@
 
 #include "graph/ordering.h"
 #include "util/common.h"
+#include "util/page_allocator.h"
 #include "util/thread_pool.h"
 
 namespace csc {
@@ -95,9 +96,12 @@ struct StagedEvent {
 
 /// One staged (forward or backward) pass of one hub: the labeled dequeues in
 /// BFS order plus the pass's work counters, and a sorted (vertex -> dist)
-/// view of the events for the batch-local validation joins.
+/// view of the events for the batch-local validation joins. The two buffers
+/// grow on pool threads, so they take PageAllocator: the build's end then
+/// returns them to the system instead of leaving them in those threads'
+/// malloc arenas.
 struct StagedPass {
-  std::vector<StagedEvent> events;
+  std::vector<StagedEvent, PageAllocator<StagedEvent>> events;
   uint64_t dequeued = 0;
   uint64_t pruned = 0;
 
@@ -126,7 +130,8 @@ struct StagedPass {
   }
 
  private:
-  std::vector<std::pair<Vertex, Dist>> by_vertex_;
+  std::vector<std::pair<Vertex, Dist>, PageAllocator<std::pair<Vertex, Dist>>>
+      by_vertex_;
 };
 
 /// The two staged passes of one batch hub.
@@ -164,7 +169,10 @@ struct PassValidation {
 /// `builder` supplies the two label-placement rules that differ between the
 /// plain and couple-skip constructions:
 ///   NewOutDist(lower, hub): distance of the entry `lower`'s backward pass
-///     contributed to L_out(hub), or kInfDist;
+///     gives L_out(hub) as the hub's pruning row reads it, or kInfDist. The
+///     plain builder appends that entry; the couple-skip builder appends
+///     only its couple's entry to L_out(couple(hub)) and reads the row
+///     shifted from there;
 ///   NewInDist(lower, hub): ditto for `lower`'s forward pass and L_in(hub).
 template <typename Builder>
 PassValidation ValidateStagedHub(const Builder& builder,
@@ -220,7 +228,7 @@ PassValidation ValidateStagedHub(const Builder& builder,
 
 /// Runs the full rank-batched build. `Builder` provides:
 ///   struct Scratch;                     // per-worker BFS scratch
-///   void InitScratch(Scratch&);
+///   void InitScratch(Scratch&);         // sized so staging never grows it
 ///   bool IsHub(Vertex v) const;         // does this rank root BFSs?
 ///   void CommitNonHub(Rank r, Vertex v);        // e.g. couple self-labels
 ///   bool distance_pruning() const;      // false => staging is always clean

@@ -129,6 +129,10 @@ class ParallelPlainBuilder {
     s.dist.assign(graph_.num_vertices(), kInfDist);
     s.count.assign(graph_.num_vertices(), 0);
     s.row = HubRow(graph_.num_vertices());
+    // A pass enqueues each vertex at most once, so staging never grows
+    // these on a pool thread.
+    s.queue.reserve(graph_.num_vertices());
+    s.touched.reserve(graph_.num_vertices());
   }
 
   bool IsHub(Vertex) const { return true; }

@@ -4,6 +4,9 @@
 // graphs, a CRC-32C of the serialized index and all five LabelBuildStats
 // counters, recorded from a known-good build. Every builder path (sequential
 // and rank-batched CSC at 1 and 4 workers, and HP-SPC) must reproduce them.
+// CSC builds also pin a CRC-32C over all four label sets of the full
+// labeling (L_in and L_out of both v_i and v_o), so the two couple halves
+// the serving form drops are held to the same output as the two it keeps.
 // The flat serving forms are pinned too, as CRC-32Cs of what their backends
 // save after a registry Build, so a build chain that drops or reorders a run
 // between the labeling and the served payload fails here even when every
@@ -63,6 +66,7 @@ struct PinnedGraph {
   std::string name;
   DiGraph (*make)();
   PinnedOutput csc;
+  uint32_t csc_labeling = 0;  // LabelingCrc of the full CSC labeling
   PinnedOutput hpspc;
   PinnedFlat flat;
 };
@@ -101,30 +105,56 @@ const std::vector<PinnedGraph>& PinnedGraphs() {
       {"erdos_renyi",
        [] { return GenerateErdosRenyi(400, 2000, 13); },
        {0x82324108u, 107479, 66673, 40806, 74463, 20879},
+       0x0c0c2488u,
        {0xb5e973f6u, 53495, 33112, 20383, 74339, 20844},
        {0x2a80b079u, 0xd964f24fu}},
       {"erdos_renyi_dense",
        [] { return GenerateErdosRenyi(250, 2500, 5); },
        {0xc4632726u, 75189, 39340, 35849, 49213, 11693},
+       0x52eeb672u,
        {0x6518fb98u, 37419, 19523, 17896, 49071, 11652},
        {0x0ad5a6e0u, 0x9dbc5411u}},
       {"power_law",
        [] { return GeneratePreferentialAttachment(600, 3, 0.2, 7); },
        {0x73bef05du, 44592, 27404, 17188, 30690, 8612},
+       0x8c90a552u,
        {0xce714ba7u, 21914, 13370, 8544, 30526, 8612},
        {0x9bf0e27eu, 0xd3ddf13du}},
       {"power_law_reciprocal",
        [] { return GeneratePreferentialAttachment(800, 2, 0.4, 19); },
        {0x4eb703e8u, 44214, 30725, 13489, 27676, 5851},
+       0xed858c7eu,
        {0xb55499fbu, 21589, 14926, 6663, 27439, 5850},
        {0xb4c5661bu, 0x429f87b6u}},
       {"wkt",
        [] { return MaterializeDataset(FindDataset("WKT").value(), 0.02); },
        {0xf7b7d2a5u, 40801, 32576, 8225, 23356, 3464},
+       0xe20a3547u,
        {0x9ac17e8du, 19809, 15703, 4106, 23271, 3462},
        {0x4237971bu, 0x24cfd3d7u}},
   };
   return graphs;
+}
+
+const PinnedGraph& FindPinnedGraph(const std::string& name) {
+  for (const PinnedGraph& g : PinnedGraphs()) {
+    if (g.name == name) return g;
+  }
+  ADD_FAILURE() << "no pinned graph " << name;
+  return PinnedGraphs().front();
+}
+
+// Checks one CSC build against its pinned serving payload, stats and full
+// labeling; prints the observed row on a mismatch.
+void ExpectPinnedCsc(const CscIndex& index, const PinnedOutput& csc,
+                     uint32_t csc_labeling, const std::string& context) {
+  PinnedOutput observed =
+      Observe(Crc32c(CompactIndex::FromIndex(index).Serialize()),
+              index.build_stats());
+  EXPECT_EQ(observed, csc) << context;
+  uint32_t labeling = LabelingCrc(index.labeling());
+  EXPECT_EQ(labeling, csc_labeling)
+      << context << " full labeling observed 0x" << std::hex << labeling;
 }
 
 TEST(BuildOutputPinnedTest, CscIndexAtEveryBuildPath) {
@@ -134,13 +164,39 @@ TEST(BuildOutputPinnedTest, CscIndexAtEveryBuildPath) {
     for (unsigned threads : kBuildThreads) {
       CscIndex::Options options;
       options.build_threads = threads;
-      CscIndex index = CscIndex::Build(graph, order, options);
-      PinnedOutput observed =
-          Observe(Crc32c(CompactIndex::FromIndex(index).Serialize()),
-                  index.build_stats());
-      EXPECT_EQ(observed, g.csc) << g.name << " build_threads=" << threads;
+      ExpectPinnedCsc(CscIndex::Build(graph, order, options), g.csc,
+                      g.csc_labeling,
+                      g.name + " build_threads=" + std::to_string(threads));
     }
   }
+  // One graph again with reserved vertices: isolated, lowest-ranked
+  // vertices appended before indexing.
+  const PinnedOutput kReserved = {0xf872bff0u, 44617, 27429, 17188, 30700,
+                                  8612};
+  const uint32_t kReservedLabeling = 0xc6ae80dfu;
+  DiGraph graph = FindPinnedGraph("power_law").make();
+  VertexOrdering order = DegreeOrdering(graph);
+  for (unsigned threads : kBuildThreads) {
+    CscIndex::Options options;
+    options.build_threads = threads;
+    options.reserve_vertices = 5;
+    ExpectPinnedCsc(CscIndex::Build(graph, order, options), kReserved,
+                    kReservedLabeling,
+                    "power_law reserve=5 build_threads=" +
+                        std::to_string(threads));
+  }
+}
+
+// The couple-skip builder with distance pruning off (the ablation of line
+// 13): labels are non-minimal, and the stats count no canonical entries.
+TEST(BuildOutputPinnedTest, CscAblationWithoutDistancePruning) {
+  const PinnedOutput kPinned = {0xc045b77fu, 120666, 3300, 0, 59830, 0};
+  const uint32_t kPinnedLabeling = 0x0aedd87cu;
+  DiGraph graph = FindPinnedGraph("wkt").make();
+  CscAblationConfig config;
+  config.disable_distance_pruning = true;
+  ExpectPinnedCsc(BuildCscAblation(graph, DegreeOrdering(graph), config),
+                  kPinned, kPinnedLabeling, "wkt without distance pruning");
 }
 
 TEST(BuildOutputPinnedTest, HpSpcIndexAtEveryBuildPath) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "csc/csc_index.h"
+#include "graph/bipartite.h"
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace csc {
@@ -117,6 +120,51 @@ TEST(HubRowTest, TiedMinimaReturnTheSharedDistance) {
   EXPECT_EQ(row.Join(w), kInfDist);
   row.Clear(hub);
   ExpectClear(row);
+}
+
+TEST(HubRowTest, ShiftedCoupleLoadMatchesOutLabelsOfTheHub) {
+  // A CSC forward pass of hub v_i prunes against L_out(v_i) as it stands
+  // when the pass starts: the final set below rank(v_i). Construction no
+  // longer writes L_out(v_i), so the pass loads it shifted from L_out(v_o)
+  // instead. On final labelings, whose L_out(v_o) also holds the v_i cycle
+  // entry (when a cycle passes through v) and the v_o self entry, both rows
+  // must agree slot for slot and on the join with every in-label set. The
+  // full labeling here is derived by the same §IV.E identity; the pinned
+  // four-set CRCs in build_output_pinned_test.cc anchor it to the labeling
+  // a four-set construction wrote.
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    DiGraph g = RandomGraph(60, 2.5, seed);
+    CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
+    const HubLabeling& labels = index.labeling();
+    const std::vector<Rank>& rank = index.bipartite_order().vertex_to_rank;
+    const Vertex num_bipartite = static_cast<Vertex>(labels.num_vertices());
+    HubRow shifted(num_bipartite);
+    HubRow direct(num_bipartite);
+    size_t hubs_with_cycle_entry = 0;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const Vertex vi = InVertex(v);
+      const Vertex vo = OutVertex(v);
+      const LabelSet& couple_out = labels.out[vo];
+      ASSERT_NE(couple_out.Find(rank[vo]), nullptr) << "v_o self entry " << v;
+      if (couple_out.Find(rank[vi]) != nullptr) ++hubs_with_cycle_entry;
+
+      shifted.LoadShifted(couple_out, rank[vi]);
+      direct.Load(labels.out[vi], rank[vi]);
+      for (Rank r = 0; r < num_bipartite; ++r) {
+        ASSERT_EQ(shifted.at(r), direct.at(r))
+            << "seed " << seed << " hub " << v << " slot " << r;
+      }
+      for (Vertex w = 0; w < num_bipartite; ++w) {
+        ASSERT_EQ(shifted.Join(labels.in[w]), direct.Join(labels.in[w]))
+            << "seed " << seed << " hub " << v << " L_in(" << w << ")";
+      }
+      shifted.Clear(couple_out);
+      direct.Clear(labels.out[vi]);
+      ExpectClear(shifted);
+      ExpectClear(direct);
+    }
+    EXPECT_GT(hubs_with_cycle_entry, 0u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // in-memory labelings, the serialized payloads of every labeling-based
 // backend, and the build stats (which commit from per-pass staging
 // partials and must aggregate to exactly the sequential counters).
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cycle_index.h"
+#include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
@@ -21,7 +23,7 @@
 namespace csc {
 namespace {
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 4, 8};
 
 struct NamedGraph {
   std::string name;
@@ -95,6 +97,30 @@ TEST(ParallelBuildDeterminismTest, BackendPayloadsByteIdentical) {
       EXPECT_EQ(payload, sequential_payload)
           << name << " threads=" << threads;
       EXPECT_EQ(backend->Stats().build_threads, threads) << name;
+    }
+  }
+}
+
+TEST(ParallelBuildDeterminismTest, CompactBuildMatchesCompactedFullBuild) {
+  // CompactIndex::Build writes only the two served label sets; at every
+  // thread count, with and without reserved vertices, it must equal the
+  // compacted full build (which derives its other two sets afterwards).
+  for (const NamedGraph& g : ConformanceGraphs()) {
+    VertexOrdering order = DegreeOrdering(g.graph);
+    for (Vertex reserve : {0u, 3u}) {
+      CscIndex::Options sequential_options;
+      sequential_options.reserve_vertices = reserve;
+      CompactIndex expected = CompactIndex::FromIndex(
+          CscIndex::Build(g.graph, order, sequential_options));
+      std::vector<unsigned> thread_counts = {0};
+      thread_counts.insert(thread_counts.end(), std::begin(kThreadCounts),
+                           std::end(kThreadCounts));
+      for (unsigned threads : thread_counts) {
+        CscIndex::Options options = sequential_options;
+        options.build_threads = threads;
+        EXPECT_EQ(CompactIndex::Build(g.graph, order, options), expected)
+            << g.name << " reserve=" << reserve << " threads=" << threads;
+      }
     }
   }
 }
