@@ -92,17 +92,13 @@ CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
 CompactIndex CompactIndex::Build(const DiGraph& graph,
                                  const VertexOrdering& order,
                                  const CscIndex::Options& options) {
-  CscIndex built = CscIndex::BuildServedLabels(graph, order, options);
-  HubLabeling& labeling = built.labeling_;
+  LabelBuildStats stats;
+  CscIndex::CoupleLabels labels = CscIndex::BuildCoupleLabels(
+      graph, order, options, /*distance_pruning=*/true, stats);
   CompactIndex compact;
-  Vertex n = built.num_original_vertices();
-  compact.in_labels_.resize(n);
-  compact.out_labels_.resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    compact.in_labels_[v] = std::move(labeling.in[InVertex(v)]);
-    compact.out_labels_[v] = std::move(labeling.out[OutVertex(v)]);
-  }
-  compact.rank_to_vertex_ = std::move(built.order_.rank_to_vertex);
+  compact.in_labels_ = std::move(labels.in);
+  compact.out_labels_ = std::move(labels.out);
+  compact.rank_to_vertex_ = std::move(labels.order.rank_to_vertex);
   return compact;
 }
 

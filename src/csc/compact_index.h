@@ -36,10 +36,10 @@ class CompactIndex {
  public:
   /// Builds the compact index of `graph` under `order` directly: the same
   /// construction as CscIndex::Build(graph, order, options), whose labels
-  /// it equals once compacted, minus the derivation of the two couple label
-  /// sets and the inverted indexes (`options.maintain_inverted_index` is
-  /// ignored). The served sets keep the capacity construction grew them to,
-  /// so it suits a compact index that is a step toward another form (the
+  /// it equals once compacted, minus G_b, the derivation of the two couple
+  /// label sets and the inverted indexes (`options.maintain_inverted_index`
+  /// is ignored). The served sets keep the capacity construction grew them
+  /// to, so it suits a compact index that is a step toward another form (the
   /// flat arenas); one kept for long packs tighter as a copy.
   static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
                             const CscIndex::Options& options);
@@ -52,11 +52,6 @@ class CompactIndex {
   }
   uint64_t TotalEntries() const;
   uint64_t SizeBytes() const { return TotalEntries() * sizeof(LabelEntry); }
-
-  /// L_in(v_i) of original vertex v.
-  const LabelSet& InLabels(Vertex v) const { return in_labels_[v]; }
-  /// L_out(v_o) of original vertex v.
-  const LabelSet& OutLabels(Vertex v) const { return out_labels_[v]; }
 
   /// Reconstructs the full (uncompacted) labeling over G_b's 2n vertices
   /// (DeriveCoupleLabels from the two stored sets).
@@ -75,6 +70,8 @@ class CompactIndex {
   friend bool operator==(const CompactIndex&, const CompactIndex&) = default;
 
  private:
+  friend class FrozenIndex;  // encodes the two sets, consuming or copying
+
   std::vector<LabelSet> in_labels_;   // L_in(v_i), indexed by original vertex
   std::vector<LabelSet> out_labels_;  // L_out(v_o), indexed by original vertex
   std::vector<Vertex> rank_to_vertex_;

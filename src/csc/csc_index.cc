@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "labeling/hub_row.h"
@@ -14,10 +16,83 @@ namespace csc {
 
 namespace {
 
+/// The input graph as Algorithm 3 walks it, renamed by rank as pruned
+/// landmark labeling does (Akiba, Iwata & Yoshida, SIGMOD 2013): pair k is
+/// the vertex of rank k, whose couple vertices have the bipartite ranks 2k
+/// (v_i) and 2k + 1 (v_o). The builders use bipartite ranks as vertex ids,
+/// so CoupleOf/IsInVertex keep their meaning and rank pruning is one compare
+/// with the neighbor's id. Only G_b's non-couple edges are stored, each as
+/// the bipartite rank it leads to, in one flat array per direction.
+class RankedCsr {
+ public:
+  /// `graph` under `order`, plus isolated pairs up to `num_pairs`, ranked
+  /// below every vertex of `graph`.
+  RankedCsr(const DiGraph& graph, const VertexOrdering& order,
+            Vertex num_pairs)
+      : succ_begin_(num_pairs + 1, 0), pred_begin_(num_pairs + 1, 0) {
+    const std::vector<Rank>& rank = order.vertex_to_rank;
+    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+      succ_begin_[rank[v] + 1] = graph.OutDegree(v);
+      pred_begin_[rank[v] + 1] = graph.InDegree(v);
+    }
+    for (Vertex k = 0; k < num_pairs; ++k) {
+      succ_begin_[k + 1] += succ_begin_[k];
+      pred_begin_[k + 1] += pred_begin_[k];
+    }
+    succ_.resize(succ_begin_[num_pairs]);
+    pred_.resize(pred_begin_[num_pairs]);
+    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+      Rank* succ = succ_.data() + succ_begin_[rank[v]];
+      for (Vertex w : graph.OutNeighbors(v)) *succ++ = 2 * rank[w];
+      Rank* pred = pred_.data() + pred_begin_[rank[v]];
+      for (Vertex u : graph.InNeighbors(v)) *pred++ = 2 * rank[u] + 1;
+    }
+  }
+
+  /// Bipartite ranks: twice the number of pairs.
+  Rank num_ranks() const {
+    return 2 * static_cast<Rank>(succ_begin_.size() - 1);
+  }
+
+  /// G_b successors of x's out-vertex (in-vertex ranks), for x of either
+  /// side of a pair.
+  std::span<const Rank> Successors(Rank x) const {
+    return {succ_.data() + succ_begin_[x >> 1],
+            succ_.data() + succ_begin_[(x >> 1) + 1]};
+  }
+  /// G_b predecessors of x's in-vertex (out-vertex ranks).
+  std::span<const Rank> Predecessors(Rank x) const {
+    return {pred_.data() + pred_begin_[x >> 1],
+            pred_.data() + pred_begin_[(x >> 1) + 1]};
+  }
+
+ private:
+  std::vector<uint64_t> succ_begin_;
+  std::vector<uint64_t> pred_begin_;
+  std::vector<Rank> succ_;
+  std::vector<Rank> pred_;
+};
+
+/// The two label sets construction writes, by pair rank k: in[k] is
+/// L_in(v_i) and out[k] is L_out(v_o) of the vertex ranked k.
+struct PairLabels {
+  explicit PairLabels(Vertex num_pairs) : in(num_pairs), out(num_pairs) {}
+
+  /// L_in of in-vertex rank x and L_out of out-vertex rank x.
+  LabelSet& In(Rank x) { return in[x >> 1]; }
+  LabelSet& Out(Rank x) { return out[x >> 1]; }
+  const LabelSet& In(Rank x) const { return in[x >> 1]; }
+  const LabelSet& Out(Rank x) const { return out[x >> 1]; }
+
+  std::vector<LabelSet> in;
+  std::vector<LabelSet> out;
+};
+
 /// Algorithm 3: per-hub pruned counting BFS over G_b with couple-vertex
-/// skipping. Only V_in vertices act as hubs; forward passes hop
-/// V_in -> V_in (through the dequeued vertex's couple) and backward passes
-/// hop V_out -> V_out, labeling each reached vertex together with its couple.
+/// skipping, walking the ranked CSR (vertex ids are bipartite ranks). Only
+/// V_in vertices act as hubs; forward passes hop V_in -> V_in (through the
+/// dequeued vertex's couple) and backward passes hop V_out -> V_out,
+/// labeling each reached vertex together with its couple.
 ///
 /// Only the labels of the dequeued side are appended: L_in(w_i) by forward
 /// passes, L_out(w_o) by backward passes, and L_out(v_o) for a couple
@@ -28,54 +103,51 @@ namespace {
 /// the forward pass's hub row L_out(v_i), which loads shifted from L_out(v_o).
 class CoupleSkipBuilder {
  public:
-  CoupleSkipBuilder(const DiGraph& bipartite, const VertexOrdering& order,
-                    HubLabeling& labeling, LabelBuildStats& stats,
-                    bool distance_pruning)
-      : graph_(bipartite),
-        order_(order),
-        labeling_(labeling),
+  CoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels,
+                    LabelBuildStats& stats, bool distance_pruning)
+      : graph_(graph),
+        labels_(labels),
         stats_(stats),
         distance_pruning_(distance_pruning),
-        dist_(bipartite.num_vertices(), kInfDist),
-        count_(bipartite.num_vertices(), 0),
-        row_(bipartite.num_vertices()) {}
+        dist_(graph.num_ranks(), kInfDist),
+        count_(graph.num_ranks(), 0),
+        row_(graph.num_ranks()) {}
 
   void BuildAll() {
-    for (Rank r = 0; r < order_.size(); ++r) {
-      Vertex v = order_.rank_to_vertex[r];
-      if (IsOutVertex(v)) {
+    for (Rank r = 0; r < graph_.num_ranks(); ++r) {
+      if (IsOutVertex(r)) {
         // Couple-vertex skipping: v_o never roots a BFS; it only records its
         // own trivial labels (Algorithm 3 lines 6-8). The in-label is a
         // derived one.
-        labeling_.out[v].Append(LabelEntry(r, 0, 1));
+        labels_.Out(r).Append(LabelEntry(r, 0, 1));
         stats_.entries += 2;
         stats_.canonical_entries += 2;
         continue;
       }
-      ForwardPass(v, r);
-      BackwardPass(v, r);
+      ForwardPass(r);
+      BackwardPass(r);
     }
   }
 
  private:
   // In-label generation for hub v_i (rank hr). Dequeued vertices are always
   // from V_in; the couple w_o trails at distance +1 (a derived entry).
-  void ForwardPass(Vertex hub, Rank hr) {
+  void ForwardPass(Rank hr) {
     // Forward passes write only in-labels, so L_out(hub) is fixed here: it
     // is L_out(couple) shifted, below the hub's rank.
-    const LabelSet& couple_out = labeling_.out[CoupleOf(hub)];
+    const LabelSet& couple_out = labels_.Out(CoupleOf(hr));
     if (distance_pruning_) row_.LoadShifted(couple_out, hr);
     queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
+    dist_[hr] = 0;
+    count_[hr] = 1;
+    touched_.push_back(hr);
+    queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Vertex w = queue_[head++];
+      Rank w = queue_[head++];
       ++stats_.vertices_dequeued;
       if (distance_pruning_) {
-        Dist via = row_.Join(labeling_.in[w]);
+        Dist via = row_.Join(labels_.In(w));
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
@@ -89,12 +161,11 @@ class CoupleSkipBuilder {
       // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1. The
       // couple's distance/count are exactly w's shifted because w_o's only
       // in-edge is the couple edge (w_i, w_o), so its entry is derived.
-      Vertex couple = CoupleOf(w);
-      labeling_.in[w].Append(LabelEntry(hr, dist_[w], count_[w]));
+      labels_.In(w).Append(LabelEntry(hr, dist_[w], count_[w]));
       stats_.entries += 2;
-      for (Vertex wn : graph_.OutNeighbors(couple)) {  // wn ∈ V_in
+      for (Rank wn : graph_.Successors(w)) {  // wn ∈ V_in
         if (dist_[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {  // rank pruning: hub ≺ wn
+          if (hr < wn) {  // rank pruning: hub ≺ wn
             dist_[wn] = dist_[w] + 2;
             count_[wn] = count_[w];
             touched_.push_back(wn);
@@ -112,28 +183,28 @@ class CoupleSkipBuilder {
   // Out-label generation for hub v_i (rank hr), running over the reverse
   // direction of G_b. After the root, dequeued vertices are always from
   // V_out; the couple w_i trails at distance +1.
-  void BackwardPass(Vertex hub, Rank hr) {
+  void BackwardPass(Rank hr) {
     // Backward passes write only out-labels; L_in(hub) is loaded after the
     // forward pass finished, so it holds what the merge join would read.
-    if (distance_pruning_) row_.Load(labeling_.in[hub]);
+    if (distance_pruning_) row_.Load(labels_.In(hr));
     queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
+    dist_[hr] = 0;
+    count_[hr] = 1;
+    touched_.push_back(hr);
+    queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Vertex w = queue_[head++];
+      Rank w = queue_[head++];
       ++stats_.vertices_dequeued;
-      if (w == hub) {
+      if (w == hr) {
         // Modification (3) of §IV.C: the root only records (v, 0, 1) in its
         // own out-label (a derived one), then expands its predecessors
         // directly (the couple v_o is v's successor, not predecessor, so no
         // couple step here).
         ++stats_.entries;
         ++stats_.canonical_entries;
-        for (Vertex wn : graph_.InNeighbors(hub)) {  // wn ∈ V_out
-          if (hr < order_.vertex_to_rank[wn]) {
+        for (Rank wn : graph_.Predecessors(hr)) {  // wn ∈ V_out
+          if (hr < wn) {
             dist_[wn] = 1;
             count_[wn] = 1;
             touched_.push_back(wn);
@@ -142,9 +213,9 @@ class CoupleSkipBuilder {
         }
         continue;
       }
-      bool is_hub_couple = (w == CoupleOf(hub));
+      bool is_hub_couple = (w == CoupleOf(hr));
       if (distance_pruning_) {
-        Dist via = row_.Join(labeling_.out[w]);
+        Dist via = row_.Join(labels_.Out(w));
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
@@ -156,7 +227,7 @@ class CoupleSkipBuilder {
           stats_.canonical_entries += produced;
         }
       }
-      labeling_.out[w].Append(LabelEntry(hr, dist_[w], count_[w]));
+      labels_.Out(w).Append(LabelEntry(hr, dist_[w], count_[w]));
       ++stats_.entries;
       if (is_hub_couple) {
         // Modification (4) of §IV.C: reaching the hub's own couple v_o means
@@ -167,11 +238,10 @@ class CoupleSkipBuilder {
         continue;
       }
       // The couple w_i's entry, one step further, is derived.
-      Vertex couple = CoupleOf(w);  // w_i
       ++stats_.entries;
-      for (Vertex wn : graph_.InNeighbors(couple)) {  // wn ∈ V_out
+      for (Rank wn : graph_.Predecessors(w)) {  // wn ∈ V_out, into w_i
         if (dist_[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {
+          if (hr < wn) {
             dist_[wn] = dist_[w] + 2;
             count_[wn] = count_[w];
             touched_.push_back(wn);
@@ -183,26 +253,25 @@ class CoupleSkipBuilder {
       }
     }
     ResetScratch();
-    if (distance_pruning_) row_.Clear(labeling_.in[hub]);
+    if (distance_pruning_) row_.Clear(labels_.In(hr));
   }
 
   void ResetScratch() {
-    for (Vertex v : touched_) {
+    for (Rank v : touched_) {
       dist_[v] = kInfDist;
       count_[v] = 0;
     }
     touched_.clear();
   }
 
-  const DiGraph& graph_;
-  const VertexOrdering& order_;
-  HubLabeling& labeling_;
+  const RankedCsr& graph_;
+  PairLabels& labels_;
   LabelBuildStats& stats_;
   const bool distance_pruning_;
   std::vector<Dist> dist_;
   std::vector<Count> count_;
-  std::vector<Vertex> touched_;
-  std::vector<Vertex> queue_;
+  std::vector<Rank> touched_;
+  std::vector<Rank> queue_;
   HubRow row_;
 };
 
@@ -213,55 +282,52 @@ class CoupleSkipBuilder {
 /// replay re-applies INSERT_LABEL (Algorithm 4) to the same two written
 /// label sets and the canonical/non-canonical classification from the
 /// validated via distances, so labels and stats are bit-identical to the
-/// sequential builder at any thread count.
+/// sequential builder at any thread count. Vertex ids are bipartite ranks,
+/// as in CoupleSkipBuilder.
 class ParallelCoupleSkipBuilder {
  public:
   struct Scratch {
     std::vector<Dist> dist;
     std::vector<Count> count;
-    std::vector<Vertex> touched;
-    std::vector<Vertex> queue;
+    std::vector<Rank> touched;
+    std::vector<Rank> queue;
     HubRow row;
   };
 
-  ParallelCoupleSkipBuilder(const DiGraph& bipartite,
-                            const VertexOrdering& order, HubLabeling& labeling,
-                            LabelBuildStats& stats, bool distance_pruning)
-      : graph_(bipartite),
-        order_(order),
-        labeling_(labeling),
-        stats_(stats),
-        distance_pruning_(distance_pruning) {}
+  ParallelCoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels,
+                            LabelBuildStats& stats)
+      : graph_(graph), labels_(labels), stats_(stats) {}
 
   void InitScratch(Scratch& s) const {
-    s.dist.assign(graph_.num_vertices(), kInfDist);
-    s.count.assign(graph_.num_vertices(), 0);
-    s.row = HubRow(graph_.num_vertices());
+    const Rank n = graph_.num_ranks();
+    s.dist.assign(n, kInfDist);
+    s.count.assign(n, 0);
+    s.row = HubRow(n);
     // A pass enqueues each vertex at most once, so staging never grows
     // these on a pool thread.
-    s.queue.reserve(graph_.num_vertices());
-    s.touched.reserve(graph_.num_vertices());
+    s.queue.reserve(n);
+    s.touched.reserve(n);
   }
+
+  Vertex VertexAt(Rank r) const { return r; }
 
   // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
   // records its own trivial labels at commit time (Algorithm 3 lines 6-8).
   bool IsHub(Vertex v) const { return IsInVertex(v); }
 
-  void CommitNonHub(Rank r, Vertex v) {
-    labeling_.out[v].Append(LabelEntry(r, 0, 1));
+  void CommitNonHub(Rank r, Vertex) {
+    labels_.Out(r).Append(LabelEntry(r, 0, 1));
     stats_.entries += 2;
     stats_.canonical_entries += 2;
   }
 
-  bool distance_pruning() const { return distance_pruning_; }
+  bool distance_pruning() const { return true; }
 
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
     if (forward) {
       StageForward(sh, s);
-      sh.fwd.Finalize();
     } else {
       StageBackward(sh, s);
-      sh.bwd.Finalize();
     }
   }
 
@@ -289,35 +355,30 @@ class ParallelCoupleSkipBuilder {
 
  private:
   void StageForward(StagedHub& sh, Scratch& s) const {
-    const Vertex hub = sh.hub;
     const Rank hr = sh.rank;
     // Staging writes no labels, so the row holds exactly the committed
     // L_out(hub) a merge join would read: L_out(couple) shifted, below the
     // hub's rank.
-    const LabelSet& couple_out = labeling_.out[CoupleOf(hub)];
-    if (distance_pruning_) s.row.LoadShifted(couple_out, hr);
+    const LabelSet& couple_out = labels_.Out(CoupleOf(hr));
+    s.row.LoadShifted(couple_out, hr);
     s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
+    s.dist[hr] = 0;
+    s.count[hr] = 1;
+    s.touched.push_back(hr);
+    s.queue.push_back(hr);
     size_t head = 0;
     while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
+      Rank w = s.queue[head++];
       ++sh.fwd.dequeued;
-      Dist via_dist = kInfDist;
-      if (distance_pruning_) {
-        via_dist = s.row.Join(labeling_.in[w]);
-        if (via_dist < s.dist[w]) {
-          ++sh.fwd.pruned;
-          continue;
-        }
+      Dist via_dist = s.row.Join(labels_.In(w));
+      if (via_dist < s.dist[w]) {
+        ++sh.fwd.pruned;
+        continue;
       }
       sh.fwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      Vertex couple = CoupleOf(w);
-      for (Vertex wn : graph_.OutNeighbors(couple)) {  // wn ∈ V_in
+      for (Rank wn : graph_.Successors(w)) {  // wn ∈ V_in
         if (s.dist[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {  // rank pruning: hub ≺ wn
+          if (hr < wn) {  // rank pruning: hub ≺ wn
             s.dist[wn] = s.dist[w] + 2;
             s.count[wn] = s.count[w];
             s.touched.push_back(wn);
@@ -329,31 +390,30 @@ class ParallelCoupleSkipBuilder {
       }
     }
     ResetScratch(s);
-    if (distance_pruning_) s.row.Clear(couple_out);
+    s.row.Clear(couple_out);
   }
 
   void StageBackward(StagedHub& sh, Scratch& s) const {
-    const Vertex hub = sh.hub;
     const Rank hr = sh.rank;
     // Staging writes no labels, so the row holds exactly the committed
     // L_in(hub) a merge join would read.
-    if (distance_pruning_) s.row.Load(labeling_.in[hub]);
+    s.row.Load(labels_.In(hr));
     s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
+    s.dist[hr] = 0;
+    s.count[hr] = 1;
+    s.touched.push_back(hr);
+    s.queue.push_back(hr);
     size_t head = 0;
     while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
+      Rank w = s.queue[head++];
       ++sh.bwd.dequeued;
-      if (w == hub) {
+      if (w == hr) {
         // Modification (3) of §IV.C: the root records only its own
         // out-label and expands predecessors directly — never
         // distance-checked, mirrored by ValidateStagedHub skipping it.
-        sh.bwd.events.push_back({hub, 0, 1, kInfDist});
-        for (Vertex wn : graph_.InNeighbors(hub)) {  // wn ∈ V_out
-          if (hr < order_.vertex_to_rank[wn]) {
+        sh.bwd.events.push_back({hr, 0, 1, kInfDist});
+        for (Rank wn : graph_.Predecessors(hr)) {  // wn ∈ V_out
+          if (hr < wn) {
             s.dist[wn] = 1;
             s.count[wn] = 1;
             s.touched.push_back(wn);
@@ -362,20 +422,16 @@ class ParallelCoupleSkipBuilder {
         }
         continue;
       }
-      Dist via_dist = kInfDist;
-      if (distance_pruning_) {
-        via_dist = s.row.Join(labeling_.out[w]);
-        if (via_dist < s.dist[w]) {
-          ++sh.bwd.pruned;
-          continue;
-        }
+      Dist via_dist = s.row.Join(labels_.Out(w));
+      if (via_dist < s.dist[w]) {
+        ++sh.bwd.pruned;
+        continue;
       }
       sh.bwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      if (w == CoupleOf(hub)) continue;  // modification (4): cycle closed
-      Vertex couple = CoupleOf(w);  // w_i
-      for (Vertex wn : graph_.InNeighbors(couple)) {  // wn ∈ V_out
+      if (w == CoupleOf(hr)) continue;  // modification (4): cycle closed
+      for (Rank wn : graph_.Predecessors(w)) {  // wn ∈ V_out, into w_i
         if (s.dist[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {
+          if (hr < wn) {
             s.dist[wn] = s.dist[w] + 2;
             s.count[wn] = s.count[w];
             s.touched.push_back(wn);
@@ -387,21 +443,19 @@ class ParallelCoupleSkipBuilder {
       }
     }
     ResetScratch(s);
-    if (distance_pruning_) s.row.Clear(labeling_.in[hub]);
+    s.row.Clear(labels_.In(hr));
   }
 
   void CommitForward(const StagedHub& sh) {
     for (const StagedEvent& e : sh.fwd.events) {
-      if (distance_pruning_) {
-        if (e.via_dist == e.dist) {
-          stats_.non_canonical_entries += 2;
-        } else {
-          stats_.canonical_entries += 2;
-        }
+      if (e.via_dist == e.dist) {
+        stats_.non_canonical_entries += 2;
+      } else {
+        stats_.canonical_entries += 2;
       }
       // INSERT_LABEL (Algorithm 4): label w; its couple w_o's entry at +1
       // is derived.
-      labeling_.in[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
+      labels_.In(e.w).Append(LabelEntry(sh.rank, e.dist, e.count));
       stats_.entries += 2;
     }
     stats_.vertices_dequeued += sh.fwd.dequeued;
@@ -416,15 +470,13 @@ class ParallelCoupleSkipBuilder {
         continue;
       }
       bool is_hub_couple = (e.w == CoupleOf(sh.hub));
-      if (distance_pruning_) {
-        uint64_t produced = is_hub_couple ? 1 : 2;
-        if (e.via_dist == e.dist) {
-          stats_.non_canonical_entries += produced;
-        } else {
-          stats_.canonical_entries += produced;
-        }
+      uint64_t produced = is_hub_couple ? 1 : 2;
+      if (e.via_dist == e.dist) {
+        stats_.non_canonical_entries += produced;
+      } else {
+        stats_.canonical_entries += produced;
       }
-      labeling_.out[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
+      labels_.Out(e.w).Append(LabelEntry(sh.rank, e.dist, e.count));
       ++stats_.entries;
       if (is_hub_couple) continue;
       ++stats_.entries;  // the couple w_i's derived entry at +1
@@ -434,18 +486,16 @@ class ParallelCoupleSkipBuilder {
   }
 
   void ResetScratch(Scratch& s) const {
-    for (Vertex v : s.touched) {
+    for (Rank v : s.touched) {
       s.dist[v] = kInfDist;
       s.count[v] = 0;
     }
     s.touched.clear();
   }
 
-  const DiGraph& graph_;
-  const VertexOrdering& order_;
-  HubLabeling& labeling_;
+  const RankedCsr& graph_;
+  PairLabels& labels_;
   LabelBuildStats& stats_;
-  const bool distance_pruning_;
 };
 
 // Hub ranks must fit LabelEntry's 23-bit field; G_b has 2n vertices.
@@ -469,54 +519,78 @@ void PopulateInvertedIndexes(const HubLabeling& labeling, InvertedIndex& inv_in,
 
 }  // namespace
 
-CscIndex CscIndex::BuildServedLabels(const DiGraph& graph,
-                                     const VertexOrdering& order,
-                                     const Options& options) {
-  CheckVertexRange(graph.num_vertices() + options.reserve_vertices);
-  CscIndex index;
-  index.options_ = options;
-  if (options.reserve_vertices > 0) {
+CscIndex::CoupleLabels CscIndex::BuildCoupleLabels(const DiGraph& graph,
+                                                   const VertexOrdering& order,
+                                                   const Options& options,
+                                                   bool distance_pruning,
+                                                   LabelBuildStats& stats) {
+  const Vertex n = graph.num_vertices() + options.reserve_vertices;
+  CheckVertexRange(n);
+  PairLabels labels(n);
+  {
     // Reserved vertices are isolated and ranked below every real vertex, so
     // they cost two self-labels each and never perturb existing labels.
-    DiGraph extended = graph;
-    Vertex first = extended.AddVertices(options.reserve_vertices);
-    VertexOrdering extended_order = order;
-    for (Vertex v = first; v < extended.num_vertices(); ++v) {
-      extended_order.rank_to_vertex.push_back(v);
-      extended_order.vertex_to_rank.push_back(
-          static_cast<Rank>(extended_order.rank_to_vertex.size() - 1));
+    RankedCsr csr(graph, order, n);
+    if (options.build_threads == 0) {
+      CoupleSkipBuilder builder(csr, labels, stats, distance_pruning);
+      builder.BuildAll();
+    } else {
+      assert(distance_pruning);
+      ParallelCoupleSkipBuilder builder(csr, labels, stats);
+      ParallelBuildPlan plan;
+      plan.num_threads = options.build_threads;
+      RunRankBatchedBuild(builder, csr.num_ranks(), plan);
     }
-    index.bipartite_ = BipartiteConversion(extended);
-    index.order_ = BipartiteOrdering(extended_order);
-  } else {
-    index.bipartite_ = BipartiteConversion(graph);
-    index.order_ = BipartiteOrdering(order);
   }
-  index.labeling_.Resize(index.bipartite_.num_vertices());
-  Timer timer;
-  if (options.build_threads == 0) {
-    CoupleSkipBuilder builder(index.bipartite_, index.order_, index.labeling_,
-                              index.stats_, /*distance_pruning=*/true);
-    builder.BuildAll();
-  } else {
-    ParallelCoupleSkipBuilder builder(index.bipartite_, index.order_,
-                                      index.labeling_, index.stats_,
-                                      /*distance_pruning=*/true);
-    ParallelBuildPlan plan;
-    plan.num_threads = options.build_threads;
-    RunRankBatchedBuild(builder, index.order_, plan);
+  CoupleLabels result;
+  result.order = BipartiteOrdering(order);
+  // A reserved vertex v is ranked v, so its bipartite ids are its ranks.
+  for (Vertex v = graph.num_vertices(); v < n; ++v) {
+    result.order.rank_to_vertex.push_back(InVertex(v));
+    result.order.rank_to_vertex.push_back(OutVertex(v));
+    result.order.vertex_to_rank.push_back(InVertex(v));
+    result.order.vertex_to_rank.push_back(OutVertex(v));
   }
-  index.stats_.seconds = timer.ElapsedSeconds();
-  index.stats_.build_threads = options.build_threads;
-  return index;
+  // Back to vertex order.
+  result.in.resize(n);
+  result.out.resize(n);
+  for (Vertex v = 0; v < n; ++v) {
+    const Rank k = OriginalOf(result.order.vertex_to_rank[InVertex(v)]);
+    result.in[v] = std::move(labels.in[k]);
+    result.out[v] = std::move(labels.out[k]);
+  }
+  return result;
+}
+
+void CscIndex::AdoptCoupleLabels(CoupleLabels labels) {
+  order_ = std::move(labels.order);
+  labeling_.Resize(2 * labels.in.size());
+  for (Vertex v = 0; v < labels.in.size(); ++v) {
+    labeling_.in[InVertex(v)] = std::move(labels.in[v]);
+    labeling_.out[OutVertex(v)] = std::move(labels.out[v]);
+  }
+  labels = CoupleLabels();  // frees the emptied vectors before deriving
+  DeriveCoupleLabels(order_.vertex_to_rank, labeling_);
 }
 
 CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
                          const Options& options) {
-  CscIndex index = BuildServedLabels(graph, order, options);
+  CscIndex index;
+  index.options_ = options;
+  // G_b is kept for dynamic maintenance only; construction walks the ranked
+  // CSR.
+  if (options.reserve_vertices > 0) {
+    DiGraph extended = graph;
+    extended.AddVertices(options.reserve_vertices);
+    index.bipartite_ = BipartiteConversion(extended);
+  } else {
+    index.bipartite_ = BipartiteConversion(graph);
+  }
   Timer timer;
-  DeriveCoupleLabels(index.order_.vertex_to_rank, index.labeling_);
-  index.stats_.seconds += timer.ElapsedSeconds();
+  index.AdoptCoupleLabels(BuildCoupleLabels(
+      graph, order, options, /*distance_pruning=*/true, index.stats_));
+  index.stats_.seconds = timer.ElapsedSeconds();
+  index.stats_.build_threads = options.build_threads;
   if (options.maintain_inverted_index) {
     PopulateInvertedIndexes(index.labeling_, index.inv_in_, index.inv_out_);
   }
@@ -574,20 +648,18 @@ CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
                           const CscAblationConfig& config) {
   CscIndex index;
   index.bipartite_ = BipartiteConversion(graph);
-  index.order_ = BipartiteOrdering(order);
-  index.labeling_.Resize(index.bipartite_.num_vertices());
   Timer timer;
   if (config.disable_couple_skipping) {
+    index.order_ = BipartiteOrdering(order);
+    index.labeling_.Resize(index.bipartite_.num_vertices());
     PrunedBfsOptions options;
     options.distance_pruning = !config.disable_distance_pruning;
     BuildPlainHubLabeling(index.bipartite_, index.order_, index.labeling_,
                           index.stats_, options);
   } else {
-    CoupleSkipBuilder builder(index.bipartite_, index.order_, index.labeling_,
-                              index.stats_,
-                              !config.disable_distance_pruning);
-    builder.BuildAll();
-    DeriveCoupleLabels(index.order_.vertex_to_rank, index.labeling_);
+    index.AdoptCoupleLabels(CscIndex::BuildCoupleLabels(
+        graph, order, CscIndex::Options(), !config.disable_distance_pruning,
+        index.stats_));
   }
   index.stats_.seconds = timer.ElapsedSeconds();
   return index;

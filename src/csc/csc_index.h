@@ -20,15 +20,21 @@ namespace csc {
 /// Construction is Algorithm 3 with couple-vertex skipping: only incoming
 /// vertices v_i ever act as BFS roots; a reached vertex and its couple are
 /// labeled together, and the BFS hops couple-to-couple so only one side of
-/// the bipartition is ever enqueued. Of each couple pair's four label sets,
-/// construction writes only L_in(v_i) and L_out(v_o), the two the §IV.E
-/// reduction keeps (CompactIndex); Build then derives L_in(v_o) and
-/// L_out(v_i) once from them (DeriveCoupleLabels), so the index holds the
-/// full labeling that queries, dynamic maintenance and the repair shadow
-/// read. The build stats still count every entry of the full labeling.
+/// the bipartition is ever enqueued. The BFSs walk a flat copy of the input
+/// graph whose vertex ids are their ranks, with G_b's vertices named by
+/// their bipartite ranks (2k for v_i, 2k + 1 for v_o, where v has rank k),
+/// and the labels return to vertex order at the end. Of each couple pair's
+/// four label sets, construction writes only L_in(v_i) and L_out(v_o), the
+/// two the §IV.E reduction keeps (CompactIndex); Build then derives
+/// L_in(v_o) and L_out(v_i) once from them (DeriveCoupleLabels), so the
+/// index holds the full labeling that queries, dynamic maintenance and the
+/// repair shadow read. The build stats still count every entry of the full
+/// labeling.
 ///
 /// The index owns its copy of G_b (dynamic maintenance mutates it) and the
-/// bipartite ordering; the original graph is not retained.
+/// bipartite ordering; the original graph is not retained. Build and
+/// BuildCscAblation materialize G_b for the index, but construction never
+/// walks it, and CompactIndex::Build, the served build, never builds it.
 class CscIndex {
  public:
   struct Options {
@@ -106,20 +112,33 @@ class CscIndex {
   InvertedIndex& mutable_inv_out() { return inv_out_; }
 
  private:
-  friend class CompactIndex;  // builds from BuildServedLabels
+  friend class CompactIndex;  // builds from BuildCoupleLabels
   friend CscIndex BuildCscAblation(const DiGraph& graph,
                                    const VertexOrdering& order,
                                    const struct CscAblationConfig& config);
 
+  /// What construction writes: L_in(v_i) and L_out(v_o) of every original
+  /// vertex v (reserved ones included), by v, with G_b's ordering.
+  struct CoupleLabels {
+    VertexOrdering order;  // over G_b's 2n vertices
+    std::vector<LabelSet> in;
+    std::vector<LabelSet> out;
+  };
+
   CscIndex() = default;
 
-  /// Runs construction with only L_in(v_i) and L_out(v_o) written; the
-  /// labeling's other two sets per couple pair stay empty, and no inverted
-  /// index is built. Build derives the rest and adds the inverted indexes;
-  /// CompactIndex::Build moves the two sets out.
-  static CscIndex BuildServedLabels(const DiGraph& graph,
-                                    const VertexOrdering& order,
-                                    const Options& options);
+  /// Runs Algorithm 3 over a copy of `graph` whose vertex ids are their
+  /// ranks (G_b is not built) and returns the two label sets it writes, in
+  /// vertex order. Build derives the other two; CompactIndex::Build keeps
+  /// them as they are.
+  static CoupleLabels BuildCoupleLabels(const DiGraph& graph,
+                                        const VertexOrdering& order,
+                                        const Options& options,
+                                        bool distance_pruning,
+                                        LabelBuildStats& stats);
+  /// Takes `labels` as this index's ordering and labeling, deriving
+  /// L_in(v_o) and L_out(v_i).
+  void AdoptCoupleLabels(CoupleLabels labels);
 
   DiGraph bipartite_;
   VertexOrdering order_;  // over G_b's 2n vertices

@@ -1,8 +1,10 @@
 #include "csc/frozen_index.h"
 
 #include <cstring>
+#include <utility>
 
 #include "graph/bipartite.h"
+#include "util/env.h"
 
 namespace csc {
 
@@ -17,26 +19,37 @@ const char* MagicOf(ArenaEncoding encoding) {
 
 }  // namespace
 
+std::vector<Rank> FrozenIndex::InVertexRanks(const CompactIndex& compact) {
+  // The couple-correction hub of v is v_i.
+  const std::vector<Vertex>& rank_to_vertex =
+      compact.bipartite_rank_to_vertex();
+  std::vector<Rank> ranks(compact.num_original_vertices());
+  for (Rank r = 0; r < rank_to_vertex.size(); ++r) {
+    if (IsInVertex(rank_to_vertex[r])) {
+      ranks[OriginalOf(rank_to_vertex[r])] = r;
+    }
+  }
+  return ranks;
+}
+
 FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
                                      ArenaEncoding encoding) {
   FrozenIndex frozen;
-  Vertex n = compact.num_original_vertices();
-  frozen.in_ = LabelArena::Build(
-      n, [&](Vertex v) -> const LabelSet& { return compact.InLabels(v); },
-      encoding);
-  frozen.out_ = LabelArena::Build(
-      n, [&](Vertex v) -> const LabelSet& { return compact.OutLabels(v); },
-      encoding);
-  // The couple-correction hub of v is v_i; read its rank off the compact
-  // index's rank permutation.
-  const std::vector<Vertex>& rank_to_vertex =
-      compact.bipartite_rank_to_vertex();
-  frozen.in_vertex_rank_.resize(n);
-  for (Rank r = 0; r < rank_to_vertex.size(); ++r) {
-    if (IsInVertex(rank_to_vertex[r])) {
-      frozen.in_vertex_rank_[OriginalOf(rank_to_vertex[r])] = r;
-    }
-  }
+  frozen.in_ = LabelArena::FromLabelSets(compact.in_labels_, encoding);
+  frozen.out_ = LabelArena::FromLabelSets(compact.out_labels_, encoding);
+  frozen.in_vertex_rank_ = InVertexRanks(compact);
+  return frozen;
+}
+
+FrozenIndex FrozenIndex::FromCompact(CompactIndex&& compact,
+                                     ArenaEncoding encoding) {
+  FrozenIndex frozen;
+  frozen.in_vertex_rank_ = InVertexRanks(compact);
+  CompactIndex consumed = std::move(compact);
+  frozen.in_ = LabelArena::FromLabelSets(consumed.in_labels_, encoding);
+  std::vector<LabelSet>().swap(consumed.in_labels_);
+  ReleaseFreeMemory();
+  frozen.out_ = LabelArena::FromLabelSets(consumed.out_labels_, encoding);
   return frozen;
 }
 

@@ -36,6 +36,13 @@ class FrozenIndex {
   static FrozenIndex FromCompact(
       const CompactIndex& compact,
       ArenaEncoding encoding = ArenaEncoding::kPacked);
+  /// As above, consuming `compact`: its L_in sets are freed, and the freed
+  /// memory handed back to the system, before the out-arena is encoded, so
+  /// the freeze never holds both label directions beside both arenas.
+  /// `compact` is left empty.
+  static FrozenIndex FromCompact(
+      CompactIndex&& compact,
+      ArenaEncoding encoding = ArenaEncoding::kPacked);
 
   /// Convenience: compact + freeze in one step.
   static FrozenIndex FromIndex(
@@ -116,6 +123,10 @@ class FrozenIndex {
   friend bool operator==(const FrozenIndex&, const FrozenIndex&) = default;
 
  private:
+  // The rank of v_i for every original vertex v, read off the compact
+  // index's rank permutation.
+  static std::vector<Rank> InVertexRanks(const CompactIndex& compact);
+
   // Shared by Deserialize (view = false: the arenas copy their payload) and
   // FromView.
   static std::optional<FrozenIndex> Parse(

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -96,7 +97,8 @@ struct StagedEvent {
 
 /// One staged (forward or backward) pass of one hub: the labeled dequeues in
 /// BFS order plus the pass's work counters, and a sorted (vertex -> dist)
-/// view of the events for the batch-local validation joins. The two buffers
+/// view of the events for the batch-local validation joins, built only for
+/// the passes a later hub of the batch validates against. The two buffers
 /// grow on pool threads, so they take PageAllocator: the build's end then
 /// returns them to the system instead of leaving them in those threads'
 /// malloc arenas.
@@ -112,7 +114,8 @@ struct StagedPass {
     pruned = 0;
   }
 
-  /// Builds the sorted lookup view; call once after the pass finishes.
+  /// Builds the sorted lookup view; call once after the pass finishes, if
+  /// DistAt will be asked.
   void Finalize() {
     by_vertex_.clear();
     by_vertex_.reserve(events.size());
@@ -226,13 +229,16 @@ PassValidation ValidateStagedHub(const Builder& builder,
   return result;
 }
 
-/// Runs the full rank-batched build. `Builder` provides:
+/// Runs the full rank-batched build over ranks [0, num_ranks). `Builder`
+/// provides:
 ///   struct Scratch;                     // per-worker BFS scratch
 ///   void InitScratch(Scratch&);         // sized so staging never grows it
+///   Vertex VertexAt(Rank r) const;      // the vertex ranked r
 ///   bool IsHub(Vertex v) const;         // does this rank root BFSs?
 ///   void CommitNonHub(Rank r, Vertex v);        // e.g. couple self-labels
 ///   bool distance_pruning() const;      // false => staging is always clean
-///   void StagePass(StagedHub&, bool forward, Scratch&);  // record events
+///   void StagePass(StagedHub&, bool forward, Scratch&);  // record events,
+///                                       // without Finalize
 ///   void Commit(const StagedHub&);      // replay events into labels+stats
 ///   Dist NewOutDist(const StagedHub&, Vertex) const;   // see above
 ///   Dist NewInDist(const StagedHub&, Vertex) const;
@@ -243,9 +249,8 @@ PassValidation ValidateStagedHub(const Builder& builder,
 /// Commit/CommitNonHub run on the calling thread only, in strict rank
 /// order.
 template <typename Builder>
-void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
+void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
                          const ParallelBuildPlan& plan) {
-  const size_t num_ranks = order.size();
   const size_t max_batch = std::max<size_t>(1, plan.batch_size);
   // A worker beyond twice the batch cap can never be busy (a batch stages
   // at most two passes per hub, max_batch hubs), and each worker costs an
@@ -266,6 +271,14 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
          debug_rerun_deq = 0;
   double debug_stage_s = 0, debug_validate_s = 0, debug_rerun_s = 0,
          debug_replay_s = 0;
+  // Staging efficiency by batch size: bucket b holds the batches of
+  // (2^(b-1), 2^b] hubs; pass_s[i] times staged pass i of the batch.
+  struct StageBucket {
+    size_t batches = 0, hubs = 0;
+    double stage_s = 0, pass_s = 0, longest_s = 0;
+  };
+  std::vector<StageBucket> debug_buckets;
+  std::vector<double> pass_s(2 * max_batch);
   const bool debug = std::getenv("CSC_PARALLEL_DEBUG") != nullptr;
   // Clock reads sit inside the serial commit loop; only pay for them when
   // the phase report was asked for.
@@ -281,40 +294,63 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
     // Collect this batch's BFS hubs.
     size_t num_hubs = 0;
     for (size_t r = begin; r < end; ++r) {
-      Vertex v = order.rank_to_vertex[r];
+      Vertex v = builder.VertexAt(static_cast<Rank>(r));
       if (builder.IsHub(v)) {
         staged[num_hubs++].Reset(static_cast<Rank>(r), v);
       }
     }
     // Stage in parallel against the committed labels: item i is the
-    // forward (even i) or backward (odd i) pass of hub i / 2.
+    // forward (even i) or backward (odd i) pass of hub i / 2. Only a later
+    // hub of the batch validates against a pass, so the batch's last hub
+    // never sorts its events.
     auto stage_start = now();
     const size_t num_passes = 2 * num_hubs;
+    auto stage = [&](size_t i, unsigned t) {
+      auto pass_start = now();
+      StagedHub& sh = staged[i / 2];
+      const bool forward = i % 2 == 0;
+      builder.StagePass(sh, forward, scratch[t]);
+      if (i / 2 + 1 < num_hubs) (forward ? sh.fwd : sh.bwd).Finalize();
+      pass_s[i] = secs(pass_start, now());
+    };
     if (pool) {
       std::atomic<size_t> next{0};
       const unsigned workers =
           static_cast<unsigned>(std::min<size_t>(num_threads, num_passes));
       for (unsigned t = 0; t < workers; ++t) {
-        pool->Submit([&builder, &staged, &scratch, &next, num_passes, t] {
+        pool->Submit([&stage, &next, num_passes, t] {
           for (;;) {
             size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= num_passes) return;
-            builder.StagePass(staged[i / 2], i % 2 == 0, scratch[t]);
+            stage(i, t);
           }
         });
       }
       pool->Wait();
     } else {
-      for (size_t i = 0; i < num_passes; ++i) {
-        builder.StagePass(staged[i / 2], i % 2 == 0, scratch[0]);
-      }
+      for (size_t i = 0; i < num_passes; ++i) stage(i, 0);
     }
-    debug_stage_s += secs(stage_start, now());
+    if (debug && num_hubs > 0) {
+      const double stage_s = secs(stage_start, now());
+      debug_stage_s += stage_s;
+      const size_t b = std::bit_width(num_hubs - 1);
+      if (debug_buckets.size() <= b) debug_buckets.resize(b + 1);
+      StageBucket& bucket = debug_buckets[b];
+      ++bucket.batches;
+      bucket.hubs += num_hubs;
+      bucket.stage_s += stage_s;
+      double longest = 0;
+      for (size_t i = 0; i < num_passes; ++i) {
+        bucket.pass_s += pass_s[i];
+        longest = std::max(longest, pass_s[i]);
+      }
+      bucket.longest_s += longest;
+    }
     // Commit serially in rank order.
     size_t idx = 0;
     size_t dirty_in_batch = 0;
     for (size_t r = begin; r < end; ++r) {
-      Vertex v = order.rank_to_vertex[r];
+      Vertex v = builder.VertexAt(static_cast<Rank>(r));
       if (!builder.IsHub(v)) {
         builder.CommitNonHub(static_cast<Rank>(r), v);
         continue;
@@ -340,14 +376,17 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
         // validations. The clean pass's staging is already sequential and
         // is kept as-is.
         auto rerun_start = now();
+        const bool validated_later = idx + 1 < num_hubs;
         if (!validation.fwd_clean) {
           sh.fwd.Clear();
           builder.StagePass(sh, /*forward=*/true, scratch[0]);
+          if (validated_later) sh.fwd.Finalize();
           debug_rerun_deq += sh.fwd.dequeued;
         }
         if (!validation.bwd_clean) {
           sh.bwd.Clear();
           builder.StagePass(sh, /*forward=*/false, scratch[0]);
+          if (validated_later) sh.bwd.Finalize();
           debug_rerun_deq += sh.bwd.dequeued;
         }
         debug_rerun_s += secs(rerun_start, now());
@@ -374,6 +413,15 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
                  debug_hubs, debug_dirty, debug_staged_deq, debug_rerun_deq,
                  debug_stage_s, debug_validate_s, debug_rerun_s,
                  debug_replay_s);
+    for (size_t b = 0; b < debug_buckets.size(); ++b) {
+      const StageBucket& bucket = debug_buckets[b];
+      if (bucket.batches == 0) continue;
+      std::fprintf(stderr,
+                   "[parallel_build]   batch<=%zu hubs: batches=%zu hubs=%zu "
+                   "stage=%.3fs passes=%.3fs longest=%.3fs\n",
+                   size_t{1} << b, bucket.batches, bucket.hubs,
+                   bucket.stage_s, bucket.pass_s, bucket.longest_s);
+    }
   }
 }
 

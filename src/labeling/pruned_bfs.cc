@@ -135,14 +135,13 @@ class ParallelPlainBuilder {
     s.touched.reserve(graph_.num_vertices());
   }
 
+  Vertex VertexAt(Rank r) const { return order_.rank_to_vertex[r]; }
   bool IsHub(Vertex) const { return true; }
   void CommitNonHub(Rank, Vertex) {}
   bool distance_pruning() const { return options_.distance_pruning; }
 
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
-    StagedPass& pass = forward ? sh.fwd : sh.bwd;
-    RunPassStaged(sh.hub, sh.rank, forward, s, pass);
-    pass.Finalize();
+    RunPassStaged(sh.hub, sh.rank, forward, s, forward ? sh.fwd : sh.bwd);
   }
 
   void Commit(const StagedHub& sh) {
@@ -245,7 +244,7 @@ void BuildPlainHubLabeling(const DiGraph& graph, const VertexOrdering& order,
     ParallelPlainBuilder builder(graph, order, labeling, stats, options);
     ParallelBuildPlan plan;
     plan.num_threads = options.num_threads;
-    RunRankBatchedBuild(builder, order, plan);
+    RunRankBatchedBuild(builder, order.size(), plan);
   }
   stats.build_threads = options.num_threads;
 }

@@ -143,5 +143,92 @@ TEST(CompactIndexTest, BuildMatchesCompactedFullBuild) {
   }
 }
 
+// Degenerate shapes for the served build: every thread count must build
+// the compacted full build, the consuming freeze must equal the copying
+// one, and the served answers must be BFS's. Reserved vertices are
+// isolated, so they answer "no cycle".
+struct EdgeCaseGraph {
+  std::string name;
+  DiGraph graph;
+  bool acyclic;
+};
+
+std::vector<EdgeCaseGraph> EdgeCaseGraphs() {
+  return {
+      {"empty", DiGraph(), true},
+      {"one vertex", DiGraph(1), true},
+      {"acyclic", DiGraph::FromEdges(6, {{0, 1}, {0, 2}, {1, 3}, {2, 3},
+                                         {3, 4}, {5, 4}}),
+       true},
+      {"two disjoint cycles",
+       DiGraph::FromEdges(7, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5},
+                              {5, 6}, {6, 3}}),
+       false},
+      {"isolated vertices",
+       DiGraph::FromEdges(8, {{1, 4}, {4, 6}, {6, 1}, {4, 1}}), false},
+  };
+}
+
+TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
+  for (const EdgeCaseGraph& g : EdgeCaseGraphs()) {
+    VertexOrdering order = DegreeOrdering(g.graph);
+    for (Vertex reserve : {0u, 3u}) {
+      for (unsigned threads : {0u, 1u, 4u}) {
+        const std::string context = g.name + " reserve=" +
+                                    std::to_string(reserve) +
+                                    " build_threads=" + std::to_string(threads);
+        CscIndex::Options options;
+        options.reserve_vertices = reserve;
+        options.build_threads = threads;
+        CompactIndex compact = CompactIndex::Build(g.graph, order, options);
+        ASSERT_EQ(compact, CompactIndex::FromIndex(
+                               CscIndex::Build(g.graph, order, options)))
+            << context;
+        const Vertex n = g.graph.num_vertices();
+        ASSERT_EQ(compact.num_original_vertices(), n + reserve) << context;
+        for (ArenaEncoding encoding :
+             {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
+          CompactIndex consumed = compact;
+          EXPECT_EQ(FrozenIndex::FromCompact(std::move(consumed), encoding),
+                    FrozenIndex::FromCompact(compact, encoding))
+              << context;
+        }
+        FrozenIndex served = FrozenIndex::FromCompact(compact);
+        for (Vertex v = 0; v < n; ++v) {
+          CycleCount expected = BfsCountCycles(g.graph, v);
+          if (g.acyclic) {
+            EXPECT_EQ(expected, CycleCount{}) << context;
+          }
+          EXPECT_EQ(served.Query(v), expected) << context << " v=" << v;
+        }
+        for (Vertex v = n; v < n + reserve; ++v) {
+          EXPECT_EQ(served.Query(v), CycleCount{}) << context << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(CompactIndexTest, ConsumingFreezeMatchesCopying) {
+  // FlatBackend freezes the compact index it built by move, one direction
+  // at a time; the arenas must be the copying freeze's under both
+  // encodings.
+  for (uint64_t seed : {3u, 4u}) {
+    DiGraph g = RandomGraph(80, 3.0, seed);
+    CscIndex::Options options;
+    options.build_threads = 2;
+    CompactIndex compact = CompactIndex::Build(g, DegreeOrdering(g), options);
+    for (ArenaEncoding encoding :
+         {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
+      CompactIndex consumed = compact;
+      FrozenIndex frozen = FrozenIndex::FromCompact(std::move(consumed),
+                                                    encoding);
+      EXPECT_EQ(frozen, FrozenIndex::FromCompact(compact, encoding))
+          << "seed " << seed;
+      EXPECT_EQ(frozen.encoding(), encoding);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csc
