@@ -126,7 +126,7 @@ int main() {
         HpSpcIndex hpspc_par = HpSpcIndex::Build(g, order, t);
         csc_t = csc_par.build_stats().seconds;
         hpspc_t = hpspc_par.build_stats().seconds;
-        identical = csc_par.labeling() == csc_seq.labeling() &&
+        identical = csc_par.served_labels() == csc_seq.served_labels() &&
                     hpspc_par.labeling() == hpspc_seq.labeling();
         if (!identical) {
           std::fprintf(stderr,

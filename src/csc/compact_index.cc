@@ -1,5 +1,6 @@
 #include "csc/compact_index.h"
 
+#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -74,17 +75,46 @@ bool ReadLabelSet(Reader& reader, LabelSet& labels) {
   return true;
 }
 
+/// Index reduction (§IV.E) in reverse (the identity is in csc_index.h):
+/// fills the empty L_in(v_o) and L_out(v_i) of every couple pair of
+/// `labeling` (over G_b, ranks by `vertex_to_rank`) from its L_in(v_i) and
+/// L_out(v_o).
+void DeriveCoupleLabels(const std::vector<Rank>& vertex_to_rank,
+                        HubLabeling& labeling) {
+  const Vertex n = static_cast<Vertex>(labeling.num_vertices() / 2);
+  for (Vertex v = 0; v < n; ++v) {
+    const Vertex vi = InVertex(v);
+    const Vertex vo = OutVertex(v);
+    const Rank rank_vi = vertex_to_rank[vi];
+    const Rank rank_vo = vertex_to_rank[vo];
+    assert(labeling.in[vo].empty() && labeling.out[vi].empty());
+    // L_in(v_o) = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}. Every hub of L_in(v_i)
+    // ranks at or above v_i, hence strictly above v_o, so the self entry
+    // appends in sorted position.
+    LabelSet& in_vo = labeling.in[vo];
+    in_vo.Reserve(labeling.in[vi].size() + 1);
+    for (const LabelEntry& e : labeling.in[vi].entries()) {
+      in_vo.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
+    }
+    in_vo.Append(LabelEntry(rank_vo, 0, 1));
+    // L_out(v_i) = shift(L_out(v_o) minus the v_i-hub cycle entry and the
+    // v_o self entry) ∪ {(v_i, 0, 1)}.
+    LabelSet& out_vi = labeling.out[vi];
+    out_vi.Reserve(labeling.out[vo].size() + 1);
+    for (const LabelEntry& e : labeling.out[vo].entries()) {
+      if (e.hub() == rank_vi || e.hub() == rank_vo) continue;
+      out_vi.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
+    }
+    out_vi.Append(LabelEntry(rank_vi, 0, 1));
+  }
+}
+
 }  // namespace
 
 CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
   CompactIndex compact;
-  Vertex n = index.num_original_vertices();
-  compact.in_labels_.resize(n);
-  compact.out_labels_.resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    compact.in_labels_[v] = index.labeling().in[InVertex(v)];
-    compact.out_labels_[v] = index.labeling().out[OutVertex(v)];
-  }
+  compact.in_labels_ = index.served_labels().in;
+  compact.out_labels_ = index.served_labels().out;
   compact.rank_to_vertex_ = index.bipartite_order().rank_to_vertex;
   return compact;
 }
@@ -93,12 +123,14 @@ CompactIndex CompactIndex::Build(const DiGraph& graph,
                                  const VertexOrdering& order,
                                  const CscIndex::Options& options) {
   LabelBuildStats stats;
-  CscIndex::CoupleLabels labels = CscIndex::BuildCoupleLabels(
-      graph, order, options, /*distance_pruning=*/true, stats);
+  VertexOrdering bipartite_order;
+  HubLabeling labels;
+  CscIndex::BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
+                              bipartite_order, labels, stats);
   CompactIndex compact;
   compact.in_labels_ = std::move(labels.in);
   compact.out_labels_ = std::move(labels.out);
-  compact.rank_to_vertex_ = std::move(labels.order.rank_to_vertex);
+  compact.rank_to_vertex_ = std::move(bipartite_order.rank_to_vertex);
   return compact;
 }
 

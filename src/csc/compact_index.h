@@ -27,24 +27,22 @@ namespace csc {
 /// between construction and the one serving form (FrozenIndex::FromCompact,
 /// either arena encoding), and its "CSCI" serialization is the interchange
 /// format every CSC backend loads. CSC construction writes exactly these two
-/// label sets, so Build() yields a compact index without the full labeling
-/// ever existing; CscIndex::Build and ExpandToFull() derive the other two
-/// sets from them through one routine (DeriveCoupleLabels), and a CscIndex
-/// is resumed from a compact index for dynamic maintenance via
-/// ExpandToFull().
+/// label sets and CscIndex stores exactly them, so Build() yields a compact
+/// index without the full labeling ever existing and FromIndex() is a copy.
+/// ExpandToFull() alone derives the other two sets: the four-set labeling
+/// the tests hold the index to.
 class CompactIndex {
  public:
   /// Builds the compact index of `graph` under `order` directly: the same
-  /// construction as CscIndex::Build(graph, order, options), whose labels
-  /// it equals once compacted, minus G_b, the derivation of the two couple
-  /// label sets and the inverted indexes (`options.maintain_inverted_index`
-  /// is ignored). The served sets keep the capacity construction grew them
-  /// to, so it suits a compact index that is a step toward another form (the
+  /// construction as CscIndex::Build(graph, order, options), whose stored
+  /// sets it equals, minus G_b and the inverted indexes (the option is
+  /// ignored). The served sets keep the capacity construction grew them to,
+  /// so it suits a compact index that is a step toward another form (the
   /// flat arenas); one kept for long packs tighter as a copy.
   static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
                             const CscIndex::Options& options);
 
-  /// Compacts a built CSC index (drops the redundant couple label sets).
+  /// Copies the two label sets a CSC index stores.
   static CompactIndex FromIndex(const CscIndex& index);
 
   Vertex num_original_vertices() const {
@@ -54,7 +52,7 @@ class CompactIndex {
   uint64_t SizeBytes() const { return TotalEntries() * sizeof(LabelEntry); }
 
   /// Reconstructs the full (uncompacted) labeling over G_b's 2n vertices
-  /// (DeriveCoupleLabels from the two stored sets).
+  /// (the §IV.E identity applied to the two stored sets).
   HubLabeling ExpandToFull() const;
 
   /// The bipartite rank -> bipartite vertex permutation carried for

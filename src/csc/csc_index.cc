@@ -9,7 +9,6 @@
 
 #include "labeling/hub_row.h"
 #include "labeling/parallel_build.h"
-#include "labeling/pruned_bfs.h"
 #include "util/timer.h"
 
 namespace csc {
@@ -98,9 +97,9 @@ struct PairLabels {
 /// passes, L_out(w_o) by backward passes, and L_out(v_o) for a couple
 /// vertex's trivial label. The couple's label (L_in(w_o) or L_out(w_i), one
 /// step further) and the root's own (v_i, 0, 1) out-label are the §IV.E
-/// copies DeriveCoupleLabels restores after construction; the stats count
-/// them as if appended. Every pruning join reads only written sets, except
-/// the forward pass's hub row L_out(v_i), which loads shifted from L_out(v_o).
+/// copies the index never stores; the stats count them as if appended.
+/// Every pruning join reads only written sets, except the forward pass's hub
+/// row L_out(v_i), which loads shifted from L_out(v_o).
 class CoupleSkipBuilder {
  public:
   CoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels,
@@ -511,72 +510,53 @@ void CheckVertexRange(Vertex num_original_vertices) {
   }
 }
 
-void PopulateInvertedIndexes(const HubLabeling& labeling, InvertedIndex& inv_in,
-                             InvertedIndex& inv_out) {
-  inv_in.BuildFrom(labeling, LabelDirection::kIn);
-  inv_out.BuildFrom(labeling, LabelDirection::kOut);
-}
-
 }  // namespace
 
-CscIndex::CoupleLabels CscIndex::BuildCoupleLabels(const DiGraph& graph,
-                                                   const VertexOrdering& order,
-                                                   const Options& options,
-                                                   bool distance_pruning,
-                                                   LabelBuildStats& stats) {
+void CscIndex::BuildCoupleLabels(const DiGraph& graph,
+                                 const VertexOrdering& order,
+                                 const Options& options, bool distance_pruning,
+                                 VertexOrdering& bipartite_order,
+                                 HubLabeling& labels, LabelBuildStats& stats) {
   const Vertex n = graph.num_vertices() + options.reserve_vertices;
   CheckVertexRange(n);
-  PairLabels labels(n);
+  PairLabels pair_labels(n);
   {
     // Reserved vertices are isolated and ranked below every real vertex, so
     // they cost two self-labels each and never perturb existing labels.
     RankedCsr csr(graph, order, n);
     if (options.build_threads == 0) {
-      CoupleSkipBuilder builder(csr, labels, stats, distance_pruning);
+      CoupleSkipBuilder builder(csr, pair_labels, stats, distance_pruning);
       builder.BuildAll();
     } else {
       assert(distance_pruning);
-      ParallelCoupleSkipBuilder builder(csr, labels, stats);
+      ParallelCoupleSkipBuilder builder(csr, pair_labels, stats);
       ParallelBuildPlan plan;
       plan.num_threads = options.build_threads;
       RunRankBatchedBuild(builder, csr.num_ranks(), plan);
     }
   }
-  CoupleLabels result;
-  result.order = BipartiteOrdering(order);
+  bipartite_order = BipartiteOrdering(order);
   // A reserved vertex v is ranked v, so its bipartite ids are its ranks.
   for (Vertex v = graph.num_vertices(); v < n; ++v) {
-    result.order.rank_to_vertex.push_back(InVertex(v));
-    result.order.rank_to_vertex.push_back(OutVertex(v));
-    result.order.vertex_to_rank.push_back(InVertex(v));
-    result.order.vertex_to_rank.push_back(OutVertex(v));
+    bipartite_order.rank_to_vertex.push_back(InVertex(v));
+    bipartite_order.rank_to_vertex.push_back(OutVertex(v));
+    bipartite_order.vertex_to_rank.push_back(InVertex(v));
+    bipartite_order.vertex_to_rank.push_back(OutVertex(v));
   }
   // Back to vertex order.
-  result.in.resize(n);
-  result.out.resize(n);
+  labels.Resize(n);
   for (Vertex v = 0; v < n; ++v) {
-    const Rank k = OriginalOf(result.order.vertex_to_rank[InVertex(v)]);
-    result.in[v] = std::move(labels.in[k]);
-    result.out[v] = std::move(labels.out[k]);
+    const Rank k = OriginalOf(bipartite_order.vertex_to_rank[InVertex(v)]);
+    labels.in[v] = std::move(pair_labels.in[k]);
+    labels.out[v] = std::move(pair_labels.out[k]);
   }
-  return result;
-}
-
-void CscIndex::AdoptCoupleLabels(CoupleLabels labels) {
-  order_ = std::move(labels.order);
-  labeling_.Resize(2 * labels.in.size());
-  for (Vertex v = 0; v < labels.in.size(); ++v) {
-    labeling_.in[InVertex(v)] = std::move(labels.in[v]);
-    labeling_.out[OutVertex(v)] = std::move(labels.out[v]);
-  }
-  labels = CoupleLabels();  // frees the emptied vectors before deriving
-  DeriveCoupleLabels(order_.vertex_to_rank, labeling_);
 }
 
 CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
                          const Options& options) {
   CscIndex index;
   index.options_ = options;
+  index.options_.maintain_inverted_index = false;  // until populated below
   // G_b is kept for dynamic maintenance only; construction walks the ranked
   // CSR.
   if (options.reserve_vertices > 0) {
@@ -587,26 +567,50 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
     index.bipartite_ = BipartiteConversion(graph);
   }
   Timer timer;
-  index.AdoptCoupleLabels(BuildCoupleLabels(
-      graph, order, options, /*distance_pruning=*/true, index.stats_));
+  BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
+                    index.order_, index.labels_, index.stats_);
   index.stats_.seconds = timer.ElapsedSeconds();
   index.stats_.build_threads = options.build_threads;
-  if (options.maintain_inverted_index) {
-    PopulateInvertedIndexes(index.labeling_, index.inv_in_, index.inv_out_);
-  }
+  if (options.maintain_inverted_index) index.EnsureInvertedIndexes();
   return index;
 }
 
 void CscIndex::EnsureInvertedIndexes() {
   if (options_.maintain_inverted_index) return;
-  PopulateInvertedIndexes(labeling_, inv_in_, inv_out_);
+  inv_in_.BuildFrom(labels_, LabelDirection::kIn, order_.size());
+  inv_out_.BuildFrom(labels_, LabelDirection::kOut, order_.size());
   options_.maintain_inverted_index = true;
+}
+
+JoinResult CscIndex::BipartiteQuery(Vertex s, Vertex t) const {
+  // L_in(t_o)'s own (t_o, 0, 1) meets no stored out-label but t_o's.
+  if (s == t && IsOutVertex(s)) return {0, 1};
+  // A derived side is its pair's stored set one step further. L_out(s_i)
+  // also trades L_out(s_o)'s hub-s_i cycle entry for its own (s_i, 0, 1);
+  // the join below keeps the cycle entry's term, but the own entry's term,
+  // a whole cycle shorter, always beats it. (Stored in-labels hold V_in
+  // hubs only, so L_out(s_o)'s self entry meets none.)
+  const Dist shift = (IsInVertex(s) ? 1 : 0) + (IsOutVertex(t) ? 1 : 0);
+  const LabelSet& in = labels_.in[OriginalOf(t)];
+  JoinResult r = JoinLabels(labels_.out[OriginalOf(s)], in);
+  if (r.dist != kInfDist) r.dist += shift;
+  const LabelEntry* own =
+      IsInVertex(s) ? in.Find(order_.vertex_to_rank[s]) : nullptr;
+  if (own != nullptr) {
+    const Dist d = own->dist() + shift - 1;
+    if (d < r.dist) {
+      r = {d, own->count()};
+    } else if (d == r.dist) {
+      r.count += own->count();
+    }
+  }
+  return r;
 }
 
 CycleCount CscIndex::Query(Vertex v) const {
   // SCCnt(v) = SPCnt(v_o, v_i) in G_b (§IV.D); a v_o -> v_i distance d in
   // G_b corresponds to a cycle of length (d + 1) / 2 in the original graph.
-  JoinResult r = labeling_.Query(OutVertex(v), InVertex(v));
+  JoinResult r = JoinLabels(labels_.out[v], labels_.in[v]);
   if (r.dist == kInfDist) return {};
   return {(r.dist + 1) / 2, r.count};
 }
@@ -628,9 +632,9 @@ CycleCount CscIndex::QueryThroughEdge(Vertex u, Vertex v) const {
   // is the couple edge, so v_i-paths are v_o-paths shifted by one, and v_i
   // outranks the path precisely when v_o does. Merging that entry restores
   // the exact all-pairs count with no double counting.
-  JoinResult r = labeling_.Query(OutVertex(v), InVertex(u));
+  JoinResult r = JoinLabels(labels_.out[v], labels_.in[u]);
   const LabelEntry* couple_entry =
-      labeling_.in[InVertex(u)].Find(order_.vertex_to_rank[InVertex(v)]);
+      labels_.in[u].Find(order_.vertex_to_rank[InVertex(v)]);
   if (couple_entry != nullptr) {
     Dist d = couple_entry->dist() - 1;
     if (d < r.dist) {
@@ -649,50 +653,11 @@ CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
   CscIndex index;
   index.bipartite_ = BipartiteConversion(graph);
   Timer timer;
-  if (config.disable_couple_skipping) {
-    index.order_ = BipartiteOrdering(order);
-    index.labeling_.Resize(index.bipartite_.num_vertices());
-    PrunedBfsOptions options;
-    options.distance_pruning = !config.disable_distance_pruning;
-    BuildPlainHubLabeling(index.bipartite_, index.order_, index.labeling_,
-                          index.stats_, options);
-  } else {
-    index.AdoptCoupleLabels(CscIndex::BuildCoupleLabels(
-        graph, order, CscIndex::Options(), !config.disable_distance_pruning,
-        index.stats_));
-  }
+  CscIndex::BuildCoupleLabels(graph, order, CscIndex::Options(),
+                              !config.disable_distance_pruning, index.order_,
+                              index.labels_, index.stats_);
   index.stats_.seconds = timer.ElapsedSeconds();
   return index;
-}
-
-void DeriveCoupleLabels(const std::vector<Rank>& vertex_to_rank,
-                        HubLabeling& labeling) {
-  const Vertex n = static_cast<Vertex>(labeling.num_vertices() / 2);
-  for (Vertex v = 0; v < n; ++v) {
-    const Vertex vi = InVertex(v);
-    const Vertex vo = OutVertex(v);
-    const Rank rank_vi = vertex_to_rank[vi];
-    const Rank rank_vo = vertex_to_rank[vo];
-    assert(labeling.in[vo].empty() && labeling.out[vi].empty());
-    // L_in(v_o) = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}. Every hub of L_in(v_i)
-    // ranks at or above v_i, hence strictly above v_o, so the self entry
-    // appends in sorted position.
-    LabelSet& in_vo = labeling.in[vo];
-    in_vo.Reserve(labeling.in[vi].size() + 1);
-    for (const LabelEntry& e : labeling.in[vi].entries()) {
-      in_vo.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
-    }
-    in_vo.Append(LabelEntry(rank_vo, 0, 1));
-    // L_out(v_i) = shift(L_out(v_o) minus the v_i-hub cycle entry and the
-    // v_o self entry) ∪ {(v_i, 0, 1)}.
-    LabelSet& out_vi = labeling.out[vi];
-    out_vi.Reserve(labeling.out[vo].size() + 1);
-    for (const LabelEntry& e : labeling.out[vo].entries()) {
-      if (e.hub() == rank_vi || e.hub() == rank_vo) continue;
-      out_vi.Append(LabelEntry(e.hub(), e.dist() + 1, e.count()));
-    }
-    out_vi.Append(LabelEntry(rank_vi, 0, 1));
-  }
 }
 
 }  // namespace csc

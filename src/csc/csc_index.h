@@ -23,13 +23,18 @@ namespace csc {
 /// the bipartition is ever enqueued. The BFSs walk a flat copy of the input
 /// graph whose vertex ids are their ranks, with G_b's vertices named by
 /// their bipartite ranks (2k for v_i, 2k + 1 for v_o, where v has rank k),
-/// and the labels return to vertex order at the end. Of each couple pair's
-/// four label sets, construction writes only L_in(v_i) and L_out(v_o), the
-/// two the §IV.E reduction keeps (CompactIndex); Build then derives
-/// L_in(v_o) and L_out(v_i) once from them (DeriveCoupleLabels), so the
-/// index holds the full labeling that queries, dynamic maintenance and the
-/// repair shadow read. The build stats still count every entry of the full
-/// labeling.
+/// and the labels return to vertex order at the end.
+///
+/// Of each couple pair's four label sets the index stores only the two the
+/// §IV.E reduction keeps, by original vertex v: in[v] = L_in(v_i) and
+/// out[v] = L_out(v_o) (the CompactIndex layout, and the two sets SCCnt
+/// queries read). The other two are the same entries one step further:
+///   L_in(v_o)  = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}
+///   L_out(v_i) = shift(L_out(v_o) \ {hub v_i, hub v_o}) ∪ {(v_i, 0, 1)}
+/// Construction and §V maintenance write only the stored sets, and every
+/// read of a derived set (BipartiteQuery, DECCNT, INCCNT's affected hubs,
+/// cleaning) goes through this identity. The build stats still count every
+/// entry of the full labeling; CompactIndex::ExpandToFull materializes it.
 ///
 /// The index owns its copy of G_b (dynamic maintenance mutates it) and the
 /// bipartite ordering; the original graph is not retained. Build and
@@ -77,11 +82,10 @@ class CscIndex {
   /// proposed transaction. Returns {} for u == v or out-of-range ids.
   CycleCount QueryThroughEdge(Vertex u, Vertex v) const;
 
-  /// Raw 2-hop query in G_b (s, t are bipartite vertex ids). Used by the
-  /// maintenance algorithms and exposed for diagnostics.
-  JoinResult BipartiteQuery(Vertex s, Vertex t) const {
-    return labeling_.Query(s, t);
-  }
+  /// Raw 2-hop query in G_b (s, t are bipartite vertex ids): the join of
+  /// L_out(s) with L_in(t), derived sets read through the §IV.E identity.
+  /// Used by the maintenance algorithms and exposed for diagnostics.
+  JoinResult BipartiteQuery(Vertex s, Vertex t) const;
 
   /// Number of vertices in the original graph.
   Vertex num_original_vertices() const {
@@ -90,13 +94,16 @@ class CscIndex {
 
   const DiGraph& bipartite_graph() const { return bipartite_; }
   const VertexOrdering& bipartite_order() const { return order_; }
-  const HubLabeling& labeling() const { return labeling_; }
+  /// The two stored label sets, by original vertex v: in[v] = L_in(v_i) and
+  /// out[v] = L_out(v_o). Hubs are bipartite ranks.
+  const HubLabeling& served_labels() const { return labels_; }
   const LabelBuildStats& build_stats() const { return stats_; }
   const Options& options() const { return options_; }
-  uint64_t TotalEntries() const { return labeling_.TotalEntries(); }
-  uint64_t SizeBytes() const { return labeling_.SizeBytes(); }
+  uint64_t TotalEntries() const { return labels_.TotalEntries(); }
+  uint64_t SizeBytes() const { return labels_.SizeBytes(); }
 
-  /// Inverted indexes (valid only when has_inverted_index()).
+  /// Inverted indexes over the two stored sets (owners are original
+  /// vertices; valid only when has_inverted_index()).
   const InvertedIndex& inv_in() const { return inv_in_; }
   const InvertedIndex& inv_out() const { return inv_out_; }
   bool has_inverted_index() const { return options_.maintain_inverted_index; }
@@ -107,7 +114,7 @@ class CscIndex {
 
   // --- Mutable access for the dynamic-maintenance module (src/dynamic). ---
   DiGraph& mutable_bipartite_graph() { return bipartite_; }
-  HubLabeling& mutable_labeling() { return labeling_; }
+  HubLabeling& mutable_served_labels() { return labels_; }
   InvertedIndex& mutable_inv_in() { return inv_in_; }
   InvertedIndex& mutable_inv_out() { return inv_out_; }
 
@@ -117,32 +124,21 @@ class CscIndex {
                                    const VertexOrdering& order,
                                    const struct CscAblationConfig& config);
 
-  /// What construction writes: L_in(v_i) and L_out(v_o) of every original
-  /// vertex v (reserved ones included), by v, with G_b's ordering.
-  struct CoupleLabels {
-    VertexOrdering order;  // over G_b's 2n vertices
-    std::vector<LabelSet> in;
-    std::vector<LabelSet> out;
-  };
-
   CscIndex() = default;
 
   /// Runs Algorithm 3 over a copy of `graph` whose vertex ids are their
-  /// ranks (G_b is not built) and returns the two label sets it writes, in
-  /// vertex order. Build derives the other two; CompactIndex::Build keeps
-  /// them as they are.
-  static CoupleLabels BuildCoupleLabels(const DiGraph& graph,
-                                        const VertexOrdering& order,
-                                        const Options& options,
-                                        bool distance_pruning,
-                                        LabelBuildStats& stats);
-  /// Takes `labels` as this index's ordering and labeling, deriving
-  /// L_in(v_o) and L_out(v_i).
-  void AdoptCoupleLabels(CoupleLabels labels);
+  /// ranks (G_b is not built). Sets `labels` to the two sets it writes,
+  /// L_in(v_i) and L_out(v_o) of every original vertex v (reserved ones
+  /// included), by v, and `bipartite_order` to G_b's ordering.
+  static void BuildCoupleLabels(const DiGraph& graph,
+                                const VertexOrdering& order,
+                                const Options& options, bool distance_pruning,
+                                VertexOrdering& bipartite_order,
+                                HubLabeling& labels, LabelBuildStats& stats);
 
   DiGraph bipartite_;
   VertexOrdering order_;  // over G_b's 2n vertices
-  HubLabeling labeling_;  // indexed by bipartite vertex id
+  HubLabeling labels_;    // the two stored sets, by original vertex
   InvertedIndex inv_in_;
   InvertedIndex inv_out_;
   LabelBuildStats stats_;
@@ -151,11 +147,9 @@ class CscIndex {
 
 /// Build-time ablation knobs (bench/bench_ablation exercises these; the
 /// default Build() uses all optimizations). Kept separate from Options so the
-/// public API stays clean.
+/// public API stays clean. (Without couple skipping there is no CSC index:
+/// that ablation is BuildPlainHubLabeling over BipartiteConversion(graph).)
 struct CscAblationConfig {
-  /// Disable couple-vertex skipping: treat every bipartite vertex as a hub
-  /// and run plain HP-SPC-style passes over G_b.
-  bool disable_couple_skipping = false;
   /// Disable the distance-pruning query (line 13); BFSs then only stop on
   /// rank pruning. Labels stay correct but become non-minimal and slow.
   bool disable_distance_pruning = false;
@@ -165,17 +159,6 @@ struct CscAblationConfig {
 /// study. Query results are identical to the standard build.
 CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
                           const CscAblationConfig& config);
-
-/// Index reduction (§IV.E) in reverse: fills L_in(v_o) and L_out(v_i) of
-/// every couple pair of `labeling` (over G_b, ranks by `vertex_to_rank`)
-/// from its L_in(v_i) and L_out(v_o), which must already hold their final
-/// entries; the two derived sets must be empty.
-///   L_in(v_o)  = shift(L_in(v_i)) ∪ {(v_o, 0, 1)}
-///   L_out(v_i) = shift(L_out(v_o) \ {hub v_i, hub v_o}) ∪ {(v_i, 0, 1)}
-/// where shift(·) adds 1 to every distance. CscIndex::Build and
-/// CompactIndex::ExpandToFull both complete their labelings with it.
-void DeriveCoupleLabels(const std::vector<Rank>& vertex_to_rank,
-                        HubLabeling& labeling);
 
 }  // namespace csc
 

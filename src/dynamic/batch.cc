@@ -89,10 +89,11 @@ BatchResult ApplyUpdates(CscIndex& index,
   }
 
   // Rebuild path: past the churn threshold, reconstruction beats per-edge
-  // repair and sidesteps the minimality precondition entirely.
+  // repair and sidesteps the minimality precondition entirely. A threshold
+  // above 1 never rebuilds, whatever the batch or the edge count.
   uint64_t current_edges = graph.num_edges() - n;  // minus couple edges
   size_t net_changes = to_insert.size() + to_remove.size();
-  if (net_changes > 0 &&
+  if (net_changes > 0 && options.rebuild_threshold <= 1 &&
       static_cast<double>(net_changes) >=
           options.rebuild_threshold * static_cast<double>(current_edges)) {
     DiGraph original = RecoverOriginalGraph(index.bipartite_graph());

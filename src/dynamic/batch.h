@@ -14,12 +14,13 @@ namespace csc {
 struct BatchOptions {
   /// Strategy handed to each per-edge insertion (see update_stats.h).
   MaintenanceStrategy strategy = MaintenanceStrategy::kRedundancy;
-  /// When the batch's *net* edge changes exceed this fraction of the
+  /// When the batch's *net* edge changes reach this fraction of the
   /// current edge count, the batch is applied by rebuilding the index from
   /// scratch instead of per-edge repair — beyond some churn, reconstruction
   /// is cheaper than thousands of resumed BFSs (the crossover the paper
   /// quantifies as "2.3e-5 of the reconstruction time" per single edge).
-  /// Set to a value > 1 to never rebuild, or 0 to always rebuild. The
+  /// Set to a value > 1 to never rebuild (also on an edgeless index, or
+  /// for a batch larger than the graph), or 0 to always rebuild. The
   /// serving tier's repair pipeline always uses the default
   /// (update_stats.h).
   double rebuild_threshold = kDefaultRebuildThreshold;

@@ -33,14 +33,18 @@ std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
   return dist;
 }
 
-/// Construction-style pruned counting BFS from one affected hub over the
-/// post-deletion graph (step 3). Identical pruning rules to Algorithm 3,
-/// restricted to hubs of strictly higher rank (a HubRow loaded below the
-/// hub's rank), with idempotent InsertOrReplace instead of Append
-/// (unaffected entries are rewritten with their current values).
+/// Construction-style pruned counting BFS from one affected hub v_i over the
+/// post-deletion graph (step 3). It hops couple to couple as Algorithm 3
+/// does: a forward pass dequeues only V_in vertices and writes L_in(w_i), a
+/// backward pass only V_out vertices and writes L_out(w_o); the couple's
+/// entry one step further is the §IV.E copy the index does not store.
+/// Pruning is Algorithm 3's, restricted to hubs of strictly higher rank (a
+/// HubRow loaded below the hub's rank), with idempotent InsertOrReplace
+/// instead of Append (unaffected entries are rewritten with their current
+/// values).
 class RecoveryPass {
  public:
-  explicit RecoveryPass(CscIndex& index, UpdateStats& stats)
+  RecoveryPass(CscIndex& index, UpdateStats& stats)
       : index_(index),
         stats_(stats),
         dist_(index.bipartite_graph().num_vertices(), kInfDist),
@@ -50,13 +54,18 @@ class RecoveryPass {
   void Run(Rank hub_rank, bool forward) {
     const DiGraph& graph = index_.bipartite_graph();
     const auto& order = index_.bipartite_order();
-    Vertex hub = order.rank_to_vertex[hub_rank];
-    HubLabeling& labeling = index_.mutable_labeling();
-    // Forward passes upsert only in-labels and backward passes only
-    // out-labels, so the row's set (L_out(hub) / L_in(hub)) stays fixed.
+    const Vertex hub = order.rank_to_vertex[hub_rank];
+    HubLabeling& labels = index_.mutable_served_labels();
+    // Forward passes write only in-labels and backward passes only
+    // out-labels, so the row stays fixed: L_out(v_i) below the hub's rank
+    // is L_out(v_o) shifted, and L_in(v_i) is stored.
     const LabelSet& hub_labels =
-        forward ? labeling.out[hub] : labeling.in[hub];
-    row_.Load(hub_labels, hub_rank);
+        forward ? labels.out[OriginalOf(hub)] : labels.in[OriginalOf(hub)];
+    if (forward) {
+      row_.LoadShifted(hub_labels, hub_rank);
+    } else {
+      row_.Load(hub_labels, hub_rank);
+    }
 
     queue_.clear();
     dist_[hub] = 0;
@@ -67,23 +76,23 @@ class RecoveryPass {
     while (head < queue_.size()) {
       Vertex w = queue_[head++];
       ++stats_.vertices_visited;
-      Dist via = row_.Join(forward ? labeling.in[w] : labeling.out[w]);
-      if (via < dist_[w]) continue;  // hub not highest: prune
-      Upsert(labeling, hub_rank, w, forward);
-      const auto& next =
-          forward ? graph.OutNeighbors(w) : graph.InNeighbors(w);
-      for (Vertex u : next) {
-        if (dist_[u] == kInfDist) {
-          if (hub_rank < order.vertex_to_rank[u]) {
-            dist_[u] = dist_[w] + 1;
-            count_[u] = count_[w];
-            touched_.push_back(u);
-            queue_.push_back(u);
-          }
-        } else if (dist_[u] == dist_[w] + 1) {
-          count_[u] += count_[w];
-        }
+      if (!forward && w == hub) {
+        // Modification (3): the root's (v_i, 0, 1) out-label is derived;
+        // expand its predecessors (V_out) directly.
+        for (Vertex u : graph.InNeighbors(hub)) Reach(u, 1, 1, hub_rank);
+        continue;
       }
+      LabelSet& w_labels =
+          forward ? labels.in[OriginalOf(w)] : labels.out[OriginalOf(w)];
+      if (row_.Join(w_labels) < dist_[w]) continue;  // hub not highest
+      Upsert(w_labels, LabelEntry(hub_rank, dist_[w], count_[w]),
+             OriginalOf(w), forward);
+      // Modification (4): reaching the hub's couple v_o closes a cycle.
+      if (w == CoupleOf(hub)) continue;
+      // Hop through the couple: w_i -> w_o -> u_i, or w_o <- w_i <- u_o.
+      const auto& next = forward ? graph.OutNeighbors(CoupleOf(w))
+                                 : graph.InNeighbors(CoupleOf(w));
+      for (Vertex u : next) Reach(u, dist_[w] + 2, count_[w], hub_rank);
     }
     for (Vertex v : touched_) {
       dist_[v] = kInfDist;
@@ -94,36 +103,34 @@ class RecoveryPass {
   }
 
  private:
-  void Upsert(HubLabeling& labeling, Rank hub_rank, Vertex w, bool forward) {
-    LabelSet& labels = forward ? labeling.in[w] : labeling.out[w];
-    LabelEntry entry(hub_rank, dist_[w], count_[w]);
-    const LabelEntry* existing = labels.Find(hub_rank);
-    if (existing != nullptr) {
-      if (*existing != entry) {
-        labels.InsertOrReplace(entry);
-        ++stats_.entries_updated;
-        MarkDirty(w, forward);
+  void Reach(Vertex u, Dist d, Count c, Rank hub_rank) {
+    if (dist_[u] == kInfDist) {
+      if (hub_rank < index_.bipartite_order().vertex_to_rank[u]) {
+        dist_[u] = d;
+        count_[u] = c;
+        touched_.push_back(u);
+        queue_.push_back(u);
       }
-      return;
-    }
-    labels.InsertOrReplace(entry);
-    ++stats_.entries_added;
-    MarkDirty(w, forward);
-    if (index_.has_inverted_index()) {
-      (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
-          .Add(hub_rank, w);
+    } else if (dist_[u] == d) {
+      count_[u] += c;
     }
   }
 
-  // Label-mutation hook for serving-tier patch extraction: forward passes
-  // touch L_in(w), backward passes L_out(w).
-  void MarkDirty(Vertex w, bool forward) {
-    if (stats_.dirty == nullptr) return;
-    if (forward) {
-      stats_.dirty->MarkIn(w);
+  // `labels` is L_in(v_i) (forward) or L_out(v_o) of original vertex v.
+  void Upsert(LabelSet& labels, LabelEntry entry, Vertex v, bool forward) {
+    const LabelEntry* existing = labels.Find(entry.hub());
+    if (existing != nullptr && *existing == entry) return;
+    if (existing != nullptr) {
+      ++stats_.entries_updated;
     } else {
-      stats_.dirty->MarkOut(w);
+      ++stats_.entries_added;
+      if (index_.has_inverted_index()) {
+        (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
+            .Add(entry.hub(), v);
+      }
     }
+    labels.InsertOrReplace(entry);
+    stats_.MarkDirty(v, forward);
   }
 
   CscIndex& index_;
@@ -171,14 +178,18 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
 
   // Step 2: delete the superset of out-of-date entries. An entry (h, d, c)
   // of L_in(y) is deleted iff d equals the through-edge distance
-  // sd(h, a_o) + 1 + sd(b_i, y); symmetrically for L_out(x).
-  HubLabeling& labeling = index.mutable_labeling();
+  // sd(h, a_o) + 1 + sd(b_i, y); symmetrically for L_out(x). Only L_in(y_i)
+  // and L_out(x_o) are stored: y_o (x_i) is affected exactly when y_i (x_o)
+  // is, legs one step longer, so the derived sets' matching entries are the
+  // stored ones' copies. (a_o and b_i are never affected; the b_o cycle
+  // entry that can match is one L_out(b_i) does not copy.)
+  HubLabeling& labels = index.mutable_served_labels();
   const auto& rank_to_vertex = index.bipartite_order().rank_to_vertex;
   auto delete_matching = [&](Vertex owner, bool in_side) {
-    LabelSet& labels =
-        in_side ? labeling.in[owner] : labeling.out[owner];
+    const Vertex v = OriginalOf(owner);
+    LabelSet& set = in_side ? labels.in[v] : labels.out[v];
     std::vector<Rank> doomed;
-    for (const LabelEntry& e : labels.entries()) {
+    for (const LabelEntry& e : set.entries()) {
       Vertex hub_vertex = rank_to_vertex[e.hub()];
       Dist hub_leg = in_side ? to_ao[hub_vertex] : from_bi[hub_vertex];
       Dist owner_leg = in_side ? from_bi[owner] : to_ao[owner];
@@ -188,23 +199,21 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
       }
     }
     for (Rank r : doomed) {
-      labels.Remove(r);
+      set.Remove(r);
       ++local.entries_removed;
-      if (local.dirty != nullptr) {
-        if (in_side) {
-          local.dirty->MarkIn(owner);
-        } else {
-          local.dirty->MarkOut(owner);
-        }
-      }
+      local.MarkDirty(v, in_side);
       if (index.has_inverted_index()) {
         (in_side ? index.mutable_inv_in() : index.mutable_inv_out())
-            .Remove(r, owner);
+            .Remove(r, v);
       }
     }
   };
-  for (Vertex y : affected_targets) delete_matching(y, /*in_side=*/true);
-  for (Vertex x : affected_sources) delete_matching(x, /*in_side=*/false);
+  for (Vertex y : affected_targets) {
+    if (IsInVertex(y)) delete_matching(y, /*in_side=*/true);
+  }
+  for (Vertex x : affected_sources) {
+    if (IsOutVertex(x)) delete_matching(x, /*in_side=*/false);
+  }
 
   graph.RemoveEdge(ao, bi);
 

@@ -5,14 +5,19 @@
 
 #include "dynamic/clean.h"
 #include "graph/bipartite.h"
+#include "labeling/hub_row.h"
 #include "util/timer.h"
 
 namespace csc {
 
 namespace {
 
-/// Runs the resumed counting BFS of Algorithm 6 for one affected hub and
-/// one direction, applying UPDATE_LABEL at every reached vertex.
+/// Runs the resumed counting BFS of Algorithm 6 for one affected hub v_i and
+/// one direction, applying UPDATE_LABEL at every reached vertex. It hops
+/// couple to couple as Algorithm 3 does: a forward pass dequeues only V_in
+/// vertices and updates L_in(w_i), a backward pass only V_out vertices and
+/// updates L_out(w_o); the couple's entry one step further is the §IV.E copy
+/// the index does not store.
 class IncrementalPass {
  public:
   IncrementalPass(CscIndex& index, MaintenanceStrategy strategy,
@@ -21,17 +26,30 @@ class IncrementalPass {
         strategy_(strategy),
         stats_(stats),
         dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0) {}
+        count_(index.bipartite_graph().num_vertices(), 0),
+        row_(index.bipartite_graph().num_vertices()) {}
 
   /// FORWARD_PASS(vk, start, seed_dist, seed_count): repairs in-labels with
-  /// hub `vk` downstream of `start`. `forward=false` is BACKWARD_PASS,
-  /// repairing out-labels upstream of `start`.
+  /// hub `vk` downstream of `start` (a V_in vertex). `forward=false` is
+  /// BACKWARD_PASS, repairing out-labels upstream of `start` (a V_out
+  /// vertex).
   void Run(Rank hub_rank, Vertex start, Dist seed_dist, Count seed_count,
            bool forward) {
     const DiGraph& graph = index_.bipartite_graph();
     const auto& order = index_.bipartite_order();
-    Vertex hub_vertex = order.rank_to_vertex[hub_rank];
-    HubLabeling& labeling = index_.mutable_labeling();
+    const Vertex hub = order.rank_to_vertex[hub_rank];
+    HubLabeling& labels = index_.mutable_served_labels();
+    // The row holds L_out(v_i) (forward: L_out(v_o) shifted, below the hub's
+    // rank) or L_in(v_i) (backward). Neither set changes during the pass:
+    // its writes and cleaning reach only other sets and hubs ranked after
+    // v_i, which the row's set does not hold.
+    const LabelSet& hub_labels =
+        forward ? labels.out[OriginalOf(hub)] : labels.in[OriginalOf(hub)];
+    if (forward) {
+      row_.LoadShifted(hub_labels, hub_rank);
+    } else {
+      row_.Load(hub_labels);
+    }
 
     queue_.clear();
     dist_[start] = seed_dist;
@@ -42,22 +60,31 @@ class IncrementalPass {
     while (head < queue_.size()) {
       Vertex w = queue_[head++];
       ++stats_.vertices_visited;
-      // Distance under the (partially updated) current index.
-      JoinResult via = forward ? index_.BipartiteQuery(hub_vertex, w)
-                               : index_.BipartiteQuery(w, hub_vertex);
-      if (dist_[w] > via.dist) continue;  // Case 1: not through the new edge
-      UpdateLabel(labeling, hub_rank, w, dist_[w], count_[w], forward);
-      const auto& next =
-          forward ? graph.OutNeighbors(w) : graph.InNeighbors(w);
+      LabelSet& w_labels =
+          forward ? labels.in[OriginalOf(w)] : labels.out[OriginalOf(w)];
+      // Distance under the current index; forward, L_out(v_i)'s own
+      // (v_i, 0, 1) meets w's hub-v_i entry outside the row.
+      Dist via = row_.Join(w_labels);
+      const LabelEntry* existing = w_labels.Find(hub_rank);
+      if (forward && existing != nullptr) {
+        via = std::min(via, existing->dist());
+      }
+      if (dist_[w] > via) continue;  // Case 1: not through the new edge
+      UpdateLabel(w_labels, existing, hub_rank, w, forward);
+      // Modification (4): reaching the hub's couple v_o closes a cycle.
+      if (w == CoupleOf(hub)) continue;
+      // Hop through the couple: w_i -> w_o -> u_i, or w_o <- w_i <- u_o.
+      const auto& next = forward ? graph.OutNeighbors(CoupleOf(w))
+                                 : graph.InNeighbors(CoupleOf(w));
       for (Vertex u : next) {
-        if (dist_[u] > dist_[w] + 1) {
+        if (dist_[u] > dist_[w] + 2) {
           if (hub_rank < order.vertex_to_rank[u]) {  // rank pruning
             if (dist_[u] == kInfDist) touched_.push_back(u);
-            dist_[u] = dist_[w] + 1;
+            dist_[u] = dist_[w] + 2;
             count_[u] = count_[w];
             queue_.push_back(u);
           }
-        } else if (dist_[u] == dist_[w] + 1) {
+        } else if (dist_[u] == dist_[w] + 2) {
           count_[u] += count_[w];  // Case 2: one more same-length path
         }
       }
@@ -67,20 +94,23 @@ class IncrementalPass {
       count_[v] = 0;
     }
     touched_.clear();
+    row_.Clear(hub_labels);
   }
 
  private:
-  // UPDATE_LABEL (Algorithm 7) on L_in(w) (forward) or L_out(w) (backward).
-  void UpdateLabel(HubLabeling& labeling, Rank hub_rank, Vertex w, Dist d,
-                   Count c, bool forward) {
-    LabelSet& labels = forward ? labeling.in[w] : labeling.out[w];
-    const LabelEntry* existing = labels.Find(hub_rank);
+  // UPDATE_LABEL (Algorithm 7) at dequeued w on `labels`, L_in(w_i)
+  // (forward) or L_out(w_o) (backward), whose hub-vk entry is `existing`.
+  void UpdateLabel(LabelSet& labels, const LabelEntry* existing,
+                   Rank hub_rank, Vertex w, bool forward) {
+    const Vertex v = OriginalOf(w);
+    const Dist d = dist_[w];
+    const Count c = count_[w];
     bool needs_clean = false;
     if (existing != nullptr) {
       if (d < existing->dist()) {
         labels.InsertOrReplace(LabelEntry(hub_rank, d, c));
         ++stats_.entries_updated;
-        MarkDirty(w, forward);
+        stats_.MarkDirty(v, forward);
         needs_clean = true;
       } else if (d == existing->dist()) {
         // New same-length shortest paths through the inserted edge: the BFS
@@ -88,37 +118,26 @@ class IncrementalPass {
         labels.InsertOrReplace(
             LabelEntry(hub_rank, d, existing->count() + c));
         ++stats_.entries_updated;
-        MarkDirty(w, forward);
+        stats_.MarkDirty(v, forward);
       }
       // d > existing->dist(): the label already beats the new paths; the
       // caller pruned such vertices, but stay defensive.
     } else {
       labels.InsertOrReplace(LabelEntry(hub_rank, d, c));
       ++stats_.entries_added;
-      MarkDirty(w, forward);
+      stats_.MarkDirty(v, forward);
       if (index_.has_inverted_index()) {
         (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
-            .Add(hub_rank, w);
+            .Add(hub_rank, v);
       }
       needs_clean = true;
     }
     if (needs_clean && strategy_ == MaintenanceStrategy::kMinimality) {
       if (forward) {
-        CleanAfterInLabelChange(index_, w, stats_);
+        CleanAfterInLabelChange(index_, v, stats_);
       } else {
-        CleanAfterOutLabelChange(index_, w, stats_);
+        CleanAfterOutLabelChange(index_, v, stats_);
       }
-    }
-  }
-
-  // Label-mutation hook for serving-tier patch extraction: forward passes
-  // touch L_in(w), backward passes L_out(w).
-  void MarkDirty(Vertex w, bool forward) {
-    if (stats_.dirty == nullptr) return;
-    if (forward) {
-      stats_.dirty->MarkIn(w);
-    } else {
-      stats_.dirty->MarkOut(w);
     }
   }
 
@@ -129,6 +148,7 @@ class IncrementalPass {
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
+  HubRow row_;
 };
 
 }  // namespace
@@ -162,22 +182,27 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
   };
   std::vector<WorkItem> work;
   const auto& order = index.bipartite_order();
-  Rank rank_ao = order.vertex_to_rank[ao];
-  Rank rank_bi = order.vertex_to_rank[bi];
-  // Only V_in vertices act as hubs, mirroring couple-vertex skipping: a_o's
-  // own self-entry in L_in(a_o) is excluded because V_out-hub labels are
-  // never read by a cycle query — on any v_o -> v_i path the couple v_i
-  // outranks v_o, so the highest-ranked vertex is always from V_in.
-  for (const LabelEntry& e : index.labeling().in[ao].entries()) {
-    if (e.hub() < rank_bi && IsInVertex(order.rank_to_vertex[e.hub()])) {
-      work.push_back({e.hub(), e.dist(), e.count(), /*forward=*/true});
+  const Rank rank_ao = order.vertex_to_rank[ao];
+  const Rank rank_bi = order.vertex_to_rank[bi];
+  const HubLabeling& labels = index.served_labels();
+  // Both sets are derived ones, read through the §IV.E identity. Only
+  // V_in vertices act as hubs, mirroring couple-vertex skipping (on any
+  // v_o -> v_i path the couple v_i outranks v_o, so the highest-ranked
+  // vertex is always from V_in); that leaves out a_o's own self entry.
+  //   L_in(a_o)  = shift(L_in(a_i)) ∪ {(a_o, 0, 1)}
+  //   L_out(b_i) = shift(L_out(b_o) \ {hub b_i, hub b_o}) ∪ {(b_i, 0, 1)}
+  for (const LabelEntry& e : labels.in[a].entries()) {
+    if (e.hub() < rank_bi) {
+      work.push_back({e.hub(), e.dist() + 1, e.count(), /*forward=*/true});
     }
   }
-  for (const LabelEntry& e : index.labeling().out[bi].entries()) {
-    if (e.hub() < rank_ao && IsInVertex(order.rank_to_vertex[e.hub()])) {
-      work.push_back({e.hub(), e.dist(), e.count(), /*forward=*/false});
+  for (const LabelEntry& e : labels.out[b].entries()) {
+    if (e.hub() < rank_ao && IsInVertex(order.rank_to_vertex[e.hub()]) &&
+        e.hub() != rank_bi) {
+      work.push_back({e.hub(), e.dist() + 1, e.count(), /*forward=*/false});
     }
   }
+  if (rank_bi < rank_ao) work.push_back({rank_bi, 0, 1, /*forward=*/false});
   // Descending rank order = ascending rank value; ties (a hub in both sets)
   // run the forward pass first, matching Algorithm 5's loop body order.
   std::stable_sort(work.begin(), work.end(),

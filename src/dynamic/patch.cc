@@ -1,8 +1,8 @@
 #include "dynamic/patch.h"
 
 #include <algorithm>
-
-#include "graph/bipartite.h"
+#include <utility>
+#include <vector>
 
 namespace csc {
 
@@ -10,33 +10,18 @@ LabelPatch ExtractLabelPatch(const CscIndex& shadow,
                              const DirtyLabelTracker& dirty) {
   LabelPatch patch;
   patch.num_vertices = shadow.num_original_vertices();
-  const HubLabeling& labeling = shadow.labeling();
-
-  // In-side marks on V_in vertices are the serving forms' in-runs.
-  std::vector<Vertex> vertices;
-  for (Vertex w : dirty.dirty_in()) {
-    if (IsInVertex(w)) vertices.push_back(OriginalOf(w));
-  }
-  std::sort(vertices.begin(), vertices.end());
-  vertices.erase(std::unique(vertices.begin(), vertices.end()),
-                 vertices.end());
-  patch.in_runs.reserve(vertices.size());
-  for (Vertex v : vertices) {
-    patch.in_runs.emplace_back(v, labeling.in[InVertex(v)]);
-  }
-
-  // Out-side marks on V_out vertices are the out-runs.
-  vertices.clear();
-  for (Vertex w : dirty.dirty_out()) {
-    if (IsOutVertex(w)) vertices.push_back(OriginalOf(w));
-  }
-  std::sort(vertices.begin(), vertices.end());
-  vertices.erase(std::unique(vertices.begin(), vertices.end()),
-                 vertices.end());
-  patch.out_runs.reserve(vertices.size());
-  for (Vertex v : vertices) {
-    patch.out_runs.emplace_back(v, labeling.out[OutVertex(v)]);
-  }
+  const HubLabeling& labels = shadow.served_labels();
+  // Each marked (deduplicated) vertex's stored set becomes one run edit.
+  auto runs = [](const std::vector<Vertex>& marked,
+                 const std::vector<LabelSet>& sets,
+                 std::vector<std::pair<Vertex, LabelSet>>& out) {
+    std::vector<Vertex> vertices = marked;
+    std::sort(vertices.begin(), vertices.end());
+    out.reserve(vertices.size());
+    for (Vertex v : vertices) out.emplace_back(v, sets[v]);
+  };
+  runs(dirty.dirty_in(), labels.in, patch.in_runs);
+  runs(dirty.dirty_out(), labels.out, patch.out_runs);
   return patch;
 }
 

@@ -10,13 +10,10 @@ namespace csc {
 /// Converts the label damage a maintenance pass recorded in `dirty` into a
 /// bounded serving-tier patch against `shadow`'s current labeling.
 ///
-/// The serving forms store the compact (§IV.E) reduction — per original
-/// vertex v only L_in(v_i) and L_out(v_o) — so of the four bipartite label
-/// sides only in-side mutations of V_in vertices and out-side mutations of
-/// V_out vertices reach them; the rest of the dirty marks are dropped here.
-/// Each surviving mark becomes a (vertex, replacement LabelSet) run edit,
-/// sorted by vertex, copied out of the shadow so the patch stays valid after
-/// further shadow maintenance.
+/// The shadow and the serving forms store the same two sets per original
+/// vertex v, L_in(v_i) and L_out(v_o) (§IV.E), so each dirty mark becomes a
+/// (vertex, replacement LabelSet) run edit, sorted by vertex, copied out of
+/// the shadow so the patch stays valid after further shadow maintenance.
 ///
 /// The patch is rank-encoded and therefore only applies to snapshots built
 /// under the same (pinned) ordering as `shadow`.

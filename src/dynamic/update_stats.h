@@ -27,19 +27,25 @@ enum class MaintenanceStrategy {
   kMinimality,
 };
 
-/// Records which bipartite vertices' label sets a maintenance pass mutated,
-/// by direction, for serving-tier patch extraction (dynamic/patch.h). The
+/// Records which original vertices' stored label sets (L_in(v_i) and
+/// L_out(v_o), see CscIndex) a maintenance pass mutated, by direction, for
+/// serving-tier patch extraction (dynamic/patch.h). The
 /// maintenance algorithms mark every *actual* label mutation — insertion,
 /// rewrite, or removal — never mere visits; marks deduplicate, so the dirty
 /// lists bound the damage a batch did to the labeling.
 class DirtyLabelTracker {
  public:
-  /// Marks the in-side (L_in) label set of bipartite vertex `w` as mutated.
-  void MarkIn(Vertex w) { Mark(in_marked_, in_dirty_, w); }
-  /// Marks the out-side (L_out) label set of bipartite vertex `w`.
-  void MarkOut(Vertex w) { Mark(out_marked_, out_dirty_, w); }
+  /// Marks L_in(v_i) (`in_side`) or L_out(v_o) of original vertex `v` as
+  /// mutated.
+  void Mark(Vertex v, bool in_side) {
+    std::vector<uint8_t>& marked = in_side ? in_marked_ : out_marked_;
+    if (v >= marked.size()) marked.resize(static_cast<size_t>(v) + 1, 0);
+    if (marked[v] != 0) return;
+    marked[v] = 1;
+    (in_side ? in_dirty_ : out_dirty_).push_back(v);
+  }
 
-  /// Mutated bipartite vertices per side, in first-mutation order.
+  /// Mutated original vertices per side, in first-mutation order.
   const std::vector<Vertex>& dirty_in() const { return in_dirty_; }
   const std::vector<Vertex>& dirty_out() const { return out_dirty_; }
   bool empty() const { return in_dirty_.empty() && out_dirty_.empty(); }
@@ -54,19 +60,13 @@ class DirtyLabelTracker {
   }
 
  private:
-  void Mark(std::vector<uint8_t>& marked, std::vector<Vertex>& dirty,
-            Vertex w) {
-    if (w >= marked.size()) marked.resize(static_cast<size_t>(w) + 1, 0);
-    if (marked[w] != 0) return;
-    marked[w] = 1;
-    dirty.push_back(w);
-  }
-
   std::vector<uint8_t> in_marked_, out_marked_;
   std::vector<Vertex> in_dirty_, out_dirty_;
 };
 
-/// Counters reported by the maintenance algorithms (Figures 11 and 12).
+/// Counters reported by the maintenance algorithms (Figures 11 and 12). The
+/// entry counters count the two stored sets (CscIndex), not their derived
+/// couple copies; vertices_visited counts couple-hop dequeues.
 struct UpdateStats {
   double seconds = 0;
   /// Label entries newly inserted.
@@ -83,9 +83,14 @@ struct UpdateStats {
   /// effective choice, so callers see rebuild-vs-repair agreement).
   MaintenanceStrategy strategy = MaintenanceStrategy::kRedundancy;
   /// When set, maintenance passes record every label-set mutation here (by
-  /// bipartite vertex and side) for patch extraction. Not owned; Accumulate
+  /// original vertex and side) for patch extraction. Not owned; Accumulate
   /// merges counters only and leaves the tracker pointer alone.
   DirtyLabelTracker* dirty = nullptr;
+
+  /// Records a mutation of L_in(v_i) (`in_side`) or L_out(v_o) in `dirty`.
+  void MarkDirty(Vertex v, bool in_side) {
+    if (dirty != nullptr) dirty->Mark(v, in_side);
+  }
 
   /// Net index growth in label entries (Figure 11(b) / 12(b) report this).
   int64_t NetEntryDelta() const {

@@ -37,8 +37,8 @@ const std::unordered_set<Vertex>& InvertedIndex::Vertices(Rank hub) const {
 }
 
 void InvertedIndex::BuildFrom(const HubLabeling& labeling,
-                              LabelDirection direction) {
-  by_hub_.assign(labeling.num_vertices(), {});
+                              LabelDirection direction, size_t num_ranks) {
+  by_hub_.assign(num_ranks, {});
   for (Vertex v = 0; v < labeling.num_vertices(); ++v) {
     for (const LabelEntry& e : SideOf(labeling, direction, v).entries()) {
       Add(e.hub(), v);

@@ -47,9 +47,10 @@ class InvertedIndex {
 
   const std::unordered_set<Vertex>& Vertices(Rank hub) const;
 
-  /// Rebuilds this index as the exact mirror of one direction of
-  /// `labeling` (what CscIndex::Build and EnsureInvertedIndexes call).
-  void BuildFrom(const HubLabeling& labeling, LabelDirection direction);
+  /// Rebuilds this index, over hub ranks [0, num_ranks), as the exact
+  /// mirror of one direction of `labeling`.
+  void BuildFrom(const HubLabeling& labeling, LabelDirection direction,
+                 size_t num_ranks);
 
   /// True iff this index holds exactly the (hub, owner) pairs of the given
   /// direction of `labeling` — the invariant maintenance must preserve.

@@ -110,7 +110,8 @@ struct EngineOptions {
   /// serving/wal.h): every admitted batch is appended + fsync'd before it
   /// is acknowledged, Checkpoint() snapshots + truncates it, and
   /// RecoverFromFile() replays it after a crash — acknowledged epochs
-  /// survive, bit-identical to an uncrashed engine. Every backend logs the
+  /// survive with the same answers as an uncrashed engine (the bytes can
+  /// differ after a Checkpoint; see RecoverFromFile). Every backend logs the
   /// same records: each admitted batch's net ops. LoadFrom / LoadFromFile /
   /// LoadView disable the WAL (no retained graph to checkpoint); recovery
   /// and Build re-enable it.
@@ -469,15 +470,19 @@ class Engine {
   /// Crash recovery: reads the WAL at EngineOptions::wal_path, rebuilds the
   /// checkpoint-record base graph, and replays every durable batch record
   /// (skipping ones covered by a rollback record) through the ordinary update
-  /// path — the recovered index is bit-identical to an uncrashed engine that
-  /// applied the same acknowledged batches, and the WAL is re-established
-  /// (fresh checkpoint + replayed batches) in the process. Epoch numbering
-  /// restarts from the replay, so pre-crash epoch tokens are not comparable
-  /// across a recovery. When the WAL is missing or empty, falls back to
-  /// LoadFromFile(`index_path`) — a pre-WAL index file loads, but updates
-  /// stay unavailable (kNoGraph) and the WAL stays disabled until the next
-  /// Build. False with `*error` set (when non-null) on an unreadable/foreign
-  /// log, a failed base build, or a batch that failed to replay.
+  /// path — the recovered index answers every query as an uncrashed engine
+  /// that applied the same acknowledged batches does, and the WAL is
+  /// re-established (fresh checkpoint + replayed batches) in the process.
+  /// Its bytes equal the uncrashed engine's unless the log holds a
+  /// Checkpoint and the engine repairs: the base is rebuilt under the
+  /// checkpoint graph's degree ordering, while the uncrashed engine kept its
+  /// Build-time one (ROADMAP item 5, "Exact warm restart", is the fix).
+  /// Epoch numbering restarts from the replay, so pre-crash epoch tokens are
+  /// not comparable across a recovery. With the WAL missing or empty, falls
+  /// back to LoadFromFile(`index_path`) — a pre-WAL index file loads, but
+  /// updates stay unavailable (kNoGraph) and the WAL stays disabled until
+  /// the next Build. False with `*error` set (when non-null) on an
+  /// unreadable/foreign log, a failed base build, or a failed batch replay.
   bool RecoverFromFile(const std::string& index_path,
                        std::string* error = nullptr)
       CSC_EXCLUDES(land_mu_, update_mu_, query_mu_);

@@ -209,6 +209,49 @@ TEST(BatchTest, MinimalityStrategyKeepsIndexMinimalAcrossBatches) {
   }
 }
 
+// A threshold above 1 never rebuilds: not on an edgeless index (here one of
+// reserved vertices only), where any batch is "all of the edges", and not
+// for a batch with more inserts than the graph has edges. Both run the
+// per-edge repair, including InsertEdge on an edgeless graph.
+TEST(BatchTest, ThresholdAboveOneNeverRebuilds) {
+  CscIndex::Options build_options;
+  build_options.reserve_vertices = 6;
+  build_options.maintain_inverted_index = true;
+  DiGraph graph;
+  const VertexOrdering empty_order = DegreeOrdering(graph);
+  CscIndex index = CscIndex::Build(graph, empty_order, build_options);
+  // The order a fresh build of the grown graph pins: reserved vertex v is
+  // ranked v.
+  const VertexOrdering order =
+      OrderingFromPermutation({0, 1, 2, 3, 4, 5});
+
+  BatchOptions options;
+  options.strategy = MaintenanceStrategy::kMinimality;
+  options.rebuild_threshold = 10;
+  options.pinned_order = &order;
+  DiGraph target(6);
+  std::vector<EdgeUpdate> first = {EdgeUpdate::Insert(0, 1),
+                                   EdgeUpdate::Insert(1, 0)};
+  std::vector<EdgeUpdate> second;
+  for (Vertex u = 0; u < 6; ++u) {
+    for (Vertex v = 0; v < 6; ++v) {
+      if (u == v || (u < 2 && v < 2)) continue;
+      second.push_back(EdgeUpdate::Insert(u, v));
+    }
+  }
+  ASSERT_EQ(second.size(), 28u);
+  for (const std::vector<EdgeUpdate>* batch : {&first, &second}) {
+    for (const EdgeUpdate& u : *batch) target.AddEdge(u.edge.from, u.edge.to);
+    BatchResult result = ApplyUpdates(index, *batch, options);
+    EXPECT_FALSE(result.rebuilt) << batch->size() << " inserts";
+    EXPECT_EQ(result.inserted, batch->size());
+    ExpectMatchesOracle(index, target);
+    EXPECT_EQ(index.served_labels(),
+              CscIndex::Build(target, order).served_labels())
+        << batch->size() << " inserts";
+  }
+}
+
 TEST(RebuildIndexTest, PreservesAnswersAndRestoresMinimality) {
   DiGraph graph = RandomGraph(50, 2.5, 13);
   CscIndex index = BuildIndex(graph);
@@ -226,7 +269,7 @@ TEST(RebuildIndexTest, PreservesAnswersAndRestoresMinimality) {
 
   // And the rebuilt index equals a from-scratch build entry-for-entry.
   CscIndex fresh = BuildIndex(target);
-  EXPECT_EQ(index.labeling(), fresh.labeling());
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // counters, recorded from a known-good build. Every builder path (sequential
 // and rank-batched CSC at 1 and 4 workers, and HP-SPC) must reproduce them.
 // CSC builds also pin a CRC-32C over all four label sets of the full
-// labeling (L_in and L_out of both v_i and v_o), so the two couple halves
-// the serving form drops are held to the same output as the two it keeps.
+// labeling (L_in and L_out of both v_i and v_o), expanded from the two the
+// index stores by CompactIndex::ExpandToFull, so the two couple halves the
+// index and the serving form drop are held to the same output as the two
+// they keep.
 // The flat serving forms are pinned too, as CRC-32Cs of what their backends
 // save after a registry Build, so a build chain that drops or reorders a run
 // between the labeling and the served payload fails here even when every
@@ -152,7 +154,8 @@ void ExpectPinnedCsc(const CscIndex& index, const PinnedOutput& csc,
       Observe(Crc32c(CompactIndex::FromIndex(index).Serialize()),
               index.build_stats());
   EXPECT_EQ(observed, csc) << context;
-  uint32_t labeling = LabelingCrc(index.labeling());
+  uint32_t labeling =
+      LabelingCrc(CompactIndex::FromIndex(index).ExpandToFull());
   EXPECT_EQ(labeling, csc_labeling)
       << context << " full labeling observed 0x" << std::hex << labeling;
 }

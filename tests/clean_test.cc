@@ -13,17 +13,19 @@
 namespace csc {
 namespace {
 
-// Count label entries whose stored distance exceeds the live 2-hop distance
-// (the redundancy definition, Definition V.2).
+// Count label entries of the full four-set labeling whose stored distance
+// exceeds the live 2-hop distance (the redundancy definition, Definition
+// V.2).
 uint64_t CountRedundantEntries(const CscIndex& index) {
   uint64_t redundant = 0;
   const auto& order = index.bipartite_order();
-  for (Vertex v = 0; v < index.bipartite_graph().num_vertices(); ++v) {
-    for (const LabelEntry& e : index.labeling().in[v].entries()) {
+  const HubLabeling full = ExpandedLabeling(index);
+  for (Vertex v = 0; v < full.num_vertices(); ++v) {
+    for (const LabelEntry& e : full.in[v].entries()) {
       Vertex hub = order.rank_to_vertex[e.hub()];
       if (e.dist() > index.BipartiteQuery(hub, v).dist) ++redundant;
     }
-    for (const LabelEntry& e : index.labeling().out[v].entries()) {
+    for (const LabelEntry& e : full.out[v].entries()) {
       Vertex hub = order.rank_to_vertex[e.hub()];
       if (e.dist() > index.BipartiteQuery(v, hub).dist) ++redundant;
     }
@@ -83,21 +85,20 @@ TEST(CleanTest, CleaningKeepsInvertedIndexConsistent) {
     ASSERT_TRUE(
         InsertEdge(index, e.from, e.to, MaintenanceStrategy::kMinimality));
   }
+  const HubLabeling& labels = index.served_labels();
   uint64_t in_entries = 0, out_entries = 0;
-  for (Vertex v = 0; v < index.bipartite_graph().num_vertices(); ++v) {
-    in_entries += index.labeling().in[v].size();
-    out_entries += index.labeling().out[v].size();
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+    in_entries += labels.in[v].size();
+    out_entries += labels.out[v].size();
   }
   EXPECT_EQ(index.inv_in().TotalEntries(), in_entries);
   EXPECT_EQ(index.inv_out().TotalEntries(), out_entries);
   // Spot-check membership: every in-label entry is registered under its hub.
-  const auto& order = index.bipartite_order();
-  for (Vertex v = 0; v < index.bipartite_graph().num_vertices(); ++v) {
-    for (const LabelEntry& e : index.labeling().in[v].entries()) {
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+    for (const LabelEntry& e : labels.in[v].entries()) {
       EXPECT_TRUE(index.inv_in().Vertices(e.hub()).count(v))
           << "hub rank " << e.hub() << " vertex " << v;
     }
-    (void)order;
   }
 }
 
@@ -117,7 +118,7 @@ TEST(CleanTest, FullSweepRestoresMinimalityAfterRedundantUpdates) {
 
   index.EnsureInvertedIndexes();
   UpdateStats stats;
-  for (Vertex v = 0; v < index.bipartite_graph().num_vertices(); ++v) {
+  for (Vertex v = 0; v < index.num_original_vertices(); ++v) {
     CleanAfterInLabelChange(index, v, stats);
     CleanAfterOutLabelChange(index, v, stats);
   }

@@ -79,7 +79,7 @@ TEST(DecrementalTest, MatchesFreshBuildExactlyAfterEachRemoval) {
     // The recovered index must coincide with a fresh build entry-for-entry
     // (recovery replays construction decisions for the affected hubs).
     CscIndex fresh = CscIndex::Build(g, order);
-    ASSERT_EQ(index.labeling(), fresh.labeling())
+    ASSERT_EQ(index.served_labels(), fresh.served_labels())
         << "after removing " << e.from << "->" << e.to;
   }
 }
@@ -124,10 +124,11 @@ TEST(DecrementalTest, WorksWithInvertedIndexesEnabled) {
     ExpectMatchesBfs(index, g, "inv-enabled removal");
   }
   // Inverted indexes must still exactly mirror the labeling.
+  const HubLabeling& labels = index.served_labels();
   uint64_t in_entries = 0, out_entries = 0;
-  for (Vertex v = 0; v < index.bipartite_graph().num_vertices(); ++v) {
-    in_entries += index.labeling().in[v].size();
-    out_entries += index.labeling().out[v].size();
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+    in_entries += labels.in[v].size();
+    out_entries += labels.out[v].size();
   }
   EXPECT_EQ(index.inv_in().TotalEntries(), in_entries);
   EXPECT_EQ(index.inv_out().TotalEntries(), out_entries);

@@ -56,7 +56,7 @@ TEST_P(MixedUpdateTest, RandomUpdateSequenceStaysExact) {
     }
     if (minimality) {
       CscIndex fresh = CscIndex::Build(g, order);
-      ASSERT_EQ(index.labeling(), fresh.labeling())
+      ASSERT_EQ(index.served_labels(), fresh.served_labels())
           << "seed=" << seed << " step=" << step;
     }
   }
@@ -92,7 +92,7 @@ TEST(DynamicStressTest, GrowGraphFromScratchByInsertions) {
     EXPECT_EQ(index.Query(v), bfs.CountCycles(v)) << "vertex " << v;
   }
   CscIndex fresh = CscIndex::Build(g, order);
-  EXPECT_EQ(index.labeling(), fresh.labeling());
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
 }
 
 TEST(DynamicStressTest, TearDownGraphByDeletions) {
@@ -110,7 +110,7 @@ TEST(DynamicStressTest, TearDownGraphByDeletions) {
   }
   // Only self labels should remain, exactly like a fresh empty build.
   CscIndex fresh = CscIndex::Build(g, order);
-  EXPECT_EQ(index.labeling(), fresh.labeling());
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ TEST(HubRowTest, ShiftedCoupleLoadMatchesOutLabelsOfTheHub) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     DiGraph g = RandomGraph(60, 2.5, seed);
     CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
-    const HubLabeling& labels = index.labeling();
+    const HubLabeling labels = ExpandedLabeling(index);
     const std::vector<Rank>& rank = index.bipartite_order().vertex_to_rank;
     const Vertex num_bipartite = static_cast<Vertex>(labels.num_vertices());
     HubRow shifted(num_bipartite);

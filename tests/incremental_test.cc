@@ -110,7 +110,7 @@ TEST(IncrementalTest, MinimalityMatchesFreshBuildExactly) {
   // Note: the same *original* ordering is reused; a fresh DegreeOrdering
   // would rank the grown degrees differently.
   CscIndex fresh = CscIndex::Build(g, order);
-  EXPECT_EQ(index.labeling(), fresh.labeling());
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
 }
 
 TEST(IncrementalTest, RedundancyNeverShrinksButStaysCorrect) {

@@ -86,7 +86,7 @@ TEST(IntegrationTest, ReloadedIndexResumesDynamicMaintenance) {
   auto reloaded = CompactIndex::Deserialize(compact.Serialize());
   ASSERT_TRUE(reloaded.has_value());
   HubLabeling expanded = reloaded->ExpandToFull();
-  ASSERT_EQ(expanded, index.labeling());
+  ASSERT_EQ(expanded, ExpandedLabeling(index));
 
   // Maintenance on the original index object after a compaction round trip
   // (minimality strategy so the later deletions see a minimal index).
@@ -127,7 +127,7 @@ TEST(IntegrationTest, PaperDynamicWorkloadRemoveThenReinsert) {
     EXPECT_EQ(index.Query(v), before[v]) << "vertex " << v;
   }
   CscIndex fresh = CscIndex::Build(g, order);
-  EXPECT_EQ(index.labeling(), fresh.labeling());
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
 }
 
 }  // namespace

@@ -67,7 +67,8 @@ TEST(ParallelBuildDeterminismTest, CscLabelingMatchesSequential) {
       options.build_threads = threads;
       CscIndex parallel = CscIndex::Build(g.graph, order, options);
       std::string context = g.name + " threads=" + std::to_string(threads);
-      EXPECT_EQ(parallel.labeling(), sequential.labeling()) << context;
+      EXPECT_EQ(parallel.served_labels(), sequential.served_labels())
+          << context;
       ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
                        context);
       EXPECT_EQ(parallel.build_stats().build_threads, threads) << context;
@@ -174,7 +175,7 @@ TEST(ParallelBuildDeterminismTest, ReservedVerticesMatchSequential) {
     CscIndex::Options options = sequential_options;
     options.build_threads = threads;
     CscIndex parallel = CscIndex::Build(graph, order, options);
-    EXPECT_EQ(parallel.labeling(), sequential.labeling())
+    EXPECT_EQ(parallel.served_labels(), sequential.served_labels())
         << "threads=" << threads;
   }
 }

@@ -115,7 +115,7 @@ TEST(ReserveVerticesTest, ReservedBuildMatchesExtendedStaticBuild) {
     order.vertex_to_rank.push_back(v);
   }
   CscIndex direct = CscIndex::Build(extended, order);
-  EXPECT_EQ(reserved.labeling(), direct.labeling());
+  EXPECT_EQ(reserved.served_labels(), direct.served_labels());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "csc/compact_index.h"
+#include "csc/csc_index.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
@@ -29,6 +31,12 @@ inline DiGraph Figure2Graph() {
 /// (DegreeOrdering(Figure2Graph()) reproduces it; tests assert that too.)
 inline VertexOrdering Figure2Ordering() {
   return OrderingFromPermutation({0, 6, 3, 9, 1, 2, 4, 5, 7, 8});
+}
+
+/// The full four-set labeling of `index` over G_b: its two stored sets plus
+/// the couple copies the §IV.E identity derives (CompactIndex::ExpandToFull).
+inline HubLabeling ExpandedLabeling(const CscIndex& index) {
+  return CompactIndex::FromIndex(index).ExpandToFull();
 }
 
 /// A small random directed graph for property tests: n vertices, ~density*n

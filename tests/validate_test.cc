@@ -34,12 +34,12 @@ TEST(ValidateTest, FreshCscIsValidUnderVinMask) {
   VertexOrdering order = DegreeOrdering(g);
   CscIndex index = CscIndex::Build(g, order);
   std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
+  const HubLabeling full = ExpandedLabeling(index);
   EXPECT_TRUE(
-      ValidateLabelingStructure(index.labeling(), index.bipartite_order())
-          .empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(
-                  index.labeling(), index.bipartite_graph(),
-                  index.bipartite_order(), /*expect_minimal=*/true, &mask)
+      ValidateLabelingStructure(full, index.bipartite_order()).empty());
+  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
+                                        index.bipartite_order(),
+                                        /*expect_minimal=*/true, &mask)
                   .empty());
 }
 
@@ -57,12 +57,12 @@ TEST(ValidateTest, MaintainedIndexStaysValid) {
     g.RemoveEdge(e.from, e.to);
   }
   std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
+  const HubLabeling full = ExpandedLabeling(index);
   EXPECT_TRUE(
-      ValidateLabelingStructure(index.labeling(), index.bipartite_order())
-          .empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(
-                  index.labeling(), index.bipartite_graph(),
-                  index.bipartite_order(), /*expect_minimal=*/true, &mask)
+      ValidateLabelingStructure(full, index.bipartite_order()).empty());
+  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
+                                        index.bipartite_order(),
+                                        /*expect_minimal=*/true, &mask)
                   .empty());
 }
 
@@ -82,13 +82,14 @@ TEST(ValidateTest, RedundantEntriesFlaggedOnlyWhenMinimalExpected) {
   CscIndex index = CscIndex::Build(g, order);
   ASSERT_TRUE(InsertEdge(index, 2, 3, MaintenanceStrategy::kRedundancy));
   std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
-  EXPECT_FALSE(ValidateLabelingSemantics(
-                   index.labeling(), index.bipartite_graph(),
-                   index.bipartite_order(), /*expect_minimal=*/true, &mask)
+  const HubLabeling full = ExpandedLabeling(index);
+  EXPECT_FALSE(ValidateLabelingSemantics(full, index.bipartite_graph(),
+                                         index.bipartite_order(),
+                                         /*expect_minimal=*/true, &mask)
                    .empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(
-                  index.labeling(), index.bipartite_graph(),
-                  index.bipartite_order(), /*expect_minimal=*/false, &mask)
+  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
+                                        index.bipartite_order(),
+                                        /*expect_minimal=*/false, &mask)
                   .empty());
 }
 
@@ -137,7 +138,8 @@ TEST(ValidateTest, DetectsUnsortedAndMissingSelf) {
 TEST(ValidateTest, StatsAddUp) {
   DiGraph g = RandomGraph(50, 2.5, 11);
   CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
-  LabelingStats stats = ComputeLabelingStats(index.labeling());
+  const HubLabeling& labels = index.served_labels();
+  LabelingStats stats = ComputeLabelingStats(labels);
   EXPECT_EQ(stats.total_entries, index.TotalEntries());
   EXPECT_EQ(stats.in_entries + stats.out_entries, stats.total_entries);
   EXPECT_GT(stats.max_label_size, 0u);
@@ -145,7 +147,7 @@ TEST(ValidateTest, StatsAddUp) {
   uint64_t histogram_total = 0;
   for (uint64_t bucket : stats.size_histogram) histogram_total += bucket;
   EXPECT_EQ(histogram_total,
-            index.labeling().in.size() + index.labeling().out.size());
+            labels.in.size() + labels.out.size());
 }
 
 }  // namespace
