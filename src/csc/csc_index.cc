@@ -143,7 +143,7 @@ class CoupleSkipBuilder {
     queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Rank w = queue_[head++];
+      Rank w = DequeueAndPrefetch(queue_, head, labels_.in, 1);
       ++stats_.vertices_dequeued;
       if (distance_pruning_) {
         Dist via = row_.Join(labels_.In(w));
@@ -193,7 +193,7 @@ class CoupleSkipBuilder {
     queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Rank w = queue_[head++];
+      Rank w = DequeueAndPrefetch(queue_, head, labels_.out, 1);
       ++stats_.vertices_dequeued;
       if (w == hr) {
         // Modification (3) of §IV.C: the root only records (v, 0, 1) in its
@@ -367,7 +367,7 @@ class ParallelCoupleSkipBuilder {
     s.queue.push_back(hr);
     size_t head = 0;
     while (head < s.queue.size()) {
-      Rank w = s.queue[head++];
+      Rank w = DequeueAndPrefetch(s.queue, head, labels_.in, 1);
       ++sh.fwd.dequeued;
       Dist via_dist = s.row.Join(labels_.In(w));
       if (via_dist < s.dist[w]) {
@@ -404,7 +404,7 @@ class ParallelCoupleSkipBuilder {
     s.queue.push_back(hr);
     size_t head = 0;
     while (head < s.queue.size()) {
-      Rank w = s.queue[head++];
+      Rank w = DequeueAndPrefetch(s.queue, head, labels_.out, 1);
       ++sh.bwd.dequeued;
       if (w == hr) {
         // Modification (3) of §IV.C: the root records only its own
@@ -445,8 +445,25 @@ class ParallelCoupleSkipBuilder {
     s.row.Clear(labels_.In(hr));
   }
 
+  // pass.events[i], after prefetching for the appends of later events to
+  // `sets`: a header 2 * kJoinLookAhead events ahead, an append slot
+  // kJoinLookAhead ahead. Returned for DequeueAndPrefetch's reason.
+  static const StagedEvent& ReplayAndPrefetch(
+      const StagedPass& pass, size_t i, const std::vector<LabelSet>& sets) {
+    const auto& events = pass.events;
+    if (i + 2 * kJoinLookAhead < events.size()) {
+      __builtin_prefetch(&sets[events[i + 2 * kJoinLookAhead].w >> 1], 1);
+    }
+    if (i + kJoinLookAhead < events.size()) {
+      const auto& run = sets[events[i + kJoinLookAhead].w >> 1].entries();
+      __builtin_prefetch(run.data() + run.size(), 1);
+    }
+    return events[i];
+  }
+
   void CommitForward(const StagedHub& sh) {
-    for (const StagedEvent& e : sh.fwd.events) {
+    for (size_t i = 0; i < sh.fwd.events.size(); ++i) {
+      const StagedEvent& e = ReplayAndPrefetch(sh.fwd, i, labels_.in);
       if (e.via_dist == e.dist) {
         stats_.non_canonical_entries += 2;
       } else {
@@ -462,7 +479,8 @@ class ParallelCoupleSkipBuilder {
   }
 
   void CommitBackward(const StagedHub& sh) {
-    for (const StagedEvent& e : sh.bwd.events) {
+    for (size_t i = 0; i < sh.bwd.events.size(); ++i) {
+      const StagedEvent& e = ReplayAndPrefetch(sh.bwd, i, labels_.out);
       if (e.w == sh.hub) {  // the root's (v, 0, 1), a derived entry
         ++stats_.entries;
         ++stats_.canonical_entries;
@@ -530,9 +548,7 @@ void CscIndex::BuildCoupleLabels(const DiGraph& graph,
     } else {
       assert(distance_pruning);
       ParallelCoupleSkipBuilder builder(csr, pair_labels, stats);
-      ParallelBuildPlan plan;
-      plan.num_threads = options.build_threads;
-      RunRankBatchedBuild(builder, csr.num_ranks(), plan);
+      RunRankBatchedBuild(builder, csr.num_ranks(), options.build_threads);
     }
   }
   bipartite_order = BipartiteOrdering(order);

@@ -74,7 +74,8 @@ class RecoveryPass {
     queue_.push_back(hub);
     size_t head = 0;
     while (head < queue_.size()) {
-      Vertex w = queue_[head++];
+      Vertex w = DequeueAndPrefetch(queue_, head,
+                                    forward ? labels.in : labels.out, 1);
       ++stats_.vertices_visited;
       if (!forward && w == hub) {
         // Modification (3): the root's (v_i, 0, 1) out-label is derived;

@@ -90,6 +90,34 @@ class HubRow {
   Rank end_ = 0;  // one past the highest loaded rank; 0 when clear
 };
 
+/// Look-ahead of DequeueAndPrefetch; WKT@0.5 builds ran alike at 4/6/8/12.
+inline constexpr size_t kJoinLookAhead = 6;
+
+/// Returns queue[head++] of a pass whose join at w scans sets[w >> shift]
+/// (shift 1 where a pair's two G_b vertices share one stored set), first
+/// prefetching for later joins: the LabelSet header 2 * kJoinLookAhead
+/// dequeues ahead, then the first lines of its entries, a heap run of their
+/// own, kJoinLookAhead ahead. (Returning the vertex keeps GCC from deleting
+/// a call whose only effect is a prefetch.)
+template <typename Queue>
+typename Queue::value_type DequeueAndPrefetch(
+    const Queue& queue, size_t& head, const std::vector<LabelSet>& sets,
+    unsigned shift = 0) {
+  if (head + 2 * kJoinLookAhead < queue.size()) {
+    __builtin_prefetch(&sets[queue[head + 2 * kJoinLookAhead] >> shift]);
+  }
+  if (head + kJoinLookAhead < queue.size()) {
+    const auto& run = sets[queue[head + kJoinLookAhead] >> shift].entries();
+    // At most 8 lines: the hardware streams a longer run's tail in.
+    constexpr size_t kPerLine = 64 / sizeof(LabelEntry);
+    const size_t prefix = std::min(run.size(), 8 * kPerLine);
+    for (size_t k = 0; k < prefix; k += kPerLine) {
+      __builtin_prefetch(run.data() + k);
+    }
+  }
+  return queue[head++];
+}
+
 }  // namespace csc
 
 #endif  // CSC_LABELING_HUB_ROW_H_

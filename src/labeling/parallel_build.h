@@ -57,15 +57,16 @@ namespace csc {
 ///      bit-identical at any thread count, and so are the build stats
 ///      (canonical/non-canonical classification re-derives from via_seq).
 ///
-/// Batch sizes adapt to the dirty rate, from 1 up to
-/// `ParallelBuildPlan::batch_size`: a batch that re-ran any pass drops the
-/// next batch back to a singleton, a fully clean batch doubles toward the
-/// cap. The top-ranked hubs prune each other heavily (a dirty hub there
-/// stages a near-unpruned BFS only to re-run it), so batches stay small
-/// exactly while that holds and grow geometrically through the long clean
-/// tail. The schedule depends only on staged results — which are
-/// schedule-independent — never on the thread count, so the committed work,
-/// and therefore the stats, are identical for any number of workers.
+/// Batch sizes adapt to the dirty rate, from 1 up to `kMaxBatchRanks`
+/// ranks (so at most 32 CSC hubs: out-vertices root no BFS): a batch that
+/// re-ran any pass drops the next batch back to a singleton, a fully clean
+/// batch doubles toward the cap. The top-ranked hubs prune each other
+/// heavily (a dirty hub there stages a near-unpruned BFS only to re-run
+/// it), so batches stay small exactly while that holds and grow
+/// geometrically through the long clean tail. The schedule depends only on
+/// staged results — which are schedule-independent — never on the thread
+/// count, so the committed work, and therefore the stats, are identical for
+/// any number of workers.
 ///
 /// Concurrency contract (why this file carries no CSC_GUARDED_BY
 /// annotations): there is no mutex-protected shared state. Workers claim
@@ -76,14 +77,7 @@ namespace csc {
 /// annotated, util/thread_pool.h), whose barrier orders every staged write
 /// before the serial commit loop reads them. The TSan CI job runs the
 /// determinism suite over this handoff at 1..8 workers.
-struct ParallelBuildPlan {
-  /// Staging workers. Callers treat 0 as "use the sequential builder" and
-  /// never construct a plan with 0; >= 1 runs the batched path.
-  unsigned num_threads = 1;
-  /// Hubs per rank batch once the geometric ramp is over. Thread-count
-  /// independent so results and stats never depend on worker count.
-  size_t batch_size = 64;
-};
+inline constexpr size_t kMaxBatchRanks = 64;
 
 /// One labeled dequeue of a staged pruned BFS pass: vertex, BFS distance,
 /// path multiplicity, and the distance-pruning join observed at stage time
@@ -229,8 +223,9 @@ PassValidation ValidateStagedHub(const Builder& builder,
   return result;
 }
 
-/// Runs the full rank-batched build over ranks [0, num_ranks). `Builder`
-/// provides:
+/// Runs the full rank-batched build over ranks [0, num_ranks) with
+/// `num_threads` staging workers (callers run the sequential builder for 0
+/// and never pass it). `Builder` provides:
 ///   struct Scratch;                     // per-worker BFS scratch
 ///   void InitScratch(Scratch&);         // sized so staging never grows it
 ///   Vertex VertexAt(Rank r) const;      // the vertex ranked r
@@ -250,21 +245,20 @@ PassValidation ValidateStagedHub(const Builder& builder,
 /// order.
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
-                         const ParallelBuildPlan& plan) {
-  const size_t max_batch = std::max<size_t>(1, plan.batch_size);
+                         unsigned num_threads) {
   // A worker beyond twice the batch cap can never be busy (a batch stages
-  // at most two passes per hub, max_batch hubs), and each worker costs an
-  // OS thread plus a full-size BFS scratch — so clamp rather than trust the
-  // caller's flag.
-  const unsigned num_threads = static_cast<unsigned>(
-      std::min<size_t>(std::max(1u, plan.num_threads), 2 * max_batch));
+  // at most two passes per hub, kMaxBatchRanks hubs), and each worker costs
+  // an OS thread plus a full-size BFS scratch — so clamp rather than trust
+  // the caller's flag.
+  num_threads = static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, num_threads), 2 * kMaxBatchRanks));
   // One worker thread can only ever stage on the calling thread, so don't
   // spawn a pool that would sit idle for the whole build.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   std::vector<typename Builder::Scratch> scratch(num_threads);
   for (auto& s : scratch) builder.InitScratch(s);
-  std::vector<StagedHub> staged(max_batch);
+  std::vector<StagedHub> staged(kMaxBatchRanks);
 
   size_t batch_size = 1;  // adapted per batch; see the file comment
   size_t debug_dirty = 0, debug_hubs = 0, debug_staged_deq = 0,
@@ -278,7 +272,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
     double stage_s = 0, pass_s = 0, longest_s = 0;
   };
   std::vector<StageBucket> debug_buckets;
-  std::vector<double> pass_s(2 * max_batch);
+  std::vector<double> pass_s(2 * kMaxBatchRanks);
   const bool debug = std::getenv("CSC_PARALLEL_DEBUG") != nullptr;
   // Clock reads sit inside the serial commit loop; only pay for them when
   // the phase report was asked for.
@@ -403,7 +397,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
     // drop straight back to singleton batches on any re-run and double
     // toward the cap while batches come back clean.
     batch_size =
-        dirty_in_batch > 0 ? 1 : std::min(batch_size * 2, max_batch);
+        dirty_in_batch > 0 ? 1 : std::min(batch_size * 2, kMaxBatchRanks);
   }
   if (debug) {
     std::fprintf(stderr,

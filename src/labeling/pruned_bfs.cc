@@ -40,6 +40,8 @@ class PlainBuilder {
     const LabelSet& hub_labels =
         forward ? labeling_.out[hub] : labeling_.in[hub];
     if (options_.distance_pruning) row_.Load(hub_labels);
+    // The sets the pass joins and appends to: L_in(w) forward, else L_out(w).
+    std::vector<LabelSet>& reached = forward ? labeling_.in : labeling_.out;
     queue_.clear();
     dist_[hub] = 0;
     count_[hub] = 1;
@@ -47,12 +49,12 @@ class PlainBuilder {
     queue_.push_back(hub);
     size_t head = 0;
     while (head < queue_.size()) {
-      Vertex w = queue_[head++];
+      Vertex w = DequeueAndPrefetch(queue_, head, reached);
       ++stats_.vertices_dequeued;
       if (options_.distance_pruning) {
         // Distance-pruning query (Algorithm 3 line 13): the distance hub->w
         // (w->hub when backward) through hubs of strictly higher rank.
-        Dist via = row_.Join(forward ? labeling_.in[w] : labeling_.out[w]);
+        Dist via = row_.Join(reached[w]);
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;  // hub is not highest on any shortest path; stop here.
@@ -63,8 +65,7 @@ class PlainBuilder {
           ++stats_.canonical_entries;
         }
       }
-      LabelSet& target = forward ? labeling_.in[w] : labeling_.out[w];
-      target.Append(LabelEntry(hub_rank, dist_[w], count_[w]));
+      reached[w].Append(LabelEntry(hub_rank, dist_[w], count_[w]));
       ++stats_.entries;
       const auto& next =
           forward ? graph_.OutNeighbors(w) : graph_.InNeighbors(w);
@@ -166,6 +167,8 @@ class ParallelPlainBuilder {
     const LabelSet& hub_labels =
         forward ? labeling_.out[hub] : labeling_.in[hub];
     if (options_.distance_pruning) s.row.Load(hub_labels);
+    const std::vector<LabelSet>& reached =
+        forward ? labeling_.in : labeling_.out;
     s.queue.clear();
     s.dist[hub] = 0;
     s.count[hub] = 1;
@@ -173,11 +176,11 @@ class ParallelPlainBuilder {
     s.queue.push_back(hub);
     size_t head = 0;
     while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
+      Vertex w = DequeueAndPrefetch(s.queue, head, reached);
       ++out.dequeued;
       Dist via_dist = kInfDist;
       if (options_.distance_pruning) {
-        via_dist = s.row.Join(forward ? labeling_.in[w] : labeling_.out[w]);
+        via_dist = s.row.Join(reached[w]);
         if (via_dist < s.dist[w]) {
           ++out.pruned;
           continue;
@@ -242,9 +245,7 @@ void BuildPlainHubLabeling(const DiGraph& graph, const VertexOrdering& order,
     builder.BuildAll();
   } else {
     ParallelPlainBuilder builder(graph, order, labeling, stats, options);
-    ParallelBuildPlan plan;
-    plan.num_threads = options.num_threads;
-    RunRankBatchedBuild(builder, order.size(), plan);
+    RunRankBatchedBuild(builder, order.size(), options.num_threads);
   }
   stats.build_threads = options.num_threads;
 }

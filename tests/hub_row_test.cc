@@ -167,5 +167,28 @@ TEST(HubRowTest, ShiftedCoupleLoadMatchesOutLabelsOfTheHub) {
   }
 }
 
+TEST(HubRowTest, DequeueAndPrefetchPopsInOrderAtEveryQueueLength) {
+  // The prefetch looks up to 2 * kJoinLookAhead entries past the head: it
+  // must stay inside the queue and the sets (empty runs, runs longer than
+  // the prefetched prefix, a pair-shared set) and pop exactly queue[head].
+  Rng rng(3);
+  std::vector<LabelSet> sets(40);
+  for (LabelSet& s : sets) s = RandomLabels(rng, rng.NextDouble(), 4);
+  sets[5] = LabelSet();
+  for (size_t len = 0; len <= 2 * kJoinLookAhead + 3; ++len) {
+    for (unsigned shift : {0u, 1u}) {
+      std::vector<Rank> queue;
+      for (size_t i = 0; i < len; ++i) {
+        queue.push_back(static_cast<Rank>(rng.NextBounded(40 << shift)));
+      }
+      size_t head = 0;
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(DequeueAndPrefetch(queue, head, sets, shift), queue[i]);
+        ASSERT_EQ(head, i + 1);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csc
