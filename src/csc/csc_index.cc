@@ -3,89 +3,16 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <utility>
 #include <vector>
 
+#include "csc/couple_builders.h"
 #include "labeling/hub_row.h"
-#include "labeling/parallel_build.h"
 #include "util/timer.h"
 
 namespace csc {
 
 namespace {
-
-/// The input graph as Algorithm 3 walks it, renamed by rank as pruned
-/// landmark labeling does (Akiba, Iwata & Yoshida, SIGMOD 2013): pair k is
-/// the vertex of rank k, whose couple vertices have the bipartite ranks 2k
-/// (v_i) and 2k + 1 (v_o). The builders use bipartite ranks as vertex ids,
-/// so CoupleOf/IsInVertex keep their meaning and rank pruning is one compare
-/// with the neighbor's id. Only G_b's non-couple edges are stored, each as
-/// the bipartite rank it leads to, in one flat array per direction.
-class RankedCsr {
- public:
-  /// `graph` under `order`, plus isolated pairs up to `num_pairs`, ranked
-  /// below every vertex of `graph`.
-  RankedCsr(const DiGraph& graph, const VertexOrdering& order,
-            Vertex num_pairs)
-      : succ_begin_(num_pairs + 1, 0), pred_begin_(num_pairs + 1, 0) {
-    const std::vector<Rank>& rank = order.vertex_to_rank;
-    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-      succ_begin_[rank[v] + 1] = graph.OutDegree(v);
-      pred_begin_[rank[v] + 1] = graph.InDegree(v);
-    }
-    for (Vertex k = 0; k < num_pairs; ++k) {
-      succ_begin_[k + 1] += succ_begin_[k];
-      pred_begin_[k + 1] += pred_begin_[k];
-    }
-    succ_.resize(succ_begin_[num_pairs]);
-    pred_.resize(pred_begin_[num_pairs]);
-    for (Vertex v = 0; v < graph.num_vertices(); ++v) {
-      Rank* succ = succ_.data() + succ_begin_[rank[v]];
-      for (Vertex w : graph.OutNeighbors(v)) *succ++ = 2 * rank[w];
-      Rank* pred = pred_.data() + pred_begin_[rank[v]];
-      for (Vertex u : graph.InNeighbors(v)) *pred++ = 2 * rank[u] + 1;
-    }
-  }
-
-  /// Bipartite ranks: twice the number of pairs.
-  Rank num_ranks() const {
-    return 2 * static_cast<Rank>(succ_begin_.size() - 1);
-  }
-
-  /// G_b successors of x's out-vertex (in-vertex ranks), for x of either
-  /// side of a pair.
-  std::span<const Rank> Successors(Rank x) const {
-    return {succ_.data() + succ_begin_[x >> 1],
-            succ_.data() + succ_begin_[(x >> 1) + 1]};
-  }
-  /// G_b predecessors of x's in-vertex (out-vertex ranks).
-  std::span<const Rank> Predecessors(Rank x) const {
-    return {pred_.data() + pred_begin_[x >> 1],
-            pred_.data() + pred_begin_[(x >> 1) + 1]};
-  }
-
- private:
-  std::vector<uint64_t> succ_begin_;
-  std::vector<uint64_t> pred_begin_;
-  std::vector<Rank> succ_;
-  std::vector<Rank> pred_;
-};
-
-/// The two label sets construction writes, by pair rank k: in[k] is
-/// L_in(v_i) and out[k] is L_out(v_o) of the vertex ranked k.
-struct PairLabels {
-  explicit PairLabels(Vertex num_pairs) : in(num_pairs), out(num_pairs) {}
-
-  /// L_in of in-vertex rank x and L_out of out-vertex rank x.
-  LabelSet& In(Rank x) { return in[x >> 1]; }
-  LabelSet& Out(Rank x) { return out[x >> 1]; }
-  const LabelSet& In(Rank x) const { return in[x >> 1]; }
-  const LabelSet& Out(Rank x) const { return out[x >> 1]; }
-
-  std::vector<LabelSet> in;
-  std::vector<LabelSet> out;
-};
 
 /// Algorithm 3: per-hub pruned counting BFS over G_b with couple-vertex
 /// skipping, walking the ranked CSR (vertex ids are bipartite ranks). Only
@@ -274,247 +201,6 @@ class CoupleSkipBuilder {
   HubRow row_;
 };
 
-/// The rank-batched parallel counterpart of CoupleSkipBuilder (see
-/// labeling/parallel_build.h for the staging/validation/commit scheme).
-/// Staged passes run exactly ForwardPass/BackwardPass against the committed
-/// labels, recording labeled dequeues instead of appending; the commit
-/// replay re-applies INSERT_LABEL (Algorithm 4) to the same two written
-/// label sets and the canonical/non-canonical classification from the
-/// validated via distances, so labels and stats are bit-identical to the
-/// sequential builder at any thread count. Vertex ids are bipartite ranks,
-/// as in CoupleSkipBuilder.
-class ParallelCoupleSkipBuilder {
- public:
-  struct Scratch {
-    std::vector<Dist> dist;
-    std::vector<Count> count;
-    std::vector<Rank> touched;
-    std::vector<Rank> queue;
-    HubRow row;
-  };
-
-  ParallelCoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels,
-                            LabelBuildStats& stats)
-      : graph_(graph), labels_(labels), stats_(stats) {}
-
-  void InitScratch(Scratch& s) const {
-    const Rank n = graph_.num_ranks();
-    s.dist.assign(n, kInfDist);
-    s.count.assign(n, 0);
-    s.row = HubRow(n);
-    // A pass enqueues each vertex at most once, so staging never grows
-    // these on a pool thread.
-    s.queue.reserve(n);
-    s.touched.reserve(n);
-  }
-
-  Vertex VertexAt(Rank r) const { return r; }
-
-  // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
-  // records its own trivial labels at commit time (Algorithm 3 lines 6-8).
-  bool IsHub(Vertex v) const { return IsInVertex(v); }
-
-  void CommitNonHub(Rank r, Vertex) {
-    labels_.Out(r).Append(LabelEntry(r, 0, 1));
-    stats_.entries += 2;
-    stats_.canonical_entries += 2;
-  }
-
-  bool distance_pruning() const { return true; }
-
-  void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
-    if (forward) {
-      StageForward(sh, s);
-    } else {
-      StageBackward(sh, s);
-    }
-  }
-
-  void Commit(const StagedHub& sh) {
-    CommitForward(sh);
-    CommitBackward(sh);
-  }
-
-  // A lower batch hub h reaches L_out(hub) only through the couple entry
-  // of its backward pass — dequeuing couple(hub) at distance d gives hub a
-  // (derived) entry at d + 1, which the shifted hub row sees. (hub is a
-  // V_in vertex: backward passes dequeue V_out vertices, h's root entry
-  // belongs to h itself, and the hub-couple suppression cannot apply since
-  // couple(hub) == couple(h) would mean hub == h.)
-  Dist NewOutDist(const StagedHub& lower, Vertex hub) const {
-    Dist d = lower.bwd.DistAt(CoupleOf(hub));
-    return d == kInfDist ? kInfDist : d + 1;
-  }
-
-  // ...and L_in(hub) only through the direct dequeue of its forward pass
-  // (forward couple appends target V_out vertices).
-  Dist NewInDist(const StagedHub& lower, Vertex hub) const {
-    return lower.fwd.DistAt(hub);
-  }
-
- private:
-  void StageForward(StagedHub& sh, Scratch& s) const {
-    const Rank hr = sh.rank;
-    // Staging writes no labels, so the row holds exactly the committed
-    // L_out(hub) a merge join would read: L_out(couple) shifted, below the
-    // hub's rank.
-    const LabelSet& couple_out = labels_.Out(CoupleOf(hr));
-    s.row.LoadShifted(couple_out, hr);
-    s.queue.clear();
-    s.dist[hr] = 0;
-    s.count[hr] = 1;
-    s.touched.push_back(hr);
-    s.queue.push_back(hr);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Rank w = DequeueAndPrefetch(s.queue, head, labels_.in, 1);
-      ++sh.fwd.dequeued;
-      Dist via_dist = s.row.Join(labels_.In(w));
-      if (via_dist < s.dist[w]) {
-        ++sh.fwd.pruned;
-        continue;
-      }
-      sh.fwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      for (Rank wn : graph_.Successors(w)) {  // wn ∈ V_in
-        if (s.dist[wn] == kInfDist) {
-          if (hr < wn) {  // rank pruning: hub ≺ wn
-            s.dist[wn] = s.dist[w] + 2;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 2) {
-          s.count[wn] += s.count[w];
-        }
-      }
-    }
-    ResetScratch(s);
-    s.row.Clear(couple_out);
-  }
-
-  void StageBackward(StagedHub& sh, Scratch& s) const {
-    const Rank hr = sh.rank;
-    // Staging writes no labels, so the row holds exactly the committed
-    // L_in(hub) a merge join would read.
-    s.row.Load(labels_.In(hr));
-    s.queue.clear();
-    s.dist[hr] = 0;
-    s.count[hr] = 1;
-    s.touched.push_back(hr);
-    s.queue.push_back(hr);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Rank w = DequeueAndPrefetch(s.queue, head, labels_.out, 1);
-      ++sh.bwd.dequeued;
-      if (w == hr) {
-        // Modification (3) of §IV.C: the root records only its own
-        // out-label and expands predecessors directly — never
-        // distance-checked, mirrored by ValidateStagedHub skipping it.
-        sh.bwd.events.push_back({hr, 0, 1, kInfDist});
-        for (Rank wn : graph_.Predecessors(hr)) {  // wn ∈ V_out
-          if (hr < wn) {
-            s.dist[wn] = 1;
-            s.count[wn] = 1;
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        }
-        continue;
-      }
-      Dist via_dist = s.row.Join(labels_.Out(w));
-      if (via_dist < s.dist[w]) {
-        ++sh.bwd.pruned;
-        continue;
-      }
-      sh.bwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      if (w == CoupleOf(hr)) continue;  // modification (4): cycle closed
-      for (Rank wn : graph_.Predecessors(w)) {  // wn ∈ V_out, into w_i
-        if (s.dist[wn] == kInfDist) {
-          if (hr < wn) {
-            s.dist[wn] = s.dist[w] + 2;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 2) {
-          s.count[wn] += s.count[w];
-        }
-      }
-    }
-    ResetScratch(s);
-    s.row.Clear(labels_.In(hr));
-  }
-
-  // pass.events[i], after prefetching for the appends of later events to
-  // `sets`: a header 2 * kJoinLookAhead events ahead, an append slot
-  // kJoinLookAhead ahead. Returned for DequeueAndPrefetch's reason.
-  static const StagedEvent& ReplayAndPrefetch(
-      const StagedPass& pass, size_t i, const std::vector<LabelSet>& sets) {
-    const auto& events = pass.events;
-    if (i + 2 * kJoinLookAhead < events.size()) {
-      __builtin_prefetch(&sets[events[i + 2 * kJoinLookAhead].w >> 1], 1);
-    }
-    if (i + kJoinLookAhead < events.size()) {
-      const auto& run = sets[events[i + kJoinLookAhead].w >> 1].entries();
-      __builtin_prefetch(run.data() + run.size(), 1);
-    }
-    return events[i];
-  }
-
-  void CommitForward(const StagedHub& sh) {
-    for (size_t i = 0; i < sh.fwd.events.size(); ++i) {
-      const StagedEvent& e = ReplayAndPrefetch(sh.fwd, i, labels_.in);
-      if (e.via_dist == e.dist) {
-        stats_.non_canonical_entries += 2;
-      } else {
-        stats_.canonical_entries += 2;
-      }
-      // INSERT_LABEL (Algorithm 4): label w; its couple w_o's entry at +1
-      // is derived.
-      labels_.In(e.w).Append(LabelEntry(sh.rank, e.dist, e.count));
-      stats_.entries += 2;
-    }
-    stats_.vertices_dequeued += sh.fwd.dequeued;
-    stats_.pruned_by_distance += sh.fwd.pruned;
-  }
-
-  void CommitBackward(const StagedHub& sh) {
-    for (size_t i = 0; i < sh.bwd.events.size(); ++i) {
-      const StagedEvent& e = ReplayAndPrefetch(sh.bwd, i, labels_.out);
-      if (e.w == sh.hub) {  // the root's (v, 0, 1), a derived entry
-        ++stats_.entries;
-        ++stats_.canonical_entries;
-        continue;
-      }
-      bool is_hub_couple = (e.w == CoupleOf(sh.hub));
-      uint64_t produced = is_hub_couple ? 1 : 2;
-      if (e.via_dist == e.dist) {
-        stats_.non_canonical_entries += produced;
-      } else {
-        stats_.canonical_entries += produced;
-      }
-      labels_.Out(e.w).Append(LabelEntry(sh.rank, e.dist, e.count));
-      ++stats_.entries;
-      if (is_hub_couple) continue;
-      ++stats_.entries;  // the couple w_i's derived entry at +1
-    }
-    stats_.vertices_dequeued += sh.bwd.dequeued;
-    stats_.pruned_by_distance += sh.bwd.pruned;
-  }
-
-  void ResetScratch(Scratch& s) const {
-    for (Rank v : s.touched) {
-      s.dist[v] = kInfDist;
-      s.count[v] = 0;
-    }
-    s.touched.clear();
-  }
-
-  const RankedCsr& graph_;
-  PairLabels& labels_;
-  LabelBuildStats& stats_;
-};
-
 // Hub ranks must fit LabelEntry's 23-bit field; G_b has 2n vertices.
 void CheckVertexRange(Vertex num_original_vertices) {
   if (2ull * num_original_vertices > LabelEntry::kMaxHub + 1) {
@@ -547,8 +233,8 @@ void CscIndex::BuildCoupleLabels(const DiGraph& graph,
       builder.BuildAll();
     } else {
       assert(distance_pruning);
-      ParallelCoupleSkipBuilder builder(csr, pair_labels, stats);
-      RunRankBatchedBuild(builder, csr.num_ranks(), options.build_threads);
+      BuildCoupleLabelsInParallel(csr, pair_labels, options.build_threads,
+                                  stats);
     }
   }
   bipartite_order = BipartiteOrdering(order);

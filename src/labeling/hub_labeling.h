@@ -25,6 +25,13 @@ struct LabelBuildStats {
   /// partials at commit time under the parallel builder, so they are exact
   /// — and equal to a sequential build's — at any thread count.
   unsigned build_threads = 0;
+  /// Hubs whose passes the parallel builder ran level-split (its first
+  /// phase), and BFS levels it split across more than one worker, re-runs
+  /// included (labeling/parallel_build.h). Like build_threads they describe
+  /// the schedule, not the output: both are 0 for the sequential builder,
+  /// and split_levels is 0 at one worker.
+  uint64_t split_hubs = 0;
+  uint64_t split_levels = 0;
 };
 
 /// A complete 2-hop labeling: one in-label set and one out-label set per

@@ -29,6 +29,16 @@ class LabelSet {
   /// rank (the static-construction fast path).
   void Append(LabelEntry entry);
 
+  /// Append() if the entry fits the capacity already reserved, so that it
+  /// allocates nothing; false (and no change) otherwise. The parallel
+  /// builder appends this way on pool threads, whose malloc arenas would
+  /// otherwise keep the sets' freed buffers (labeling/parallel_build.h).
+  bool TryAppend(LabelEntry entry) {
+    if (entries_.size() == entries_.capacity()) return false;
+    Append(entry);
+    return true;
+  }
+
   /// Returns the entry with hub rank `hub_rank`, or nullptr.
   const LabelEntry* Find(Rank hub_rank) const;
 

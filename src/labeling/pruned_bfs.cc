@@ -102,52 +102,73 @@ class PlainBuilder {
   HubRow row_;
 };
 
-// The rank-batched parallel counterpart of PlainBuilder: staged passes run
-// the same pruned counting BFS against the committed labels, recording
-// labeled dequeues instead of appending, and the commit replay mirrors
-// RunPass's append/stats logic event by event. See labeling/parallel_build.h
-// for why the result (labels and stats) is bit-identical to PlainBuilder.
+// The parallel counterpart of PlainBuilder, as the hooks of
+// RunRankBatchedBuild: Visit is the body of RunPass's dequeue loop, and
+// Target and CountEvent mirror its append and stats logic event by event.
+// See labeling/parallel_build.h for why the result (labels and stats) is
+// bit-identical to PlainBuilder.
 class ParallelPlainBuilder {
  public:
-  struct Scratch {
-    std::vector<Dist> dist;
-    std::vector<Count> count;
-    std::vector<Vertex> touched;
-    std::vector<Vertex> queue;
-    HubRow row;
-  };
+  static constexpr unsigned kJoinShift = 0;
 
   ParallelPlainBuilder(const DiGraph& graph, const VertexOrdering& order,
-                       HubLabeling& labeling, LabelBuildStats& stats,
-                       const PrunedBfsOptions& options)
-      : graph_(graph),
-        order_(order),
-        labeling_(labeling),
-        stats_(stats),
-        options_(options) {}
+                       HubLabeling& labeling, const PrunedBfsOptions& options)
+      : graph_(graph), order_(order), labeling_(labeling), options_(options) {}
 
-  void InitScratch(Scratch& s) const {
-    s.dist.assign(graph_.num_vertices(), kInfDist);
-    s.count.assign(graph_.num_vertices(), 0);
-    s.row = HubRow(graph_.num_vertices());
-    // A pass enqueues each vertex at most once, so staging never grows
-    // these on a pool thread.
-    s.queue.reserve(graph_.num_vertices());
-    s.touched.reserve(graph_.num_vertices());
-  }
-
+  size_t num_vertices() const { return graph_.num_vertices(); }
   Vertex VertexAt(Rank r) const { return order_.rank_to_vertex[r]; }
   bool IsHub(Vertex) const { return true; }
-  void CommitNonHub(Rank, Vertex) {}
+  void CommitNonHub(Rank, Vertex, LabelBuildStats&) {}
   bool distance_pruning() const { return options_.distance_pruning; }
 
-  void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
-    RunPassStaged(sh.hub, sh.rank, forward, s, forward ? sh.fwd : sh.bwd);
+  // Passes write no labels while they join, so the row holds exactly the
+  // committed L_out(hub) (forward) or L_in(hub) (backward) a merge join
+  // would read.
+  const LabelSet* LoadRow(const PassKey& p, HubRow& row) const {
+    if (!options_.distance_pruning) return nullptr;
+    const LabelSet& hub_labels =
+        p.forward ? labeling_.out[p.hub] : labeling_.in[p.hub];
+    row.Load(hub_labels);
+    return &hub_labels;
   }
 
-  void Commit(const StagedHub& sh) {
-    CommitPass(sh, /*forward=*/true);
-    CommitPass(sh, /*forward=*/false);
+  const std::vector<LabelSet>& JoinedSets(bool forward) const {
+    return forward ? labeling_.in : labeling_.out;
+  }
+
+  template <typename Frontier>
+  void Visit(const PassKey& p, Vertex w, Dist d, Count c, const HubRow& row,
+             Frontier& frontier) const {
+    Dist via = kInfDist;
+    if (options_.distance_pruning) {
+      via = row.Join(JoinedSets(p.forward)[w]);
+      if (via < d) {
+        frontier.Prune();
+        return;
+      }
+    }
+    frontier.Label({w, d, c, via});
+    const auto& next =
+        p.forward ? graph_.OutNeighbors(w) : graph_.InNeighbors(w);
+    for (Vertex wn : next) {
+      if (p.rank < order_.vertex_to_rank[wn]) frontier.Relax(wn, d + 1, c);
+    }
+  }
+
+  // RunPass's append of event `e`: to L_in(w) forward, L_out(w) backward.
+  LabelSet* Target(const PassKey& p, const StagedEvent& e) const {
+    return &(p.forward ? labeling_.in : labeling_.out)[e.w];
+  }
+
+  void CountEvent(const PassKey&, const StagedEvent& e,
+                  LabelBuildStats& stats) const {
+    ++stats.entries;
+    if (!options_.distance_pruning) return;
+    if (e.via_dist == e.dist) {
+      ++stats.non_canonical_entries;
+    } else {
+      ++stats.canonical_entries;
+    }
   }
 
   // A lower batch hub labels L_out(hub) from its backward pass and
@@ -160,78 +181,9 @@ class ParallelPlainBuilder {
   }
 
  private:
-  void RunPassStaged(Vertex hub, Rank hub_rank, bool forward, Scratch& s,
-                     StagedPass& out) const {
-    // Staging writes no labels, so the row holds exactly the committed
-    // L_out(hub) (forward) or L_in(hub) (backward) a merge join would read.
-    const LabelSet& hub_labels =
-        forward ? labeling_.out[hub] : labeling_.in[hub];
-    if (options_.distance_pruning) s.row.Load(hub_labels);
-    const std::vector<LabelSet>& reached =
-        forward ? labeling_.in : labeling_.out;
-    s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Vertex w = DequeueAndPrefetch(s.queue, head, reached);
-      ++out.dequeued;
-      Dist via_dist = kInfDist;
-      if (options_.distance_pruning) {
-        via_dist = s.row.Join(reached[w]);
-        if (via_dist < s.dist[w]) {
-          ++out.pruned;
-          continue;
-        }
-      }
-      out.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      const auto& next =
-          forward ? graph_.OutNeighbors(w) : graph_.InNeighbors(w);
-      for (Vertex wn : next) {
-        if (s.dist[wn] == kInfDist) {
-          if (hub_rank < order_.vertex_to_rank[wn]) {
-            s.dist[wn] = s.dist[w] + 1;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 1) {
-          s.count[wn] += s.count[w];
-        }
-      }
-    }
-    for (Vertex v : s.touched) {
-      s.dist[v] = kInfDist;
-      s.count[v] = 0;
-    }
-    s.touched.clear();
-    if (options_.distance_pruning) s.row.Clear(hub_labels);
-  }
-
-  void CommitPass(const StagedHub& sh, bool forward) {
-    const StagedPass& pass = forward ? sh.fwd : sh.bwd;
-    for (const StagedEvent& e : pass.events) {
-      if (options_.distance_pruning) {
-        if (e.via_dist == e.dist) {
-          ++stats_.non_canonical_entries;
-        } else {
-          ++stats_.canonical_entries;
-        }
-      }
-      LabelSet& target = forward ? labeling_.in[e.w] : labeling_.out[e.w];
-      target.Append(LabelEntry(sh.rank, e.dist, e.count));
-      ++stats_.entries;
-    }
-    stats_.vertices_dequeued += pass.dequeued;
-    stats_.pruned_by_distance += pass.pruned;
-  }
-
   const DiGraph& graph_;
   const VertexOrdering& order_;
   HubLabeling& labeling_;
-  LabelBuildStats& stats_;
   const PrunedBfsOptions options_;
 };
 
@@ -244,8 +196,8 @@ void BuildPlainHubLabeling(const DiGraph& graph, const VertexOrdering& order,
     PlainBuilder builder(graph, order, labeling, stats, options);
     builder.BuildAll();
   } else {
-    ParallelPlainBuilder builder(graph, order, labeling, stats, options);
-    RunRankBatchedBuild(builder, order.size(), options.num_threads);
+    ParallelPlainBuilder builder(graph, order, labeling, options);
+    RunRankBatchedBuild(builder, order.size(), options.num_threads, stats);
   }
   stats.build_threads = options.num_threads;
 }

@@ -167,9 +167,18 @@ TEST(BuildOutputPinnedTest, CscIndexAtEveryBuildPath) {
     for (unsigned threads : kBuildThreads) {
       CscIndex::Options options;
       options.build_threads = threads;
-      ExpectPinnedCsc(CscIndex::Build(graph, order, options), g.csc,
-                      g.csc_labeling,
-                      g.name + " build_threads=" + std::to_string(threads));
+      CscIndex index = CscIndex::Build(graph, order, options);
+      const std::string context =
+          g.name + " build_threads=" + std::to_string(threads);
+      ExpectPinnedCsc(index, g.csc, g.csc_labeling, context);
+      // The parallel builder's first phase ran the top hub level-split, and
+      // at 4 workers split some of its levels across them.
+      if (threads > 0) {
+        EXPECT_GE(index.build_stats().split_hubs, 1u) << context;
+      }
+      if (threads > 1) {
+        EXPECT_GT(index.build_stats().split_levels, 0u) << context;
+      }
     }
   }
   // One graph again with reserved vertices: isolated, lowest-ranked

@@ -1,9 +1,11 @@
-// Determinism conformance for the rank-batched parallel builder
+// Determinism conformance for the parallel builder
 // (labeling/parallel_build.h): at every thread count the parallel
 // construction must be bit-identical to the sequential oracle — the
 // in-memory labelings, the serialized payloads of every labeling-based
-// backend, and the build stats (which commit from per-pass staging
-// partials and must aggregate to exactly the sequential counters).
+// backend, and the build stats (which commit from per-pass and per-worker
+// partials and must aggregate to exactly the sequential counters). Both
+// phases run: the level-split passes of the top hubs, and the rank batches
+// with their dirty re-runs.
 #include <iterator>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 #include "hpspc/hpspc_index.h"
 #include "labeling/pruned_bfs.h"
 #include "test_util.h"
+#include "workload/datasets.h"
 
 namespace csc {
 namespace {
@@ -72,6 +75,66 @@ TEST(ParallelBuildDeterminismTest, CscLabelingMatchesSequential) {
       ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
                        context);
       EXPECT_EQ(parallel.build_stats().build_threads, threads) << context;
+    }
+  }
+}
+
+// Graphs whose top hubs run level-split passes: WKT@0.1 (5,500 vertices)
+// keeps the first phase going for several hubs, and on the power-law graph
+// it hands over after the first; both have levels large enough to split.
+std::vector<NamedGraph> LevelSplitGraphs() {
+  std::vector<NamedGraph> graphs;
+  graphs.push_back(
+      {"wkt_0.1", MaterializeDataset(FindDataset("WKT").value(), 0.1)});
+  graphs.push_back(
+      {"power_law", GeneratePreferentialAttachment(600, 3, 0.2, 7)});
+  return graphs;
+}
+
+// The first phase ran (at any thread count), and with more than one worker
+// it split levels across them.
+void ExpectLevelSplitRan(const LabelBuildStats& stats, unsigned threads,
+                         uint64_t min_hubs, const std::string& context) {
+  EXPECT_GE(stats.split_hubs, min_hubs) << context;
+  if (threads > 1) {
+    EXPECT_GT(stats.split_levels, 0u) << context;
+  } else {
+    EXPECT_EQ(stats.split_levels, 0u) << context;
+  }
+}
+
+TEST(ParallelBuildDeterminismTest, CscLevelSplitPhaseMatchesSequential) {
+  for (const NamedGraph& g : LevelSplitGraphs()) {
+    VertexOrdering order = DegreeOrdering(g.graph);
+    CscIndex sequential = CscIndex::Build(g.graph, order);
+    EXPECT_EQ(sequential.build_stats().split_hubs, 0u) << g.name;
+    const uint64_t min_hubs = g.name == "wkt_0.1" ? 2 : 1;
+    for (unsigned threads : kThreadCounts) {
+      CscIndex::Options options;
+      options.build_threads = threads;
+      CscIndex parallel = CscIndex::Build(g.graph, order, options);
+      std::string context = g.name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(parallel.served_labels(), sequential.served_labels())
+          << context;
+      ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
+                       context);
+      ExpectLevelSplitRan(parallel.build_stats(), threads, min_hubs, context);
+    }
+  }
+}
+
+TEST(ParallelBuildDeterminismTest, HpSpcLevelSplitPhaseMatchesSequential) {
+  for (const NamedGraph& g : LevelSplitGraphs()) {
+    VertexOrdering order = DegreeOrdering(g.graph);
+    HpSpcIndex sequential = HpSpcIndex::Build(g.graph, order);
+    const uint64_t min_hubs = g.name == "wkt_0.1" ? 2 : 1;
+    for (unsigned threads : kThreadCounts) {
+      HpSpcIndex parallel = HpSpcIndex::Build(g.graph, order, threads);
+      std::string context = g.name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(parallel.labeling(), sequential.labeling()) << context;
+      ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
+                       context);
+      ExpectLevelSplitRan(parallel.build_stats(), threads, min_hubs, context);
     }
   }
 }
