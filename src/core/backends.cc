@@ -115,6 +115,14 @@ class FlatBackend : public BackendBase {
     return CycleIndex::LoadView(data, size, nullptr);
   }
 
+  bool DeriveFrom(const CscIndex& shadow) override {
+    Timer timer;
+    index_ = FrozenIndex::FromIndex(shadow, encoding_);
+    build_seconds_ = shadow.build_stats().seconds + timer.ElapsedSeconds();
+    build_threads_ = shadow.build_stats().build_threads;
+    return true;
+  }
+
   bool SliceLabels(const std::function<bool(Vertex)>& keep) override {
     index_.SliceTo(keep);
     return true;

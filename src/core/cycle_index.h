@@ -12,6 +12,7 @@
 
 namespace csc {
 
+class CscIndex;     // csc/csc_index.h
 struct GirthInfo;   // csc/girth.h
 struct LabelPatch;  // core/label_patch.h
 
@@ -97,6 +98,13 @@ class CycleIndex {
   /// loaded index self-keeping (util/lifetime_annotations.h).
   virtual bool LoadView(const uint8_t* data, size_t size,
                         std::shared_ptr<const void> keep_alive);
+
+  /// Replaces the index with `shadow`'s two stored label sets, encoded
+  /// straight into this backend's form (no BFS, no serialized payload): the
+  /// repair pipeline's derive. Stats() then report the shadow's construction
+  /// plus the encode as the build. False, index unchanged, when this backend
+  /// does not serve the CSC labeling.
+  virtual bool DeriveFrom(const CscIndex& /*shadow*/) { return false; }
 
   /// Returns a copy of this index with the patch's run edits applied — the
   /// serving tier's incremental repair: the unpatched instance keeps serving

@@ -35,10 +35,10 @@ class CompactIndex {
  public:
   /// Builds the compact index of `graph` under `order` directly: the same
   /// construction as CscIndex::Build(graph, order, options), whose stored
-  /// sets it equals, minus G_b and the inverted indexes (the option is
-  /// ignored). The served sets keep the capacity construction grew them to,
-  /// so it suits a compact index that is a step toward another form (the
-  /// flat arenas); one kept for long packs tighter as a copy.
+  /// sets it equals, minus the graph copy and the inverted indexes (the
+  /// option is ignored). The served sets keep the capacity construction grew
+  /// them to, so it suits a compact index that is a step toward another form
+  /// (the flat arenas); one kept for long packs tighter as a copy.
   static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
                             const CscIndex::Options& options);
 
@@ -55,12 +55,6 @@ class CompactIndex {
   /// (the §IV.E identity applied to the two stored sets).
   HubLabeling ExpandToFull() const;
 
-  /// The bipartite rank -> bipartite vertex permutation carried for
-  /// expansion (§IV.E needs hub ranks to rebuild couple entries).
-  const std::vector<Vertex>& bipartite_rank_to_vertex() const {
-    return rank_to_vertex_;
-  }
-
   /// Binary little-endian serialization (magic + version checked on load).
   std::string Serialize() const;
   static std::optional<CompactIndex> Deserialize(const std::string& bytes);
@@ -72,6 +66,8 @@ class CompactIndex {
 
   std::vector<LabelSet> in_labels_;   // L_in(v_i), indexed by original vertex
   std::vector<LabelSet> out_labels_;  // L_out(v_o), indexed by original vertex
+  // G_b's rank -> vertex permutation (§IV.E expansion and the frozen form's
+  // couple ranks need the hubs' vertices).
   std::vector<Vertex> rank_to_vertex_;
 };
 

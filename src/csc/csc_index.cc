@@ -259,15 +259,11 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
   CscIndex index;
   index.options_ = options;
   index.options_.maintain_inverted_index = false;  // until populated below
-  // G_b is kept for dynamic maintenance only; construction walks the ranked
-  // CSR.
-  if (options.reserve_vertices > 0) {
-    DiGraph extended = graph;
-    extended.AddVertices(options.reserve_vertices);
-    index.bipartite_ = BipartiteConversion(extended);
-  } else {
-    index.bipartite_ = BipartiteConversion(graph);
-  }
+  index.options_.reserve_vertices = 0;             // now part of graph_
+  // Sorted adjacency lists: the maintenance passes visit neighbours in the
+  // same order whatever edit history the caller's copy has.
+  index.graph_ = DiGraph::FromEdges(
+      graph.num_vertices() + options.reserve_vertices, graph.Edges());
   Timer timer;
   BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
                     index.order_, index.labels_, index.stats_);
@@ -353,7 +349,7 @@ CycleCount CscIndex::QueryThroughEdge(Vertex u, Vertex v) const {
 CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
                           const CscAblationConfig& config) {
   CscIndex index;
-  index.bipartite_ = BipartiteConversion(graph);
+  index.graph_ = graph;
   Timer timer;
   CscIndex::BuildCoupleLabels(graph, order, CscIndex::Options(),
                               !config.disable_distance_pruning, index.order_,

@@ -36,10 +36,10 @@ namespace csc {
 /// cleaning) goes through this identity. The build stats still count every
 /// entry of the full labeling; CompactIndex::ExpandToFull materializes it.
 ///
-/// The index owns its copy of G_b (dynamic maintenance mutates it) and the
-/// bipartite ordering; the original graph is not retained. Build and
-/// BuildCscAblation materialize G_b for the index, but construction never
-/// walks it, and CompactIndex::Build, the served build, never builds it.
+/// The index owns a copy of the input graph, reserved vertices included
+/// (dynamic maintenance mutates it), and the bipartite ordering. G_b itself
+/// is never built: construction and the §V maintenance passes walk it
+/// implicitly, hopping couple to couple over the input graph's adjacency.
 class CscIndex {
  public:
   struct Options {
@@ -87,17 +87,20 @@ class CscIndex {
   /// Used by the maintenance algorithms and exposed for diagnostics.
   JoinResult BipartiteQuery(Vertex s, Vertex t) const;
 
-  /// Number of vertices in the original graph.
-  Vertex num_original_vertices() const {
-    return static_cast<Vertex>(bipartite_.num_vertices() / 2);
-  }
+  /// Number of vertices in the original graph, reserved ones included.
+  Vertex num_original_vertices() const { return graph_.num_vertices(); }
 
-  const DiGraph& bipartite_graph() const { return bipartite_; }
+  /// The indexed graph: the input graph plus its reserved vertices, with
+  /// every edge update maintenance has applied since. Its adjacency lists
+  /// start sorted, whatever the input's order was.
+  const DiGraph& graph() const { return graph_; }
   const VertexOrdering& bipartite_order() const { return order_; }
   /// The two stored label sets, by original vertex v: in[v] = L_in(v_i) and
   /// out[v] = L_out(v_o). Hubs are bipartite ranks.
   const HubLabeling& served_labels() const { return labels_; }
   const LabelBuildStats& build_stats() const { return stats_; }
+  /// The options that rebuild this index from graph(): reserve_vertices
+  /// reads 0, the reserved vertices being part of graph().
   const Options& options() const { return options_; }
   uint64_t TotalEntries() const { return labels_.TotalEntries(); }
   uint64_t SizeBytes() const { return labels_.SizeBytes(); }
@@ -113,7 +116,7 @@ class CscIndex {
   void EnsureInvertedIndexes();
 
   // --- Mutable access for the dynamic-maintenance module (src/dynamic). ---
-  DiGraph& mutable_bipartite_graph() { return bipartite_; }
+  DiGraph& mutable_graph() { return graph_; }
   HubLabeling& mutable_served_labels() { return labels_; }
   InvertedIndex& mutable_inv_in() { return inv_in_; }
   InvertedIndex& mutable_inv_out() { return inv_out_; }
@@ -136,7 +139,7 @@ class CscIndex {
                                 VertexOrdering& bipartite_order,
                                 HubLabeling& labels, LabelBuildStats& stats);
 
-  DiGraph bipartite_;
+  DiGraph graph_;         // the input graph plus reserved vertices
   VertexOrdering order_;  // over G_b's 2n vertices
   HubLabeling labels_;    // the two stored sets, by original vertex
   InvertedIndex inv_in_;

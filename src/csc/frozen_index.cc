@@ -19,11 +19,10 @@ const char* MagicOf(ArenaEncoding encoding) {
 
 }  // namespace
 
-std::vector<Rank> FrozenIndex::InVertexRanks(const CompactIndex& compact) {
+std::vector<Rank> FrozenIndex::InVertexRanks(
+    const std::vector<Vertex>& rank_to_vertex) {
   // The couple-correction hub of v is v_i.
-  const std::vector<Vertex>& rank_to_vertex =
-      compact.bipartite_rank_to_vertex();
-  std::vector<Rank> ranks(compact.num_original_vertices());
+  std::vector<Rank> ranks(rank_to_vertex.size() / 2);
   for (Rank r = 0; r < rank_to_vertex.size(); ++r) {
     if (IsInVertex(rank_to_vertex[r])) {
       ranks[OriginalOf(rank_to_vertex[r])] = r;
@@ -37,19 +36,29 @@ FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
   FrozenIndex frozen;
   frozen.in_ = LabelArena::FromLabelSets(compact.in_labels_, encoding);
   frozen.out_ = LabelArena::FromLabelSets(compact.out_labels_, encoding);
-  frozen.in_vertex_rank_ = InVertexRanks(compact);
+  frozen.in_vertex_rank_ = InVertexRanks(compact.rank_to_vertex_);
   return frozen;
 }
 
 FrozenIndex FrozenIndex::FromCompact(CompactIndex&& compact,
                                      ArenaEncoding encoding) {
   FrozenIndex frozen;
-  frozen.in_vertex_rank_ = InVertexRanks(compact);
+  frozen.in_vertex_rank_ = InVertexRanks(compact.rank_to_vertex_);
   CompactIndex consumed = std::move(compact);
   frozen.in_ = LabelArena::FromLabelSets(consumed.in_labels_, encoding);
   std::vector<LabelSet>().swap(consumed.in_labels_);
   ReleaseFreeMemory();
   frozen.out_ = LabelArena::FromLabelSets(consumed.out_labels_, encoding);
+  return frozen;
+}
+
+FrozenIndex FrozenIndex::FromIndex(const CscIndex& index,
+                                   ArenaEncoding encoding) {
+  FrozenIndex frozen;
+  frozen.in_ = LabelArena::FromLabelSets(index.served_labels().in, encoding);
+  frozen.out_ = LabelArena::FromLabelSets(index.served_labels().out, encoding);
+  frozen.in_vertex_rank_ =
+      InVertexRanks(index.bipartite_order().rank_to_vertex);
   return frozen;
 }
 

@@ -44,11 +44,11 @@ class FrozenIndex {
       CompactIndex&& compact,
       ArenaEncoding encoding = ArenaEncoding::kPacked);
 
-  /// Convenience: compact + freeze in one step.
+  /// Encodes the two label sets a CSC index stores straight into arenas,
+  /// with no CompactIndex copy: the same index FromCompact makes of
+  /// CompactIndex::FromIndex(index).
   static FrozenIndex FromIndex(
-      const CscIndex& index, ArenaEncoding encoding = ArenaEncoding::kPacked) {
-    return FromCompact(CompactIndex::FromIndex(index), encoding);
-  }
+      const CscIndex& index, ArenaEncoding encoding = ArenaEncoding::kPacked);
 
   /// SCCnt(v): joins L_out(v_o) with L_in(v_i) and maps the bipartite
   /// distance d to a cycle length (d + 1) / 2.
@@ -123,9 +123,10 @@ class FrozenIndex {
   friend bool operator==(const FrozenIndex&, const FrozenIndex&) = default;
 
  private:
-  // The rank of v_i for every original vertex v, read off the compact
-  // index's rank permutation.
-  static std::vector<Rank> InVertexRanks(const CompactIndex& compact);
+  // The rank of v_i for every original vertex v, read off G_b's rank
+  // permutation.
+  static std::vector<Rank> InVertexRanks(
+      const std::vector<Vertex>& rank_to_vertex);
 
   // Shared by Deserialize (view = false: the arenas copy their payload) and
   // FromView.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/bipartite.h"
-
 namespace csc {
 
 namespace {
@@ -57,10 +55,9 @@ std::vector<EdgeScreeningHit> TopKEdgesByCycleCount(const CscIndex& index,
                                                     Dist max_cycle_length,
                                                     size_t top_k) {
   std::vector<EdgeScreeningHit> hits;
-  const DiGraph& bipartite = index.bipartite_graph();
-  for (Vertex v = 0; v < index.num_original_vertices(); ++v) {
-    for (Vertex target : bipartite.OutNeighbors(OutVertex(v))) {
-      Vertex w = OriginalOf(target);
+  const DiGraph& graph = index.graph();
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    for (Vertex w : graph.OutNeighbors(v)) {
       CycleCount cc = index.QueryThroughEdge(v, w);
       if (cc.count == 0 || cc.length > max_cycle_length) continue;
       hits.push_back({{v, w}, cc});

@@ -5,7 +5,6 @@
 
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
-#include "graph/bipartite.h"
 #include "util/timer.h"
 
 namespace csc {
@@ -21,15 +20,6 @@ Edge KeyEdge(uint64_t key) {
           static_cast<Vertex>(key & 0xffffffffu)};
 }
 
-// Build options for reconstructing `index` from its recovered graph, which
-// already holds any reserved vertices: reserving them again would grow the
-// vertex space on every rebuild.
-CscIndex::Options RebuildOptions(const CscIndex& index) {
-  CscIndex::Options options = index.options();
-  options.reserve_vertices = 0;
-  return options;
-}
-
 }  // namespace
 
 BatchResult ApplyUpdates(CscIndex& index,
@@ -37,7 +27,7 @@ BatchResult ApplyUpdates(CscIndex& index,
                          const BatchOptions& options) {
   Timer timer;
   BatchResult result;
-  const DiGraph& graph = index.bipartite_graph();
+  const DiGraph& graph = index.graph();
   const Vertex n = index.num_original_vertices();
 
   // Reduce to net effect: simulate presence per touched edge. `pending`
@@ -49,9 +39,7 @@ BatchResult ApplyUpdates(CscIndex& index,
     size_t toggles;
   };
   std::unordered_map<uint64_t, Pending> pending;
-  auto is_present = [&](const Edge& e) {
-    return graph.HasEdge(OutVertex(e.from), InVertex(e.to));
-  };
+  auto is_present = [&](const Edge& e) { return graph.HasEdge(e.from, e.to); };
   for (const EdgeUpdate& update : updates) {
     const Edge& e = update.edge;
     if (e.from >= n || e.to >= n || e.from == e.to) {
@@ -91,23 +79,21 @@ BatchResult ApplyUpdates(CscIndex& index,
   // Rebuild path: past the churn threshold, reconstruction beats per-edge
   // repair and sidesteps the minimality precondition entirely. A threshold
   // above 1 never rebuilds, whatever the batch or the edge count.
-  uint64_t current_edges = graph.num_edges() - n;  // minus couple edges
   size_t net_changes = to_insert.size() + to_remove.size();
   if (net_changes > 0 && options.rebuild_threshold <= 1 &&
       static_cast<double>(net_changes) >=
-          options.rebuild_threshold * static_cast<double>(current_edges)) {
-    DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
-    for (const Edge& e : to_remove) original.RemoveEdge(e.from, e.to);
-    for (const Edge& e : to_insert) original.AddEdge(e.from, e.to);
-    const CscIndex::Options build_options = RebuildOptions(index);
+          options.rebuild_threshold * static_cast<double>(graph.num_edges())) {
+    // Mutates a copy, so a throwing build leaves the index untouched.
+    DiGraph next = graph;
+    for (const Edge& e : to_remove) next.RemoveEdge(e.from, e.to);
+    for (const Edge& e : to_insert) next.AddEdge(e.from, e.to);
     // A pinned ordering keeps ranks stable across rebuilds (the serving
     // tier's repair pipeline depends on this); otherwise re-optimize for
     // the mutated degree distribution as before.
     if (options.pinned_order != nullptr) {
-      index = CscIndex::Build(original, *options.pinned_order, build_options);
+      index = CscIndex::Build(next, *options.pinned_order, index.options());
     } else {
-      index =
-          CscIndex::Build(original, DegreeOrdering(original), build_options);
+      index = CscIndex::Build(next, DegreeOrdering(next), index.options());
     }
     result.inserted = to_insert.size();
     result.removed = to_remove.size();
@@ -144,9 +130,8 @@ BatchResult ApplyUpdates(CscIndex& index,
 }
 
 void RebuildIndex(CscIndex& index) {
-  DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
-  index = CscIndex::Build(original, DegreeOrdering(original),
-                          RebuildOptions(index));
+  const DiGraph& graph = index.graph();
+  index = CscIndex::Build(graph, DegreeOrdering(graph), index.options());
 }
 
 }  // namespace csc

@@ -73,10 +73,9 @@ BatchResult ApplyUpdates(CscIndex& index,
                          const std::vector<EdgeUpdate>& updates,
                          const BatchOptions& options = BatchOptions());
 
-/// Rebuilds the index in place from its current (mutated) graph: recovers
-/// the original graph from the bipartite one, recomputes the degree
-/// ordering, and constructs a fresh index with the same Options. This
-/// restores minimality after a run of redundancy-mode insertions (the
+/// Rebuilds the index in place from its current (mutated) graph: recomputes
+/// the degree ordering and constructs a fresh index with the same Options.
+/// This restores minimality after a run of redundancy-mode insertions (the
 /// "compaction" of this storage scheme) and re-optimizes the ordering after
 /// heavy degree drift.
 void RebuildIndex(CscIndex& index);

@@ -12,21 +12,27 @@ namespace csc {
 
 namespace {
 
-// Plain BFS distances from `source` over `graph` (forward or reverse).
+// Plain BFS distances over G_b from bipartite vertex `source` (forward or
+// reverse), walked over the input graph (graph/bipartite.h).
 std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
                                bool forward) {
-  std::vector<Dist> dist(graph.num_vertices(), kInfDist);
-  std::vector<Vertex> queue;
+  std::vector<Dist> dist(2 * graph.num_vertices(), kInfDist);
+  std::vector<Vertex> queue = {source};
   dist[source] = 0;
-  queue.push_back(source);
-  size_t head = 0;
-  while (head < queue.size()) {
-    Vertex w = queue[head++];
-    const auto& next = forward ? graph.OutNeighbors(w) : graph.InNeighbors(w);
-    for (Vertex u : next) {
-      if (dist[u] == kInfDist) {
-        dist[u] = dist[w] + 1;
-        queue.push_back(u);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const Vertex x = queue[head];
+    auto reach = [&](Vertex y) {
+      if (dist[y] == kInfDist) {
+        dist[y] = dist[x] + 1;
+        queue.push_back(y);
+      }
+    };
+    const Vertex v = OriginalOf(x);
+    if (IsInVertex(x) == forward) {
+      reach(CoupleOf(x));
+    } else {
+      for (Vertex w : forward ? graph.OutNeighbors(v) : graph.InNeighbors(v)) {
+        reach(forward ? InVertex(w) : OutVertex(w));
       }
     }
   }
@@ -47,12 +53,12 @@ class RecoveryPass {
   RecoveryPass(CscIndex& index, UpdateStats& stats)
       : index_(index),
         stats_(stats),
-        dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0),
-        row_(index.bipartite_graph().num_vertices()) {}
+        dist_(2 * index.num_original_vertices(), kInfDist),
+        count_(2 * index.num_original_vertices(), 0),
+        row_(2 * index.num_original_vertices()) {}
 
   void Run(Rank hub_rank, bool forward) {
-    const DiGraph& graph = index_.bipartite_graph();
+    const DiGraph& graph = index_.graph();
     const auto& order = index_.bipartite_order();
     const Vertex hub = order.rank_to_vertex[hub_rank];
     HubLabeling& labels = index_.mutable_served_labels();
@@ -80,20 +86,22 @@ class RecoveryPass {
       if (!forward && w == hub) {
         // Modification (3): the root's (v_i, 0, 1) out-label is derived;
         // expand its predecessors (V_out) directly.
-        for (Vertex u : graph.InNeighbors(hub)) Reach(u, 1, 1, hub_rank);
+        for (Vertex u : graph.InNeighbors(OriginalOf(hub))) {
+          Reach(OutVertex(u), 1, 1, hub_rank);
+        }
         continue;
       }
-      LabelSet& w_labels =
-          forward ? labels.in[OriginalOf(w)] : labels.out[OriginalOf(w)];
+      const Vertex v = OriginalOf(w);
+      LabelSet& w_labels = forward ? labels.in[v] : labels.out[v];
       if (row_.Join(w_labels) < dist_[w]) continue;  // hub not highest
-      Upsert(w_labels, LabelEntry(hub_rank, dist_[w], count_[w]),
-             OriginalOf(w), forward);
+      Upsert(w_labels, LabelEntry(hub_rank, dist_[w], count_[w]), v, forward);
       // Modification (4): reaching the hub's couple v_o closes a cycle.
       if (w == CoupleOf(hub)) continue;
       // Hop through the couple: w_i -> w_o -> u_i, or w_o <- w_i <- u_o.
-      const auto& next = forward ? graph.OutNeighbors(CoupleOf(w))
-                                 : graph.InNeighbors(CoupleOf(w));
-      for (Vertex u : next) Reach(u, dist_[w] + 2, count_[w], hub_rank);
+      for (Vertex u : forward ? graph.OutNeighbors(v) : graph.InNeighbors(v)) {
+        Reach(forward ? InVertex(u) : OutVertex(u), dist_[w] + 2, count_[w],
+              hub_rank);
+      }
     }
     for (Vertex v : touched_) {
       dist_[v] = kInfDist;
@@ -153,10 +161,10 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
       b >= index.num_original_vertices()) {
     return false;
   }
-  Vertex ao = OutVertex(a);
-  Vertex bi = InVertex(b);
-  DiGraph& graph = index.mutable_bipartite_graph();
-  if (!graph.HasEdge(ao, bi)) return false;
+  DiGraph& graph = index.mutable_graph();
+  if (!graph.HasEdge(a, b)) return false;
+  const Vertex ao = OutVertex(a);
+  const Vertex bi = InVertex(b);
 
   // Step 1: pre-deletion distance fields around the edge. A vertex x is an
   // affected source iff its shortest path to b_i runs through (a_o, b_i);
@@ -168,7 +176,7 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
 
   std::vector<Vertex> affected_sources;  // the paper's hubA candidates
   std::vector<Vertex> affected_targets;  // the paper's hubB candidates
-  for (Vertex x = 0; x < graph.num_vertices(); ++x) {
+  for (Vertex x = 0; x < 2 * graph.num_vertices(); ++x) {
     if (to_ao[x] != kInfDist && to_ao[x] + 1 == to_bi[x]) {
       affected_sources.push_back(x);
     }
@@ -216,7 +224,7 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
     if (IsOutVertex(x)) delete_matching(x, /*in_side=*/false);
   }
 
-  graph.RemoveEdge(ao, bi);
+  graph.RemoveEdge(a, b);
 
   // Step 3: recovery BFS from every affected V_in hub, highest rank first.
   // Affected sources repair forward (their in-label coverage downstream),

@@ -25,9 +25,9 @@ class IncrementalPass {
       : index_(index),
         strategy_(strategy),
         stats_(stats),
-        dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0),
-        row_(index.bipartite_graph().num_vertices()) {}
+        dist_(2 * index.num_original_vertices(), kInfDist),
+        count_(2 * index.num_original_vertices(), 0),
+        row_(2 * index.num_original_vertices()) {}
 
   /// FORWARD_PASS(vk, start, seed_dist, seed_count): repairs in-labels with
   /// hub `vk` downstream of `start` (a V_in vertex). `forward=false` is
@@ -35,7 +35,7 @@ class IncrementalPass {
   /// vertex).
   void Run(Rank hub_rank, Vertex start, Dist seed_dist, Count seed_count,
            bool forward) {
-    const DiGraph& graph = index_.bipartite_graph();
+    const DiGraph& graph = index_.graph();
     const auto& order = index_.bipartite_order();
     const Vertex hub = order.rank_to_vertex[hub_rank];
     HubLabeling& labels = index_.mutable_served_labels();
@@ -74,9 +74,9 @@ class IncrementalPass {
       // Modification (4): reaching the hub's couple v_o closes a cycle.
       if (w == CoupleOf(hub)) continue;
       // Hop through the couple: w_i -> w_o -> u_i, or w_o <- w_i <- u_o.
-      const auto& next = forward ? graph.OutNeighbors(CoupleOf(w))
-                                 : graph.InNeighbors(CoupleOf(w));
-      for (Vertex u : next) {
+      const Vertex v = OriginalOf(w);
+      for (Vertex x : forward ? graph.OutNeighbors(v) : graph.InNeighbors(v)) {
+        const Vertex u = forward ? InVertex(x) : OutVertex(x);
         if (dist_[u] > dist_[w] + 2) {
           if (hub_rank < order.vertex_to_rank[u]) {  // rank pruning
             if (dist_[u] == kInfDist) touched_.push_back(u);
@@ -163,9 +163,9 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
       b >= index.num_original_vertices()) {
     return false;
   }
-  Vertex ao = OutVertex(a);
-  Vertex bi = InVertex(b);
-  if (!index.mutable_bipartite_graph().AddEdge(ao, bi)) return false;
+  if (!index.mutable_graph().AddEdge(a, b)) return false;
+  const Vertex ao = OutVertex(a);
+  const Vertex bi = InVertex(b);
   if (strategy == MaintenanceStrategy::kMinimality) {
     index.EnsureInvertedIndexes();
   }

@@ -28,17 +28,4 @@ VertexOrdering BipartiteOrdering(const VertexOrdering& original) {
   return order;
 }
 
-DiGraph RecoverOriginalGraph(const DiGraph& bipartite) {
-  std::vector<Edge> edges;
-  const Vertex n = bipartite.num_vertices() / 2;
-  for (Vertex v = 0; v < n; ++v) {
-    for (Vertex target : bipartite.OutNeighbors(OutVertex(v))) {
-      // Out-vertices only point at in-vertices (original edges); the couple
-      // edge goes the other way (v_i -> v_o), so nothing to filter.
-      edges.push_back({v, OriginalOf(target)});
-    }
-  }
-  return DiGraph::FromEdges(n, edges);
-}
-
 }  // namespace csc

@@ -13,6 +13,11 @@ namespace csc {
 /// and the outgoing vertex `v_o` (carrying v's out-edges), joined by the
 /// couple edge `(v_i, v_o)`. Original edge `(v, w)` becomes `(v_o, w_i)`.
 ///
+/// The CSC index never stores G_b: its builders and §V maintenance walk it
+/// over the input graph. v_i's only out-neighbour is v_o; v_o's are the w_i
+/// of v's out-neighbours w, and v_i's in-neighbours the u_o of v's
+/// in-neighbours u. Only the ablation bench and the tests build G_b.
+///
 /// Encoding: `v_i = 2v`, `v_o = 2v + 1`, so a couple is `x ^ 1` and the
 /// original vertex is `x >> 1`. Couple pairs are id-consecutive, which also
 /// makes them rank-consecutive under BipartiteOrdering — the property the
@@ -31,13 +36,6 @@ DiGraph BipartiteConversion(const DiGraph& graph);
 /// 2r and v_o gets rank 2r + 1 ("the consecutive order of each pair of
 /// couple vertices", §IV.B). v_i ranks directly above v_o.
 VertexOrdering BipartiteOrdering(const VertexOrdering& original);
-
-/// Inverts Algorithm 2: recovers G from G_b by mapping every non-couple
-/// edge (v_o, w_i) back to (v, w). The round trip
-/// RecoverOriginalGraph(BipartiteConversion(g)) == g holds for every graph;
-/// batch maintenance uses this to rebuild an index from its own (mutated)
-/// bipartite graph without retaining the original.
-DiGraph RecoverOriginalGraph(const DiGraph& bipartite);
 
 }  // namespace csc
 

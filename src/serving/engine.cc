@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/label_patch.h"
-#include "csc/compact_index.h"
 #include "csc/csc_index.h"
 #include "csc/index_io.h"
 #include "dynamic/batch.h"
@@ -145,24 +144,25 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
   if (!next) return false;
   // Incremental repair ("csc" always, the other patchable forms when
   // repair is enabled): build one shadow CscIndex under a pinned ordering
-  // and derive the serving form from its compact payload — one labeling
-  // construction total, and later batches can land as bounded label
-  // patches against snapshots whose ranks never drift.
+  // and derive the serving form from its two stored label sets — one
+  // labeling construction total, and later batches can land as bounded
+  // label patches against snapshots whose ranks never drift.
   bool repair = (options_.repair.enabled || options_.backend == "csc") &&
                 next->supports_label_patch();
   std::unique_ptr<CscIndex> shadow;
   VertexOrdering pinned;
   if (repair) {
     try {
-      DiGraph extended = graph;
-      extended.AddVertices(options_.reserve_vertices);
-      // DegreeOrdering is insensitive to trailing isolated vertices, so
-      // this pinned ordering is exactly what the backend's own Build would
-      // have used — the derived payload is bit-identical to a direct build.
-      pinned = DegreeOrdering(extended);
-      shadow = std::make_unique<CscIndex>(CscIndex::Build(
-          extended, pinned, ShadowOptions(options_.build_threads)));
-      if (!next->LoadFrom(CompactIndex::FromIndex(*shadow).Serialize())) {
+      // The backend's own Build uses this ordering, so the derived payload
+      // is bit-identical to a direct build; DegreeOrdering is insensitive to
+      // trailing isolated vertices, so pinning it over the shadow's graph
+      // (the reserve included) keeps the same ranks.
+      CscIndex::Options shadow_options = ShadowOptions(options_.build_threads);
+      shadow_options.reserve_vertices = options_.reserve_vertices;
+      shadow = std::make_unique<CscIndex>(
+          CscIndex::Build(graph, DegreeOrdering(graph), shadow_options));
+      pinned = DegreeOrdering(shadow->graph());
+      if (!next->DeriveFrom(*shadow)) {
         shadow.reset();
         repair = false;
       }
@@ -473,12 +473,9 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
       }
     }
     // Shadow rebuilt or unpatchable snapshot: derive a full snapshot from
-    // the shadow's labeling — one encode+decode pass, still no BFS.
+    // the shadow's labeling — one encode pass, still no BFS.
     std::shared_ptr<CycleIndex> next = MakeFresh();
-    if (!next ||
-        !next->LoadFrom(CompactIndex::FromIndex(*shadow_).Serialize())) {
-      return nullptr;
-    }
+    if (!next || !next->DeriveFrom(*shadow_)) return nullptr;
     snapshot_sliced_ = slice_keep && next->SliceLabels(slice_keep);
     ++stats->rebuilds;
     return next;
@@ -987,9 +984,12 @@ bool Engine::RecoverFromFile(const std::string& index_path,
   }
   // Replay each surviving batch through the ordinary update path — the
   // recovered trajectory is the acknowledged trajectory, so the final
-  // index is bit-identical to the uncrashed engine's (and each replayed
+  // index answers every query as the uncrashed engine's does (its bytes
+  // can differ after a Checkpoint for a repairing engine: the base above
+  // is built under the checkpoint graph's degree ordering, not the one the
+  // uncrashed engine pinned at its Build; see the header). Each replayed
   // batch re-appends to the staged log Build just opened, re-establishing
-  // the WAL as checkpoint + surviving batches).
+  // the WAL as checkpoint + surviving batches.
   for (size_t i = 1; i < records.size(); ++i) {
     const WalRecord& record = records[i];
     if (record.type != WalRecordType::kBatch) continue;

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
-#include "graph/bipartite.h"
 #include "graph/ordering.h"
 #include "tests/test_util.h"
 #include "workload/update_workload.h"
@@ -24,10 +24,109 @@ void ExpectMatchesOracle(const CscIndex& index, const DiGraph& graph) {
   }
 }
 
-TEST(RecoverOriginalGraphTest, RoundTripsConversion) {
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    DiGraph graph = RandomGraph(60, 2.5, seed);
-    EXPECT_EQ(RecoverOriginalGraph(BipartiteConversion(graph)), graph);
+// `index` holds the caller's mutated graph `target` (the same vertex space
+// and edges) and the labels of a fresh build of it under `order`.
+void ExpectTracksGraph(const CscIndex& index, const DiGraph& target,
+                       const VertexOrdering& order) {
+  ASSERT_EQ(index.graph().num_vertices(), target.num_vertices());
+  EXPECT_EQ(index.graph().num_edges(), target.num_edges());
+  EXPECT_EQ(index.graph().Edges(), target.Edges());
+  CscIndex fresh = CscIndex::Build(target, order);
+  EXPECT_EQ(index.bipartite_order().rank_to_vertex,
+            fresh.bipartite_order().rank_to_vertex);
+  EXPECT_EQ(index.served_labels(), fresh.served_labels());
+}
+
+// A minimality-maintained index with two reserved vertices, built like the
+// serving tier's shadow; `target` gets the same grown vertex space.
+CscIndex BuildReserved(const DiGraph& graph, DiGraph& target) {
+  CscIndex::Options options;
+  options.reserve_vertices = 2;
+  options.maintain_inverted_index = true;
+  target = graph;
+  target.AddVertices(options.reserve_vertices);
+  return CscIndex::Build(graph, DegreeOrdering(graph), options);
+}
+
+TEST(ShadowGraphTest, TracksPerEdgeUpdates) {
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    SCOPED_TRACE(seed);
+    const Vertex n = 40;
+    DiGraph target;
+    CscIndex index = BuildReserved(RandomGraph(n, 2.5, seed), target);
+    // Reserved vertices rank last, as in the grown graph's own degree
+    // ordering, which the labels stay pinned to.
+    const VertexOrdering order = DegreeOrdering(target);
+    ExpectTracksGraph(index, target, order);
+    // InsertEdge attaches both reserved vertices.
+    for (const Edge& e : {Edge{0, n}, Edge{n, 1}, Edge{n + 1, n},
+                          Edge{2, n + 1}}) {
+      ASSERT_TRUE(InsertEdge(index, e.from, e.to,
+                             MaintenanceStrategy::kMinimality));
+      target.AddEdge(e.from, e.to);
+      ExpectTracksGraph(index, target, order);
+    }
+    for (const Edge& e : SampleExistingEdges(target, 4, seed + 10)) {
+      ASSERT_TRUE(RemoveEdge(index, e.from, e.to));
+      target.RemoveEdge(e.from, e.to);
+      ExpectTracksGraph(index, target, order);
+    }
+    for (const Edge& e : SampleNewEdges(target, 4, seed + 20)) {
+      ASSERT_TRUE(InsertEdge(index, e.from, e.to,
+                             MaintenanceStrategy::kMinimality));
+      target.AddEdge(e.from, e.to);
+      ExpectTracksGraph(index, target, order);
+    }
+  }
+}
+
+TEST(ShadowGraphTest, TracksApplyUpdatesBatches) {
+  // Threshold 2 keeps every batch on per-edge repair; 0 rebuilds every batch
+  // from the index's own graph, under the pinned ordering or a fresh degree
+  // ordering of the mutated graph.
+  struct Case {
+    double threshold;
+    bool pinned;
+  };
+  for (const Case& c : {Case{2.0, true}, Case{0.0, true}, Case{0.0, false}}) {
+    SCOPED_TRACE(testing::Message() << "threshold " << c.threshold
+                                    << (c.pinned ? " pinned" : ""));
+    const Vertex n = 40;
+    DiGraph target;
+    CscIndex index = BuildReserved(RandomGraph(n, 2.5, 11), target);
+    const VertexOrdering pinned = DegreeOrdering(target);
+    BatchOptions options;
+    options.strategy = MaintenanceStrategy::kMinimality;
+    options.rebuild_threshold = c.threshold;
+    options.pinned_order = c.pinned ? &pinned : nullptr;
+    for (uint64_t round = 0; round < 3; ++round) {
+      std::vector<EdgeUpdate> batch;
+      for (const Edge& e : SampleExistingEdges(target, 3, 30 + round)) {
+        batch.push_back(EdgeUpdate::Remove(e.from, e.to));
+      }
+      for (const Edge& e : SampleNewEdges(target, 3, 40 + round)) {
+        batch.push_back(EdgeUpdate::Insert(e.from, e.to));
+      }
+      // A path through a reserved vertex.
+      const Vertex r = n + static_cast<Vertex>(round % 2);
+      const Vertex u = static_cast<Vertex>(round);
+      batch.push_back(EdgeUpdate::Insert(u, r));
+      batch.push_back(EdgeUpdate::Insert(r, u + 5));
+      for (const EdgeUpdate& update : batch) {
+        if (update.kind == UpdateKind::kInsert) {
+          target.AddEdge(update.edge.from, update.edge.to);
+        } else {
+          target.RemoveEdge(update.edge.from, update.edge.to);
+        }
+      }
+      BatchResult result = ApplyUpdates(index, batch, options);
+      EXPECT_EQ(result.rebuilt, c.threshold == 0.0);
+      ExpectTracksGraph(index, target,
+                        c.pinned ? pinned : DegreeOrdering(target));
+    }
+    // A compaction rebuild keeps the graph and re-orders by degree.
+    RebuildIndex(index);
+    ExpectTracksGraph(index, target, DegreeOrdering(target));
   }
 }
 

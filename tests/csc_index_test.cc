@@ -51,10 +51,10 @@ TEST_F(CscFigure2Test, MatchesBfsForAllVertices) {
 }
 
 TEST_F(CscFigure2Test, BipartiteStructureSizes) {
+  // The index keeps the input graph; G_b's 2n vertices exist only as ranks.
   EXPECT_EQ(index_.num_original_vertices(), 10u);
-  EXPECT_EQ(index_.bipartite_graph().num_vertices(), 20u);
-  EXPECT_EQ(index_.bipartite_graph().num_edges(),
-            graph_.num_vertices() + graph_.num_edges());
+  EXPECT_EQ(index_.graph(), graph_);
+  EXPECT_EQ(index_.bipartite_order().size(), 20u);
 }
 
 TEST_F(CscFigure2Test, BuildStatsAreConsistent) {

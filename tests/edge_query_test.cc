@@ -11,6 +11,7 @@
 #include "dynamic/incremental.h"
 #include "graph/ordering.h"
 #include "tests/test_util.h"
+#include "workload/update_workload.h"
 
 namespace csc {
 namespace {
@@ -222,6 +223,52 @@ TEST(EdgeScreeningTest, LengthFilterAndKAreHonored) {
   // Descending by count.
   for (size_t i = 1; i < hits.size(); ++i) {
     EXPECT_GE(hits[i - 1].cycles.count, hits[i].cycles.count);
+  }
+}
+
+TEST(EdgeScreeningTest, MaintainedIndexMatchesFreshBuild) {
+  // Screening enumerates the maintained index's own edges: after removals
+  // and insertions (reserved vertices attached included), it lists what a
+  // fresh build of the mutated graph lists.
+  const Vertex n = 60;
+  DiGraph graph = RandomGraph(n, 3.0, 53);
+  CscIndex::Options options;
+  options.reserve_vertices = 1;
+  options.maintain_inverted_index = true;
+  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph), options);
+  DiGraph target = graph;
+  target.AddVertices(1);
+  auto expect_fresh_hits = [&]() {
+    CscIndex fresh = CscIndex::Build(target, DegreeOrdering(target));
+    std::vector<EdgeScreeningHit> hits =
+        TopKEdgesByCycleCount(index, kInfDist, target.num_edges());
+    EXPECT_EQ(hits,
+              TopKEdgesByCycleCount(fresh, kInfDist, target.num_edges()));
+    EXPECT_EQ(TopKEdgesByCycleCount(index, 4, 10),
+              TopKEdgesByCycleCount(fresh, 4, 10));
+    // The hits are exactly the mutated graph's edges that lie on a cycle.
+    size_t on_cycle = 0;
+    for (const Edge& e : target.Edges()) {
+      if (fresh.QueryThroughEdge(e.from, e.to).count > 0) ++on_cycle;
+    }
+    EXPECT_EQ(hits.size(), on_cycle);
+    for (const EdgeScreeningHit& hit : hits) {
+      EXPECT_TRUE(target.HasEdge(hit.edge.from, hit.edge.to));
+    }
+  };
+  expect_fresh_hits();
+  for (const Edge& e : SampleExistingEdges(target, 6, 54)) {
+    ASSERT_TRUE(RemoveEdge(index, e.from, e.to));
+    target.RemoveEdge(e.from, e.to);
+    expect_fresh_hits();
+  }
+  std::vector<Edge> inserts = SampleNewEdges(target, 6, 55);
+  inserts.push_back({0, n});
+  inserts.push_back({n, 1});
+  for (const Edge& e : inserts) {
+    ASSERT_TRUE(InsertEdge(index, e.from, e.to));
+    target.AddEdge(e.from, e.to);
+    expect_fresh_hits();
   }
 }
 

@@ -55,6 +55,23 @@ TEST(EngineTest, BuildAndQueryEveryBackend) {
   }
 }
 
+TEST(EngineTest, RepairingBuildReportsTheShadowConstruction) {
+  // A csc engine derives its snapshot from the repair shadow; Stats() must
+  // report that construction as the build, as a frozen engine reports its
+  // own.
+  DiGraph graph = RandomGraph(200, 3.0, 9);
+  for (const char* name : {"csc", "frozen"}) {
+    EngineOptions options;
+    options.backend = name;
+    options.build_threads = 2;
+    Engine engine(options);
+    ASSERT_TRUE(engine.Build(graph)) << name;
+    const BackendStats stats = engine.Stats();
+    EXPECT_EQ(stats.build_threads, 2u) << name;
+    EXPECT_GT(stats.build_seconds, 0.0) << name;
+  }
+}
+
 TEST(EngineTest, BatchQueryMatchesSequentialAcrossGrains) {
   DiGraph graph = RandomGraph(120, 2.5, 5);
   std::vector<Vertex> workload;

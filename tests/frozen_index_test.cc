@@ -4,13 +4,18 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "core/cycle_index.h"
+#include "dynamic/decremental.h"
+#include "dynamic/incremental.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
+#include "workload/update_workload.h"
 
 namespace csc {
 namespace {
@@ -192,6 +197,66 @@ TEST(FrozenIndexPayloadTest, RejectsEncodingThatDisagreesWithMagic) {
     varint.out_arena().AppendTo(mixed);
     mixed += packed_bytes.substr(packed_bytes.size() - ranks_bytes);
     ExpectRejected(mixed, magic);
+  }
+}
+
+// The shadows a derive adopts: a fresh sequential build, and one built by
+// the parallel builder with reserved vertices, then maintained: InsertEdge
+// attaches the reserved vertices and RemoveEdge drops original edges.
+std::vector<CscIndex> DeriveShadows() {
+  std::vector<CscIndex> shadows;
+  const Vertex n = 60;
+  DiGraph g = RandomGraph(n, 2.5, 5);
+  shadows.push_back(CscIndex::Build(g, DegreeOrdering(g)));
+  CscIndex::Options options;
+  options.reserve_vertices = 3;
+  options.maintain_inverted_index = true;
+  options.build_threads = 2;
+  CscIndex maintained = CscIndex::Build(g, DegreeOrdering(g), options);
+  for (const Edge& e : {Edge{0, n}, Edge{n, 1}, Edge{n + 1, n},
+                        Edge{3, n + 1}}) {
+    EXPECT_TRUE(InsertEdge(maintained, e.from, e.to,
+                           MaintenanceStrategy::kMinimality));
+  }
+  for (const Edge& e : SampleExistingEdges(g, 4, 6)) {
+    EXPECT_TRUE(RemoveEdge(maintained, e.from, e.to));
+  }
+  shadows.push_back(std::move(maintained));
+  return shadows;
+}
+
+TEST(ShadowDeriveTest, FromIndexEqualsFreezingTheCompactCopy) {
+  for (const CscIndex& shadow : DeriveShadows()) {
+    for (ArenaEncoding e : {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
+      EXPECT_EQ(FrozenIndex::FromIndex(shadow, e),
+                FrozenIndex::FromCompact(CompactIndex::FromIndex(shadow), e));
+    }
+  }
+}
+
+TEST(ShadowDeriveTest, DeriveFromSavesTheBytesOfACompactPayloadLoad) {
+  for (const CscIndex& shadow : DeriveShadows()) {
+    const std::string compact = CompactIndex::FromIndex(shadow).Serialize();
+    for (const char* name : {"csc", "frozen", "compressed"}) {
+      SCOPED_TRACE(name);
+      std::unique_ptr<CycleIndex> derived = MakeBackend(name);
+      std::unique_ptr<CycleIndex> loaded = MakeBackend(name);
+      ASSERT_TRUE(derived->DeriveFrom(shadow));
+      ASSERT_TRUE(loaded->LoadFrom(compact));
+      std::string derived_bytes;
+      std::string loaded_bytes;
+      ASSERT_TRUE(derived->SaveTo(derived_bytes));
+      ASSERT_TRUE(loaded->SaveTo(loaded_bytes));
+      EXPECT_EQ(derived_bytes, loaded_bytes);
+      // The derived snapshot reports the shadow's construction as its build.
+      EXPECT_EQ(derived->Stats().build_threads,
+                shadow.build_stats().build_threads);
+      EXPECT_GE(derived->Stats().build_seconds, shadow.build_stats().seconds);
+    }
+    // Backends that do not serve the CSC labeling decline.
+    for (const char* name : {"bfs", "hpspc"}) {
+      EXPECT_FALSE(MakeBackend(name)->DeriveFrom(shadow)) << name;
+    }
   }
 }
 

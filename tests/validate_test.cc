@@ -33,12 +33,12 @@ TEST(ValidateTest, FreshCscIsValidUnderVinMask) {
   DiGraph g = RandomGraph(35, 2.0, 5);
   VertexOrdering order = DegreeOrdering(g);
   CscIndex index = CscIndex::Build(g, order);
-  std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
+  std::vector<bool> mask = VinMask(2 * index.num_original_vertices());
+  const DiGraph gb = BipartiteConversion(index.graph());
   const HubLabeling full = ExpandedLabeling(index);
   EXPECT_TRUE(
       ValidateLabelingStructure(full, index.bipartite_order()).empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
-                                        index.bipartite_order(),
+  EXPECT_TRUE(ValidateLabelingSemantics(full, gb, index.bipartite_order(),
                                         /*expect_minimal=*/true, &mask)
                   .empty());
 }
@@ -56,12 +56,12 @@ TEST(ValidateTest, MaintainedIndexStaysValid) {
     ASSERT_TRUE(RemoveEdge(index, e.from, e.to));
     g.RemoveEdge(e.from, e.to);
   }
-  std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
+  std::vector<bool> mask = VinMask(2 * index.num_original_vertices());
+  const DiGraph gb = BipartiteConversion(index.graph());
   const HubLabeling full = ExpandedLabeling(index);
   EXPECT_TRUE(
       ValidateLabelingStructure(full, index.bipartite_order()).empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
-                                        index.bipartite_order(),
+  EXPECT_TRUE(ValidateLabelingSemantics(full, gb, index.bipartite_order(),
                                         /*expect_minimal=*/true, &mask)
                   .empty());
 }
@@ -81,14 +81,13 @@ TEST(ValidateTest, RedundantEntriesFlaggedOnlyWhenMinimalExpected) {
   VertexOrdering order = DegreeOrdering(g);
   CscIndex index = CscIndex::Build(g, order);
   ASSERT_TRUE(InsertEdge(index, 2, 3, MaintenanceStrategy::kRedundancy));
-  std::vector<bool> mask = VinMask(index.bipartite_graph().num_vertices());
+  std::vector<bool> mask = VinMask(2 * index.num_original_vertices());
+  const DiGraph gb = BipartiteConversion(index.graph());
   const HubLabeling full = ExpandedLabeling(index);
-  EXPECT_FALSE(ValidateLabelingSemantics(full, index.bipartite_graph(),
-                                         index.bipartite_order(),
+  EXPECT_FALSE(ValidateLabelingSemantics(full, gb, index.bipartite_order(),
                                          /*expect_minimal=*/true, &mask)
                    .empty());
-  EXPECT_TRUE(ValidateLabelingSemantics(full, index.bipartite_graph(),
-                                        index.bipartite_order(),
+  EXPECT_TRUE(ValidateLabelingSemantics(full, gb, index.bipartite_order(),
                                         /*expect_minimal=*/false, &mask)
                   .empty());
 }
