@@ -256,6 +256,7 @@ void CscIndex::BuildCoupleLabels(const DiGraph& graph,
 
 CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
                          const Options& options) {
+  Timer timer;  // the whole build, inverted indexes included
   CscIndex index;
   index.options_ = options;
   index.options_.maintain_inverted_index = false;  // until populated below
@@ -264,12 +265,11 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
   // same order whatever edit history the caller's copy has.
   index.graph_ = DiGraph::FromEdges(
       graph.num_vertices() + options.reserve_vertices, graph.Edges());
-  Timer timer;
   BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
                     index.order_, index.labels_, index.stats_);
-  index.stats_.seconds = timer.ElapsedSeconds();
   index.stats_.build_threads = options.build_threads;
   if (options.maintain_inverted_index) index.EnsureInvertedIndexes();
+  index.stats_.seconds = timer.ElapsedSeconds();
   return index;
 }
 

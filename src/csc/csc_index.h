@@ -98,6 +98,8 @@ class CscIndex {
   /// The two stored label sets, by original vertex v: in[v] = L_in(v_i) and
   /// out[v] = L_out(v_o). Hubs are bipartite ranks.
   const HubLabeling& served_labels() const { return labels_; }
+  /// Its `seconds` time the whole Build: graph copy, labels and, with
+  /// maintain_inverted_index, the inverted indexes.
   const LabelBuildStats& build_stats() const { return stats_; }
   /// The options that rebuild this index from graph(): reserve_vertices
   /// reads 0, the reserved vertices being part of graph().

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,11 +39,14 @@ namespace csc {
 /// builder runs them: against every committed label, appending their
 /// entries as they go, with no staging, validation, re-run or replay. The
 /// workers share each hub's two passes instead: the passes run side by
-/// side, and the frontier of every BFS level is split across the workers,
-/// as in level-synchronous parallel BFS (Beamer, Asanović & Patterson, SC
-/// 2012); see LevelSplitBfs. The phase ends after the first hub with a pass
-/// that dequeues fewer than kSplitHandOverDequeues vertices, a property of
-/// the input alone.
+/// side, and each BFS level is run by the workers that own its vertices, as
+/// in level-synchronous BFS (Beamer, Asanović & Patterson, SC 2012) with
+/// the owner-computes split of distributed BFS (Buluç & Madduri, SC 2011):
+/// a vertex's distance, count and label set live on one owner, and a
+/// relaxation of another owner's vertex travels to it as a message; see
+/// LevelSplitBfs. The phase ends after the first hub with a pass that
+/// dequeues fewer than kSplitHandOverDequeues vertices, a property of the
+/// input alone.
 ///
 /// **Phase 2: rank batches** for the remaining hubs:
 ///
@@ -93,14 +97,14 @@ namespace csc {
 /// only its claimed `StagedPass` and its own scratch, and reads only labels
 /// committed by earlier batches — immutable for the duration of the stage;
 /// the Crew's release/acquire handoff orders every staged write before the
-/// serial commit loop reads them. A level-split run's workers share only
-/// atomics, the level bounds its barrier publishes, and the label sets of
-/// the vertices each of them dequeued (see LevelSplitBfs). A label set
-/// grows on the calling thread only: a pool thread appends only where the
-/// set's capacity has room (LabelSet::TryAppend), so no set's buffer comes
-/// from a pool thread's malloc arena, where it would stay after the build.
-/// The TSan CI job runs the determinism suite over every handoff at 1..8
-/// workers.
+/// serial commit loop reads them. In a level-split run each vertex's
+/// distance, count and label set are read and written by its owner alone,
+/// with plain loads and stores; owners share only the hub rows (read-only),
+/// the outboxes (written by their sender before a level's barrier, read by
+/// their receiver after it) and the sizes each publishes before it arrives.
+/// So phase 1 grows a label set on its owner's thread, and phase 2's
+/// replay, like CommitNonHub, on the calling thread. The TSan CI job runs
+/// the determinism suite over every handoff at 1..8 workers.
 inline constexpr size_t kMaxBatchRanks = 64;
 
 /// Phase 1 runs while every pass dequeues at least this many vertices. On
@@ -108,10 +112,21 @@ inline constexpr size_t kMaxBatchRanks = 64;
 /// split well, and rank batches of them stage side by side instead.
 inline constexpr uint64_t kSplitHandOverDequeues = 1024;
 
-/// A BFS level with fewer vertices runs as one chunk on one worker; a
-/// larger one is claimed in chunks of kSplitChunk vertices.
+/// A level-split run's levels below this many vertices run on the calling
+/// thread alone, until its first larger level.
 inline constexpr size_t kSplitMinLevel = 128;
-inline constexpr size_t kSplitChunk = 32;
+
+/// A level-split run's owners hold vertices in blocks of 2^kOwnerBlockShift
+/// ids: block b belongs to owner b % owners (see LevelSplitBfs).
+inline constexpr unsigned kOwnerBlockShift = 6;
+
+/// The owners a level-split run uses out of `workers`: at most one per
+/// hardware thread, since an owner that is descheduled stalls its level,
+/// but at least two, so that levels still split.
+inline unsigned LevelSplitOwners(size_t workers) {
+  return static_cast<unsigned>(std::min<size_t>(
+      workers, std::max(ThreadPool::DefaultThreadCount(), 2u)));
+}
 
 /// One pruned counting BFS: hub `hub` of rank `rank`, forward (appending
 /// in-labels) or backward (appending out-labels).
@@ -199,13 +214,13 @@ struct StagedHub {
 /// thread: distance and path count per vertex (kInfDist and 0 between
 /// passes), the pass's queue (every vertex it reached, so also the reset
 /// list), and the hub row of the pruning joins.
-struct BfsScratch {
+struct PassScratch {
   std::vector<Dist> dist;
   std::vector<Count> count;
   std::vector<Vertex> queue;
   HubRow row;
 
-  explicit BfsScratch(size_t num_vertices)
+  explicit PassScratch(size_t num_vertices)
       : dist(num_vertices, kInfDist), count(num_vertices, 0),
         row(num_vertices) {
     queue.reserve(num_vertices);
@@ -218,7 +233,7 @@ struct BfsScratch {
 /// f.Label(event) and then f.Relax(wn, dist', count) for each neighbor the
 /// pass may enter (rank pruning is the builder's check).
 struct SerialFrontier {
-  BfsScratch& s;
+  PassScratch& s;
   StagedPass& out;
 
   void Prune() { ++out.pruned; }
@@ -237,7 +252,7 @@ struct SerialFrontier {
 /// Runs pass `p` on one thread against the current labels, recording its
 /// labeled dequeues into `out` (without Finalize) instead of appending.
 template <typename Builder>
-void StagePass(const Builder& builder, const PassKey& p, BfsScratch& s,
+void StagePass(const Builder& builder, const PassKey& p, PassScratch& s,
                StagedPass& out) {
   const LabelSet* row_set = builder.LoadRow(p, s.row);
   const std::vector<LabelSet>& joined = builder.JoinedSets(p.forward);
@@ -293,19 +308,19 @@ inline void CpuRelax() {
 
 /// A barrier for a fixed set of threads that spins before it sleeps: a
 /// level-split pass crosses one per BFS level, and a futex wake would cost
-/// more than a small level's work. A waiting thread calls `idle()` between
-/// spins (it returns whether it found work to do); after kSpins idle spins
-/// in a row it sleeps (std::atomic::wait), so a descheduled thread does not
-/// leave the others burning the CPUs it needs. The last thread to arrive
-/// runs `complete` before it releases the others, so whatever `complete`
-/// writes is visible to every thread after the barrier.
+/// more than a small level's work. After kSpins spins a waiting thread
+/// sleeps (std::atomic::wait), so a descheduled thread does not leave the
+/// others burning the CPUs it needs. The last thread to arrive runs
+/// `complete` before it releases the others, so whatever `complete` writes,
+/// and whatever any thread wrote before it arrived, is visible to every
+/// thread after the barrier.
 class SpinBarrier {
  public:
   /// Sets the number of threads; call only while no thread is waiting.
   void Reset(unsigned participants) { participants_ = participants; }
 
-  template <typename Complete, typename Idle>
-  void ArriveAndWait(Complete&& complete, Idle&& idle) {
+  template <typename Complete>
+  void ArriveAndWait(Complete&& complete) {
     const uint32_t generation = generation_.load(std::memory_order_relaxed);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         participants_) {
@@ -317,9 +332,7 @@ class SpinBarrier {
     }
     for (unsigned spins = 0;
          generation_.load(std::memory_order_acquire) == generation; ++spins) {
-      if (idle()) {
-        spins = 0;
-      } else if (spins < kSpins) {
+      if (spins < kSpins) {
         CpuRelax();
       } else {
         generation_.wait(generation, std::memory_order_acquire);
@@ -327,7 +340,7 @@ class SpinBarrier {
     }
   }
 
-  /// Idle spins of a waiting thread before it sleeps: about 100 µs.
+  /// Spins of a waiting thread before it sleeps: about 100 µs.
   static constexpr unsigned kSpins = 2000;
 
  private:
@@ -338,10 +351,11 @@ class SpinBarrier {
 
 /// Pool workers that stay in one submitted task across many short jobs, so
 /// a job costs two atomic handoffs rather than a pool dispatch and wake-up
-/// per worker: phase 2 stages each of its many small batches this way. The
-/// workers spin, then sleep (std::atomic::wait), between jobs. Stop() lets
-/// them return, which must happen before anything else is submitted to the
-/// pool; the next Run() submits them again.
+/// per worker, and job(t) runs on the same thread from job to job: phase 1's
+/// level-split owners run each hub this way, and phase 2 stages each of its
+/// many small batches. The workers spin, then sleep (std::atomic::wait),
+/// between jobs. Stop() lets them return, which must happen before anything
+/// else is submitted to the pool; the next Run() submits them again.
 class Crew {
  public:
   /// A crew of `size` workers: the calling thread and size - 1 pool tasks.
@@ -439,43 +453,55 @@ class Crew {
   std::vector<std::exception_ptr> errors_;  // by worker; read after a job
 };
 
-/// Level-synchronous pruned counting BFS: one or two passes at a time, with
-/// the frontier of each BFS level split across the pool's workers while the
-/// calling thread takes in what they label. Two passes run together only if
-/// they are the forward and backward passes of one hub: those read only
-/// labels committed before the hub and disjoint label sets (L_in(w) forward,
-/// L_out(w) backward), and each loads its hub row before either appends, so
-/// they run side by side as staging runs them. Each level of the combined
-/// run is then the union of the two passes' levels. The result equals the
-/// sequential passes' events and counters:
+/// Level-synchronous pruned counting BFS: one or two passes at a time, each
+/// BFS level run by the workers that own its vertices (owner-computes, as
+/// in distributed BFS: Buluç & Madduri, SC 2011). Two passes run together
+/// only if they are the forward and backward passes of one hub: those read
+/// only labels committed before the hub and disjoint label sets (L_in(w)
+/// forward, L_out(w) backward), and each loads its hub row before either
+/// appends, so they run side by side as staging runs them. Each level of
+/// the combined run is then the union of the two passes' levels.
+///
+/// Owner t of a run's owners holds the vertices w with
+/// (w >> kOwnerBlockShift) % owners == t: the same blocks for every hub, so
+/// owners share cache lines of the distance and count arrays only at block
+/// edges, and, for either builder's kJoinShift, whole label sets (a CSC
+/// couple's two ids share one). Once the owners run, only a vertex's owner
+/// reads or writes its distance, count and label set. In a level step an
+/// owner dequeues its part of the level, runs the pruning joins and appends
+/// the labels; it relaxes its own successors in place and sends
+/// (w, dist, count) for another owner's to that owner, through an outbox
+/// per source and destination. After the level's barrier each owner takes
+/// in its messages: the first claims the distance, equal-distance ones add
+/// their counts. The result equals the sequential passes' events and
+/// counters:
 ///   - the sequential pass dequeues a whole level before the next, so a
-///     vertex's distance and path count are final once the level above it
-///     has been expanded;
+///     vertex's distance and path count are final once the messages of the
+///     level above it are taken in;
 ///   - the pruning joins are read-only: each pass's hub row is loaded once
 ///     by the calling thread, and a dequeue joins only its own vertex's
 ///     label set, which is appended to only after that join (each vertex is
 ///     dequeued once per pass);
-///   - a newly reached vertex's distance is claimed by compare-and-swap, so
-///     one worker enqueues it, and path counts are summed with relaxed
-///     atomic adds, which commute, so the sums are exact;
-///   - each worker counts its own dequeues and prunes.
+///   - claims and count sums commute, so neither the order of a level's
+///     dequeues nor that of its messages changes a distance or a count.
 /// Pass i keeps its distances, counts and hub row in scratch[i].
 ///
-/// The calling thread runs levels of fewer than kSplitMinLevel vertices
-/// alone until the first larger one, so a run with no large level never
-/// pays a pool dispatch. From there on the pool's workers (scratch.size()
-/// - 1 of them, one submitted task each) join it for the rest of the run:
-/// each pass's level is claimed in chunks of kSplitChunk vertices, or as one
-/// chunk if the level is small, and the workers meet at a SpinBarrier after
-/// every level.
+/// Outboxes alternate by level parity, so one barrier per level suffices:
+/// an owner refills the outboxes it filled at level L only after every
+/// owner has crossed the barrier of level L + 1, and so has taken in level
+/// L's messages. Before it arrives, each owner publishes how many vertices
+/// it claimed and messages it sent; the run ends at a level where all sum
+/// to 0.
 ///
-/// Commit (phase 1) appends each label as the pass finds it. A pool worker
-/// appends in place when the set has room and otherwise publishes the event,
-/// in a buffer reserved for the whole build, for the calling thread to
-/// append; the calling thread does that before it claims each chunk and
-/// while it waits at a barrier, so label sets grow on the calling thread
-/// only. Stage (phase 2's re-runs) publishes every labeled dequeue and
-/// collects them into StagedPasses.
+/// The calling thread runs levels of fewer than kSplitMinLevel vertices
+/// alone, claiming every vertex in place into its owner's list, until the
+/// first larger one, so a run with no large level never pays a pool
+/// dispatch. From there on the other owners join it for the rest of the
+/// run.
+///
+/// Commit (phase 1) appends each label as its owner finds it, so a label
+/// set grows on its owner's thread. Stage (phase 2's re-runs) records each
+/// owner's labeled dequeues and collects them into StagedPasses afterwards.
 template <typename Builder>
 class LevelSplitBfs {
  public:
@@ -485,29 +511,50 @@ class LevelSplitBfs {
   };
   using PassCounts = std::array<Counts, 2>;
 
-  /// One worker per entry of `scratch`: the calling thread and, through
-  /// `pool` (null for one worker), scratch.size() - 1 others. The pool must
-  /// have that many threads and be otherwise idle while a run works.
+  /// One owner's level steps over every run so far: seconds working and
+  /// waiting at barriers (both 0 unless `timed`), and messages sent.
+  struct OwnerTime {
+    double busy_s = 0;
+    double wait_s = 0;
+    uint64_t messages = 0;
+  };
+
+  /// LevelSplitOwners(scratch.size()) owners: the calling thread and,
+  /// through `pool` (null for one worker), a Crew of the others, so that
+  /// each owner stays on one pool thread from run to run. The pool must
+  /// have scratch.size() - 1 threads and run nothing else from a run to the
+  /// next Stop().
   LevelSplitBfs(const Builder& builder, ThreadPool* pool,
-                std::vector<BfsScratch>& scratch, bool timed)
+                std::vector<PassScratch>& scratch, bool timed)
       : builder_(builder),
-        pool_(pool),
         scratch_(scratch),
         num_vertices_(scratch[0].dist.size()),
-        workers_(scratch.size()),
+        owners_(pool == nullptr ? 1 : LevelSplitOwners(scratch.size())),
+        crew_(pool, static_cast<unsigned>(owners_.size())),
         timed_(timed) {
+    barrier_.Reset(static_cast<unsigned>(owners_.size()));
+    for (size_t b = 0; b <= num_vertices_ >> kOwnerBlockShift; ++b) {
+      owner_of_block_.push_back(static_cast<uint8_t>(b % owners_.size()));
+    }
     // A pass reaches and labels each vertex at most once. The buffers are
     // mapped, not touched, here: what stays resident is what a run writes.
-    for (Slot& s : slots_) s.frontier = Allocate<Vertex>();
-    for (Worker& w : workers_) {
-      for (WorkerSlot& ws : w.slots) ws.events = Allocate<StagedEvent>();
+    for (Owner& o : owners_) {
+      for (Lane& lane : o.lanes) {
+        lane.list = Allocate<Vertex>();
+        lane.events = Allocate<StagedEvent>();
+      }
+      for (std::vector<Outbox>& sent : o.outboxes) {
+        sent.resize(2 * owners_.size());
+      }
     }
   }
 
   ~LevelSplitBfs() {
-    for (Slot& s : slots_) Free(s.frontier);
-    for (Worker& w : workers_) {
-      for (WorkerSlot& ws : w.slots) Free(ws.events);
+    for (Owner& o : owners_) {
+      for (Lane& lane : o.lanes) {
+        Free(lane.list);
+        Free(lane.events);
+      }
     }
   }
 
@@ -520,213 +567,102 @@ class LevelSplitBfs {
   /// dequeue and prune counts.
   PassCounts Commit(std::span<const PassKey> passes, LabelBuildStats& stats) {
     commit_ = &stats;
-    return Run(passes, [&](size_t i, std::span<const StagedEvent> events) {
-      AppendEvents(builder_, passes[i], events);
-    });
+    return Run(passes, nullptr);
   }
 
   /// Runs `passes` against the current labels, recording the labeled
   /// dequeues of passes[i] into `out[i]` (without Finalize) instead.
   PassCounts Stage(std::span<const PassKey> passes, StagedPass* const out[]) {
     commit_ = nullptr;
-    return Run(passes, [&](size_t i, std::span<const StagedEvent> events) {
-      out[i]->events.insert(out[i]->events.end(), events.begin(),
-                            events.end());
-    });
+    return Run(passes, out);
   }
 
-  /// Levels run split across workers, and on one worker, by every Run so
-  /// far (a level of a two-pass run counts once).
+  /// Lets the owners' pool tasks return, so that the pool can run something
+  /// else, and returns the outboxes' memory; the next run that splits a
+  /// level starts them again.
+  void Stop() {
+    crew_.Stop();
+    for (Owner& o : owners_) {
+      for (std::vector<Outbox>& sent : o.outboxes) {
+        for (Outbox& box : sent) Outbox().swap(box);
+      }
+    }
+  }
+
+  /// Levels run split across owners, and on the calling thread alone, by
+  /// every Run so far (a level of a two-pass run counts once).
   size_t levels_split() const { return levels_split_; }
   size_t levels_single() const { return levels_single_; }
-  /// Seconds the calling thread spent taking in other workers' events in
-  /// all, and while it waited for them at a barrier (only with `timed`).
-  double sink_s() const { return sink_s_ + waiting_sink_s_; }
-  double waiting_sink_s() const { return waiting_sink_s_; }
+
+  /// Each owner's OwnerTime, the calling thread's first.
+  std::vector<OwnerTime> owner_times() const {
+    std::vector<OwnerTime> times;
+    for (const Owner& o : owners_) times.push_back(o.time);
+    return times;
+  }
 
  private:
-  // `sink(i, events)` takes in the events of passes[i] that workers
-  // publish: all labeled dequeues when staging, only the appends a worker
-  // could not make in place when committing.
-  template <typename Sink>
-  PassCounts Run(std::span<const PassKey> passes, Sink&& sink) {
-    if (passes.size() <= scratch_.size()) return RunTogether(passes, sink);
-    PassCounts total;  // one worker: one pass at a time
-    for (size_t i = 0; i < passes.size(); ++i) {
-      auto sink_i = [&](size_t, std::span<const StagedEvent> events) {
-        sink(i, events);
-      };
-      total[i] = RunTogether(passes.subspan(i, 1), sink_i)[0];
-    }
-    return total;
-  }
-
-  template <typename Sink>
-  PassCounts RunTogether(std::span<const PassKey> passes, Sink& sink) {
-    PassCounts total;
-    num_slots_ = passes.size();
-    for (size_t i = 0; i < num_slots_; ++i) {
-      Slot& s = slots_[i];
-      BfsScratch& shared = scratch_[i];
-      s.key = passes[i];
-      s.row_set = builder_.LoadRow(s.key, shared.row);
-      shared.dist[s.key.hub] = 0;
-      shared.count[s.key.hub] = 1;
-      s.frontier[0] = s.key.hub;
-      s.tail.store(1, std::memory_order_relaxed);
-      s.lo = s.hi = 0;
-    }
-    for (Worker& w : workers_) {
-      for (WorkerSlot& ws : w.slots) {
-        ws.size = 0;
-        ws.consumed = 0;
-        ws.published.store(0, std::memory_order_relaxed);
-      }
-    }
-    failed_.store(false, std::memory_order_relaxed);
-    NextLevel();
-    std::exception_ptr error;
-    scratch_[0].queue.clear();  // may hold a staged pass's vertices
-    bool dispatched = false;
-    while (LevelSize() > 0) {
-      if (pool_ != nullptr && workers_.size() > 1 &&
-          LevelSize() >= kSplitMinLevel) {
-        Dispatch();
-        dispatched = true;
-        // The calling thread joins too, and hands events to the sink after
-        // each of its chunks and while it waits at a barrier.
-        auto drain = [&](double& seconds) {
-          if (error) return false;
-          try {
-            return DrainOnce(sink, seconds);
-          } catch (...) {
-            error = std::current_exception();
-            failed_.store(true, std::memory_order_relaxed);
-            return false;
-          }
-        };
-        WorkLevels(
-            0, [&] { return drain(sink_s_); },
-            [&] { return drain(waiting_sink_s_); });
-        drain(sink_s_);
-        pool_->Wait();
-        break;
-      }
-      ++levels_single_;
-      JoinLevel<false>(0, [] { return false; });
-      DrainOnce(sink, sink_s_);
-      NextLevel();
-    }
-    if (!dispatched) ResetShare(0, 1);
-    for (Worker& w : workers_) {
-      for (size_t i = 0; i < num_slots_; ++i) {
-        total[i].dequeued += w.slots[i].counts.dequeued;
-        total[i].pruned += w.slots[i].counts.pruned;
-        w.slots[i].counts = {};
-      }
-      if (commit_ != nullptr) {
-        commit_->entries += w.entries.entries;
-        commit_->canonical_entries += w.entries.canonical_entries;
-        commit_->non_canonical_entries += w.entries.non_canonical_entries;
-      }
-      w.entries = {};
-      if (w.error && !error) error = w.error;
-      w.error = nullptr;
-    }
-    for (size_t i = 0; i < num_slots_; ++i) {
-      if (slots_[i].row_set != nullptr) {
-        scratch_[i].row.Clear(*slots_[i].row_set);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return total;
-  }
-
-  // One pass of a run. The current level is frontier[lo, hi) and the next
-  // one grows from hi to tail. lo, hi and chunk change only in NextLevel:
-  // on the calling thread before the pool is dispatched, then on the last
-  // worker to reach each barrier.
-  struct Slot {
-    PassKey key;
-    const LabelSet* row_set = nullptr;
-    Vertex* frontier = nullptr;
-    size_t lo = 0, hi = 0, chunk = 1;
-    std::atomic<size_t> tail{0};
-    // The next unclaimed index of the level, on a cache line of its own.
-    alignas(64) std::atomic<size_t> cursor{0};
+  // A relaxation of vertex w, sent to its owner.
+  struct Message {
+    Vertex w;
+    Dist dist;
+    Count count;
   };
+  // Pool threads grow these, so they take PageAllocator (see EventBuffer).
+  using Outbox = std::vector<Message, PageAllocator<Message>>;
 
-  // One worker's share of one pass.
-  struct WorkerSlot {
-    // The worker's own: written on every dequeue.
-    StagedEvent* events = nullptr;
-    size_t size = 0;
+  // One owner's part of one pass: the vertices it has claimed, level by
+  // level. The current level is list[lo, hi); the next grows from hi to
+  // tail.
+  struct Lane {
+    Vertex* list = nullptr;
+    size_t lo = 0, hi = 0, tail = 0;
+    StagedEvent* events = nullptr;  // its labeled dequeues, when staging
+    size_t num_events = 0;
     Counts counts;
-    // What the calling thread polls, on a cache line of its own so that
-    // polling does not steal the line above from the worker.
-    alignas(64) std::atomic<size_t> published{0};
-    size_t consumed = 0;  // by the calling thread's drain
+    LabelBuildStats entries;  // what its labels stand for, when committing
   };
 
-  struct alignas(64) Worker {
-    WorkerSlot slots[2];
-    LabelBuildStats entries;  // the entry counters of its in-place appends
+  struct alignas(64) Owner {
+    Lane lanes[2];
+    // What this owner sends, by level parity, at [2 * destination + pass].
+    std::array<std::vector<Outbox>, 2> outboxes;
+    // Published before each barrier: the level's dequeues, and the vertices
+    // claimed and messages sent for the next level.
+    size_t level_size = 0, pending = 0;
+    OwnerTime time;
     std::exception_ptr error;
   };
 
-  // The frontier as the builders' Visit hooks feed it; `kShared` while
-  // other workers run, so that distances and counts take atomics. When
-  // committing, a worker appends a label itself if the set has room (the
-  // calling thread, `may_grow`, always does); otherwise it publishes the
-  // event for the calling thread to append, so that only the calling
-  // thread grows label sets.
-  template <bool kShared>
-  struct SplitFrontier {
-    const Builder& builder;
-    const PassKey& key;
-    Dist* dist;
-    Count* count;
-    std::vector<Vertex>& found;
-    WorkerSlot& out;
-    LabelBuildStats* entries;  // null when staging
-    bool may_grow;
+  // The frontier as the builders' Visit hooks feed it, for owner t's lane
+  // of pass i. A vertex of owner t, or any vertex while the calling thread
+  // runs alone (`sent` null), is claimed in place; another owner's is sent
+  // to it.
+  struct OwnerFrontier {
+    LevelSplitBfs& run;
+    const size_t i;
+    const unsigned t;
+    Lane& lane;
+    std::vector<Outbox>* sent;
 
-    void Prune() { ++out.counts.pruned; }
+    void Prune() { ++lane.counts.pruned; }
     void Label(const StagedEvent& e) {
-      if (entries != nullptr) {
-        builder.CountEvent(key, e, *entries);
-        LabelSet* set = builder.Target(key, e);
-        if (set == nullptr) return;
-        const LabelEntry entry(key.rank, e.dist, e.count);
-        if (may_grow) {
-          set->Append(entry);
-          return;
-        }
-        if (set->TryAppend(entry)) return;
-      }
-      std::construct_at(out.events + out.size++, e);
-    }
-    void Relax(Vertex wn, Dist nd, Count c) {
-      if constexpr (!kShared) {
-        if (dist[wn] == kInfDist) {
-          dist[wn] = nd;
-          count[wn] = c;
-          found.push_back(wn);
-        } else if (dist[wn] == nd) {
-          count[wn] += c;
-        }
+      if (run.commit_ == nullptr) {
+        std::construct_at(lane.events + lane.num_events++, e);
         return;
       }
-      std::atomic_ref<Dist> d(dist[wn]);
-      Dist seen = d.load(std::memory_order_relaxed);
-      if (seen == kInfDist &&
-          d.compare_exchange_strong(seen, nd, std::memory_order_relaxed)) {
-        found.push_back(wn);
-        seen = nd;
+      const PassKey& key = run.keys_[i];
+      run.builder_.CountEvent(key, e, lane.entries);
+      if (LabelSet* set = run.builder_.Target(key, e)) {
+        set->Append(LabelEntry(key.rank, e.dist, e.count));
       }
-      if (seen == nd) {
-        std::atomic_ref<Count>(count[wn]).fetch_add(
-            c, std::memory_order_relaxed);
+    }
+    void Relax(Vertex wn, Dist nd, Count c) {
+      const unsigned o = run.owner_of_block_[wn >> kOwnerBlockShift];
+      if (sent == nullptr || o == t) {
+        run.Claim(o, i, wn, nd, c);
+      } else {
+        (*sent)[2 * o + i].push_back({wn, nd, c});
       }
     }
   };
@@ -740,170 +676,216 @@ class LevelSplitBfs {
     PageAllocator<T>().deallocate(p, num_vertices_);
   }
 
+  std::chrono::steady_clock::time_point Now() const {
+    return timed_ ? std::chrono::steady_clock::now()
+                  : std::chrono::steady_clock::time_point{};
+  }
+  static double Seconds(std::chrono::steady_clock::time_point a,
+                        std::chrono::steady_clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  }
+
+  PassCounts Run(std::span<const PassKey> passes, StagedPass* const out[]) {
+    if (passes.size() <= scratch_.size()) return RunTogether(passes, out);
+    PassCounts total;  // one worker: one pass at a time
+    for (size_t i = 0; i < passes.size(); ++i) {
+      total[i] = RunTogether(passes.subspan(i, 1),
+                             out == nullptr ? nullptr : out + i)[0];
+    }
+    return total;
+  }
+
+  PassCounts RunTogether(std::span<const PassKey> passes,
+                         StagedPass* const out[]) {
+    num_slots_ = passes.size();
+    for (Owner& o : owners_) {
+      for (Lane& lane : o.lanes) {
+        lane.lo = lane.hi = lane.tail = lane.num_events = 0;
+        lane.counts = {};
+        lane.entries = {};
+      }
+    }
+    for (size_t i = 0; i < num_slots_; ++i) {
+      keys_[i] = passes[i];
+      row_sets_[i] = builder_.LoadRow(keys_[i], scratch_[i].row);
+      const Vertex hub = keys_[i].hub;
+      Claim(owner_of_block_[hub >> kOwnerBlockShift], i, hub, 0, 1);
+    }
+    failed_.store(false, std::memory_order_relaxed);
+    for (Owner& o : owners_) Advance(o);
+    bool dispatched = false;
+    while (const size_t size = LevelSize()) {
+      if (owners_.size() > 1 && size >= kSplitMinLevel) {
+        dispatched = true;
+        auto work = [this](unsigned t) { WorkLevels(t); };
+        crew_.Run(work);
+        break;
+      }
+      ++levels_single_;
+      const auto start = Now();
+      for (unsigned t = 0; t < owners_.size(); ++t) {
+        for (size_t i = 0; i < num_slots_; ++i) Expand(t, i, nullptr);
+      }
+      owners_[0].time.busy_s += Seconds(start, Now());
+      for (Owner& o : owners_) Advance(o);
+    }
+    PassCounts total;
+    std::exception_ptr error;
+    for (Owner& o : owners_) {
+      if (!dispatched) ResetLanes(o);
+      for (size_t i = 0; i < num_slots_; ++i) {
+        const Lane& lane = o.lanes[i];
+        total[i].dequeued += lane.counts.dequeued;
+        total[i].pruned += lane.counts.pruned;
+        if (commit_ != nullptr) {
+          commit_->entries += lane.entries.entries;
+          commit_->canonical_entries += lane.entries.canonical_entries;
+          commit_->non_canonical_entries += lane.entries.non_canonical_entries;
+        } else {
+          out[i]->events.insert(out[i]->events.end(), lane.events,
+                                lane.events + lane.num_events);
+        }
+      }
+      if (o.error && !error) error = o.error;
+      o.error = nullptr;
+    }
+    for (size_t i = 0; i < num_slots_; ++i) {
+      if (row_sets_[i] != nullptr) scratch_[i].row.Clear(*row_sets_[i]);
+    }
+    if (error) std::rethrow_exception(error);
+    return total;
+  }
+
+  // Owner t's level steps for the rest of the run, from the current level.
+  void WorkLevels(unsigned t) {
+    Owner& me = owners_[t];
+    for (unsigned level = 0;; ++level) {
+      const auto start = Now();
+      const unsigned parity = level % 2;
+      std::vector<Outbox>& sent = me.outboxes[parity];
+      me.level_size = me.pending = 0;
+      try {
+        if (level > 0) {
+          // Take in what the others sent this owner at the last level.
+          for (const Owner& from : owners_) {
+            for (size_t i = 0; i < num_slots_; ++i) {
+              for (const Message& m : from.outboxes[parity ^ 1][2 * t + i]) {
+                Claim(t, i, m.w, m.dist, m.count);
+              }
+            }
+          }
+          Advance(me);
+        }
+        for (Outbox& box : sent) box.clear();
+        for (size_t i = 0; i < num_slots_; ++i) {
+          Lane& lane = me.lanes[i];
+          me.level_size += lane.hi - lane.lo;
+          Expand(t, i, &sent);
+          me.pending += lane.tail - lane.hi;
+        }
+      } catch (...) {
+        if (!me.error) me.error = std::current_exception();
+        failed_.store(true, std::memory_order_relaxed);
+      }
+      for (const Outbox& box : sent) {
+        me.pending += box.size();
+        me.time.messages += box.size();
+      }
+      const auto arrive = Now();
+      barrier_.ArriveAndWait([this] { EndLevel(); });
+      me.time.busy_s += Seconds(start, arrive);
+      me.time.wait_s += Seconds(arrive, Now());
+      if (done_) break;
+    }
+    ResetLanes(me);
+  }
+
+  // Dequeues owner t's part of pass i's current level; `sent` as in
+  // OwnerFrontier.
+  void Expand(unsigned t, size_t i, std::vector<Outbox>* sent) {
+    Lane& lane = owners_[t].lanes[i];
+    const std::span<const Vertex> level(lane.list + lane.lo,
+                                        lane.hi - lane.lo);
+    const std::vector<LabelSet>& joined = builder_.JoinedSets(keys_[i].forward);
+    const PassScratch& s = scratch_[i];
+    OwnerFrontier frontier{*this, i, t, lane, sent};
+    for (size_t head = 0; head < level.size();) {
+      const Vertex w =
+          DequeueAndPrefetch(level, head, joined, Builder::kJoinShift);
+      ++lane.counts.dequeued;
+      builder_.Visit(keys_[i], w, s.dist[w], s.count[w], s.row, frontier);
+    }
+  }
+
+  // Relaxes w, owned by o, in pass i: the first relaxation claims its
+  // distance and enqueues it; one at that distance adds its count.
+  void Claim(unsigned o, size_t i, Vertex w, Dist d, Count c) {
+    PassScratch& s = scratch_[i];
+    if (s.dist[w] == kInfDist) {
+      s.dist[w] = d;
+      s.count[w] = c;
+      Lane& lane = owners_[o].lanes[i];
+      lane.list[lane.tail++] = w;
+    } else if (s.dist[w] == d) {
+      s.count[w] += c;
+    }
+  }
+
+  // Moves o's lanes to their next level: the vertices claimed since.
+  void Advance(Owner& o) {
+    for (size_t i = 0; i < num_slots_; ++i) {
+      o.lanes[i].lo = o.lanes[i].hi;
+      o.lanes[i].hi = o.lanes[i].tail;
+    }
+  }
+
   size_t LevelSize() const {
     size_t size = 0;
-    for (size_t i = 0; i < num_slots_; ++i) size += slots_[i].hi - slots_[i].lo;
+    for (const Owner& o : owners_) {
+      for (size_t i = 0; i < num_slots_; ++i) {
+        size += o.lanes[i].hi - o.lanes[i].lo;
+      }
+    }
     return size;
   }
 
-  void Dispatch() {
-    ++levels_split_;
-    const unsigned workers = static_cast<unsigned>(workers_.size());
-    barrier_.Reset(workers);
-    for (unsigned t = 1; t < workers; ++t) {
-      pool_->Submit([this, t] {
-        WorkLevels(t, [] { return false; }, [] { return false; });
-      });
+  // Run by the last owner to reach a level's barrier, with every owner's
+  // published sizes in view.
+  void EndLevel() {
+    size_t size = 0, pending = 0;
+    for (const Owner& o : owners_) {
+      size += o.level_size;
+      pending += o.pending;
     }
+    if (size > 0) ++(size >= kSplitMinLevel ? levels_split_ : levels_single_);
+    done_ = pending == 0 || failed_.load(std::memory_order_relaxed);
   }
 
-  // Hands every event published since the last call to `sink`; returns
-  // whether there were any. With `timed`, adds the time to `seconds`.
-  template <typename Sink>
-  bool DrainOnce(Sink& sink, double& seconds) {
-    bool any = false;
-    for (Worker& w : workers_) {
-      for (size_t i = 0; i < num_slots_; ++i) {
-        WorkerSlot& ws = w.slots[i];
-        const size_t published = ws.published.load(std::memory_order_acquire);
-        if (published == ws.consumed) continue;
-        const auto start = timed_ ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-        sink(i, std::span<const StagedEvent>(ws.events + ws.consumed,
-                                             published - ws.consumed));
-        if (timed_) {
-          seconds += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-        }
-        ws.consumed = published;
-        any = true;
-      }
-    }
-    return any;
-  }
-
-  // Worker t's share of the rest of the run, from the current level on.
-  // `before_chunk()` and `idle()` are the worker's other work: it repeats
-  // `before_chunk()` until that returns false before it claims each chunk,
-  // and calls `idle()` while it waits at a barrier.
-  template <typename BeforeChunk, typename Idle>
-  void WorkLevels(unsigned t, BeforeChunk&& before_chunk, Idle&& idle) {
-    scratch_[t].queue.clear();  // may hold a staged pass's vertices
-    for (;;) {
-      try {
-        JoinLevel<true>(t, before_chunk);
-      } catch (...) {
-        if (!workers_[t].error) workers_[t].error = std::current_exception();
-        failed_.store(true, std::memory_order_relaxed);
-        scratch_[t].queue.clear();
-      }
-      barrier_.ArriveAndWait(
-          [this] {
-            NextLevel();
-            const size_t size = LevelSize();
-            if (size > 0) {
-              ++(size >= kSplitMinLevel ? levels_split_ : levels_single_);
-            }
-          },
-          idle);
-      if (LevelSize() == 0) break;
-    }
-    ResetShare(t, workers_.size());
-  }
-
-  // For each pass, claims chunks of its level until none is left, then adds
-  // the vertices they reached to its frontier. Before each claim it repeats
-  // `before_chunk()` until that returns false.
-  template <bool kShared, typename BeforeChunk>
-  void JoinLevel(unsigned t, BeforeChunk&& before_chunk) {
-    std::vector<Vertex>& found = scratch_[t].queue;
+  // Restores the distance and count of every vertex o claimed in this run.
+  void ResetLanes(Owner& o) {
     for (size_t i = 0; i < num_slots_; ++i) {
-      Slot& s = slots_[i];
-      BfsScratch& shared = scratch_[i];
-      WorkerSlot& out = workers_[t].slots[i];
-      const std::vector<LabelSet>& joined = builder_.JoinedSets(s.key.forward);
-      LabelBuildStats* entries =
-          commit_ != nullptr ? &workers_[t].entries : nullptr;
-      SplitFrontier<kShared> frontier{builder_, s.key, shared.dist.data(),
-                                      shared.count.data(), found, out,
-                                      entries, /*may_grow=*/t == 0};
-      for (;;) {
-        while (before_chunk()) {
-        }
-        const size_t begin =
-            s.cursor.fetch_add(s.chunk, std::memory_order_relaxed);
-        if (begin >= s.hi) break;
-        // Prefetch within the chunk only: the calling thread may be
-        // appending to the sets of vertices other workers have dequeued.
-        const std::span<const Vertex> chunk(
-            s.frontier + begin, std::min(begin + s.chunk, s.hi) - begin);
-        for (size_t head = 0; head < chunk.size();) {
-          Vertex w =
-              DequeueAndPrefetch(chunk, head, joined, Builder::kJoinShift);
-          ++out.counts.dequeued;
-          Dist d = shared.dist[w];
-          Count c = shared.count[w];
-          if constexpr (kShared) {
-            d = std::atomic_ref<Dist>(shared.dist[w])
-                    .load(std::memory_order_relaxed);
-            c = std::atomic_ref<Count>(shared.count[w])
-                    .load(std::memory_order_relaxed);
-          }
-          builder_.Visit(s.key, w, d, c, shared.row, frontier);
-        }
-        out.published.store(out.size, std::memory_order_release);
-      }
-      if (!found.empty()) {
-        const size_t at =
-            s.tail.fetch_add(found.size(), std::memory_order_relaxed);
-        std::copy(found.begin(), found.end(), s.frontier + at);
-        found.clear();
-      }
-    }
-  }
-
-  // Moves every pass to its next level: the vertices its last one reached.
-  void NextLevel() {
-    const bool failed = failed_.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < num_slots_; ++i) {
-      Slot& s = slots_[i];
-      s.lo = s.hi;
-      s.hi = failed ? s.lo : s.tail.load(std::memory_order_relaxed);
-      const size_t size = s.hi - s.lo;
-      s.chunk = size < kSplitMinLevel ? std::max<size_t>(size, 1) : kSplitChunk;
-      s.cursor.store(s.lo, std::memory_order_relaxed);
-    }
-  }
-
-  // Restores share `k` of `shares` of every reached vertex's distance and
-  // count for the next run.
-  void ResetShare(size_t k, size_t shares) {
-    for (size_t i = 0; i < num_slots_; ++i) {
-      const Slot& s = slots_[i];
-      BfsScratch& shared = scratch_[i];
-      const size_t reached = s.tail.load(std::memory_order_relaxed);
-      const size_t begin = reached * k / shares;
-      const size_t end = reached * (k + 1) / shares;
-      for (size_t j = begin; j < end; ++j) {
-        shared.dist[s.frontier[j]] = kInfDist;
-        shared.count[s.frontier[j]] = 0;
+      const Lane& lane = o.lanes[i];
+      for (size_t j = 0; j < lane.tail; ++j) {
+        scratch_[i].dist[lane.list[j]] = kInfDist;
+        scratch_[i].count[lane.list[j]] = 0;
       }
     }
   }
 
   const Builder& builder_;
-  ThreadPool* const pool_;
-  std::vector<BfsScratch>& scratch_;
+  std::vector<PassScratch>& scratch_;
   const size_t num_vertices_;
-  Slot slots_[2];
+  std::vector<Owner> owners_;
+  Crew crew_;
+  std::vector<uint8_t> owner_of_block_;  // see the class comment
+  const bool timed_;
+  PassKey keys_[2];
+  const LabelSet* row_sets_[2] = {nullptr, nullptr};
   size_t num_slots_ = 1;
-  std::vector<Worker> workers_;
   SpinBarrier barrier_;
   std::atomic<bool> failed_{false};
-  const bool timed_;
+  bool done_ = false;  // written by EndLevel, read after the barrier
   size_t levels_split_ = 0, levels_single_ = 0;
-  double sink_s_ = 0, waiting_sink_s_ = 0;
   LabelBuildStats* commit_ = nullptr;  // Commit's, while it runs
 };
 
@@ -1033,9 +1015,9 @@ inline PassValidation ValidateStagedHub(std::vector<StagedHub>& staged,
 ///   Dist NewInDist(const StagedHub&, Vertex) const;
 ///
 /// All but CommitNonHub run concurrently: they read only committed labels
-/// and write only their arguments. CommitNonHub runs on the calling thread,
-/// in rank order; a label set grows on the calling thread only (a pool
-/// thread appends in place, LabelSet::TryAppend, or not at all).
+/// and write only their arguments, and a level-split owner appends only to
+/// the label sets Target gives for its own vertices. CommitNonHub runs on
+/// the calling thread, in rank order.
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
                          unsigned num_threads, LabelBuildStats& stats) {
@@ -1048,7 +1030,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
   // The calling thread is one of the workers, so one worker needs no pool.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
-  std::vector<BfsScratch> scratch;
+  std::vector<PassScratch> scratch;
   scratch.reserve(num_threads);
   for (unsigned t = 0; t < num_threads; ++t) {
     scratch.emplace_back(builder.num_vertices());
@@ -1089,11 +1071,11 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
     }
     ++stats.split_hubs;
   }
+  split.Stop();
   const double debug_split_s = secs(split_start, now());
   const size_t debug_split_levels = split.levels_split();
   const size_t debug_single_levels = split.levels_single();
-  const double debug_append_s = split.sink_s();
-  const double debug_waiting_append_s = split.waiting_sink_s();
+  const auto debug_owner_times = split.owner_times();
 
   // Phase 2: rank batches.
   Crew crew(pool.get(), num_threads);
@@ -1195,7 +1177,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
         // validations. The clean pass's staging is already sequential and
         // is kept as-is.
         auto rerun_start = now();
-        crew.Stop();  // the re-run dispatches its own pool tasks
+        crew.Stop();  // the re-run runs the level-split owners
         PassKey dirty[2];
         StagedPass* rerun[2];
         size_t num_dirty = 0;
@@ -1207,6 +1189,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
         }
         const auto counts =
             split.Stage(std::span<const PassKey>(dirty, num_dirty), rerun);
+        split.Stop();
         for (size_t i = 0; i < num_dirty; ++i) {
           rerun[i]->dequeued = counts[i].dequeued;
           rerun[i]->pruned = counts[i].pruned;
@@ -1243,14 +1226,29 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
   }
   stats.split_levels += split.levels_split();
   if (debug) {
+    // Each owner's busy and barrier-wait seconds, the calling thread's
+    // first, and the messages they sent.
+    std::string busy, wait;
+    uint64_t messages = 0;
+    for (const auto& t : debug_owner_times) {
+      char buf[48];
+      std::snprintf(buf, sizeof buf, "%s%.3f", busy.empty() ? "" : ",",
+                    t.busy_s);
+      busy += buf;
+      std::snprintf(buf, sizeof buf, "%s%.3f", wait.empty() ? "" : ",",
+                    t.wait_s);
+      wait += buf;
+      messages += t.messages;
+    }
     std::fprintf(stderr,
                  "[parallel_build] split: hubs=%llu passes=%llu "
                  "levels_split=%zu levels_single=%zu wall=%.3fs "
-                 "append=%.3fs (%.3fs at barriers)\n",
+                 "busy=%ss wait=%ss messages=%llu\n",
                  static_cast<unsigned long long>(stats.split_hubs),
                  static_cast<unsigned long long>(2 * stats.split_hubs),
                  debug_split_levels, debug_single_levels, debug_split_s,
-                 debug_append_s, debug_waiting_append_s);
+                 busy.c_str(), wait.c_str(),
+                 static_cast<unsigned long long>(messages));
     std::fprintf(stderr,
                  "[parallel_build] hubs=%zu dirty=%zu staged_deq=%zu "
                  "rerun_deq=%zu stage=%.3fs validate=%.3fs rerun=%.3fs "

@@ -7,6 +7,8 @@
 #include "dynamic/batch.h"
 #include "labeling/pruned_bfs.h"
 #include "tests/test_util.h"
+#include "util/timer.h"
+#include "workload/datasets.h"
 #include "workload/update_workload.h"
 
 namespace csc {
@@ -143,6 +145,20 @@ TEST(CscIndexTest, EnsureInvertedIndexesIsIdempotent) {
   uint64_t before = index.inv_in().TotalEntries();
   index.EnsureInvertedIndexes();
   EXPECT_EQ(index.inv_in().TotalEntries(), before);
+}
+
+// build_stats().seconds times the whole Build, the inverted indexes (most
+// of it) included, not the labels alone.
+TEST(CscIndexTest, BuildSecondsIncludeTheInvertedIndexes) {
+  DiGraph g = MaterializeDataset(FindDataset("WKT").value(), 0.1);
+  VertexOrdering order = DegreeOrdering(g);
+  CscIndex::Options options;
+  options.maintain_inverted_index = true;
+  Timer timer;
+  CscIndex index = CscIndex::Build(g, order, options);
+  const double wall = timer.ElapsedSeconds();
+  ASSERT_TRUE(index.has_inverted_index());
+  EXPECT_GE(index.build_stats().seconds, 0.8 * wall);
 }
 
 TEST(CscAblationTest, DisablingCoupleSkippingKeepsAnswers) {

@@ -19,8 +19,10 @@
 #include "graph/generators.h"
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
+#include "labeling/parallel_build.h"
 #include "labeling/pruned_bfs.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 #include "workload/datasets.h"
 
 namespace csc {
@@ -91,6 +93,17 @@ std::vector<NamedGraph> LevelSplitGraphs() {
   return graphs;
 }
 
+// The worker counts of the level-split tests: kThreadCounts plus 5 and 7,
+// and twice the hardware threads, beyond the level-split crew's clamp.
+std::vector<unsigned> LevelSplitThreadCounts() {
+  std::vector<unsigned> counts(std::begin(kThreadCounts),
+                               std::end(kThreadCounts));
+  counts.push_back(5);
+  counts.push_back(7);
+  counts.push_back(2 * ThreadPool::DefaultThreadCount());
+  return counts;
+}
+
 // The first phase ran (at any thread count), and with more than one worker
 // it split levels across them.
 void ExpectLevelSplitRan(const LabelBuildStats& stats, unsigned threads,
@@ -109,7 +122,7 @@ TEST(ParallelBuildDeterminismTest, CscLevelSplitPhaseMatchesSequential) {
     CscIndex sequential = CscIndex::Build(g.graph, order);
     EXPECT_EQ(sequential.build_stats().split_hubs, 0u) << g.name;
     const uint64_t min_hubs = g.name == "wkt_0.1" ? 2 : 1;
-    for (unsigned threads : kThreadCounts) {
+    for (unsigned threads : LevelSplitThreadCounts()) {
       CscIndex::Options options;
       options.build_threads = threads;
       CscIndex parallel = CscIndex::Build(g.graph, order, options);
@@ -128,7 +141,7 @@ TEST(ParallelBuildDeterminismTest, HpSpcLevelSplitPhaseMatchesSequential) {
     VertexOrdering order = DegreeOrdering(g.graph);
     HpSpcIndex sequential = HpSpcIndex::Build(g.graph, order);
     const uint64_t min_hubs = g.name == "wkt_0.1" ? 2 : 1;
-    for (unsigned threads : kThreadCounts) {
+    for (unsigned threads : LevelSplitThreadCounts()) {
       HpSpcIndex parallel = HpSpcIndex::Build(g.graph, order, threads);
       std::string context = g.name + " threads=" + std::to_string(threads);
       EXPECT_EQ(parallel.labeling(), sequential.labeling()) << context;
@@ -136,6 +149,61 @@ TEST(ParallelBuildDeterminismTest, HpSpcLevelSplitPhaseMatchesSequential) {
                        context);
       ExpectLevelSplitRan(parallel.build_stats(), threads, min_hubs, context);
     }
+  }
+}
+
+// Vertex 0 on 2-cycles through 200 leaves that all fall in the blocks of
+// the last of `owners` level-split owners (labeling/parallel_build.h), so
+// the hub's 200-vertex level, split, leaves the other owners empty lists
+// and empty inboxes. A builder's BFS ids are its vertex ids shifted left by
+// `id_shift` (1 for the CSC builder's bipartite ids under the identity
+// order).
+DiGraph OneOwnerFanOut(unsigned owners, unsigned id_shift) {
+  std::vector<Edge> edges;
+  Vertex v = 1;
+  for (size_t leaves = 0; leaves < 200; ++v) {
+    if (((v << id_shift) >> kOwnerBlockShift) % owners != owners - 1) continue;
+    edges.push_back({0, v});
+    edges.push_back({v, 0});
+    ++leaves;
+  }
+  return DiGraph::FromEdges(v, edges);
+}
+
+VertexOrdering IdentityOrdering(Vertex n) {
+  std::vector<Vertex> rank_to_vertex(n);
+  for (Vertex v = 0; v < n; ++v) rank_to_vertex[v] = v;
+  return OrderingFromPermutation(rank_to_vertex);
+}
+
+TEST(ParallelBuildDeterminismTest, LevelInOneOwnersBlocksMatchesSequential) {
+  for (unsigned threads : LevelSplitThreadCounts()) {
+    const unsigned owners = LevelSplitOwners(threads);
+    const std::string context = "threads=" + std::to_string(threads);
+    {
+      DiGraph graph = OneOwnerFanOut(owners, 1);
+      VertexOrdering order = IdentityOrdering(graph.num_vertices());
+      CscIndex sequential = CscIndex::Build(graph, order);
+      CscIndex::Options options;
+      options.build_threads = threads;
+      CscIndex parallel = CscIndex::Build(graph, order, options);
+      EXPECT_EQ(parallel.served_labels(), sequential.served_labels())
+          << "csc " << context;
+      ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
+                       "csc " + context);
+      ExpectLevelSplitRan(parallel.build_stats(), threads, 1,
+                          "csc " + context);
+    }
+    DiGraph graph = OneOwnerFanOut(owners, 0);
+    VertexOrdering order = IdentityOrdering(graph.num_vertices());
+    HpSpcIndex sequential = HpSpcIndex::Build(graph, order);
+    HpSpcIndex parallel = HpSpcIndex::Build(graph, order, threads);
+    EXPECT_EQ(parallel.labeling(), sequential.labeling())
+        << "hpspc " << context;
+    ExpectStatsEqual(parallel.build_stats(), sequential.build_stats(),
+                     "hpspc " + context);
+    ExpectLevelSplitRan(parallel.build_stats(), threads, 1,
+                        "hpspc " + context);
   }
 }
 
