@@ -21,56 +21,71 @@ namespace csc {
 
 namespace {
 
-// Encodes one label set as (rank_delta, dist, count) varint triples.
-void EncodeRun(const LabelSet& labels, std::vector<uint8_t>& out) {
+constexpr size_t kEntry = sizeof(LabelEntry);
+
+// A run's varint encoding: (rank_delta, dist, count) triples, the first
+// delta from 0. EncodedRunBytes is its length, EncodeRun writes it at `out`.
+size_t EncodedRunBytes(std::span<const LabelEntry> run) {
+  size_t bytes = 0;
   uint64_t previous_rank = 0;
-  bool first = true;
-  for (const LabelEntry& entry : labels.entries()) {
-    uint64_t rank = entry.hub();  // label sets store hubs by rank
-    AppendVarint(out, first ? rank : rank - previous_rank);
-    AppendVarint(out, entry.dist());
-    AppendVarint(out, entry.count());
-    previous_rank = rank;
-    first = false;
+  for (const LabelEntry& entry : run) {
+    bytes += VarintSize(entry.hub() - previous_rank) +
+             VarintSize(entry.dist()) + VarintSize(entry.count());
+    previous_rank = entry.hub();  // label sets store hubs by rank
+  }
+  return bytes;
+}
+
+void EncodeRun(std::span<const LabelEntry> run, uint8_t* out) {
+  uint64_t previous_rank = 0;
+  for (const LabelEntry& entry : run) {
+    out += PutVarint(out, entry.hub() - previous_rank);
+    out += PutVarint(out, entry.dist());
+    out += PutVarint(out, entry.count());
+    previous_rank = entry.hub();
   }
 }
 
 }  // namespace
 
-LabelArena LabelArena::Build(
+LabelArena LabelArena::Sized(
     Vertex num_vertices,
-    const std::function<const LabelSet&(Vertex)>& labels_of,
+    const std::function<std::span<const LabelEntry>(Vertex)>& run_of,
     ArenaEncoding encoding) {
   LabelArena arena;
   arena.encoding_ = encoding;
-  arena.offsets_.assign(num_vertices + 1, 0);
-  if (encoding == ArenaEncoding::kPacked) {
-    uint64_t total = 0;
-    for (Vertex v = 0; v < num_vertices; ++v) total += labels_of(v).size();
-    arena.entries_.reserve(total);
-    for (Vertex v = 0; v < num_vertices; ++v) {
-      const LabelSet& labels = labels_of(v);
-      arena.entries_.insert(arena.entries_.end(), labels.entries().begin(),
-                            labels.entries().end());
-      arena.offsets_[v + 1] = arena.entries_.size();
-    }
-    arena.total_entries_ = arena.entries_.size();
-  } else {
-    for (Vertex v = 0; v < num_vertices; ++v) {
-      const LabelSet& labels = labels_of(v);
-      EncodeRun(labels, arena.bytes_);
-      arena.offsets_[v + 1] = arena.bytes_.size();
-      arena.total_entries_ += labels.size();
-    }
+  arena.offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
+  for (Vertex v = 0; v < num_vertices; ++v) {
+    const std::span<const LabelEntry> run = run_of(v);
+    arena.offsets_[v + 1] = arena.offsets_[v] + (arena.packed()
+                                                     ? run.size()
+                                                     : EncodedRunBytes(run));
+    arena.total_entries_ += run.size();
   }
+  arena.payload_.resize(arena.SizeBytes());
   return arena;
+}
+
+void LabelArena::PlaceRun(Vertex v, std::span<const LabelEntry> run) {
+  uint8_t* at = payload_.data();
+  if (packed()) {
+    if (!run.empty()) {
+      std::memcpy(at + offsets_[v] * kEntry, run.data(), run.size() * kEntry);
+    }
+  } else {
+    EncodeRun(run, at + offsets_[v]);
+  }
 }
 
 LabelArena LabelArena::FromLabelSets(const std::vector<LabelSet>& sets,
                                      ArenaEncoding encoding) {
-  return Build(
-      static_cast<Vertex>(sets.size()),
-      [&sets](Vertex v) -> const LabelSet& { return sets[v]; }, encoding);
+  const Vertex n = static_cast<Vertex>(sets.size());
+  auto run_of = [&sets](Vertex v) -> std::span<const LabelEntry> {
+    return sets[v].entries();
+  };
+  LabelArena arena = Sized(n, run_of, encoding);
+  for (Vertex v = 0; v < n; ++v) arena.PlaceRun(v, run_of(v));
+  return arena;
 }
 
 bool LabelArena::Cursor::Next() {
@@ -131,7 +146,6 @@ namespace {
 // payload has no alignment guarantee.
 
 constexpr int kRankShift = LabelEntry::kDistBits + LabelEntry::kCountBits;
-constexpr size_t kEntry = sizeof(LabelEntry);
 
 inline uint64_t LoadBits(const uint8_t* p) {
   uint64_t bits;
@@ -491,28 +505,15 @@ void LabelArena::Slice(const std::function<bool(Vertex)>& keep) {
   // Pass 2: copy the kept runs into fresh owned storage. The source may be
   // an unaligned mapping view, so packed entries move by memcpy only —
   // never through LabelEntry lvalues (the file-wide unaligned-load rule).
-  std::vector<LabelEntry> kept_words;
-  std::vector<uint8_t> kept_bytes;
-  if (packed()) {
-    kept_words.resize(new_offsets[n]);
-  } else {
-    kept_bytes.reserve(new_offsets[n]);
-  }
-  uint64_t written = 0;
+  decltype(payload_) kept(new_offsets[n] * unit);
   for (Vertex v = 0; v < n; ++v) {
     uint64_t run = new_offsets[v + 1] - new_offsets[v];
     if (run == 0) continue;
-    const uint8_t* src = payload + offsets_[v] * unit;
-    if (packed()) {
-      std::memcpy(kept_words.data() + written, src, run * kEntry);
-      written += run;
-    } else {
-      kept_bytes.insert(kept_bytes.end(), src, src + run);
-    }
+    std::memcpy(kept.data() + new_offsets[v] * unit,
+                payload + offsets_[v] * unit, run * unit);
   }
   offsets_ = std::move(new_offsets);
-  entries_ = std::move(kept_words);
-  bytes_ = std::move(kept_bytes);
+  payload_ = std::move(kept);
   view_payload_ = nullptr;
   external_.reset();
   total_entries_ = kept_entries;
@@ -524,15 +525,6 @@ LabelArena LabelArena::WithEditedRuns(
   LabelArena out;
   out.encoding_ = encoding_;
   out.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  // Varint replacements are encoded once up front so both passes see their
-  // exact byte length; packed replacements are sized straight off the set.
-  std::vector<std::vector<uint8_t>> encoded;
-  if (!packed()) {
-    encoded.resize(edits.size());
-    for (size_t i = 0; i < edits.size(); ++i) {
-      EncodeRun(edits[i].second, encoded[i]);
-    }
-  }
   const uint8_t* payload = payload_data();
   const size_t unit = packed() ? kEntry : 1;
   // Pass 1: new run boundaries; the entry total adjusts by each edit's
@@ -543,7 +535,7 @@ LabelArena LabelArena::WithEditedRuns(
     uint64_t run;
     if (next_edit < edits.size() && edits[next_edit].first == v) {
       const LabelSet& labels = edits[next_edit].second;
-      run = packed() ? labels.size() : encoded[next_edit].size();
+      run = packed() ? labels.size() : EncodedRunBytes(labels.entries());
       total += labels.size();
       total -= RunSize(v);
       ++next_edit;
@@ -553,35 +545,18 @@ LabelArena LabelArena::WithEditedRuns(
     out.offsets_[v + 1] = out.offsets_[v] + run;
   }
   // Pass 2: copy unedited runs (memcpy only — the source may be an
-  // unaligned mapping view) and write the replacement encodings in place.
-  if (packed()) {
-    out.entries_.resize(out.offsets_[n]);
-  } else {
-    out.bytes_.reserve(out.offsets_[n]);
-  }
+  // unaligned mapping view) and write the replacements in place.
+  out.payload_.resize(out.offsets_[n] * unit);
   next_edit = 0;
   for (Vertex v = 0; v < n; ++v) {
-    uint64_t run = out.offsets_[v + 1] - out.offsets_[v];
     if (next_edit < edits.size() && edits[next_edit].first == v) {
-      if (run > 0) {
-        if (packed()) {
-          std::memcpy(out.entries_.data() + out.offsets_[v],
-                      edits[next_edit].second.entries().data(), run * kEntry);
-        } else {
-          out.bytes_.insert(out.bytes_.end(), encoded[next_edit].begin(),
-                            encoded[next_edit].end());
-        }
-      }
-      ++next_edit;
+      out.PlaceRun(v, edits[next_edit++].second.entries());
       continue;
     }
+    const uint64_t run = out.offsets_[v + 1] - out.offsets_[v];
     if (run == 0) continue;
-    const uint8_t* src = payload + offsets_[v] * unit;
-    if (packed()) {
-      std::memcpy(out.entries_.data() + out.offsets_[v], src, run * kEntry);
-    } else {
-      out.bytes_.insert(out.bytes_.end(), src, src + run);
-    }
+    std::memcpy(out.payload_.data() + out.offsets_[v] * unit,
+                payload + offsets_[v] * unit, run * unit);
   }
   out.total_entries_ = total;
   return out;
@@ -645,11 +620,7 @@ std::optional<LabelArena> LabelArena::ParseImpl(
       arena.view_payload_ = data + pos;
       arena.external_ = std::move(keep_alive);
     } else {
-      arena.entries_.resize(payload);
-      if (payload > 0) {
-        std::memcpy(arena.entries_.data(), data + pos,
-                    payload * sizeof(LabelEntry));
-      }
+      arena.payload_.assign(data + pos, data + pos + payload * kEntry);
     }
     pos += payload * sizeof(LabelEntry);
     arena.total_entries_ = payload;
@@ -660,7 +631,7 @@ std::optional<LabelArena> LabelArena::ParseImpl(
       arena.view_payload_ = stream;
       arena.external_ = std::move(keep_alive);
     } else {
-      arena.bytes_.assign(stream, stream + payload);
+      arena.payload_.assign(stream, stream + payload);
     }
     pos += payload;
     // Count entries by decoding; also validates the streams terminate on

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "util/common.h"
 #include "util/label_entry.h"
 #include "util/lifetime_annotations.h"
+#include "util/page_allocator.h"
 
 namespace csc {
 
@@ -49,14 +51,21 @@ class LabelArena {
  public:
   LabelArena() = default;
 
-  /// Flattens `labels_of(v)` for v in [0, num_vertices) into one arena.
-  static LabelArena Build(Vertex num_vertices,
-                          const std::function<const LabelSet&(Vertex)>& labels_of,
-                          ArenaEncoding encoding);
-
-  /// Convenience: flattens a materialized vector of label sets.
+  /// Flattens a materialized vector of label sets.
   static LabelArena FromLabelSets(const std::vector<LabelSet>& sets,
                                   ArenaEncoding encoding);
+
+  /// An arena whose run v is sized for `run_of(v)`, v in [0, num_vertices),
+  /// and left for PlaceRun to write, in any vertex order: a build's label
+  /// store hands its runs over owner by owner (FrozenIndex::Build). A
+  /// payload of a page or more is mapped untouched, so what is resident is
+  /// what PlaceRun has written.
+  static LabelArena Sized(
+      Vertex num_vertices,
+      const std::function<std::span<const LabelEntry>(Vertex)>& run_of,
+      ArenaEncoding encoding);
+  /// Writes run v of a Sized arena: the run Sized saw for v.
+  void PlaceRun(Vertex v, std::span<const LabelEntry> run);
 
   Vertex num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<Vertex>(offsets_.size() - 1);
@@ -72,9 +81,7 @@ class LabelArena {
   /// live. Never null for a built arena; may be unaligned when viewing a
   /// mapping.
   const uint8_t* payload_data() const CSC_LIFETIME_BOUND {
-    if (view_payload_ != nullptr) return view_payload_;
-    return packed() ? reinterpret_cast<const uint8_t*>(entries_.data())
-                    : bytes_.data();
+    return view_payload_ != nullptr ? view_payload_ : payload_.data();
   }
 
   /// Decodes the packed entry word at `p` (unaligned-safe).
@@ -243,10 +250,12 @@ class LabelArena {
   // before. Always materialized (owned) — the wire format stores varint run
   // lengths, so a view load reconstructs these in one pass.
   std::vector<uint64_t> offsets_;
-  std::vector<LabelEntry> entries_;  // owned packed payload
-  std::vector<uint8_t> bytes_;       // owned varint payload
+  // The owned payload: packed entry words or varint bytes. On mapped pages
+  // from a page up, so a freed arena returns them to the system whatever
+  // malloc's thresholds have become.
+  std::vector<uint8_t, PageAllocator<uint8_t>> payload_;
   // When non-null, the payload lives in an external buffer (file mapping)
-  // and the vectors above stay empty; external_ keeps the buffer alive.
+  // and payload_ stays empty; external_ keeps the buffer alive.
   const uint8_t* view_payload_ = nullptr;
   std::shared_ptr<const void> external_;
   uint64_t total_entries_ = 0;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "csc/couple_builders.h"
 #include "graph/bipartite.h"
 
 namespace csc {
@@ -123,14 +124,11 @@ CompactIndex CompactIndex::Build(const DiGraph& graph,
                                  const VertexOrdering& order,
                                  const CscIndex::Options& options) {
   LabelBuildStats stats;
-  VertexOrdering bipartite_order;
-  HubLabeling labels;
-  CscIndex::BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
-                              bipartite_order, labels, stats);
+  CoupleLabels labels = BuildCoupleLabels(graph, order, options,
+                                          /*distance_pruning=*/true, stats);
   CompactIndex compact;
-  compact.in_labels_ = std::move(labels.in);
-  compact.out_labels_ = std::move(labels.out);
-  compact.rank_to_vertex_ = std::move(bipartite_order.rank_to_vertex);
+  labels.ReleaseInto(compact.in_labels_, compact.out_labels_, stats);
+  compact.rank_to_vertex_ = std::move(labels.bipartite_order.rank_to_vertex);
   return compact;
 }
 

@@ -23,22 +23,21 @@ namespace csc {
 /// ("when the complete index must be recovered, we just need to modify the
 /// distance element and the v_i-hub out-label entry").
 ///
-/// It is a payload only, with no query path of its own: it is the step
-/// between construction and the one serving form (FrozenIndex::FromCompact,
-/// either arena encoding), and its "CSCI" serialization is the interchange
-/// format every CSC backend loads. CSC construction writes exactly these two
-/// label sets and CscIndex stores exactly them, so Build() yields a compact
-/// index without the full labeling ever existing and FromIndex() is a copy.
+/// It is a payload only, with no query path of its own: its "CSCI"
+/// serialization is the interchange format every CSC backend loads
+/// (FrozenIndex::FromCompact, either arena encoding); a build freezes
+/// straight from construction instead (FrozenIndex::Build). CSC
+/// construction writes exactly these two label sets and CscIndex stores
+/// exactly them, so Build() yields a compact index without the full
+/// labeling ever existing and FromIndex() is a copy.
 /// ExpandToFull() alone derives the other two sets: the four-set labeling
 /// the tests hold the index to.
 class CompactIndex {
  public:
   /// Builds the compact index of `graph` under `order` directly: the same
   /// construction as CscIndex::Build(graph, order, options), whose stored
-  /// sets it equals, minus the graph copy and the inverted indexes (the
-  /// option is ignored). The served sets keep the capacity construction grew
-  /// them to, so it suits a compact index that is a step toward another form
-  /// (the flat arenas); one kept for long packs tighter as a copy.
+  /// sets it equals, exact-size, minus the graph copy and the inverted
+  /// indexes (the option is ignored).
   static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
                             const CscIndex::Options& options);
 
@@ -62,7 +61,7 @@ class CompactIndex {
   friend bool operator==(const CompactIndex&, const CompactIndex&) = default;
 
  private:
-  friend class FrozenIndex;  // encodes the two sets, consuming or copying
+  friend class FrozenIndex;  // encodes the two sets
 
   std::vector<LabelSet> in_labels_;   // L_in(v_i), indexed by original vertex
   std::vector<LabelSet> out_labels_;  // L_out(v_o), indexed by original vertex

@@ -2,20 +2,24 @@
 #define CSC_CSC_COUPLE_BUILDERS_H_
 
 // Construction internals shared by the sequential CSC builder
-// (csc_index.cc) and the parallel one (parallel_couple_builder.cc), which
-// live in separate translation units so that the parallel builder's code
-// does not change how the compiler builds the sequential one: with both in
-// one unit, the sequential build of WKT@0.5 measured 7% slower than alone
-// (0.775 against 0.724 s; medians of 20 alternating runs, 4 vCPU, GCC 12.2
-// -O3).
+// (csc_index.cc), the parallel one (parallel_couple_builder.cc) and the
+// forms that take the labels they write (CscIndex, CompactIndex and
+// FrozenIndex). The two builders live in separate translation units so
+// that the parallel builder's code does not change how the compiler builds
+// the sequential one: with both in one unit, the sequential build of
+// WKT@0.5 measured 7% slower than alone (0.775 against 0.724 s; medians of
+// 20 alternating runs, 4 vCPU, GCC 12.2 -O3).
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "csc/csc_index.h"
+#include "graph/bipartite.h"
 #include "graph/digraph.h"
 #include "graph/ordering.h"
 #include "labeling/hub_labeling.h"
+#include "labeling/label_store.h"
 #include "util/common.h"
 
 namespace csc {
@@ -77,26 +81,79 @@ class RankedCsr {
   std::vector<Rank> pred_;
 };
 
-/// The two label sets construction writes, by pair rank k: in[k] is
-/// L_in(v_i) and out[k] is L_out(v_o) of the vertex ranked k.
-struct PairLabels {
-  explicit PairLabels(Vertex num_pairs) : in(num_pairs), out(num_pairs) {}
+/// The two label sets CSC construction writes, in the label stores it grows
+/// them in (labeling/label_store.h), by pair rank k, the rank of original
+/// vertex v: in[k] is L_in(v_i) and out[k] is L_out(v_o). Set k holds the labels of BFS ids 2k and 2k + 1
+/// (the couple's stored side), so the stores split their sets among the
+/// build's owners by blocks of 2^(kOwnerBlockShift - 1) pair ranks. Also
+/// G_b's ordering.
+struct CoupleLabels {
+  LabelStore in;
+  LabelStore out;
+  VertexOrdering bipartite_order;
 
-  /// L_in of in-vertex rank x and L_out of out-vertex rank x.
-  LabelSet& In(Rank x) { return in[x >> 1]; }
-  LabelSet& Out(Rank x) { return out[x >> 1]; }
-  const LabelSet& In(Rank x) const { return in[x >> 1]; }
-  const LabelSet& Out(Rank x) const { return out[x >> 1]; }
+  /// The original vertex of pair rank k.
+  Vertex VertexOf(size_t k) const {
+    return OriginalOf(bipartite_order.rank_to_vertex[2 * k]);
+  }
 
-  std::vector<LabelSet> in;
-  std::vector<LabelSet> out;
+  /// Hands every set over, L_in then L_out: per direction, begin(store,
+  /// is_in) first, then place(v, run) for each set, owner by owner, each
+  /// owner's slab unmapped once its sets are placed. Records the bytes still
+  /// mapped then (0) in `stats` and, with CSC_PARALLEL_DEBUG set, reports
+  /// the stores on stderr (the `labels:` row).
+  template <typename Begin, typename Place>
+  void Release(Begin&& begin, Place&& place, LabelBuildStats& stats);
+
+  /// The pair rank of original vertex v.
+  size_t PairOf(Vertex v) const {
+    return bipartite_order.vertex_to_rank[InVertex(v)] >> 1;
+  }
+
+  /// Release into exact-size LabelSets by original vertex.
+  void ReleaseInto(std::vector<LabelSet>& in_sets,
+                   std::vector<LabelSet>& out_sets, LabelBuildStats& stats);
+
+ private:
+  static bool Debug();
+  static double Seconds();  // read only when Debug()
+  void Report(bool debug, const double seconds[2],
+              LabelBuildStats& stats) const;
 };
 
+/// Algorithm 3 over a copy of `graph` whose vertex ids are their ranks (G_b
+/// is not built): L_in(v_i) and L_out(v_o) of every original vertex v,
+/// reserved ones included, and the build stats (stats.store included).
+CoupleLabels BuildCoupleLabels(const DiGraph& graph,
+                               const VertexOrdering& order,
+                               const CscIndex::Options& options,
+                               bool distance_pruning, LabelBuildStats& stats);
+
 /// Algorithm 3 over `graph` with `num_threads` >= 1 workers
-/// (labeling/parallel_build.h), writing the same `labels` and `stats` as
-/// the sequential builder.
-void BuildCoupleLabelsInParallel(const RankedCsr& graph, PairLabels& labels,
-                                 unsigned num_threads, LabelBuildStats& stats);
+/// (labeling/parallel_build.h), writing the same `in` and `out` sets and
+/// `stats` as the sequential builder; the stores are made here, split among
+/// the build's owners.
+void BuildCoupleLabelsInParallel(const RankedCsr& graph, unsigned num_threads,
+                                 LabelStore& in, LabelStore& out,
+                                 LabelBuildStats& stats);
+
+template <typename Begin, typename Place>
+void CoupleLabels::Release(Begin&& begin, Place&& place,
+                           LabelBuildStats& stats) {
+  const bool debug = Debug();
+  double seconds[2] = {0, 0};
+  for (int d = 0; d < 2; ++d) {
+    LabelStore& store = d == 0 ? in : out;
+    const double start = debug ? Seconds() : 0;
+    begin(store, d == 0);
+    for (unsigned t = 0; t < store.owners(); ++t) {
+      store.ForEachOf(t, [&](size_t k) { place(VertexOf(k), store[k]); });
+      store.Release(t);
+    }
+    if (debug) seconds[d] = Seconds() - start;
+  }
+  Report(debug, seconds, stats);
+}
 
 }  // namespace csc
 

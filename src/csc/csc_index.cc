@@ -1,6 +1,7 @@
 #include "csc/csc_index.h"
 
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -29,10 +30,11 @@ namespace {
 /// row L_out(v_i), which loads shifted from L_out(v_o).
 class CoupleSkipBuilder {
  public:
-  CoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels,
+  CoupleSkipBuilder(const RankedCsr& graph, LabelStore& in, LabelStore& out,
                     LabelBuildStats& stats, bool distance_pruning)
       : graph_(graph),
-        labels_(labels),
+        in_(in),
+        out_(out),
         stats_(stats),
         distance_pruning_(distance_pruning),
         dist_(graph.num_ranks(), kInfDist),
@@ -45,7 +47,7 @@ class CoupleSkipBuilder {
         // Couple-vertex skipping: v_o never roots a BFS; it only records its
         // own trivial labels (Algorithm 3 lines 6-8). The in-label is a
         // derived one.
-        labels_.Out(r).Append(LabelEntry(r, 0, 1));
+        out_.Append(r >> 1, LabelEntry(r, 0, 1));
         stats_.entries += 2;
         stats_.canonical_entries += 2;
         continue;
@@ -61,7 +63,7 @@ class CoupleSkipBuilder {
   void ForwardPass(Rank hr) {
     // Forward passes write only in-labels, so L_out(hub) is fixed here: it
     // is L_out(couple) shifted, below the hub's rank.
-    const LabelSet& couple_out = labels_.Out(CoupleOf(hr));
+    const std::span<const LabelEntry> couple_out = out_[hr >> 1];
     if (distance_pruning_) row_.LoadShifted(couple_out, hr);
     queue_.clear();
     dist_[hr] = 0;
@@ -70,10 +72,10 @@ class CoupleSkipBuilder {
     queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Rank w = DequeueAndPrefetch(queue_, head, labels_.in, 1);
+      Rank w = DequeueAndPrefetch(queue_, head, in_, 1);
       ++stats_.vertices_dequeued;
       if (distance_pruning_) {
-        Dist via = row_.Join(labels_.In(w));
+        Dist via = row_.Join(in_[w >> 1]);
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
@@ -87,7 +89,7 @@ class CoupleSkipBuilder {
       // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1. The
       // couple's distance/count are exactly w's shifted because w_o's only
       // in-edge is the couple edge (w_i, w_o), so its entry is derived.
-      labels_.In(w).Append(LabelEntry(hr, dist_[w], count_[w]));
+      in_.Append(w >> 1, LabelEntry(hr, dist_[w], count_[w]));
       stats_.entries += 2;
       for (Rank wn : graph_.Successors(w)) {  // wn ∈ V_in
         if (dist_[wn] == kInfDist) {
@@ -112,7 +114,7 @@ class CoupleSkipBuilder {
   void BackwardPass(Rank hr) {
     // Backward passes write only out-labels; L_in(hub) is loaded after the
     // forward pass finished, so it holds what the merge join would read.
-    if (distance_pruning_) row_.Load(labels_.In(hr));
+    if (distance_pruning_) row_.Load(in_[hr >> 1]);
     queue_.clear();
     dist_[hr] = 0;
     count_[hr] = 1;
@@ -120,7 +122,7 @@ class CoupleSkipBuilder {
     queue_.push_back(hr);
     size_t head = 0;
     while (head < queue_.size()) {
-      Rank w = DequeueAndPrefetch(queue_, head, labels_.out, 1);
+      Rank w = DequeueAndPrefetch(queue_, head, out_, 1);
       ++stats_.vertices_dequeued;
       if (w == hr) {
         // Modification (3) of §IV.C: the root only records (v, 0, 1) in its
@@ -141,7 +143,7 @@ class CoupleSkipBuilder {
       }
       bool is_hub_couple = (w == CoupleOf(hr));
       if (distance_pruning_) {
-        Dist via = row_.Join(labels_.Out(w));
+        Dist via = row_.Join(out_[w >> 1]);
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;
@@ -153,7 +155,7 @@ class CoupleSkipBuilder {
           stats_.canonical_entries += produced;
         }
       }
-      labels_.Out(w).Append(LabelEntry(hr, dist_[w], count_[w]));
+      out_.Append(w >> 1, LabelEntry(hr, dist_[w], count_[w]));
       ++stats_.entries;
       if (is_hub_couple) {
         // Modification (4) of §IV.C: reaching the hub's own couple v_o means
@@ -179,7 +181,7 @@ class CoupleSkipBuilder {
       }
     }
     ResetScratch();
-    if (distance_pruning_) row_.Clear(labels_.In(hr));
+    if (distance_pruning_) row_.Clear(in_[hr >> 1]);
   }
 
   void ResetScratch() {
@@ -191,7 +193,8 @@ class CoupleSkipBuilder {
   }
 
   const RankedCsr& graph_;
-  PairLabels& labels_;
+  LabelStore& in_;   // L_in(v_i) by pair rank: set x >> 1 of in-vertex x
+  LabelStore& out_;  // L_out(v_o) by pair rank: set x >> 1 of out-vertex x
   LabelBuildStats& stats_;
   const bool distance_pruning_;
   std::vector<Dist> dist_;
@@ -216,27 +219,30 @@ void CheckVertexRange(Vertex num_original_vertices) {
 
 }  // namespace
 
-void CscIndex::BuildCoupleLabels(const DiGraph& graph,
-                                 const VertexOrdering& order,
-                                 const Options& options, bool distance_pruning,
-                                 VertexOrdering& bipartite_order,
-                                 HubLabeling& labels, LabelBuildStats& stats) {
+CoupleLabels BuildCoupleLabels(const DiGraph& graph,
+                               const VertexOrdering& order,
+                               const CscIndex::Options& options,
+                               bool distance_pruning, LabelBuildStats& stats) {
   const Vertex n = graph.num_vertices() + options.reserve_vertices;
   CheckVertexRange(n);
-  PairLabels pair_labels(n);
+  CoupleLabels labels;
   {
     // Reserved vertices are isolated and ranked below every real vertex, so
     // they cost two self-labels each and never perturb existing labels.
     RankedCsr csr(graph, order, n);
     if (options.build_threads == 0) {
-      CoupleSkipBuilder builder(csr, pair_labels, stats, distance_pruning);
+      labels.in = LabelStore(n, 1, 0);
+      labels.out = LabelStore(n, 1, 0);
+      CoupleSkipBuilder builder(csr, labels.in, labels.out, stats,
+                                distance_pruning);
       builder.BuildAll();
     } else {
       assert(distance_pruning);
-      BuildCoupleLabelsInParallel(csr, pair_labels, options.build_threads,
-                                  stats);
+      BuildCoupleLabelsInParallel(csr, options.build_threads, labels.in,
+                                  labels.out, stats);
     }
   }
+  VertexOrdering& bipartite_order = labels.bipartite_order;
   bipartite_order = BipartiteOrdering(order);
   // A reserved vertex v is ranked v, so its bipartite ids are its ranks.
   for (Vertex v = graph.num_vertices(); v < n; ++v) {
@@ -245,13 +251,53 @@ void CscIndex::BuildCoupleLabels(const DiGraph& graph,
     bipartite_order.vertex_to_rank.push_back(InVertex(v));
     bipartite_order.vertex_to_rank.push_back(OutVertex(v));
   }
-  // Back to vertex order.
-  labels.Resize(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const Rank k = OriginalOf(bipartite_order.vertex_to_rank[InVertex(v)]);
-    labels.in[v] = std::move(pair_labels.in[k]);
-    labels.out[v] = std::move(pair_labels.out[k]);
-  }
+  stats.store = labels.in.Stats();
+  stats.store += labels.out.Stats();
+  return labels;
+}
+
+void CoupleLabels::ReleaseInto(std::vector<LabelSet>& in_sets,
+                               std::vector<LabelSet>& out_sets,
+                               LabelBuildStats& stats) {
+  std::vector<LabelSet>* sets = nullptr;
+  Release(
+      [&](const LabelStore& store, bool in_direction) {
+        sets = in_direction ? &in_sets : &out_sets;
+        sets->assign(store.size(), LabelSet());
+      },
+      [&](Vertex v, std::span<const LabelEntry> run) {
+        (*sets)[v] = LabelSet(run);
+      },
+      stats);
+}
+
+bool CoupleLabels::Debug() {
+  return std::getenv("CSC_PARALLEL_DEBUG") != nullptr;
+}
+
+double CoupleLabels::Seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void CoupleLabels::Report(bool debug, const double seconds[2],
+                          LabelBuildStats& stats) const {
+  stats.store_mapped_after_release =
+      in.Stats().mapped_bytes + out.Stats().mapped_bytes;
+  if (!debug) return;
+  std::fprintf(stderr,
+               "[parallel_build] labels: live=%llu capacity=%llu "
+               "mapped_peak=%llu reused=%llu mapped_after=%llu "
+               "freeze_in=%.3fs freeze_out=%.3fs\n",
+               static_cast<unsigned long long>(stats.store.live_bytes),
+               static_cast<unsigned long long>(stats.store.capacity_bytes),
+               static_cast<unsigned long long>(
+                   stats.store.mapped_high_water_bytes),
+               static_cast<unsigned long long>(stats.store.reused_bytes),
+               static_cast<unsigned long long>(
+                   stats.store_mapped_after_release),
+               seconds[0], seconds[1]);
 }
 
 CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
@@ -265,8 +311,10 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
   // same order whatever edit history the caller's copy has.
   index.graph_ = DiGraph::FromEdges(
       graph.num_vertices() + options.reserve_vertices, graph.Edges());
-  BuildCoupleLabels(graph, order, options, /*distance_pruning=*/true,
-                    index.order_, index.labels_, index.stats_);
+  CoupleLabels labels = BuildCoupleLabels(
+      graph, order, options, /*distance_pruning=*/true, index.stats_);
+  labels.ReleaseInto(index.labels_.in, index.labels_.out, index.stats_);
+  index.order_ = std::move(labels.bipartite_order);
   index.stats_.build_threads = options.build_threads;
   if (options.maintain_inverted_index) index.EnsureInvertedIndexes();
   index.stats_.seconds = timer.ElapsedSeconds();
@@ -351,9 +399,11 @@ CscIndex BuildCscAblation(const DiGraph& graph, const VertexOrdering& order,
   CscIndex index;
   index.graph_ = graph;
   Timer timer;
-  CscIndex::BuildCoupleLabels(graph, order, CscIndex::Options(),
-                              !config.disable_distance_pruning, index.order_,
-                              index.labels_, index.stats_);
+  CoupleLabels labels =
+      BuildCoupleLabels(graph, order, CscIndex::Options(),
+                        !config.disable_distance_pruning, index.stats_);
+  labels.ReleaseInto(index.labels_.in, index.labels_.out, index.stats_);
+  index.order_ = std::move(labels.bipartite_order);
   index.stats_.seconds = timer.ElapsedSeconds();
   return index;
 }

@@ -124,22 +124,11 @@ class CscIndex {
   InvertedIndex& mutable_inv_out() { return inv_out_; }
 
  private:
-  friend class CompactIndex;  // builds from BuildCoupleLabels
   friend CscIndex BuildCscAblation(const DiGraph& graph,
                                    const VertexOrdering& order,
                                    const struct CscAblationConfig& config);
 
   CscIndex() = default;
-
-  /// Runs Algorithm 3 over a copy of `graph` whose vertex ids are their
-  /// ranks (G_b is not built). Sets `labels` to the two sets it writes,
-  /// L_in(v_i) and L_out(v_o) of every original vertex v (reserved ones
-  /// included), by v, and `bipartite_order` to G_b's ordering.
-  static void BuildCoupleLabels(const DiGraph& graph,
-                                const VertexOrdering& order,
-                                const Options& options, bool distance_pruning,
-                                VertexOrdering& bipartite_order,
-                                HubLabeling& labels, LabelBuildStats& stats);
 
   DiGraph graph_;         // the input graph plus reserved vertices
   VertexOrdering order_;  // over G_b's 2n vertices

@@ -1,8 +1,10 @@
 #include "csc/frozen_index.h"
 
 #include <cstring>
+#include <span>
 #include <utility>
 
+#include "csc/couple_builders.h"
 #include "graph/bipartite.h"
 #include "util/env.h"
 
@@ -40,15 +42,31 @@ FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
   return frozen;
 }
 
-FrozenIndex FrozenIndex::FromCompact(CompactIndex&& compact,
-                                     ArenaEncoding encoding) {
-  FrozenIndex frozen;
-  frozen.in_vertex_rank_ = InVertexRanks(compact.rank_to_vertex_);
-  CompactIndex consumed = std::move(compact);
-  frozen.in_ = LabelArena::FromLabelSets(consumed.in_labels_, encoding);
-  std::vector<LabelSet>().swap(consumed.in_labels_);
+FrozenIndex FrozenIndex::Build(const DiGraph& graph,
+                               const VertexOrdering& order,
+                               const CscIndex::Options& options,
+                               ArenaEncoding encoding, LabelBuildStats* stats) {
+  LabelBuildStats local;
+  LabelBuildStats& s = stats != nullptr ? *stats : local;
+  CoupleLabels labels = BuildCoupleLabels(graph, order, options,
+                                          /*distance_pruning=*/true, s);
   ReleaseFreeMemory();
-  frozen.out_ = LabelArena::FromLabelSets(consumed.out_labels_, encoding);
+  FrozenIndex frozen;
+  frozen.in_vertex_rank_ = InVertexRanks(labels.bipartite_order.rank_to_vertex);
+  const Vertex n = static_cast<Vertex>(labels.in.size());
+  LabelArena* arena = nullptr;
+  labels.Release(
+      [&](const LabelStore& store, bool in_direction) {
+        arena = in_direction ? &frozen.in_ : &frozen.out_;
+        *arena = LabelArena::Sized(
+            n,
+            [&](Vertex v) { return store[labels.PairOf(v)]; },
+            encoding);
+      },
+      [&](Vertex v, std::span<const LabelEntry> run) {
+        arena->PlaceRun(v, run);
+      },
+      s);
   return frozen;
 }
 

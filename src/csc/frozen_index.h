@@ -32,16 +32,22 @@ class FrozenIndex {
  public:
   FrozenIndex() = default;
 
-  /// Flattens a compact index into arenas of the given encoding.
+  /// Builds the index of `graph` under `order`: the construction of
+  /// CscIndex::Build(graph, order, options) (inverted indexes aside),
+  /// frozen straight from the construction's label store. The store's
+  /// scratch is handed back to the system first; then, one direction at a
+  /// time, the arena is sized from the sets and each owner's sets are
+  /// copied in, its slab unmapped before the next owner's. `stats`, if
+  /// given, receives the build stats.
+  static FrozenIndex Build(const DiGraph& graph, const VertexOrdering& order,
+                           const CscIndex::Options& options,
+                           ArenaEncoding encoding = ArenaEncoding::kPacked,
+                           LabelBuildStats* stats = nullptr);
+
+  /// Flattens a compact index (a loaded "CSCI" payload) into arenas of the
+  /// given encoding; the copy holds both.
   static FrozenIndex FromCompact(
       const CompactIndex& compact,
-      ArenaEncoding encoding = ArenaEncoding::kPacked);
-  /// As above, consuming `compact`: its L_in sets are freed, and the freed
-  /// memory handed back to the system, before the out-arena is encoded, so
-  /// the freeze never holds both label directions beside both arenas.
-  /// `compact` is left empty.
-  static FrozenIndex FromCompact(
-      CompactIndex&& compact,
       ArenaEncoding encoding = ArenaEncoding::kPacked);
 
   /// Encodes the two label sets a CSC index stores straight into arenas,

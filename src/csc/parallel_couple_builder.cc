@@ -12,7 +12,7 @@ namespace {
 
 /// The parallel counterpart of CoupleSkipBuilder, as the hooks of
 /// RunRankBatchedBuild (labeling/parallel_build.h). Visit is the body of
-/// ForwardPass/BackwardPass's dequeue loop, and Target and CountEvent
+/// ForwardPass/BackwardPass's dequeue loop, and Stored and CountEvent
 /// re-apply INSERT_LABEL (Algorithm 4) to the same two written label sets
 /// with the canonical/non-canonical classification from the events' via
 /// distances, so labels and stats are bit-identical to the sequential
@@ -23,8 +23,9 @@ class ParallelCoupleSkipBuilder {
   // Both stored sets are indexed by pair rank: a bipartite rank shifted.
   static constexpr unsigned kJoinShift = 1;
 
-  ParallelCoupleSkipBuilder(const RankedCsr& graph, PairLabels& labels)
-      : graph_(graph), labels_(labels) {}
+  ParallelCoupleSkipBuilder(const RankedCsr& graph, LabelStore& in,
+                            LabelStore& out)
+      : graph_(graph), in_(in), out_(out) {}
 
   size_t num_vertices() const { return graph_.num_ranks(); }
   Vertex VertexAt(Rank r) const { return r; }
@@ -34,7 +35,7 @@ class ParallelCoupleSkipBuilder {
   bool IsHub(Vertex v) const { return IsInVertex(v); }
 
   void CommitNonHub(Rank r, Vertex, LabelBuildStats& stats) {
-    labels_.Out(r).Append(LabelEntry(r, 0, 1));
+    out_.Append(r >> 1, LabelEntry(r, 0, 1));
     stats.entries += 2;
     stats.canonical_entries += 2;
   }
@@ -44,26 +45,28 @@ class ParallelCoupleSkipBuilder {
   // Passes write no labels while they join, so the row holds exactly the
   // committed set a merge join would read: forward, L_out(hub), which is
   // L_out(couple) shifted, below the hub's rank; backward, L_in(hub).
-  const LabelSet* LoadRow(const PassKey& p, HubRow& row) const {
+  void LoadRow(const PassKey& p, HubRow& row) const {
     if (p.forward) {
-      const LabelSet& couple_out = labels_.Out(CoupleOf(p.rank));
-      row.LoadShifted(couple_out, p.rank);
-      return &couple_out;
+      row.LoadShifted(out_[p.rank >> 1], p.rank);
+    } else {
+      row.Load(in_[p.rank >> 1]);
     }
-    row.Load(labels_.In(p.rank));
-    return &labels_.In(p.rank);
+  }
+  // Reads the set again rather than keep LoadRow's span: in a two-pass
+  // level-split run the other pass may append the hub's own entry to it
+  // (L_in(hub) forward, L_out(couple) backward), which may move it.
+  void ClearRow(const PassKey& p, HubRow& row) const {
+    row.Clear(p.forward ? out_[p.rank >> 1] : in_[p.rank >> 1]);
   }
 
-  const std::vector<LabelSet>& JoinedSets(bool forward) const {
-    return forward ? labels_.in : labels_.out;
-  }
+  LabelStore& Sets(bool forward) const { return forward ? in_ : out_; }
 
   template <typename Frontier>
   void Visit(const PassKey& p, Rank w, Dist d, Count c, const HubRow& row,
              Frontier& frontier) const {
     const Rank hr = p.rank;
     if (p.forward) {
-      Dist via = row.Join(labels_.In(w));
+      Dist via = row.Join(in_[w >> 1]);
       if (via < d) {
         frontier.Prune();
         return;
@@ -84,7 +87,7 @@ class ParallelCoupleSkipBuilder {
       }
       return;
     }
-    Dist via = row.Join(labels_.Out(w));
+    Dist via = row.Join(out_[w >> 1]);
     if (via < d) {
       frontier.Prune();
       return;
@@ -96,13 +99,11 @@ class ParallelCoupleSkipBuilder {
     }
   }
 
-  // INSERT_LABEL (Algorithm 4) of event `e`: the one label set it appends
-  // to (L_in(w) forward, L_out(w) backward), or null for the backward
-  // root's (v, 0, 1), a derived entry. The couple's entry at +1 is derived
-  // too.
-  LabelSet* Target(const PassKey& p, const StagedEvent& e) const {
-    if (p.forward) return &labels_.In(e.w);
-    return e.w == p.rank ? nullptr : &labels_.Out(e.w);
+  // INSERT_LABEL (Algorithm 4) of event `e` appends to one label set,
+  // L_in(w) forward and L_out(w) backward, except for the backward root's
+  // (v, 0, 1), a derived entry. The couple's entry at +1 is derived too.
+  bool Stored(const PassKey& p, const StagedEvent& e) const {
+    return p.forward || e.w != p.rank;
   }
 
   // The entries `e` stands for, as ForwardPass/BackwardPass count them:
@@ -144,14 +145,22 @@ class ParallelCoupleSkipBuilder {
 
  private:
   const RankedCsr& graph_;
-  PairLabels& labels_;
+  LabelStore& in_;   // by pair rank, as in CoupleSkipBuilder
+  LabelStore& out_;
 };
 
 }  // namespace
 
-void BuildCoupleLabelsInParallel(const RankedCsr& graph, PairLabels& labels,
-                                 unsigned num_threads, LabelBuildStats& stats) {
-  ParallelCoupleSkipBuilder builder(graph, labels);
+void BuildCoupleLabelsInParallel(const RankedCsr& graph, unsigned num_threads,
+                                 LabelStore& in, LabelStore& out,
+                                 LabelBuildStats& stats) {
+  // Set k holds BFS ids 2k and 2k + 1: blocks of half as many sets.
+  const unsigned owners = BuildOwners(num_threads);
+  constexpr unsigned kSetBlockShift =
+      kOwnerBlockShift - ParallelCoupleSkipBuilder::kJoinShift;
+  in = LabelStore(graph.num_ranks() / 2, owners, kSetBlockShift);
+  out = LabelStore(graph.num_ranks() / 2, owners, kSetBlockShift);
+  ParallelCoupleSkipBuilder builder(graph, in, out);
   RunRankBatchedBuild(builder, graph.num_ranks(), num_threads, stats);
 }
 

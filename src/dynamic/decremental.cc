@@ -68,9 +68,9 @@ class RecoveryPass {
     const LabelSet& hub_labels =
         forward ? labels.out[OriginalOf(hub)] : labels.in[OriginalOf(hub)];
     if (forward) {
-      row_.LoadShifted(hub_labels, hub_rank);
+      row_.LoadShifted(hub_labels.entries(), hub_rank);
     } else {
-      row_.Load(hub_labels, hub_rank);
+      row_.Load(hub_labels.entries(), hub_rank);
     }
 
     queue_.clear();
@@ -93,7 +93,8 @@ class RecoveryPass {
       }
       const Vertex v = OriginalOf(w);
       LabelSet& w_labels = forward ? labels.in[v] : labels.out[v];
-      if (row_.Join(w_labels) < dist_[w]) continue;  // hub not highest
+      // The hub is not the highest on a shortest path.
+      if (row_.Join(w_labels.entries()) < dist_[w]) continue;
       Upsert(w_labels, LabelEntry(hub_rank, dist_[w], count_[w]), v, forward);
       // Modification (4): reaching the hub's couple v_o closes a cycle.
       if (w == CoupleOf(hub)) continue;
@@ -108,7 +109,7 @@ class RecoveryPass {
       count_[v] = 0;
     }
     touched_.clear();
-    row_.Clear(hub_labels);
+    row_.Clear(hub_labels.entries());
   }
 
  private:

@@ -46,9 +46,9 @@ class IncrementalPass {
     const LabelSet& hub_labels =
         forward ? labels.out[OriginalOf(hub)] : labels.in[OriginalOf(hub)];
     if (forward) {
-      row_.LoadShifted(hub_labels, hub_rank);
+      row_.LoadShifted(hub_labels.entries(), hub_rank);
     } else {
-      row_.Load(hub_labels);
+      row_.Load(hub_labels.entries());
     }
 
     queue_.clear();
@@ -64,7 +64,7 @@ class IncrementalPass {
           forward ? labels.in[OriginalOf(w)] : labels.out[OriginalOf(w)];
       // Distance under the current index; forward, L_out(v_i)'s own
       // (v_i, 0, 1) meets w's hub-v_i entry outside the row.
-      Dist via = row_.Join(w_labels);
+      Dist via = row_.Join(w_labels.entries());
       const LabelEntry* existing = w_labels.Find(hub_rank);
       if (forward && existing != nullptr) {
         via = std::min(via, existing->dist());
@@ -94,7 +94,7 @@ class IncrementalPass {
       count_[v] = 0;
     }
     touched_.clear();
-    row_.Clear(hub_labels);
+    row_.Clear(hub_labels.entries());
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "labeling/label_set.h"
+#include "labeling/label_store.h"
 
 namespace csc {
 
@@ -32,6 +33,12 @@ struct LabelBuildStats {
   /// and split_levels is 0 at one worker.
   uint64_t split_hubs = 0;
   uint64_t split_levels = 0;
+  /// CSC builds: the construction label store (labeling/label_store.h) at
+  /// the end of construction, and the slab bytes still mapped once the
+  /// labels were handed over (0). Like split_hubs they describe the build,
+  /// not its output.
+  LabelStoreStats store;
+  uint64_t store_mapped_after_release = 0;
 };
 
 /// A complete 2-hop labeling: one in-label set and one out-label set per

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "labeling/label_set.h"
@@ -23,10 +24,10 @@ namespace csc {
 /// O(1) lookups. Only the distance is kept: no pruning check reads counts.
 ///
 /// Usage per pass: Load(L(hub)) (or LoadShifted) before the first dequeue,
-/// Join(L(w)) per dequeue, Clear(L(hub)) after the last. L(hub) must not
-/// change in between; every caller loads a label set its pass never writes.
-/// Clear restores every slot to kInfDist in O(|L(hub)|), so one row serves a
-/// whole build.
+/// Join(L(w)) per dequeue, Clear(L(hub)) after the last, each given the
+/// set's entries as a span. L(hub) must not change in between; every caller
+/// loads a label set its pass never writes. Clear restores every slot to
+/// kInfDist in O(|L(hub)|), so one row serves a whole build.
 class HubRow {
  public:
   HubRow() = default;
@@ -34,10 +35,10 @@ class HubRow {
   explicit HubRow(size_t num_ranks) : dist_(num_ranks, kInfDist) {}
 
   /// Scatters the entries of `hub_labels` with rank below `bound`.
-  void Load(const LabelSet& hub_labels,
+  void Load(std::span<const LabelEntry> hub_labels,
             Rank bound = std::numeric_limits<Rank>::max()) {
     assert(end_ == 0 && "HubRow::Load without Clear");
-    for (const LabelEntry& e : hub_labels.entries()) {
+    for (const LabelEntry& e : hub_labels) {
       if (e.hub() >= bound) break;  // rank-sorted: the rest are above too
       dist_[e.hub()] = e.dist();
       end_ = e.hub() + 1;
@@ -50,9 +51,9 @@ class HubRow {
   /// couple's L_out(v_o) with `bound` = rank(v_i), which skips exactly the
   /// two hubs the §IV.E identity drops (v_i, and v_o, ranked right after
   /// it); Clear(labels) then resets the row.
-  void LoadShifted(const LabelSet& labels, Rank bound) {
+  void LoadShifted(std::span<const LabelEntry> labels, Rank bound) {
     assert(end_ == 0 && "HubRow::LoadShifted without Clear");
-    for (const LabelEntry& e : labels.entries()) {
+    for (const LabelEntry& e : labels) {
       if (e.hub() >= bound) break;  // rank-sorted: the rest are above too
       dist_[e.hub()] = e.dist() + 1;
       end_ = e.hub() + 1;
@@ -60,8 +61,8 @@ class HubRow {
   }
 
   /// Resets the slots `hub_labels` (the set last loaded) can have set.
-  void Clear(const LabelSet& hub_labels) {
-    for (const LabelEntry& e : hub_labels.entries()) {
+  void Clear(std::span<const LabelEntry> hub_labels) {
+    for (const LabelEntry& e : hub_labels) {
       dist_[e.hub()] = kInfDist;
     }
     end_ = 0;
@@ -70,11 +71,11 @@ class HubRow {
   /// min over common hubs of row + d(w-side entry): equals
   /// JoinLabels(...).dist of the loaded set (restricted to the load bound)
   /// with `w_labels`; kInfDist when no hub is shared.
-  Dist Join(const LabelSet& w_labels) const {
+  Dist Join(std::span<const LabelEntry> w_labels) const {
     // Packed distances are < 2^17, so a 64-bit sum with a kInfDist slot
     // stays >= kInfDist and the min needs no branch on empty slots.
     uint64_t best = kInfDist;
-    for (const LabelEntry& e : w_labels.entries()) {
+    for (const LabelEntry& e : w_labels) {
       if (e.hub() >= end_) break;  // no loaded rank at or above end_
       best = std::min<uint64_t>(best, uint64_t{dist_[e.hub()]} + e.dist());
     }
@@ -93,21 +94,24 @@ class HubRow {
 /// Look-ahead of DequeueAndPrefetch; WKT@0.5 builds ran alike at 4/6/8/12.
 inline constexpr size_t kJoinLookAhead = 6;
 
-/// Returns queue[head++] of a pass whose join at w scans sets[w >> shift]
-/// (shift 1 where a pair's two G_b vertices share one stored set), first
-/// prefetching for later joins: the LabelSet header 2 * kJoinLookAhead
-/// dequeues ahead, then the first lines of its entries, a heap run of their
-/// own, kJoinLookAhead ahead. (Returning the vertex keeps GCC from deleting
-/// a call whose only effect is a prefetch.)
-template <typename Queue>
-typename Queue::value_type DequeueAndPrefetch(
-    const Queue& queue, size_t& head, const std::vector<LabelSet>& sets,
-    unsigned shift = 0) {
+/// Returns queue[head++] of a pass whose join at w scans set w >> shift of
+/// `sets` (shift 1 where a pair's two G_b vertices share one stored set),
+/// first prefetching for later joins: the set's header 2 * kJoinLookAhead
+/// dequeues ahead, then the first lines of its entries kJoinLookAhead ahead.
+/// `sets` is a LabelStore or a vector of LabelSets, reached through
+/// SetHeader and SetRun. (Returning the vertex keeps GCC from deleting a call whose
+/// only effect is a prefetch.)
+template <typename Queue, typename Sets>
+typename Queue::value_type DequeueAndPrefetch(const Queue& queue, size_t& head,
+                                              const Sets& sets,
+                                              unsigned shift = 0) {
   if (head + 2 * kJoinLookAhead < queue.size()) {
-    __builtin_prefetch(&sets[queue[head + 2 * kJoinLookAhead] >> shift]);
+    __builtin_prefetch(
+        SetHeader(sets, queue[head + 2 * kJoinLookAhead] >> shift));
   }
   if (head + kJoinLookAhead < queue.size()) {
-    const auto& run = sets[queue[head + kJoinLookAhead] >> shift].entries();
+    const std::span<const LabelEntry> run =
+        SetRun(sets, queue[head + kJoinLookAhead] >> shift);
     // At most 8 lines: the hardware streams a longer run's tail in.
     constexpr size_t kPerLine = 64 / sizeof(LabelEntry);
     const size_t prefix = std::min(run.size(), 8 * kPerLine);

@@ -2,11 +2,13 @@
 #define CSC_LABELING_LABEL_SET_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ordering.h"
 #include "util/common.h"
 #include "util/label_entry.h"
+#include "util/lifetime_annotations.h"
 
 namespace csc {
 
@@ -19,8 +21,14 @@ namespace csc {
 /// to translate back to vertex ids.
 class LabelSet {
  public:
+  LabelSet() = default;
+  /// A set holding `entries`, rank-sorted, at exactly their size.
+  explicit LabelSet(std::span<const LabelEntry> entries)
+      : entries_(entries.begin(), entries.end()) {}
+
   const std::vector<LabelEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
+  size_t capacity() const { return entries_.capacity(); }
   bool empty() const { return entries_.empty(); }
   void clear() { entries_.clear(); }
   void Reserve(size_t n) { entries_.reserve(n); }
@@ -65,6 +73,21 @@ struct JoinResult {
 /// hubs realizing the minimum. The distance-pruning checks of the pruned
 /// BFSs, which need only the distance, use HubRow (labeling/hub_row.h).
 JoinResult JoinLabels(const LabelSet& out_labels, const LabelSet& in_labels);
+
+/// The free functions the pruned-BFS hooks reach a build's sets through
+/// (labeling/hub_row.h); labeling/label_store.h has the LabelStore ones.
+inline const void* SetHeader(
+    const std::vector<LabelSet>& sets CSC_LIFETIME_BOUND, size_t k) {
+  return &sets[k];
+}
+inline std::span<const LabelEntry> SetRun(const std::vector<LabelSet>& sets,
+                                          size_t k) {
+  return sets[k].entries();
+}
+inline void AppendToSet(std::vector<LabelSet>& sets, size_t k,
+                        LabelEntry entry) {
+  sets[k].Append(entry);
+}
 
 }  // namespace csc
 

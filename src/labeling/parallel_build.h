@@ -70,14 +70,16 @@ namespace csc {
 ///      must appear on both sides of a join to matter, and the side that
 ///      would complete the pair is always appended after its check), so
 ///      validation needs no label mutation at all.
-///   3. **Commit.** A single thread commits hubs in rank order. A hub whose
-///      events all satisfy via_seq >= dist is *clean*: its staged traversal
-///      is exactly the sequential one (pruning against a superset can only
-///      prune more, and validation proved it pruned nowhere new), so its
-///      events replay into label appends verbatim. A *dirty* pass re-runs,
-///      level-split (both passes side by side if both are dirty), against
-///      the now-current labels — which IS the sequential pass with its
-///      appends deferred — and commits that.
+///   3. **Commit.** The calling thread validates hubs in rank order. A hub
+///      whose events all satisfy via_seq >= dist is *clean*: its staged
+///      traversal is exactly the sequential one (pruning against a superset
+///      can only prune more, and validation proved it pruned nowhere new),
+///      so its events replay into label appends verbatim. A *dirty* pass
+///      re-runs, level-split (both passes side by side if both are dirty),
+///      against the now-current labels — which IS the sequential pass with
+///      its appends deferred — and commits that. The replay runs on the
+///      owners, each appending the labels of its own vertices in rank
+///      order, once per batch and before each re-run.
 ///      Either way the labeling after every batch equals the sequential
 ///      builder's, so the final index is bit-identical at any thread count,
 ///      and so are the build stats (canonical/non-canonical classification
@@ -102,9 +104,11 @@ namespace csc {
 /// with plain loads and stores; owners share only the hub rows (read-only),
 /// the outboxes (written by their sender before a level's barrier, read by
 /// their receiver after it) and the sizes each publishes before it arrives.
-/// So phase 1 grows a label set on its owner's thread, and phase 2's
-/// replay, like CommitNonHub, on the calling thread. The TSan CI job runs
-/// the determinism suite over every handoff at 1..8 workers.
+/// So a label set grows on its owner: in phase 1 as the owner finds its
+/// labels, in phase 2 as the owners replay the commit, each appending the
+/// labels of its own vertices (a builder's LabelStore splits its sets among
+/// the same owners, see BuildOwners). The TSan CI job runs the determinism
+/// suite over every handoff at 1..8 workers.
 inline constexpr size_t kMaxBatchRanks = 64;
 
 /// Phase 1 runs while every pass dequeues at least this many vertices. On
@@ -126,6 +130,22 @@ inline constexpr unsigned kOwnerBlockShift = 6;
 inline unsigned LevelSplitOwners(size_t workers) {
   return static_cast<unsigned>(std::min<size_t>(
       workers, std::max(ThreadPool::DefaultThreadCount(), 2u)));
+}
+
+/// The workers RunRankBatchedBuild runs for `num_threads`: a worker beyond
+/// twice the batch cap can never be busy in a batch (a batch stages at most
+/// two passes per hub, kMaxBatchRanks hubs), and each worker costs an OS
+/// thread plus a full-size BFS scratch, so the flag is clamped.
+inline unsigned BuildWorkers(unsigned num_threads) {
+  return static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, num_threads), 2 * kMaxBatchRanks));
+}
+
+/// The owners that RunRankBatchedBuild's level-split runs and replay split
+/// the BFS ids among for `num_threads`; a LabelStore a builder appends to
+/// must split its sets among as many, by the same blocks.
+inline unsigned BuildOwners(unsigned num_threads) {
+  return LevelSplitOwners(BuildWorkers(num_threads));
 }
 
 /// One pruned counting BFS: hub `hub` of rank `rank`, forward (appending
@@ -254,8 +274,8 @@ struct SerialFrontier {
 template <typename Builder>
 void StagePass(const Builder& builder, const PassKey& p, PassScratch& s,
                StagedPass& out) {
-  const LabelSet* row_set = builder.LoadRow(p, s.row);
-  const std::vector<LabelSet>& joined = builder.JoinedSets(p.forward);
+  builder.LoadRow(p, s.row);
+  const auto& joined = builder.Sets(p.forward);
   s.queue.clear();
   s.dist[p.hub] = 0;
   s.count[p.hub] = 1;
@@ -270,30 +290,17 @@ void StagePass(const Builder& builder, const PassKey& p, PassScratch& s,
     s.dist[v] = kInfDist;
     s.count[v] = 0;
   }
-  if (row_set != nullptr) s.row.Clear(*row_set);
+  builder.ClearRow(p, s.row);
 }
 
-/// Appends the labels of `events`, from pass `p`, in order, each after
-/// prefetching for later ones: the target set's header 2 * kJoinLookAhead
-/// events ahead, its append slot kJoinLookAhead ahead.
+/// Appends the label of event `e` of pass `p` to the set of e.w, unless the
+/// builder derives it instead of storing it.
 template <typename Builder>
-void AppendEvents(const Builder& builder, const PassKey& p,
-                  std::span<const StagedEvent> events) {
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (i + 2 * kJoinLookAhead < events.size()) {
-      const LabelSet* ahead = builder.Target(p, events[i + 2 * kJoinLookAhead]);
-      if (ahead != nullptr) __builtin_prefetch(ahead, 1);
-    }
-    if (i + kJoinLookAhead < events.size()) {
-      const LabelSet* ahead = builder.Target(p, events[i + kJoinLookAhead]);
-      if (ahead != nullptr) {
-        __builtin_prefetch(ahead->entries().data() + ahead->size(), 1);
-      }
-    }
-    const StagedEvent& e = events[i];
-    if (LabelSet* set = builder.Target(p, e)) {
-      set->Append(LabelEntry(p.rank, e.dist, e.count));
-    }
+void AppendEvent(const Builder& builder, const PassKey& p,
+                 const StagedEvent& e) {
+  if (builder.Stored(p, e)) {
+    AppendToSet(builder.Sets(p.forward), e.w >> Builder::kJoinShift,
+                LabelEntry(p.rank, e.dist, e.count));
   }
 }
 
@@ -589,6 +596,12 @@ class LevelSplitBfs {
     }
   }
 
+  /// The number of owners, and the owner of BFS id w.
+  unsigned owners() const { return static_cast<unsigned>(owners_.size()); }
+  unsigned OwnerOf(Vertex w) const {
+    return owner_of_block_[w >> kOwnerBlockShift];
+  }
+
   /// Levels run split across owners, and on the calling thread alone, by
   /// every Run so far (a level of a two-pass run counts once).
   size_t levels_split() const { return levels_split_; }
@@ -653,9 +666,7 @@ class LevelSplitBfs {
       }
       const PassKey& key = run.keys_[i];
       run.builder_.CountEvent(key, e, lane.entries);
-      if (LabelSet* set = run.builder_.Target(key, e)) {
-        set->Append(LabelEntry(key.rank, e.dist, e.count));
-      }
+      AppendEvent(run.builder_, key, e);
     }
     void Relax(Vertex wn, Dist nd, Count c) {
       const unsigned o = run.owner_of_block_[wn >> kOwnerBlockShift];
@@ -707,7 +718,7 @@ class LevelSplitBfs {
     }
     for (size_t i = 0; i < num_slots_; ++i) {
       keys_[i] = passes[i];
-      row_sets_[i] = builder_.LoadRow(keys_[i], scratch_[i].row);
+      builder_.LoadRow(keys_[i], scratch_[i].row);
       const Vertex hub = keys_[i].hub;
       Claim(owner_of_block_[hub >> kOwnerBlockShift], i, hub, 0, 1);
     }
@@ -750,7 +761,7 @@ class LevelSplitBfs {
       o.error = nullptr;
     }
     for (size_t i = 0; i < num_slots_; ++i) {
-      if (row_sets_[i] != nullptr) scratch_[i].row.Clear(*row_sets_[i]);
+      builder_.ClearRow(keys_[i], scratch_[i].row);
     }
     if (error) std::rethrow_exception(error);
     return total;
@@ -806,7 +817,7 @@ class LevelSplitBfs {
     Lane& lane = owners_[t].lanes[i];
     const std::span<const Vertex> level(lane.list + lane.lo,
                                         lane.hi - lane.lo);
-    const std::vector<LabelSet>& joined = builder_.JoinedSets(keys_[i].forward);
+    const auto& joined = builder_.Sets(keys_[i].forward);
     const PassScratch& s = scratch_[i];
     OwnerFrontier frontier{*this, i, t, lane, sent};
     for (size_t head = 0; head < level.size();) {
@@ -880,7 +891,6 @@ class LevelSplitBfs {
   std::vector<uint8_t> owner_of_block_;  // see the class comment
   const bool timed_;
   PassKey keys_[2];
-  const LabelSet* row_sets_[2] = {nullptr, nullptr};
   size_t num_slots_ = 1;
   SpinBarrier barrier_;
   std::atomic<bool> failed_{false};
@@ -1000,33 +1010,32 @@ inline PassValidation ValidateStagedHub(std::vector<StagedHub>& staged,
 ///   void CommitNonHub(Rank, Vertex, LabelBuildStats&);  // e.g. couple
 ///                                       // self-labels, and their counts
 ///   bool distance_pruning() const;      // false => staging is always clean
-///   const LabelSet* LoadRow(const PassKey&, HubRow&) const;
-///       // loads the pass's hub row; returns the set to Clear it with, or
-///       // null when the pass joins nothing
-///   const std::vector<LabelSet>& JoinedSets(bool forward) const;
+///   void LoadRow(const PassKey&, HubRow&) const;   // the pass's hub row,
+///   void ClearRow(const PassKey&, HubRow&) const;  // if it has one
+///   Sets& Sets(bool forward) const;     // the sets forward (backward)
+///       // passes join and append to, set w >> kJoinShift for BFS id w: a
+///       // LabelStore or LabelSets (SetHeader/SetRun/AppendToSet)
 ///   template <typename Frontier>
 ///   void Visit(const PassKey&, Vertex w, Dist, Count, const HubRow&,
 ///              Frontier&) const;        // one dequeue; see SerialFrontier
-///   LabelSet* Target(const PassKey&, const StagedEvent&) const;
-///       // the set the event's label goes to, or null if it is derived
+///   bool Stored(const PassKey&, const StagedEvent&) const;
+///       // is the event's label appended (not derived)? see AppendEvent
 ///   void CountEvent(const PassKey&, const StagedEvent&,
 ///                   LabelBuildStats&) const;  // the entries it stands for
 ///   Dist NewOutDist(const StagedHub&, Vertex) const;   // see above
 ///   Dist NewInDist(const StagedHub&, Vertex) const;
 ///
 /// All but CommitNonHub run concurrently: they read only committed labels
-/// and write only their arguments, and a level-split owner appends only to
-/// the label sets Target gives for its own vertices. CommitNonHub runs on
-/// the calling thread, in rank order.
+/// and write only their arguments. Labels are appended only to the sets of
+/// the appending owner's own BFS ids (LevelSplitBfs::OwnerOf), by the
+/// level-split owners in phase 1 and by the owners' replay in phase 2, which
+/// also runs CommitNonHub for each non-hub rank on the owner of its vertex;
+/// phase 1 runs CommitNonHub on the calling thread between hubs, while the
+/// owners wait.
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
                          unsigned num_threads, LabelBuildStats& stats) {
-  // A worker beyond twice the batch cap can never be busy in a batch (a
-  // batch stages at most two passes per hub, kMaxBatchRanks hubs), and each
-  // worker costs an OS thread plus a full-size BFS scratch — so clamp
-  // rather than trust the caller's flag.
-  num_threads = static_cast<unsigned>(
-      std::min<size_t>(std::max(1u, num_threads), 2 * kMaxBatchRanks));
+  num_threads = BuildWorkers(num_threads);
   // The calling thread is one of the workers, so one worker needs no pool.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
@@ -1079,11 +1088,50 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
 
   // Phase 2: rank batches.
   Crew crew(pool.get(), num_threads);
-  size_t batch_size = 1;  // adapted per batch; see the file comment
   size_t debug_dirty = 0, debug_hubs = 0, debug_staged_deq = 0,
          debug_rerun_deq = 0;
   double debug_stage_s = 0, debug_validate_s = 0, debug_rerun_s = 0,
          debug_replay_s = 0;
+  // The commit's appends, replayed on the owners: owner t appends the
+  // labels of its own vertices, the batch's ranks [replay_from, to) in
+  // rank order (staged hubs from replay_hub on), and counts what they
+  // stand for in owner_stats[t]. Every set thus grows on its owner, in
+  // rank order, and the counts sum to the sequential builder's.
+  const unsigned owners = split.owners();
+  std::vector<LabelBuildStats> owner_stats(num_threads);
+  size_t replay_from = 0, replay_hub = 0;
+  auto replay = [&](size_t to, size_t to_hub) {
+    if (replay_from == to) return;
+    auto replay_start = now();
+    auto job = [&](unsigned t) {
+      if (t >= owners) return;
+      LabelBuildStats& mine = owner_stats[t];
+      size_t h = replay_hub;
+      for (size_t r = replay_from; r < to; ++r) {
+        const Vertex v = builder.VertexAt(static_cast<Rank>(r));
+        if (!builder.IsHub(v)) {
+          if (split.OwnerOf(v) == t) {
+            builder.CommitNonHub(static_cast<Rank>(r), v, mine);
+          }
+          continue;
+        }
+        const StagedHub& sh = staged[h++];
+        for (bool forward : {true, false}) {
+          const PassKey p{sh.rank, sh.hub, forward};
+          for (const StagedEvent& e : (forward ? sh.fwd : sh.bwd).events) {
+            if (split.OwnerOf(e.w) != t) continue;
+            builder.CountEvent(p, e, mine);
+            AppendEvent(builder, p, e);
+          }
+        }
+      }
+    };
+    crew.Run(job);
+    replay_from = to;
+    replay_hub = to_hub;
+    debug_replay_s += secs(replay_start, now());
+  };
+  size_t batch_size = 1;  // adapted per batch; see the file comment
   // Staging efficiency by batch size: bucket b holds the batches of
   // (2^(b-1), 2^b] hubs; pass_s[i] times staged pass i of the batch.
   struct StageBucket {
@@ -1147,15 +1195,16 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
       }
       bucket.longest_s += longest;
     }
-    // Commit serially in rank order.
+    // Commit in rank order. Validation and re-runs go hub by hub on the
+    // calling thread; the appends wait until a re-run needs the labels of
+    // the hubs before it, or the batch ends, and the owners then replay
+    // them (replay above).
     size_t idx = 0;
     size_t dirty_in_batch = 0;
+    replay_from = begin;
+    replay_hub = 0;
     for (size_t r = begin; r < end; ++r) {
-      Vertex v = builder.VertexAt(static_cast<Rank>(r));
-      if (!builder.IsHub(v)) {
-        builder.CommitNonHub(static_cast<Rank>(r), v, stats);
-        continue;
-      }
+      if (!builder.IsHub(builder.VertexAt(static_cast<Rank>(r)))) continue;
       StagedHub& sh = staged[idx];
       ++debug_hubs;
       debug_staged_deq += sh.fwd.dequeued + sh.bwd.dequeued;
@@ -1176,6 +1225,7 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
         // and keeps the corrected events visible to later hubs'
         // validations. The clean pass's staging is already sequential and
         // is kept as-is.
+        replay(r, idx);
         auto rerun_start = now();
         crew.Stop();  // the re-run runs the level-split owners
         PassKey dirty[2];
@@ -1201,20 +1251,11 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
         }
         debug_rerun_s += secs(rerun_start, now());
       }
-      auto replay_start = now();
-      for (bool forward : {true, false}) {
-        const PassKey p{sh.rank, sh.hub, forward};
-        const StagedPass& pass = forward ? sh.fwd : sh.bwd;
-        for (const StagedEvent& e : pass.events) {
-          builder.CountEvent(p, e, stats);
-        }
-        AppendEvents(builder, p, pass.events);
-      }
       add_counts(sh.fwd.dequeued + sh.bwd.dequeued,
                  sh.fwd.pruned + sh.bwd.pruned);
-      debug_replay_s += secs(replay_start, now());
       ++idx;
     }
+    replay(end, idx);
     begin = end;
     // Adapt: a re-run means same-batch hubs still cover each other's
     // shortest paths, and a dirty high-rank hub is expensive twice (a
@@ -1223,6 +1264,11 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
     // toward the cap while batches come back clean.
     batch_size =
         dirty_in_batch > 0 ? 1 : std::min(batch_size * 2, kMaxBatchRanks);
+  }
+  for (const LabelBuildStats& mine : owner_stats) {
+    stats.entries += mine.entries;
+    stats.canonical_entries += mine.canonical_entries;
+    stats.non_canonical_entries += mine.non_canonical_entries;
   }
   stats.split_levels += split.levels_split();
   if (debug) {

@@ -1,5 +1,6 @@
 #include "labeling/pruned_bfs.h"
 
+#include <span>
 #include <vector>
 
 #include "labeling/hub_row.h"
@@ -39,7 +40,7 @@ class PlainBuilder {
     // pass never writes (the backward row is loaded after the forward pass).
     const LabelSet& hub_labels =
         forward ? labeling_.out[hub] : labeling_.in[hub];
-    if (options_.distance_pruning) row_.Load(hub_labels);
+    if (options_.distance_pruning) row_.Load(hub_labels.entries());
     // The sets the pass joins and appends to: L_in(w) forward, else L_out(w).
     std::vector<LabelSet>& reached = forward ? labeling_.in : labeling_.out;
     queue_.clear();
@@ -54,7 +55,7 @@ class PlainBuilder {
       if (options_.distance_pruning) {
         // Distance-pruning query (Algorithm 3 line 13): the distance hub->w
         // (w->hub when backward) through hubs of strictly higher rank.
-        Dist via = row_.Join(reached[w]);
+        Dist via = row_.Join(reached[w].entries());
         if (via < dist_[w]) {
           ++stats_.pruned_by_distance;
           continue;  // hub is not highest on any shortest path; stop here.
@@ -87,7 +88,7 @@ class PlainBuilder {
       count_[v] = 0;
     }
     touched_.clear();
-    if (options_.distance_pruning) row_.Clear(hub_labels);
+    if (options_.distance_pruning) row_.Clear(hub_labels.entries());
   }
 
   const DiGraph& graph_;
@@ -104,7 +105,8 @@ class PlainBuilder {
 
 // The parallel counterpart of PlainBuilder, as the hooks of
 // RunRankBatchedBuild: Visit is the body of RunPass's dequeue loop, and
-// Target and CountEvent mirror its append and stats logic event by event.
+// Stored and CountEvent mirror its append and stats logic event by event.
+// Its sets stay LabelSets, grown by the framework through AppendToSet.
 // See labeling/parallel_build.h for why the result (labels and stats) is
 // bit-identical to PlainBuilder.
 class ParallelPlainBuilder {
@@ -123,16 +125,16 @@ class ParallelPlainBuilder {
 
   // Passes write no labels while they join, so the row holds exactly the
   // committed L_out(hub) (forward) or L_in(hub) (backward) a merge join
-  // would read.
-  const LabelSet* LoadRow(const PassKey& p, HubRow& row) const {
-    if (!options_.distance_pruning) return nullptr;
-    const LabelSet& hub_labels =
-        p.forward ? labeling_.out[p.hub] : labeling_.in[p.hub];
-    row.Load(hub_labels);
-    return &hub_labels;
+  // would read. Clearing reads the set again: the other pass of a two-pass
+  // level-split run may have appended to it.
+  void LoadRow(const PassKey& p, HubRow& row) const {
+    if (options_.distance_pruning) row.Load(RowSet(p));
+  }
+  void ClearRow(const PassKey& p, HubRow& row) const {
+    if (options_.distance_pruning) row.Clear(RowSet(p));
   }
 
-  const std::vector<LabelSet>& JoinedSets(bool forward) const {
+  std::vector<LabelSet>& Sets(bool forward) const {
     return forward ? labeling_.in : labeling_.out;
   }
 
@@ -141,7 +143,7 @@ class ParallelPlainBuilder {
              Frontier& frontier) const {
     Dist via = kInfDist;
     if (options_.distance_pruning) {
-      via = row.Join(JoinedSets(p.forward)[w]);
+      via = row.Join(Sets(p.forward)[w].entries());
       if (via < d) {
         frontier.Prune();
         return;
@@ -155,10 +157,9 @@ class ParallelPlainBuilder {
     }
   }
 
-  // RunPass's append of event `e`: to L_in(w) forward, L_out(w) backward.
-  LabelSet* Target(const PassKey& p, const StagedEvent& e) const {
-    return &(p.forward ? labeling_.in : labeling_.out)[e.w];
-  }
+  // RunPass appends every event's label: to L_in(w) forward, L_out(w)
+  // backward.
+  bool Stored(const PassKey&, const StagedEvent&) const { return true; }
 
   void CountEvent(const PassKey&, const StagedEvent& e,
                   LabelBuildStats& stats) const {
@@ -181,6 +182,10 @@ class ParallelPlainBuilder {
   }
 
  private:
+  std::span<const LabelEntry> RowSet(const PassKey& p) const {
+    return (p.forward ? labeling_.out[p.hub] : labeling_.in[p.hub]).entries();
+  }
+
   const DiGraph& graph_;
   const VertexOrdering& order_;
   HubLabeling& labeling_;

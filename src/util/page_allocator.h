@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CSC_PAGE_ALLOCATOR_MMAP 1
@@ -12,8 +13,10 @@
 namespace csc {
 
 /// An allocator for buffers that pool threads grow and another thread
-/// frees: a block of a page or more is mapped straight from the operating
-/// system and unmapped when freed; smaller blocks come from operator new.
+/// frees, and for buffers that must leave the process when freed (a label
+/// arena's payload, the label store's slabs): a block of a page or more is
+/// mapped straight from the operating system and unmapped when freed;
+/// smaller blocks come from operator new.
 ///
 /// glibc serves each thread from its own malloc arena, and a freed block
 /// returns to the arena it came from. A parallel build's staging buffers
@@ -54,6 +57,17 @@ class PageAllocator {
     }
 #endif
     ::operator delete(p);
+  }
+
+  /// Default-initializes, so a resize leaves new elements of a trivial
+  /// type unwritten and the pages under them untouched until written.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>

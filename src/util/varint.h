@@ -21,6 +21,17 @@ inline void AppendVarint(std::vector<uint8_t>& out, uint64_t value) {
   out.push_back(static_cast<uint8_t>(value));
 }
 
+/// Writes `value` at `out` and returns its size in bytes (1-10).
+inline size_t PutVarint(uint8_t* out, uint64_t value) {
+  size_t size = 0;
+  while (value >= 0x80) {
+    out[size++] = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  out[size++] = static_cast<uint8_t>(value);
+  return size;
+}
+
 /// Decodes one varint from `data` starting at `pos`, advancing `pos`.
 /// The caller guarantees the buffer holds a complete, well-formed varint
 /// (a varint LabelArena only decodes streams it encoded or walked on load).

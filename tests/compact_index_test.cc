@@ -158,8 +158,8 @@ TEST(CompactIndexTest, BuildMatchesCompactedFullBuild) {
 }
 
 // Degenerate shapes for the served build: every thread count must build
-// the compacted full build, the consuming freeze must equal the copying
-// one, and the served answers must be BFS's. Reserved vertices are
+// the compacted full build, the freeze from the label store must equal the
+// copying one, and the served answers must be BFS's. Reserved vertices are
 // isolated, so they answer "no cycle".
 struct EdgeCaseGraph {
   std::string name;
@@ -202,8 +202,7 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
         ASSERT_EQ(compact.num_original_vertices(), n + reserve) << context;
         for (ArenaEncoding encoding :
              {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-          CompactIndex consumed = compact;
-          EXPECT_EQ(FrozenIndex::FromCompact(std::move(consumed), encoding),
+          EXPECT_EQ(FrozenIndex::Build(g.graph, order, options, encoding),
                     FrozenIndex::FromCompact(compact, encoding))
               << context;
         }
@@ -223,10 +222,10 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
   }
 }
 
-TEST(CompactIndexTest, ConsumingFreezeMatchesCopying) {
-  // FlatBackend freezes the compact index it built by move, one direction
-  // at a time; the arenas must be the copying freeze's under both
-  // encodings.
+TEST(CompactIndexTest, StoreFreezeMatchesCopying) {
+  // FlatBackend freezes straight from the construction label store, owner
+  // by owner and one direction at a time; the arenas must be the copying
+  // freeze's of the compact build under both encodings.
   for (uint64_t seed : {3u, 4u}) {
     DiGraph g = RandomGraph(80, 3.0, seed);
     CscIndex::Options options;
@@ -234,9 +233,8 @@ TEST(CompactIndexTest, ConsumingFreezeMatchesCopying) {
     CompactIndex compact = CompactIndex::Build(g, DegreeOrdering(g), options);
     for (ArenaEncoding encoding :
          {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-      CompactIndex consumed = compact;
-      FrozenIndex frozen = FrozenIndex::FromCompact(std::move(consumed),
-                                                    encoding);
+      FrozenIndex frozen =
+          FrozenIndex::Build(g, DegreeOrdering(g), options, encoding);
       EXPECT_EQ(frozen, FrozenIndex::FromCompact(compact, encoding))
           << "seed " << seed;
       EXPECT_EQ(frozen.encoding(), encoding);

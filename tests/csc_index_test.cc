@@ -120,6 +120,27 @@ TEST(CscIndexTest, SingleVertexAndEmptyGraph) {
   EXPECT_EQ(i.Query(0), (CycleCount{kInfDist, 0}));
 }
 
+TEST(CscIndexTest, StoredSetsHaveExactCapacity) {
+  // The repair shadow keeps its label sets for as long as it serves; the
+  // build copies them out of its label store at their exact size.
+  DiGraph g = RandomGraph(300, 3.0, 17);
+  for (unsigned threads : {0u, 4u}) {
+    CscIndex::Options options;
+    options.build_threads = threads;
+    options.reserve_vertices = 2;
+    CscIndex index = CscIndex::Build(g, DegreeOrdering(g), options);
+    for (const std::vector<LabelSet>* sets :
+         {&index.served_labels().in, &index.served_labels().out}) {
+      ASSERT_EQ(sets->size(), g.num_vertices() + 2u);
+      for (size_t v = 0; v < sets->size(); ++v) {
+        ASSERT_EQ((*sets)[v].capacity(), (*sets)[v].size())
+            << "threads=" << threads << " vertex " << v;
+      }
+    }
+    EXPECT_EQ(index.build_stats().store_mapped_after_release, 0u);
+  }
+}
+
 TEST(CscIndexTest, InvertedIndexOptionPopulatesBothSides) {
   DiGraph g = Figure2Graph();
   CscIndex::Options options;

@@ -49,12 +49,13 @@ TEST(HubRowTest, JoinMatchesMergeJoinOnRandomSets) {
     double density = 0.02 + 0.9 * rng.NextDouble();
     Dist max_dist = 1 + static_cast<Dist>(rng.NextBounded(8));
     LabelSet hub = RandomLabels(rng, density, max_dist);
-    row.Load(hub);
+    row.Load(hub.entries());
     for (int q = 0; q < 8; ++q) {
       LabelSet w = RandomLabels(rng, 0.02 + 0.9 * rng.NextDouble(), max_dist);
-      EXPECT_EQ(row.Join(w), JoinLabels(hub, w).dist) << "trial " << trial;
+      EXPECT_EQ(row.Join(w.entries()), JoinLabels(hub, w).dist)
+          << "trial " << trial;
     }
-    row.Clear(hub);
+    row.Clear(hub.entries());
     ExpectClear(row);
   }
 }
@@ -67,13 +68,13 @@ TEST(HubRowTest, RankBoundMatchesMergeJoinOfEntriesBelow) {
     Rank bound = trial < 2 ? (trial == 0 ? 0 : kNumRanks)
                            : static_cast<Rank>(rng.NextBounded(kNumRanks + 1));
     LabelSet below = EntriesBelow(hub, bound);
-    row.Load(hub, bound);
+    row.Load(hub.entries(), bound);
     for (int q = 0; q < 8; ++q) {
       LabelSet w = RandomLabels(rng, 0.5, 6);
-      EXPECT_EQ(row.Join(w), JoinLabels(below, w).dist)
+      EXPECT_EQ(row.Join(w.entries()), JoinLabels(below, w).dist)
           << "trial " << trial << " bound " << bound;
     }
-    row.Clear(hub);
+    row.Clear(hub.entries());
     ExpectClear(row);
   }
 }
@@ -84,16 +85,16 @@ TEST(HubRowTest, EmptyAndDisjointSetsShareNoHub) {
   for (Rank r = 0; r < kNumRanks; r += 2) even.Append(LabelEntry(r, 1, 1));
   for (Rank r = 1; r < kNumRanks; r += 2) odd.Append(LabelEntry(r, 1, 1));
 
-  row.Load(empty);
-  EXPECT_EQ(row.Join(even), kInfDist);
-  EXPECT_EQ(row.Join(empty), kInfDist);
-  row.Clear(empty);
+  row.Load(empty.entries());
+  EXPECT_EQ(row.Join(even.entries()), kInfDist);
+  EXPECT_EQ(row.Join(empty.entries()), kInfDist);
+  row.Clear(empty.entries());
 
-  row.Load(even);
-  EXPECT_EQ(row.Join(empty), kInfDist);
-  EXPECT_EQ(row.Join(odd), kInfDist);
-  EXPECT_EQ(row.Join(even), 2u);
-  row.Clear(even);
+  row.Load(even.entries());
+  EXPECT_EQ(row.Join(empty.entries()), kInfDist);
+  EXPECT_EQ(row.Join(odd.entries()), kInfDist);
+  EXPECT_EQ(row.Join(even.entries()), 2u);
+  row.Clear(even.entries());
   ExpectClear(row);
 }
 
@@ -110,15 +111,15 @@ TEST(HubRowTest, TiedMinimaReturnTheSharedDistance) {
   ASSERT_EQ(JoinLabels(hub, w), (JoinResult{4, 2 * 5 + 3 * 7}));
 
   HubRow row(kNumRanks);
-  row.Load(hub);
-  EXPECT_EQ(row.Join(w), 4u);
-  row.Clear(hub);
-  row.Load(hub, /*bound=*/9);  // only hub 3 is below the bound
-  EXPECT_EQ(row.Join(w), 4u);
-  row.Clear(hub);
-  row.Load(hub, /*bound=*/3);  // nothing is
-  EXPECT_EQ(row.Join(w), kInfDist);
-  row.Clear(hub);
+  row.Load(hub.entries());
+  EXPECT_EQ(row.Join(w.entries()), 4u);
+  row.Clear(hub.entries());
+  row.Load(hub.entries(), /*bound=*/9);  // only hub 3 is below the bound
+  EXPECT_EQ(row.Join(w.entries()), 4u);
+  row.Clear(hub.entries());
+  row.Load(hub.entries(), /*bound=*/3);  // nothing is
+  EXPECT_EQ(row.Join(w.entries()), kInfDist);
+  row.Clear(hub.entries());
   ExpectClear(row);
 }
 
@@ -148,18 +149,19 @@ TEST(HubRowTest, ShiftedCoupleLoadMatchesOutLabelsOfTheHub) {
       ASSERT_NE(couple_out.Find(rank[vo]), nullptr) << "v_o self entry " << v;
       if (couple_out.Find(rank[vi]) != nullptr) ++hubs_with_cycle_entry;
 
-      shifted.LoadShifted(couple_out, rank[vi]);
-      direct.Load(labels.out[vi], rank[vi]);
+      shifted.LoadShifted(couple_out.entries(), rank[vi]);
+      direct.Load(labels.out[vi].entries(), rank[vi]);
       for (Rank r = 0; r < num_bipartite; ++r) {
         ASSERT_EQ(shifted.at(r), direct.at(r))
             << "seed " << seed << " hub " << v << " slot " << r;
       }
       for (Vertex w = 0; w < num_bipartite; ++w) {
-        ASSERT_EQ(shifted.Join(labels.in[w]), direct.Join(labels.in[w]))
+        ASSERT_EQ(shifted.Join(labels.in[w].entries()),
+                  direct.Join(labels.in[w].entries()))
             << "seed " << seed << " hub " << v << " L_in(" << w << ")";
       }
-      shifted.Clear(couple_out);
-      direct.Clear(labels.out[vi]);
+      shifted.Clear(couple_out.entries());
+      direct.Clear(labels.out[vi].entries());
       ExpectClear(shifted);
       ExpectClear(direct);
     }

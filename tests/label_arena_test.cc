@@ -441,6 +441,43 @@ TEST(LabelArenaTest, VarintIsSmallerOnRealisticLabels) {
   EXPECT_EQ(varint.total_entries(), packed.total_entries());
 }
 
+TEST(LabelArenaTest, OwnedPayloadOfAPageIsPageAligned) {
+  // An owned payload of a page or more sits on pages of its own, so freeing
+  // the arena returns them to the system; edited and sliced copies stay
+  // byte-identical to arenas built from their label sets.
+  constexpr uintptr_t kPage = 4096;
+  std::vector<LabelSet> sets = RandomLabelSets(4000, 71);
+  for (ArenaEncoding encoding :
+       {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
+    auto expect_aligned = [&](const LabelArena& arena, const char* what) {
+      ASSERT_GE(arena.SizeBytes(), kPage) << what;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.payload_data()) % kPage, 0u)
+          << what;
+    };
+    LabelArena arena = LabelArena::FromLabelSets(sets, encoding);
+    expect_aligned(arena, "built");
+
+    std::vector<std::pair<Vertex, LabelSet>> edits;
+    std::vector<LabelSet> edited_sets = sets;
+    for (Vertex v = 3; v < 4000; v += 97) {
+      LabelSet edited;
+      for (Rank r = 0; r < v % 9; ++r) edited.Append(LabelEntry(2 * r, r, 1));
+      edits.push_back({v, edited});
+      edited_sets[v] = edited;
+    }
+    LabelArena edited = arena.WithEditedRuns(edits);
+    expect_aligned(edited, "edited");
+    EXPECT_EQ(edited, LabelArena::FromLabelSets(edited_sets, encoding));
+
+    LabelArena sliced = arena;
+    sliced.Slice([](Vertex v) { return v % 3 != 0; });
+    expect_aligned(sliced, "sliced");
+    std::vector<LabelSet> kept = sets;
+    for (Vertex v = 0; v < kept.size(); v += 3) kept[v] = LabelSet();
+    EXPECT_EQ(sliced, LabelArena::FromLabelSets(kept, encoding));
+  }
+}
+
 TEST(LabelArenaTest, EmptyArena) {
   LabelArena arena;
   EXPECT_EQ(arena.num_vertices(), 0u);

@@ -8,7 +8,9 @@
 // with their dirty re-runs.
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,12 +18,14 @@
 #include "core/cycle_index.h"
 #include "csc/compact_index.h"
 #include "csc/csc_index.h"
+#include "csc/frozen_index.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
 #include "hpspc/hpspc_index.h"
 #include "labeling/parallel_build.h"
 #include "labeling/pruned_bfs.h"
 #include "test_util.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/datasets.h"
 
@@ -204,6 +208,66 @@ TEST(ParallelBuildDeterminismTest, LevelInOneOwnersBlocksMatchesSequential) {
                      "hpspc " + context);
     ExpectLevelSplitRan(parallel.build_stats(), threads, 1,
                         "hpspc " + context);
+  }
+}
+
+// A skewed graph drawn as CI's parallel-builder smoke test draws its own:
+// 3,000 vertices and 12,000 distinct edges (u, v), u uniform and v = n * U^3
+// for U uniform on [0, 1), so a few vertices take most in-edges. (CI draws
+// with Python's generator, so the edges differ; the shape is the same.)
+DiGraph SkewedGraph() {
+  constexpr Vertex kN = 3000;
+  Rng rng(25);
+  std::set<std::pair<Vertex, Vertex>> edges;
+  while (edges.size() < 12000) {
+    const Vertex u = static_cast<Vertex>(rng.NextBounded(kN));
+    const double x = rng.NextDouble();
+    const Vertex v = static_cast<Vertex>(kN * x * x * x);
+    if (u != v) edges.insert({u, v});
+  }
+  std::vector<Edge> list;
+  for (const auto& [u, v] : edges) list.push_back({u, v});
+  return DiGraph::FromEdges(kN, list);
+}
+
+TEST(ParallelBuildDeterminismTest, LabelStoreAccounting) {
+  // A frozen build grows its labels in the construction label store
+  // (labeling/label_store.h) and hands them over to the arenas. At every
+  // worker count the sets must end construction holding at most 1.25x their
+  // entries' bytes, the store must have unmapped every byte once the
+  // arenas hold the labels, and labels and counters must be the sequential
+  // build's.
+  std::vector<NamedGraph> graphs;
+  graphs.push_back(
+      {"wkt_0.1", MaterializeDataset(FindDataset("WKT").value(), 0.1)});
+  graphs.push_back({"skewed", SkewedGraph()});
+  for (const NamedGraph& g : graphs) {
+    const VertexOrdering order = DegreeOrdering(g.graph);
+    LabelBuildStats sequential_stats;
+    const FrozenIndex sequential =
+        FrozenIndex::Build(g.graph, order, CscIndex::Options(),
+                           ArenaEncoding::kPacked, &sequential_stats);
+    for (unsigned threads :
+         {0u, 1u, 2u, 4u, 8u, 2 * ThreadPool::DefaultThreadCount()}) {
+      const std::string context =
+          g.name + " threads=" + std::to_string(threads);
+      CscIndex::Options options;
+      options.build_threads = threads;
+      LabelBuildStats stats;
+      const FrozenIndex frozen = FrozenIndex::Build(
+          g.graph, order, options, ArenaEncoding::kPacked, &stats);
+      EXPECT_EQ(frozen, sequential) << context;
+      ExpectStatsEqual(stats, sequential_stats, context);
+      EXPECT_EQ(stats.store.live_bytes,
+                frozen.TotalEntries() * sizeof(LabelEntry))
+          << context;
+      EXPECT_LE(stats.store.capacity_bytes * 4, stats.store.live_bytes * 5)
+          << context;
+      EXPECT_GE(stats.store.mapped_high_water_bytes,
+                stats.store.capacity_bytes)
+          << context;
+      EXPECT_EQ(stats.store_mapped_after_release, 0u) << context;
+    }
   }
 }
 
