@@ -64,7 +64,8 @@ class LabelArena {
       Vertex num_vertices,
       const std::function<std::span<const LabelEntry>(Vertex)>& run_of,
       ArenaEncoding encoding);
-  /// Writes run v of a Sized arena: the run Sized saw for v.
+  /// Writes run v of a Sized arena: the run Sized saw for v. Until every
+  /// run is placed the payload holds unwritten bytes.
   void PlaceRun(Vertex v, std::span<const LabelEntry> run);
 
   Vertex num_vertices() const {
@@ -252,8 +253,9 @@ class LabelArena {
   std::vector<uint64_t> offsets_;
   // The owned payload: packed entry words or varint bytes. On mapped pages
   // from a page up, so a freed arena returns them to the system whatever
-  // malloc's thresholds have become.
-  std::vector<uint8_t, PageAllocator<uint8_t>> payload_;
+  // malloc's thresholds have become. Sizing it writes nothing: every path
+  // that sizes it writes each run (PlaceRun or a copy) before it is read.
+  std::vector<uint8_t, DefaultInitPageAllocator<uint8_t>> payload_;
   // When non-null, the payload lives in an external buffer (file mapping)
   // and payload_ stays empty; external_ keeps the buffer alive.
   const uint8_t* view_payload_ = nullptr;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "csc/couple_builders.h"
 #include "graph/bipartite.h"
 
 namespace csc {
@@ -117,18 +116,6 @@ CompactIndex CompactIndex::FromIndex(const CscIndex& index) {
   compact.in_labels_ = index.served_labels().in;
   compact.out_labels_ = index.served_labels().out;
   compact.rank_to_vertex_ = index.bipartite_order().rank_to_vertex;
-  return compact;
-}
-
-CompactIndex CompactIndex::Build(const DiGraph& graph,
-                                 const VertexOrdering& order,
-                                 const CscIndex::Options& options) {
-  LabelBuildStats stats;
-  CoupleLabels labels = BuildCoupleLabels(graph, order, options,
-                                          /*distance_pruning=*/true, stats);
-  CompactIndex compact;
-  labels.ReleaseInto(compact.in_labels_, compact.out_labels_, stats);
-  compact.rank_to_vertex_ = std::move(labels.bipartite_order.rank_to_vertex);
   return compact;
 }
 

@@ -28,19 +28,11 @@ namespace csc {
 /// (FrozenIndex::FromCompact, either arena encoding); a build freezes
 /// straight from construction instead (FrozenIndex::Build). CSC
 /// construction writes exactly these two label sets and CscIndex stores
-/// exactly them, so Build() yields a compact index without the full
-/// labeling ever existing and FromIndex() is a copy.
+/// exactly them, so FromIndex() is a copy.
 /// ExpandToFull() alone derives the other two sets: the four-set labeling
 /// the tests hold the index to.
 class CompactIndex {
  public:
-  /// Builds the compact index of `graph` under `order` directly: the same
-  /// construction as CscIndex::Build(graph, order, options), whose stored
-  /// sets it equals, exact-size, minus the graph copy and the inverted
-  /// indexes (the option is ignored).
-  static CompactIndex Build(const DiGraph& graph, const VertexOrdering& order,
-                            const CscIndex::Options& options);
-
   /// Copies the two label sets a CSC index stores.
   static CompactIndex FromIndex(const CscIndex& index);
 

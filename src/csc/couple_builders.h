@@ -83,10 +83,10 @@ class RankedCsr {
 
 /// The two label sets CSC construction writes, in the label stores it grows
 /// them in (labeling/label_store.h), by pair rank k, the rank of original
-/// vertex v: in[k] is L_in(v_i) and out[k] is L_out(v_o). Set k holds the labels of BFS ids 2k and 2k + 1
-/// (the couple's stored side), so the stores split their sets among the
-/// build's owners by blocks of 2^(kOwnerBlockShift - 1) pair ranks. Also
-/// G_b's ordering.
+/// vertex v: in[k] is L_in(v_i) and out[k] is L_out(v_o). Set k holds the
+/// labels of BFS ids 2k and 2k + 1 (the couple's stored side), so the
+/// stores split their sets among the build's owners by blocks of
+/// 2^(kOwnerBlockShift - 1) pair ranks. Also G_b's ordering.
 struct CoupleLabels {
   LabelStore in;
   LabelStore out;
@@ -131,8 +131,8 @@ CoupleLabels BuildCoupleLabels(const DiGraph& graph,
 
 /// Algorithm 3 over `graph` with `num_threads` >= 1 workers
 /// (labeling/parallel_build.h), writing the same `in` and `out` sets and
-/// `stats` as the sequential builder; the stores are made here, split among
-/// the build's owners.
+/// `stats` as the sequential builder; the stores are made by the build,
+/// split among its level-split owners.
 void BuildCoupleLabelsInParallel(const RankedCsr& graph, unsigned num_threads,
                                  LabelStore& in, LabelStore& out,
                                  LabelBuildStats& stats);

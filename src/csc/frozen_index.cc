@@ -1,5 +1,6 @@
 #include "csc/frozen_index.h"
 
+#include <cassert>
 #include <cstring>
 #include <span>
 #include <utility>
@@ -55,6 +56,8 @@ FrozenIndex FrozenIndex::Build(const DiGraph& graph,
   frozen.in_vertex_rank_ = InVertexRanks(labels.bipartite_order.rank_to_vertex);
   const Vertex n = static_cast<Vertex>(labels.in.size());
   LabelArena* arena = nullptr;
+  // Sized leaves an arena's payload unwritten: every run must be placed.
+  [[maybe_unused]] uint64_t placed = 0;
   labels.Release(
       [&](const LabelStore& store, bool in_direction) {
         arena = in_direction ? &frozen.in_ : &frozen.out_;
@@ -65,8 +68,10 @@ FrozenIndex FrozenIndex::Build(const DiGraph& graph,
       },
       [&](Vertex v, std::span<const LabelEntry> run) {
         arena->PlaceRun(v, run);
+        ++placed;
       },
       s);
+  assert(placed == 2 * uint64_t{n});
   return frozen;
 }
 

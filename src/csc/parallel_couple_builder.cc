@@ -28,6 +28,14 @@ class ParallelCoupleSkipBuilder {
       : graph_(graph), in_(in), out_(out) {}
 
   size_t num_vertices() const { return graph_.num_ranks(); }
+
+  // Set k holds BFS ids 2k and 2k + 1: blocks of half as many sets.
+  void SplitSets(unsigned owners, unsigned block_shift) {
+    const size_t num_sets = graph_.num_ranks() / 2;
+    in_ = LabelStore(num_sets, owners, block_shift - kJoinShift);
+    out_ = LabelStore(num_sets, owners, block_shift - kJoinShift);
+  }
+
   Vertex VertexAt(Rank r) const { return r; }
 
   // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
@@ -154,12 +162,6 @@ class ParallelCoupleSkipBuilder {
 void BuildCoupleLabelsInParallel(const RankedCsr& graph, unsigned num_threads,
                                  LabelStore& in, LabelStore& out,
                                  LabelBuildStats& stats) {
-  // Set k holds BFS ids 2k and 2k + 1: blocks of half as many sets.
-  const unsigned owners = BuildOwners(num_threads);
-  constexpr unsigned kSetBlockShift =
-      kOwnerBlockShift - ParallelCoupleSkipBuilder::kJoinShift;
-  in = LabelStore(graph.num_ranks() / 2, owners, kSetBlockShift);
-  out = LabelStore(graph.num_ranks() / 2, owners, kSetBlockShift);
   ParallelCoupleSkipBuilder builder(graph, in, out);
   RunRankBatchedBuild(builder, graph.num_ranks(), num_threads, stats);
 }

@@ -106,8 +106,8 @@ namespace csc {
 /// their receiver after it) and the sizes each publishes before it arrives.
 /// So a label set grows on its owner: in phase 1 as the owner finds its
 /// labels, in phase 2 as the owners replay the commit, each appending the
-/// labels of its own vertices (a builder's LabelStore splits its sets among
-/// the same owners, see BuildOwners). The TSan CI job runs the determinism
+/// labels of its own vertices (a builder splits its sets among the same
+/// owners, see SplitSets below). The TSan CI job runs the determinism
 /// suite over every handoff at 1..8 workers.
 inline constexpr size_t kMaxBatchRanks = 64;
 
@@ -130,22 +130,6 @@ inline constexpr unsigned kOwnerBlockShift = 6;
 inline unsigned LevelSplitOwners(size_t workers) {
   return static_cast<unsigned>(std::min<size_t>(
       workers, std::max(ThreadPool::DefaultThreadCount(), 2u)));
-}
-
-/// The workers RunRankBatchedBuild runs for `num_threads`: a worker beyond
-/// twice the batch cap can never be busy in a batch (a batch stages at most
-/// two passes per hub, kMaxBatchRanks hubs), and each worker costs an OS
-/// thread plus a full-size BFS scratch, so the flag is clamped.
-inline unsigned BuildWorkers(unsigned num_threads) {
-  return static_cast<unsigned>(
-      std::min<size_t>(std::max(1u, num_threads), 2 * kMaxBatchRanks));
-}
-
-/// The owners that RunRankBatchedBuild's level-split runs and replay split
-/// the BFS ids among for `num_threads`; a LabelStore a builder appends to
-/// must split its sets among as many, by the same blocks.
-inline unsigned BuildOwners(unsigned num_threads) {
-  return LevelSplitOwners(BuildWorkers(num_threads));
 }
 
 /// One pruned counting BFS: hub `hub` of rank `rank`, forward (appending
@@ -1005,6 +989,9 @@ inline PassValidation ValidateStagedHub(std::vector<StagedHub>& staged,
 /// counters to `stats`. `Builder` provides:
 ///   static constexpr unsigned kJoinShift;  // sets[w >> shift] is w's set
 ///   size_t num_vertices() const;        // BFS vertex ids are below this
+///   void SplitSets(unsigned owners, unsigned block_shift);
+///       // called once, before any label: owner (w >> block_shift) % owners
+///       // alone appends to the set of BFS id w (a LabelStore splits so)
 ///   Vertex VertexAt(Rank r) const;      // the vertex ranked r
 ///   bool IsHub(Vertex v) const;         // does this rank root BFSs?
 ///   void CommitNonHub(Rank, Vertex, LabelBuildStats&);  // e.g. couple
@@ -1035,7 +1022,12 @@ inline PassValidation ValidateStagedHub(std::vector<StagedHub>& staged,
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
                          unsigned num_threads, LabelBuildStats& stats) {
-  num_threads = BuildWorkers(num_threads);
+  // A worker beyond twice the batch cap can never be busy in a batch (a
+  // batch stages at most two passes per hub, kMaxBatchRanks hubs), and each
+  // worker costs an OS thread plus a full-size BFS scratch — so clamp
+  // rather than trust the caller's flag.
+  num_threads = static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, num_threads), 2 * kMaxBatchRanks));
   // The calling thread is one of the workers, so one worker needs no pool.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
@@ -1049,6 +1041,9 @@ void RunRankBatchedBuild(Builder& builder, size_t num_ranks,
 
   const bool debug = std::getenv("CSC_PARALLEL_DEBUG") != nullptr;
   LevelSplitBfs<Builder> split(builder, pool.get(), scratch, debug);
+  // A label is appended only on the owner of its BFS id, in both phases:
+  // the builder's sets are split among the same owners by the same blocks.
+  builder.SplitSets(split.owners(), kOwnerBlockShift);
   // Clock reads sit inside the serial commit loop; only pay for them when
   // the phase report was asked for.
   auto now = [debug] {

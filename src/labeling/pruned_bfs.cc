@@ -118,6 +118,8 @@ class ParallelPlainBuilder {
       : graph_(graph), order_(order), labeling_(labeling), options_(options) {}
 
   size_t num_vertices() const { return graph_.num_vertices(); }
+  // A LabelSet grows in malloc wherever it is appended to: any split does.
+  void SplitSets(unsigned, unsigned) {}
   Vertex VertexAt(Rank r) const { return order_.rank_to_vertex[r]; }
   bool IsHub(Vertex) const { return true; }
   void CommitNonHub(Rank, Vertex, LabelBuildStats&) {}

@@ -59,8 +59,27 @@ class PageAllocator {
     ::operator delete(p);
   }
 
-  /// Default-initializes, so a resize leaves new elements of a trivial
-  /// type unwritten and the pages under them untouched until written.
+  template <typename U>
+  friend bool operator==(const PageAllocator&, const PageAllocator<U>&) {
+    return true;
+  }
+
+ private:
+  static constexpr size_t kMinMappedBytes = 4096;
+};
+
+/// A PageAllocator that default-initializes, so a resize leaves new
+/// elements of a trivial type unwritten and the pages under them untouched
+/// until written. Only for a buffer whose owner writes every element it
+/// sizes before reading any (a label arena's payload, sized for its runs
+/// and then filled run by run).
+template <typename T>
+class DefaultInitPageAllocator : public PageAllocator<T> {
+ public:
+  DefaultInitPageAllocator() = default;
+  template <typename U>
+  DefaultInitPageAllocator(const DefaultInitPageAllocator<U>&) {}
+
   template <typename U>
   void construct(U* p) {
     ::new (static_cast<void*>(p)) U;
@@ -69,14 +88,6 @@ class PageAllocator {
   void construct(U* p, Args&&... args) {
     ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
-
-  template <typename U>
-  friend bool operator==(const PageAllocator&, const PageAllocator<U>&) {
-    return true;
-  }
-
- private:
-  static constexpr size_t kMinMappedBytes = 4096;
 };
 
 }  // namespace csc

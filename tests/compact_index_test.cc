@@ -124,9 +124,10 @@ TEST(CompactIndexTest, EmptyGraphSerializes) {
 }
 
 TEST(CompactIndexTest, BuildMatchesCompactedFullBuild) {
-  // Build constructs only the two served label sets; the result must be
-  // indistinguishable from compacting a full build, and answer every vertex
-  // and edge query as the full index does.
+  // FrozenIndex::Build freezes the two served label sets straight from
+  // construction; the result must be indistinguishable from freezing the
+  // compacted full build, and answer every vertex and edge query as the
+  // full index does.
   std::vector<std::pair<std::string, DiGraph>> graphs = {
       {"figure2", Figure2Graph()}};
   for (uint64_t seed : {1u, 2u}) {
@@ -139,12 +140,12 @@ TEST(CompactIndexTest, BuildMatchesCompactedFullBuild) {
       options.reserve_vertices = reserve;
       VertexOrdering order = DegreeOrdering(g);
       CscIndex index = CscIndex::Build(g, order, options);
-      CompactIndex compact = CompactIndex::Build(g, order, options);
-      ASSERT_EQ(compact, CompactIndex::FromIndex(index))
-          << name << " reserve=" << reserve;
+      CompactIndex compact = CompactIndex::FromIndex(index);
       Vertex n = compact.num_original_vertices();
       ASSERT_EQ(n, g.num_vertices() + reserve) << name;
-      FrozenIndex served = FrozenIndex::FromCompact(compact);
+      FrozenIndex served = FrozenIndex::Build(g, order, options);
+      ASSERT_EQ(served, FrozenIndex::FromCompact(compact))
+          << name << " reserve=" << reserve;
       for (Vertex u = 0; u < n; ++u) {
         EXPECT_EQ(served.Query(u), index.Query(u)) << name << " " << u;
         for (Vertex v = 0; v < n; ++v) {
@@ -157,9 +158,10 @@ TEST(CompactIndexTest, BuildMatchesCompactedFullBuild) {
   }
 }
 
-// Degenerate shapes for the served build: every thread count must build
-// the compacted full build, the freeze from the label store must equal the
-// copying one, and the served answers must be BFS's. Reserved vertices are
+// Degenerate shapes for the served build: at every thread count the
+// stored sets must be the sequential build's, the freeze from the label
+// store must equal the copying freeze of the sequential compacted full
+// build, and the served answers must be BFS's. Reserved vertices are
 // isolated, so they answer "no cycle".
 struct EdgeCaseGraph {
   std::string name;
@@ -187,16 +189,19 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
   for (const EdgeCaseGraph& g : EdgeCaseGraphs()) {
     VertexOrdering order = DegreeOrdering(g.graph);
     for (Vertex reserve : {0u, 3u}) {
+      CscIndex::Options sequential_options;
+      sequential_options.reserve_vertices = reserve;
+      const CompactIndex compact = CompactIndex::FromIndex(
+          CscIndex::Build(g.graph, order, sequential_options));
       for (unsigned threads : {0u, 1u, 4u}) {
         const std::string context = g.name + " reserve=" +
                                     std::to_string(reserve) +
                                     " build_threads=" + std::to_string(threads);
-        CscIndex::Options options;
-        options.reserve_vertices = reserve;
+        CscIndex::Options options = sequential_options;
         options.build_threads = threads;
-        CompactIndex compact = CompactIndex::Build(g.graph, order, options);
-        ASSERT_EQ(compact, CompactIndex::FromIndex(
-                               CscIndex::Build(g.graph, order, options)))
+        ASSERT_EQ(CompactIndex::FromIndex(
+                      CscIndex::Build(g.graph, order, options)),
+                  compact)
             << context;
         const Vertex n = g.graph.num_vertices();
         ASSERT_EQ(compact.num_original_vertices(), n + reserve) << context;
@@ -206,7 +211,7 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
                     FrozenIndex::FromCompact(compact, encoding))
               << context;
         }
-        FrozenIndex served = FrozenIndex::FromCompact(compact);
+        FrozenIndex served = FrozenIndex::Build(g.graph, order, options);
         for (Vertex v = 0; v < n; ++v) {
           CycleCount expected = BfsCountCycles(g.graph, v);
           if (g.acyclic) {
@@ -225,12 +230,13 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
 TEST(CompactIndexTest, StoreFreezeMatchesCopying) {
   // FlatBackend freezes straight from the construction label store, owner
   // by owner and one direction at a time; the arenas must be the copying
-  // freeze's of the compact build under both encodings.
+  // freeze's of the same build's stored sets under both encodings.
   for (uint64_t seed : {3u, 4u}) {
     DiGraph g = RandomGraph(80, 3.0, seed);
     CscIndex::Options options;
     options.build_threads = 2;
-    CompactIndex compact = CompactIndex::Build(g, DegreeOrdering(g), options);
+    CompactIndex compact = CompactIndex::FromIndex(
+        CscIndex::Build(g, DegreeOrdering(g), options));
     for (ArenaEncoding encoding :
          {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
       FrozenIndex frozen =

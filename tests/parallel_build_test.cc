@@ -297,24 +297,26 @@ TEST(ParallelBuildDeterminismTest, BackendPayloadsByteIdentical) {
   }
 }
 
-TEST(ParallelBuildDeterminismTest, CompactBuildMatchesCompactedFullBuild) {
-  // CompactIndex::Build writes only the two served label sets; at every
+TEST(ParallelBuildDeterminismTest, FrozenBuildMatchesCompactedFullBuild) {
+  // FrozenIndex::Build writes only the two served label sets; at every
   // thread count, with and without reserved vertices, it must equal the
-  // compacted full build (which derives its other two sets afterwards).
+  // frozen compacted full build (which derives its other two sets
+  // afterwards).
   for (const NamedGraph& g : ConformanceGraphs()) {
     VertexOrdering order = DegreeOrdering(g.graph);
     for (Vertex reserve : {0u, 3u}) {
       CscIndex::Options sequential_options;
       sequential_options.reserve_vertices = reserve;
-      CompactIndex expected = CompactIndex::FromIndex(
-          CscIndex::Build(g.graph, order, sequential_options));
+      const FrozenIndex expected = FrozenIndex::FromCompact(
+          CompactIndex::FromIndex(
+              CscIndex::Build(g.graph, order, sequential_options)));
       std::vector<unsigned> thread_counts = {0};
       thread_counts.insert(thread_counts.end(), std::begin(kThreadCounts),
                            std::end(kThreadCounts));
       for (unsigned threads : thread_counts) {
         CscIndex::Options options = sequential_options;
         options.build_threads = threads;
-        EXPECT_EQ(CompactIndex::Build(g.graph, order, options), expected)
+        EXPECT_EQ(FrozenIndex::Build(g.graph, order, options), expected)
             << g.name << " reserve=" << reserve << " threads=" << threads;
       }
     }
