@@ -38,9 +38,7 @@ int main(int argc, char** argv) {
   // Start from an empty graph with n vertex slots; minimality maintenance
   // keeps the index sound under the stream's constant expirations.
   DiGraph empty(n);
-  CscIndex::Options build_options;
-  build_options.maintain_inverted_index = true;
-  CscIndex index = CscIndex::Build(empty, DegreeOrdering(empty), build_options);
+  CscIndex index = CscIndex::Build(empty, DegreeOrdering(empty));
 
   BatchOptions batch_options;
   batch_options.strategy = MaintenanceStrategy::kMinimality;

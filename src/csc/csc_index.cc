@@ -302,11 +302,10 @@ void CoupleLabels::Report(bool debug, const double seconds[2],
 
 CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
                          const Options& options) {
-  Timer timer;  // the whole build, inverted indexes included
+  Timer timer;
   CscIndex index;
   index.options_ = options;
-  index.options_.maintain_inverted_index = false;  // until populated below
-  index.options_.reserve_vertices = 0;             // now part of graph_
+  index.options_.reserve_vertices = 0;  // now part of graph_
   // Sorted adjacency lists: the maintenance passes visit neighbours in the
   // same order whatever edit history the caller's copy has.
   index.graph_ = DiGraph::FromEdges(
@@ -316,16 +315,8 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
   labels.ReleaseInto(index.labels_.in, index.labels_.out, index.stats_);
   index.order_ = std::move(labels.bipartite_order);
   index.stats_.build_threads = options.build_threads;
-  if (options.maintain_inverted_index) index.EnsureInvertedIndexes();
   index.stats_.seconds = timer.ElapsedSeconds();
   return index;
-}
-
-void CscIndex::EnsureInvertedIndexes() {
-  if (options_.maintain_inverted_index) return;
-  inv_in_.BuildFrom(labels_, LabelDirection::kIn, order_.size());
-  inv_out_.BuildFrom(labels_, LabelDirection::kOut, order_.size());
-  options_.maintain_inverted_index = true;
 }
 
 JoinResult CscIndex::BipartiteQuery(Vertex s, Vertex t) const {

@@ -8,7 +8,6 @@
 #include "graph/digraph.h"
 #include "graph/ordering.h"
 #include "labeling/hub_labeling.h"
-#include "labeling/inverted_index.h"
 
 namespace csc {
 
@@ -43,9 +42,8 @@ namespace csc {
 class CscIndex {
  public:
   struct Options {
-    /// Maintain the inverted hub indexes (inv_in / inv_out) needed by the
-    /// minimality cleaning strategy of Algorithm 8. Off by default because
-    /// the paper's preferred configuration is update-with-redundancy (§V.B).
+    /// Ignored: minimality cleaning (dynamic/clean.h) keeps no inverted hub
+    /// index. Kept only because perfbench/serving_bench.cc still sets it.
     bool maintain_inverted_index = false;
     /// Extra isolated vertices appended to the graph before indexing (with
     /// the lowest ranks). A vertex insertion is "a series of edge
@@ -98,8 +96,7 @@ class CscIndex {
   /// The two stored label sets, by original vertex v: in[v] = L_in(v_i) and
   /// out[v] = L_out(v_o). Hubs are bipartite ranks.
   const HubLabeling& served_labels() const { return labels_; }
-  /// Its `seconds` time the whole Build: graph copy, labels and, with
-  /// maintain_inverted_index, the inverted indexes.
+  /// Its `seconds` time the whole Build: graph copy and labels.
   const LabelBuildStats& build_stats() const { return stats_; }
   /// The options that rebuild this index from graph(): reserve_vertices
   /// reads 0, the reserved vertices being part of graph().
@@ -107,21 +104,9 @@ class CscIndex {
   uint64_t TotalEntries() const { return labels_.TotalEntries(); }
   uint64_t SizeBytes() const { return labels_.SizeBytes(); }
 
-  /// Inverted indexes over the two stored sets (owners are original
-  /// vertices; valid only when has_inverted_index()).
-  const InvertedIndex& inv_in() const { return inv_in_; }
-  const InvertedIndex& inv_out() const { return inv_out_; }
-  bool has_inverted_index() const { return options_.maintain_inverted_index; }
-
-  /// Populates the inverted indexes if absent. Minimality-mode maintenance
-  /// calls this lazily; all later label mutations then keep them in sync.
-  void EnsureInvertedIndexes();
-
   // --- Mutable access for the dynamic-maintenance module (src/dynamic). ---
   DiGraph& mutable_graph() { return graph_; }
   HubLabeling& mutable_served_labels() { return labels_; }
-  InvertedIndex& mutable_inv_in() { return inv_in_; }
-  InvertedIndex& mutable_inv_out() { return inv_out_; }
 
  private:
   friend CscIndex BuildCscAblation(const DiGraph& graph,
@@ -133,8 +118,6 @@ class CscIndex {
   DiGraph graph_;         // the input graph plus reserved vertices
   VertexOrdering order_;  // over G_b's 2n vertices
   HubLabeling labels_;    // the two stored sets, by original vertex
-  InvertedIndex inv_in_;
-  InvertedIndex inv_out_;
   LabelBuildStats stats_;
   Options options_;
 };

@@ -33,12 +33,11 @@ class FrozenIndex {
   FrozenIndex() = default;
 
   /// Builds the index of `graph` under `order`: the construction of
-  /// CscIndex::Build(graph, order, options) (inverted indexes aside),
-  /// frozen straight from the construction's label store. The store's
-  /// scratch is handed back to the system first; then, one direction at a
-  /// time, the arena is sized from the sets and each owner's sets are
-  /// copied in, its slab unmapped before the next owner's. `stats`, if
-  /// given, receives the build stats.
+  /// CscIndex::Build(graph, order, options), frozen straight from the
+  /// construction's label store. The store's scratch is handed back to the
+  /// system first; then, one direction at a time, the arena is sized from
+  /// the sets and each owner's sets are copied in, its slab unmapped before
+  /// the next owner's. `stats`, if given, receives the build stats.
   static FrozenIndex Build(const DiGraph& graph, const VertexOrdering& order,
                            const CscIndex::Options& options,
                            ArenaEncoding encoding = ArenaEncoding::kPacked,

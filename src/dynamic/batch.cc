@@ -3,6 +3,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "dynamic/clean.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
 #include "util/timer.h"
@@ -114,15 +115,30 @@ BatchResult ApplyUpdates(CscIndex& index,
       ++result.skipped;
     }
   }
+  // Under kMinimality, CLEAN_LABEL runs once, after the last insert's
+  // passes, over the sets any of them changed (dynamic/clean.h).
+  DirtyLabelTracker changed;
+  DirtyLabelTracker* const record =
+      options.strategy == MaintenanceStrategy::kMinimality ? &changed
+                                                            : nullptr;
   for (const Edge& e : to_insert) {
     UpdateStats stats;
     stats.dirty = options.dirty;
-    if (InsertEdge(index, e.from, e.to, options.strategy, &stats)) {
+    if (InsertEdgeUncleaned(index, e.from, e.to, record, &stats)) {
       ++result.inserted;
       result.stats.Accumulate(stats);
     } else {
       ++result.skipped;
     }
+  }
+  if (record != nullptr) {
+    // Its removals reach the caller's tracker like the passes' edits do.
+    UpdateStats stats;
+    stats.dirty = options.dirty;
+    Timer clean_timer;
+    CleanChangedLabels(index, changed, stats);
+    stats.seconds = clean_timer.ElapsedSeconds();
+    result.stats.Accumulate(stats);
   }
   result.stats.strategy = options.strategy;
   result.seconds = timer.ElapsedSeconds();

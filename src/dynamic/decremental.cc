@@ -134,10 +134,6 @@ class RecoveryPass {
       ++stats_.entries_updated;
     } else {
       ++stats_.entries_added;
-      if (index_.has_inverted_index()) {
-        (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
-            .Add(entry.hub(), v);
-      }
     }
     labels.InsertOrReplace(entry);
     stats_.MarkDirty(v, forward);
@@ -212,10 +208,6 @@ bool RemoveEdge(CscIndex& index, Vertex a, Vertex b, UpdateStats* stats) {
       set.Remove(r);
       ++local.entries_removed;
       local.MarkDirty(v, in_side);
-      if (index.has_inverted_index()) {
-        (in_side ? index.mutable_inv_in() : index.mutable_inv_out())
-            .Remove(r, v);
-      }
     }
   };
   for (Vertex y : affected_targets) {

@@ -20,10 +20,10 @@ namespace {
 /// the index does not store.
 class IncrementalPass {
  public:
-  IncrementalPass(CscIndex& index, MaintenanceStrategy strategy,
+  IncrementalPass(CscIndex& index, DirtyLabelTracker* changed,
                   UpdateStats& stats)
       : index_(index),
-        strategy_(strategy),
+        changed_(changed),
         stats_(stats),
         dist_(2 * index.num_original_vertices(), kInfDist),
         count_(2 * index.num_original_vertices(), 0),
@@ -41,8 +41,7 @@ class IncrementalPass {
     HubLabeling& labels = index_.mutable_served_labels();
     // The row holds L_out(v_i) (forward: L_out(v_o) shifted, below the hub's
     // rank) or L_in(v_i) (backward). Neither set changes during the pass:
-    // its writes and cleaning reach only other sets and hubs ranked after
-    // v_i, which the row's set does not hold.
+    // its writes reach only other sets.
     const LabelSet& hub_labels =
         forward ? labels.out[OriginalOf(hub)] : labels.in[OriginalOf(hub)];
     if (forward) {
@@ -105,13 +104,13 @@ class IncrementalPass {
     const Vertex v = OriginalOf(w);
     const Dist d = dist_[w];
     const Count c = count_[w];
-    bool needs_clean = false;
+    bool shortened = false;
     if (existing != nullptr) {
       if (d < existing->dist()) {
         labels.InsertOrReplace(LabelEntry(hub_rank, d, c));
         ++stats_.entries_updated;
         stats_.MarkDirty(v, forward);
-        needs_clean = true;
+        shortened = true;
       } else if (d == existing->dist()) {
         // New same-length shortest paths through the inserted edge: the BFS
         // counts only paths through it, so accumulation cannot double-count.
@@ -126,23 +125,13 @@ class IncrementalPass {
       labels.InsertOrReplace(LabelEntry(hub_rank, d, c));
       ++stats_.entries_added;
       stats_.MarkDirty(v, forward);
-      if (index_.has_inverted_index()) {
-        (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
-            .Add(hub_rank, v);
-      }
-      needs_clean = true;
+      shortened = true;
     }
-    if (needs_clean && strategy_ == MaintenanceStrategy::kMinimality) {
-      if (forward) {
-        CleanAfterInLabelChange(index_, v, stats_);
-      } else {
-        CleanAfterOutLabelChange(index_, v, stats_);
-      }
-    }
+    if (shortened && changed_ != nullptr) changed_->Mark(v, forward);
   }
 
   CscIndex& index_;
-  const MaintenanceStrategy strategy_;
+  DirtyLabelTracker* const changed_;
   UpdateStats& stats_;
   std::vector<Dist> dist_;
   std::vector<Count> count_;
@@ -155,8 +144,26 @@ class IncrementalPass {
 
 bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
                 MaintenanceStrategy strategy, UpdateStats* stats) {
+  if (strategy == MaintenanceStrategy::kRedundancy) {
+    return InsertEdgeUncleaned(index, a, b, nullptr, stats);
+  }
   UpdateStats local;
-  local.strategy = strategy;
+  local.dirty = stats != nullptr ? stats->dirty : nullptr;
+  Timer timer;
+  DirtyLabelTracker changed;
+  if (!InsertEdgeUncleaned(index, a, b, &changed, &local)) return false;
+  CleanChangedLabels(index, changed, local);
+  local.seconds = timer.ElapsedSeconds();
+  if (stats != nullptr) {
+    stats->Accumulate(local);
+    stats->strategy = strategy;
+  }
+  return true;
+}
+
+bool InsertEdgeUncleaned(CscIndex& index, Vertex a, Vertex b,
+                         DirtyLabelTracker* changed, UpdateStats* stats) {
+  UpdateStats local;
   local.dirty = stats != nullptr ? stats->dirty : nullptr;
   Timer timer;
   if (a == b || a >= index.num_original_vertices() ||
@@ -166,9 +173,6 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
   if (!index.mutable_graph().AddEdge(a, b)) return false;
   const Vertex ao = OutVertex(a);
   const Vertex bi = InVertex(b);
-  if (strategy == MaintenanceStrategy::kMinimality) {
-    index.EnsureInvertedIndexes();
-  }
 
   // Definition V.1: affected hubs are the hubs of L_in(a_o) and L_out(b_i).
   // Gather (rank, seed distance, seed count, direction) work items; the seed
@@ -211,7 +215,7 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
                      return x.forward && !y.forward;
                    });
 
-  IncrementalPass pass(index, strategy, local);
+  IncrementalPass pass(index, changed, local);
   for (const WorkItem& item : work) {
     ++local.hubs_processed;
     // Forward: new paths hub -> a_o -> b_i -> ...; resume at b_i with
@@ -222,7 +226,7 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
   local.seconds = timer.ElapsedSeconds();
   if (stats != nullptr) {
     stats->Accumulate(local);
-    stats->strategy = strategy;
+    stats->strategy = MaintenanceStrategy::kRedundancy;
   }
   return true;
 }

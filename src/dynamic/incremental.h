@@ -15,15 +15,23 @@ namespace csc {
 /// BACKWARD_PASS, Algorithm 6) seeded with that hub's own label distance and
 /// count (Theorem V.1), updating labels through UPDATE_LABEL (Algorithm 7).
 ///
-/// With MaintenanceStrategy::kMinimality the index must have inverted
-/// indexes (CscIndex::Options::maintain_inverted_index); CLEAN_LABEL runs
-/// after every shortening insert, keeping the index minimal.
+/// With MaintenanceStrategy::kMinimality, CLEAN_LABEL (dynamic/clean.h)
+/// runs once after the passes, over the sets they gave a new or shortened
+/// entry, keeping the index minimal.
 ///
 /// Returns false (index untouched) if the edge already exists, is a
 /// self-loop, or an endpoint is out of range.
 bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
                 MaintenanceStrategy strategy = MaintenanceStrategy::kRedundancy,
                 UpdateStats* stats = nullptr);
+
+/// INCCNT's passes without the cleaning (InsertEdge under kRedundancy),
+/// also marking in `changed`, when set, each stored set that got a new or
+/// shortened entry. A landing of several inserts calls this for each and
+/// CleanChangedLabels(index, *changed, ...) once after the last one.
+bool InsertEdgeUncleaned(CscIndex& index, Vertex a, Vertex b,
+                         DirtyLabelTracker* changed,
+                         UpdateStats* stats = nullptr);
 
 }  // namespace csc
 

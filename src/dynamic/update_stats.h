@@ -21,9 +21,10 @@ enum class MaintenanceStrategy {
   /// never the minimum of a query join, so answers stay correct while
   /// updates run orders of magnitude faster. The paper's preferred mode.
   kRedundancy,
-  /// Run CLEAN_LABEL (Algorithm 8) after every shortening/insert so the
-  /// index stays minimal (Theorem V.3). Requires inverted hub indexes;
-  /// 58-678x slower in the paper's measurements.
+  /// Run CLEAN_LABEL (Algorithm 8) once per landing, over the sets that got
+  /// a new or shorter entry and the holders of their owners as hubs, so the
+  /// index stays minimal (Theorem V.3). 58-678x slower in the paper's
+  /// measurements, which clean after every label change.
   kMinimality,
 };
 
@@ -32,7 +33,8 @@ enum class MaintenanceStrategy {
 /// serving-tier patch extraction (dynamic/patch.h). The
 /// maintenance algorithms mark every *actual* label mutation — insertion,
 /// rewrite, or removal — never mere visits; marks deduplicate, so the dirty
-/// lists bound the damage a batch did to the labeling.
+/// lists bound the damage a batch did to the labeling. INCCNT also uses one
+/// to collect the sets CLEAN_LABEL must revisit (dynamic/clean.h).
 class DirtyLabelTracker {
  public:
   /// Marks L_in(v_i) (`in_side`) or L_out(v_o) of original vertex `v` as

@@ -62,17 +62,6 @@ std::vector<EdgeUpdate> SuccessfulOps(const std::vector<EdgeUpdate>& updates,
   return ops;
 }
 
-/// The shadow is maintained in minimality mode regardless of the build
-/// options: decremental repair (RemoveEdge) requires a minimal index, and
-/// only minimality-mode maintenance preserves that precondition inductively
-/// across batches.
-CscIndex::Options ShadowOptions(unsigned build_threads) {
-  CscIndex::Options shadow_options;
-  shadow_options.maintain_inverted_index = true;
-  shadow_options.build_threads = build_threads;
-  return shadow_options;
-}
-
 /// One shared deadline probe: the failpoint's error action makes "budget
 /// exhausted" deterministic for tests; otherwise it is a real clock check.
 bool BudgetExhausted(const Deadline& deadline) {
@@ -157,7 +146,8 @@ bool Engine::BuildImpl(const DiGraph& graph, bool staged_wal) {
       // is bit-identical to a direct build; DegreeOrdering is insensitive to
       // trailing isolated vertices, so pinning it over the shadow's graph
       // (the reserve included) keeps the same ranks.
-      CscIndex::Options shadow_options = ShadowOptions(options_.build_threads);
+      CscIndex::Options shadow_options;
+      shadow_options.build_threads = options_.build_threads;
       shadow_options.reserve_vertices = options_.reserve_vertices;
       shadow = std::make_unique<CscIndex>(
           CscIndex::Build(graph, DegreeOrdering(graph), shadow_options));
@@ -440,6 +430,9 @@ std::shared_ptr<CycleIndex> Engine::LandRepair(
     dirty_.Reset();
     // rebuild_threshold stays kDefaultRebuildThreshold: past it the shadow
     // is rebuilt under the pinned ordering and the snapshot derived.
+    // Minimality, whatever the build options: decremental repair
+    // (RemoveEdge) needs a minimal index, and only minimality maintenance
+    // keeps it minimal from batch to batch.
     BatchOptions batch_options;
     batch_options.strategy = MaintenanceStrategy::kMinimality;
     batch_options.pinned_order = &pinned_order_;
@@ -489,8 +482,9 @@ void Engine::RestoreShadowLocked() {
   try {
     // graph_ has already been rolled back by the caller, so a rebuild under
     // the pinned ordering reproduces the exact pre-batch shadow.
-    *shadow_ = CscIndex::Build(graph_, pinned_order_,
-                               ShadowOptions(options_.build_threads));
+    CscIndex::Options shadow_options;
+    shadow_options.build_threads = options_.build_threads;
+    *shadow_ = CscIndex::Build(graph_, pinned_order_, shadow_options);
   } catch (...) {
     // Can't restore the maintenance state; abandon repair for this engine.
     // Later batches fall back to rebuild-and-swap, which only needs the

@@ -65,10 +65,7 @@ TEST_P(BatchPropertyTest, BatchEqualsReferenceEverywhere) {
                " threshold=" + std::to_string(threshold));
   DiGraph graph = RandomGraph(48, 2.5, seed);
 
-  CscIndex::Options build_options;
-  build_options.maintain_inverted_index = true;
-  CscIndex index =
-      CscIndex::Build(graph, DegreeOrdering(graph), build_options);
+  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
 
   std::vector<EdgeUpdate> updates = MakeUpdateSequence(graph, 24, seed + 7);
   DiGraph reference = ReferenceApply(graph, updates);

@@ -42,7 +42,6 @@ void ExpectTracksGraph(const CscIndex& index, const DiGraph& target,
 CscIndex BuildReserved(const DiGraph& graph, DiGraph& target) {
   CscIndex::Options options;
   options.reserve_vertices = 2;
-  options.maintain_inverted_index = true;
   target = graph;
   target.AddVertices(options.reserve_vertices);
   return CscIndex::Build(graph, DegreeOrdering(graph), options);
@@ -281,9 +280,7 @@ TEST(BatchTest, RebuiltIndexSupportsFurtherMaintenance) {
 
 TEST(BatchTest, MinimalityStrategyKeepsIndexMinimalAcrossBatches) {
   DiGraph graph = RandomGraph(40, 2.5, 11);
-  CscIndex::Options build_options;
-  build_options.maintain_inverted_index = true;
-  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph), build_options);
+  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
 
   BatchOptions options;
   options.strategy = MaintenanceStrategy::kMinimality;
@@ -315,7 +312,6 @@ TEST(BatchTest, MinimalityStrategyKeepsIndexMinimalAcrossBatches) {
 TEST(BatchTest, ThresholdAboveOneNeverRebuilds) {
   CscIndex::Options build_options;
   build_options.reserve_vertices = 6;
-  build_options.maintain_inverted_index = true;
   DiGraph graph;
   const VertexOrdering empty_order = DegreeOrdering(graph);
   CscIndex index = CscIndex::Build(graph, empty_order, build_options);

@@ -1,8 +1,12 @@
 // Direct unit tests for CLEAN_LABEL (Algorithm 8): redundant entries are
-// removed, fresh entries survive, and inverted indexes stay in sync.
+// removed, fresh entries survive, and holders of a changed set's owner are
+// cleaned even when their own sets did not change.
 #include "dynamic/clean.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "baseline/bfs_cycle.h"
 #include "dynamic/incremental.h"
@@ -77,29 +81,51 @@ TEST(CleanTest, MinimalityStrategyLeavesNoRedundantEntries) {
   EXPECT_EQ(CountRedundantEntries(index), 0u);
 }
 
-TEST(CleanTest, CleaningKeepsInvertedIndexConsistent) {
-  DiGraph g = RandomGraph(30, 2.0, 17);
-  CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
-  index.EnsureInvertedIndexes();
-  for (const Edge& e : SampleNewEdges(g, 10, 18)) {
-    ASSERT_TRUE(
-        InsertEdge(index, e.from, e.to, MaintenanceStrategy::kMinimality));
-  }
-  const HubLabeling& labels = index.served_labels();
-  uint64_t in_entries = 0, out_entries = 0;
-  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
-    in_entries += labels.in[v].size();
-    out_entries += labels.out[v].size();
-  }
-  EXPECT_EQ(index.inv_in().TotalEntries(), in_entries);
-  EXPECT_EQ(index.inv_out().TotalEntries(), out_entries);
-  // Spot-check membership: every in-label entry is registered under its hub.
-  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
-    for (const LabelEntry& e : labels.in[v].entries()) {
-      EXPECT_TRUE(index.inv_in().Vertices(e.hub()).count(v))
-          << "hub rank " << e.hub() << " vertex " << v;
-    }
-  }
+// x reaches w over a five-edge detour, so L_out(x_o) holds (w_i, 9). The
+// insert of (a, b) opens x -> h -> a -> b -> w, whose top vertex is h: only
+// the forward pass of hub h runs past b, giving L_in(w_i) a new entry, while
+// no pass reaches x (h outranks every other hub). x's own set is unchanged,
+// yet its w_i entry is now stale; only the holder scan finds it.
+TEST(CleanTest, HolderEntryGoesStaleWhileItsOwnSetIsUnchanged) {
+  const Vertex h = 0, w = 1, a = 2, b = 3, x = 4;
+  DiGraph g(9);
+  g.AddEdge(x, h);
+  g.AddEdge(h, a);
+  g.AddEdge(b, w);
+  g.AddEdge(x, 5);  // the detour x -> 5 -> 6 -> 7 -> 8 -> w
+  g.AddEdge(5, 6);
+  g.AddEdge(6, 7);
+  g.AddEdge(7, 8);
+  g.AddEdge(8, w);
+  const VertexOrdering order =
+      OrderingFromPermutation({h, w, a, b, x, 5, 6, 7, 8});
+  CscIndex index = CscIndex::Build(g, order);
+  const Rank wi = index.bipartite_order().vertex_to_rank[InVertex(w)];
+  const LabelEntry* held = index.served_labels().out[x].Find(wi);
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held->dist(), 9u);
+
+  DirtyLabelTracker changed;
+  ASSERT_TRUE(InsertEdgeUncleaned(index, a, b, &changed));
+  ASSERT_TRUE(g.AddEdge(a, b));
+  const std::vector<Vertex>& in_changed = changed.dirty_in();
+  ASSERT_NE(std::find(in_changed.begin(), in_changed.end(), w),
+            in_changed.end());
+  const std::vector<Vertex>& out_changed = changed.dirty_out();
+  ASSERT_EQ(std::find(out_changed.begin(), out_changed.end(), x),
+            out_changed.end());
+  ASSERT_LT(index.BipartiteQuery(OutVertex(x), InVertex(w)).dist, 9u);
+  ASSERT_GT(CountRedundantEntries(index), 0u);
+
+  DirtyLabelTracker dirty;
+  UpdateStats stats;
+  stats.dirty = &dirty;
+  CleanChangedLabels(index, changed, stats);
+  EXPECT_EQ(index.served_labels().out[x].Find(wi), nullptr);
+  EXPECT_EQ(dirty.dirty_out(), std::vector<Vertex>{x});
+  EXPECT_EQ(stats.entries_removed, 1u);
+  EXPECT_EQ(CountRedundantEntries(index), 0u);
+  EXPECT_EQ(index.served_labels(), CscIndex::Build(g, order).served_labels());
 }
 
 TEST(CleanTest, FullSweepRestoresMinimalityAfterRedundantUpdates) {
@@ -116,12 +142,13 @@ TEST(CleanTest, FullSweepRestoresMinimalityAfterRedundantUpdates) {
   std::vector<CycleCount> before(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) before[v] = index.Query(v);
 
-  index.EnsureInvertedIndexes();
-  UpdateStats stats;
+  DirtyLabelTracker every_set;
   for (Vertex v = 0; v < index.num_original_vertices(); ++v) {
-    CleanAfterInLabelChange(index, v, stats);
-    CleanAfterOutLabelChange(index, v, stats);
+    every_set.Mark(v, /*in_side=*/true);
+    every_set.Mark(v, /*in_side=*/false);
   }
+  UpdateStats stats;
+  CleanChangedLabels(index, every_set, stats);
   EXPECT_EQ(CountRedundantEntries(index), 0u);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(index.Query(v), before[v]) << "vertex " << v;

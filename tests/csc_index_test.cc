@@ -141,44 +141,14 @@ TEST(CscIndexTest, StoredSetsHaveExactCapacity) {
   }
 }
 
-TEST(CscIndexTest, InvertedIndexOptionPopulatesBothSides) {
-  DiGraph g = Figure2Graph();
-  CscIndex::Options options;
-  options.maintain_inverted_index = true;
-  CscIndex index = CscIndex::Build(g, Figure2Ordering(), options);
-  ASSERT_TRUE(index.has_inverted_index());
-  const HubLabeling& labels = index.served_labels();
-  uint64_t in_entries = 0, out_entries = 0;
-  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
-    in_entries += labels.in[v].size();
-    out_entries += labels.out[v].size();
-  }
-  EXPECT_EQ(index.inv_in().TotalEntries(), in_entries);
-  EXPECT_EQ(index.inv_out().TotalEntries(), out_entries);
-}
-
-TEST(CscIndexTest, EnsureInvertedIndexesIsIdempotent) {
-  DiGraph g = Figure2Graph();
-  CscIndex index = CscIndex::Build(g, Figure2Ordering());
-  EXPECT_FALSE(index.has_inverted_index());
-  index.EnsureInvertedIndexes();
-  ASSERT_TRUE(index.has_inverted_index());
-  uint64_t before = index.inv_in().TotalEntries();
-  index.EnsureInvertedIndexes();
-  EXPECT_EQ(index.inv_in().TotalEntries(), before);
-}
-
-// build_stats().seconds times the whole Build, the inverted indexes (most
-// of it) included, not the labels alone.
-TEST(CscIndexTest, BuildSecondsIncludeTheInvertedIndexes) {
+// build_stats().seconds times the whole Build (graph copy, construction
+// and the hand-over into exact-size sets), not the label construction alone.
+TEST(CscIndexTest, BuildSecondsTimeTheWholeBuild) {
   DiGraph g = MaterializeDataset(FindDataset("WKT").value(), 0.1);
   VertexOrdering order = DegreeOrdering(g);
-  CscIndex::Options options;
-  options.maintain_inverted_index = true;
   Timer timer;
-  CscIndex index = CscIndex::Build(g, order, options);
+  CscIndex index = CscIndex::Build(g, order);
   const double wall = timer.ElapsedSeconds();
-  ASSERT_TRUE(index.has_inverted_index());
   EXPECT_GE(index.build_stats().seconds, 0.8 * wall);
 }
 

@@ -181,9 +181,7 @@ TEST(EdgeQueryTest, SurvivesSerializationRoundTrip) {
 
 TEST(EdgeQueryTest, StaysExactUnderDynamicMaintenance) {
   DiGraph graph = RandomGraph(40, 2.5, 41);
-  CscIndex::Options options;
-  options.maintain_inverted_index = true;
-  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph), options);
+  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
 
   // Remove a few edges then insert fresh ones (minimality keeps removals
   // sound); after every step the edge query must match the oracle on every
@@ -234,7 +232,6 @@ TEST(EdgeScreeningTest, MaintainedIndexMatchesFreshBuild) {
   DiGraph graph = RandomGraph(n, 3.0, 53);
   CscIndex::Options options;
   options.reserve_vertices = 1;
-  options.maintain_inverted_index = true;
   CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph), options);
   DiGraph target = graph;
   target.AddVertices(1);

@@ -210,7 +210,6 @@ std::vector<CscIndex> DeriveShadows() {
   shadows.push_back(CscIndex::Build(g, DegreeOrdering(g)));
   CscIndex::Options options;
   options.reserve_vertices = 3;
-  options.maintain_inverted_index = true;
   options.build_threads = 2;
   CscIndex maintained = CscIndex::Build(g, DegreeOrdering(g), options);
   for (const Edge& e : {Edge{0, n}, Edge{n, 1}, Edge{n + 1, n},

@@ -36,11 +36,8 @@ TEST(ServingStackTest, StreamToPersistedServingTier) {
   const uint64_t window = arrivals.size();  // nothing expires in this phase
   std::vector<StreamEvent> events = SlidingWindowEvents(arrivals, window);
 
-  CscIndex::Options build_options;
-  build_options.maintain_inverted_index = true;
   DiGraph empty(base.num_vertices());
-  CscIndex index =
-      CscIndex::Build(empty, DegreeOrdering(empty), build_options);
+  CscIndex index = CscIndex::Build(empty, DegreeOrdering(empty));
 
   BatchOptions batch_options;
   batch_options.strategy = MaintenanceStrategy::kMinimality;

@@ -121,12 +121,9 @@ TEST(SlidingWindowTest, MaintainedIndexTracksTheWindow) {
   const uint64_t window = 12;
   std::vector<StreamEvent> events = SlidingWindowEvents(arrivals, window);
 
-  CscIndex::Options build_options;
-  build_options.maintain_inverted_index = true;
   CscIndex index =
       CscIndex::Build(DiGraph(base.num_vertices()),
-                      DegreeOrdering(DiGraph(base.num_vertices())),
-                      build_options);
+                      DegreeOrdering(DiGraph(base.num_vertices())));
   BatchOptions options;
   options.strategy = MaintenanceStrategy::kMinimality;
   options.rebuild_threshold = 10.0;  // pure incremental/decremental
