@@ -40,7 +40,7 @@ int main() {
   double scale = BenchScaleFromEnv();
   auto datasets = BenchDatasetsFromEnv();
   auto backends = bench::BenchBackendsFromEnv(
-      {"bfs", "hpspc", "csc", "frozen", "compressed"});
+      {"bfs", "hpspc", "csc", "frozen"});
   bench::PrintBanner("Figure 10: Query Times (us) per degree cluster",
                      datasets, scale);
   std::printf("# backends: ");

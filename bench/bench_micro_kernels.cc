@@ -27,7 +27,6 @@
 #include "csc/frozen_index.h"
 #include "labeling/label_set.h"
 #include "util/random.h"
-#include "util/varint.h"
 
 namespace csc {
 namespace {
@@ -119,8 +118,8 @@ void ArenaJoinBench(benchmark::State& state, bool linear) {
   for (size_t i = 0; i < b_runs; ++i) {
     b_sets.push_back(RunSpanningUniverse(nb, universe, 5000 + i));
   }
-  LabelArena a = LabelArena::FromLabelSets(a_sets, ArenaEncoding::kPacked);
-  LabelArena b = LabelArena::FromLabelSets(b_sets, ArenaEncoding::kPacked);
+  LabelArena a = LabelArena::FromLabelSets(a_sets);
+  LabelArena b = LabelArena::FromLabelSets(b_sets);
   std::vector<std::pair<Vertex, Vertex>> pairs;
   pairs.reserve(a_runs * b_runs);
   for (size_t i = 0; i < a_runs; ++i) {
@@ -160,22 +159,6 @@ void BM_ArenaJoinLinear(benchmark::State& state) {
 BENCHMARK(BM_ArenaJoin)->CSC_ARENA_JOIN_ARGS;
 BENCHMARK(BM_ArenaJoinLinear)->CSC_ARENA_JOIN_ARGS;
 #undef CSC_ARENA_JOIN_ARGS
-
-// The same join through the varint decode path (the "compressed" backend's
-// kernel).
-void BM_ArenaJoinVarint(benchmark::State& state) {
-  size_t entries = static_cast<size_t>(state.range(0));
-  Rank universe = static_cast<Rank>(4 * entries);
-  LabelArena a = LabelArena::FromLabelSets(
-      {RunSpanningUniverse(entries, universe, 23)}, ArenaEncoding::kVarint);
-  LabelArena b = LabelArena::FromLabelSets(
-      {RunSpanningUniverse(entries, universe, 24)}, ArenaEncoding::kVarint);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LabelArena::Join(a, 0, b, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * entries * 2);
-}
-BENCHMARK(BM_ArenaJoinVarint)->Arg(64)->Arg(512);
 
 void BM_LabelSetFind(benchmark::State& state) {
   LabelSet labels = MakeLabelSet(static_cast<size_t>(state.range(0)), 3, 2);
@@ -249,16 +232,6 @@ BENCHMARK_F(QueryFixture, FrozenQuery)(benchmark::State& state) {
   }
 }
 
-BENCHMARK_F(QueryFixture, CompressedQuery)(benchmark::State& state) {
-  FrozenIndex compressed =
-      FrozenIndex::FromIndex(*index_, ArenaEncoding::kVarint);
-  Rng rng(10);
-  for (auto _ : state) {
-    Vertex v = static_cast<Vertex>(rng.NextBounded(graph_.num_vertices()));
-    benchmark::DoNotOptimize(compressed.Query(v));
-  }
-}
-
 BENCHMARK_F(QueryFixture, EdgeQuery)(benchmark::State& state) {
   // Through-edge queries on random vertex pairs (present or not: the query
   // cost is a label join either way).
@@ -269,26 +242,6 @@ BENCHMARK_F(QueryFixture, EdgeQuery)(benchmark::State& state) {
     benchmark::DoNotOptimize(index_->QueryThroughEdge(u, v));
   }
 }
-
-void BM_VarintRoundTrip(benchmark::State& state) {
-  // Encode+decode a stream of label-like triples (small rank deltas, small
-  // distances, count 1) — the compressed index's per-entry kernel.
-  std::vector<uint8_t> buffer;
-  Rng rng(12);
-  for (int i = 0; i < 1024; ++i) {
-    AppendVarint(buffer, 1 + rng.NextBounded(16));
-    AppendVarint(buffer, rng.NextBounded(64));
-    AppendVarint(buffer, 1);
-  }
-  for (auto _ : state) {
-    size_t pos = 0;
-    uint64_t sink = 0;
-    while (pos < buffer.size()) sink += DecodeVarint(buffer.data(), pos);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 3072);
-}
-BENCHMARK(BM_VarintRoundTrip);
 
 }  // namespace
 }  // namespace csc

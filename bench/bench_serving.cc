@@ -10,9 +10,8 @@
 //             Engine's parallel batch dispatch.
 //
 // Expected shape: csc and frozen match in size and latency (one packed
-// arena; csc differs only in landing every write by repair); compressed
-// trades a ~2x smaller payload for a decode-bound query; the parallel sweep
-// scales with cores until memory-bound.
+// arena; csc differs only in landing every write by repair); the parallel
+// sweep scales with cores until memory-bound.
 // A sharded section measures the same backends behind ShardedEngine at
 // 1/2/4/8 shards (batched-query throughput over the routed fan-out); its
 // per-backend × per-shard-count rows are also emitted as BENCH_serving.json
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
   // The serving-tier forms; "bfs"/"hpspc" are selectable via
   // CSC_BENCH_BACKENDS but are baseline, not serving, configurations.
   auto backends = bench::BenchBackendsFromEnv(
-      {"csc", "frozen", "compressed"});
+      {"csc", "frozen"});
   bench::PrintBanner("Serving tier: index backends (size / latency / sweep)",
                      datasets, scale);
   unsigned threads = ThreadPool::DefaultThreadCount();
@@ -161,9 +160,9 @@ int main(int argc, char** argv) {
        "peak-backlog"});
   JsonBenchReporter json("serving");
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
-  // The persistable serving forms with a load path (cold-start section);
+  // The persistable serving form with a load path (cold-start section);
   // "csc" loads the same packed payload as "frozen".
-  const std::vector<std::string> loadable = {"frozen", "compressed"};
+  const std::vector<std::string> loadable = {"frozen"};
   if (mmap_shards) {
     std::printf("# --mmap: sharded throughput measured over engines serving "
                 "a saved bundle from one shared mapping\n");

@@ -28,18 +28,17 @@
 // writer thread: each ApplyUpdates batch returns after validation with an
 // epoch token and the snapshot swap follows asynchronously, with Drain()
 // as the read-your-writes barrier. `--repair` lands the batches of
-// frozen/compressed as bounded label patches against a
-// pinned-ordering shadow index instead of full rebuilds, as "csc" always
-// does (serving/engine.h RepairOptions); the optional churn `[<index.out>]`
-// argument persists the post-churn index so the repaired bytes can be
-// compared against a from-scratch build.
+// frozen as bounded label patches against a pinned-ordering shadow index
+// instead of full rebuilds, as "csc" always does (serving/engine.h
+// RepairOptions); the optional churn `[<index.out>]` argument persists the
+// post-churn index so the repaired bytes can be compared against a
+// from-scratch build.
 //
 // Graphs are SNAP-style edge lists (see graph/graph_io.h). Indexes are
 // CycleIndex::SaveTo payloads inside the checksummed file envelope of
 // csc/index_io.h (legacy raw compact serializations still load). An index
-// file the chosen backend cannot load (any file under "bfs"/"hpspc", a
-// "compressed" file under "csc") is served by the first saving backend that
-// loads it, with a note on stderr.
+// file the chosen backend cannot load (any file under "bfs"/"hpspc") is
+// served by the first saving backend that loads it, with a note on stderr.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -92,8 +91,8 @@ int Usage() {
       "--async-updates applies churn batches asynchronously: ApplyUpdates\n"
       "returns after validation, batches land off the writer thread\n"
       "--repair lands churn batches as label patches against a\n"
-      "pinned-ordering shadow index instead of full rebuilds (backends\n"
-      "frozen/compressed; csc always repairs); a batch whose landing\n"
+      "pinned-ordering shadow index instead of full rebuilds (backend\n"
+      "frozen; csc always repairs); a batch whose landing\n"
       "fails rolls back at once\n"
       "--max-pending N caps the per-shard async rebuild backlog at N\n"
       "batches: churn batches past the cap shed with kOverloaded instead\n"
@@ -140,17 +139,16 @@ std::unique_ptr<CycleIndex> LoadOrBuild(const std::string& path,
   if (payload) {
     if (backend->LoadFrom(*payload)) return backend;
     // A valid index file the chosen backend cannot load (the "bfs"/"hpspc"
-    // baselines need the graph to answer queries, and the packed and varint
-    // arenas do not read each other's payloads): serve it through the first
-    // saving backend that loads it instead of failing the `build` -> `query`
-    // flow.
+    // baselines need the graph to answer queries): serve it through the
+    // first saving backend that loads it instead of failing the `build` ->
+    // `query` flow.
     for (const std::string& name : FallbackLoaders(backend_name)) {
       std::unique_ptr<CycleIndex> fallback = MakeBackend(name);
       if (fallback->LoadFrom(*payload)) {
         std::fprintf(
             stderr,
             "note: backend '%s' cannot load %s; serving it via '%s' (pass "
-            "--backend csc/frozen/compressed to choose explicitly, or a "
+            "--backend csc/frozen to choose explicitly, or a "
             "graph file to build '%s')\n",
             backend_name.c_str(), path.c_str(), name.c_str(),
             backend_name.c_str());
@@ -276,7 +274,7 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
           std::fprintf(stderr,
                        "note: backend '%s' cannot load the shard payloads "
                        "of %s; serving it via '%s' (pass --backend "
-                       "csc/frozen/compressed to choose explicitly)\n",
+                       "csc/frozen to choose explicitly)\n",
                        backend_name.c_str(), path.c_str(), name.c_str());
           engine = std::move(fallback);
           recovered = true;
@@ -286,7 +284,7 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
       if (!recovered) {
         std::fprintf(stderr,
                      "%s: multi-shard bundle does not load into backend '%s' "
-                     "(try --backend csc/frozen/compressed)\n",
+                     "(try --backend csc/frozen)\n",
                      path.c_str(), backend_name.c_str());
         return std::nullopt;
       }
@@ -337,7 +335,6 @@ std::optional<Serving> LoadOrBuildServing(const std::string& path,
 const char* BackendDescription(const std::string& name) {
   if (name == "csc") return "packed flat arena, kept current by §V repair";
   if (name == "frozen") return "packed flat arena, §V repair only with --repair";
-  if (name == "compressed") return "varint flat arena, ~2x smaller payload";
   if (name == "bfs") return "index-free Algorithm 1 baseline";
   if (name == "hpspc") return "HP-SPC baseline labeling (SIGMOD'20)";
   return "";
@@ -388,8 +385,8 @@ int CmdBuild(const std::string& backend_name, uint32_t shards,
     std::string payload;
     if (!engine.SaveTo(payload)) {
       std::fprintf(stderr,
-                   "backend '%s' has no persistent form; use csc, frozen, "
-                   "or compressed for `build`\n",
+                   "backend '%s' has no persistent form; use csc or frozen "
+                   "for `build`\n",
                    backend_name.c_str());
       return 1;
     }
@@ -415,8 +412,8 @@ int CmdBuild(const std::string& backend_name, uint32_t shards,
   if (!backend->supports_save()) {
     // Reject before paying for the build.
     std::fprintf(stderr,
-                 "backend '%s' has no persistent form; use csc, frozen, "
-                 "or compressed for `build`\n",
+                 "backend '%s' has no persistent form; use csc or frozen "
+                 "for `build`\n",
                  backend_name.c_str());
     return 1;
   }

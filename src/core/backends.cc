@@ -52,11 +52,8 @@ class BackendBase : public CycleIndex {
   unsigned build_threads_ = 0;
 };
 
-// The CSC serving form: the §IV.E reduction (L_in(v_i) and L_out(v_o)) in a
-// FrozenIndex whose arenas are packed for "csc" and "frozen" and
-// varint-encoded for "compressed", with one build chain and load fallback
-// for both encodings. A backend serves only its own encoding: a native
-// payload of the other one is rejected.
+// The CSC serving form of "csc" and "frozen": the §IV.E reduction (L_in(v_i)
+// and L_out(v_o)) in a FrozenIndex's packed arenas.
 // A build constructs only the two served label sets, over a ranked copy of
 // the graph, never G_b, and freezes them straight from the construction
 // label store (FrozenIndex::Build): one direction at a time, each owner's
@@ -66,15 +63,14 @@ class BackendBase : public CycleIndex {
 // when construction grew malloc'd label sets and the freeze copied them.
 class FlatBackend : public BackendBase {
  public:
-  FlatBackend(std::string name, ArenaEncoding encoding)
-      : BackendBase(std::move(name)), encoding_(encoding) {}
+  explicit FlatBackend(std::string name) : BackendBase(std::move(name)) {}
 
   void Build(const DiGraph& graph, const BuildOptions& options) override {
     Timer timer;
     CscIndex::Options o;
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
-    index_ = FrozenIndex::Build(graph, DegreeOrdering(graph), o, encoding_);
+    index_ = FrozenIndex::Build(graph, DegreeOrdering(graph), o);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
   }
@@ -95,7 +91,7 @@ class FlatBackend : public BackendBase {
       return Adopt(std::move(*native), timer);
     }
     if (auto compact = CompactIndex::Deserialize(bytes)) {
-      return Adopt(FrozenIndex::FromCompact(*compact, encoding_), timer);
+      return Adopt(FrozenIndex::FromCompact(*compact), timer);
     }
     return false;
   }
@@ -113,7 +109,7 @@ class FlatBackend : public BackendBase {
 
   bool DeriveFrom(const CscIndex& shadow) override {
     Timer timer;
-    index_ = FrozenIndex::FromIndex(shadow, encoding_);
+    index_ = FrozenIndex::FromIndex(shadow);
     build_seconds_ = shadow.build_stats().seconds + timer.ElapsedSeconds();
     build_threads_ = shadow.build_stats().build_threads;
     return true;
@@ -124,7 +120,7 @@ class FlatBackend : public BackendBase {
     return true;
   }
 
-  // Bounded repair: clone with only the patched runs re-encoded
+  // Bounded repair: clone with only the patched runs rewritten
   // (LabelArena::WithEditedRuns); a view-backed index materializes into an
   // owned payload, so the mapping can be released after a patch lands.
   std::unique_ptr<CycleIndex> ApplyLabelPatch(
@@ -133,7 +129,7 @@ class FlatBackend : public BackendBase {
         patch.num_vertices != index_.num_original_vertices()) {
       return nullptr;
     }
-    auto clone = std::make_unique<FlatBackend>(name_, encoding_);
+    auto clone = std::make_unique<FlatBackend>(name_);
     clone->index_ = index_.WithEditedRuns(patch.in_runs, patch.out_runs);
     clone->build_seconds_ = build_seconds_;
     clone->build_threads_ = build_threads_;
@@ -154,16 +150,13 @@ class FlatBackend : public BackendBase {
   uint64_t LabelEntries() const override { return index_.TotalEntries(); }
 
  private:
-  // Serves `loaded` when it has this backend's encoding.
   bool Adopt(FrozenIndex loaded, const Timer& timer) {
-    if (loaded.encoding() != encoding_) return false;
     index_ = std::move(loaded);
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = 0;
     return true;
   }
 
-  ArenaEncoding encoding_;
   FrozenIndex index_;
 };
 
@@ -242,10 +235,7 @@ class HpSpcBackend : public BackendBase {
 
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
   if (name == "csc" || name == "frozen") {
-    return std::make_unique<FlatBackend>(name, ArenaEncoding::kPacked);
-  }
-  if (name == "compressed") {
-    return std::make_unique<FlatBackend>(name, ArenaEncoding::kVarint);
+    return std::make_unique<FlatBackend>(name);
   }
   if (name == "bfs") return std::make_unique<BfsBackend>();
   if (name == "hpspc") return std::make_unique<HpSpcBackend>();
@@ -254,7 +244,7 @@ std::unique_ptr<CycleIndex> MakeBackend(const std::string& name) {
 
 const std::vector<std::string>& AllBackendNames() {
   static const std::vector<std::string> kNames = {
-      "csc", "frozen", "compressed", "bfs", "hpspc"};
+      "csc", "frozen", "bfs", "hpspc"};
   return kNames;
 }
 

@@ -34,10 +34,10 @@ struct BackendStats {
 };
 
 /// The polymorphic backend interface every shortest-cycle-counting engine in
-/// this library implements: the CSC index forms (csc, frozen,
-/// compressed) and the baselines (BFS, HP-SPC). A backend is chosen
-/// by name at runtime through MakeBackend, so serving, benches, and the CLI
-/// switch engines with a flag instead of a rebuild.
+/// this library implements: the CSC index forms (csc, frozen) and the
+/// baselines (BFS, HP-SPC). A backend is chosen by name at runtime through
+/// MakeBackend, so serving, benches, and the CLI switch engines with a flag
+/// instead of a rebuild.
 ///
 /// Threading contract: Build / LoadFrom / LoadView / SliceLabels are
 /// single-writer and run before the backend is published. A published
@@ -77,10 +77,9 @@ class CycleIndex {
 
   /// Serializes the index into `bytes`; false if this backend has no
   /// persistent form. The payload self-describes its format (magic bytes).
-  /// The CSC forms save their native arena payloads: "csc" and "frozen"
-  /// the packed one (each loads the other's), "compressed" the varint one.
-  /// The compact §IV.E payload (CompactIndex::Serialize) is the interchange
-  /// format all three load.
+  /// The CSC forms "csc" and "frozen" save the native packed arena payload
+  /// (each loads the other's). The compact §IV.E payload
+  /// (CompactIndex::Serialize) is the interchange format both also load.
   virtual bool SaveTo(std::string& bytes) const;
 
   /// Restores the index from a SaveTo payload; false on format mismatch or
@@ -140,8 +139,7 @@ class CycleIndex {
 /// Creates a backend by registry name; nullptr for unknown names. Names:
 /// "csc" (the default: the packed arena, which the serving Engine always
 /// keeps current by §V repair), "frozen" (the same form, repaired only on
-/// request), "compressed" (varint arena),
-/// "bfs" (index-free baseline), "hpspc" (HP-SPC baseline).
+/// request), "bfs" (index-free baseline), "hpspc" (HP-SPC baseline).
 std::unique_ptr<CycleIndex> MakeBackend(const std::string& name);
 
 /// All registry names, in the order benches report them.

@@ -2,9 +2,7 @@
 
 #include <cstring>
 
-#include "util/varint.h"
-
-// SIMD selection for the packed join kernel. CSC_NO_SIMD (a CMake option)
+// SIMD selection for the join kernels. CSC_NO_SIMD (a CMake option)
 // forces the scalar fallback everywhere — the escape hatch for odd
 // toolchains and for A/B-ing the kernels.
 #if !defined(CSC_NO_SIMD)
@@ -23,109 +21,52 @@ namespace {
 
 constexpr size_t kEntry = sizeof(LabelEntry);
 
-// A run's varint encoding: (rank_delta, dist, count) triples, the first
-// delta from 0. EncodedRunBytes is its length, EncodeRun writes it at `out`.
-size_t EncodedRunBytes(std::span<const LabelEntry> run) {
-  size_t bytes = 0;
-  uint64_t previous_rank = 0;
-  for (const LabelEntry& entry : run) {
-    bytes += VarintSize(entry.hub() - previous_rank) +
-             VarintSize(entry.dist()) + VarintSize(entry.count());
-    previous_rank = entry.hub();  // label sets store hubs by rank
-  }
-  return bytes;
-}
-
-void EncodeRun(std::span<const LabelEntry> run, uint8_t* out) {
-  uint64_t previous_rank = 0;
-  for (const LabelEntry& entry : run) {
-    out += PutVarint(out, entry.hub() - previous_rank);
-    out += PutVarint(out, entry.dist());
-    out += PutVarint(out, entry.count());
-    previous_rank = entry.hub();
-  }
-}
-
 }  // namespace
 
 LabelArena LabelArena::Sized(
     Vertex num_vertices,
-    const std::function<std::span<const LabelEntry>(Vertex)>& run_of,
-    ArenaEncoding encoding) {
+    const std::function<std::span<const LabelEntry>(Vertex)>& run_of) {
   LabelArena arena;
-  arena.encoding_ = encoding;
   arena.offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
   for (Vertex v = 0; v < num_vertices; ++v) {
-    const std::span<const LabelEntry> run = run_of(v);
-    arena.offsets_[v + 1] = arena.offsets_[v] + (arena.packed()
-                                                     ? run.size()
-                                                     : EncodedRunBytes(run));
-    arena.total_entries_ += run.size();
+    arena.offsets_[v + 1] = arena.offsets_[v] + run_of(v).size();
   }
   arena.payload_.resize(arena.SizeBytes());
   return arena;
 }
 
 void LabelArena::PlaceRun(Vertex v, std::span<const LabelEntry> run) {
-  uint8_t* at = payload_.data();
-  if (packed()) {
-    if (!run.empty()) {
-      std::memcpy(at + offsets_[v] * kEntry, run.data(), run.size() * kEntry);
-    }
-  } else {
-    EncodeRun(run, at + offsets_[v]);
+  if (!run.empty()) {
+    std::memcpy(payload_.data() + offsets_[v] * kEntry, run.data(),
+                run.size() * kEntry);
   }
 }
 
-LabelArena LabelArena::FromLabelSets(const std::vector<LabelSet>& sets,
-                                     ArenaEncoding encoding) {
+LabelArena LabelArena::FromLabelSets(const std::vector<LabelSet>& sets) {
   const Vertex n = static_cast<Vertex>(sets.size());
   auto run_of = [&sets](Vertex v) -> std::span<const LabelEntry> {
     return sets[v].entries();
   };
-  LabelArena arena = Sized(n, run_of, encoding);
+  LabelArena arena = Sized(n, run_of);
   for (Vertex v = 0; v < n; ++v) arena.PlaceRun(v, run_of(v));
   return arena;
 }
 
 bool LabelArena::Cursor::Next() {
-  if (packed_) {
-    if (p_ == end_) return false;
-    LabelEntry e = LoadPackedEntry(p_);
-    rank_ = e.hub();
-    dist_ = e.dist();
-    count_ = e.count();
-    p_ += sizeof(LabelEntry);
-    return true;
-  }
-  if (pos_ >= byte_end_) return false;
-  uint64_t delta = DecodeVarint(data_, pos_);
-  rank_ = first_ ? static_cast<Rank>(delta) : rank_ + static_cast<Rank>(delta);
-  first_ = false;
-  dist_ = static_cast<Dist>(DecodeVarint(data_, pos_));
-  count_ = DecodeVarint(data_, pos_);
+  if (p_ == end_) return false;
+  LabelEntry e = LoadPackedEntry(p_);
+  rank_ = e.hub();
+  dist_ = e.dist();
+  count_ = e.count();
+  p_ += kEntry;
   return true;
 }
 
 LabelArena::Cursor LabelArena::RunCursor(Vertex v) const {
   Cursor cursor;
-  cursor.packed_ = packed();
-  if (cursor.packed_) {
-    cursor.p_ = PackedRunBegin(v);
-    cursor.end_ = PackedRunBegin(v + 1);
-  } else {
-    cursor.data_ = payload_data();
-    cursor.pos_ = offsets_[v];
-    cursor.byte_end_ = offsets_[v + 1];
-  }
+  cursor.p_ = PackedRunBegin(v);
+  cursor.end_ = PackedRunBegin(v + 1);
   return cursor;
-}
-
-uint64_t LabelArena::RunSize(Vertex v) const {
-  if (packed()) return offsets_[v + 1] - offsets_[v];
-  uint64_t n = 0;
-  for (Cursor c = RunCursor(v); c.Next();) ++n;
-  return n;
 }
 
 LabelSet LabelArena::DecodeRun(Vertex v) const {
@@ -139,7 +80,7 @@ LabelSet LabelArena::DecodeRun(Vertex v) const {
 
 namespace {
 
-// ---- The packed-packed join kernels. ----
+// ---- The join kernels. ----
 //
 // Runs are arrays of 8-byte entry words sorted by hub rank (the top
 // kHubBits of each word), addressed as byte pointers because a view-backed
@@ -410,80 +351,39 @@ JoinResult JoinPacked(const uint8_t* a, size_t na, const uint8_t* b,
   return JoinPackedBlock(a, a + na * kEntry, b, b + nb * kEntry);
 }
 
-// The same merge over decoding cursors (either side may be varint).
-JoinResult JoinCursors(LabelArena::Cursor out, LabelArena::Cursor in) {
-  JoinResult result;
-  bool out_valid = out.Next();
-  bool in_valid = in.Next();
-  while (out_valid && in_valid) {
-    if (out.rank() < in.rank()) {
-      out_valid = out.Next();
-    } else if (in.rank() < out.rank()) {
-      in_valid = in.Next();
-    } else {
-      Dist through = out.dist() + in.dist();
-      if (through < result.dist) {
-        result.dist = through;
-        result.count = out.count() * in.count();
-      } else if (through == result.dist) {
-        result.count += out.count() * in.count();
-      }
-      out_valid = out.Next();
-      in_valid = in.Next();
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 JoinResult LabelArena::Join(const LabelArena& out_arena, Vertex s,
                             const LabelArena& in_arena, Vertex t) {
-  if (out_arena.packed() && in_arena.packed()) {
-    return JoinPacked(out_arena.PackedRunBegin(s),
-                      out_arena.offsets_[s + 1] - out_arena.offsets_[s],
-                      in_arena.PackedRunBegin(t),
-                      in_arena.offsets_[t + 1] - in_arena.offsets_[t]);
-  }
-  return JoinCursors(out_arena.RunCursor(s), in_arena.RunCursor(t));
+  return JoinPacked(out_arena.PackedRunBegin(s), out_arena.RunSize(s),
+                    in_arena.PackedRunBegin(t), in_arena.RunSize(t));
 }
 
 JoinResult LabelArena::JoinLinear(const LabelArena& out_arena, Vertex s,
                                   const LabelArena& in_arena, Vertex t) {
-  if (out_arena.packed() && in_arena.packed()) {
-    return JoinPackedLinear(out_arena.PackedRunBegin(s),
-                            out_arena.PackedRunBegin(s + 1),
-                            in_arena.PackedRunBegin(t),
-                            in_arena.PackedRunBegin(t + 1));
-  }
-  return JoinCursors(out_arena.RunCursor(s), in_arena.RunCursor(t));
+  return JoinPackedLinear(out_arena.PackedRunBegin(s),
+                          out_arena.PackedRunBegin(s + 1),
+                          in_arena.PackedRunBegin(t),
+                          in_arena.PackedRunBegin(t + 1));
 }
 
 std::optional<std::pair<Dist, Count>> LabelArena::FindHub(
     Vertex v, Rank hub_rank) const {
-  if (packed()) {
-    const uint8_t* base = PackedRunBegin(v);
-    size_t n = offsets_[v + 1] - offsets_[v];
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (RankAt(base + mid * kEntry) < hub_rank) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+  const uint8_t* base = PackedRunBegin(v);
+  const size_t n = RunSize(v);
+  size_t lo = 0;
+  size_t hi = n;
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (RankAt(base + mid * kEntry) < hub_rank) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    if (lo < n) {
-      LabelEntry e = LoadPackedEntry(base + lo * kEntry);
-      if (e.hub() == hub_rank) return {{e.dist(), e.count()}};
-    }
-    return std::nullopt;
   }
-  for (Cursor c = RunCursor(v); c.Next();) {
-    if (c.rank() < hub_rank) continue;
-    if (c.rank() == hub_rank) return {{c.dist(), c.count()}};
-    break;  // runs are rank-sorted
+  if (lo < n) {
+    LabelEntry e = LoadPackedEntry(base + lo * kEntry);
+    if (e.hub() == hub_rank) return {{e.dist(), e.count()}};
   }
   return std::nullopt;
 }
@@ -492,61 +392,45 @@ void LabelArena::Slice(const std::function<bool(Vertex)>& keep) {
   Vertex n = num_vertices();
   if (n == 0) return;
   const uint8_t* payload = payload_data();
-  const size_t unit = packed() ? kEntry : 1;
-  // Pass 1: the new run boundaries (one keep() call per vertex; varint
-  // runs also need a decode to recount entries).
+  // Pass 1: the new run boundaries (one keep() call per vertex).
   std::vector<uint64_t> new_offsets(static_cast<size_t>(n) + 1, 0);
-  uint64_t kept_entries = 0;
   for (Vertex v = 0; v < n; ++v) {
-    uint64_t run = keep(v) ? offsets_[v + 1] - offsets_[v] : 0;
-    new_offsets[v + 1] = new_offsets[v] + run;
-    if (run > 0) kept_entries += packed() ? run : RunSize(v);
+    new_offsets[v + 1] = new_offsets[v] + (keep(v) ? RunSize(v) : 0);
   }
   // Pass 2: copy the kept runs into fresh owned storage. The source may be
-  // an unaligned mapping view, so packed entries move by memcpy only —
-  // never through LabelEntry lvalues (the file-wide unaligned-load rule).
-  decltype(payload_) kept(new_offsets[n] * unit);
+  // an unaligned mapping view, so entries move by memcpy only — never
+  // through LabelEntry lvalues (the file-wide unaligned-load rule).
+  decltype(payload_) kept(new_offsets[n] * kEntry);
   for (Vertex v = 0; v < n; ++v) {
     uint64_t run = new_offsets[v + 1] - new_offsets[v];
     if (run == 0) continue;
-    std::memcpy(kept.data() + new_offsets[v] * unit,
-                payload + offsets_[v] * unit, run * unit);
+    std::memcpy(kept.data() + new_offsets[v] * kEntry,
+                payload + offsets_[v] * kEntry, run * kEntry);
   }
   offsets_ = std::move(new_offsets);
   payload_ = std::move(kept);
   view_payload_ = nullptr;
   external_.reset();
-  total_entries_ = kept_entries;
 }
 
 LabelArena LabelArena::WithEditedRuns(
     const std::vector<std::pair<Vertex, LabelSet>>& edits) const {
   const Vertex n = num_vertices();
   LabelArena out;
-  out.encoding_ = encoding_;
   out.offsets_.assign(static_cast<size_t>(n) + 1, 0);
   const uint8_t* payload = payload_data();
-  const size_t unit = packed() ? kEntry : 1;
-  // Pass 1: new run boundaries; the entry total adjusts by each edit's
-  // delta against the run it replaces.
-  uint64_t total = total_entries_;
+  // Pass 1: new run boundaries.
   size_t next_edit = 0;
   for (Vertex v = 0; v < n; ++v) {
-    uint64_t run;
+    uint64_t run = RunSize(v);
     if (next_edit < edits.size() && edits[next_edit].first == v) {
-      const LabelSet& labels = edits[next_edit].second;
-      run = packed() ? labels.size() : EncodedRunBytes(labels.entries());
-      total += labels.size();
-      total -= RunSize(v);
-      ++next_edit;
-    } else {
-      run = offsets_[v + 1] - offsets_[v];
+      run = edits[next_edit++].second.size();
     }
     out.offsets_[v + 1] = out.offsets_[v] + run;
   }
   // Pass 2: copy unedited runs (memcpy only — the source may be an
   // unaligned mapping view) and write the replacements in place.
-  out.payload_.resize(out.offsets_[n] * unit);
+  out.payload_.resize(out.SizeBytes());
   next_edit = 0;
   for (Vertex v = 0; v < n; ++v) {
     if (next_edit < edits.size() && edits[next_edit].first == v) {
@@ -555,24 +439,50 @@ LabelArena LabelArena::WithEditedRuns(
     }
     const uint64_t run = out.offsets_[v + 1] - out.offsets_[v];
     if (run == 0) continue;
-    std::memcpy(out.payload_.data() + out.offsets_[v] * unit,
-                payload + offsets_[v] * unit, run * unit);
+    std::memcpy(out.payload_.data() + out.offsets_[v] * kEntry,
+                payload + offsets_[v] * kEntry, run * kEntry);
   }
-  out.total_entries_ = total;
   return out;
 }
 
+namespace {
+
+// The wire format's leading encoding byte. Only the packed entry words (0)
+// remain; 1 marked the retired varint-triple payload, which no longer loads.
+constexpr uint8_t kPackedEncoding = 0;
+
+// Run lengths are LEB128 varints: 7 bits per byte, low group first, the
+// high bit set on every byte but the last.
+void AppendVarint(std::string& out, uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>(static_cast<uint8_t>(value) | 0x80));
+    value >>= 7;
+  }
+  out.push_back(static_cast<char>(value));
+}
+
+// Bounded decode: never reads past `size`; false on a truncated or
+// over-long varint.
+bool ReadVarint(const uint8_t* data, size_t size, size_t& pos,
+                uint64_t& value) {
+  value = 0;
+  for (int shift = 0;; shift += 7) {
+    if (pos >= size || shift > 63) return false;
+    uint8_t byte = data[pos++];
+    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) return true;
+  }
+}
+
+}  // namespace
+
 void LabelArena::AppendTo(std::string& out) const {
-  out.push_back(static_cast<char>(encoding_));
+  out.push_back(static_cast<char>(kPackedEncoding));
   uint32_t n = num_vertices();
   char buf[4];
   std::memcpy(buf, &n, 4);
   out.append(buf, 4);
-  std::vector<uint8_t> varints;
-  for (Vertex v = 0; v < n; ++v) {
-    AppendVarint(varints, offsets_[v + 1] - offsets_[v]);
-  }
-  out.append(reinterpret_cast<const char*>(varints.data()), varints.size());
+  for (Vertex v = 0; v < n; ++v) AppendVarint(out, RunSize(v));
   uint64_t payload_size = SizeBytes();
   if (payload_size > 0) {
     out.append(reinterpret_cast<const char*>(payload_data()), payload_size);
@@ -583,8 +493,7 @@ std::optional<LabelArena> LabelArena::ParseImpl(
     const uint8_t* data, size_t size, size_t& pos, bool view,
     std::shared_ptr<const void> keep_alive) {
   if (size < pos || size - pos < 5) return std::nullopt;
-  uint8_t enc = data[pos++];
-  if (enc > static_cast<uint8_t>(ArenaEncoding::kVarint)) return std::nullopt;
+  if (data[pos++] != kPackedEncoding) return std::nullopt;
   uint32_t n;
   std::memcpy(&n, data + pos, 4);
   pos += 4;
@@ -593,19 +502,10 @@ std::optional<LabelArena> LabelArena::ParseImpl(
   // the offsets table from attacker-controlled input.
   if (n > size - pos) return std::nullopt;
   LabelArena arena;
-  arena.encoding_ = static_cast<ArenaEncoding>(enc);
   arena.offsets_.assign(static_cast<size_t>(n) + 1, 0);
   for (uint32_t v = 0; v < n; ++v) {
-    // Bounded varint decode: never read past the buffer.
-    uint64_t run = 0;
-    int shift = 0;
-    for (;;) {
-      if (pos >= size || shift > 63) return std::nullopt;
-      uint8_t byte = data[pos++];
-      run |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-    }
+    uint64_t run;
+    if (!ReadVarint(data, size, pos, run)) return std::nullopt;
     // No run (and hence no offset sum) can exceed what the buffer could
     // possibly hold; rejecting here keeps the arithmetic below overflow-free.
     if (run > size || arena.offsets_[v] + run > size) {
@@ -613,47 +513,15 @@ std::optional<LabelArena> LabelArena::ParseImpl(
     }
     arena.offsets_[v + 1] = arena.offsets_[v] + run;
   }
-  uint64_t payload = arena.offsets_[n];
-  if (arena.packed()) {
-    if (payload > (size - pos) / sizeof(LabelEntry)) return std::nullopt;
-    if (view) {
-      arena.view_payload_ = data + pos;
-      arena.external_ = std::move(keep_alive);
-    } else {
-      arena.payload_.assign(data + pos, data + pos + payload * kEntry);
-    }
-    pos += payload * sizeof(LabelEntry);
-    arena.total_entries_ = payload;
+  const uint64_t entries = arena.offsets_[n];
+  if (entries > (size - pos) / kEntry) return std::nullopt;
+  if (view) {
+    arena.view_payload_ = data + pos;
+    arena.external_ = std::move(keep_alive);
   } else {
-    if (payload > size - pos) return std::nullopt;
-    const uint8_t* stream = data + pos;
-    if (view) {
-      arena.view_payload_ = stream;
-      arena.external_ = std::move(keep_alive);
-    } else {
-      arena.payload_.assign(stream, stream + payload);
-    }
-    pos += payload;
-    // Count entries by decoding; also validates the streams terminate on
-    // their run boundaries (so a view never walks past a run mid-triple).
-    for (uint32_t v = 0; v < n; ++v) {
-      size_t p = arena.offsets_[v];
-      const size_t end = arena.offsets_[v + 1];
-      while (p < end) {
-        for (int field = 0; field < 3; ++field) {
-          int shift = 0;
-          for (;;) {
-            if (p >= end || shift > 63) return std::nullopt;
-            uint8_t byte = stream[p++];
-            if ((byte & 0x80) == 0) break;
-            shift += 7;
-          }
-        }
-        ++arena.total_entries_;
-      }
-      if (p != end) return std::nullopt;
-    }
+    arena.payload_.assign(data + pos, data + pos + entries * kEntry);
   }
+  pos += entries * kEntry;
   return arena;
 }
 

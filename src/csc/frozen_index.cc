@@ -13,12 +13,7 @@ namespace csc {
 
 namespace {
 
-// Payload magic per ArenaEncoding, indexed by the encoding's value.
-constexpr char kMagics[][4] = {{'C', 'S', 'C', 'F'}, {'C', 'S', 'C', 'Z'}};
-
-const char* MagicOf(ArenaEncoding encoding) {
-  return kMagics[static_cast<size_t>(encoding)];
-}
+constexpr char kMagic[4] = {'C', 'S', 'C', 'F'};
 
 }  // namespace
 
@@ -34,11 +29,10 @@ std::vector<Rank> FrozenIndex::InVertexRanks(
   return ranks;
 }
 
-FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
-                                     ArenaEncoding encoding) {
+FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact) {
   FrozenIndex frozen;
-  frozen.in_ = LabelArena::FromLabelSets(compact.in_labels_, encoding);
-  frozen.out_ = LabelArena::FromLabelSets(compact.out_labels_, encoding);
+  frozen.in_ = LabelArena::FromLabelSets(compact.in_labels_);
+  frozen.out_ = LabelArena::FromLabelSets(compact.out_labels_);
   frozen.in_vertex_rank_ = InVertexRanks(compact.rank_to_vertex_);
   return frozen;
 }
@@ -46,7 +40,7 @@ FrozenIndex FrozenIndex::FromCompact(const CompactIndex& compact,
 FrozenIndex FrozenIndex::Build(const DiGraph& graph,
                                const VertexOrdering& order,
                                const CscIndex::Options& options,
-                               ArenaEncoding encoding, LabelBuildStats* stats) {
+                               LabelBuildStats* stats) {
   LabelBuildStats local;
   LabelBuildStats& s = stats != nullptr ? *stats : local;
   CoupleLabels labels = BuildCoupleLabels(graph, order, options,
@@ -62,9 +56,7 @@ FrozenIndex FrozenIndex::Build(const DiGraph& graph,
       [&](const LabelStore& store, bool in_direction) {
         arena = in_direction ? &frozen.in_ : &frozen.out_;
         *arena = LabelArena::Sized(
-            n,
-            [&](Vertex v) { return store[labels.PairOf(v)]; },
-            encoding);
+            n, [&](Vertex v) { return store[labels.PairOf(v)]; });
       },
       [&](Vertex v, std::span<const LabelEntry> run) {
         arena->PlaceRun(v, run);
@@ -75,11 +67,10 @@ FrozenIndex FrozenIndex::Build(const DiGraph& graph,
   return frozen;
 }
 
-FrozenIndex FrozenIndex::FromIndex(const CscIndex& index,
-                                   ArenaEncoding encoding) {
+FrozenIndex FrozenIndex::FromIndex(const CscIndex& index) {
   FrozenIndex frozen;
-  frozen.in_ = LabelArena::FromLabelSets(index.served_labels().in, encoding);
-  frozen.out_ = LabelArena::FromLabelSets(index.served_labels().out, encoding);
+  frozen.in_ = LabelArena::FromLabelSets(index.served_labels().in);
+  frozen.out_ = LabelArena::FromLabelSets(index.served_labels().out);
   frozen.in_vertex_rank_ =
       InVertexRanks(index.bipartite_order().rank_to_vertex);
   return frozen;
@@ -114,7 +105,7 @@ CycleCount FrozenIndex::QueryThroughEdge(Vertex u, Vertex v) const {
 
 std::string FrozenIndex::Serialize() const {
   std::string out;
-  out.append(MagicOf(encoding()), 4);
+  out.append(kMagic, 4);
   in_.AppendTo(out);
   out_.AppendTo(out);
   for (Rank r : in_vertex_rank_) {
@@ -128,18 +119,13 @@ std::string FrozenIndex::Serialize() const {
 std::optional<FrozenIndex> FrozenIndex::Parse(
     const uint8_t* data, size_t size, bool view,
     std::shared_ptr<const void> keep_alive) {
-  if (size < 4) return std::nullopt;
-  std::optional<ArenaEncoding> encoding;
-  for (ArenaEncoding e : {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-    if (std::memcmp(data, MagicOf(e), 4) == 0) encoding = e;
-  }
-  if (!encoding) return std::nullopt;
+  if (size < 4 || std::memcmp(data, kMagic, 4) != 0) return std::nullopt;
   size_t pos = 4;
   FrozenIndex frozen;
   for (LabelArena* arena : {&frozen.in_, &frozen.out_}) {
     auto parsed = view ? LabelArena::ParseView(data, size, pos, keep_alive)
                        : LabelArena::Parse(data, size, pos);
-    if (!parsed || parsed->encoding() != *encoding) return std::nullopt;
+    if (!parsed) return std::nullopt;
     *arena = std::move(*parsed);
   }
   const Vertex n = frozen.in_.num_vertices();

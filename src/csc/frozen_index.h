@@ -18,16 +18,11 @@ namespace csc {
 /// into two LabelArenas (one per direction) — one allocation per direction,
 /// no per-vertex vector headers, cache-linear scans. This is the one serving
 /// form of the CSC backends; build/maintain with CscIndex, freeze for the
-/// query tier.
+/// query tier. Each entry is one packed 64-bit word, the 8 bytes per entry
+/// the paper accounts (§VI.A).
 ///
-/// The arenas' encoding is data. kPacked stores each entry as one 64-bit
-/// word. kVarint stores LEB128 triples (rank delta, distance, count): the
-/// paper accounts 8 bytes per entry (§VI.A), but ranks ascend within a run
-/// and distances and counts are small on small-world graphs, so varint runs
-/// take typically 3-4 bytes per entry, paid for by decoding in the join.
-///
-/// Queries are identical in result to CscIndex::Query under either encoding
-/// (tests assert equality); they only differ in memory layout.
+/// Queries are identical in result to CscIndex::Query (tests assert
+/// equality); they only differ in memory layout.
 class FrozenIndex {
  public:
   FrozenIndex() = default;
@@ -40,20 +35,16 @@ class FrozenIndex {
   /// the next owner's. `stats`, if given, receives the build stats.
   static FrozenIndex Build(const DiGraph& graph, const VertexOrdering& order,
                            const CscIndex::Options& options,
-                           ArenaEncoding encoding = ArenaEncoding::kPacked,
                            LabelBuildStats* stats = nullptr);
 
-  /// Flattens a compact index (a loaded "CSCI" payload) into arenas of the
-  /// given encoding; the copy holds both.
-  static FrozenIndex FromCompact(
-      const CompactIndex& compact,
-      ArenaEncoding encoding = ArenaEncoding::kPacked);
+  /// Flattens a compact index (a loaded "CSCI" payload) into arenas; the
+  /// copy holds both.
+  static FrozenIndex FromCompact(const CompactIndex& compact);
 
   /// Encodes the two label sets a CSC index stores straight into arenas,
   /// with no CompactIndex copy: the same index FromCompact makes of
   /// CompactIndex::FromIndex(index).
-  static FrozenIndex FromIndex(
-      const CscIndex& index, ArenaEncoding encoding = ArenaEncoding::kPacked);
+  static FrozenIndex FromIndex(const CscIndex& index);
 
   /// SCCnt(v): joins L_out(v_o) with L_in(v_i) and maps the bipartite
   /// distance d to a cycle length (d + 1) / 2.
@@ -64,7 +55,6 @@ class FrozenIndex {
   /// couple-skipping correction).
   CycleCount QueryThroughEdge(Vertex u, Vertex v) const;
 
-  ArenaEncoding encoding() const { return in_.encoding(); }
   Vertex num_original_vertices() const { return in_.num_vertices(); }
   uint64_t TotalEntries() const {
     return in_.total_entries() + out_.total_entries();
@@ -72,13 +62,6 @@ class FrozenIndex {
   /// Payload bytes (entries only; offsets excluded, matching how the paper
   /// accounts index size as 8 bytes per entry).
   uint64_t SizeBytes() const { return in_.SizeBytes() + out_.SizeBytes(); }
-  /// Mean encoded bytes per label entry (8.0 when packed).
-  double BytesPerEntry() const {
-    uint64_t entries = TotalEntries();
-    return entries == 0 ? 0.0
-                        : static_cast<double>(SizeBytes()) /
-                              static_cast<double>(entries);
-  }
   /// Full resident footprint including offsets and the couple-rank map.
   uint64_t MemoryBytes() const {
     return in_.MemoryBytes() + out_.MemoryBytes() +
@@ -89,12 +72,13 @@ class FrozenIndex {
   const LabelArena& in_arena() const CSC_LIFETIME_BOUND { return in_; }
   const LabelArena& out_arena() const CSC_LIFETIME_BOUND { return out_; }
 
-  /// Binary serialization: 4-byte magic ("CSCF" packed, "CSCZ" varint) |
-  /// in arena | out arena | couple-rank map (fixed-width fields
-  /// native-endian, matching the CompactIndex wire format).
+  /// Binary serialization: 4-byte magic "CSCF" | in arena | out arena |
+  /// couple-rank map (fixed-width fields native-endian, matching the
+  /// CompactIndex wire format).
   std::string Serialize() const;
-  /// Parses either magic; nullopt on malformed input or when an arena's
-  /// encoding disagrees with the magic.
+  /// nullopt on malformed input, including any other magic (the retired
+  /// varint payload's among them) and an arena whose encoding byte is not
+  /// the packed one.
   static std::optional<FrozenIndex> Deserialize(const std::string& bytes);
 
   /// As Deserialize, but zero-copy over an externally owned buffer (a

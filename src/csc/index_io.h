@@ -20,8 +20,8 @@ namespace csc {
 ///   bytes 8..15  payload size (little-endian u64)
 ///   bytes 16..   payload (a CycleIndex::SaveTo serialization; the payload
 ///                self-describes its format via its own magic — "CSCI" for
-///                the compact interchange form, "CSCF"/"CSCZ" for the flat
-///                arena forms)
+///                the compact interchange form, "CSCF" for the flat arena
+///                form)
 ///   last 4       CRC-32C of the payload (little-endian u32)
 ///
 /// Load verifies the magic, the declared size, and the checksum before

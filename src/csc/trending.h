@@ -34,7 +34,7 @@ struct TrendReport {
 /// Usage per tick: apply the tick's updates to the index, run
 /// TopKByCycleCount, feed the hits to Observe(). The tracker is index-form
 /// agnostic — it only sees hit lists — so it works identically over the
-/// dynamic, frozen or compressed serving forms.
+/// dynamic and frozen serving forms.
 class TrendTracker {
  public:
   /// `top_k` is recorded for reporting; the tracker trusts the caller to

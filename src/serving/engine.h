@@ -43,7 +43,7 @@ class Wal;       // serving/wal.h
 /// bit-identical to a from-scratch sequential build under the same ordering
 /// (the conformance oracle).
 struct RepairOptions {
-  /// Off by default: "frozen" and "compressed" then land by rebuild-and-swap.
+  /// Off by default: "frozen" then lands by rebuild-and-swap.
   /// "csc" repairs whether or not this is set; "bfs" and "hpspc" have no
   /// patchable labels and always rebuild.
   bool enabled = false;

@@ -78,8 +78,8 @@ struct ShardedEngineOptions {
   /// load / rebuild: per-shard resident labels drop to ~n/K while every
   /// routed query stays bit-identical (queries only ever read the queried
   /// vertex's runs, and those live on the owner). Only arena-backed
-  /// backends ("frozen", "compressed") can slice; others serve the full
-  /// closure as before. A bundle saved from sliced shards must be reloaded
+  /// backends ("csc", "frozen") can slice; others serve the full closure as
+  /// before. A bundle saved from sliced shards must be reloaded
   /// with the same shard count and shard_fn — the bundle records both its
   /// K and whether a custom shard_fn was in use, and LoadFrom /
   /// LoadFromFile reject a mismatch instead of serving vertices whose runs

@@ -120,13 +120,9 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
   }
   EXPECT_TRUE(backend->supports_save());
   // Every saving backend round-trips its own arena payload. "csc" and
-  // "frozen" save the same packed arena, so each also loads the other's;
-  // the other encoding is rejected cleanly, never half-loaded.
-  std::vector<std::string> loaders = {"csc", "frozen"};
-  std::vector<std::string> rejecters = {"compressed"};
-  if (GetParam() == "compressed") std::swap(loaders, rejecters);
+  // "frozen" save the same packed arena, so each also loads the other's.
   BfsCycleCounter reference(graph);
-  for (const std::string& loader : loaders) {
+  for (const char* loader : {"csc", "frozen"}) {
     auto loaded = MakeBackend(loader);
     ASSERT_TRUE(loaded->LoadFrom(bytes))
         << backend->name() << " payload into " << loader;
@@ -135,10 +131,6 @@ TEST_P(BackendConformanceTest, SaveLoadRoundTripsThroughInterface) {
           << loader << " vertex " << v;
     }
   }
-  for (const std::string& rejecter : rejecters) {
-    EXPECT_FALSE(MakeBackend(rejecter)->LoadFrom(bytes))
-        << backend->name() << " payload into " << rejecter;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformanceTest,
@@ -146,14 +138,14 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformanceTest,
                          [](const auto& info) { return info.param; });
 
 // The compact §IV.E payload is the interchange format: every CSC backend
-// loads it, whichever arena it serves from.
+// loads it.
 TEST(BackendInterchangeTest, CompactPayloadLoadsIntoEveryCscBackend) {
   DiGraph graph = RandomGraph(40, 2.0, 9);
   const std::string bytes =
       CompactIndex::FromIndex(CscIndex::Build(graph, DegreeOrdering(graph)))
           .Serialize();
   BfsCycleCounter reference(graph);
-  for (const char* loader : {"csc", "frozen", "compressed"}) {
+  for (const char* loader : {"csc", "frozen"}) {
     auto loaded = MakeBackend(loader);
     ASSERT_TRUE(loaded->LoadFrom(bytes)) << loader;
     for (Vertex v = 0; v < graph.num_vertices(); ++v) {

@@ -56,12 +56,11 @@ void PrintTo(const PinnedOutput& p, std::ostream* os) {
       << p.vertices_dequeued << ", " << p.pruned_by_distance << "}";
 }
 
-// CRC-32Cs of the frozen and compressed backends' SaveTo payloads. "csc"
-// saves the same packed arena as "frozen"; the compact serialization is
-// pinned in `csc.crc`.
+// CRC-32C of the frozen backend's SaveTo payload. "csc" saves the same
+// packed arena as "frozen"; the compact serialization is pinned in
+// `csc.crc`.
 struct PinnedFlat {
   uint32_t frozen = 0;
-  uint32_t compressed = 0;
 };
 
 struct PinnedGraph {
@@ -109,31 +108,31 @@ const std::vector<PinnedGraph>& PinnedGraphs() {
        {0x82324108u, 107479, 66673, 40806, 74463, 20879},
        0x0c0c2488u,
        {0xb5e973f6u, 53495, 33112, 20383, 74339, 20844},
-       {0x2a80b079u, 0xd964f24fu}},
+       {0x2a80b079u}},
       {"erdos_renyi_dense",
        [] { return GenerateErdosRenyi(250, 2500, 5); },
        {0xc4632726u, 75189, 39340, 35849, 49213, 11693},
        0x52eeb672u,
        {0x6518fb98u, 37419, 19523, 17896, 49071, 11652},
-       {0x0ad5a6e0u, 0x9dbc5411u}},
+       {0x0ad5a6e0u}},
       {"power_law",
        [] { return GeneratePreferentialAttachment(600, 3, 0.2, 7); },
        {0x73bef05du, 44592, 27404, 17188, 30690, 8612},
        0x8c90a552u,
        {0xce714ba7u, 21914, 13370, 8544, 30526, 8612},
-       {0x9bf0e27eu, 0xd3ddf13du}},
+       {0x9bf0e27eu}},
       {"power_law_reciprocal",
        [] { return GeneratePreferentialAttachment(800, 2, 0.4, 19); },
        {0x4eb703e8u, 44214, 30725, 13489, 27676, 5851},
        0xed858c7eu,
        {0xb55499fbu, 21589, 14926, 6663, 27439, 5850},
-       {0xb4c5661bu, 0x429f87b6u}},
+       {0xb4c5661bu}},
       {"wkt",
        [] { return MaterializeDataset(FindDataset("WKT").value(), 0.02); },
        {0xf7b7d2a5u, 40801, 32576, 8225, 23356, 3464},
        0xe20a3547u,
        {0x9ac17e8du, 19809, 15703, 4106, 23271, 3462},
-       {0x4237971bu, 0x24cfd3d7u}},
+       {0x4237971bu}},
   };
   return graphs;
 }
@@ -233,8 +232,7 @@ TEST(BuildOutputPinnedTest, FlatPayloadsAtEveryBuildPath) {
       options.num_threads = threads;
       for (const auto& [name, pinned] :
            {std::pair<const char*, uint32_t>{"csc", g.flat.frozen},
-            {"frozen", g.flat.frozen},
-            {"compressed", g.flat.compressed}}) {
+            {"frozen", g.flat.frozen}}) {
         std::unique_ptr<CycleIndex> backend = MakeBackend(name);
         backend->Build(graph, options);
         std::string payload;

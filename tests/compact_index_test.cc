@@ -205,13 +205,8 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
             << context;
         const Vertex n = g.graph.num_vertices();
         ASSERT_EQ(compact.num_original_vertices(), n + reserve) << context;
-        for (ArenaEncoding encoding :
-             {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-          EXPECT_EQ(FrozenIndex::Build(g.graph, order, options, encoding),
-                    FrozenIndex::FromCompact(compact, encoding))
-              << context;
-        }
         FrozenIndex served = FrozenIndex::Build(g.graph, order, options);
+        EXPECT_EQ(served, FrozenIndex::FromCompact(compact)) << context;
         for (Vertex v = 0; v < n; ++v) {
           CycleCount expected = BfsCountCycles(g.graph, v);
           if (g.acyclic) {
@@ -230,21 +225,16 @@ TEST(CompactIndexEdgeCaseTest, BuildMatchesFullBuildAndBfs) {
 TEST(CompactIndexTest, StoreFreezeMatchesCopying) {
   // FlatBackend freezes straight from the construction label store, owner
   // by owner and one direction at a time; the arenas must be the copying
-  // freeze's of the same build's stored sets under both encodings.
+  // freeze's of the same build's stored sets.
   for (uint64_t seed : {3u, 4u}) {
     DiGraph g = RandomGraph(80, 3.0, seed);
     CscIndex::Options options;
     options.build_threads = 2;
     CompactIndex compact = CompactIndex::FromIndex(
         CscIndex::Build(g, DegreeOrdering(g), options));
-    for (ArenaEncoding encoding :
-         {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-      FrozenIndex frozen =
-          FrozenIndex::Build(g, DegreeOrdering(g), options, encoding);
-      EXPECT_EQ(frozen, FrozenIndex::FromCompact(compact, encoding))
-          << "seed " << seed;
-      EXPECT_EQ(frozen.encoding(), encoding);
-    }
+    EXPECT_EQ(FrozenIndex::Build(g, DegreeOrdering(g), options),
+              FrozenIndex::FromCompact(compact))
+        << "seed " << seed;
   }
 }
 

@@ -1,5 +1,6 @@
 #include "csc/frozen_index.h"
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "baseline/bfs_cycle.h"
 #include "core/cycle_index.h"
+#include "csc/index_io.h"
 #include "dynamic/decremental.h"
 #include "dynamic/incremental.h"
 #include "graph/generators.h"
@@ -20,32 +22,22 @@
 namespace csc {
 namespace {
 
-// Every serving-form case runs over both arena encodings.
-class FrozenIndexTest : public ::testing::TestWithParam<ArenaEncoding> {
- protected:
-  FrozenIndex Freeze(const CscIndex& index) const {
-    return FrozenIndex::FromIndex(index, GetParam());
-  }
-};
-
-TEST_P(FrozenIndexTest, EmptyGraph) {
-  FrozenIndex frozen =
-      Freeze(CscIndex::Build(DiGraph(), DegreeOrdering(DiGraph())));
-  EXPECT_EQ(frozen.encoding(), GetParam());
+TEST(FrozenIndexTest, EmptyGraph) {
+  FrozenIndex frozen = FrozenIndex::FromIndex(
+      CscIndex::Build(DiGraph(), DegreeOrdering(DiGraph())));
   EXPECT_EQ(frozen.num_original_vertices(), 0u);
   EXPECT_EQ(frozen.TotalEntries(), 0u);
   EXPECT_EQ(frozen.SizeBytes(), 0u);
-  EXPECT_EQ(frozen.BytesPerEntry(), 0.0);
 }
 
-TEST_P(FrozenIndexTest, MatchesPaperExample) {
-  FrozenIndex frozen =
-      Freeze(CscIndex::Build(Figure2Graph(), Figure2Ordering()));
+TEST(FrozenIndexTest, MatchesPaperExample) {
+  FrozenIndex frozen = FrozenIndex::FromIndex(
+      CscIndex::Build(Figure2Graph(), Figure2Ordering()));
   // Example 1 / Example 6: SCCnt(v7) = 3 with length 6 (v7 is id 6).
   EXPECT_EQ(frozen.Query(6), (CycleCount{6, 3}));
 }
 
-TEST_P(FrozenIndexTest, QueriesMatchLiveIndex) {
+TEST(FrozenIndexTest, QueriesMatchLiveIndex) {
   std::vector<DiGraph> graphs;
   for (uint64_t seed = 0; seed < 5; ++seed) {
     graphs.push_back(RandomGraph(80, 2.5, seed));
@@ -55,7 +47,7 @@ TEST_P(FrozenIndexTest, QueriesMatchLiveIndex) {
   }
   for (size_t i = 0; i < graphs.size(); ++i) {
     CscIndex live = CscIndex::Build(graphs[i], DegreeOrdering(graphs[i]));
-    FrozenIndex frozen = Freeze(live);
+    FrozenIndex frozen = FrozenIndex::FromIndex(live);
     for (Vertex v = 0; v < graphs[i].num_vertices(); ++v) {
       ASSERT_EQ(frozen.Query(v), live.Query(v))
           << "graph " << i << " vertex " << v;
@@ -63,80 +55,65 @@ TEST_P(FrozenIndexTest, QueriesMatchLiveIndex) {
   }
 }
 
-TEST_P(FrozenIndexTest, MatchesBfsGroundTruth) {
+TEST(FrozenIndexTest, MatchesBfsGroundTruth) {
   DiGraph g = RandomGraph(60, 3.0, 42);
-  FrozenIndex frozen = Freeze(CscIndex::Build(g, DegreeOrdering(g)));
+  FrozenIndex frozen =
+      FrozenIndex::FromIndex(CscIndex::Build(g, DegreeOrdering(g)));
   BfsCycleCounter bfs(g);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(frozen.Query(v), bfs.CountCycles(v)) << "vertex " << v;
   }
 }
 
-TEST_P(FrozenIndexTest, EntryCountMatchesCompactForm) {
+TEST(FrozenIndexTest, EntryCountMatchesCompactForm) {
   DiGraph g = RandomGraph(80, 3.0, 42);
   CompactIndex compact =
       CompactIndex::FromIndex(CscIndex::Build(g, DegreeOrdering(g)));
-  FrozenIndex frozen = FrozenIndex::FromCompact(compact, GetParam());
+  FrozenIndex frozen = FrozenIndex::FromCompact(compact);
   EXPECT_EQ(frozen.TotalEntries(), compact.TotalEntries());
   EXPECT_EQ(frozen.num_original_vertices(), compact.num_original_vertices());
-  if (GetParam() == ArenaEncoding::kPacked) {
-    EXPECT_EQ(frozen.SizeBytes(), compact.SizeBytes());
-  }
+  EXPECT_EQ(frozen.SizeBytes(), compact.SizeBytes());
+  EXPECT_EQ(frozen.SizeBytes(), 8 * frozen.TotalEntries());
 }
 
-TEST_P(FrozenIndexTest, CompressesBelowEightBytesPerEntry) {
-  // On small-world graphs ranks/distances/counts are small, so the varint
-  // stream must beat the fixed 8-byte packing — the varint encoding's
-  // reason to exist; fail loudly if it regresses. Packed stays at 8.
-  DiGraph graph = GenerateSmallWorld(2000, 3, 0.1, 9);
-  CscIndex index = CscIndex::Build(graph, DegreeOrdering(graph));
-  FrozenIndex frozen = Freeze(index);
-  ASSERT_GT(frozen.TotalEntries(), 0u);
-  if (GetParam() == ArenaEncoding::kPacked) {
-    EXPECT_EQ(frozen.BytesPerEntry(), 8.0);
-  } else {
-    EXPECT_LT(frozen.BytesPerEntry(), 8.0);
-    EXPECT_LT(frozen.SizeBytes(), FrozenIndex::FromIndex(index).SizeBytes());
-  }
-}
-
-TEST_P(FrozenIndexTest, HandlesVerticesWithNoCycles) {
+TEST(FrozenIndexTest, HandlesVerticesWithNoCycles) {
   DiGraph dag(5);
   dag.AddEdge(0, 1);
   dag.AddEdge(1, 2);
   dag.AddEdge(2, 3);
   dag.AddEdge(3, 4);
-  FrozenIndex frozen = Freeze(CscIndex::Build(dag, DegreeOrdering(dag)));
+  FrozenIndex frozen =
+      FrozenIndex::FromIndex(CscIndex::Build(dag, DegreeOrdering(dag)));
   for (Vertex v = 0; v < 5; ++v) {
     EXPECT_EQ(frozen.Query(v), (CycleCount{kInfDist, 0}));
   }
 }
 
-TEST_P(FrozenIndexTest, OutOfRange) {
+TEST(FrozenIndexTest, OutOfRange) {
   DiGraph g(3);
   g.AddEdge(0, 1);
   g.AddEdge(1, 0);
-  FrozenIndex frozen = Freeze(CscIndex::Build(g, DegreeOrdering(g)));
+  FrozenIndex frozen =
+      FrozenIndex::FromIndex(CscIndex::Build(g, DegreeOrdering(g)));
   EXPECT_EQ(frozen.Query(99), (CycleCount{kInfDist, 0}));
   EXPECT_EQ(frozen.QueryThroughEdge(0, 99), (CycleCount{kInfDist, 0}));
   EXPECT_EQ(frozen.Query(0), (CycleCount{2, 1}));
 }
 
-TEST_P(FrozenIndexTest, SurvivesSerializationRoundTrip) {
+TEST(FrozenIndexTest, SurvivesSerializationRoundTrip) {
   DiGraph g = RandomGraph(40, 2.5, 13);
   CscIndex live = CscIndex::Build(g, DegreeOrdering(g));
   // Through the compact interchange payload...
   auto reloaded =
       CompactIndex::Deserialize(CompactIndex::FromIndex(live).Serialize());
   ASSERT_TRUE(reloaded.has_value());
-  FrozenIndex frozen = FrozenIndex::FromCompact(*reloaded, GetParam());
+  FrozenIndex frozen = FrozenIndex::FromCompact(*reloaded);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(frozen.Query(v), live.Query(v));
   }
-  // ...and through the native payload, whose magic names the encoding.
+  // ...and through the native payload.
   std::string bytes = frozen.Serialize();
-  EXPECT_EQ(bytes.substr(0, 4),
-            GetParam() == ArenaEncoding::kPacked ? "CSCF" : "CSCZ");
+  EXPECT_EQ(bytes.substr(0, 4), "CSCF");
   std::optional<FrozenIndex> native = FrozenIndex::Deserialize(bytes);
   ASSERT_TRUE(native.has_value());
   EXPECT_EQ(*native, frozen);
@@ -146,21 +123,15 @@ TEST_P(FrozenIndexTest, SurvivesSerializationRoundTrip) {
   EXPECT_EQ(*view, frozen);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Encodings, FrozenIndexTest,
-    ::testing::Values(ArenaEncoding::kPacked, ArenaEncoding::kVarint),
-    [](const ::testing::TestParamInfo<ArenaEncoding>& info) {
-      return info.param == ArenaEncoding::kPacked ? "Packed" : "Varint";
-    });
-
 TEST(FrozenIndexPayloadTest, DefaultIsEmpty) {
   FrozenIndex empty;
   EXPECT_EQ(empty.num_original_vertices(), 0u);
   EXPECT_EQ(empty.Query(0), (CycleCount{kInfDist, 0}));
 }
 
-// Both load paths must reject a payload whose arenas are not all in the
-// encoding its magic names.
+// Every load path must reject a payload of the retired varint encoding: the
+// CSCZ magic, or an arena whose encoding byte is 1. Through the backends
+// (from a file and from a mapping) the rejection is a typed load error.
 void ExpectRejected(const std::string& bytes, const char* what) {
   EXPECT_FALSE(FrozenIndex::Deserialize(bytes).has_value()) << what;
   auto keep_alive = std::make_shared<const std::string>(bytes);
@@ -169,35 +140,59 @@ void ExpectRejected(const std::string& bytes, const char* what) {
                    keep_alive->size(), keep_alive)
                    .has_value())
       << what;
+  const std::string path =
+      ::testing::TempDir() + "csc_frozen_rejected_payload.idx";
+  ASSERT_TRUE(SavePayloadToFile(bytes, path)) << what;
+  for (const char* backend : {"csc", "frozen"}) {
+    EXPECT_FALSE(MakeBackend(backend)->LoadFrom(bytes)) << what << backend;
+    BackendLoadResult from_file = LoadBackendFromFile(path, backend);
+    EXPECT_FALSE(from_file.ok()) << what << backend;
+    EXPECT_FALSE(from_file.error.empty()) << what << backend;
+    std::string error;
+    std::shared_ptr<IndexFile> mapping = IndexFile::Open(path, &error);
+    ASSERT_NE(mapping, nullptr) << error;
+    BackendLoadResult from_mapping = LoadBackendFromMapping(mapping, backend);
+    EXPECT_FALSE(from_mapping.ok()) << what << backend;
+    EXPECT_FALSE(from_mapping.error.empty()) << what << backend;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(FrozenIndexPayloadTest, RejectsEncodingThatDisagreesWithMagic) {
   DiGraph g = RandomGraph(30, 2.5, 21);
-  CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
-  FrozenIndex packed = FrozenIndex::FromIndex(index, ArenaEncoding::kPacked);
-  FrozenIndex varint = FrozenIndex::FromIndex(index, ArenaEncoding::kVarint);
-  const std::string packed_bytes = packed.Serialize();
-  const std::string varint_bytes = varint.Serialize();
-  ASSERT_TRUE(FrozenIndex::Deserialize(packed_bytes).has_value());
-  ASSERT_TRUE(FrozenIndex::Deserialize(varint_bytes).has_value());
+  FrozenIndex frozen =
+      FrozenIndex::FromIndex(CscIndex::Build(g, DegreeOrdering(g)));
+  const std::string bytes = frozen.Serialize();
+  ASSERT_TRUE(FrozenIndex::Deserialize(bytes).has_value());
+  // Wire offsets of the two arenas' encoding bytes.
+  std::string in_arena;
+  frozen.in_arena().AppendTo(in_arena);
+  const size_t in_encoding = 4;
+  const size_t out_encoding = 4 + in_arena.size();
+  ASSERT_EQ(bytes[in_encoding], 0);
+  ASSERT_EQ(bytes[out_encoding], 0);
 
-  std::string cscf_varint = varint_bytes;
-  std::memcpy(cscf_varint.data(), "CSCF", 4);
-  ExpectRejected(cscf_varint, "CSCF magic, varint arenas");
+  std::string in_varint = bytes;
+  in_varint[in_encoding] = 1;
+  ExpectRejected(in_varint, "CSCF magic, in arena encoding byte 1");
 
-  std::string cscz_packed = packed_bytes;
+  std::string out_varint = bytes;
+  out_varint[out_encoding] = 1;
+  ExpectRejected(out_varint, "CSCF magic, out arena encoding byte 1");
+
+  std::string cscz = bytes;
+  std::memcpy(cscz.data(), "CSCZ", 4);
+  cscz[in_encoding] = 1;
+  cscz[out_encoding] = 1;
+  ExpectRejected(cscz, "CSCZ magic, encoding bytes 1");
+
+  std::string cscz_packed = bytes;
   std::memcpy(cscz_packed.data(), "CSCZ", 4);
   ExpectRejected(cscz_packed, "CSCZ magic, packed arenas");
 
-  // A packed in arena followed by a varint out arena, under either magic.
-  const size_t ranks_bytes = sizeof(Rank) * g.num_vertices();
-  for (const char* magic : {"CSCF", "CSCZ"}) {
-    std::string mixed(magic, 4);
-    packed.in_arena().AppendTo(mixed);
-    varint.out_arena().AppendTo(mixed);
-    mixed += packed_bytes.substr(packed_bytes.size() - ranks_bytes);
-    ExpectRejected(mixed, magic);
-  }
+  // The varint backend's name is gone from the registry.
+  EXPECT_EQ(MakeBackend("compressed"), nullptr);
+  EXPECT_FALSE(IsRegisteredBackend("compressed"));
 }
 
 // The shadows a derive adopts: a fresh sequential build, and one built by
@@ -226,17 +221,15 @@ std::vector<CscIndex> DeriveShadows() {
 
 TEST(ShadowDeriveTest, FromIndexEqualsFreezingTheCompactCopy) {
   for (const CscIndex& shadow : DeriveShadows()) {
-    for (ArenaEncoding e : {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-      EXPECT_EQ(FrozenIndex::FromIndex(shadow, e),
-                FrozenIndex::FromCompact(CompactIndex::FromIndex(shadow), e));
-    }
+    EXPECT_EQ(FrozenIndex::FromIndex(shadow),
+              FrozenIndex::FromCompact(CompactIndex::FromIndex(shadow)));
   }
 }
 
 TEST(ShadowDeriveTest, DeriveFromSavesTheBytesOfACompactPayloadLoad) {
   for (const CscIndex& shadow : DeriveShadows()) {
     const std::string compact = CompactIndex::FromIndex(shadow).Serialize();
-    for (const char* name : {"csc", "frozen", "compressed"}) {
+    for (const char* name : {"csc", "frozen"}) {
       SCOPED_TRACE(name);
       std::unique_ptr<CycleIndex> derived = MakeBackend(name);
       std::unique_ptr<CycleIndex> loaded = MakeBackend(name);

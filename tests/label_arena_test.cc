@@ -32,12 +32,9 @@ std::vector<LabelSet> RandomLabelSets(Vertex n, uint64_t seed) {
   return sets;
 }
 
-class LabelArenaEncodingTest : public ::testing::TestWithParam<ArenaEncoding> {
-};
-
-TEST_P(LabelArenaEncodingTest, RoundTripsLabelSets) {
+TEST(LabelArenaTest, RoundTripsLabelSets) {
   std::vector<LabelSet> sets = RandomLabelSets(40, 7);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   ASSERT_EQ(arena.num_vertices(), 40u);
   uint64_t expected_entries = 0;
   for (Vertex v = 0; v < 40; ++v) {
@@ -48,11 +45,11 @@ TEST_P(LabelArenaEncodingTest, RoundTripsLabelSets) {
   EXPECT_EQ(arena.total_entries(), expected_entries);
 }
 
-TEST_P(LabelArenaEncodingTest, JoinMatchesJoinLabels) {
+TEST(LabelArenaTest, JoinMatchesJoinLabels) {
   std::vector<LabelSet> outs = RandomLabelSets(30, 11);
   std::vector<LabelSet> ins = RandomLabelSets(30, 13);
-  LabelArena out_arena = LabelArena::FromLabelSets(outs, GetParam());
-  LabelArena in_arena = LabelArena::FromLabelSets(ins, GetParam());
+  LabelArena out_arena = LabelArena::FromLabelSets(outs);
+  LabelArena in_arena = LabelArena::FromLabelSets(ins);
   for (Vertex s = 0; s < 30; ++s) {
     for (Vertex t = 0; t < 30; t += 3) {
       EXPECT_EQ(LabelArena::Join(out_arena, s, in_arena, t),
@@ -62,9 +59,9 @@ TEST_P(LabelArenaEncodingTest, JoinMatchesJoinLabels) {
   }
 }
 
-TEST_P(LabelArenaEncodingTest, FindHubMatchesLabelSetFind) {
+TEST(LabelArenaTest, FindHubMatchesLabelSetFind) {
   std::vector<LabelSet> sets = RandomLabelSets(25, 17);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   for (Vertex v = 0; v < 25; ++v) {
     for (Rank r = 0; r < 300; r += 7) {
       const LabelEntry* expected = sets[v].Find(r);
@@ -80,9 +77,9 @@ TEST_P(LabelArenaEncodingTest, FindHubMatchesLabelSetFind) {
   }
 }
 
-TEST_P(LabelArenaEncodingTest, SerializationRoundTrips) {
+TEST(LabelArenaTest, SerializationRoundTrips) {
   std::vector<LabelSet> sets = RandomLabelSets(32, 23);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   std::string bytes;
   arena.AppendTo(bytes);
   size_t pos = 0;
@@ -92,9 +89,8 @@ TEST_P(LabelArenaEncodingTest, SerializationRoundTrips) {
   EXPECT_EQ(*parsed, arena);
 }
 
-TEST_P(LabelArenaEncodingTest, ParseRejectsTruncation) {
-  LabelArena arena =
-      LabelArena::FromLabelSets(RandomLabelSets(16, 29), GetParam());
+TEST(LabelArenaTest, ParseRejectsTruncation) {
+  LabelArena arena = LabelArena::FromLabelSets(RandomLabelSets(16, 29));
   std::string bytes;
   arena.AppendTo(bytes);
   for (size_t cut = 0; cut + 1 < bytes.size(); cut += 9) {
@@ -104,15 +100,6 @@ TEST_P(LabelArenaEncodingTest, ParseRejectsTruncation) {
         << "cut=" << cut;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Encodings, LabelArenaEncodingTest,
-                         ::testing::Values(ArenaEncoding::kPacked,
-                                           ArenaEncoding::kVarint),
-                         [](const auto& info) {
-                           return info.param == ArenaEncoding::kPacked
-                                      ? "Packed"
-                                      : "Varint";
-                         });
 
 // Label sets of `entries` ranks spread across a shared `universe`, so runs
 // of very different lengths still interleave end to end — the shapes that
@@ -144,10 +131,8 @@ TEST(LabelArenaJoinKernelTest, AllKernelsAgreeAcrossSkews) {
       LabelSet a_set = SpanningSet(na, universe, 101 + pair_index);
       LabelSet b_set = SpanningSet(nb, universe, 207 + pair_index);
       ++pair_index;
-      LabelArena a =
-          LabelArena::FromLabelSets({a_set}, ArenaEncoding::kPacked);
-      LabelArena b =
-          LabelArena::FromLabelSets({b_set}, ArenaEncoding::kPacked);
+      LabelArena a = LabelArena::FromLabelSets({a_set});
+      LabelArena b = LabelArena::FromLabelSets({b_set});
       JoinResult expected = JoinLabels(a_set, b_set);
       EXPECT_EQ(LabelArena::JoinLinear(a, 0, b, 0), expected)
           << "na=" << na << " nb=" << nb;
@@ -173,8 +158,8 @@ TEST(LabelArenaJoinKernelTest, SkewedKernelsHandleDegenerateOverlaps) {
   LabelSet tail = below;
   tail.Append(LabelEntry(5015, 7, 3));  // one hit, last entry of `small`
   for (const LabelSet& other : {identical, below, above, tail}) {
-    LabelArena a = LabelArena::FromLabelSets({small}, ArenaEncoding::kPacked);
-    LabelArena b = LabelArena::FromLabelSets({other}, ArenaEncoding::kPacked);
+    LabelArena a = LabelArena::FromLabelSets({small});
+    LabelArena b = LabelArena::FromLabelSets({other});
     JoinResult expected = JoinLabels(small, other);
     EXPECT_EQ(LabelArena::Join(a, 0, b, 0), expected);
     EXPECT_EQ(LabelArena::Join(b, 0, a, 0), expected);
@@ -206,8 +191,8 @@ TEST(LabelArenaJoinKernelTest, TiedMinimumHubsSumAcrossBlocksAndTail) {
   b.Append(LabelEntry(61, 5, 3));
   ASSERT_NE(a.size() % 4, 0u);
   ASSERT_NE(b.size() % 4, 0u);
-  LabelArena out = LabelArena::FromLabelSets({a}, ArenaEncoding::kPacked);
-  LabelArena in = LabelArena::FromLabelSets({b}, ArenaEncoding::kPacked);
+  LabelArena out = LabelArena::FromLabelSets({a});
+  LabelArena in = LabelArena::FromLabelSets({b});
   const JoinResult expected{3, expected_count};
   EXPECT_EQ(JoinLabels(a, b), expected);
   EXPECT_EQ(LabelArena::Join(out, 0, in, 0), expected);
@@ -224,7 +209,7 @@ TEST(LabelArenaJoinKernelTest, JoinOverUnalignedViewPayload) {
   for (size_t i = 0; i < std::size(sizes); ++i) {
     sets.push_back(SpanningSet(sizes[i], 4 * 192 + 4, 301 + i));
   }
-  LabelArena owned = LabelArena::FromLabelSets(sets, ArenaEncoding::kPacked);
+  LabelArena owned = LabelArena::FromLabelSets(sets);
   std::string wire;
   owned.AppendTo(wire);
   for (size_t pad = 0; pad < 2; ++pad) {
@@ -250,11 +235,9 @@ TEST(LabelArenaJoinKernelTest, JoinOverUnalignedViewPayload) {
   FAIL() << "neither padding put the payload at an odd address";
 }
 
-class LabelArenaViewTest : public ::testing::TestWithParam<ArenaEncoding> {};
-
-TEST_P(LabelArenaViewTest, ParseViewMatchesParseAndOwnedArena) {
+TEST(LabelArenaViewTest, ParseViewMatchesParseAndOwnedArena) {
   std::vector<LabelSet> sets = RandomLabelSets(40, 53);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   auto bytes = std::make_shared<std::string>();
   arena.AppendTo(*bytes);
   size_t pos = 0;
@@ -283,9 +266,8 @@ TEST_P(LabelArenaViewTest, ParseViewMatchesParseAndOwnedArena) {
   EXPECT_EQ(reserialized, *bytes);
 }
 
-TEST_P(LabelArenaViewTest, ParseViewRejectsTruncation) {
-  LabelArena arena =
-      LabelArena::FromLabelSets(RandomLabelSets(16, 59), GetParam());
+TEST(LabelArenaViewTest, ParseViewRejectsTruncation) {
+  LabelArena arena = LabelArena::FromLabelSets(RandomLabelSets(16, 59));
   std::string bytes;
   arena.AppendTo(bytes);
   for (size_t cut = 0; cut + 1 < bytes.size(); cut += 7) {
@@ -298,9 +280,9 @@ TEST_P(LabelArenaViewTest, ParseViewRejectsTruncation) {
   }
 }
 
-TEST_P(LabelArenaViewTest, ViewOutlivesTheOriginalHandle) {
+TEST(LabelArenaViewTest, ViewOutlivesTheOriginalHandle) {
   std::vector<LabelSet> sets = RandomLabelSets(10, 61);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   auto bytes = std::make_shared<std::string>();
   arena.AppendTo(*bytes);
   size_t pos = 0;
@@ -316,9 +298,9 @@ TEST_P(LabelArenaViewTest, ViewOutlivesTheOriginalHandle) {
   }
 }
 
-TEST_P(LabelArenaViewTest, SliceKeepsOnlySelectedRuns) {
+TEST(LabelArenaViewTest, SliceKeepsOnlySelectedRuns) {
   std::vector<LabelSet> sets = RandomLabelSets(30, 67);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   uint64_t full_bytes = arena.SizeBytes();
   LabelArena sliced = arena;
   auto keep = [](Vertex v) { return v % 3 == 0; };
@@ -339,9 +321,9 @@ TEST_P(LabelArenaViewTest, SliceKeepsOnlySelectedRuns) {
   EXPECT_LT(sliced.SizeBytes(), full_bytes);
 }
 
-TEST_P(LabelArenaViewTest, SlicingAViewMaterializesTheKeptRuns) {
+TEST(LabelArenaViewTest, SlicingAViewMaterializesTheKeptRuns) {
   std::vector<LabelSet> sets = RandomLabelSets(20, 71);
-  LabelArena arena = LabelArena::FromLabelSets(sets, GetParam());
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   auto bytes = std::make_shared<std::string>();
   arena.AppendTo(*bytes);
   size_t pos = 0;
@@ -360,24 +342,76 @@ TEST_P(LabelArenaViewTest, SlicingAViewMaterializesTheKeptRuns) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Encodings, LabelArenaViewTest,
-                         ::testing::Values(ArenaEncoding::kPacked,
-                                           ArenaEncoding::kVarint),
-                         [](const auto& info) {
-                           return info.param == ArenaEncoding::kPacked
-                                      ? "Packed"
-                                      : "Varint";
-                         });
+// Runs of 0, 127, 128 and 16,384 entries: run-length prefixes of one, two
+// and three bytes on the wire.
+std::vector<LabelSet> RunLengthBoundarySets() {
+  std::vector<LabelSet> sets(4);
+  const size_t lengths[] = {0, 127, 128, 16384};
+  for (size_t i = 0; i < std::size(lengths); ++i) {
+    for (size_t e = 0; e < lengths[i]; ++e) {
+      sets[i].Append(LabelEntry(static_cast<Vertex>(3 * e + i),
+                                static_cast<Dist>(e % 13), 1 + e % 5));
+    }
+  }
+  return sets;
+}
 
-TEST(LabelArenaCursorTest, VarintCursorEdgeCases) {
-  // Empty run, single-entry run, and maximum-delta ranks (rank 0 then the
-  // 23-bit maximum — the widest delta the varint stream can encode).
+TEST(LabelArenaTest, RunLengthPrefixesRoundTripAtByteBoundaries) {
+  std::vector<LabelSet> sets = RunLengthBoundarySets();
+  LabelArena arena = LabelArena::FromLabelSets(sets);
+  auto bytes = std::make_shared<std::string>();
+  arena.AppendTo(*bytes);
+  // u8 encoding | u32 n | prefixes of 1 + 1 + 2 + 3 bytes | payload.
+  const size_t header = 1 + 4 + 1 + 1 + 2 + 3;
+  ASSERT_EQ(bytes->size(), header + arena.SizeBytes());
+  size_t pos = 0;
+  auto parsed = LabelArena::Parse(*bytes, pos);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(pos, bytes->size());
+  pos = 0;
+  auto view = LabelArena::ParseView(
+      reinterpret_cast<const uint8_t*>(bytes->data()), bytes->size(), pos,
+      bytes);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(pos, bytes->size());
+  for (const LabelArena* loaded : {&*parsed, &*view}) {
+    EXPECT_EQ(*loaded, arena);
+    for (Vertex v = 0; v < sets.size(); ++v) {
+      EXPECT_EQ(loaded->RunSize(v), sets[v].size()) << "vertex " << v;
+      EXPECT_EQ(loaded->DecodeRun(v), sets[v]) << "vertex " << v;
+    }
+  }
+}
+
+TEST(LabelArenaTest, ParseRejectsTruncationInsideARunLengthPrefix) {
+  LabelArena arena = LabelArena::FromLabelSets(RunLengthBoundarySets());
+  std::string bytes;
+  arena.AppendTo(bytes);
+  // The prefixes start after the 5-byte header: run 2's two bytes at 7-8,
+  // run 3's three bytes at 9-11. Cut after each non-final prefix byte.
+  for (size_t cut : {size_t{8}, size_t{10}, size_t{11}}) {
+    ASSERT_NE(static_cast<uint8_t>(bytes[cut - 1]) & 0x80, 0) << "cut=" << cut;
+    size_t pos = 0;
+    EXPECT_FALSE(LabelArena::Parse(bytes.substr(0, cut), pos).has_value())
+        << "cut=" << cut;
+    pos = 0;
+    EXPECT_FALSE(LabelArena::ParseView(
+                     reinterpret_cast<const uint8_t*>(bytes.data()), cut, pos,
+                     nullptr)
+                     .has_value())
+        << "cut=" << cut;
+  }
+}
+
+TEST(LabelArenaCursorTest, CursorEdgeCases) {
+  // Empty run, single-entry run, and the extreme ranks (rank 0 and the
+  // 23-bit maximum).
   std::vector<LabelSet> sets(4);
   sets[1].Append(LabelEntry(7, 3, 2));
   sets[2].Append(LabelEntry(0, 1, 1));
   sets[2].Append(LabelEntry(static_cast<Vertex>(LabelEntry::kMaxHub), 5, 9));
   sets[3].Append(LabelEntry(static_cast<Vertex>(LabelEntry::kMaxHub), 2, 1));
-  LabelArena arena = LabelArena::FromLabelSets(sets, ArenaEncoding::kVarint);
+  LabelArena arena = LabelArena::FromLabelSets(sets);
   EXPECT_EQ(arena.RunSize(0), 0u);
   LabelArena::Cursor empty = arena.RunCursor(0);
   EXPECT_FALSE(empty.Next());
@@ -387,8 +421,7 @@ TEST(LabelArenaCursorTest, VarintCursorEdgeCases) {
   EXPECT_EQ(arena.FindHub(2, static_cast<Rank>(LabelEntry::kMaxHub))->first,
             5u);
   EXPECT_EQ(arena.FindHub(3, 0), std::nullopt);
-  // The wide-delta runs survive a serialization round trip (both the owned
-  // and the view parse re-validate the stream).
+  // The extreme ranks survive a serialization round trip.
   std::string bytes;
   arena.AppendTo(bytes);
   size_t pos = 0;
@@ -411,71 +444,38 @@ TEST(LabelArenaTest, ParseRejectsOversizedVertexCountWithoutAllocating) {
   EXPECT_FALSE(LabelArena::Parse(big_run, pos).has_value());
 }
 
-TEST(LabelArenaTest, PackedAndVarintAgreeOnEveryJoin) {
-  std::vector<LabelSet> outs = RandomLabelSets(20, 31);
-  std::vector<LabelSet> ins = RandomLabelSets(20, 37);
-  LabelArena packed_out =
-      LabelArena::FromLabelSets(outs, ArenaEncoding::kPacked);
-  LabelArena packed_in = LabelArena::FromLabelSets(ins, ArenaEncoding::kPacked);
-  LabelArena varint_out =
-      LabelArena::FromLabelSets(outs, ArenaEncoding::kVarint);
-  LabelArena varint_in = LabelArena::FromLabelSets(ins, ArenaEncoding::kVarint);
-  for (Vertex s = 0; s < 20; ++s) {
-    for (Vertex t = 0; t < 20; ++t) {
-      JoinResult expected = LabelArena::Join(packed_out, s, packed_in, t);
-      EXPECT_EQ(LabelArena::Join(varint_out, s, varint_in, t), expected);
-      // Mixed encodings route through the cursor merge.
-      EXPECT_EQ(LabelArena::Join(packed_out, s, varint_in, t), expected);
-      EXPECT_EQ(LabelArena::Join(varint_out, s, packed_in, t), expected);
-    }
-  }
-}
-
-TEST(LabelArenaTest, VarintIsSmallerOnRealisticLabels) {
-  std::vector<LabelSet> sets = RandomLabelSets(200, 41);
-  LabelArena packed = LabelArena::FromLabelSets(sets, ArenaEncoding::kPacked);
-  LabelArena varint = LabelArena::FromLabelSets(sets, ArenaEncoding::kVarint);
-  ASSERT_GT(packed.total_entries(), 0u);
-  EXPECT_EQ(packed.BytesPerEntry(), 8.0);
-  EXPECT_LT(varint.SizeBytes(), packed.SizeBytes());
-  EXPECT_EQ(varint.total_entries(), packed.total_entries());
-}
-
 TEST(LabelArenaTest, OwnedPayloadOfAPageIsPageAligned) {
   // An owned payload of a page or more sits on pages of its own, so freeing
   // the arena returns them to the system; edited and sliced copies stay
   // byte-identical to arenas built from their label sets.
   constexpr uintptr_t kPage = 4096;
   std::vector<LabelSet> sets = RandomLabelSets(4000, 71);
-  for (ArenaEncoding encoding :
-       {ArenaEncoding::kPacked, ArenaEncoding::kVarint}) {
-    auto expect_aligned = [&](const LabelArena& arena, const char* what) {
-      ASSERT_GE(arena.SizeBytes(), kPage) << what;
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.payload_data()) % kPage, 0u)
-          << what;
-    };
-    LabelArena arena = LabelArena::FromLabelSets(sets, encoding);
-    expect_aligned(arena, "built");
+  auto expect_aligned = [&](const LabelArena& arena, const char* what) {
+    ASSERT_GE(arena.SizeBytes(), kPage) << what;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.payload_data()) % kPage, 0u)
+        << what;
+  };
+  LabelArena arena = LabelArena::FromLabelSets(sets);
+  expect_aligned(arena, "built");
 
-    std::vector<std::pair<Vertex, LabelSet>> edits;
-    std::vector<LabelSet> edited_sets = sets;
-    for (Vertex v = 3; v < 4000; v += 97) {
-      LabelSet edited;
-      for (Rank r = 0; r < v % 9; ++r) edited.Append(LabelEntry(2 * r, r, 1));
-      edits.push_back({v, edited});
-      edited_sets[v] = edited;
-    }
-    LabelArena edited = arena.WithEditedRuns(edits);
-    expect_aligned(edited, "edited");
-    EXPECT_EQ(edited, LabelArena::FromLabelSets(edited_sets, encoding));
-
-    LabelArena sliced = arena;
-    sliced.Slice([](Vertex v) { return v % 3 != 0; });
-    expect_aligned(sliced, "sliced");
-    std::vector<LabelSet> kept = sets;
-    for (Vertex v = 0; v < kept.size(); v += 3) kept[v] = LabelSet();
-    EXPECT_EQ(sliced, LabelArena::FromLabelSets(kept, encoding));
+  std::vector<std::pair<Vertex, LabelSet>> edits;
+  std::vector<LabelSet> edited_sets = sets;
+  for (Vertex v = 3; v < 4000; v += 97) {
+    LabelSet edited;
+    for (Rank r = 0; r < v % 9; ++r) edited.Append(LabelEntry(2 * r, r, 1));
+    edits.push_back({v, edited});
+    edited_sets[v] = edited;
   }
+  LabelArena edited = arena.WithEditedRuns(edits);
+  expect_aligned(edited, "edited");
+  EXPECT_EQ(edited, LabelArena::FromLabelSets(edited_sets));
+
+  LabelArena sliced = arena;
+  sliced.Slice([](Vertex v) { return v % 3 != 0; });
+  expect_aligned(sliced, "sliced");
+  std::vector<LabelSet> kept = sets;
+  for (Vertex v = 0; v < kept.size(); v += 3) kept[v] = LabelSet();
+  EXPECT_EQ(sliced, LabelArena::FromLabelSets(kept));
 }
 
 TEST(LabelArenaTest, EmptyArena) {
@@ -483,7 +483,7 @@ TEST(LabelArenaTest, EmptyArena) {
   EXPECT_EQ(arena.num_vertices(), 0u);
   EXPECT_EQ(arena.total_entries(), 0u);
   EXPECT_EQ(arena.SizeBytes(), 0u);
-  LabelArena built = LabelArena::FromLabelSets({}, ArenaEncoding::kPacked);
+  LabelArena built = LabelArena::FromLabelSets({});
   EXPECT_EQ(built.num_vertices(), 0u);
   std::string bytes;
   built.AppendTo(bytes);

@@ -88,7 +88,7 @@ TEST_P(MmapLoadTest, MappedIndexOutlivesTheFileHandle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LoadableBackends, MmapLoadTest,
-                         ::testing::Values("csc", "frozen", "compressed"),
+                         ::testing::Values("csc", "frozen"),
                          [](const auto& info) { return info.param; });
 
 // A file holding the compact interchange payload has no arena to view, so
@@ -103,7 +103,7 @@ TEST(MmapLoadTest, CompactPayloadLoadsIntoEveryCscBackendByCopy) {
   std::string error;
   std::shared_ptr<IndexFile> mapping = IndexFile::Open(file.path(), &error);
   ASSERT_NE(mapping, nullptr) << error;
-  for (const char* backend : {"csc", "frozen", "compressed"}) {
+  for (const char* backend : {"csc", "frozen"}) {
     BackendLoadResult mapped = LoadBackendFromMapping(mapping, backend);
     ASSERT_TRUE(mapped.ok()) << backend << ": " << mapped.error;
     EXPECT_EQ(mapping.use_count(), 1) << backend;
@@ -149,8 +149,11 @@ TEST(MmapLoadTest, GarbagePayloadInsideValidEnvelopeIsRejectedByParseView) {
   // that is not a parsable index: the arena-level view validation must
   // reject it, not crash on it.
   TempFile file("garbage");
-  std::string payload = "CSCF";  // frozen magic, then nonsense
-  payload += std::string(64, '\x81');  // unterminated varints
+  std::string payload = "CSCF";  // frozen magic
+  // An in arena of 16 vertices (encoding byte 0, then the u32 count) whose
+  // run lengths never terminate: every byte carries the continuation bit.
+  payload += std::string("\x00\x10\x00\x00\x00", 5);
+  payload += std::string(64, '\x81');
   ASSERT_TRUE(SavePayloadToFile(payload, file.path()));
   std::shared_ptr<IndexFile> mapping = IndexFile::Open(file.path());
   ASSERT_NE(mapping, nullptr);  // the envelope itself is fine
@@ -273,7 +276,7 @@ TEST(CorruptionSweepTest, SingleIndexBitFlipsNeverCrash) {
 TEST(CorruptionSweepTest, SingleIndexTruncationsNeverCrash) {
   TempFile file("sweep_truncate");
   DiGraph graph = RandomGraph(50, 2.5, 19);
-  std::unique_ptr<CycleIndex> built = MakeBackend("compressed");
+  std::unique_ptr<CycleIndex> built = MakeBackend("frozen");
   built->Build(graph);
   ASSERT_TRUE(SaveBackendToFile(*built, file.path()));
   std::string pristine = ReadFileToString(file.path()).value();

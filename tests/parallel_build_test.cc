@@ -246,7 +246,7 @@ TEST(ParallelBuildDeterminismTest, LabelStoreAccounting) {
     LabelBuildStats sequential_stats;
     const FrozenIndex sequential =
         FrozenIndex::Build(g.graph, order, CscIndex::Options(),
-                           ArenaEncoding::kPacked, &sequential_stats);
+                           &sequential_stats);
     for (unsigned threads :
          {0u, 1u, 2u, 4u, 8u, 2 * ThreadPool::DefaultThreadCount()}) {
       const std::string context =
@@ -254,8 +254,8 @@ TEST(ParallelBuildDeterminismTest, LabelStoreAccounting) {
       CscIndex::Options options;
       options.build_threads = threads;
       LabelBuildStats stats;
-      const FrozenIndex frozen = FrozenIndex::Build(
-          g.graph, order, options, ArenaEncoding::kPacked, &stats);
+      const FrozenIndex frozen =
+          FrozenIndex::Build(g.graph, order, options, &stats);
       EXPECT_EQ(frozen, sequential) << context;
       ExpectStatsEqual(stats, sequential_stats, context);
       EXPECT_EQ(stats.store.live_bytes,
@@ -275,7 +275,7 @@ TEST(ParallelBuildDeterminismTest, BackendPayloadsByteIdentical) {
   // Every labeling-based backend with a persistent form: the serialized
   // payload of a parallel build must be byte-identical to the sequential
   // build's.
-  const std::vector<std::string> backends = {"csc", "frozen", "compressed"};
+  const std::vector<std::string> backends = {"csc", "frozen"};
   DiGraph graph = GeneratePreferentialAttachment(500, 3, 0.2, 21);
   for (const std::string& name : backends) {
     std::unique_ptr<CycleIndex> oracle = MakeBackend(name);

@@ -78,7 +78,7 @@ std::string Serialized(ShardedEngine& engine) {
 // Engine routes through the repair pipeline ("csc" always, the others when
 // repair is enabled).
 std::vector<std::string> PatchableBackends() {
-  return {"csc", "frozen", "compressed"};
+  return {"csc", "frozen"};
 }
 
 class RepairConformanceTest : public ::testing::TestWithParam<std::string> {};

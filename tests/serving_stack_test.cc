@@ -1,6 +1,6 @@
 // End-to-end integration of the post-paper stack: a temporal stream is
 // replayed through batch maintenance, the resulting index is persisted with
-// a checksum, reloaded, frozen, compressed, screened, trend-tracked and
+// a checksum, reloaded, frozen, screened, trend-tracked and
 // rendered — with every stage cross-checked against the BFS oracle on the
 // reference window graph.
 #include <cstdio>
@@ -69,18 +69,15 @@ TEST(ServingStackTest, StreamToPersistedServingTier) {
   std::optional<CompactIndex> loaded = CompactIndex::Deserialize(*payload);
   ASSERT_TRUE(loaded.has_value());
 
-  // 3. Freeze + compress the reloaded index; verify every form against the
-  //    oracle on the reference graph.
+  // 3. Freeze the reloaded index; verify every form against the oracle on
+  //    the reference graph.
   FrozenIndex frozen = FrozenIndex::FromCompact(*loaded);
-  FrozenIndex compressed =
-      FrozenIndex::FromCompact(*loaded, ArenaEncoding::kVarint);
   SccResult scc = ComputeScc(reference);
   BfsCycleCounter oracle(reference);
   for (Vertex v = 0; v < reference.num_vertices(); ++v) {
     CycleCount truth = oracle.CountCycles(v);
     ASSERT_EQ(index.Query(v), truth) << "live index, vertex " << v;
     ASSERT_EQ(frozen.Query(v), truth) << "frozen, vertex " << v;
-    ASSERT_EQ(compressed.Query(v), truth) << "compressed, vertex " << v;
     ASSERT_EQ(truth.count > 0, scc.OnCycle(v)) << "SCC filter, vertex " << v;
   }
 

@@ -354,8 +354,7 @@ TEST_P(AsyncServingStressTest, RollbackRacesReadersAndCoalescedEpochs) {
 }
 
 // The static serving forms are the ones whose rebuilds the async pipeline
-// moves off-thread; "frozen" covers the packed arena, "compressed" the
-// varint decode path.
+// moves off-thread; "frozen" covers the packed arena.
 // Regression: set_slice_keep used to write options_.slice_keep unguarded
 // while the async rebuild worker read it off-thread when slicing a fresh
 // snapshot (the sharded tier calls the setter right before Build, i.e.
@@ -393,7 +392,7 @@ TEST_P(AsyncServingStressTest, SliceKeepSwapRacesAsyncRebuilds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(StaticBackends, AsyncServingStressTest,
-                         ::testing::Values("frozen", "compressed"),
+                         ::testing::Values("frozen"),
                          [](const auto& info) { return info.param; });
 
 // --- Incremental repair under concurrency: batches land as bounded label
@@ -534,7 +533,7 @@ TEST_P(RepairServingStressTest, PatchFailureRollbackRacesReaders) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PatchableBackends, RepairServingStressTest,
-                         ::testing::Values("frozen", "compressed"),
+                         ::testing::Values("frozen"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

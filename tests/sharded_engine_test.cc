@@ -235,7 +235,7 @@ TEST(ShardedEngineTest, MultiShardEnvelopeRoundTrip) {
 
 TEST(ShardedEngineTest, CorruptedShardPayloadIsRejected) {
   ShardedEngineOptions options;
-  options.backend = "compressed";
+  options.backend = "frozen";
   options.num_shards = 2;
   ShardedEngine engine(options);
   ASSERT_TRUE(engine.Build(RandomGraph(30, 2.0, 8)));
@@ -453,7 +453,7 @@ TEST_P(ShardedSliceTest, SlicedBundleRejectsMismatchedPartition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ArenaBackends, ShardedSliceTest,
-                         ::testing::Values("frozen", "compressed"),
+                         ::testing::Values("frozen"),
                          [](const auto& info) { return info.param; });
 
 // --- Async update pipeline conformance: after Drain(), an async engine's
